@@ -265,7 +265,14 @@ def cmd_table2(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    print(f"reflexo: error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_period(args) -> int:
+    if args.n < 0:
+        return _usage_error("-n must be nonnegative")
     series = period_coefficients(build_fP(get(args.name)), args.n)
     for c in series.coefficients:
         print(_frac_str(c))
@@ -273,8 +280,14 @@ def cmd_period(args) -> int:
 
 
 def cmd_pf(args) -> int:
+    if args.n < 0:
+        return _usage_error("-n must be nonnegative")
     series = period_coefficients(build_fP(get(args.name)), args.n)
-    forms = _operator_forms(find_picard_fuchs(series))
+    try:
+        L = find_picard_fuchs(series)
+    except ValueError as e:
+        return _usage_error(f"-n {args.n}: {e}")
+    forms = _operator_forms(L)
     print(forms["t_form"])
     print(forms["D_form"])
     return 0

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .algebra import UniPoly, format_unipoly, squarefree_rational_roots
-from .laurent import LaurentPoly, newton_polygon
+from .laurent import LaurentPoly
 
 
 class PowerSeries:
@@ -52,41 +52,46 @@ class PowerSeries:
 def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
     """c_m = constant term of f^m for 0 <= m <= M.
 
-    Powers are built by iterated sparse multiplication; after computing f^k a
-    term at exponent u is pruned unless -u lies in (M - k) * Newt(f), since
-    otherwise no later multiplication can bring it back to exponent 0.
+    Meet in the middle: with a = ceil(m/2) and b = floor(m/2),
+    c_m = CT(f^a * f^b) = sum_u F_a[u] * F_b[-u], where F_k maps exponents to
+    the coefficients of f^k.  Only the powers f^k with k <= ceil(M/2) are
+    needed, and only the two latest are kept: c_{2k-1} pairs f^k with
+    f^(k-1), and c_{2k} pairs f^k with itself.  When every coefficient of f
+    is integral (as for every f_P) the powers are plain int dicts; otherwise
+    the same loop runs on the Fraction values.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    coeffs = [Fraction(1)]
-    if M == 0:
-        return PowerSeries(coeffs)
-    if not f.terms:
-        return PowerSeries([Fraction(1)] + [Fraction(0)] * M)
-    NP = newton_polygon(f)
-    if isinstance(NP, list):
-        # segment or point support: constant term of f^m is the coefficient
-        # picked up when m * u = 0 has solutions, handled by plain expansion
-        normals = []
+    if all(c.denominator == 1 for c in f.terms.values()):
+        f_items = [(u, int(c)) for u, c in f.terms.items()]
     else:
-        normals = [(e.inner_normal, e.normal_value()) for e in NP.edges()]
-    g = LaurentPoly({(0, 0): 1})
-    for k in range(1, M + 1):
-        g = g * f
-        remaining = M - k
-        if normals:
-            kept = {
-                u: c
-                for u, c in g.terms.items()
-                if all(
-                    -(n[0] * u[0] + n[1] * u[1]) >= remaining * b
-                    for n, b in normals
-                )
-            }
-            g = LaurentPoly.__new__(LaurentPoly)
-            g.terms = kept
-        coeffs.append(g.constant_term())
+        f_items = list(f.terms.items())
+    coeffs = [1] + [0] * M
+    prev = {(0, 0): 1}
+    for k in range(1, (M + 1) // 2 + 1):
+        cur = _times(prev, f_items)
+        coeffs[2 * k - 1] = _pairing(cur, prev)
+        if 2 * k <= M:
+            coeffs[2 * k] = _pairing(cur, cur)
+        prev = cur
     return PowerSeries(coeffs)
+
+
+def _times(F: dict, f_items: list) -> dict:
+    """Sparse product of the exponent -> coefficient map F with f."""
+    out: dict = {}
+    get = out.get
+    for (a2, b2), v2 in f_items:
+        for (a1, b1), v1 in F.items():
+            u = (a1 + a2, b1 + b2)
+            out[u] = get(u, 0) + v1 * v2
+    return {u: v for u, v in out.items() if v}
+
+
+def _pairing(F: dict, G: dict):
+    """sum_u F[u] * G[-u]: the constant term of the product of F and G."""
+    get = G.get
+    return sum(v * get((-a, -b), 0) for (a, b), v in F.items())
 
 
 class DiffOperator:
@@ -150,30 +155,79 @@ class DiffOperator:
 
 
 def apply_operator(L: DiffOperator, s: PowerSeries) -> PowerSeries:
-    """Coefficientwise image: the t^m coefficient of L s is
+    """Coefficientwise image of s under L."""
+    return PowerSeries(
+        [_image_coefficient(L, s.coefficients, m) for m in range(s.order + 1)]
+    )
+
+
+def _image_coefficient(L: DiffOperator, c: list, m: int):
+    """The t^m coefficient of L s, where c lists the coefficients of s:
     sum_k sum_j p_k[j] (m-j)^k c_{m-j}."""
-    M = s.order
-    out = []
-    for m in range(M + 1):
-        acc = Fraction(0)
-        for k, p in enumerate(L.polys):
-            if p.is_zero():
+    acc = Fraction(0)
+    for k, p in enumerate(L.polys):
+        for j, a in enumerate(p.coeffs[: m + 1]):
+            if a:
+                acc += a * (m - j) ** k * c[m - j]
+    return acc
+
+
+# The screen prime, 2^61 - 1.
+_PRIME = (1 << 61) - 1
+
+
+def _screen_skips(rows: list[list], ncols: int) -> bool:
+    """True when the matrix has full column rank modulo _PRIME.
+
+    Reduction mod p is a ring map, so every minor that vanishes over Q
+    vanishes mod p and rank_p <= rank_Q.  Full column rank mod p therefore
+    proves full column rank over Q: the kernel over Q is empty and the exact
+    solve can be skipped.  The screen does not decide (returns False) when
+    the kernel mod p is nonempty or when some entry has a denominator
+    divisible by p.
+    """
+    mat = []
+    for row in rows:
+        reduced = []
+        for v in row:
+            if type(v) is int:
+                reduced.append(v % _PRIME)
                 continue
-            for j in range(min(p.degree, m) + 1):
-                c = p[j]
-                if c:
-                    acc += c * (m - j) ** k * s[m - j]
-        out.append(acc)
-    return PowerSeries(out)
+            den = v.denominator % _PRIME
+            if not den:
+                return False
+            reduced.append(v.numerator * pow(den, -1, _PRIME) % _PRIME)
+        mat.append(reduced)
+    # Gaussian elimination that drops each pivot column and pivot row and
+    # stops at the first column without a pivot.
+    for _ in range(ncols):
+        pivot = next((row for row in mat if row[0]), None)
+        if pivot is None:
+            return False
+        inv = pow(pivot[0], -1, _PRIME)
+        rest = []
+        for row in mat:
+            if row is pivot:
+                continue
+            f = row[0] * inv % _PRIME
+            if f:
+                rest.append(
+                    [(a - f * b) % _PRIME for a, b in zip(row[1:], pivot[1:])]
+                )
+            else:
+                rest.append(row[1:])
+        mat = rest
+    return True
 
 
-def _nullspace_vector(rows: list[list[Fraction]], ncols: int):
-    """One kernel vector of the matrix (rows x ncols) over Q, or None.
+def _kernel(rows: list[list], ncols: int) -> tuple[list[Fraction] | None, int]:
+    """One kernel vector of the matrix (rows x ncols) over Q, or None, and
+    the dimension of the kernel.
 
     Gauss-Jordan; the kernel vector sets the first free variable to 1, so the
     result is deterministic.
     """
-    mat = [row[:] for row in rows]
+    mat = [[Fraction(v) for v in row] for row in rows]
     pivot_of_col = [-1] * ncols
     r = 0
     for c in range(ncols):
@@ -193,14 +247,14 @@ def _nullspace_vector(rows: list[list[Fraction]], ncols: int):
             break
     free = next((c for c in range(ncols) if pivot_of_col[c] == -1), None)
     if free is None:
-        return None
+        return None, 0
     vec = [Fraction(0)] * ncols
     vec[free] = Fraction(1)
     for c in range(ncols):
         pr = pivot_of_col[c]
         if pr != -1:
             vec[c] = -mat[pr][free]
-    return vec
+    return vec, ncols - r
 
 
 def find_picard_fuchs(
@@ -211,17 +265,28 @@ def find_picard_fuchs(
 ) -> DiffOperator:
     """Minimal annihilating operator: order h ascending from 1, then degree d
     ascending; a candidate kernel must also annihilate the last `guard`
-    coefficients, which are excluded from the fit."""
+    coefficients, which are excluded from the fit.
+
+    Each (h, d) fit matrix is first reduced modulo the prime 2^61 - 1.  If it
+    has full column rank there, it has full column rank over Q as well,
+    because rank_p <= rank_Q, so its kernel is provably empty and the shape
+    is skipped without Fraction arithmetic.  Every other shape (kernel mod p
+    nonempty, or a denominator divisible by p) goes to the exact Gauss-Jordan
+    solve.  At the accepted shape the exact kernel must have dimension 1;
+    otherwise the operator is not determined by the data and ValueError is
+    raised, as it is when no shape within the bounds is accepted.
+    """
     M = s.order
+    c = [int(x) if x.denominator == 1 else x for x in s.coefficients]
     for h in range(1, max_order + 1):
         for d in range(0, max_degree + 1):
             ncols = (h + 1) * (d + 1)
             if ncols + guard > M + 1:
                 break  # not enough data at this order
-            fit_rows = []
-            for m in range(0, M - guard + 1):
-                fit_rows.append(_recursion_row(s, m, h, d))
-            vec = _nullspace_vector(fit_rows, ncols)
+            rows = _fit_matrix(c, h, d, guard)
+            if _screen_skips(rows, ncols):
+                continue
+            vec, nullity = _kernel(rows, ncols)
             if vec is None:
                 continue
             polys = [
@@ -232,32 +297,29 @@ def find_picard_fuchs(
                 continue  # order drops: this is a lower-order relation
             L = DiffOperator(polys)
             if all(
-                _recursion_value(L, s, m) == 0
+                _image_coefficient(L, c, m) == 0
                 for m in range(M - guard + 1, M + 1)
             ):
+                if nullity != 1:
+                    raise ValueError(
+                        f"operator not unique: kernel of dimension {nullity}"
+                        f" at order {h}, degree {d} (use more coefficients)"
+                    )
                 return L.normalized()
     raise ValueError("no operator found (raise bounds)")
 
 
-def _recursion_row(s: PowerSeries, m: int, h: int, d: int) -> list[Fraction]:
-    """Row of the fit matrix for coefficient m: entry for unknown a_{k,j} is
-    (m-j)^k c_{m-j}."""
-    row = []
-    for k in range(h + 1):
-        for j in range(d + 1):
-            row.append((m - j) ** k * s[m - j] if m - j >= 0 else Fraction(0))
-    return row
-
-
-def _recursion_value(L: DiffOperator, s: PowerSeries, m: int) -> Fraction:
-    acc = Fraction(0)
-    for k, p in enumerate(L.polys):
-        if p.is_zero():
-            continue
-        for j in range(p.degree + 1):
-            if p[j] and m - j >= 0:
-                acc += p[j] * (m - j) ** k * s[m - j]
-    return acc
+def _fit_matrix(c: list, h: int, d: int, guard: int) -> list[list]:
+    """Fit matrix of the shape (h, d): one row per coefficient m outside the
+    guard; the entry for unknown a_{k,j} is (m-j)^k c_{m-j}."""
+    return [
+        [
+            (m - j) ** k * c[m - j] if m >= j else 0
+            for k in range(h + 1)
+            for j in range(d + 1)
+        ]
+        for m in range(len(c) - guard)
+    ]
 
 
 def operator_singular_locus(L: DiffOperator):

@@ -123,6 +123,17 @@ class TestPeriodCommands:
         assert "D^2" in t_form and "t^3" in t_form
         assert d_form.startswith("(") and "D^2" in d_form
 
+    def test_period_negative_n_exits_2(self, capsys):
+        code, out, err = run(capsys, "period", "3", "-n", "-1")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "-n" in err
+
+    def test_pf_too_few_terms_exits_2(self, capsys):
+        code, out, err = run(capsys, "pf", "3", "-n", "5")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "no operator found" in err
+
 
 class TestMutationsCommand:
     def test_4c(self, capsys):

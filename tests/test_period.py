@@ -5,12 +5,17 @@ from math import comb, factorial
 
 import pytest
 
+from reflexo import period
 from reflexo.algebra import UniPoly
-from reflexo.catalog import get
+from reflexo.catalog import NAMES, get
 from reflexo.laurent import LaurentPoly, build_fP
 from reflexo.period import (
+    _PRIME,
     DiffOperator,
     PowerSeries,
+    _fit_matrix,
+    _kernel,
+    _screen_skips,
     apply_operator,
     find_picard_fuchs,
     operator_singular_locus,
@@ -20,6 +25,16 @@ from reflexo.period import (
 
 def p3_series(M=40):
     return period_coefficients(build_fP(get("3")), M)
+
+
+def naive_period(f, M):
+    """Constant terms of f^0..f^M by plain repeated multiplication."""
+    g = LaurentPoly({(0, 0): 1})
+    out = [Fraction(1)]
+    for _ in range(M):
+        g = g * f
+        out.append(g.constant_term())
+    return out
 
 
 def p3_operator():
@@ -56,16 +71,41 @@ class TestPeriodCoefficients:
         for P in catalog.values():
             assert period_coefficients(build_fP(P), 1)[1] == 0
 
-    def test_clipping_matches_plain_expansion(self):
-        # [DERIVED] support clipping is loss-free: compare against a naive
-        # power computation for P5a to order 8
-        f = build_fP(get("5a"))
-        g = LaurentPoly({(0, 0): 1})
-        naive = [Fraction(1)]
-        for _ in range(8):
-            g = g * f
-            naive.append(g.constant_term())
-        assert period_coefficients(f, 8).coefficients == naive
+    def test_clipping_matches_plain_expansion(self, catalog):
+        # [DERIVED] c_m = CT(f^ceil(m/2) f^floor(m/2)) is loss-free: compare
+        # against a naive power computation for every f_P, with M zero, one,
+        # odd and even
+        for name in NAMES:
+            f = build_fP(catalog[name])
+            for M in (0, 1, 7, 8):
+                assert period_coefficients(f, M).coefficients == (
+                    naive_period(f, M)
+                ), (name, M)
+
+    def test_fraction_coefficients(self):
+        # [DERIVED] a non-integral f runs the same loop on Fraction values
+        f = LaurentPoly({
+            (1, 0): Fraction(1, 2), (-1, 0): Fraction(2, 3),
+            (0, 1): Fraction(-3, 4), (0, -1): 1, (1, 1): Fraction(1, 5),
+            (0, 0): Fraction(-1, 7),
+        })
+        got = period_coefficients(f, 7).coefficients
+        assert got == naive_period(f, 7)
+        assert any(c.denominator > 1 for c in got)
+
+    def test_segment_support(self):
+        # [DERIVED] f = x + 1/x: c_{2j} = binom(2j, j), odd terms vanish
+        f = LaurentPoly({(1, 0): 1, (-1, 0): 1})
+        s = period_coefficients(f, 11)
+        for m in range(12):
+            assert s[m] == (comb(m, m // 2) if m % 2 == 0 else 0)
+
+    def test_empty_f(self):
+        # [TRIVIAL] f^0 = 1 and f^m = 0 for m >= 1
+        assert period_coefficients(LaurentPoly(), 5).coefficients == [
+            1, 0, 0, 0, 0, 0
+        ]
+        assert period_coefficients(LaurentPoly(), 0).coefficients == [1]
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +154,60 @@ class TestFindPicardFuchs:
         s = PowerSeries([Fraction(2) ** (m * m) for m in range(30)])
         with pytest.raises(ValueError):
             find_picard_fuchs(s, max_order=2, max_degree=3)
+
+    def test_nonunique_kernel_rejected(self):
+        # [DERIVED] a short series whose accepted shape (order 2, degree 3)
+        # has a two-dimensional kernel: the operator is not determined
+        s = PowerSeries([1, 0, 0, 1, 0, 0, 1] + [0] * 10)
+        with pytest.raises(ValueError, match="not unique"):
+            find_picard_fuchs(s, guard=4)
+
+
+class TestModularScreen:
+    def test_accepted_shape_not_skipped(self, catalog):
+        # [DERIVED] rank_p <= rank_Q: where the exact kernel is nonempty the
+        # screen must not skip; at every accepted shape of the 16 series the
+        # kernel has dimension exactly 1
+        for name in NAMES:
+            s = period_coefficients(build_fP(catalog[name]), 40)
+            L = find_picard_fuchs(s)
+            h, d = L.order, max(p.degree for p in L.polys)
+            rows = _fit_matrix(s.coefficients, h, d, 8)
+            ncols = (h + 1) * (d + 1)
+            assert not _screen_skips(rows, ncols), name
+            assert _kernel(rows, ncols)[1] == 1, name
+
+    def test_skips_full_rank_shape(self):
+        # [DERIVED] P3 has no order-1 relation of degree 0: the screen
+        # decides this without an exact solve
+        rows = _fit_matrix(p3_series().coefficients, 1, 0, 8)
+        assert _kernel(rows, 2)[0] is None
+        assert _screen_skips(rows, 2)
+
+    def test_denominator_divisible_by_p_undecided(self):
+        # [TRIVIAL] full rank over Q, but an entry has no image mod p
+        rows = [[Fraction(1, _PRIME), 0], [0, 1], [1, 1]]
+        assert _kernel(rows, 2)[0] is None
+        assert not _screen_skips(rows, 2)
+
+    def test_denominator_divisible_by_p_falls_through(self, monkeypatch):
+        # [DERIVED] the P3 series divided by p is annihilated by the same
+        # operator; every shape then goes to the exact solve
+        counts = {"screen": 0, "exact": 0}
+
+        def screen(rows, ncols):
+            counts["screen"] += 1
+            return _screen_skips(rows, ncols)
+
+        def exact(rows, ncols):
+            counts["exact"] += 1
+            return _kernel(rows, ncols)
+
+        monkeypatch.setattr(period, "_screen_skips", screen)
+        monkeypatch.setattr(period, "_kernel", exact)
+        s = PowerSeries([c / _PRIME for c in p3_series().coefficients])
+        assert find_picard_fuchs(s) == p3_operator()
+        assert counts["exact"] == counts["screen"] > 1
 
 
 class TestApplyOperator:
