@@ -58,13 +58,6 @@ class UniPoly:
     def monomial(cls, deg: int, c=1, var: str = "t") -> "UniPoly":
         return cls([0] * deg + [c], var)
 
-    @classmethod
-    def from_roots(cls, roots: Sequence, var: str = "t") -> "UniPoly":
-        p = cls([1], var)
-        for r in roots:
-            p = p * cls([-_frac(r), 1], var)
-        return p
-
     # -- basics -------------------------------------------------------------
 
     @property
@@ -207,11 +200,6 @@ class UniPoly:
         if low < 0:
             ints = [-c for c in ints]
         return UniPoly(ints, self.var)
-
-    def compose_scale(self, a) -> "UniPoly":
-        """p(a*x) for a rational scalar a."""
-        a = _frac(a)
-        return UniPoly([c * a**i for i, c in enumerate(self.coeffs)], self.var)
 
     def __repr__(self):
         return f"UniPoly({format_unipoly(self)!r})"
@@ -969,9 +957,6 @@ class QuotientRing:
 
     def reduce(self, p: UniPoly) -> UniPoly:
         return p.divmod(self.modulus)[1]
-
-    def add(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        return a + b
 
     def mul(self, a: UniPoly, b: UniPoly) -> UniPoly:
         return self.reduce(a * b)

@@ -24,6 +24,9 @@ NAMES = [
 ]
 
 _cache: dict[str, Polygon] | None = None
+# canonical vertex tuple -> name of the shipped polygons; built by the first
+# name_of call, a constant of the catalog afterwards
+_names_by_form: dict[tuple, str] | None = None
 
 
 def load_catalog(path: str | None = None) -> dict[str, Polygon]:
@@ -53,11 +56,21 @@ def get(name: str) -> Polygon:
     return cat[name]
 
 
+def name_of(Q: Polygon) -> str:
+    """Name of the catalog class of Q (any coordinates); KeyError if Q is
+    not one of the 16 reflexive polygons."""
+    global _names_by_form
+    if _names_by_form is None:
+        _names_by_form = {
+            tuple(canonical_form(P).vertices): name
+            for name, P in load_catalog().items()
+        }
+    try:
+        return _names_by_form[tuple(canonical_form(Q).vertices)]
+    except KeyError:
+        raise KeyError("polygon not in catalog") from None
+
+
 def dual_name(name: str) -> str:
     """Name of the class of the polar dual."""
-    P = get(name)
-    target = tuple(canonical_form(polar_dual(P)).vertices)
-    for other in NAMES:
-        if tuple(canonical_form(get(other)).vertices) == target:
-            return other
-    raise RuntimeError("dual not in catalog")  # pragma: no cover
+    return name_of(polar_dual(get(name)))

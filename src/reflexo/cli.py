@@ -18,14 +18,14 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .algebra import UniPoly, format_unipoly, squarefree_rational_roots
-from .catalog import NAMES, dual_name, get, load_catalog
-from .fibration import FibreConfiguration, classify_fibres, elimination_polynomial
+from .algebra import UniPoly, format_unipoly
+from .catalog import NAMES, dual_name, get, load_catalog, name_of
+from .fibration import FibreConfiguration, Pencil, classify_fibres
 from .laurent import build_fP
-from .mordell_weil import mw_group, section_positions
-from .mutation import all_mutations, mutation_classes
+from .mordell_weil import mw_group
+from .mutation import all_mutations, mutation_class, mutation_classes
 from .period import DiffOperator, find_picard_fuchs, period_coefficients
-from .polygon import Polygon, canonical_form, polar_dual
+from .polygon import Polygon, polar_dual
 
 VERSION = "0.1.0"
 
@@ -53,10 +53,6 @@ EXPECTED_TABLE2 = {
 # ---------------------------------------------------------------------------
 # formatting helpers
 # ---------------------------------------------------------------------------
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _compact_poly(p: UniPoly) -> str:
@@ -97,7 +93,7 @@ def _fibres_json(config: FibreConfiguration) -> list[dict]:
         if isinstance(loc, str):
             entry = {"where": loc, "type": t.label()}
         elif isinstance(loc, Fraction):
-            entry = {"where": _frac_str(loc), "type": t.label()}
+            entry = {"where": str(loc), "type": t.label()}
         else:
             entry = {"where": {"factor": _compact_poly(loc)}, "type": t.label()}
         if c > 1:
@@ -135,31 +131,23 @@ def _class_names() -> list[list[str]]:
     ]
 
 
-def _name_of(Q: Polygon) -> str:
-    key = tuple(canonical_form(Q).vertices)
-    for n in NAMES:
-        if tuple(canonical_form(get(n)).vertices) == key:
-            return n
-    raise KeyError("polygon not in catalog")
-
-
 def build_report(name: str, period_n: int = 40, with_pf: bool = True) -> dict:
     P = get(name)
-    config = classify_fibres(P)
+    pencil = Pencil(P)
+    config = classify_fibres(P, pencil)
     mw = mw_group(P, config)
-    elim = elimination_polynomial(P)
-    roots, residual = squarefree_rational_roots(elim)
+    roots, residual = pencil.elimination_roots
     factors = [
         {"factor": _compact_poly(UniPoly([-r, 1], "l")), "multiplicity": m}
         for r, m in roots
     ] + [{"factor": _compact_poly(q), "multiplicity": m} for q, m in residual]
-    series = period_coefficients(build_fP(P), period_n)
+    series = period_coefficients(pencil.f, period_n)
     report = {
         "polygon": name,
         "vertices": [list(v) for v in P.vertices],
         "volume": P.volume(),
         "dual": dual_name(name),
-        "mutation_class": next(c for c in _class_names() if name in c),
+        "mutation_class": sorted(name_of(Q) for Q in mutation_class(P)),
         "fibres": _fibres_json(config),
         "mw": {
             "rank": mw.rank,
@@ -169,11 +157,11 @@ def build_report(name: str, period_n: int = 40, with_pf: bool = True) -> dict:
             "positions": mw.positions,
         },
         "elimination_factors": factors,
-        "period": [_frac_str(c) for c in series.coefficients],
+        "period": [str(c) for c in series.coefficients],
     }
     if mw.height is not None:
         report["mw"]["height_matrix"] = [
-            [_frac_str(x) for x in row] for row in mw.height
+            [str(x) for x in row] for row in mw.height
         ]
     if with_pf:
         L = find_picard_fuchs(series)
@@ -203,8 +191,14 @@ def _cached_report(name: str, period_n: int, with_pf: bool) -> str:
     config = {"period": period_n, "pf": with_pf}
     path = os.path.join(_cache_dir(), _cache_key(name, config) + ".json")
     if os.path.exists(path):
-        with open(path) as fh:
-            return fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+            if isinstance(json.loads(text), dict):
+                return text
+        except ValueError:
+            pass
+        # a corrupt entry is recomputed and atomically replaced below
     text = json.dumps(build_report(name, period_n, with_pf), indent=2)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
@@ -234,7 +228,13 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    print(_cached_report(args.name, args.period, not args.no_pf))
+    if args.period < 0:
+        return _usage_error("--period must be nonnegative")
+    try:
+        text = _cached_report(args.name, args.period, not args.no_pf)
+    except ValueError as e:  # no Picard-Fuchs operator fits the series
+        return _usage_error(f"--period {args.period}: {e}")
+    print(text)
     return 0
 
 
@@ -246,6 +246,8 @@ def _table_row(name: str) -> tuple[str, tuple, str]:
 
 
 def cmd_table2(args) -> int:
+    if args.jobs < 1:
+        return _usage_error("--jobs must be at least 1")
     with ThreadPoolExecutor(max_workers=args.jobs) as ex:
         rows = dict(zip(NAMES, ex.map(_table_row, NAMES)))
     bad = []
@@ -275,7 +277,7 @@ def cmd_period(args) -> int:
         return _usage_error("-n must be nonnegative")
     series = period_coefficients(build_fP(get(args.name)), args.n)
     for c in series.coefficients:
-        print(_frac_str(c))
+        print(c)
     return 0
 
 
@@ -298,7 +300,7 @@ def cmd_mutations(args) -> int:
     for data, Q in all_mutations(P):
         print(
             f"v=({data.v[0]},{data.v[1]}) w=({data.w[0]},{data.w[1]})"
-            f" -> {_name_of(Q)}"
+            f" -> {name_of(Q)}"
         )
     return 0
 

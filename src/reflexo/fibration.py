@@ -12,6 +12,7 @@ budget sum(chi) = 12.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as int_gcd
 
 from .algebra import (
@@ -24,7 +25,6 @@ from .algebra import (
     gcd_over_quotient,
     gcd_poly,
     resultant,
-    squarefree_decomposition,
     squarefree_rational_roots,
 )
 from .laurent import LaurentPoly, build_fP, cleared_member
@@ -101,6 +101,59 @@ def fibre_at_infinity(P: Polygon) -> KodairaType:
 
 
 # ---------------------------------------------------------------------------
+# the pencil
+# ---------------------------------------------------------------------------
+
+
+class Pencil:
+    """The pencil {f_P + lambda} of a reflexive polygon together with the
+    quantities its classification derives from it, each computed at most
+    once: f = f_P, the cleared member C, the critical pair (A, B, G), the
+    eliminants, the elimination polynomial E and the y-candidates of the
+    isolated critical points.
+
+    A Pencil lives for one top-level call (a report, a table row) and is
+    passed down explicitly; nothing keeps it afterwards.  Its values are
+    shared by every helper that receives it, so none may modify them.
+    """
+
+    def __init__(self, P: Polygon):
+        self.P = P
+        self.f = build_fP(P)
+        self.C = cleared_member(self.f)
+
+    @cached_property
+    def critical_pair(self) -> tuple[MPoly, MPoly, MPoly]:
+        return _critical_pair(self.f)
+
+    @cached_property
+    def eliminants(self) -> tuple[MPoly, MPoly, UniPoly]:
+        return _eliminants(self)
+
+    @cached_property
+    def elimination(self) -> UniPoly:
+        return elimination_polynomial(self.P, self)
+
+    @cached_property
+    def elimination_roots(self):
+        """squarefree_rational_roots(E): (rational roots, residual factors)."""
+        return squarefree_rational_roots(self.elimination)
+
+    @cached_property
+    def critical_y(self):
+        """squarefree_rational_roots of Res_x(A, B) with y-powers stripped:
+        the candidate y-coordinates of the isolated critical points of f."""
+        A, B, _ = self.critical_pair
+        ry = resultant(A, B, "x").to_unipoly("y")
+        if ry.is_zero():
+            raise ArithmeticError("critical locus of f is not finite")
+        hy = _strip_y_powers(ry)
+        if hy.is_const():
+            return [], []
+        return squarefree_rational_roots(hy)
+
+
+# ---------------------------------------------------------------------------
 # base-point towers
 # ---------------------------------------------------------------------------
 
@@ -129,7 +182,8 @@ class BasePointTower:
         )
 
 
-def base_point_towers(P: Polygon) -> list[BasePointTower]:
+def base_point_towers(P: Polygon, pencil: Pencil | None = None
+                      ) -> list[BasePointTower]:
     """One tower per edge of lattice length >= 2.
 
     In a smooth chart (x1, x2) adjacent to the boundary ray of edge e the
@@ -141,14 +195,15 @@ def base_point_towers(P: Polygon) -> list[BasePointTower]:
     the height-zero support points u = m w of f (w a primitive generator of
     the edge direction).
     """
-    f = build_fP(P)
+    if pencil is None:
+        pencil = Pencil(P)
     towers = []
     for e in P.edges():
         if e.lattice_length < 2:
             continue
         v = e.inner_normal
         acc = Fraction(0)
-        for u, c in f.terms.items():
+        for u, c in pencil.f.terms.items():
             if v[0] * u[0] + v[1] * u[1] == 0:
                 m = int_gcd(abs(u[0]), abs(u[1]))
                 acc += c * (-1) ** m
@@ -253,13 +308,12 @@ def _critical_pair(f: LaurentPoly) -> tuple[MPoly, MPoly, MPoly]:
     return A, B, G
 
 
-def _eliminants(P: Polygon):
+def _eliminants(pencil: Pencil):
     """(r1, r2, extra): the two x-eliminants of the critical system with
     common (y, l)-factors peeled off, and the pure-lambda polynomial
     collecting everything peeled (curve-part values and shared content)."""
-    f = build_fP(P)
-    A, B, G = _critical_pair(f)
-    C = cleared_member(f)
+    A, B, G = pencil.critical_pair
+    C = pencil.C
     extra = UniPoly([1], "l")
     if not G.is_const():
         # f is constant on each critical curve; its lambda shows up as the
@@ -284,12 +338,15 @@ def _eliminants(P: Polygon):
     return r1, r2, extra
 
 
-def elimination_polynomial(P: Polygon) -> UniPoly:
+def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     """Eliminate x then y from the critical-point system
     {x f_x = 0, y f_y = 0, f + lambda = 0}: the result is a univariate
     polynomial in lambda whose roots contain every singular value (possibly
-    with extraneous factors, removed later by certification)."""
-    r1, r2, extra = _eliminants(P)
+    with extraneous factors, removed later by certification).  A Pencil's
+    `elimination` calls this once with itself as `pencil`."""
+    if pencil is None:
+        pencil = Pencil(P)
+    r1, r2, extra = pencil.eliminants
     if r1.degree("y") <= 0:
         e = extra * r1.to_unipoly("l")
     elif r2.degree("y") <= 0:
@@ -302,12 +359,6 @@ def elimination_polynomial(P: Polygon) -> UniPoly:
     return e.primitive_integer()
 
 
-def _specialized_member(P: Polygon, lam: Fraction) -> MPoly:
-    f = build_fP(P)
-    C = cleared_member(f)
-    return C.eval_var("l", lam)
-
-
 def _gcd3_biv(F: MPoly) -> MPoly:
     Fx = F.derivative("x").strip_monomial()
     Fy = F.derivative("y").strip_monomial()
@@ -315,10 +366,13 @@ def _gcd3_biv(F: MPoly) -> MPoly:
     return gcd_bivariate(g, Fy)
 
 
-def member_is_nonreduced(P: Polygon, lam: Fraction):
+def member_is_nonreduced(P: Polygon, lam: Fraction,
+                         pencil: Pencil | None = None):
     """(flag, repeated factor, multiplicity): the member at lambda contains a
     repeated component iff gcd(F, F_x, F_y) is nonconstant off the axes."""
-    F = _specialized_member(P, lam).strip_monomial()
+    if pencil is None:
+        pencil = Pencil(P)
+    F = pencil.C.eval_var("l", lam).strip_monomial()
     G = _gcd3_biv(F).strip_monomial()
     if G.is_const():
         return False, None, 1
@@ -347,21 +401,15 @@ def _hessian_det(F: MPoly) -> MPoly:
     return Fxx * Fyy - Fxy * Fxy
 
 
-def _count_nodes_at(P: Polygon, lam: Fraction) -> int:
+def _count_nodes_at(pencil: Pencil, lam: Fraction) -> int:
     """Number of singular points of the member at rational lambda on the
     torus, each certified to be an ordinary node."""
-    F = _specialized_member(P, lam).strip_monomial()
-    A, B, _ = _critical_pair(build_fP(P))
     # candidate y-values: the isolated critical points of f are cut out by
     # the lambda-free pair (A, B); membership in the fibre is tested per point
-    ry = resultant(A, B, "x").to_unipoly("y")
-    if ry.is_zero():
-        raise ArithmeticError("critical locus of f is not finite")
-    hy = _strip_y_powers(ry)
-    if hy.is_const():
-        return 0
+    roots, residual = pencil.critical_y
+    A, B, _ = pencil.critical_pair
+    F = pencil.C.eval_var("l", lam).strip_monomial()
     hess = _hessian_det(F)
-    roots, residual = squarefree_rational_roots(hy)
     count = 0
     for y0, _ in roots:
         if y0 == 0:
@@ -442,10 +490,10 @@ def _to_quotient_coeffs(p: MPoly, ring: QuotientRing) -> list[UniPoly]:
     return out
 
 
-def _certify_residual_factor(P: Polygon, q: UniPoly) -> list[UniPoly]:
+def _certify_residual_factor(pencil: Pencil, q: UniPoly) -> list[UniPoly]:
     """Split q(l) into the sub-factors over which the critical-point system
     is actually solvable; extraneous parts of the elimination are dropped."""
-    r1, r2, _ = _eliminants(P)
+    r1, r2, _ = pencil.eliminants
 
     def solvable(qq: UniPoly) -> list[UniPoly]:
         try:
@@ -476,26 +524,28 @@ def _certify_residual_factor(P: Polygon, q: UniPoly) -> list[UniPoly]:
     return solvable(q)
 
 
-def singular_lambda_values(P: Polygon) -> list[SingularValue]:
+def singular_lambda_values(P: Polygon, pencil: Pencil | None = None
+                           ) -> list[SingularValue]:
     """Certified finite singular locations of the pencil on the torus."""
     if not P.is_reflexive():
         raise ValueError("P must be reflexive")
-    E = elimination_polynomial(P)
-    roots, residual = squarefree_rational_roots(E)
+    if pencil is None:
+        pencil = Pencil(P)
+    roots, residual = pencil.elimination_roots
     out = []
     for lam, _ in roots:
-        flag, rep, mult = member_is_nonreduced(P, lam)
+        flag, rep, mult = member_is_nonreduced(P, lam, pencil)
         if flag:
             out.append(
                 SingularValue(lam, 0, nonreduced=True, repeated_factor=rep,
                               multiplicity=mult)
             )
             continue
-        n = _count_nodes_at(P, lam)
+        n = _count_nodes_at(pencil, lam)
         if n > 0:
             out.append(SingularValue(lam, n))
     for q, _ in residual:
-        for qq in _certify_residual_factor(P, q):
+        for qq in _certify_residual_factor(pencil, q):
             out.append(SingularValue(qq.primitive_integer(), 1))
     return out
 
@@ -538,11 +588,14 @@ class FibreConfiguration:
         return "FibreConfiguration(" + ", ".join(parts) + ")"
 
 
-def classify_fibres(P: Polygon) -> FibreConfiguration:
+def classify_fibres(P: Polygon, pencil: Pencil | None = None
+                    ) -> FibreConfiguration:
     """Full Kodaira configuration of the pencil: the I_{12-Vol} fibre at
     infinity plus the certified finite fibres, checked against chi = 12."""
     entries = [("infinity", fibre_at_infinity(P), 1)]
-    towers = base_point_towers(P)
+    if pencil is None:
+        pencil = Pencil(P)
+    towers = base_point_towers(P, pencil)
     absorbed: dict[Fraction, int] = {}
     for t in towers:
         # per-edge contribution: the l(e)-1 (-2)-curves plus the component
@@ -550,7 +603,7 @@ def classify_fibres(P: Polygon) -> FibreConfiguration:
         absorbed[t.lambda_value] = (
             absorbed.get(t.lambda_value, 0) + t.intermediate_curves + 1
         )
-    sing = singular_lambda_values(P)
+    sing = singular_lambda_values(P, pencil)
     rational = {s.location: s for s in sing if isinstance(s.location, Fraction)}
     irrational = [s for s in sing if not isinstance(s.location, Fraction)]
 

@@ -9,7 +9,6 @@ The 16 reflexive classes fall into 8 mutation-equivalence classes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 from .polygon import Point, Polygon, canonical_form, convex_hull
@@ -44,13 +43,8 @@ class MutationData:
         return f"MutationData(v={self.v}, w={self.w})"
 
 
-def _height(v: Point, p) -> Fraction:
+def _height(v: Point, p: Point) -> int:
     return v[0] * p[0] + v[1] * p[1]
-
-
-def _slice_points(P: Polygon, v: Point, d: int) -> list[Point]:
-    """Lattice points of P at height d w.r.t. v (a segment or point or empty)."""
-    return sorted(p for p in P.lattice_points() if _height(v, p) == d)
 
 
 def mutate(P: Polygon, data: MutationData) -> Polygon:
@@ -64,13 +58,15 @@ def mutate(P: Polygon, data: MutationData) -> Polygon:
     if min(heights) != -1:
         raise ValueError("v is not an inner edge normal of P")
 
-    # P_{-1} is the edge at height -1; peel one Minkowski factor H off it.
-    bottom = _slice_points(P, v, -1)
-    # R_{-1} = P_{-1} - H: shrink the segment by w at the end it covers
+    # the slices P_{-1}, P_0, P_1: every lattice point has height -1, 0 or 1,
+    # and lattice_points() is in lexicographic order, so each slice is sorted
+    bottom, mid, top = [], [], []
+    slices = (bottom, mid, top)
+    for p in P.lattice_points():
+        slices[_height(v, p) + 1].append(p)
+    # P_{-1} is the edge at height -1; peel one Minkowski factor H off it:
+    # R_{-1} = P_{-1} - H shrinks the segment by w at the end it covers
     r_minus = _shrink_segment(bottom, w)
-
-    mid = _slice_points(P, v, 0)
-    top = _slice_points(P, v, 1)
     shifted_top = [(p[0] + w[0], p[1] + w[1]) for p in top]
 
     pts = r_minus + mid + top + shifted_top
@@ -123,6 +119,22 @@ def all_mutations(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     return out
 
 
+def mutation_class(P: Polygon) -> list[Polygon]:
+    """Canonical forms of the polygons in P's component of the mutation
+    graph, P's own first: a search that expands each member once through
+    all_mutations and recognises members by canonical vertex tuple."""
+    start = canonical_form(P)
+    members = {tuple(start.vertices): start}
+    todo = [P]
+    while todo:
+        for _, Q in all_mutations(todo.pop()):
+            k = tuple(Q.vertices)
+            if k not in members:
+                members[k] = Q
+                todo.append(Q)
+    return list(members.values())
+
+
 def mutation_classes(catalog: list[Polygon]) -> list[list[int]]:
     """Connected components of the mutation graph on the catalog.
 
@@ -130,31 +142,18 @@ def mutation_classes(catalog: list[Polygon]) -> list[list[int]]:
     by first element.
     """
     keys = [tuple(canonical_form(P).vertices) for P in catalog]
-    index = {k: i for i, k in enumerate(keys)}
-    parent = list(range(len(catalog)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    classes = []
+    placed: set[int] = set()
     for i, P in enumerate(catalog):
-        for _, Q in all_mutations(P):
-            k = tuple(Q.vertices)
-            if k not in index:
-                raise ValueError("mutation left the catalog")
-            union(i, index[k])
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(catalog)):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(g) for _, g in sorted(groups.items())]
+        if i in placed:
+            continue
+        component = {tuple(Q.vertices) for Q in mutation_class(P)}
+        if not component.issubset(keys):
+            raise ValueError("mutation left the catalog")
+        cls = [j for j, k in enumerate(keys) if k in component]
+        placed.update(cls)
+        classes.append(cls)
+    return classes
 
 
 def trop_map(m: Point, data: MutationData) -> Point:

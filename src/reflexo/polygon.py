@@ -13,7 +13,6 @@ finite, GL2(Z)-equivariant, and exhaustive.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 Point = tuple[int, int]
@@ -34,7 +33,7 @@ def _primitive(v: Point) -> Point:
 
 def convex_hull(points) -> list[Point]:
     """Andrew monotone chain; returns CCW vertices, collinear points dropped.
-    Accepts rational coordinates; used with Fractions by the mutation code."""
+    Accepts rational coordinates."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -65,10 +64,10 @@ class Edge:
         # CCW orientation: interior on the left, inner normal = rotate d by +90
         self.inner_normal = _primitive((-d[1], d[0]))
 
-    def normal_value(self) -> Fraction:
+    def normal_value(self) -> int:
         """<inner_normal, tail> -- equals -(lattice distance from origin)."""
         n = self.inner_normal
-        return Fraction(n[0] * self.tail[0] + n[1] * self.tail[1])
+        return n[0] * self.tail[0] + n[1] * self.tail[1]
 
     def lattice_points(self) -> list[Point]:
         """All lattice points on the edge, tail to head inclusive."""
@@ -118,9 +117,6 @@ class Polygon:
             raise ValueError("degenerate or mis-oriented polygon")
         return s
 
-    def contains_origin_strictly(self) -> bool:
-        return all(e.normal_value() < 0 for e in self.edges())
-
     def is_reflexive(self) -> bool:
         return all(e.normal_value() == -1 for e in self.edges())
 
@@ -132,19 +128,20 @@ class Polygon:
         return out
 
     def lattice_points(self) -> list[Point]:
-        """All lattice points of the polygon."""
+        """All lattice points of the polygon, in lexicographic order."""
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
-        es = self.edges()
-        out = []
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                if all(
-                    e.inner_normal[0] * x + e.inner_normal[1] * y >= e.normal_value()
-                    for e in es
-                ):
-                    out.append((x, y))
-        return out
+        # P = {u : <n, u> >= b} over the edges' inner normals n and bounds b
+        halfplanes = [
+            (e.inner_normal[0], e.inner_normal[1], e.normal_value())
+            for e in self.edges()
+        ]
+        return [
+            (x, y)
+            for x in range(min(xs), max(xs) + 1)
+            for y in range(min(ys), max(ys) + 1)
+            if all(a * x + b * y >= c for a, b, c in halfplanes)
+        ]
 
     def scale_count(self, m: int) -> int:
         """#(mP ∩ Z^2) for reflexive P (dilation via the support description)."""

@@ -2,11 +2,13 @@
 
 import json
 import os
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from reflexo.cli import main
+from reflexo import cli, fibration
+from reflexo.cli import build_report, main
 
 
 def run(capsys, *argv):
@@ -44,6 +46,14 @@ class TestTable2:
         assert code == 0
         assert "[MISMATCH]" not in out
         assert out.count("[ok]") == 16
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run(capsys, "table2", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == [
+            "reflexo: error: --jobs must be at least 1"
+        ]
 
 
 class TestAnalyze:
@@ -105,9 +115,70 @@ class TestAnalyze:
         _, second, _ = run(capsys, "analyze", "4a", "--no-pf")
         assert first == second
 
+    def test_corrupt_cache_entry_recomputed(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path))
+        path = tmp_path / (cli._cache_key("4a", {"period": 40, "pf": False})
+                           + ".json")
+        path.write_text("{broken")
+        code, out, _ = run(capsys, "analyze", "4a", "--no-pf")
+        assert code == 0
+        assert json.loads(out)["polygon"] == "4a"
+        assert path.read_text() + "\n" == out
+        assert os.listdir(tmp_path) == [path.name]
+
     def test_unknown_name_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "zz")
         assert code == 2
+
+    def test_period_without_operator_exits_2(self, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path))
+        code, out, err = run(capsys, "analyze", "3", "--period", "3")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("reflexo: error: --period 3: no operator found")
+        assert os.listdir(tmp_path) == []
+
+    def test_negative_period_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path))
+        code, out, err = run(capsys, "analyze", "3", "--period", "-1")
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == [
+            "reflexo: error: --period must be nonnegative"
+        ]
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name, in every reflexo namespace that binds it, by a
+    wrapper recording each call's arguments; returns the record."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if (modname == "reflexo" or modname.startswith("reflexo.")) and \
+                getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+class TestComputeOnce:
+    def test_report_derives_each_pencil_quantity_once(self, monkeypatch):
+        eliminants = _count_calls(monkeypatch, fibration, "_eliminants")
+        elimination = _count_calls(monkeypatch, fibration,
+                                   "elimination_polynomial")
+        fP = _count_calls(monkeypatch, fibration, "build_fP")
+        classes = _count_calls(monkeypatch, cli, "mutation_classes")
+        report = build_report("5a")
+        assert report["mutation_class"] == ["5a", "5b"]
+        assert len(eliminants) == 1
+        assert len(elimination) == 1
+        assert len(fP) <= 2
+        assert classes == []
 
 
 class TestPeriodCommands:

@@ -9,6 +9,7 @@ from reflexo.algebra import UniPoly, squarefree_rational_roots
 from reflexo.catalog import NAMES, get
 from reflexo.fibration import (
     KodairaType,
+    Pencil,
     base_point_towers,
     classify_fibres,
     elimination_polynomial,
@@ -128,6 +129,25 @@ class TestElimination:
         )
         assert roots == []
         assert [q for q, _ in residual] == [lpoly(-11, 36, -8, -1, 1)]
+
+
+class TestPencil:
+    @pytest.mark.parametrize("name", ["4b", "5a", "8b", "9"])
+    def test_classification_leaves_values_unchanged(self, name):
+        # [DERIVED] the helpers share the pencil's values and modify none:
+        # after a classification they equal those of a fresh pencil
+        P = get(name)
+        pencil = Pencil(P)
+        classify_fibres(P, pencil)
+        fresh = Pencil(P)
+        assert pencil.f == fresh.f
+        assert pencil.C == fresh.C
+        assert pencil.critical_pair == fresh.critical_pair
+        assert pencil.eliminants == fresh.eliminants
+        assert pencil.elimination == fresh.elimination
+        assert pencil.elimination.var == fresh.elimination.var == "l"
+        assert pencil.elimination_roots == fresh.elimination_roots
+        assert pencil.critical_y == fresh.critical_y
 
 
 class TestNonreduced:

@@ -8,6 +8,7 @@ from reflexo.mutation import (
     MutationData,
     all_mutations,
     mutate,
+    mutation_class,
     mutation_classes,
     trop_map,
 )
@@ -102,6 +103,36 @@ class TestMutationClasses:
             ("6a", "6b", "6c", "6d"), ("7a", "7b"),
             ("8a", "8b", "8c"), ("9",),
         ])
+
+    def test_one_component_search_matches_union_find(self, catalog):
+        # [DERIVED] the search from one polygon finds exactly its component
+        # of the undirected mutation graph on the catalog, built here by
+        # union-find over every catalog polygon's mutations
+        order = [catalog[n] for n in NAMES]
+        keys = [tuple(canonical_form(P).vertices) for P in order]
+        parent = list(range(len(order)))
+
+        def find(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for i, P in enumerate(order):
+            for _, Q in all_mutations(P):
+                parent[find(keys.index(tuple(Q.vertices)))] = find(i)
+        classes = mutation_classes(order)
+        for i, P in enumerate(order):
+            found = {tuple(Q.vertices) for Q in mutation_class(P)}
+            expected = {keys[j] for j in range(len(order))
+                        if find(j) == find(i)}
+            assert found == expected
+            assert {keys[j] for j in next(c for c in classes if i in c)} \
+                == expected
+
+    def test_class_members_are_canonical(self):
+        members = mutation_class(get("6a"))
+        assert members[0] == canonical_form(get("6a"))
+        assert all(canonical_form(Q).vertices == Q.vertices for Q in members)
 
 
 class TestTropMap:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflexo.catalog import NAMES, dual_name, get
+from reflexo.catalog import NAMES, dual_name, get, name_of
 from reflexo.polygon import (
     Polygon,
     apply_unimodular,
@@ -53,6 +53,17 @@ class TestPolarDual:
         for a, b in pairs.items():
             assert dual_name(a) == b
             assert dual_name(b) == a
+
+    def test_name_of_sheared_catalog(self):
+        # [DERIVED] the name depends on the GL2(Z) class, not the coordinates
+        for n in NAMES:
+            for k in range(-2, 3):
+                for U in (((1, k), (0, 1)), ((1, 0), (k, 1))):
+                    assert name_of(apply_unimodular(U, get(n))) == n
+
+    def test_name_of_unknown_polygon(self):
+        with pytest.raises(KeyError):
+            name_of(Polygon([(0, 0), (1, 0), (0, 1)]))
 
     def test_4b_dual_vertices(self):
         # [DERIVED] normals of conv{(1,0),(0,1),(-1,1),(0,-1)}
