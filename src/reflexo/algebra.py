@@ -551,17 +551,18 @@ class MPoly:
         return out
 
     def strip_monomial(self) -> "MPoly":
-        """Divide out the largest common monomial factor."""
+        """Divide out the largest common monomial factor in x and y.  Powers
+        of l stay: l is a coefficient variable, so l = 0 is a value of the
+        pencil, not a point off the torus."""
         if not self.terms:
             return self
-        mins = [min(k[i] for k in self.terms) for i in range(3)]
-        if mins == [0, 0, 0]:
+        mx = min(k[0] for k in self.terms)
+        my = min(k[1] for k in self.terms)
+        if mx == my == 0:
             return self
         out = MPoly.__new__(MPoly)
-        out.terms = {
-            (k[0] - mins[0], k[1] - mins[1], k[2] - mins[2]): v
-            for k, v in self.terms.items()
-        }
+        out.terms = {(k[0] - mx, k[1] - my, k[2]): v
+                     for k, v in self.terms.items()}
         return out
 
     def to_unipoly(self, name: str) -> UniPoly:

@@ -58,15 +58,20 @@ def get(name: str) -> Polygon:
 
 def name_of(Q: Polygon) -> str:
     """Name of the catalog class of Q (any coordinates); KeyError if Q is
-    not one of the 16 reflexive polygons."""
+    not one of the 16 reflexive polygons.  A Q already in canonical form,
+    such as a mutant from `all_mutations`, is found without canonicalising
+    it again."""
     global _names_by_form
     if _names_by_form is None:
         _names_by_form = {
             tuple(canonical_form(P).vertices): name
             for name, P in load_catalog().items()
         }
+    key = tuple(Q.vertices)
+    if key not in _names_by_form:
+        key = tuple(canonical_form(Q).vertices)
     try:
-        return _names_by_form[tuple(canonical_form(Q).vertices)]
+        return _names_by_form[key]
     except KeyError:
         raise KeyError("polygon not in catalog") from None
 

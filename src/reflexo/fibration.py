@@ -3,10 +3,10 @@ surface attached to a reflexive polygon.
 
 Pipeline: the fibre at infinity is the boundary cycle I_{12 - Vol(P)};
 singular lambda values on the torus come from resultant elimination of the
-critical-point system, certified per candidate; infinitely near base points
-over each edge of lattice length >= 2 contribute (-2)-curves that are
-absorbed by specific finite fibres; everything is assembled under the Euler
-budget sum(chi) = 12.
+critical-point system, each factor certified against the critical values of
+f_P; infinitely near base points over each edge of lattice length >= 2
+contribute (-2)-curves that are absorbed by specific finite fibres;
+everything is assembled under the Euler budget sum(chi) = 12.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ class Pencil:
     """The pencil {f_P + lambda} of a reflexive polygon together with the
     quantities its classification derives from it, each computed at most
     once: f = f_P, the cleared member C, the critical pair (A, B, G), the
-    eliminants, the elimination polynomial E and the y-candidates of the
-    isolated critical points.
+    eliminants, the elimination polynomial E, the y-candidates of the
+    isolated critical points and their critical values.
 
     A Pencil lives for one top-level call (a report, a table row) and is
     passed down explicitly; nothing keeps it afterwards.  Its values are
@@ -147,10 +147,27 @@ class Pencil:
         ry = resultant(A, B, "x").to_unipoly("y")
         if ry.is_zero():
             raise ArithmeticError("critical locus of f is not finite")
-        hy = _strip_y_powers(ry)
+        hy = _strip_powers(ry)
         if hy.is_const():
             return [], []
         return squarefree_rational_roots(hy)
+
+    @cached_property
+    def critical_values(self) -> UniPoly:
+        """prod (l + f(p)), up to a nonzero constant, over the isolated torus
+        critical points p of f, each certified to be an ordinary node: its
+        roots are the lambda of the members through them, each with
+        multiplicity its number of points."""
+        A, B, _ = self.critical_pair
+        J = (A.derivative("x") * B.derivative("y")
+             - A.derivative("y") * B.derivative("x"))
+        roots, residual = self.critical_y
+        values = UniPoly([1], "l")
+        for y0, _ in roots:
+            values = values * _values_at_y(A, B, J, self.C, y0)
+        for qy, _ in residual:
+            values = values * _values_over(A, B, J, self.C, qy)
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +282,7 @@ def _log_partials(f: LaurentPoly) -> tuple[MPoly, MPoly]:
     return out[0], out[1]
 
 
-def _strip_y_powers(p: UniPoly) -> UniPoly:
+def _strip_powers(p: UniPoly) -> UniPoly:
     k = 0
     while k <= p.degree and p[k] == 0:
         k += 1
@@ -290,7 +307,6 @@ def _pure_l_content(p: MPoly) -> UniPoly:
     g = UniPoly([], "l")
     for c in p.coeffs_in("y"):
         u = c.to_unipoly("l")
-        u.var = "l"
         g = gcd_poly(g, u) if not g.is_zero() else u
     return g
 
@@ -353,7 +369,6 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
         e = extra * r2.to_unipoly("l")
     else:
         e = extra * resultant(r1, r2, "y").to_unipoly("l")
-    e.var = "l"
     if e.is_zero():
         raise ArithmeticError("degenerate pencil: elimination vanished")
     return e.primitive_integer()
@@ -394,134 +409,79 @@ def member_is_nonreduced(P: Polygon, lam: Fraction,
     return True, R, mult
 
 
-def _hessian_det(F: MPoly) -> MPoly:
-    Fxx = F.derivative("x").derivative("x")
-    Fyy = F.derivative("y").derivative("y")
-    Fxy = F.derivative("x").derivative("y")
-    return Fxx * Fyy - Fxy * Fxy
+def _values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0: Fraction
+                 ) -> UniPoly:
+    """prod (l + f(p)), up to a nonzero constant, over the isolated torus
+    critical points p = (x, y0) of f, each certified to be an ordinary node.
 
-
-def _count_nodes_at(pencil: Pencil, lam: Fraction) -> int:
-    """Number of singular points of the member at rational lambda on the
-    torus, each certified to be an ordinary node."""
-    # candidate y-values: the isolated critical points of f are cut out by
-    # the lambda-free pair (A, B); membership in the fibre is tested per point
-    roots, residual = pencil.critical_y
-    A, B, _ = pencil.critical_pair
-    F = pencil.C.eval_var("l", lam).strip_monomial()
-    hess = _hessian_det(F)
-    count = 0
-    for y0, _ in roots:
-        if y0 == 0:
-            continue
-        count += _nodes_on_fiber_y(F, A, B, hess, y0)
-    for q, _ in residual:
-        count += _nodes_on_extension(F, A, B, hess, q)
-    return count
-
-
-def _nodes_on_fiber_y(F, A, B, hess, y0: Fraction) -> int:
-    """Nodes with rational y-coordinate y0."""
-    polys = [
-        p.eval_var("y", y0).to_unipoly("x") for p in (F, A, B)
-    ]
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:  # pragma: no cover - F never vanishes on a whole line
-        raise ArithmeticError("member contains the line y = y0")
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = gcd_poly(g, p)
-    g = _strip_y_powers(g)  # strips x powers: same low-exponent logic
+    The points are the roots of g = gcd(A, B)(x, y0), x-powers stripped.  At
+    such a point J = det d(A, B)/d(x, y) is a unit multiple of the Hessian
+    of f, so gcd(g, J) = 1 certifies them all at once.  Res_x(g, C) is the
+    product of C = x^a y^b (f + l) over them.
+    """
+    A0, B0, J0 = (p.eval_var("y", y0).to_unipoly("x") for p in (A, B, J))
+    g = _strip_powers(gcd_poly(A0, B0))
     if g.is_const():
-        return 0
-    hx = hess.eval_var("y", y0).to_unipoly("x")
-    count = 0
-    roots, residual = squarefree_rational_roots(g)
-    for x0, _ in roots:
-        if x0 == 0:
-            continue
-        if hx(x0) == 0:
-            raise ArithmeticError("singular point is not an ordinary node")
-        count += 1
-    for q, _ in residual:
-        # every conjugate root is a node iff hess is invertible mod q
-        if not gcd_poly(q, hx).is_const():
-            raise ArithmeticError("singular point is not an ordinary node")
-        count += q.degree
-    return count
+        return UniPoly([1], "l")
+    if not gcd_poly(g, J0).is_const():
+        raise ArithmeticError(
+            f"critical point is not an ordinary node: stage torus nodes, "
+            f"y = {y0}")
+    g = MPoly.from_unipoly(g, "x")
+    return resultant(g, C.eval_var("y", y0), "x").to_unipoly("l")
 
 
-def _nodes_on_extension(F, A, B, hess, qy: UniPoly) -> int:
-    """Nodes whose y-coordinate is a root of the rational-root-free qy,
-    counted over all deg(qy) conjugates via gcds in (Q[y]/qy)[x]."""
+def _values_over(A: MPoly, B: MPoly, J: MPoly, C: MPoly, qy: UniPoly
+                 ) -> UniPoly:
+    """_values_at_y for the points whose y-coordinate is a root of the
+    rational-root-free qy, over Q[y]/(qy): with g monic in x there,
+    Res_y(qy, Res_x(g, C)) is the product over all of them.  qy is split
+    wherever Q[y]/(qy) shows a zero divisor."""
     try:
         ring = QuotientRing(qy)
-        polys = [_to_quotient_coeffs(p, ring) for p in (F, A, B)]
-        g = gcd_over_quotient(polys, ring)
-        # strip x powers
-        while g and ring.reduce(g[0]).is_zero():
+        g = gcd_over_quotient([_to_quotient_coeffs(p, ring) for p in (A, B)],
+                              ring)
+        while g and g[0].is_zero():
             g = g[1:]
-        d = len(g) - 1
-        if d <= 0:
-            return 0
-        # certify nodes: hessian must be invertible at each solution, i.e.
-        # gcd(g, hess mod qy) trivial over the quotient
-        hq = _to_quotient_coeffs(hess, ring)
-        gh = gcd_over_quotient([g, hq], ring)
-        if len(gh) - 1 > 0:
-            raise ArithmeticError("singular point is not an ordinary node")
-        return qy.degree * d
+        if len(g) <= 1:
+            return UniPoly([1], "l")
+        if len(gcd_over_quotient([g, _to_quotient_coeffs(J, ring)], ring)) > 1:
+            raise ArithmeticError(
+                f"critical point is not an ordinary node: stage torus nodes, "
+                f"y a root of {format_unipoly(qy)}")
     except ZeroDivisorError as zd:
-        q1 = zd.factor
-        q2 = qy.exact_div(q1)
-        total = _nodes_on_extension(F, A, B, hess, q1)
-        if not q2.is_const():
-            total += _nodes_on_extension(F, A, B, hess, q2)
-        return total
+        return (_values_over(A, B, J, C, zd.factor)
+                * _values_over(A, B, J, C, qy.exact_div(zd.factor)))
+    g = MPoly.from_coeffs([MPoly.from_unipoly(c, "y") for c in g], "x")
+    values = resultant(MPoly.from_unipoly(ring.modulus, "y"),
+                       resultant(g, C, "x"), "y")
+    return values.to_unipoly("l")
 
 
 def _to_quotient_coeffs(p: MPoly, ring: QuotientRing) -> list[UniPoly]:
     """MPoly in (x, y) -> dense x-coefficient list of residues mod q(y)."""
-    out = []
-    for c in p.coeffs_in("x"):
-        u = c.to_unipoly("y")
-        u.var = ring.modulus.var
-        out.append(ring.reduce(u))
-    return out
+    return [ring.reduce(c.to_unipoly("y")) for c in p.coeffs_in("x")]
 
 
-def _certify_residual_factor(pencil: Pencil, q: UniPoly) -> list[UniPoly]:
-    """Split q(l) into the sub-factors over which the critical-point system
-    is actually solvable; extraneous parts of the elimination are dropped."""
-    r1, r2, _ = pencil.eliminants
-
-    def solvable(qq: UniPoly) -> list[UniPoly]:
-        try:
-            ring = QuotientRing(qq)
-            polys = []
-            for r in (r1, r2):
-                coeffs = []
-                for c in r.coeffs_in("y"):
-                    u = c.to_unipoly("l")
-                    u.var = qq.var
-                    coeffs.append(ring.reduce(u))
-                polys.append(coeffs)
-            if all(all(ring.reduce(c).is_zero() for c in p) for p in polys):
-                return [qq]  # cannot rule it out; budget check decides
-            g = gcd_over_quotient([p for p in polys if any(
-                not ring.reduce(c).is_zero() for c in p)], ring)
-            while g and ring.reduce(g[0]).is_zero():
-                g = g[1:]
-            return [qq] if len(g) - 1 > 0 else []
-        except ZeroDivisorError as zd:
-            q1 = zd.factor
-            q2 = qq.exact_div(q1)
-            out = solvable(q1)
-            if not q2.is_const():
-                out += solvable(q2)
-            return out
-
-    return solvable(q)
+def _count_nodes(pencil: Pencil, q: UniPoly) -> int:
+    """Ordinary torus nodes of the member at each root of the lambda-factor
+    q (q = l - lambda0 for a rational lambda0): the multiplicity of the
+    roots of q among the pencil's critical values, which must be the same
+    at every root."""
+    values = pencil.critical_values
+    n = 0
+    while True:
+        g = gcd_poly(q, values)
+        if g.is_const():
+            return n
+        if g.degree < q.degree:
+            raise ArithmeticError(
+                f"node count not uniform: stage torus nodes, lambda-factor "
+                f"{format_unipoly(q)}: at least {n + 1} nodes at {g.degree} of "
+                f"its {q.degree} roots, {n} at the others; Euler budget of the "
+                f"finite fibres Vol(P) = {pencil.P.volume()}")
+        values = values.exact_div(g)
+        n += 1
 
 
 def singular_lambda_values(P: Polygon, pencil: Pencil | None = None
@@ -541,12 +501,13 @@ def singular_lambda_values(P: Polygon, pencil: Pencil | None = None
                               multiplicity=mult)
             )
             continue
-        n = _count_nodes_at(pencil, lam)
+        n = _count_nodes(pencil, UniPoly([-lam, 1], "l"))
         if n > 0:
             out.append(SingularValue(lam, n))
     for q, _ in residual:
-        for qq in _certify_residual_factor(pencil, q):
-            out.append(SingularValue(qq.primitive_integer(), 1))
+        n = _count_nodes(pencil, q)
+        if n > 0:
+            out.append(SingularValue(q.primitive_integer(), n))
     return out
 
 
@@ -621,8 +582,14 @@ def classify_fibres(P: Polygon, pencil: Pencil | None = None
         entries.append((lam, KodairaType("I", k), 1))
         finite_chi += k
     for s in irrational:
-        entries.append((s.location, KodairaType("I", 1), s.degree))
-        finite_chi += s.degree
+        entries.append((s.location, KodairaType("I", s.torus_nodes), s.degree))
+        finite_chi += s.torus_nodes * s.degree
+
+    def failure(message: str) -> ArithmeticError:
+        towers_at = {str(lam): k for lam, k in sorted(absorbed.items())}
+        return ArithmeticError(
+            f"{message}; singular values {sing}, tower curves {towers_at}, "
+            f"fibres {FibreConfiguration(entries)}")
 
     for lam, s in nonreduced_entries:
         budget = 12 - entries[0][1].chi - finite_chi
@@ -631,11 +598,16 @@ def classify_fibres(P: Polygon, pencil: Pencil | None = None
         elif s.multiplicity == 3 and budget == 8:
             t = KodairaType("IV*")
         else:
-            raise ArithmeticError("additive type unresolved")
+            raise failure(
+                f"additive type unresolved: stage additive fibres, lambda = "
+                f"{lam}, repeated component of multiplicity {s.multiplicity}, "
+                f"remaining Euler budget {budget}")
         entries.append((lam, t, 1))
         finite_chi += t.chi
 
     config = FibreConfiguration(entries)
     if config.chi_total() != 12:
-        raise ArithmeticError("classification inconsistent")
+        raise failure(
+            f"classification inconsistent: stage assembly, Euler budget "
+            f"sum chi = {config.chi_total()}, expected 12")
     return config

@@ -72,6 +72,13 @@ class TestResultant:
         assert resultant(p, q, "x") == bareiss_determinant(mat)
 
 
+class TestStripMonomial:
+    def test_keeps_lambda_powers(self):
+        # [TRIVIAL] x y^3 l (2 + x l) loses x y^3 but keeps l, a coefficient
+        p = MPoly({(1, 3, 1): 2, (2, 3, 2): 1})
+        assert p.strip_monomial() == MPoly({(0, 0, 1): 2, (1, 0, 2): 1})
+
+
 class TestGcd:
     def test_shared_linear_factor(self):
         # [TRIVIAL] gcd(x^2 - 1, x - 1) = x - 1

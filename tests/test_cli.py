@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from reflexo import cli, fibration
+from reflexo import catalog, cli, fibration, polygon
 from reflexo.cli import build_report, main
 
 
@@ -211,6 +211,19 @@ class TestMutationsCommand:
         code, out, _ = run(capsys, "mutations", "4c")
         assert code == 0
         assert any(line.endswith("-> 4a") for line in out.strip().splitlines())
+
+    def test_mutants_canonicalised_once(self, capsys, monkeypatch):
+        # [DERIVED] all_mutations returns canonical forms, so naming the 76
+        # mutants of the 16 polygons takes no second canonical form
+        catalog.name_of(catalog.get("3"))  # build the name table
+        forms = _count_calls(monkeypatch, polygon, "canonical_form")
+        mutants = 0
+        for name in catalog.NAMES:
+            code, out, _ = run(capsys, "mutations", name)
+            assert code == 0
+            mutants += len(out.strip().splitlines())
+        assert mutants == 76
+        assert len(forms) == 76
 
     def test_classes(self, capsys):
         code, out, _ = run(capsys, "classes")

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from reflexo import fibration
 from reflexo.algebra import UniPoly, squarefree_rational_roots
 from reflexo.catalog import NAMES, get
+from reflexo.cli import EXPECTED_TABLE2
 from reflexo.fibration import (
+    BasePointTower,
     KodairaType,
     Pencil,
     base_point_towers,
@@ -17,6 +20,16 @@ from reflexo.fibration import (
     member_is_nonreduced,
     singular_lambda_values,
 )
+from reflexo.mordell_weil import mw_group
+from reflexo.polygon import apply_unimodular
+
+# the four single shears with |k| = 1, v -> U v
+SHEARS = {
+    "(x+y,y)": ((1, 1), (0, 1)),
+    "(x-y,y)": ((1, -1), (0, 1)),
+    "(x,x+y)": ((1, 0), (1, 1)),
+    "(x,y-x)": ((1, 0), (-1, 1)),
+}
 
 
 def lpoly(*coeffs):
@@ -94,6 +107,15 @@ class TestSingularLambdaValues:
         (quad,) = [s for s in sv if not isinstance(s.location, Fraction)]
         assert quad.location.monic() == lpoly(9, -3, 1)
 
+    def test_node_count_per_root_of_factor(self):
+        # [DERIVED] each root of q = l^2 - 2 is a double critical value
+        P = get("3")
+        pencil = Pencil(P)
+        q = lpoly(-2, 0, 1)
+        pencil.elimination_roots = ([], [(q, 1)])
+        pencil.critical_values = q * q * lpoly(1, 1)
+        (s,) = singular_lambda_values(P, pencil)
+        assert s.location.monic() == q and s.torus_nodes == 2
 
 class TestElimination:
     def test_p4a_factor_set(self):
@@ -131,6 +153,15 @@ class TestElimination:
         assert [q for q, _ in residual] == [lpoly(-11, 36, -8, -1, 1)]
 
 
+    def test_p4a_sheared_keeps_lambda_zero(self):
+        # [DERIVED] under (x, x+y) one x-eliminant of 4a is
+        # -y^3 l (2 y^2 + y l + 2); l is a coefficient, not a torus
+        # coordinate, so l = 0 (the I2 of 4a) stays a root of E
+        P = apply_unimodular(SHEARS["(x,x+y)"], get("4a"))
+        roots, _ = squarefree_rational_roots(elimination_polynomial(P))
+        assert Fraction(0) in {r for r, _ in roots}
+
+
 class TestPencil:
     @pytest.mark.parametrize("name", ["4b", "5a", "8b", "9"])
     def test_classification_leaves_values_unchanged(self, name):
@@ -148,6 +179,7 @@ class TestPencil:
         assert pencil.elimination.var == fresh.elimination.var == "l"
         assert pencil.elimination_roots == fresh.elimination_roots
         assert pencil.critical_y == fresh.critical_y
+        assert pencil.critical_values == fresh.critical_values
 
 
 class TestNonreduced:
@@ -264,3 +296,61 @@ class TestClassifyFibres:
             }
             for t in base_point_towers(get(name)):
                 assert t.lambda_value in finite_locs
+
+
+class TestCoordinateIndependence:
+    @pytest.mark.parametrize("shear", SHEARS)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_single_shear_reproduces_table2(self, name, shear):
+        # [PAPER] the fibres and the MW group are invariants of the GL2(Z)
+        # class; checked with sum chi = 12 and rank + sum r = 8
+        P = apply_unimodular(SHEARS[shear], get(name))
+        cfg = classify_fibres(P)
+        mw = mw_group(P, cfg)
+        fibres, group = EXPECTED_TABLE2[name]
+        assert cfg.type_multiset() == fibres
+        assert mw.group == group
+        assert cfg.chi_total() == 12
+        assert mw.rank + cfg.r_total() == 8
+
+
+class TestDiagnostics:
+    def test_inconsistent_names_stage_counts_and_budget(self, monkeypatch):
+        # [DERIVED] without its towers 6c keeps I1@-6, I1@2, I2@3 and the I6
+        # at infinity: sum chi = 10
+        monkeypatch.setattr(fibration, "base_point_towers",
+                            lambda P, pencil=None: [])
+        with pytest.raises(ArithmeticError) as err:
+            classify_fibres(get("6c"))
+        msg = str(err.value)
+        assert msg.startswith("classification inconsistent: stage assembly")
+        assert "sum chi = 10, expected 12" in msg
+        assert "SingularValue(3, nodes=2)" in msg
+        assert "tower curves {}" in msg
+        assert "I2@3" in msg
+
+    def test_additive_unresolved_names_location_and_budget(self, monkeypatch):
+        # [DERIVED] one curve too many at lambda = 100 leaves 6 of the 7
+        # that the I1* of 8a at lambda = 4 needs
+        towers = base_point_towers(get("8a"))
+        extra = BasePointTower(get("8a").edges()[0], 1, Fraction(100))
+        monkeypatch.setattr(fibration, "base_point_towers",
+                            lambda P, pencil=None: towers + [extra])
+        with pytest.raises(ArithmeticError) as err:
+            classify_fibres(get("8a"))
+        msg = str(err.value)
+        assert msg.startswith(
+            "additive type unresolved: stage additive fibres, lambda = 4")
+        assert "multiplicity 2" in msg
+        assert "remaining Euler budget 6" in msg
+        assert "'100': 1" in msg
+
+    def test_node_count_not_uniform_over_factor(self):
+        # [DERIVED] the roots of l^2 - 2 carry a node, those of l^2 - 3 none
+        P = get("3")
+        pencil = Pencil(P)
+        pencil.elimination_roots = ([], [(lpoly(-2, 0, 1) * lpoly(-3, 0, 1), 1)])
+        pencil.critical_values = lpoly(-2, 0, 1)
+        with pytest.raises(ArithmeticError,
+                           match="node count not uniform: stage torus nodes"):
+            singular_lambda_values(P, pencil)
