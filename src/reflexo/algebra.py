@@ -272,10 +272,27 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots of p (each listed once), via the rational-root
-    theorem on the primitive integer model."""
+    """All rational roots of p (each listed once), sorted."""
     if p.is_zero():
         raise ValueError("zero polynomial")
+    if p.is_const():
+        return []
+    return _roots_of_squarefree(p.exact_div(gcd_poly(p, p.derivative())))
+
+
+def _roots_of_squarefree(p: UniPoly) -> list[Fraction]:
+    """All rational roots of the squarefree nonconstant p, sorted.
+
+    A root u/v in lowest terms of the primitive integer model
+    q = a_n x^n + ... + a_0 of p / x^k, q(0) != 0, gives the integer root
+    y = a_n u / v of the monic Q(y) = a_n^(n-1) q(y / a_n), with
+    |y| < 1 + max |coefficient of Q| (Cauchy).  The integer roots of Q are
+    found by Newton (Hensel) lifting its roots modulo a prime m past twice
+    that bound and checking each candidate exactly.  m divides no a_n and
+    leaves every root of Q mod m simple, so each integer root lifts from
+    exactly one of them.  No factorisation of a_0 or a_n is needed,
+    whatever their size.
+    """
     # strip powers of the variable
     coeffs = list(p.coeffs)
     roots = []
@@ -285,32 +302,42 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
         k += 1
     if k:
         roots.append(Fraction(0))
-    q = UniPoly(coeffs, p.var).primitive_integer()
+    q = UniPoly(coeffs, p.var)
     if q.is_const():
         return roots
-    a0 = abs(int(q.coeffs[0]))
-    an = abs(int(q.coeffs[-1]))
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            if int_gcd(num, den) != 1:
-                continue
-            for sign in (1, -1):
-                r = Fraction(sign * num, den)
-                if q(r) == 0:
-                    roots.append(r)
-    return sorted(set(roots))
+    c = [int(a) for a in q.primitive_integer().coeffs]
+    n = len(c) - 1
+    an = c[-1]
+    Q = [a * an ** (n - 1 - i) for i, a in enumerate(c[:-1])] + [1]
+    dQ = [i * a for i, a in enumerate(Q)][1:]
+    bound = 1 + max(abs(a) for a in Q)
+    m = 1
+    while True:
+        m += 1
+        if any(m % f == 0 for f in range(2, m)) or an % m == 0:
+            continue
+        lifts = [r for r in range(m) if _eval_int(Q, r) % m == 0]
+        if all(_eval_int(dQ, r) % m for r in lifts):
+            break
+    mod = m
+    while mod <= 2 * bound:
+        mod *= mod
+        lifts = [
+            (r - _eval_int(Q, r) * pow(_eval_int(dQ, r), -1, mod)) % mod
+            for r in lifts
+        ]
+    for r in lifts:
+        y = r if 2 * r < mod else r - mod
+        if _eval_int(Q, y) == 0:
+            roots.append(Fraction(y, an))
+    return sorted(roots)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _eval_int(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
 
 
 def squarefree_rational_roots(
@@ -326,7 +353,7 @@ def squarefree_rational_roots(
     roots: list[tuple[Fraction, int]] = []
     residual: list[tuple[UniPoly, int]] = []
     for f, mult in squarefree_decomposition(p):
-        rs = rational_roots(f)
+        rs = _roots_of_squarefree(f)
         for r in rs:
             roots.append((r, mult))
             f = f.exact_div(UniPoly([-r, 1], f.var))

@@ -18,6 +18,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+from . import __version__ as VERSION
 from .algebra import UniPoly, format_unipoly
 from .catalog import NAMES, dual_name, get, load_catalog, name_of
 from .fibration import FibreConfiguration, Pencil, classify_fibres
@@ -26,8 +27,6 @@ from .mordell_weil import mw_group
 from .mutation import all_mutations, mutation_class, mutation_classes
 from .period import DiffOperator, find_picard_fuchs, period_coefficients
 from .polygon import Polygon, polar_dual
-
-VERSION = "0.1.0"
 
 # Expected summary table: name -> (sorted fibre label multiset, MW group).
 EXPECTED_TABLE2 = {

@@ -195,16 +195,6 @@ def apply_unimodular(U, P: Polygon) -> Polygon:
     return Polygon(vs, from_hull=True)
 
 
-def _rotate_lex_min(vs: list[Point]) -> tuple[Point, ...]:
-    n = len(vs)
-    best = None
-    for i in range(n):
-        cand = tuple(vs[i:] + vs[:i])
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def canonical_form(P: Polygon) -> Polygon:
     """Unique GL2(Z)-orbit representative.
 
@@ -212,20 +202,24 @@ def canonical_form(P: Polygon) -> Polygon:
     lattice points to the standard basis; this candidate set is equivariant
     (V maps boundary pairs to boundary pairs bijectively), so the
     lexicographically least candidate vertex tuple is a true normal form.
+    Each candidate is the image of P's CCW vertex list, reversed when the map
+    reverses orientation and rotated to start at its least vertex, which is
+    its least rotation because the vertices are distinct.
     """
     bpts = P.boundary_lattice_points()
+    vs = P.vertices
     best = None
-    for p in bpts:
-        for q in bpts:
-            det = _cross(p, q)
-            if abs(det) != 1:
+    for a, b in bpts:
+        for c, d in bpts:
+            det = a * d - b * c
+            if det != 1 and det != -1:
                 continue
             # U with U p = e1, U q = e2:  U = inverse of [p q]
-            a, b = p
-            c, d = q
-            U = ((det * d, -det * c), (-det * b, det * a))
-            img = apply_unimodular(U, P)
-            cand = _rotate_lex_min(img.vertices)
+            img = [(det * (d * x - c * y), det * (a * y - b * x)) for x, y in vs]
+            if det < 0:
+                img.reverse()
+            i = img.index(min(img))
+            cand = tuple(img[i:] + img[:i])
             if best is None or cand < best:
                 best = cand
     if best is None:
@@ -247,7 +241,8 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     Strategy: vertices of a reflexive polygon are primitive points, and every
     edge must satisfy <primitive inner normal, tail> = -1; so build the
     directed graph of admissible edges between primitive points and walk
-    CCW-convex cycles through it.
+    CCW-convex cycles through it that go once around the origin, from their
+    lex-least vertex, so that each polygon in the box closes exactly once.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
@@ -272,6 +267,10 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     def dfs(chain: list[Point]):
         start = chain[0]
         last = chain[-1]
+        # Every edge turns CCW about the origin (_cross(p, q) > 0), so once
+        # the chain is past the half-turn from start, a point at or beyond
+        # start's direction would begin a second turn: only start closes it.
+        past_half_turn = _cross(start, last) < 0
         for q in succ[last]:
             if len(chain) >= 3 and q == start:
                 # closing edge chain[-1] -> start already admissible; check
@@ -287,6 +286,8 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
                 continue
             if q <= start:
                 continue  # canonical start: lex-least vertex of the cycle
+            if past_half_turn and _cross(start, q) >= 0:
+                continue
             if len(chain) >= 2 and _cross(_sub(last, chain[-2]), _sub(q, last)) <= 0:
                 continue
             if len(chain) >= 6:

@@ -5,6 +5,7 @@ computed independently by hand or brute force, [TRIVIAL] = textbook identity.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,44 @@ class TestRationalRoots:
     def test_fractional_root(self):
         # [TRIVIAL] 2t - 1
         assert rational_roots(upoly(-1, 2)) == [Fraction(1, 2)]
+
+    def test_large_constant_term(self):
+        # [DERIVED] (3t - p)(t - q)(t^2 + t + 1) with the 27-bit primes
+        # p = 2^27 - 39 and q = 2^27 - 79: a 54-bit constant term, too large
+        # to search for divisors by trial division
+        p, q = 134217689, 134217649
+        f = upoly(-p, 3) * upoly(-q, 1) * upoly(1, 1, 1)
+        assert (p * q).bit_length() == 54
+        start = time.perf_counter()
+        roots = rational_roots(f)
+        assert time.perf_counter() - start < 1.0
+        assert roots == [Fraction(p, 3), Fraction(q)]
+
+    def test_matches_brute_force(self):
+        # [DERIVED] every +-u/v with u | a_0 and v | a_n, tried one by one
+        def divisors(n):
+            return [d for d in range(1, n + 1) if n % d == 0]
+
+        def brute_force(f):
+            ints = f.primitive_integer().coeffs
+            low = next(i for i, c in enumerate(ints) if c != 0)
+            a0, an = abs(int(ints[low])), abs(int(ints[-1]))
+            found = {Fraction(0)} if low else set()
+            for u in divisors(a0):
+                for v in divisors(an):
+                    for r in (Fraction(u, v), Fraction(-u, v)):
+                        if f(r) == 0:
+                            found.add(r)
+            return sorted(found)
+
+        rng = random.Random(20261018)
+        for _ in range(300):
+            f = upoly(rng.choice([-3, -2, -1, 1, 2, 3]))
+            for _ in range(rng.randint(0, 3)):  # rational roots, maybe repeated
+                f = f * upoly(rng.randint(-6, 6), rng.randint(1, 4))
+            f = f * upoly(*[rng.randint(-5, 5) for _ in range(rng.randint(1, 3))],
+                          rng.randint(1, 3))
+            assert rational_roots(f) == brute_force(f)
 
 
 # ---------------------------------------------------------------------------

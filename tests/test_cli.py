@@ -4,9 +4,11 @@ import json
 import os
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import reflexo
 from reflexo import catalog, cli, fibration, polygon
 from reflexo.cli import build_report, main
 
@@ -54,6 +56,16 @@ class TestTable2:
         assert err.strip().splitlines() == [
             "reflexo: error: --jobs must be at least 1"
         ]
+
+
+class TestVersion:
+    def test_pyproject_version_is_package_version(self):
+        # the cache key carries cli.VERSION, so the three must not drift
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            project = tomllib.load(f)["project"]
+        assert project["name"] == "reflexo"
+        assert project["version"] == reflexo.__version__ == cli.VERSION
 
 
 class TestAnalyze:

@@ -298,20 +298,33 @@ class TestClassifyFibres:
                 assert t.lambda_value in finite_locs
 
 
+def _assert_table2_row(P, name):
+    cfg = classify_fibres(P)
+    mw = mw_group(P, cfg)
+    fibres, group = EXPECTED_TABLE2[name]
+    assert cfg.type_multiset() == fibres
+    assert mw.group == group
+    assert cfg.chi_total() == 12
+    assert mw.rank + cfg.r_total() == 8
+
+
 class TestCoordinateIndependence:
     @pytest.mark.parametrize("shear", SHEARS)
     @pytest.mark.parametrize("name", NAMES)
     def test_single_shear_reproduces_table2(self, name, shear):
         # [PAPER] the fibres and the MW group are invariants of the GL2(Z)
         # class; checked with sum chi = 12 and rank + sum r = 8
-        P = apply_unimodular(SHEARS[shear], get(name))
-        cfg = classify_fibres(P)
-        mw = mw_group(P, cfg)
-        fibres, group = EXPECTED_TABLE2[name]
-        assert cfg.type_multiset() == fibres
-        assert mw.group == group
-        assert cfg.chi_total() == 12
-        assert mw.rank + cfg.r_total() == 8
+        _assert_table2_row(apply_unimodular(SHEARS[shear], get(name)), name)
+
+    @pytest.mark.parametrize("name, U", [
+        pytest.param("9", ((1, -2), (0, 1)), id="9-(x-2y,y)"),
+        pytest.param("6d", ((1, -2), (0, 1)), id="6d-(x-2y,y)"),
+        pytest.param("7b", ((1, 2), (0, 1)), id="7b-(x+2y,y)"),
+    ])
+    def test_double_shear_reproduces_table2(self, name, U):
+        # [PAPER] shears with |k| = 2 whose elimination polynomial has large
+        # coefficients: a factor of E for sheared 9 has a 54-bit constant term
+        _assert_table2_row(apply_unimodular(U, get(name)), name)
 
 
 class TestDiagnostics:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reflexo import polygon
 from reflexo.catalog import NAMES, dual_name, get, name_of
 from reflexo.polygon import (
     Polygon,
+    _cross,
     apply_unimodular,
     canonical_form,
     convex_hull,
@@ -16,6 +18,68 @@ from reflexo.polygon import (
     lattice_point_count,
     polar_dual,
 )
+
+
+def _rotate_lex_min(vs):
+    n = len(vs)
+    best = None
+    for i in range(n):
+        cand = tuple(vs[i:] + vs[:i])
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def reference_canonical_form(P: Polygon) -> Polygon:
+    """Reference canonical form that builds one Polygon per candidate map;
+    `canonical_form` must agree with it exactly."""
+    bpts = P.boundary_lattice_points()
+    best = None
+    for p in bpts:
+        for q in bpts:
+            det = _cross(p, q)
+            if abs(det) != 1:
+                continue
+            # U with U p = e1, U q = e2:  U = inverse of [p q]
+            a, b = p
+            c, d = q
+            U = ((det * d, -det * c), (-det * b, det * a))
+            img = apply_unimodular(U, P)
+            cand = _rotate_lex_min(img.vertices)
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        raise ValueError(
+            "no unimodular boundary pair; canonical form undefined for this polygon"
+        )
+    return Polygon(list(best), from_hull=True)
+
+
+def _record_canonical_form(monkeypatch) -> list:
+    """Replace polygon.canonical_form by a wrapper recording its inputs."""
+    original = polygon.canonical_form
+    seen = []
+
+    def wrapper(P):
+        seen.append(P)
+        return original(P)
+
+    monkeypatch.setattr(polygon, "canonical_form", wrapper)
+    return seen
+
+
+def _random_unimodular(rng, gens):
+    """A product of one to six matrices drawn from gens."""
+    U = ((1, 0), (0, 1))
+    for _ in range(rng.randint(1, 6)):
+        g = rng.choice(gens)
+        U = (
+            (U[0][0] * g[0][0] + U[0][1] * g[1][0],
+             U[0][0] * g[0][1] + U[0][1] * g[1][1]),
+            (U[1][0] * g[0][0] + U[1][1] * g[1][0],
+             U[1][0] * g[0][1] + U[1][1] * g[1][1]),
+        )
+    return U
 
 
 class TestVolume:
@@ -93,15 +157,7 @@ class TestCanonicalForm:
         gens = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0))]
         for P in catalog.values():
             for _ in range(6):
-                U = ((1, 0), (0, 1))
-                for _ in range(rng.randint(1, 6)):
-                    g = rng.choice(gens)
-                    U = (
-                        (U[0][0] * g[0][0] + U[0][1] * g[1][0],
-                         U[0][0] * g[0][1] + U[0][1] * g[1][1]),
-                        (U[1][0] * g[0][0] + U[1][1] * g[1][0],
-                         U[1][0] * g[0][1] + U[1][1] * g[1][1]),
-                    )
+                U = _random_unimodular(rng, gens)
                 assert canonical_form(apply_unimodular(U, P)) == canonical_form(P)
 
     def test_4a_not_4b(self):
@@ -111,6 +167,28 @@ class TestCanonicalForm:
     def test_catalog_classes_distinct(self, catalog):
         forms = {tuple(canonical_form(P).vertices) for P in catalog.values()}
         assert len(forms) == 16
+
+    def test_matches_reference_under_gl2z(self, catalog):
+        # [DERIVED] same vertex list as the per-candidate-Polygon version,
+        # orientation-reversing maps included
+        rng = random.Random(20261018)
+        gens = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)),
+                ((0, 1), (1, 0))]
+        for P in catalog.values():
+            for _ in range(12):
+                Q = apply_unimodular(_random_unimodular(rng, gens), P)
+                assert canonical_form(Q).vertices == \
+                    reference_canonical_form(Q).vertices
+
+    def test_matches_reference_on_enumerated_polygons(self, monkeypatch):
+        # [DERIVED] every polygon the walk closes at bound 4
+        seen = _record_canonical_form(monkeypatch)
+        enumerate_reflexive(4)
+        monkeypatch.undo()
+        assert seen
+        for P in seen:
+            assert canonical_form(P).vertices == \
+                reference_canonical_form(P).vertices
 
 
 class TestEnumeration:
@@ -128,6 +206,21 @@ class TestEnumeration:
         keys = {tuple(canonical_form(P).vertices) for P in classes}
         for P in classes:
             assert tuple(canonical_form(polar_dual(P)).vertices) in keys
+
+    @pytest.mark.parametrize("bound", [4, 5])
+    def test_larger_box_same_classes(self, bound):
+        # [PAPER] every reflexive polygon is GL2(Z)-equivalent to one in
+        # [-3, 3]^2, so a larger box finds the same 16 classes
+        assert [P.vertices for P in enumerate_reflexive(bound)] == \
+            [P.vertices for P in enumerate_reflexive(3)]
+
+    def test_each_polygon_canonicalised_once(self, monkeypatch):
+        # [DERIVED] the walk winds once around the origin from the lex-least
+        # vertex, so each reflexive vertex set in the box closes exactly once
+        seen = _record_canonical_form(monkeypatch)
+        enumerate_reflexive(3)
+        assert len(seen) == 828
+        assert len({frozenset(P.vertices) for P in seen}) == 828
 
     def test_catalog_matches_enumeration(self, catalog):
         keys = {
