@@ -4,7 +4,8 @@ Picard-Fuchs printing, mutation exploration, and SVG diagrams.
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  The cache directory
 is ~/.cache/reflexo unless REFLEXO_CACHE overrides it; cache writes are
-atomic (write-temp-then-rename) and keyed by polygon, config and version.
+atomic (write-temp-then-rename) and keyed by polygon, config, version and a
+digest of the package's sources and polygon data.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import cache
+from importlib import resources
 
 from . import __version__ as VERSION
 from .algebra import UniPoly, format_unipoly
@@ -180,9 +182,22 @@ def _cache_dir() -> str:
     )
 
 
+@cache
+def _source_digest() -> str:
+    """sha256 over the package's modules and polygons.json, so that a change
+    to the algorithm or the data never serves an old report."""
+    h = hashlib.sha256()
+    package = resources.files("reflexo")
+    for entry in sorted(package.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".py") or entry.name == "polygons.json":
+            h.update(entry.name.encode() + b"\0")
+            h.update(entry.read_bytes())
+    return h.hexdigest()
+
+
 def _cache_key(name: str, config: dict) -> str:
-    blob = json.dumps({"name": name, "config": config, "version": VERSION},
-                      sort_keys=True)
+    blob = json.dumps({"name": name, "config": config, "version": VERSION,
+                       "source": _source_digest()}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
@@ -247,11 +262,9 @@ def _table_row(name: str) -> tuple[str, tuple, str]:
 def cmd_table2(args) -> int:
     if args.jobs < 1:
         return _usage_error("--jobs must be at least 1")
-    with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-        rows = dict(zip(NAMES, ex.map(_table_row, NAMES)))
     bad = []
     for name in NAMES:
-        display, multiset, group = rows[name]
+        display, multiset, group = _table_row(name)
         expect_fibres, expect_group = EXPECTED_TABLE2[name]
         ok = multiset == expect_fibres and group == expect_group
         if not ok:
@@ -431,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="summary table of fibres and MW groups")
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless every row matches the expected table")
-    p.add_argument("--jobs", type=int, default=4, help="worker pool size")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; rows run serially")
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("period", help="period coefficients, one per line")

@@ -1,12 +1,17 @@
 """Singular fibres of the pencil {f_P + lambda} on the rational elliptic
 surface attached to a reflexive polygon.
 
-Pipeline: the fibre at infinity is the boundary cycle I_{12 - Vol(P)};
-singular lambda values on the torus come from resultant elimination of the
-critical-point system, each factor certified against the critical values of
-f_P; infinitely near base points over each edge of lattice length >= 2
-contribute (-2)-curves that are absorbed by specific finite fibres;
-everything is assembled under the Euler budget sum(chi) = 12.
+Pipeline: the fibre at infinity is the boundary cycle I_{12 - Vol(P)}; the
+singular lambda values on the torus are the roots of the pencil's critical
+values -- the lambda of its isolated critical points, each certified an
+ordinary node by the lambda-free Jacobian -- and of its curve values, the
+lambda of the members containing a critical curve (every repeated component
+of a member is one); each candidate is recounted from the critical values or
+tested for a repeated component.  Infinitely near base points over each edge
+of lattice length >= 2 contribute (-2)-curves that are absorbed by specific
+finite fibres; everything is assembled under the Euler budget
+sum(chi) = 12.  The elimination polynomial E of the critical-point system
+is computed only for the analysis report, never to classify.
 """
 
 from __future__ import annotations
@@ -109,8 +114,10 @@ class Pencil:
     """The pencil {f_P + lambda} of a reflexive polygon together with the
     quantities its classification derives from it, each computed at most
     once: f = f_P, the cleared member C, the critical pair (A, B, G), the
-    eliminants, the elimination polynomial E, the y-candidates of the
-    isolated critical points and their critical values.
+    y-candidates of the isolated critical points, their critical values, the
+    curve values of the critical curves G and the candidate singular lambda
+    read from those two.  The eliminants and the elimination polynomial E
+    serve only the analysis report and are computed when it asks for them.
 
     A Pencil lives for one top-level call (a report, a table row) and is
     passed down explicitly; nothing keeps it afterwards.  Its values are
@@ -125,19 +132,6 @@ class Pencil:
     @cached_property
     def critical_pair(self) -> tuple[MPoly, MPoly, MPoly]:
         return _critical_pair(self.f)
-
-    @cached_property
-    def eliminants(self) -> tuple[MPoly, MPoly, UniPoly]:
-        return _eliminants(self)
-
-    @cached_property
-    def elimination(self) -> UniPoly:
-        return elimination_polynomial(self.P, self)
-
-    @cached_property
-    def elimination_roots(self):
-        """squarefree_rational_roots(E): (rational roots, residual factors)."""
-        return squarefree_rational_roots(self.elimination)
 
     @cached_property
     def critical_y(self):
@@ -168,6 +162,45 @@ class Pencil:
         for qy, _ in residual:
             values = values * _values_over(A, B, J, self.C, qy)
         return values
+
+    @cached_property
+    def curve_values(self) -> UniPoly:
+        """The lambda of the members containing a critical curve: the pure-l
+        content of Res(G, C), 1 when f has no critical curve.  f is constant
+        on each component of G, and minus that constant is a root of the
+        content."""
+        _, _, G = self.critical_pair
+        if not G.is_const():
+            var = "x" if G.degree("x") > 0 else "y"
+            rG = resultant(G, self.C, var).strip_monomial()
+            content = _pure_l_content(rG)
+            if not content.is_const():
+                return content
+        return UniPoly([1], "l")
+
+    @cached_property
+    def candidate_roots(self):
+        """squarefree_rational_roots(critical_values * curve_values): every
+        singular lambda on the torus is among these roots.  A member's torus
+        singularity is an isolated critical point of f or lies on a critical
+        curve; a repeated component R divides both log partials, so R | G."""
+        return squarefree_rational_roots(self.critical_values
+                                         * self.curve_values)
+
+    # the elimination polynomial, for the analysis report only
+
+    @cached_property
+    def eliminants(self) -> tuple[MPoly, MPoly, UniPoly]:
+        return _eliminants(self)
+
+    @cached_property
+    def elimination(self) -> UniPoly:
+        return elimination_polynomial(self.P, self)
+
+    @cached_property
+    def elimination_roots(self):
+        """squarefree_rational_roots(E): (rational roots, residual factors)."""
+        return squarefree_rational_roots(self.elimination)
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +360,10 @@ def _critical_pair(f: LaurentPoly) -> tuple[MPoly, MPoly, MPoly]:
 def _eliminants(pencil: Pencil):
     """(r1, r2, extra): the two x-eliminants of the critical system with
     common (y, l)-factors peeled off, and the pure-lambda polynomial
-    collecting everything peeled (curve-part values and shared content)."""
-    A, B, G = pencil.critical_pair
+    collecting everything peeled (the curve values and shared content)."""
+    A, B, _ = pencil.critical_pair
     C = pencil.C
-    extra = UniPoly([1], "l")
-    if not G.is_const():
-        # f is constant on each critical curve; its lambda shows up as the
-        # pure-l content of the eliminant of (G, C)
-        if G.degree("x") > 0:
-            rG = resultant(G, C, "x").strip_monomial()
-        else:
-            rG = resultant(G, C, "y").strip_monomial()
-        content = _pure_l_content(rG)
-        if not content.is_const():
-            extra = extra * content
+    extra = pencil.curve_values
     r1 = resultant(A, C, "x").strip_monomial()
     r2 = resultant(B, C, "x").strip_monomial()
     while True:
@@ -358,8 +381,9 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     """Eliminate x then y from the critical-point system
     {x f_x = 0, y f_y = 0, f + lambda = 0}: the result is a univariate
     polynomial in lambda whose roots contain every singular value (possibly
-    with extraneous factors, removed later by certification).  A Pencil's
-    `elimination` calls this once with itself as `pencil`."""
+    with extraneous factors).  The analysis report lists its factors;
+    classification does not use it.  A Pencil's `elimination` calls this
+    once with itself as `pencil`."""
     if pencil is None:
         pencil = Pencil(P)
     r1, r2, extra = pencil.eliminants
@@ -486,12 +510,14 @@ def _count_nodes(pencil: Pencil, q: UniPoly) -> int:
 
 def singular_lambda_values(P: Polygon, pencil: Pencil | None = None
                            ) -> list[SingularValue]:
-    """Certified finite singular locations of the pencil on the torus."""
+    """Certified finite singular locations of the pencil on the torus: the
+    pencil's candidate roots, each kept only once a repeated component or
+    its node count certifies it."""
     if not P.is_reflexive():
         raise ValueError("P must be reflexive")
     if pencil is None:
         pencil = Pencil(P)
-    roots, residual = pencil.elimination_roots
+    roots, residual = pencil.candidate_roots
     out = []
     for lam, _ in roots:
         flag, rep, mult = member_is_nonreduced(P, lam, pencil)

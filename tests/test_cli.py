@@ -139,6 +139,15 @@ class TestAnalyze:
         assert path.read_text() + "\n" == out
         assert os.listdir(tmp_path) == [path.name]
 
+    def test_cache_key_follows_source_digest(self, monkeypatch):
+        # a change to the program's sources or data must not serve an old
+        # report: the key changes with their digest
+        config = {"period": 40, "pf": False}
+        key = cli._cache_key("4a", config)
+        assert cli._cache_key("4a", config) == key
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        assert cli._cache_key("4a", config) != key
+
     def test_unknown_name_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "zz")
         assert code == 2
@@ -191,6 +200,19 @@ class TestComputeOnce:
         assert len(elimination) == 1
         assert len(fP) <= 2
         assert classes == []
+
+    def test_classification_builds_no_elimination(self, capsys,
+                                                  monkeypatch):
+        # [DERIVED] the singular lambda come from the pencil's critical and
+        # curve values; E is built only for the report
+        eliminants = _count_calls(monkeypatch, fibration, "_eliminants")
+        elimination = _count_calls(monkeypatch, fibration,
+                                   "elimination_polynomial")
+        code, _, _ = run(capsys, "table2", "--check", "--jobs", "1")
+        assert code == 0
+        for name in catalog.NAMES:
+            fibration.classify_fibres(catalog.get(name))
+        assert eliminants == [] and elimination == []
 
 
 class TestPeriodCommands:

@@ -23,12 +23,16 @@ from reflexo.fibration import (
 from reflexo.mordell_weil import mw_group
 from reflexo.polygon import apply_unimodular
 
-# the four single shears with |k| = 1, v -> U v
+# the eight single shears with |k| <= 2, v -> U v
 SHEARS = {
     "(x+y,y)": ((1, 1), (0, 1)),
     "(x-y,y)": ((1, -1), (0, 1)),
     "(x,x+y)": ((1, 0), (1, 1)),
     "(x,y-x)": ((1, 0), (-1, 1)),
+    "(x+2y,y)": ((1, 2), (0, 1)),
+    "(x-2y,y)": ((1, -2), (0, 1)),
+    "(x,2x+y)": ((1, 0), (2, 1)),
+    "(x,y-2x)": ((1, 0), (-2, 1)),
 }
 
 
@@ -112,7 +116,7 @@ class TestSingularLambdaValues:
         P = get("3")
         pencil = Pencil(P)
         q = lpoly(-2, 0, 1)
-        pencil.elimination_roots = ([], [(q, 1)])
+        pencil.candidate_roots = ([], [(q, 1)])
         pencil.critical_values = q * q * lpoly(1, 1)
         (s,) = singular_lambda_values(P, pencil)
         assert s.location.monic() == q and s.torus_nodes == 2
@@ -180,6 +184,8 @@ class TestPencil:
         assert pencil.elimination_roots == fresh.elimination_roots
         assert pencil.critical_y == fresh.critical_y
         assert pencil.critical_values == fresh.critical_values
+        assert pencil.curve_values == fresh.curve_values
+        assert pencil.candidate_roots == fresh.candidate_roots
 
 
 class TestNonreduced:
@@ -362,7 +368,7 @@ class TestDiagnostics:
         # [DERIVED] the roots of l^2 - 2 carry a node, those of l^2 - 3 none
         P = get("3")
         pencil = Pencil(P)
-        pencil.elimination_roots = ([], [(lpoly(-2, 0, 1) * lpoly(-3, 0, 1), 1)])
+        pencil.candidate_roots = ([], [(lpoly(-2, 0, 1) * lpoly(-3, 0, 1), 1)])
         pencil.critical_values = lpoly(-2, 0, 1)
         with pytest.raises(ArithmeticError,
                            match="node count not uniform: stage torus nodes"):
