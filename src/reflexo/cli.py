@@ -132,6 +132,10 @@ def _class_names() -> list[list[str]]:
     ]
 
 
+class _FitError(ValueError):
+    """No Picard-Fuchs operator fits the requested period series."""
+
+
 def build_report(name: str, period_n: int = 40, with_pf: bool = True) -> dict:
     P = get(name)
     pencil = Pencil(P)
@@ -165,7 +169,10 @@ def build_report(name: str, period_n: int = 40, with_pf: bool = True) -> dict:
             [str(x) for x in row] for row in mw.height
         ]
     if with_pf:
-        L = find_picard_fuchs(series)
+        try:
+            L = find_picard_fuchs(series)
+        except ValueError as e:
+            raise _FitError(str(e)) from e
         report["picard_fuchs"] = _operator_forms(L)
     return report
 
@@ -246,7 +253,7 @@ def cmd_analyze(args) -> int:
         return _usage_error("--period must be nonnegative")
     try:
         text = _cached_report(args.name, args.period, not args.no_pf)
-    except ValueError as e:  # no Picard-Fuchs operator fits the series
+    except _FitError as e:
         return _usage_error(f"--period {args.period}: {e}")
     print(text)
     return 0
@@ -351,10 +358,11 @@ def _polygon_svg(P: Polygon) -> str:
         f'<polygon points="{hull}" fill="#dce9f7" stroke="#2c5f9e" '
         'stroke-width="2"/>'
     )
+    points = set(P.lattice_points())
     for x in range(x0, x1 + 1):
         for y in range(y0, y1 + 1):
             cx, cy = pt(x, y)
-            on = (x, y) in set(P.lattice_points())
+            on = (x, y) in points
             fill = "#2c5f9e" if on else "#c0c0c0"
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{fill}"/>')
     ox, oy = pt(0, 0)

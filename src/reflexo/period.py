@@ -1,16 +1,21 @@
 """Classical periods and Picard-Fuchs operators.
 
 The period of a Laurent polynomial f is the power series whose m-th
-coefficient is the constant term of f^m.  An annihilating operator
-L = sum_k p_k(t) D^k with D = t d/dt is recovered by exact fitting of the
-induced linear recursion on the coefficients; the fibre parameter of the
-pencil relates to the series variable by t = -1/lambda.
+coefficient is the constant term of f^m, computed from the powers of f with
+their exponents keyed by single integers.  An annihilating operator
+L = sum_k p_k(t) D^k with D = t d/dt is recovered by fitting the induced
+linear recursion on the coefficients.  The fit of each order runs one
+incremental elimination modulo the prime 2^61 - 1; a one-dimensional kernel
+there is lifted by rational reconstruction and accepted only after an exact
+check over Z, and every other kernel is solved exactly over Q.  The fibre
+parameter of the pencil relates to the series variable by t = -1/lambda.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from itertools import count
+from math import gcd as int_gcd, isqrt
 
 from .algebra import UniPoly, format_unipoly, squarefree_rational_roots
 from .laurent import LaurentPoly
@@ -54,21 +59,29 @@ def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
 
     Meet in the middle: with a = ceil(m/2) and b = floor(m/2),
     c_m = CT(f^a * f^b) = sum_u F_a[u] * F_b[-u], where F_k maps exponents to
-    the coefficients of f^k.  Only the powers f^k with k <= ceil(M/2) are
+    the coefficients of f^k.  Only the powers f^k with k <= K = ceil(M/2) are
     needed, and only the two latest are kept: c_{2k-1} pairs f^k with
     f^(k-1), and c_{2k} pairs f^k with itself.  When every coefficient of f
     is integral (as for every f_P) the powers are plain int dicts; otherwise
     the same loop runs on the Fraction values.
+
+    Exponents are keyed by the integer a + W*b with W = 2*R*K + 1, where R is
+    the largest |exponent| in f.  Every exponent of f^k, k <= K, lies in the
+    box |a|, |b| <= R*K, on which the key is injective and additive, and the
+    key of -(a, b) is the negated key.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    if all(c.denominator == 1 for c in f.terms.values()):
-        f_items = [(u, int(c)) for u, c in f.terms.items()]
-    else:
-        f_items = list(f.terms.items())
+    K = (M + 1) // 2
+    W = 2 * max((abs(e) for u in f.terms for e in u), default=0) * K + 1
+    integral = all(c.denominator == 1 for c in f.terms.values())
+    f_items = [
+        (a + W * b, int(c) if integral else c)
+        for (a, b), c in f.terms.items()
+    ]
     coeffs = [1] + [0] * M
-    prev = {(0, 0): 1}
-    for k in range(1, (M + 1) // 2 + 1):
+    prev = {0: 1}
+    for k in range(1, K + 1):
         cur = _times(prev, f_items)
         coeffs[2 * k - 1] = _pairing(cur, prev)
         if 2 * k <= M:
@@ -78,12 +91,12 @@ def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
 
 
 def _times(F: dict, f_items: list) -> dict:
-    """Sparse product of the exponent -> coefficient map F with f."""
+    """Sparse product of the key -> coefficient map F with f."""
     out: dict = {}
     get = out.get
-    for (a2, b2), v2 in f_items:
-        for (a1, b1), v1 in F.items():
-            u = (a1 + a2, b1 + b2)
+    for u2, v2 in f_items:
+        for u1, v1 in F.items():
+            u = u1 + u2
             out[u] = get(u, 0) + v1 * v2
     return {u: v for u, v in out.items() if v}
 
@@ -91,7 +104,7 @@ def _times(F: dict, f_items: list) -> dict:
 def _pairing(F: dict, G: dict):
     """sum_u F[u] * G[-u]: the constant term of the product of F and G."""
     get = G.get
-    return sum(v * get((-a, -b), 0) for (a, b), v in F.items())
+    return sum(v * get(-u, 0) for u, v in F.items())
 
 
 class DiffOperator:
@@ -172,52 +185,115 @@ def _image_coefficient(L: DiffOperator, c: list, m: int):
     return acc
 
 
-# The screen prime, 2^61 - 1.
+# The modular prime, 2^61 - 1.
 _PRIME = (1 << 61) - 1
+# Rational reconstruction mod _PRIME recovers n/e with |n|, e <= _BOUND.
+_BOUND = isqrt(_PRIME // 2)
 
 
-def _screen_skips(rows: list[list], ncols: int) -> bool:
-    """True when the matrix has full column rank modulo _PRIME.
+def _mod_p(c: list) -> list[int] | None:
+    """The images of the entries of c modulo _PRIME, or None when some
+    denominator is divisible by p and has no inverse there."""
+    out = []
+    for v in c:
+        if type(v) is int:
+            out.append(v % _PRIME)
+            continue
+        den = v.denominator % _PRIME
+        if not den:
+            return None
+        out.append(v.numerator * pow(den, -1, _PRIME) % _PRIME)
+    return out
 
-    Reduction mod p is a ring map, so every minor that vanishes over Q
-    vanishes mod p and rank_p <= rank_Q.  Full column rank mod p therefore
-    proves full column rank over Q: the kernel over Q is empty and the exact
-    solve can be skipped.  The screen does not decide (returns False) when
-    the kernel mod p is nonempty or when some entry has a denominator
-    divisible by p.
+
+def _kernels_mod_p(cp: list[int], h: int, nrows: int):
+    """Mod-p kernels of the fit matrices of order h and degree 0, 1, 2, ...
+
+    The fit matrix of shape (h, d) is that of (h, d - 1) with the h + 1
+    columns (k, d), k <= h, appended, so one column elimination serves every
+    degree.  Each new column is reduced against the pivot columns found so
+    far; one that reduces to zero gives a kernel vector, the combination of
+    columns that cancels, with entry 1 at the new column.  For each d in turn
+    this yields the kernel vectors found so far, a basis of the kernel of the
+    shape (h, d) mod p.  Entry j*(h+1) + k of a vector belongs to column
+    (k, j); a vector found at a lower degree is shorter.
     """
-    mat = []
-    for row in rows:
-        reduced = []
-        for v in row:
-            if type(v) is int:
-                reduced.append(v % _PRIME)
+    pivots = []  # (pivot row, column scaled to 1 there, its combination)
+    kernel = []
+    for d in count():
+        for k in range(h + 1):
+            n = len(pivots) + len(kernel)
+            col = [
+                (m - d) ** k * cp[m - d] if m >= d else 0
+                for m in range(nrows)
+            ]
+            comb = [0] * n + [1]
+            # Entries are reduced mod p only at the end; each pivot column
+            # leaves the earlier pivot rows at zero, so one pass suffices.
+            for r, pcol, pcomb in pivots:
+                f = col[r] % _PRIME
+                if f:
+                    col = [a - f * b for a, b in zip(col, pcol)]
+                    comb[: len(pcomb)] = [
+                        a - f * b for a, b in zip(comb, pcomb)
+                    ]
+            col = [a % _PRIME for a in col]
+            comb = [a % _PRIME for a in comb]
+            r = next((i for i, a in enumerate(col) if a), None)
+            if r is None:
+                kernel.append(comb)
                 continue
-            den = v.denominator % _PRIME
-            if not den:
-                return False
-            reduced.append(v.numerator * pow(den, -1, _PRIME) % _PRIME)
-        mat.append(reduced)
-    # Gaussian elimination that drops each pivot column and pivot row and
-    # stops at the first column without a pivot.
-    for _ in range(ncols):
-        pivot = next((row for row in mat if row[0]), None)
-        if pivot is None:
-            return False
-        inv = pow(pivot[0], -1, _PRIME)
-        rest = []
-        for row in mat:
-            if row is pivot:
-                continue
-            f = row[0] * inv % _PRIME
-            if f:
-                rest.append(
-                    [(a - f * b) % _PRIME for a, b in zip(row[1:], pivot[1:])]
-                )
-            else:
-                rest.append(row[1:])
-        mat = rest
-    return True
+            inv = pow(col[r], -1, _PRIME)
+            pivots.append((
+                r,
+                [a * inv % _PRIME for a in col],
+                [a * inv % _PRIME for a in comb],
+            ))
+        yield list(kernel)
+
+
+def _reconstruct(a: int) -> tuple[int, int] | None:
+    """(n, e) with n = a*e mod _PRIME, |n| <= _BOUND and 0 < e <= _BOUND, or
+    None: Wang's rational reconstruction by the extended Euclidean
+    algorithm, whose remainders r satisfy r = s*a mod p."""
+    r0, r1 = _PRIME, a
+    s0, s1 = 0, 1
+    while r1 > _BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not 0 < abs(s1) <= _BOUND:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lift(vec: list[int], c: list, h: int, d: int) -> list[UniPoly] | None:
+    """The polynomials p_0..p_h of degree <= d of an integer operator whose
+    coefficient vector is proportional to the mod-p kernel vector vec, or
+    None.
+
+    The entries are reconstructed in turn with a running common denominator
+    and scaled to integers.  The operator is returned only if it annihilates
+    every fit row exactly; with a mod-p kernel of dimension 1 that proves the
+    kernel over Q has dimension 1 and is spanned by this operator.
+    """
+    vec = vec + [0] * ((h + 1) * (d + 1) - len(vec))
+    den = 1
+    nums = []
+    for x in vec:
+        q = _reconstruct(x * den % _PRIME)
+        if q is None:
+            return None
+        n, e = q
+        if e != 1:
+            nums = [a * e for a in nums]
+            den *= e
+        nums.append(n)
+    polys = [UniPoly(nums[k :: h + 1]) for k in range(h + 1)]
+    L = DiffOperator(polys)
+    if any(_image_coefficient(L, c, m) for m in range(len(c))):
+        return None
+    return polys
 
 
 def _kernel(rows: list[list], ncols: int) -> tuple[list[Fraction] | None, int]:
@@ -267,32 +343,48 @@ def find_picard_fuchs(
     ascending; a candidate kernel must also annihilate the last `guard`
     coefficients, which are excluded from the fit.
 
-    Each (h, d) fit matrix is first reduced modulo the prime 2^61 - 1.  If it
-    has full column rank there, it has full column rank over Q as well,
-    because rank_p <= rank_Q, so its kernel is provably empty and the shape
-    is skipped without Fraction arithmetic.  Every other shape (kernel mod p
-    nonempty, or a denominator divisible by p) goes to the exact Gauss-Jordan
-    solve.  At the accepted shape the exact kernel must have dimension 1;
-    otherwise the operator is not determined by the data and ValueError is
-    raised, as it is when no shape within the bounds is accepted.
+    Every fit matrix of order h has the same rows, one per coefficient
+    outside the guard, and its columns grow with d, so each order runs one
+    incremental column elimination modulo the prime p = 2^61 - 1 on the
+    series reduced once mod p (_kernels_mod_p).  A shape whose columns stay
+    independent mod p is skipped: rank_p <= rank_Q, because every minor that
+    vanishes over Q vanishes mod p, so its kernel over Q is provably empty.
+    Where the kernel mod p has dimension 1, its vector is lifted by rational
+    reconstruction to an integer operator and accepted only if that operator
+    annihilates every fit row exactly; the kernel over Q then has dimension
+    1 as well.  The exact Gauss-Jordan solve over Q (_kernel) still runs at
+    a shape whose kernel mod p has dimension 2 or more, or whose vector has
+    no reconstruction or fails the exact check, and at every shape when a
+    denominator of the series is divisible by p.  At the accepted shape the
+    exact kernel must have dimension 1; otherwise the operator is not
+    determined by the data and ValueError is raised, as it is when no shape
+    within the bounds is accepted.
     """
     M = s.order
     c = [int(x) if x.denominator == 1 else x for x in s.coefficients]
+    fit = c[: max(M + 1 - guard, 0)]
+    cp = _mod_p(fit)
     for h in range(1, max_order + 1):
+        kernels = None if cp is None else _kernels_mod_p(cp, h, len(fit))
         for d in range(0, max_degree + 1):
             ncols = (h + 1) * (d + 1)
             if ncols + guard > M + 1:
                 break  # not enough data at this order
-            rows = _fit_matrix(c, h, d, guard)
-            if _screen_skips(rows, ncols):
-                continue
-            vec, nullity = _kernel(rows, ncols)
-            if vec is None:
-                continue
-            polys = [
-                UniPoly(vec[k * (d + 1) : (k + 1) * (d + 1)])
-                for k in range(h + 1)
-            ]
+            polys = None
+            if kernels is not None:
+                kernel = next(kernels)
+                if not kernel:
+                    continue  # full column rank mod p, hence over Q
+                if len(kernel) == 1:
+                    polys, nullity = _lift(kernel[0], fit, h, d), 1
+            if polys is None:
+                vec, nullity = _kernel(_fit_matrix(c, h, d, guard), ncols)
+                if vec is None:
+                    continue
+                polys = [
+                    UniPoly(vec[k * (d + 1) : (k + 1) * (d + 1)])
+                    for k in range(h + 1)
+                ]
             if polys[h].is_zero():
                 continue  # order drops: this is a lower-order relation
             L = DiffOperator(polys)

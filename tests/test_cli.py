@@ -161,6 +161,21 @@ class TestAnalyze:
         assert err.startswith("reflexo: error: --period 3: no operator found")
         assert os.listdir(tmp_path) == []
 
+    def test_other_value_error_not_a_usage_error(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # only the Picard-Fuchs fit maps to exit 2; a ValueError from any
+        # other stage is a program fault and propagates unchanged
+        monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path))
+
+        def broken(P, config):
+            raise ValueError("torsion bounds inconsistent")
+
+        monkeypatch.setattr(cli, "mw_group", broken)
+        with pytest.raises(ValueError, match="torsion bounds inconsistent"):
+            main(["analyze", "3"])
+        assert "--period" not in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_negative_period_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path))
         code, out, err = run(capsys, "analyze", "3", "--period", "-1")

@@ -1,6 +1,7 @@
 """Classical periods and Picard-Fuchs operator fitting."""
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -15,7 +16,9 @@ from reflexo.period import (
     PowerSeries,
     _fit_matrix,
     _kernel,
-    _screen_skips,
+    _kernels_mod_p,
+    _lift,
+    _mod_p,
     apply_operator,
     find_picard_fuchs,
     operator_singular_locus,
@@ -163,51 +166,130 @@ class TestFindPicardFuchs:
             find_picard_fuchs(s, guard=4)
 
 
+def count_exact_solves(monkeypatch):
+    """Route period._kernel through a counter; returns the counts."""
+    counts = {"exact": 0}
+
+    def exact(rows, ncols):
+        counts["exact"] += 1
+        return _kernel(rows, ncols)
+
+    monkeypatch.setattr(period, "_kernel", exact)
+    return counts
+
+
+# Fit rows of a series to M = 40 with the default guard of 8.
+FIT_ROWS = 33
+
+
+def kernel_mod_p(s, h, d, guard=8):
+    """The mod-p kernel basis of the fit matrix of shape (h, d)."""
+    cp = _mod_p(s.coefficients[: s.order + 1 - guard])
+    return list(islice(_kernels_mod_p(cp, h, len(cp)), d + 1))[-1]
+
+
 class TestModularScreen:
-    def test_accepted_shape_not_skipped(self, catalog):
+    def test_accepted_shape_not_skipped(self, catalog, monkeypatch):
         # [DERIVED] rank_p <= rank_Q: where the exact kernel is nonempty the
-        # screen must not skip; at every accepted shape of the 16 series the
-        # kernel has dimension exactly 1
+        # mod-p kernel is nonempty too; at every accepted shape of the 16
+        # series both have dimension exactly 1, the lifted vector is the
+        # operator, and no exact solve runs
+        counts = count_exact_solves(monkeypatch)
         for name in NAMES:
             s = period_coefficients(build_fP(catalog[name]), 40)
             L = find_picard_fuchs(s)
             h, d = L.order, max(p.degree for p in L.polys)
+            kernel = kernel_mod_p(s, h, d)
+            assert len(kernel) == 1, name
+            polys = _lift(kernel[0], s.coefficients[:FIT_ROWS], h, d)
+            assert DiffOperator(polys).normalized() == L, name
+            assert counts["exact"] == 0, name
             rows = _fit_matrix(s.coefficients, h, d, 8)
-            ncols = (h + 1) * (d + 1)
-            assert not _screen_skips(rows, ncols), name
-            assert _kernel(rows, ncols)[1] == 1, name
+            assert _kernel(rows, (h + 1) * (d + 1))[1] == 1, name
 
     def test_skips_full_rank_shape(self):
-        # [DERIVED] P3 has no order-1 relation of degree 0: the screen
-        # decides this without an exact solve
+        # [DERIVED] P3 has no order-1 relation of degree 0: the mod-p
+        # elimination decides this without an exact solve
         rows = _fit_matrix(p3_series().coefficients, 1, 0, 8)
         assert _kernel(rows, 2)[0] is None
-        assert _screen_skips(rows, 2)
+        assert kernel_mod_p(p3_series(), 1, 0) == []
 
     def test_denominator_divisible_by_p_undecided(self):
-        # [TRIVIAL] full rank over Q, but an entry has no image mod p
-        rows = [[Fraction(1, _PRIME), 0], [0, 1], [1, 1]]
-        assert _kernel(rows, 2)[0] is None
-        assert not _screen_skips(rows, 2)
+        # [TRIVIAL] an entry with a denominator divisible by p has no image
+        # mod p, so the series is not reduced at all
+        assert _mod_p([1, Fraction(1, _PRIME), 2]) is None
+        assert _mod_p([1, Fraction(1, 3), -1]) == [
+            1, pow(3, -1, _PRIME), _PRIME - 1
+        ]
 
     def test_denominator_divisible_by_p_falls_through(self, monkeypatch):
         # [DERIVED] the P3 series divided by p is annihilated by the same
-        # operator; every shape then goes to the exact solve
-        counts = {"screen": 0, "exact": 0}
-
-        def screen(rows, ncols):
-            counts["screen"] += 1
-            return _screen_skips(rows, ncols)
-
-        def exact(rows, ncols):
-            counts["exact"] += 1
-            return _kernel(rows, ncols)
-
-        monkeypatch.setattr(period, "_screen_skips", screen)
-        monkeypatch.setattr(period, "_kernel", exact)
+        # operator; every shape up to the accepted (2, 3) -- degrees 0..12 of
+        # order 1, 0..3 of order 2 -- then goes to the exact solve
+        counts = count_exact_solves(monkeypatch)
         s = PowerSeries([c / _PRIME for c in p3_series().coefficients])
         assert find_picard_fuchs(s) == p3_operator()
-        assert counts["exact"] == counts["screen"] > 1
+        assert counts["exact"] == 17
+
+    def test_columns_zero_mod_p_fall_through(self, monkeypatch):
+        # [DERIVED] the P3 series times p has every column zero mod p, so
+        # every kernel mod p has dimension 2 or more: the exact solve runs
+        # at every shape and still finds the operator
+        counts = count_exact_solves(monkeypatch)
+        s = PowerSeries([c * _PRIME for c in p3_series().coefficients])
+        assert len(kernel_mod_p(s, 1, 0)) == 2
+        assert find_picard_fuchs(s) == p3_operator()
+        assert counts["exact"] == 17
+
+    def test_lift_rejects_wrong_vector(self):
+        # [DERIVED] a mod-p vector that is not the image of a kernel vector
+        # over Q fails the exact check on the fit rows
+        s = p3_series()
+        (vec,) = kernel_mod_p(s, 2, 3)
+        assert _lift(vec, s.coefficients[:FIT_ROWS], 2, 3) is not None
+        wrong = [(x + 1) % _PRIME for x in vec]
+        assert _lift(wrong, s.coefficients[:FIT_ROWS], 2, 3) is None
+
+    def test_reconstruction(self):
+        # [TRIVIAL] n/e is recovered from n * e^-1 mod p while |n| and e
+        # are at most sqrt(p/2); past the bound any answer still satisfies
+        # the congruence and the bound, and the exact check decides
+        B = period._BOUND
+        for n, e in ((0, 1), (-7, 9), (3278, 1), (B, 1), (-1, B)):
+            x = n * pow(e, -1, _PRIME) % _PRIME
+            assert period._reconstruct(x) == (n, e)
+        x = (B + 1) * pow(B + 2, -1, _PRIME) % _PRIME
+        q = period._reconstruct(x)
+        assert q is None or (
+            q != (B + 1, B + 2)
+            and abs(q[0]) <= B and 0 < q[1] <= B
+            and (q[0] - x * q[1]) % _PRIME == 0
+        )
+
+
+SHEARS = [
+    ((1, 2), (0, 1)),
+    ((1, -2), (0, 1)),
+    ((1, 0), (2, 1)),
+    ((1, 0), (-2, 1)),
+    ((5, 2), (2, 1)),
+]
+
+
+class TestCoordinateInvariance:
+    def test_period_and_operator_under_shears(self, catalog):
+        # [DERIVED] CT(f^m) is unchanged by a unimodular change of exponents,
+        # hence so are the period and its operator; the sheared supports have
+        # wide, asymmetric exponent ranges
+        for name in NAMES:
+            f = build_fP(catalog[name])
+            s = period_coefficients(f, 40)
+            L = find_picard_fuchs(s)
+            for A in SHEARS:
+                g = f.transform(A)
+                t = period_coefficients(g, 40)
+                assert t == s, (name, A)
+                assert find_picard_fuchs(t) == L, (name, A)
 
 
 class TestApplyOperator:
