@@ -9,7 +9,9 @@ no operation ever rounds.  Two polynomial representations are provided:
 
 * ``MPoly`` -- sparse polynomials in the fixed variables (x, y, l) used by the
   elimination pipeline.  lambda ("l") is conceptually a coefficient-ring
-  variable; the representation is shared for convenience.
+  variable; the representation is shared for convenience.  The bivariate gcd
+  takes its main and coefficient variables as arguments, so it serves x over
+  y and lambda over y alike.
 
 Resultants are computed by the fraction-free subresultant PRS (pseudo-division
 with Brown's g/h division factors), with the exact Sylvester value recovered by
@@ -47,16 +49,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = cs
         self.var = var
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def const(cls, c, var: str = "t") -> "UniPoly":
-        return cls([c], var)
-
-    @classmethod
-    def monomial(cls, deg: int, c=1, var: str = "t") -> "UniPoly":
-        return cls([0] * deg + [c], var)
 
     # -- basics -------------------------------------------------------------
 
@@ -396,12 +388,6 @@ class MPoly:
         return cls({(0, 0, 0): c})
 
     @classmethod
-    def var(cls, name: str) -> "MPoly":
-        e = [0, 0, 0]
-        e[_VAR_INDEX[name]] = 1
-        return cls({tuple(e): 1})
-
-    @classmethod
     def from_unipoly(cls, p: UniPoly, name: str) -> "MPoly":
         i = _VAR_INDEX[name]
         terms = {}
@@ -688,33 +674,6 @@ def _trim(coeffs: list[MPoly]) -> list[MPoly]:
     return coeffs[: n + 1]
 
 
-def _pmul(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
-    if not a or not b:
-        return []
-    res = [MPoly() for _ in range(len(a) + len(b) - 1)]
-    for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if bj.is_zero():
-                continue
-            res[i + j] = res[i + j] + ai * bj
-    return _trim(res)
-
-
-def _psub(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else MPoly()
-        bi = b[i] if i < len(b) else MPoly()
-        out.append(ai - bi)
-    return _trim(out)
-
-
-def _pscale(a: list[MPoly], c: MPoly) -> list[MPoly]:
-    return _trim([ai * c for ai in a])
-
 def _pdiv_exact(a: list[MPoly], c: MPoly) -> list[MPoly]:
     return [ai.exact_div(c) if not ai.is_zero() else ai for ai in a]
 
@@ -891,45 +850,46 @@ def bareiss_determinant(rows: list[list[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# bivariate gcd (lambda-free), quotient-ring arithmetic
+# bivariate gcd, quotient-ring arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _content_y(coeffs: list[MPoly]) -> UniPoly:
-    """gcd in Q[y] of the coefficients (each must involve only y)."""
+def _content(coeffs: list[MPoly], var: str) -> UniPoly:
+    """Monic gcd in Q[var] of the coefficients (each must involve only var)."""
     g: UniPoly | None = None
     for c in coeffs:
         if c.is_zero():
             continue
-        u = c.to_unipoly("y")
+        u = c.to_unipoly(var)
         g = u.monic() if g is None else gcd_poly(g, u)
         if g.is_const():
-            return UniPoly([1], "y")
-    return g if g is not None else UniPoly([], "y")
+            return UniPoly([1], var)
+    return g if g is not None else UniPoly([], var)
 
 
-def gcd_bivariate(p: MPoly, q: MPoly) -> MPoly:
-    """gcd of two polynomials in Q[x, y] (no lambda), monic-normalized in the
-    sense of primitive with monic leading y-content.
+def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
+    """gcd of two polynomials in Q[main, coeff] (the third variable absent),
+    scaled so that its lex-leading coefficient is 1.
 
-    Primitive-PRS in the main variable x with contents in Q[y].
+    Primitive-PRS in the main variable with contents in Q[coeff].
     """
+    (third,) = set(VARS) - {main, coeff}
     for r in (p, q):
-        if r.degree("l") not in (NEG_INF, 0):
-            raise ValueError("gcd_bivariate expects lambda-free input")
+        if r.degree(third) > 0:
+            raise ValueError(f"gcd_bivariate expects input free of {third}")
     if p.is_zero():
         return _normalize_biv(q)
     if q.is_zero():
         return _normalize_biv(p)
-    a = p.coeffs_in("x")
-    b = q.coeffs_in("x")
+    a = p.coeffs_in(main)
+    b = q.coeffs_in(main)
     if _poly_deg(a) == 0 and _poly_deg(b) == 0:
-        g = gcd_poly(a[0].to_unipoly("y"), b[0].to_unipoly("y"))
-        return MPoly.from_unipoly(g, "y")
+        g = gcd_poly(a[0].to_unipoly(coeff), b[0].to_unipoly(coeff))
+        return MPoly.from_unipoly(g, coeff)
     if _poly_deg(a) < _poly_deg(b):
         a, b = b, a
-    ca, a = _remove_content(a)
-    cb, b = _remove_content(b)
+    ca, a = _remove_content(a, coeff)
+    cb, b = _remove_content(b, coeff)
     cg = gcd_poly(ca, cb)
     while True:
         if _poly_deg(b) < 0:
@@ -940,17 +900,18 @@ def gcd_bivariate(p: MPoly, q: MPoly) -> MPoly:
             break
         r = _prem(a, b)
         if _poly_deg(r) >= 0:
-            _, r = _remove_content(r)
+            _, r = _remove_content(r, coeff)
         a, b = b, r
-    gp = MPoly.from_coeffs(g, "x")
-    return _normalize_biv(gp * MPoly.from_unipoly(cg, "y"))
+    gp = MPoly.from_coeffs(g, main)
+    return _normalize_biv(gp * MPoly.from_unipoly(cg, coeff))
 
 
-def _remove_content(coeffs: list[MPoly]) -> tuple[UniPoly, list[MPoly]]:
-    c = _content_y(coeffs)
+def _remove_content(coeffs: list[MPoly], var: str
+                    ) -> tuple[UniPoly, list[MPoly]]:
+    c = _content(coeffs, var)
     if c.is_const():
-        return UniPoly([1], "y"), coeffs
-    cm = MPoly.from_unipoly(c, "y")
+        return UniPoly([1], var), coeffs
+    cm = MPoly.from_unipoly(c, var)
     return c, [x.exact_div(cm) if not x.is_zero() else x for x in coeffs]
 
 

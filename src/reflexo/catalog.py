@@ -29,24 +29,18 @@ _cache: dict[str, Polygon] | None = None
 _names_by_form: dict[tuple, str] | None = None
 
 
-def load_catalog(path: str | None = None) -> dict[str, Polygon]:
-    """Name -> Polygon for the 16 reflexive classes."""
+def load_catalog() -> dict[str, Polygon]:
+    """Name -> Polygon for the 16 reflexive classes, read once from the
+    shipped polygons.json."""
     global _cache
-    if path is None and _cache is not None:
-        return _cache
-    if path is None:
+    if _cache is None:
         text = resources.files("reflexo").joinpath("polygons.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    data = json.loads(text)
-    catalog = {
-        entry["name"]: Polygon([tuple(v) for v in entry["vertices"]], from_hull=True)
-        for entry in data
-    }
-    if path is None:
-        _cache = catalog
-    return catalog
+        _cache = {
+            entry["name"]: Polygon([tuple(v) for v in entry["vertices"]],
+                                   from_hull=True)
+            for entry in json.loads(text)
+        }
+    return _cache
 
 
 def get(name: str) -> Polygon:

@@ -21,9 +21,14 @@ from functools import cache
 from importlib import resources
 
 from . import __version__ as VERSION
-from .algebra import UniPoly, format_unipoly
+from .algebra import UniPoly, format_unipoly, squarefree_rational_roots
 from .catalog import NAMES, dual_name, get, load_catalog, name_of
-from .fibration import FibreConfiguration, Pencil, classify_fibres
+from .fibration import (
+    FibreConfiguration,
+    Pencil,
+    classify_fibres,
+    elimination_polynomial,
+)
 from .laurent import build_fP
 from .mordell_weil import mw_group
 from .mutation import all_mutations, mutation_class, mutation_classes
@@ -141,7 +146,8 @@ def build_report(name: str, period_n: int = 40, with_pf: bool = True) -> dict:
     pencil = Pencil(P)
     config = classify_fibres(P, pencil)
     mw = mw_group(P, config)
-    roots, residual = pencil.elimination_roots
+    roots, residual = squarefree_rational_roots(
+        elimination_polynomial(P, pencil))
     factors = [
         {"factor": _compact_poly(UniPoly([-r, 1], "l")), "multiplicity": m}
         for r, m in roots

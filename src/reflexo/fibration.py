@@ -25,6 +25,7 @@ from .algebra import (
     QuotientRing,
     UniPoly,
     ZeroDivisorError,
+    _content,
     format_unipoly,
     gcd_bivariate,
     gcd_over_quotient,
@@ -116,8 +117,8 @@ class Pencil:
     once: f = f_P, the cleared member C, the critical pair (A, B, G), the
     y-candidates of the isolated critical points, their critical values, the
     curve values of the critical curves G and the candidate singular lambda
-    read from those two.  The eliminants and the elimination polynomial E
-    serve only the analysis report and are computed when it asks for them.
+    read from those two.  The elimination polynomial E serves only the
+    analysis report, which builds it with `elimination_polynomial`.
 
     A Pencil lives for one top-level call (a report, a table row) and is
     passed down explicitly; nothing keeps it afterwards.  Its values are
@@ -173,7 +174,7 @@ class Pencil:
         if not G.is_const():
             var = "x" if G.degree("x") > 0 else "y"
             rG = resultant(G, self.C, var).strip_monomial()
-            content = _pure_l_content(rG)
+            content = _content(rG.coeffs_in("y"), "l")
             if not content.is_const():
                 return content
         return UniPoly([1], "l")
@@ -186,21 +187,6 @@ class Pencil:
         curve; a repeated component R divides both log partials, so R | G."""
         return squarefree_rational_roots(self.critical_values
                                          * self.curve_values)
-
-    # the elimination polynomial, for the analysis report only
-
-    @cached_property
-    def eliminants(self) -> tuple[MPoly, MPoly, UniPoly]:
-        return _eliminants(self)
-
-    @cached_property
-    def elimination(self) -> UniPoly:
-        return elimination_polynomial(self.P, self)
-
-    @cached_property
-    def elimination_roots(self):
-        """squarefree_rational_roots(E): (rational roots, residual factors)."""
-        return squarefree_rational_roots(self.elimination)
 
 
 # ---------------------------------------------------------------------------
@@ -322,59 +308,17 @@ def _strip_powers(p: UniPoly) -> UniPoly:
     return UniPoly(p.coeffs[k:], p.var)
 
 
-def _l_to_x(p: MPoly) -> MPoly:
-    return MPoly({(c, b, 0): v for (a, b, c), v in p.terms.items()})
-
-
-def _x_to_l(p: MPoly) -> MPoly:
-    return MPoly({(0, b, a): v for (a, b, c), v in p.terms.items()})
-
-
-def _gcd_yl(p: MPoly, q: MPoly) -> MPoly:
-    """Bivariate gcd in the variables (y, l)."""
-    return _x_to_l(gcd_bivariate(_l_to_x(p), _l_to_x(q)))
-
-
-def _pure_l_content(p: MPoly) -> UniPoly:
-    """gcd of the y-coefficients of p, as a polynomial in l."""
-    g = UniPoly([], "l")
-    for c in p.coeffs_in("y"):
-        u = c.to_unipoly("l")
-        g = gcd_poly(g, u) if not g.is_zero() else u
-    return g
-
-
 def _critical_pair(f: LaurentPoly) -> tuple[MPoly, MPoly, MPoly]:
     """(A, B, G): the cleared logarithmic partials with their common
     bivariate factor G divided out.  Zeros of G are critical *curves* of f
     (components of a nonreduced member); zeros of (A, B) are the isolated
     critical points."""
     A, B = _log_partials(f)
-    G = gcd_bivariate(A, B)
+    G = gcd_bivariate(A, B, "x", "y")
     if not G.is_const():
         A = A.exact_div(G).strip_monomial()
         B = B.exact_div(G).strip_monomial()
     return A, B, G
-
-
-def _eliminants(pencil: Pencil):
-    """(r1, r2, extra): the two x-eliminants of the critical system with
-    common (y, l)-factors peeled off, and the pure-lambda polynomial
-    collecting everything peeled (the curve values and shared content)."""
-    A, B, _ = pencil.critical_pair
-    C = pencil.C
-    extra = pencil.curve_values
-    r1 = resultant(A, C, "x").strip_monomial()
-    r2 = resultant(B, C, "x").strip_monomial()
-    while True:
-        g = _gcd_yl(r1, r2)
-        if g.is_const():
-            break
-        r1 = r1.exact_div(g).strip_monomial()
-        content = _pure_l_content(g)
-        if not content.is_const():
-            extra = extra * content
-    return r1, r2, extra
 
 
 def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
@@ -382,11 +326,25 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     {x f_x = 0, y f_y = 0, f + lambda = 0}: the result is a univariate
     polynomial in lambda whose roots contain every singular value (possibly
     with extraneous factors).  The analysis report lists its factors;
-    classification does not use it.  A Pencil's `elimination` calls this
-    once with itself as `pencil`."""
+    classification does not use it.
+
+    The two x-eliminants lose their common (y, l)-factors before the
+    y-elimination; the pure-lambda content of each factor peeled, like the
+    curve values, is a factor of E."""
     if pencil is None:
         pencil = Pencil(P)
-    r1, r2, extra = pencil.eliminants
+    A, B, _ = pencil.critical_pair
+    extra = pencil.curve_values
+    r1 = resultant(A, pencil.C, "x").strip_monomial()
+    r2 = resultant(B, pencil.C, "x").strip_monomial()
+    while True:
+        g = gcd_bivariate(r1, r2, "l", "y")
+        if g.is_const():
+            break
+        r1 = r1.exact_div(g).strip_monomial()
+        content = _content(g.coeffs_in("y"), "l")
+        if not content.is_const():
+            extra = extra * content
     if r1.degree("y") <= 0:
         e = extra * r1.to_unipoly("l")
     elif r2.degree("y") <= 0:
@@ -401,8 +359,8 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
 def _gcd3_biv(F: MPoly) -> MPoly:
     Fx = F.derivative("x").strip_monomial()
     Fy = F.derivative("y").strip_monomial()
-    g = gcd_bivariate(F.strip_monomial(), Fx)
-    return gcd_bivariate(g, Fy)
+    g = gcd_bivariate(F.strip_monomial(), Fx, "x", "y")
+    return gcd_bivariate(g, Fy, "x", "y")
 
 
 def member_is_nonreduced(P: Polygon, lam: Fraction,

@@ -28,10 +28,6 @@ class LaurentPoly:
                     cleaned[(int(k[0]), int(k[1]))] = v
         self.terms = cleaned
 
-    @classmethod
-    def monomial(cls, a: int, b: int, c=1) -> "LaurentPoly":
-        return cls({(a, b): c})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -146,14 +142,11 @@ class ChartBasis:
         return f"ChartBasis({self.v1}, {self.v2})"
 
 
-def chart_polynomial(
-    f: LaurentPoly, basis: ChartBasis, include_lambda: bool = True
-) -> MPoly:
-    """Rewrite f (+ lambda if flagged) in chart coordinates and clear
-    denominators by the minimal monomial; the result has no x or y factor."""
+def chart_polynomial(f: LaurentPoly, basis: ChartBasis) -> MPoly:
+    """Rewrite f + lambda in chart coordinates and clear denominators by the
+    minimal monomial; the result has no x or y factor."""
     pairs = [(basis.exponents(u), v) for u, v in f.terms.items()]
-    if include_lambda:
-        pairs.append(((0, 0), "lambda"))
+    pairs.append(((0, 0), "lambda"))
     min_a = min(a for (a, _), _ in pairs)
     min_b = min(b for (_, b), _ in pairs)
     terms: dict = {}
@@ -168,7 +161,7 @@ def chart_polynomial(
 def cleared_member(f: LaurentPoly) -> MPoly:
     """f + lambda cleared to an (x, y, l)-polynomial in the torus coordinates
     themselves (identity chart): the member polynomial used for elimination."""
-    return chart_polynomial(f, ChartBasis((1, 0), (0, 1)), include_lambda=True)
+    return chart_polynomial(f, ChartBasis((1, 0), (0, 1)))
 
 
 def _complete_to_basis(w: Point):

@@ -127,44 +127,32 @@ class Polygon:
             out.extend(e.lattice_points()[:-1])
         return out
 
-    def lattice_points(self) -> list[Point]:
-        """All lattice points of the polygon, in lexicographic order."""
+    def lattice_points(self, m: int = 1) -> list[Point]:
+        """All lattice points of the dilate mP (m >= 0; the polygon itself
+        by default), in lexicographic order."""
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
-        # P = {u : <n, u> >= b} over the edges' inner normals n and bounds b
+        # mP = {u : <n, u> >= m b} over the edges' inner normals n and
+        # bounds b
         halfplanes = [
-            (e.inner_normal[0], e.inner_normal[1], e.normal_value())
+            (e.inner_normal[0], e.inner_normal[1], m * e.normal_value())
             for e in self.edges()
         ]
         return [
             (x, y)
-            for x in range(min(xs), max(xs) + 1)
-            for y in range(min(ys), max(ys) + 1)
+            for x in range(m * min(xs), m * max(xs) + 1)
+            for y in range(m * min(ys), m * max(ys) + 1)
             if all(a * x + b * y >= c for a, b, c in halfplanes)
         ]
-
-    def scale_count(self, m: int) -> int:
-        """#(mP ∩ Z^2) for reflexive P (dilation via the support description)."""
-        if m == 0:
-            return 1
-        if not self.is_reflexive():
-            raise ValueError("scale_count expects a reflexive polygon")
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        es = [(e.inner_normal, -m) for e in self.edges()]
-        count = 0
-        for x in range(m * min(xs), m * max(xs) + 1):
-            for y in range(m * min(ys), m * max(ys) + 1):
-                if all(n[0] * x + n[1] * y >= b for n, b in es):
-                    count += 1
-        return count
 
 
 def lattice_point_count(P: Polygon, m: int) -> int:
     """Ehrhart count #(mP ∩ N) for reflexive P."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return P.scale_count(m)
+    if not P.is_reflexive():
+        raise ValueError("lattice_point_count expects a reflexive polygon")
+    return len(P.lattice_points(m))
 
 
 def polar_dual(P: Polygon) -> Polygon:

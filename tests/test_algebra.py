@@ -16,6 +16,7 @@ from reflexo.algebra import (
     MPoly,
     UniPoly,
     bareiss_determinant,
+    gcd_bivariate,
     gcd_poly,
     rational_roots,
     resultant,
@@ -95,6 +96,39 @@ class TestGcd:
         a = upoly(-4, 1, var="l") * upoly(4, 1, var="l")
         b = upoly(-4, 1, var="l") * upoly(-4, 1, var="l")
         assert gcd_poly(a, b) == upoly(-4, 1, var="l")
+
+
+class TestGcdBivariate:
+    # shared = y l + 1, p = shared (l - y^2), q = shared (l + 2)
+    shared = MPoly({(0, 1, 1): 1, (0, 0, 0): 1})
+    p = shared * MPoly({(0, 0, 1): 1, (0, 2, 0): -1})
+    q = shared * MPoly({(0, 0, 1): 1, (0, 0, 0): 2})
+
+    def test_lambda_over_y(self):
+        # [TRIVIAL] l - y^2 and l + 2 are coprime, so the gcd is y l + 1,
+        # whichever of l and y is the main variable
+        assert gcd_bivariate(self.p, self.q, "l", "y") == self.shared
+        assert gcd_bivariate(self.p, self.q, "y", "l") == self.shared
+
+    def test_x_over_y_is_the_same_gcd(self):
+        # [TRIVIAL] renaming l to x renames the gcd
+        def l_to_x(r):
+            return MPoly({(c, b, 0): v for (_, b, c), v in r.terms.items()})
+
+        assert gcd_bivariate(l_to_x(self.p), l_to_x(self.q), "x", "y") == \
+            l_to_x(self.shared)
+
+    def test_content_in_the_coefficient_variable(self):
+        # [TRIVIAL] gcd((y + 1)(l - y^2), (y + 1)(l + 2)) = y + 1: a factor
+        # free of the main variable l is found through the contents in Q[y]
+        y1 = MPoly({(0, 1, 0): 1, (0, 0, 0): 1})
+        p = y1 * MPoly({(0, 0, 1): 1, (0, 2, 0): -1})
+        q = y1 * MPoly({(0, 0, 1): 1, (0, 0, 0): 2})
+        assert gcd_bivariate(p, q, "l", "y") == y1
+
+    def test_third_variable_rejected(self):
+        with pytest.raises(ValueError, match="free of x"):
+            gcd_bivariate(self.p + MPoly({(1, 0, 0): 1}), self.q, "l", "y")
 
 
 class TestSquarefreeRationalRoots:

@@ -204,14 +204,12 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 class TestComputeOnce:
     def test_report_derives_each_pencil_quantity_once(self, monkeypatch):
-        eliminants = _count_calls(monkeypatch, fibration, "_eliminants")
         elimination = _count_calls(monkeypatch, fibration,
                                    "elimination_polynomial")
         fP = _count_calls(monkeypatch, fibration, "build_fP")
         classes = _count_calls(monkeypatch, cli, "mutation_classes")
         report = build_report("5a")
         assert report["mutation_class"] == ["5a", "5b"]
-        assert len(eliminants) == 1
         assert len(elimination) == 1
         assert len(fP) <= 2
         assert classes == []
@@ -220,14 +218,13 @@ class TestComputeOnce:
                                                   monkeypatch):
         # [DERIVED] the singular lambda come from the pencil's critical and
         # curve values; E is built only for the report
-        eliminants = _count_calls(monkeypatch, fibration, "_eliminants")
         elimination = _count_calls(monkeypatch, fibration,
                                    "elimination_polynomial")
         code, _, _ = run(capsys, "table2", "--check", "--jobs", "1")
         assert code == 0
         for name in catalog.NAMES:
             fibration.classify_fibres(catalog.get(name))
-        assert eliminants == [] and elimination == []
+        assert elimination == []
 
 
 class TestPeriodCommands:

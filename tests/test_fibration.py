@@ -178,10 +178,6 @@ class TestPencil:
         assert pencil.f == fresh.f
         assert pencil.C == fresh.C
         assert pencil.critical_pair == fresh.critical_pair
-        assert pencil.eliminants == fresh.eliminants
-        assert pencil.elimination == fresh.elimination
-        assert pencil.elimination.var == fresh.elimination.var == "l"
-        assert pencil.elimination_roots == fresh.elimination_roots
         assert pencil.critical_y == fresh.critical_y
         assert pencil.critical_values == fresh.critical_values
         assert pencil.curve_values == fresh.curve_values

@@ -246,6 +246,12 @@ class TestEhrhart:
             for m in range(5):
                 assert 2 * lattice_point_count(P, m) == v * m * m + v * m + 2
 
+    def test_rejects_negative_m_and_nonreflexive(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            lattice_point_count(get("3"), -1)
+        with pytest.raises(ValueError, match="reflexive"):
+            lattice_point_count(Polygon([(0, 0), (2, 0), (0, 2)]), 2)
+
 
 class TestEdges:
     def test_boundary_count_is_volume(self, catalog):
