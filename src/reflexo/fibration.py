@@ -4,14 +4,15 @@ surface attached to a reflexive polygon.
 Pipeline: the fibre at infinity is the boundary cycle I_{12 - Vol(P)}; the
 singular lambda values on the torus are the roots of the pencil's critical
 values -- the lambda of its isolated critical points, each certified an
-ordinary node by the lambda-free Jacobian -- and of its curve values, the
-lambda of the members containing a critical curve (every repeated component
-of a member is one); each candidate is recounted from the critical values or
-tested for a repeated component.  Infinitely near base points over each edge
-of lattice length >= 2 contribute (-2)-curves that are absorbed by specific
-finite fibres; everything is assembled under the Euler budget
-sum(chi) = 12.  The elimination polynomial E of the critical-point system
-is computed only for the analysis report, never to classify.
+ordinary node by the lambda-free Jacobian, with multiplicity its number of
+nodes -- and the rational roots of its curve values, the lambda of the
+members containing a critical curve: every such member is nonreduced, and
+every repeated component of a member is a critical curve.  Infinitely near
+base points over each edge of lattice length >= 2 contribute (-2)-curves
+that are absorbed by specific finite fibres; everything is assembled under
+the Euler budget sum(chi) = 12.  The elimination polynomial E of the
+critical-point system is computed only for the analysis report, never to
+classify.
 """
 
 from __future__ import annotations
@@ -115,10 +116,12 @@ class Pencil:
     """The pencil {f_P + lambda} of a reflexive polygon together with the
     quantities its classification derives from it, each computed at most
     once: f = f_P, the cleared member C, the critical pair (A, B, G), the
-    y-candidates of the isolated critical points, their critical values, the
-    curve values of the critical curves G and the candidate singular lambda
-    read from those two.  The elimination polynomial E serves only the
-    analysis report, which builds it with `elimination_polynomial`.
+    y-candidates of the isolated critical points, their critical values and
+    the curve values of the critical curves G.  A repeated component R of a
+    member divides both log partials, so R | G; every singular lambda on the
+    torus is therefore a critical value or a curve value.  The elimination
+    polynomial E serves only the analysis report, which builds it with
+    `elimination_polynomial`.
 
     A Pencil lives for one top-level call (a report, a table row) and is
     passed down explicitly; nothing keeps it afterwards.  Its values are
@@ -178,15 +181,6 @@ class Pencil:
             if not content.is_const():
                 return content
         return UniPoly([1], "l")
-
-    @cached_property
-    def candidate_roots(self):
-        """squarefree_rational_roots(critical_values * curve_values): every
-        singular lambda on the torus is among these roots.  A member's torus
-        singularity is an isolated critical point of f or lies on a critical
-        curve; a repeated component R divides both log partials, so R | G."""
-        return squarefree_rational_roots(self.critical_values
-                                         * self.curve_values)
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +251,17 @@ class SingularValue:
 
     location: a rational lambda, or a rational-root-free UniPoly factor q(l)
     carrying deg(q) conjugate locations.  torus_nodes: ordinary nodes per
-    root.  nonreduced: the member contains a repeated component; then
-    repeated_factor / multiplicity describe it and torus_nodes is 0.
+    root.  nonreduced: the member contains a repeated component of the given
+    multiplicity; then torus_nodes is 0.
     """
 
-    __slots__ = ("location", "torus_nodes", "nonreduced", "repeated_factor",
-                 "multiplicity")
+    __slots__ = ("location", "torus_nodes", "nonreduced", "multiplicity")
 
     def __init__(self, location, torus_nodes=0, nonreduced=False,
-                 repeated_factor=None, multiplicity=1):
+                 multiplicity=1):
         self.location = location
         self.torus_nodes = torus_nodes
         self.nonreduced = nonreduced
-        self.repeated_factor = repeated_factor
         self.multiplicity = multiplicity
 
     @property
@@ -365,16 +357,19 @@ def _gcd3_biv(F: MPoly) -> MPoly:
 
 def member_is_nonreduced(P: Polygon, lam: Fraction,
                          pencil: Pencil | None = None):
-    """(flag, repeated factor, multiplicity): the member at lambda contains a
-    repeated component iff gcd(F, F_x, F_y) is nonconstant off the axes."""
+    """(flag, repeated factor, multiplicity): the member F at lambda contains
+    a repeated component iff gcd(F, G) is nonconstant.  A repeated component
+    of F divides both log partials, hence G; conversely f + lambda and df
+    both vanish on a component of G inside F, so its square divides F."""
     if pencil is None:
         pencil = Pencil(P)
+    _, _, G = pencil.critical_pair
     F = pencil.C.eval_var("l", lam).strip_monomial()
-    G = _gcd3_biv(F).strip_monomial()
-    if G.is_const():
+    H = gcd_bivariate(F, G, "x", "y").strip_monomial()
+    if H.is_const():
         return False, None, 1
-    # reduce G to its radical: G is a power of the repeated component here
-    R = G
+    # reduce H to its radical: H is a power of the repeated component here
+    R = H
     while True:
         S = _gcd3_biv(R).strip_monomial()
         if S.is_const():
@@ -386,7 +381,7 @@ def member_is_nonreduced(P: Polygon, lam: Fraction,
     while R.divides(rem):
         rem = rem.exact_div(R)
         mult += 1
-    if mult < 2:  # pragma: no cover - gcd found it, so it repeats
+    if mult < 2:  # pragma: no cover - a component of G in F repeats
         raise ArithmeticError("repeated factor of multiplicity < 2")
     return True, R, mult
 
@@ -445,54 +440,28 @@ def _to_quotient_coeffs(p: MPoly, ring: QuotientRing) -> list[UniPoly]:
     return [ring.reduce(c.to_unipoly("y")) for c in p.coeffs_in("x")]
 
 
-def _count_nodes(pencil: Pencil, q: UniPoly) -> int:
-    """Ordinary torus nodes of the member at each root of the lambda-factor
-    q (q = l - lambda0 for a rational lambda0): the multiplicity of the
-    roots of q among the pencil's critical values, which must be the same
-    at every root."""
-    values = pencil.critical_values
-    n = 0
-    while True:
-        g = gcd_poly(q, values)
-        if g.is_const():
-            return n
-        if g.degree < q.degree:
-            raise ArithmeticError(
-                f"node count not uniform: stage torus nodes, lambda-factor "
-                f"{format_unipoly(q)}: at least {n + 1} nodes at {g.degree} of "
-                f"its {q.degree} roots, {n} at the others; Euler budget of the "
-                f"finite fibres Vol(P) = {pencil.P.volume()}")
-        values = values.exact_div(g)
-        n += 1
-
-
 def singular_lambda_values(P: Polygon, pencil: Pencil | None = None
                            ) -> list[SingularValue]:
     """Certified finite singular locations of the pencil on the torus: the
-    pencil's candidate roots, each kept only once a repeated component or
-    its node count certifies it."""
+    nonreduced members at the rational curve values, then each root of the
+    critical values with its multiplicity as its node count, rational ones
+    in ascending lambda before the rational-root-free factors."""
     if not P.is_reflexive():
         raise ValueError("P must be reflexive")
     if pencil is None:
         pencil = Pencil(P)
-    roots, residual = pencil.candidate_roots
-    out = []
-    for lam, _ in roots:
-        flag, rep, mult = member_is_nonreduced(P, lam, pencil)
+    rational = {}
+    curve_roots, _ = squarefree_rational_roots(pencil.curve_values)
+    for lam, _ in curve_roots:
+        flag, _, mult = member_is_nonreduced(P, lam, pencil)
         if flag:
-            out.append(
-                SingularValue(lam, 0, nonreduced=True, repeated_factor=rep,
-                              multiplicity=mult)
-            )
-            continue
-        n = _count_nodes(pencil, UniPoly([-lam, 1], "l"))
-        if n > 0:
-            out.append(SingularValue(lam, n))
-    for q, _ in residual:
-        n = _count_nodes(pencil, q)
-        if n > 0:
-            out.append(SingularValue(q.primitive_integer(), n))
-    return out
+            rational[lam] = SingularValue(lam, 0, nonreduced=True,
+                                          multiplicity=mult)
+    roots, residual = squarefree_rational_roots(pencil.critical_values)
+    for lam, n in roots:
+        rational.setdefault(lam, SingularValue(lam, n))
+    return ([rational[lam] for lam in sorted(rational)]
+            + [SingularValue(q.primitive_integer(), n) for q, n in residual])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from reflexo import fibration
-from reflexo.algebra import UniPoly, squarefree_rational_roots
+from reflexo.algebra import (
+    MPoly,
+    UniPoly,
+    gcd_bivariate,
+    squarefree_rational_roots,
+)
 from reflexo.catalog import NAMES, get
 from reflexo.cli import EXPECTED_TABLE2
 from reflexo.fibration import (
@@ -116,9 +121,9 @@ class TestSingularLambdaValues:
         P = get("3")
         pencil = Pencil(P)
         q = lpoly(-2, 0, 1)
-        pencil.candidate_roots = ([], [(q, 1)])
         pencil.critical_values = q * q * lpoly(1, 1)
-        (s,) = singular_lambda_values(P, pencil)
+        rational, s = singular_lambda_values(P, pencil)
+        assert (rational.location, rational.torus_nodes) == (Fraction(-1), 1)
         assert s.location.monic() == q and s.torus_nodes == 2
 
 class TestElimination:
@@ -181,7 +186,28 @@ class TestPencil:
         assert pencil.critical_y == fresh.critical_y
         assert pencil.critical_values == fresh.critical_values
         assert pencil.curve_values == fresh.curve_values
-        assert pencil.candidate_roots == fresh.candidate_roots
+
+
+def _gcd3(F):
+    g = gcd_bivariate(F, F.derivative("x").strip_monomial(), "x", "y")
+    return gcd_bivariate(g, F.derivative("y").strip_monomial(),
+                         "x", "y").strip_monomial()
+
+
+def _triple_gcd_nonreduced(F):
+    """Reference for member_is_nonreduced: F has a repeated component iff
+    gcd(F, F_x, F_y) is nonconstant; iterated, that gcd ends at the
+    component, whose multiplicity is counted by division."""
+    R = _gcd3(F)
+    if R.is_const():
+        return False, None, 1
+    while not (S := _gcd3(R)).is_const():
+        R = S
+    mult = 0
+    while R.divides(F):
+        F = F.exact_div(R)
+        mult += 1
+    return True, R, mult
 
 
 class TestNonreduced:
@@ -201,6 +227,24 @@ class TestNonreduced:
         # [PAPER] F_{-3} is a nodal irreducible cubic (reduced)
         flag, factor, mult = member_is_nonreduced(get("3"), Fraction(-3))
         assert not flag and factor is None
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_agrees_with_triple_gcd(self, name):
+        # [DERIVED] at every rational critical or curve value, the test
+        # against G finds the repeated component that gcd(F, F_x, F_y) finds
+        P = get(name)
+        pencil = Pencil(P)
+        lams = {lam for values in (pencil.critical_values, pencil.curve_values)
+                for lam, _ in squarefree_rational_roots(values)[0]}
+        for lam in lams:
+            F = pencil.C.eval_var("l", lam).strip_monomial()
+            flag, factor, mult = member_is_nonreduced(P, lam, pencil)
+            ref_flag, ref_factor, ref_mult = _triple_gcd_nonreduced(F)
+            assert (flag, mult) == (ref_flag, ref_mult)
+            if flag:
+                k = next(iter(ref_factor.terms))
+                scale = factor.terms.get(k, 0) / ref_factor.terms[k]
+                assert factor == MPoly.const(scale) * ref_factor
 
 
 class TestBasePointTowers:
@@ -322,10 +366,15 @@ class TestCoordinateIndependence:
         pytest.param("9", ((1, -2), (0, 1)), id="9-(x-2y,y)"),
         pytest.param("6d", ((1, -2), (0, 1)), id="6d-(x-2y,y)"),
         pytest.param("7b", ((1, 2), (0, 1)), id="7b-(x+2y,y)"),
+        pytest.param("8b", ((5, 2), (2, 1)), id="8b-((5,2),(2,1))"),
+        pytest.param("8c", ((5, 2), (2, 1)), id="8c-((5,2),(2,1))"),
+        pytest.param("8b", ((5, -2), (-2, 1)), id="8b-((5,-2),(-2,1))"),
     ])
     def test_double_shear_reproduces_table2(self, name, U):
         # [PAPER] shears with |k| = 2 whose elimination polynomial has large
-        # coefficients: a factor of E for sheared 9 has a 54-bit constant term
+        # coefficients: a factor of E for sheared 9 has a 54-bit constant
+        # term; the compositions of two shears of 8b and 8c have a critical
+        # curve, so their I1* is found from G
         _assert_table2_row(apply_unimodular(U, get(name)), name)
 
 
@@ -359,13 +408,3 @@ class TestDiagnostics:
         assert "multiplicity 2" in msg
         assert "remaining Euler budget 6" in msg
         assert "'100': 1" in msg
-
-    def test_node_count_not_uniform_over_factor(self):
-        # [DERIVED] the roots of l^2 - 2 carry a node, those of l^2 - 3 none
-        P = get("3")
-        pencil = Pencil(P)
-        pencil.candidate_roots = ([], [(lpoly(-2, 0, 1) * lpoly(-3, 0, 1), 1)])
-        pencil.critical_values = lpoly(-2, 0, 1)
-        with pytest.raises(ArithmeticError,
-                           match="node count not uniform: stage torus nodes"):
-            singular_lambda_values(P, pencil)
