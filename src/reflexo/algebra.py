@@ -4,19 +4,20 @@ Everything here is exact: coefficients are `fractions.Fraction` throughout and
 no operation ever rounds.  Two polynomial representations are provided:
 
 * ``UniPoly`` -- dense univariate polynomials (ascending coefficients) with a
-  variable tag, used for resultants in lambda, Picard-Fuchs coefficient
+  variable tag, used for polynomials in lambda, Picard-Fuchs coefficient
   polynomials p_k(t), squarefree decomposition and rational roots.
 
 * ``MPoly`` -- sparse polynomials in the fixed variables (x, y, l) used by the
-  elimination pipeline.  lambda ("l") is conceptually a coefficient-ring
-  variable; the representation is shared for convenience.  The bivariate gcd
-  takes its main and coefficient variables as arguments, so it serves x over
-  y and lambda over y alike.
+  elimination pipeline and the only input of `resultant`.  lambda ("l") is
+  conceptually a coefficient-ring variable; the representation is shared for
+  convenience.  The bivariate gcd takes its main and coefficient variables as
+  arguments, so it serves x over y and lambda over y alike.
 
-Resultants are computed by the fraction-free subresultant PRS (pseudo-division
-with Brown's g/h division factors), with the exact Sylvester value recovered by
-tracking the leading-coefficient corrections of each pseudo-division step.  The
-test-suite cross-checks against an independent Bareiss determinant of the
+One subresultant polynomial remainder sequence (Collins; Brown-Traub)
+serves both the resultant and the bivariate gcd.  Every step divides a
+pseudo-remainder exactly by Brown's g h^delta, and the division is checked,
+so a wrong step raises instead of giving a wrong value.  The test-suite
+cross-checks resultants against an independent Bareiss determinant of the
 Sylvester matrix.
 """
 
@@ -657,7 +658,7 @@ def format_mpoly(p: MPoly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# resultants (fraction-free subresultant PRS)
+# the subresultant PRS and resultants
 # ---------------------------------------------------------------------------
 
 
@@ -672,10 +673,6 @@ def _poly_deg(coeffs: list[MPoly]) -> int:
 def _trim(coeffs: list[MPoly]) -> list[MPoly]:
     n = _poly_deg(coeffs)
     return coeffs[: n + 1]
-
-
-def _pdiv_exact(a: list[MPoly], c: MPoly) -> list[MPoly]:
-    return [ai.exact_div(c) if not ai.is_zero() else ai for ai in a]
 
 
 def _prem(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
@@ -707,102 +704,57 @@ def _prem(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
     return _trim(rem)
 
 
-def resultant_coeff_lists(A: list[MPoly], B: list[MPoly]) -> MPoly:
-    """Exact resultant of two dense MPoly-coefficient polynomials in one main
-    variable, via the subresultant PRS.
+def _subresultant_prs(A: list[MPoly], B: list[MPoly]):
+    """The subresultant PRS of A and B, dense MPoly-coefficient lists with
+    deg A >= deg B >= 0 (Collins 1967, Brown-Traub 1971; Cohen, *A Course
+    in Computational Algebraic Number Theory*, Alg. 3.3.1 and 3.3.7).
 
-    The Sylvester-determinant value (with sign) is recovered by accumulating
-    the leading-coefficient correction factors of each pseudo-division step;
-    the final quotient is exact by theory and checked at runtime.
+    Yields (A, B, h) for the input pair and for each pair after it, with h
+    Brown's h for that pair (1 for the input), and stops after the first
+    pair whose B is constant or zero.  Each step divides prem(A, B) by
+    g h^delta, g the leading coefficient of the previous divisor; that and
+    the update of h are exact by theory and done by exact_div, so a wrong
+    step raises instead of giving a wrong value.
     """
-    A, B = _trim(list(A)), _trim(list(B))
-    m, n = _poly_deg(A), _poly_deg(B)
+    g = h = MPoly.const(1)
+    while True:
+        yield A, B, h
+        n = _poly_deg(B)
+        if n <= 0:
+            return
+        delta = _poly_deg(A) - n
+        divisor = g * h**delta
+        A, B = B, [c.exact_div(divisor) for c in _prem(A, B)]
+        g = A[n]
+        if delta:
+            h = (g**delta).exact_div(h ** (delta - 1))
+
+
+def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
+    """Res_var(p, q), the Sylvester determinant, as an MPoly in the other
+    variables; 0 when p or q is zero.
+
+    Res(A, B) = (-1)^(deg A deg B) Res(B, A), and each pseudo-division step
+    of the subresultant PRS flips the sign when both degrees are odd; the
+    last pair (A, B) with B = b constant gives h^(1 - m) b^m, m = deg A.
+    """
+    A, B = p.coeffs_in(var), q.coeffs_in(var)
+    m, n = len(A) - 1, len(B) - 1
+    if m <= 0 and n <= 0:
+        raise ValueError("nothing to eliminate")
     if m < 0 or n < 0:
         return MPoly()
     sign = 1
     if m < n:
-        A, B, m, n = B, A, n, m
-        if (m * n) % 2 == 1:
-            sign = -sign
-    # accumulated correction: Res(A0,B0) = sign * prod(num) / prod(den) * Res(A,B)
-    num: list[tuple[MPoly, int]] = []
-    den: list[tuple[MPoly, int]] = []
-    g = MPoly.const(1)
-    h = MPoly.const(1)
-    first = True
-    while True:
+        A, B = B, A
+        sign = (-1) ** (m * n)
+    for A, B, h in _subresultant_prs(A, B):
         m, n = _poly_deg(A), _poly_deg(B)
-        if n == 0:
-            # Res(A, const) = const^deg(A)
-            num.append((B[0], m))
-            break
-        R = _prem(A, B)
-        delta = m - n
-        dR = _poly_deg(R)
-        if dR < 0:
-            return MPoly()  # common factor: resultant vanishes
-        # Res(A,B) = (-1)^(mn) lc(B)^(m - dR - (delta+1)n) Res(B, R)
-        if (m * n) % 2 == 1:
+        if n > 0 and m * n % 2:
             sign = -sign
-        e = m - dR - (delta + 1) * n
-        if e >= 0:
-            num.append((B[n], e))
-        else:
-            den.append((B[n], -e))
-        # subresultant division to keep coefficients small:
-        # next dividend pair is (B, R / (g*h^delta))
-        if first:
-            divisor = MPoly.const(1)
-            first = False
-        else:
-            divisor = g * h**delta
-        if not divisor.is_const() or divisor.const_value() != 1:
-            R = _pdiv_exact(R, divisor)
-            # Res(B, R/c) = Res(B, R) / c^deg(B) -> deg(B) of *next* step
-            num.append((divisor, n))
-        g = B[n]
-        if delta > 0:
-            # h = g^delta / h^(delta-1)
-            h_new = g**delta
-            if delta > 1:
-                h_new = h_new.exact_div(h ** (delta - 1))
-            h = h_new
-        A, B = B, R
-    result_num = MPoly.const(1 if sign > 0 else -1)
-    for p, e in num:
-        if e:
-            result_num = result_num * p**e
-    result_den = MPoly.const(1)
-    for p, e in den:
-        if e:
-            result_den = result_den * p**e
-    return result_num.exact_div(result_den)
-
-
-def resultant_mpoly(p: MPoly, q: MPoly, name: str) -> MPoly:
-    """Res_name(p, q) for sparse polynomials; exact Sylvester value."""
-    a = p.coeffs_in(name)
-    b = q.coeffs_in(name)
-    if _poly_deg(a) <= 0 and _poly_deg(b) <= 0:
-        raise ValueError("nothing to eliminate")
-    return resultant_coeff_lists(a, b)
-
-
-def resultant(p, q, var: str):
-    """Resultant front end: accepts UniPoly (same var) or MPoly inputs.
-
-    For UniPoly inputs the result is a Fraction; for MPoly inputs an MPoly in
-    the remaining variables.
-    """
-    if isinstance(p, UniPoly) and isinstance(q, UniPoly):
-        if p.is_const() and q.is_const():
-            raise ValueError("nothing to eliminate")
-        name = "l" if var in ("l", "lambda") else "x"
-        r = resultant_mpoly(
-            MPoly.from_unipoly(p, name), MPoly.from_unipoly(q, name), name
-        )
-        return r.const_value()
-    return resultant_mpoly(p, q, var)
+    if n < 0:
+        return MPoly()  # common factor: the resultant vanishes
+    return MPoly.const(sign) * (B[0] ** m).exact_div(h ** (m - 1))
 
 
 def sylvester_matrix(a: list, b: list):
@@ -871,7 +823,9 @@ def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
     """gcd of two polynomials in Q[main, coeff] (the third variable absent),
     scaled so that its lex-leading coefficient is 1.
 
-    Primitive-PRS in the main variable with contents in Q[coeff].
+    The contents in Q[coeff] are removed from p and q; the gcd of their
+    primitive parts is the primitive part of the last nonzero remainder of
+    their subresultant PRS in the main variable.
     """
     (third,) = set(VARS) - {main, coeff}
     for r in (p, q):
@@ -883,27 +837,16 @@ def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
         return _normalize_biv(p)
     a = p.coeffs_in(main)
     b = q.coeffs_in(main)
-    if _poly_deg(a) == 0 and _poly_deg(b) == 0:
-        g = gcd_poly(a[0].to_unipoly(coeff), b[0].to_unipoly(coeff))
-        return MPoly.from_unipoly(g, coeff)
-    if _poly_deg(a) < _poly_deg(b):
+    if len(a) < len(b):
         a, b = b, a
     ca, a = _remove_content(a, coeff)
     cb, b = _remove_content(b, coeff)
-    cg = gcd_poly(ca, cb)
-    while True:
-        if _poly_deg(b) < 0:
-            g = a
-            break
-        if _poly_deg(b) == 0:
-            g = [MPoly.const(1)]
-            break
-        r = _prem(a, b)
-        if _poly_deg(r) >= 0:
-            _, r = _remove_content(r, coeff)
-        a, b = b, r
+    for a, b, _ in _subresultant_prs(a, b):
+        pass
+    # b is zero (a is the last nonzero remainder) or a nonzero constant
+    g = _remove_content(a, coeff)[1] if not b else [MPoly.const(1)]
     gp = MPoly.from_coeffs(g, main)
-    return _normalize_biv(gp * MPoly.from_unipoly(cg, coeff))
+    return _normalize_biv(gp * MPoly.from_unipoly(gcd_poly(ca, cb), coeff))
 
 
 def _remove_content(coeffs: list[MPoly], var: str

@@ -175,9 +175,9 @@ class Pencil:
         content."""
         _, _, G = self.critical_pair
         if not G.is_const():
-            var = "x" if G.degree("x") > 0 else "y"
+            var, other = ("x", "y") if G.degree("x") > 0 else ("y", "x")
             rG = resultant(G, self.C, var).strip_monomial()
-            content = _content(rG.coeffs_in("y"), "l")
+            content = _content(rG.coeffs_in(other), "l")
             if not content.is_const():
                 return content
         return UniPoly([1], "l")

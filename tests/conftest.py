@@ -1,5 +1,6 @@
 import pytest
 
+from reflexo.algebra import MPoly, resultant
 from reflexo.catalog import NAMES, load_catalog
 from reflexo.fibration import classify_fibres
 
@@ -13,3 +14,13 @@ def catalog():
 def configs(catalog):
     """classify_fibres for all 16 polygons, computed once per session."""
     return {name: classify_fibres(catalog[name]) for name in NAMES}
+
+
+@pytest.fixture(scope="session")
+def res_x():
+    """Res_x of two UniPolys in x, taken through the MPoly resultant, as a
+    Fraction."""
+    def res(p, q):
+        return resultant(MPoly.from_unipoly(p, "x"),
+                         MPoly.from_unipoly(q, "x"), "x").const_value()
+    return res

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reflexo.algebra import (
     MPoly,
     UniPoly,
+    _subresultant_prs,
     bareiss_determinant,
     gcd_bivariate,
     gcd_poly,
@@ -31,11 +32,11 @@ def upoly(*coeffs, var="t"):
 
 
 class TestResultant:
-    def test_res_linear_is_evaluation(self):
+    def test_res_linear_is_evaluation(self, res_x):
         # [TRIVIAL] Res(f, x - a) = lc * f(a): Res_x(x^2 - 2, x - 1) = -1
         p = upoly(-2, 0, 1, var="x")
         q = upoly(-1, 1, var="x")
-        assert resultant(p, q, "x") == Fraction(-1)
+        assert res_x(p, q) == Fraction(-1)
 
     def test_res_with_lambda_coefficients(self):
         # [DERIVED] 2x2 Sylvester determinant by hand: Res_x(x^2 + l, x + 1)
@@ -44,34 +45,57 @@ class TestResultant:
         r = resultant(p, q, "x")
         assert r == MPoly({(0, 0, 1): 1, (0, 0, 0): 1})  # l + 1
 
-    def test_both_constant_errors(self):
+    def test_both_constant_errors(self, res_x):
         with pytest.raises(ValueError):
-            resultant(upoly(3, var="x"), upoly(5, var="x"), "x")
+            res_x(upoly(3, var="x"), upoly(5, var="x"))
 
-    def test_resultant_zero_iff_common_factor(self):
+    def test_resultant_zero_iff_common_factor(self, res_x):
         # [TRIVIAL] shared root (x - 2)
         shared = upoly(-2, 1, var="x")
         p = shared * upoly(1, 1, var="x")
         q = shared * upoly(3, 1, var="x")
-        assert resultant(p, q, "x") == 0
-        assert resultant(upoly(1, 1, var="x"), upoly(3, 1, var="x"), "x") != 0
+        assert res_x(p, q) == 0
+        assert res_x(upoly(1, 1, var="x"), upoly(3, 1, var="x")) != 0
 
-    def test_multiplicativity_small(self):
+    def test_multiplicativity_small(self, res_x):
         # [TRIVIAL] Res(p, q*r) = Res(p, q) * Res(p, r)
         p = upoly(1, 0, 1, var="x")
         q = upoly(2, 1, var="x")
         r = upoly(-3, 1, 1, var="x")
-        assert resultant(p, q * r, "x") == resultant(p, q, "x") * resultant(
-            p, r, "x"
-        )
+        assert res_x(p, q * r) == res_x(p, q) * res_x(p, r)
 
-    def test_matches_sylvester_bareiss(self):
+    def test_matches_sylvester_bareiss(self, res_x):
         # [DERIVED] subresultant PRS agrees with the naive Sylvester
         # determinant on a rational example
         p = upoly(Fraction(1, 2), -1, 0, 3, var="x")
         q = upoly(2, 0, Fraction(-1, 3), 1, var="x")
         mat = sylvester_matrix(p.coeffs, q.coeffs)
-        assert resultant(p, q, "x") == bareiss_determinant(mat)
+        assert res_x(p, q) == bareiss_determinant(mat)
+
+    def test_specialises_to_sylvester_bareiss(self):
+        # [DERIVED] for p, q in Q[l][x], Res_x(p, q) at l = l0 is the
+        # Bareiss determinant of the Sylvester matrix of p(l0), q(l0)
+        # wherever both leading coefficients stay nonzero.  The degree
+        # pairs include gaps of 2 and more; q = Q b + s with deg s <= deg b - 2
+        # makes the remainder sequence drop by 2 or more after its first
+        # step, so h is raised to delta >= 2 and the signs of odd pairs count
+        rng = random.Random(20261018)
+        drops = 0
+        for deg_p, deg_q in [(5, 2), (2, 5), (3, 3), (4, 1), (1, 4), (3, 2)]:
+            for _ in range(3):
+                p, q = _random_lx(rng, deg_p), _random_lx(rng, deg_q)
+                _check_against_sylvester(p, q)
+        for _ in range(8):
+            b = _random_lx(rng, rng.randint(3, 4))
+            s = _random_lx(rng, rng.randint(1, b.degree("x") - 2))
+            q = _random_lx(rng, rng.randint(1, 2)) * b + s
+            _check_against_sylvester(q, b)
+            degrees = [len(B) - 1
+                       for _, B, _ in _subresultant_prs(q.coeffs_in("x"),
+                                                        b.coeffs_in("x"))]
+            drops += any(d - e >= 2 for d, e in zip(degrees, degrees[1:])
+                         if e >= 0)
+        assert drops >= 4
 
 
 class TestStripMonomial:
@@ -125,6 +149,26 @@ class TestGcdBivariate:
         p = y1 * MPoly({(0, 0, 1): 1, (0, 2, 0): -1})
         q = y1 * MPoly({(0, 0, 1): 1, (0, 0, 0): 2})
         assert gcd_bivariate(p, q, "l", "y") == y1
+
+    def test_recovers_a_planted_factor(self):
+        # [DERIVED] gcd(p r, q r) = r for coprime p, q (both resultants
+        # nonzero), scaled to lex-leading coefficient 1; half of the r carry
+        # a factor free of the main variable, found through the contents
+        rng = random.Random(1971)
+        checked = 0
+        for main, coeff in [("x", "y"), ("l", "y"), ("y", "l")]:
+            for k in range(6):
+                p, q, r = (_random_biv(rng, main, coeff) for _ in range(3))
+                if k % 2:
+                    r = r * MPoly.from_unipoly(
+                        UniPoly([rng.randint(-3, 3), 1]), coeff)
+                if resultant(p, q, main) == 0 or resultant(p, q, coeff) == 0:
+                    continue
+                _, lc = r.leading_term()
+                assert gcd_bivariate(p * r, q * r, main, coeff) == \
+                    MPoly.const(1 / lc) * r
+                checked += 1
+        assert checked >= 12
 
     def test_third_variable_rejected(self):
         with pytest.raises(ValueError, match="free of x"):
@@ -229,12 +273,45 @@ def _random_poly(rng, max_deg=4, var="x"):
     return UniPoly(coeffs, var=var)
 
 
-def test_resultant_vanishes_iff_gcd_nonconstant():
+def _random_lx(rng, deg):
+    """A random polynomial of degree deg in x with coefficients of degree at
+    most 2 in l."""
+    terms = {(i, 0, j): rng.randint(-4, 4) for i in range(deg + 1)
+             for j in range(3)}
+    terms[(deg, 0, rng.randint(0, 2))] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return MPoly(terms)
+
+
+def _check_against_sylvester(p, q):
+    r = resultant(p, q, "x")
+    for l0 in (-2, Fraction(-1, 2), 0, 1, Fraction(5, 3), 3):
+        a, b = ([c.eval_var("l", l0).const_value() for c in f.coeffs_in("x")]
+                for f in (p, q))
+        if a[-1] != 0 and b[-1] != 0:
+            assert r.eval_var("l", l0).const_value() == \
+                bareiss_determinant(sylvester_matrix(a, b))
+
+
+def _random_biv(rng, main, coeff):
+    """A random polynomial of degree 1 or 2 in each of main and coeff."""
+    i, j = ("xyl".index(v) for v in (main, coeff))
+    da, db = rng.randint(1, 2), rng.randint(1, 2)
+    terms = {}
+    for a in range(da + 1):
+        for b in range(db + 1):
+            e = [0, 0, 0]
+            e[i], e[j] = a, b
+            terms[tuple(e)] = rng.randint(-3, 3)
+    terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return MPoly(terms)
+
+
+def test_resultant_vanishes_iff_gcd_nonconstant(res_x):
     rng = random.Random(20260826)
     for _ in range(100):
         p = _random_poly(rng)
         q = _random_poly(rng)
-        vanishes = resultant(p, q, "x") == 0
+        vanishes = res_x(p, q) == 0
         assert vanishes == (not gcd_poly(p, q).is_const())
 
 

@@ -1,6 +1,7 @@
 """Singular-fibre analysis: Kodaira types, elimination, node counting,
 nonreduced members, base-point towers, and assembly."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,24 @@ class TestElimination:
         assert [q for q, _ in residual] == [lpoly(-11, 36, -8, -1, 1)]
 
 
+    @pytest.mark.parametrize("name, U", [
+        pytest.param("7b", ((1, -2), (0, 1)), id="7b-(x-2y,y)"),
+        pytest.param("6b", ((1, -4), (0, 1)), id="6b-(x-4y,y)"),
+    ])
+    def test_sheared_peel_contains_singular_values(self, name, U):
+        # [DERIVED] E of these shears has degree 40 and 41 with coefficients
+        # of up to 123 bits, and its peel of common (y, l)-factors needs the
+        # lambda-over-y gcd; every singular value is still a root of E
+        P = apply_unimodular(U, get(name))
+        start = time.perf_counter()
+        E = elimination_polynomial(P)
+        assert time.perf_counter() - start < 30
+        for s in singular_lambda_values(P):
+            if isinstance(s.location, Fraction):
+                assert E(s.location) == 0
+            else:
+                assert E.divmod(s.location)[1].is_zero()
+
     def test_p4a_sheared_keeps_lambda_zero(self):
         # [DERIVED] under (x, x+y) one x-eliminant of 4a is
         # -y^3 l (2 y^2 + y l + 2); l is a coefficient, not a torus
@@ -186,6 +205,20 @@ class TestPencil:
         assert pencil.critical_y == fresh.critical_y
         assert pencil.critical_values == fresh.critical_values
         assert pencil.curve_values == fresh.curve_values
+
+    @pytest.mark.parametrize("U, G, values", [
+        (((1, 0), (0, 1)), {(1, 0, 0): 1, (0, 0, 0): 1}, lpoly(-4, 1)),
+        (((0, 1), (1, 0)), {(0, 1, 0): 1, (0, 0, 0): 1}, lpoly(-4, 1)),
+        (((1, 0), (0, 1)), {(0, 1, 0): 1, (0, 0, 0): 1}, lpoly(1)),
+    ], ids=["x+1", "swapped-y+1", "y+1"])
+    def test_curve_values_of_a_curve_in_one_variable(self, U, G, values):
+        # [DERIVED] on 8b, f(-1, y) = -4 and f(x, -1) = -x^2 - x - 4; so with
+        # G patched to x + 1, or to y + 1 after swapping x and y, the curve
+        # value is l = 4, and with G = y + 1 unswapped there is none
+        pencil = Pencil(apply_unimodular(U, get("8b")))
+        A, B, _ = pencil.critical_pair
+        pencil.critical_pair = (A, B, MPoly(G))
+        assert pencil.curve_values == values
 
 
 def _gcd3(F):
@@ -369,12 +402,15 @@ class TestCoordinateIndependence:
         pytest.param("8b", ((5, 2), (2, 1)), id="8b-((5,2),(2,1))"),
         pytest.param("8c", ((5, 2), (2, 1)), id="8c-((5,2),(2,1))"),
         pytest.param("8b", ((5, -2), (-2, 1)), id="8b-((5,-2),(-2,1))"),
+        pytest.param("8c", ((5, -2), (-2, 1)), id="8c-((5,-2),(-2,1))"),
+        pytest.param("9", ((5, -2), (-2, 1)), id="9-((5,-2),(-2,1))"),
+        pytest.param("9", ((5, 2), (2, 1)), id="9-((5,2),(2,1))"),
     ])
     def test_double_shear_reproduces_table2(self, name, U):
         # [PAPER] shears with |k| = 2 whose elimination polynomial has large
         # coefficients: a factor of E for sheared 9 has a 54-bit constant
-        # term; the compositions of two shears of 8b and 8c have a critical
-        # curve, so their I1* is found from G
+        # term; the compositions of two shears of 8b, 8c and 9 have a
+        # critical curve, so their I1* or IV* is found from G
         _assert_table2_row(apply_unimodular(U, get(name)), name)
 
 
