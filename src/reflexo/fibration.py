@@ -116,12 +116,12 @@ class Pencil:
     """The pencil {f_P + lambda} of a reflexive polygon together with the
     quantities its classification derives from it, each computed at most
     once: f = f_P, the cleared member C, the critical pair (A, B, G), the
-    y-candidates of the isolated critical points, their critical values and
-    the curve values of the critical curves G.  A repeated component R of a
-    member divides both log partials, so R | G; every singular lambda on the
-    torus is therefore a critical value or a curve value.  The elimination
-    polynomial E serves only the analysis report, which builds it with
-    `elimination_polynomial`.
+    radical R of G, the y-candidates of the isolated critical points, their
+    critical values and the curve values of the critical curves R.  A
+    repeated component of a member divides both log partials, so it divides
+    R; every singular lambda on the torus is therefore a critical value or a
+    curve value.  The elimination polynomial E serves only the analysis
+    report, which builds it with `elimination_polynomial`.
 
     A Pencil lives for one top-level call (a report, a table row) and is
     passed down explicitly; nothing keeps it afterwards.  Its values are
@@ -168,19 +168,18 @@ class Pencil:
         return values
 
     @cached_property
+    def radical(self) -> MPoly:
+        """R = G / gcd(G, G_x, G_y): the critical curves, each once."""
+        _, _, G = self.critical_pair
+        return G.exact_div(_gcd3_biv(G)).strip_monomial()
+
+    @cached_property
     def curve_values(self) -> UniPoly:
         """The lambda of the members containing a critical curve: the pure-l
-        content of Res(G, C), 1 when f has no critical curve.  f is constant
-        on each component of G, and minus that constant is a root of the
+        content of Res(R, C), 1 when f has no critical curve.  f is constant
+        on each component of R, and minus that constant is a root of the
         content."""
-        _, _, G = self.critical_pair
-        if not G.is_const():
-            var, other = ("x", "y") if G.degree("x") > 0 else ("y", "x")
-            rG = resultant(G, self.C, var).strip_monomial()
-            content = _content(rG.coeffs_in(other), "l")
-            if not content.is_const():
-                return content
-        return UniPoly([1], "l")
+        return _curve_values(self.radical, self.C)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +299,18 @@ def _strip_powers(p: UniPoly) -> UniPoly:
     return UniPoly(p.coeffs[k:], p.var)
 
 
+def _curve_values(G: MPoly, C: MPoly) -> UniPoly:
+    """The pure-l content of Res(G, C), taken over a variable of G; 1 when G
+    is constant."""
+    if not G.is_const():
+        var, other = ("x", "y") if G.degree("x") > 0 else ("y", "x")
+        rG = resultant(G, C, var).strip_monomial()
+        content = _content(rG.coeffs_in(other), "l")
+        if not content.is_const():
+            return content
+    return UniPoly([1], "l")
+
+
 def _critical_pair(f: LaurentPoly) -> tuple[MPoly, MPoly, MPoly]:
     """(A, B, G): the cleared logarithmic partials with their common
     bivariate factor G divided out.  Zeros of G are critical *curves* of f
@@ -321,12 +332,12 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     classification does not use it.
 
     The two x-eliminants lose their common (y, l)-factors before the
-    y-elimination; the pure-lambda content of each factor peeled, like the
-    curve values, is a factor of E."""
+    y-elimination; the pure-lambda content of each factor peeled, like that
+    of Res(G, C), is a factor of E."""
     if pencil is None:
         pencil = Pencil(P)
-    A, B, _ = pencil.critical_pair
-    extra = pencil.curve_values
+    A, B, G = pencil.critical_pair
+    extra = _curve_values(G, pencil.C)
     r1 = resultant(A, pencil.C, "x").strip_monomial()
     r2 = resultant(B, pencil.C, "x").strip_monomial()
     while True:
@@ -358,23 +369,16 @@ def _gcd3_biv(F: MPoly) -> MPoly:
 def member_is_nonreduced(P: Polygon, lam: Fraction,
                          pencil: Pencil | None = None):
     """(flag, repeated factor, multiplicity): the member F at lambda contains
-    a repeated component iff gcd(F, G) is nonconstant.  A repeated component
-    of F divides both log partials, hence G; conversely f + lambda and df
-    both vanish on a component of G inside F, so its square divides F."""
+    a repeated component iff gcd(F, R) is nonconstant, R the radical of G.
+    A repeated component of F divides both log partials, hence G; conversely
+    f + lambda and df both vanish on a component of G inside F, so its
+    square divides F.  gcd(F, R) is square-free: the repeated component."""
     if pencil is None:
         pencil = Pencil(P)
-    _, _, G = pencil.critical_pair
     F = pencil.C.eval_var("l", lam).strip_monomial()
-    H = gcd_bivariate(F, G, "x", "y").strip_monomial()
-    if H.is_const():
+    R = gcd_bivariate(F, pencil.radical, "x", "y").strip_monomial()
+    if R.is_const():
         return False, None, 1
-    # reduce H to its radical: H is a power of the repeated component here
-    R = H
-    while True:
-        S = _gcd3_biv(R).strip_monomial()
-        if S.is_const():
-            break
-        R = S
     # multiplicity of R in F
     mult = 0
     rem = F

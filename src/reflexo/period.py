@@ -5,16 +5,18 @@ coefficient is the constant term of f^m, computed from the powers of f with
 their exponents keyed by single integers.  An annihilating operator
 L = sum_k p_k(t) D^k with D = t d/dt is recovered by fitting the induced
 linear recursion on the coefficients.  The fit of each order runs one
-incremental elimination modulo the prime 2^61 - 1; a one-dimensional kernel
-there is lifted by rational reconstruction and accepted only after an exact
-check over Z, and every other kernel is solved exactly over Q.  The fibre
-parameter of the pencil relates to the series variable by t = -1/lambda.
+incremental column elimination, over Z/p for the prime p = 2^61 - 1 or over
+Q.  It runs mod p first; a one-dimensional kernel there is lifted by rational
+reconstruction and accepted only after an exact check over Z, and from the
+first shape that mod p cannot decide the same elimination runs over Q.  The
+fibre parameter of the pencil relates to the series variable by
+t = -1/lambda.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import gcd as int_gcd, isqrt
 
 from .algebra import UniPoly, format_unipoly, squarefree_rational_roots
@@ -206,8 +208,10 @@ def _mod_p(c: list) -> list[int] | None:
     return out
 
 
-def _kernels_mod_p(cp: list[int], h: int, nrows: int):
-    """Mod-p kernels of the fit matrices of order h and degree 0, 1, 2, ...
+def _kernels(c: list, h: int, nrows: int, p: int | None):
+    """Kernels of the fit matrices of order h and degree 0, 1, 2, ... over
+    Z/p, or over Q when p is None; c lists the series coefficients, reduced
+    mod p when p is given.
 
     The fit matrix of shape (h, d) is that of (h, d - 1) with the h + 1
     columns (k, d), k <= h, appended, so one column elimination serves every
@@ -215,8 +219,9 @@ def _kernels_mod_p(cp: list[int], h: int, nrows: int):
     far; one that reduces to zero gives a kernel vector, the combination of
     columns that cancels, with entry 1 at the new column.  For each d in turn
     this yields the kernel vectors found so far, a basis of the kernel of the
-    shape (h, d) mod p.  Entry j*(h+1) + k of a vector belongs to column
-    (k, j); a vector found at a lower degree is shorter.
+    shape (h, d).  Entry j*(h+1) + k of a vector belongs to column (k, j); a
+    vector found at a lower degree is shorter.  Only the reduction mod p and
+    the pivot inverse depend on the field.
     """
     pivots = []  # (pivot row, column scaled to 1 there, its combination)
     kernel = []
@@ -224,31 +229,34 @@ def _kernels_mod_p(cp: list[int], h: int, nrows: int):
         for k in range(h + 1):
             n = len(pivots) + len(kernel)
             col = [
-                (m - d) ** k * cp[m - d] if m >= d else 0
+                (m - d) ** k * c[m - d] if m >= d else 0
                 for m in range(nrows)
             ]
             comb = [0] * n + [1]
-            # Entries are reduced mod p only at the end; each pivot column
+            # Mod p, entries are reduced only at the end; each pivot column
             # leaves the earlier pivot rows at zero, so one pass suffices.
             for r, pcol, pcomb in pivots:
-                f = col[r] % _PRIME
+                f = col[r] if p is None else col[r] % p
                 if f:
                     col = [a - f * b for a, b in zip(col, pcol)]
                     comb[: len(pcomb)] = [
                         a - f * b for a, b in zip(comb, pcomb)
                     ]
-            col = [a % _PRIME for a in col]
-            comb = [a % _PRIME for a in comb]
+            if p is not None:
+                col = [a % p for a in col]
+                comb = [a % p for a in comb]
             r = next((i for i, a in enumerate(col) if a), None)
             if r is None:
                 kernel.append(comb)
                 continue
-            inv = pow(col[r], -1, _PRIME)
-            pivots.append((
-                r,
-                [a * inv % _PRIME for a in col],
-                [a * inv % _PRIME for a in comb],
-            ))
+            if p is None:
+                inv = 1 / Fraction(col[r])
+                pivots.append((r, [a * inv for a in col],
+                               [a * inv for a in comb]))
+            else:
+                inv = pow(col[r], -1, p)
+                pivots.append((r, [a * inv % p for a in col],
+                               [a * inv % p for a in comb]))
         yield list(kernel)
 
 
@@ -296,43 +304,6 @@ def _lift(vec: list[int], c: list, h: int, d: int) -> list[UniPoly] | None:
     return polys
 
 
-def _kernel(rows: list[list], ncols: int) -> tuple[list[Fraction] | None, int]:
-    """One kernel vector of the matrix (rows x ncols) over Q, or None, and
-    the dimension of the kernel.
-
-    Gauss-Jordan; the kernel vector sets the first free variable to 1, so the
-    result is deterministic.
-    """
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivot_of_col = [-1] * ncols
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == len(mat):
-            break
-    free = next((c for c in range(ncols) if pivot_of_col[c] == -1), None)
-    if free is None:
-        return None, 0
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for c in range(ncols):
-        pr = pivot_of_col[c]
-        if pr != -1:
-            vec[c] = -mat[pr][free]
-    return vec, ncols - r
-
-
 def find_picard_fuchs(
     s: PowerSeries,
     max_order: int = 4,
@@ -345,18 +316,18 @@ def find_picard_fuchs(
 
     Every fit matrix of order h has the same rows, one per coefficient
     outside the guard, and its columns grow with d, so each order runs one
-    incremental column elimination modulo the prime p = 2^61 - 1 on the
-    series reduced once mod p (_kernels_mod_p).  A shape whose columns stay
-    independent mod p is skipped: rank_p <= rank_Q, because every minor that
-    vanishes over Q vanishes mod p, so its kernel over Q is provably empty.
-    Where the kernel mod p has dimension 1, its vector is lifted by rational
-    reconstruction to an integer operator and accepted only if that operator
-    annihilates every fit row exactly; the kernel over Q then has dimension
-    1 as well.  The exact Gauss-Jordan solve over Q (_kernel) still runs at
-    a shape whose kernel mod p has dimension 2 or more, or whose vector has
-    no reconstruction or fails the exact check, and at every shape when a
-    denominator of the series is divisible by p.  At the accepted shape the
-    exact kernel must have dimension 1; otherwise the operator is not
+    incremental column elimination (_kernels), first modulo the prime
+    p = 2^61 - 1 on the series reduced once mod p.  A shape whose columns
+    stay independent mod p is skipped: rank_p <= rank_Q, because every minor
+    that vanishes over Q vanishes mod p, so its kernel over Q is provably
+    empty.  Where the kernel mod p has dimension 1, its vector is lifted by
+    rational reconstruction to an integer operator and accepted only if that
+    operator annihilates every fit row exactly; the kernel over Q then has
+    dimension 1 as well.  Where mod p cannot decide a shape -- its kernel
+    has dimension 2 or more, or its vector has no reconstruction or fails
+    the exact check, or a denominator of the series is divisible by p -- the
+    same elimination runs over Q for the rest of the order.  At the accepted
+    shape the kernel must have dimension 1; otherwise the operator is not
     determined by the data and ValueError is raised, as it is when no shape
     within the bounds is accepted.
     """
@@ -365,26 +336,28 @@ def find_picard_fuchs(
     fit = c[: max(M + 1 - guard, 0)]
     cp = _mod_p(fit)
     for h in range(1, max_order + 1):
-        kernels = None if cp is None else _kernels_mod_p(cp, h, len(fit))
+        exact = cp is None
+        kernels = (_kernels(fit, h, len(fit), None) if exact
+                   else _kernels(cp, h, len(fit), _PRIME))
         for d in range(0, max_degree + 1):
             ncols = (h + 1) * (d + 1)
             if ncols + guard > M + 1:
                 break  # not enough data at this order
+            kernel = next(kernels)
             polys = None
-            if kernels is not None:
-                kernel = next(kernels)
-                if not kernel:
-                    continue  # full column rank mod p, hence over Q
+            if kernel and not exact:
                 if len(kernel) == 1:
-                    polys, nullity = _lift(kernel[0], fit, h, d), 1
+                    polys = _lift(kernel[0], fit, h, d)
+                if polys is None:
+                    # mod p cannot decide: eliminate over Q from here on
+                    exact = True
+                    kernels = _kernels(fit, h, len(fit), None)
+                    kernel = list(islice(kernels, d + 1))[-1]
+            if not kernel:
+                continue  # full column rank (mod p, hence over Q)
             if polys is None:
-                vec, nullity = _kernel(_fit_matrix(c, h, d, guard), ncols)
-                if vec is None:
-                    continue
-                polys = [
-                    UniPoly(vec[k * (d + 1) : (k + 1) * (d + 1)])
-                    for k in range(h + 1)
-                ]
+                vec = kernel[0] + [0] * (ncols - len(kernel[0]))
+                polys = [UniPoly(vec[k :: h + 1]) for k in range(h + 1)]
             if polys[h].is_zero():
                 continue  # order drops: this is a lower-order relation
             L = DiffOperator(polys)
@@ -392,26 +365,14 @@ def find_picard_fuchs(
                 _image_coefficient(L, c, m) == 0
                 for m in range(M - guard + 1, M + 1)
             ):
-                if nullity != 1:
+                if len(kernel) != 1:
                     raise ValueError(
-                        f"operator not unique: kernel of dimension {nullity}"
-                        f" at order {h}, degree {d} (use more coefficients)"
+                        f"operator not unique: kernel of dimension "
+                        f"{len(kernel)} at order {h}, degree {d} (use more "
+                        f"coefficients)"
                     )
                 return L.normalized()
     raise ValueError("no operator found (raise bounds)")
-
-
-def _fit_matrix(c: list, h: int, d: int, guard: int) -> list[list]:
-    """Fit matrix of the shape (h, d): one row per coefficient m outside the
-    guard; the entry for unknown a_{k,j} is (m-j)^k c_{m-j}."""
-    return [
-        [
-            (m - j) ** k * c[m - j] if m >= j else 0
-            for k in range(h + 1)
-            for j in range(d + 1)
-        ]
-        for m in range(len(c) - guard)
-    ]
 
 
 def operator_singular_locus(L: DiffOperator):

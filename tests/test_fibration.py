@@ -202,6 +202,7 @@ class TestPencil:
         assert pencil.f == fresh.f
         assert pencil.C == fresh.C
         assert pencil.critical_pair == fresh.critical_pair
+        assert pencil.radical == fresh.radical
         assert pencil.critical_y == fresh.critical_y
         assert pencil.critical_values == fresh.critical_values
         assert pencil.curve_values == fresh.curve_values
@@ -405,12 +406,15 @@ class TestCoordinateIndependence:
         pytest.param("8c", ((5, -2), (-2, 1)), id="8c-((5,-2),(-2,1))"),
         pytest.param("9", ((5, -2), (-2, 1)), id="9-((5,-2),(-2,1))"),
         pytest.param("9", ((5, 2), (2, 1)), id="9-((5,2),(2,1))"),
+        pytest.param("9", ((-11, 3), (-4, 1)), id="9-((-11,3),(-4,1))"),
     ])
     def test_double_shear_reproduces_table2(self, name, U):
         # [PAPER] shears with |k| = 2 whose elimination polynomial has large
         # coefficients: a factor of E for sheared 9 has a 54-bit constant
         # term; the compositions of two shears of 8b, 8c and 9 have a
-        # critical curve, so their I1* or IV* is found from G
+        # critical curve, so their I1* or IV* is found from G; for 9 under
+        # ((-11,3),(-4,1)), G is the square of a curve of x-degree 14, and
+        # the curve values are taken on that radical
         _assert_table2_row(apply_unimodular(U, get(name)), name)
 
 

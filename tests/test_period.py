@@ -14,9 +14,7 @@ from reflexo.period import (
     _PRIME,
     DiffOperator,
     PowerSeries,
-    _fit_matrix,
-    _kernel,
-    _kernels_mod_p,
+    _kernels,
     _lift,
     _mod_p,
     apply_operator,
@@ -166,15 +164,65 @@ class TestFindPicardFuchs:
             find_picard_fuchs(s, guard=4)
 
 
+def _kernel(rows, ncols):
+    """Reference: one kernel vector of the matrix (rows x ncols) over Q, or
+    None, and the dimension of the kernel, by Gauss-Jordan on the full
+    matrix; the vector sets the first free variable to 1."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivot_of_col = [-1] * ncols
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == len(mat):
+            break
+    free = next((c for c in range(ncols) if pivot_of_col[c] == -1), None)
+    if free is None:
+        return None, 0
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for c in range(ncols):
+        pr = pivot_of_col[c]
+        if pr != -1:
+            vec[c] = -mat[pr][free]
+    return vec, ncols - r
+
+
+def _fit_matrix(c, h, d, guard):
+    """Reference: the fit matrix of the shape (h, d), one row per
+    coefficient m outside the guard; the entry for unknown a_{k,j} is
+    (m-j)^k c_{m-j}."""
+    return [
+        [
+            (m - j) ** k * c[m - j] if m >= j else 0
+            for k in range(h + 1)
+            for j in range(d + 1)
+        ]
+        for m in range(len(c) - guard)
+    ]
+
+
 def count_exact_solves(monkeypatch):
-    """Route period._kernel through a counter; returns the counts."""
+    """Route period._kernels through a counter of the eliminations over Q;
+    returns the counts."""
     counts = {"exact": 0}
 
-    def exact(rows, ncols):
-        counts["exact"] += 1
-        return _kernel(rows, ncols)
+    def kernels(c, h, nrows, p):
+        if p is None:
+            counts["exact"] += 1
+        return _kernels(c, h, nrows, p)
 
-    monkeypatch.setattr(period, "_kernel", exact)
+    monkeypatch.setattr(period, "_kernels", kernels)
     return counts
 
 
@@ -182,10 +230,12 @@ def count_exact_solves(monkeypatch):
 FIT_ROWS = 33
 
 
-def kernel_mod_p(s, h, d, guard=8):
-    """The mod-p kernel basis of the fit matrix of shape (h, d)."""
-    cp = _mod_p(s.coefficients[: s.order + 1 - guard])
-    return list(islice(_kernels_mod_p(cp, h, len(cp)), d + 1))[-1]
+def kernel_at(s, h, d, p=_PRIME, guard=8):
+    """The kernel basis of the fit matrix of shape (h, d) mod p, or over Q
+    when p is None."""
+    fit = s.coefficients[: s.order + 1 - guard]
+    c = fit if p is None else _mod_p(fit)
+    return list(islice(_kernels(c, h, len(c), p), d + 1))[-1]
 
 
 class TestModularScreen:
@@ -199,7 +249,7 @@ class TestModularScreen:
             s = period_coefficients(build_fP(catalog[name]), 40)
             L = find_picard_fuchs(s)
             h, d = L.order, max(p.degree for p in L.polys)
-            kernel = kernel_mod_p(s, h, d)
+            kernel = kernel_at(s, h, d)
             assert len(kernel) == 1, name
             polys = _lift(kernel[0], s.coefficients[:FIT_ROWS], h, d)
             assert DiffOperator(polys).normalized() == L, name
@@ -212,7 +262,7 @@ class TestModularScreen:
         # elimination decides this without an exact solve
         rows = _fit_matrix(p3_series().coefficients, 1, 0, 8)
         assert _kernel(rows, 2)[0] is None
-        assert kernel_mod_p(p3_series(), 1, 0) == []
+        assert kernel_at(p3_series(), 1, 0) == []
 
     def test_denominator_divisible_by_p_undecided(self):
         # [TRIVIAL] an entry with a denominator divisible by p has no image
@@ -225,27 +275,66 @@ class TestModularScreen:
     def test_denominator_divisible_by_p_falls_through(self, monkeypatch):
         # [DERIVED] the P3 series divided by p is annihilated by the same
         # operator; every shape up to the accepted (2, 3) -- degrees 0..12 of
-        # order 1, 0..3 of order 2 -- then goes to the exact solve
+        # order 1, 0..3 of order 2 -- is then decided over Q, by one
+        # elimination per order
         counts = count_exact_solves(monkeypatch)
         s = PowerSeries([c / _PRIME for c in p3_series().coefficients])
         assert find_picard_fuchs(s) == p3_operator()
-        assert counts["exact"] == 17
+        assert counts["exact"] == 2
 
     def test_columns_zero_mod_p_fall_through(self, monkeypatch):
         # [DERIVED] the P3 series times p has every column zero mod p, so
-        # every kernel mod p has dimension 2 or more: the exact solve runs
-        # at every shape and still finds the operator
+        # every kernel mod p has dimension 2 or more: each order switches to
+        # the elimination over Q at degree 0 and still finds the operator
         counts = count_exact_solves(monkeypatch)
         s = PowerSeries([c * _PRIME for c in p3_series().coefficients])
-        assert len(kernel_mod_p(s, 1, 0)) == 2
+        assert len(kernel_at(s, 1, 0)) == 2
         assert find_picard_fuchs(s) == p3_operator()
-        assert counts["exact"] == 17
+        assert counts["exact"] == 2
+
+    def test_failed_lift_falls_through(self, monkeypatch):
+        # [DERIVED] the period of 2^15 f_3 is that of f_3 at 2^15 t, with
+        # operator D^2 - 27 2^45 t^3 (D+1)(D+2); the mod-p vector at (2, 3)
+        # has entries of about 2^50 and 2^-50, past the reconstruction
+        # bound, so its one lift fails and order 2 switches to Q there
+        lifts = []
+
+        def lift(vec, c, h, d):
+            lifts.append(_lift(vec, c, h, d))
+            return lifts[-1]
+
+        monkeypatch.setattr(period, "_lift", lift)
+        counts = count_exact_solves(monkeypatch)
+        f = build_fP(get("3")) * LaurentPoly({(0, 0): 2 ** 15})
+        a = 27 * 2 ** 45
+        assert a > period._BOUND
+        assert find_picard_fuchs(period_coefficients(f, 40)) == DiffOperator([
+            UniPoly([0, 0, 0, -2 * a]),
+            UniPoly([0, 0, 0, -3 * a]),
+            UniPoly([1, 0, 0, -a]),
+        ])
+        assert lifts == [None]
+        assert counts["exact"] == 1
+
+    def test_modes_agree_at_accepted_shapes(self, catalog):
+        # [DERIVED] the elimination over Q and mod p pivot on the same
+        # columns of the 16 series: at each accepted shape the kernel over Q
+        # has one vector, with entry 1 at the dependent column, whose image
+        # mod p is the mod-p kernel vector
+        for name in NAMES:
+            s = period_coefficients(build_fP(catalog[name]), 40)
+            L = find_picard_fuchs(s)
+            h, d = L.order, max(p.degree for p in L.polys)
+            (vec,) = kernel_at(s, h, d, None)
+            (vec_p,) = kernel_at(s, h, d)
+            assert vec[-1] == 1 and vec_p[-1] == 1, name
+            assert _mod_p(vec) == vec_p, name
 
     def test_lift_rejects_wrong_vector(self):
         # [DERIVED] a mod-p vector that is not the image of a kernel vector
         # over Q fails the exact check on the fit rows
         s = p3_series()
-        (vec,) = kernel_mod_p(s, 2, 3)
+        (vec,) = kernel_at(s, 2, 3)
         assert _lift(vec, s.coefficients[:FIT_ROWS], 2, 3) is not None
         wrong = [(x + 1) % _PRIME for x in vec]
         assert _lift(wrong, s.coefficients[:FIT_ROWS], 2, 3) is None
