@@ -1,8 +1,9 @@
 """Sparse Laurent polynomials on the 2-torus.
 
 Provides f_P (zero constant term, binomial coefficients along each edge),
-Newton polygons, rewriting of pencil members in unimodular torus charts, and
-the algebraic mutation x^u -> x^u (1 + x^w)^{<u,v>}.
+Newton polygons, the cleared pencil member f + lambda, and the algebraic
+mutation x^u -> x^u (1 + x^w)^{<u,v>}.  The member in the unimodular torus
+chart u -> A u is cleared_member(f.transform(A)).
 """
 
 from __future__ import annotations
@@ -113,86 +114,15 @@ def newton_polygon(f: LaurentPoly):
     return Polygon(hull, from_hull=True)
 
 
-class ChartBasis:
-    """A pair of primitive dual vectors (v1, v2) with det +-1.
-
-    Chart coordinates are x = chi^{n1}, y = chi^{n2} for the dual basis
-    (n1, n2), so a torus monomial chi^u becomes x^<v1,u> y^<v2,u>.
-    """
-
-    __slots__ = ("v1", "v2")
-
-    def __init__(self, v1: Point, v2: Point):
-        v1, v2 = tuple(v1), tuple(v2)
-        if abs(v1[0] * v2[1] - v1[1] * v2[0]) != 1:
-            raise ValueError("chart basis is not unimodular")
-        for v in (v1, v2):
-            if int_gcd(abs(v[0]), abs(v[1])) != 1:
-                raise ValueError("chart basis vectors must be primitive")
-        self.v1 = v1
-        self.v2 = v2
-
-    def exponents(self, u: Point) -> tuple[int, int]:
-        return (
-            self.v1[0] * u[0] + self.v1[1] * u[1],
-            self.v2[0] * u[0] + self.v2[1] * u[1],
-        )
-
-    def __repr__(self):
-        return f"ChartBasis({self.v1}, {self.v2})"
-
-
-def chart_polynomial(f: LaurentPoly, basis: ChartBasis) -> MPoly:
-    """Rewrite f + lambda in chart coordinates and clear denominators by the
-    minimal monomial; the result has no x or y factor."""
-    pairs = [(basis.exponents(u), v) for u, v in f.terms.items()]
-    pairs.append(((0, 0), "lambda"))
-    min_a = min(a for (a, _), _ in pairs)
-    min_b = min(b for (_, b), _ in pairs)
-    terms: dict = {}
-    for (a, b), v in pairs:
-        key = (a - min_a, b - min_b, 1 if v == "lambda" else 0)
-        terms[key] = terms.get(key, Fraction(0)) + (
-            Fraction(1) if v == "lambda" else v
-        )
-    return MPoly(terms)
-
-
 def cleared_member(f: LaurentPoly) -> MPoly:
-    """f + lambda cleared to an (x, y, l)-polynomial in the torus coordinates
-    themselves (identity chart): the member polynomial used for elimination."""
-    return chart_polynomial(f, ChartBasis((1, 0), (0, 1)))
-
-
-def _complete_to_basis(w: Point):
-    """Unimodular M = ((wx, zx), (wy, zy)) with first column w, det 1."""
-    wx, wy = w
-    # solve wx*zy - wy*zx = 1
-    g, s, t = _ext_gcd(wx, wy)
-    if g != 1:
-        raise ValueError("w not primitive")
-    # wx*s + wy*t = 1  ->  choose z = (-t, s)
-    return ((wx, -t), (wy, s))
-
-
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _inv2(M):
-    (a, b), (c, d) = M
-    det = a * d - b * c
-    return ((det * d, -det * b), (-det * c, det * a))
+    """f + lambda cleared by its least monomial to an (x, y, l)-polynomial
+    with no x or y factor: the member polynomial used for elimination."""
+    keys = [*f.terms, (0, 0)]
+    min_a = min(a for a, _ in keys)
+    min_b = min(b for _, b in keys)
+    terms = {(a - min_a, b - min_b, 0): c for (a, b), c in f.terms.items()}
+    terms[(-min_a, -min_b, 1)] = Fraction(1)
+    return MPoly(terms)
 
 
 def algebraic_mutation(f: LaurentPoly, v: Point, w: Point) -> LaurentPoly:
@@ -202,58 +132,37 @@ def algebraic_mutation(f: LaurentPoly, v: Point, w: Point) -> LaurentPoly:
     h = 1 + x^w; the orientation is the one for which the Newton polygon
     transforms as conv(R_{-1} ∪ P_0 ∪ (P_1 + H)) -- the height -1 slice
     (the edge with inner normal v) loses one Minkowski factor of H and the
-    height +1 slice gains one.  Errors if the result is not Laurent.
+    height +1 slice gains one.  The exponents u0 + t w of one line parallel
+    to w share the height e = <u0, v>, so the line's polynomial p(T) in
+    T = x^w becomes p(T) (1 + T)^e.  Errors if that is not a polynomial for
+    some line with e < 0, i.e. if the result is not Laurent.
     """
     if v[0] * w[0] + v[1] * w[1] != 0:
         raise ValueError("w must lie in the orthogonal of v")
-    heights = {u: v[0] * u[0] + v[1] * u[1] for u in f.terms}
-    if not heights:
-        return f
-    K = max(0, -min(heights.values()))
-    h = LaurentPoly({(0, 0): 1, tuple(w): 1})
-    powers = {0: LaurentPoly({(0, 0): 1})}
-    g = LaurentPoly({})
+    if int_gcd(w[0], w[1]) != 1:
+        raise ValueError("w must be primitive")
+    # det(w, u) names the line through u, <u, w> orders it
+    lines: dict = {}
     for u, c in f.terms.items():
-        e = K + heights[u]
-        if e not in powers:
-            p = powers[0]
-            for _ in range(e):
-                p = p * h
-            powers[e] = p
-        g = g + (LaurentPoly({u: c}) * powers[e])
-    if K == 0:
-        return g
-    # divide g by (1+x^w)^K exactly: move to coordinates where w = e1
-    M = _complete_to_basis(w)
-    A = _inv2(M)
-    gt = g.transform(A)
-    quot = _laurent_divide_by_one_plus_x(gt, K)
-    return quot.transform(M)
-
-
-def _laurent_divide_by_one_plus_x(g: LaurentPoly, k: int) -> LaurentPoly:
-    """Exact division of g by (1+x)^k; x-exponents may be negative."""
-    for _ in range(k):
-        if not g.terms:
-            return g
-        min_x = min(a for a, _ in g.terms)
-        # dense in x per y-slice
-        by_y: dict[int, dict[int, Fraction]] = {}
-        for (a, b), c in g.terms.items():
-            by_y.setdefault(b, {})[a - min_x] = c
-        out: dict = {}
-        for b, col in by_y.items():
-            deg = max(col)
-            q = [Fraction(0)] * deg  # quotient degree deg-1
-            rem = [col.get(i, Fraction(0)) for i in range(deg + 1)]
-            for i in range(deg, 0, -1):
-                c = rem[i]
-                q[i - 1] = c
-                rem[i - 1] -= c
-            if rem[0] != 0:
+        lines.setdefault(w[0] * u[1] - w[1] * u[0], []).append(
+            (u[0] * w[0] + u[1] * w[1], u, c))
+    norm = w[0] * w[0] + w[1] * w[1]
+    terms: dict = {}
+    for line in lines.values():
+        s0, u0, _ = min(line)
+        p = [Fraction(0)] * ((max(line)[0] - s0) // norm + 1)
+        for s, _, c in line:
+            p[(s - s0) // norm] = c
+        e = v[0] * u0[0] + v[1] * u0[1]
+        for _ in range(e):
+            p = [a + b for a, b in zip(p + [0], [0] + p)]
+        for _ in range(-e):
+            q = p[1:]  # p = (1 + T) q, solved from the top
+            for i in range(len(q) - 2, -1, -1):
+                q[i] -= q[i + 1]
+            if not q or q[0] != p[0]:
                 raise ValueError("mutation not admissible for this factor")
-            for i, c in enumerate(q):
-                if c != 0:
-                    out[(i + min_x, b)] = c
-        g = LaurentPoly(out)
-    return g
+            p = q
+        for t, c in enumerate(p):
+            terms[(u0[0] + t * w[0], u0[1] + t * w[1])] = c
+    return LaurentPoly(terms)

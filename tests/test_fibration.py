@@ -221,6 +221,43 @@ class TestPencil:
         pencil.critical_pair = (A, B, MPoly(G))
         assert pencil.curve_values == values
 
+    @pytest.mark.parametrize("name", ["3", "5b", "6a", "6c", "7a", "7b"])
+    def test_values_over_splits_at_zero_divisors(self, name, monkeypatch):
+        # [DERIVED] handing _values_over the product q of all y-candidate
+        # factors gives the same critical values up to a constant: Q[y]/(q)
+        # shows a zero divisor wherever two factors meet, and the split
+        # halves multiply back to the whole; on 6a, 6c and 7a both halves
+        # of the first split carry values
+        fresh = Pencil(get(name))
+        roots, residual = fresh.critical_y
+        q = UniPoly([1], "y")
+        for y0, _ in roots:
+            q = q * UniPoly([-y0, 1], "y")
+        for qy, _ in residual:
+            q = q * qy
+        expected = fresh.critical_values.monic()
+
+        values_over = fibration._values_over
+        depth, halves = [0], []
+
+        def recording(*args):
+            depth[0] += 1
+            try:
+                out = values_over(*args)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 1:
+                halves.append(out)
+            return out
+
+        monkeypatch.setattr(fibration, "_values_over", recording)
+        pencil = Pencil(get(name))
+        pencil.critical_y = ([], [(q, 1)])
+        assert pencil.critical_values.monic() == expected
+        if name in ("6a", "6c", "7a"):
+            assert len(halves) == 2
+            assert not any(h.is_const() for h in halves)
+
 
 def _gcd3(F):
     g = gcd_bivariate(F, F.derivative("x").strip_monomial(), "x", "y")

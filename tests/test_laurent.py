@@ -5,15 +5,15 @@ import pytest
 
 from reflexo.catalog import get
 from reflexo.laurent import (
-    ChartBasis,
     LaurentPoly,
     algebraic_mutation,
     build_fP,
-    chart_polynomial,
+    cleared_member,
     format_laurent,
     newton_polygon,
 )
 from reflexo.algebra import MPoly
+from reflexo.mutation import all_mutations
 from reflexo.period import period_coefficients
 from reflexo.polygon import canonical_form
 
@@ -80,9 +80,11 @@ class TestNewtonPolygon:
 
 
 class TestChartPolynomial:
+    # the member in the chart u -> A u is cleared_member(f.transform(A))
+
     def test_p4a_chart(self):
         # [PAPER] x^2 + y (l x + x^2 + y + 1)
-        p = chart_polynomial(build_fP(get("4a")), ChartBasis((-1, 1), (1, 0)))
+        p = cleared_member(build_fP(get("4a")).transform(((-1, 1), (1, 0))))
         assert p == MPoly({
             (2, 0, 0): 1, (1, 1, 1): 1, (2, 1, 0): 1,
             (0, 2, 0): 1, (0, 1, 0): 1,
@@ -90,7 +92,7 @@ class TestChartPolynomial:
 
     def test_p5a_chart(self):
         # [PAPER] l xy + x^2 y + x + 1 + y + y^2 x
-        p = chart_polynomial(build_fP(get("5a")), ChartBasis((1, 0), (0, -1)))
+        p = cleared_member(build_fP(get("5a")).transform(((1, 0), (0, -1))))
         assert p == MPoly({
             (1, 1, 1): 1, (2, 1, 0): 1, (1, 0, 0): 1,
             (0, 0, 0): 1, (0, 1, 0): 1, (1, 2, 0): 1,
@@ -98,7 +100,7 @@ class TestChartPolynomial:
 
     def test_p6b_chart(self):
         # [PAPER] l xy + 2y + 1 + 2x + x^2 + y^2 + y^2 x
-        p = chart_polynomial(build_fP(get("6b")), ChartBasis((1, 0), (0, -1)))
+        p = cleared_member(build_fP(get("6b")).transform(((1, 0), (0, -1))))
         assert p == MPoly({
             (1, 1, 1): 1, (0, 1, 0): 2, (0, 0, 0): 1, (1, 0, 0): 2,
             (2, 0, 0): 1, (0, 2, 0): 1, (1, 2, 0): 1,
@@ -107,13 +109,13 @@ class TestChartPolynomial:
     def test_no_monomial_factor(self, catalog):
         # [TRIVIAL] result is not divisible by x or y
         for P in catalog.values():
-            p = chart_polynomial(build_fP(P), ChartBasis((1, 0), (0, 1)))
+            p = cleared_member(build_fP(P))
             assert min(k[0] for k in p.terms) == 0
             assert min(k[1] for k in p.terms) == 0
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
-            ChartBasis((1, 0), (2, 0))
+            build_fP(get("4a")).transform(((1, 0), (2, 0)))
 
 
 class TestAlgebraicMutation:
@@ -144,9 +146,51 @@ class TestAlgebraicMutation:
         with pytest.raises(ValueError):
             algebraic_mutation(build_fP(get("4a")), (0, -1), (1, 0))
 
+    def test_remainder_errors(self):
+        # [DERIVED] the height -1 line 1/y (1 + 2x) is not divisible by 1 + x
+        f = LaurentPoly({(0, -1): 1, (1, -1): 2, (0, 1): 1})
+        with pytest.raises(ValueError):
+            algebraic_mutation(f, (0, 1), (1, 0))
+
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError):
             algebraic_mutation(build_fP(get("4a")), (0, 1), (0, 1))
+
+    @pytest.mark.parametrize("v, w", [((0, 1), (2, 0)), ((0, -1), (2, 0)),
+                                      ((0, 1), (0, 0))])
+    def test_non_primitive_w_rejected(self, v, w):
+        # [TRIVIAL] w must be primitive, as for MutationData, also where no
+        # line needs a division: x + y has heights 0 and 1 for v = (0, 1)
+        for f in (LaurentPoly({(1, 0): 1, (0, 1): 1}), build_fP(get("4c"))):
+            with pytest.raises(ValueError):
+                algebraic_mutation(f, v, w)
+
+    def test_all_catalog_mutation_data(self, catalog):
+        # [PAPER] for every mutation datum of every catalog polygon, f_P
+        # mutates to a Laurent polynomial of the mutant with the same period
+        count = 0
+        for P in catalog.values():
+            f = build_fP(P)
+            series = period_coefficients(f, 12)
+            for data, Q in all_mutations(P):
+                g = algebraic_mutation(f, data.v, data.w)
+                assert canonical_form(newton_polygon(g)) == canonical_form(Q)
+                assert period_coefficients(g, 12) == series
+                count += 1
+        assert count == 76
+
+    @pytest.mark.parametrize("A", [((1, 0), (1, 1)), ((2, 1), (1, 1))])
+    def test_gl2_equivariance(self, A):
+        # [DERIVED] mutating in the chart u -> A u with data (A^-T v, A w)
+        # is the chart of the mutation with data (v, w)
+        (a, b), (c, d) = A
+        det = a * d - b * c
+        v, w = (0, -1), (1, 0)
+        v_A = (det * (d * v[0] - c * v[1]), det * (-b * v[0] + a * v[1]))
+        w_A = (a * w[0] + b * w[1], c * w[0] + d * w[1])
+        f = build_fP(get("4c"))
+        assert (algebraic_mutation(f.transform(A), v_A, w_A)
+                == algebraic_mutation(f, v, w).transform(A))
 
 
 class TestFormat:
