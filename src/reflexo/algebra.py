@@ -13,12 +13,15 @@ no operation ever rounds.  Two polynomial representations are provided:
   convenience.  The bivariate gcd takes its main and coefficient variables as
   arguments, so it serves x over y and lambda over y alike.
 
-One subresultant polynomial remainder sequence (Collins; Brown-Traub)
-serves both the resultant and the bivariate gcd.  Every step divides a
-pseudo-remainder exactly by Brown's g h^delta, and the division is checked,
-so a wrong step raises instead of giving a wrong value.  The test-suite
-cross-checks resultants against an independent Bareiss determinant of the
-Sylvester matrix.
+One Euclid, which makes every divisor monic before it divides, gives the
+univariate gcd over Q and over Q[y]/(q); over Q[y]/(q) a leading
+coefficient that is a zero divisor raises ZeroDivisorError with the factor
+of q it shares.  One subresultant polynomial remainder sequence (Collins;
+Brown-Traub) serves both the resultant and the bivariate gcd.  Every step
+divides a pseudo-remainder exactly by Brown's g h^delta, and the division
+is checked, so a wrong step raises instead of giving a wrong value.  The
+test-suite cross-checks resultants against an independent Bareiss
+determinant of the Sylvester matrix.
 """
 
 from __future__ import annotations
@@ -223,16 +226,6 @@ def format_unipoly(p: UniPoly) -> str:
     for part in parts[1:]:
         out += " - " + part[1:] if part.startswith("-") else " + " + part
     return out
-
-
-def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over Q."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd(0, 0) undefined")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -662,15 +655,15 @@ def format_mpoly(p: MPoly) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _poly_deg(coeffs: list[MPoly]) -> int:
-    """Degree of a dense MPoly-coefficient list; -1 for zero."""
+def _poly_deg(coeffs: list) -> int:
+    """Degree of a dense coefficient list; -1 for zero."""
     n = len(coeffs) - 1
-    while n >= 0 and coeffs[n].is_zero():
+    while n >= 0 and not coeffs[n]:
         n -= 1
     return n
 
 
-def _trim(coeffs: list[MPoly]) -> list[MPoly]:
+def _trim(coeffs: list) -> list:
     n = _poly_deg(coeffs)
     return coeffs[: n + 1]
 
@@ -802,7 +795,7 @@ def bareiss_determinant(rows: list[list[Fraction]]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# bivariate gcd, quotient-ring arithmetic
+# bivariate gcd; one Euclid with monic divisors, over Q or over Q[y]/(q)
 # ---------------------------------------------------------------------------
 
 
@@ -874,93 +867,66 @@ class ZeroDivisorError(ArithmeticError):
         self.factor = factor
 
 
-class QuotientRing:
-    """Arithmetic in Q[z]/(q) for a squarefree modulus q.
+def _inverse_mod(a: UniPoly, q: UniPoly) -> UniPoly:
+    """The inverse of the nonzero residue a in Q[z]/(q), by the extended
+    Euclidean algorithm.  Raises ZeroDivisorError with the monic gcd(a, q)
+    when it is not 1, so a caller can split q and recurse."""
+    r0, r1 = q, a
+    s0, s1 = UniPoly([], a.var), UniPoly([1], a.var)
+    while not r1.is_zero():
+        qt, rem = r0.divmod(r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - qt * s1
+    if not r0.is_const():
+        raise ZeroDivisorError(r0.monic())
+    return (s0 * (1 / r0.lc())).divmod(q)[1]
 
-    Elements are UniPoly of degree < deg q.  Inversion uses the extended
-    Euclidean algorithm; hitting a zero divisor raises ZeroDivisorError with
-    the discovered factor of q so callers can split the modulus and recurse.
+
+def _euclid(a: list, b: list, q: UniPoly | None) -> list:
+    """Monic gcd of the dense ascending coefficient lists a and b, not both
+    zero: over Q when q is None, over Q[z]/(q) for a squarefree q, with
+    UniPoly residues of degree < deg q as the coefficients.
+
+    Every divisor is made monic before it divides, which keeps the
+    remainders' coefficients small (Brown 1971; von zur Gathen-Gerhard,
+    *Modern Computer Algebra*, ch. 6).  Only the reduction mod q and the
+    inverse of a leading coefficient depend on the field; a leading
+    coefficient that is a zero divisor raises ZeroDivisorError.
     """
-
-    def __init__(self, modulus: UniPoly):
-        if modulus.degree is NEG_INF or modulus.degree < 1:
-            raise ValueError("modulus must be nonconstant")
-        self.modulus = modulus.monic()
-
-    def reduce(self, p: UniPoly) -> UniPoly:
-        return p.divmod(self.modulus)[1]
-
-    def mul(self, a: UniPoly, b: UniPoly) -> UniPoly:
-        return self.reduce(a * b)
-
-    def inv(self, a: UniPoly) -> UniPoly:
-        a = self.reduce(a)
-        if a.is_zero():
-            raise ZeroDivisionError("inverting zero")
-        # extended euclid: find u with u*a = gcd (mod modulus)
-        r0, r1 = self.modulus, a
-        s0, s1 = UniPoly([], a.var), UniPoly([1], a.var)
-        while not r1.is_zero():
-            qt, rem = r0.divmod(r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 - qt * s1
-        if not r0.is_const():
-            raise ZeroDivisorError(r0.monic())
-        return self.reduce(s0 * (Fraction(1) / r0.lc()))
+    if q is None:
+        reduce, inverse = (lambda c: c), (lambda c: 1 / c)
+    else:
+        reduce, inverse = ((lambda c: c.divmod(q)[1]),
+                           (lambda c: _inverse_mod(c, q)))
+    a, b = _trim(a), _trim(b)
+    if not b:
+        a, b = b, a
+    while b:
+        inv = inverse(b[-1])
+        b = [reduce(c * inv) for c in b]
+        n = len(b) - 1
+        # the entries of a are reduced only where they are read, as the
+        # leading coefficient of a step or as the remainder
+        for i in range(len(a) - 1, n - 1, -1):
+            c = reduce(a[i])
+            if c:
+                for j in range(n):
+                    a[i - n + j] -= c * b[j]
+        a, b = b, _trim([reduce(c) for c in a[:n]])
+    return a
 
 
-def gcd_over_quotient(
-    polys: list[list[UniPoly]], ring: QuotientRing
-) -> list[UniPoly]:
-    """Monic gcd of polynomials with coefficients in Q[z]/(q).
+def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic gcd over Q."""
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd(0, 0) undefined")
+    return UniPoly(_euclid(p.coeffs, q.coeffs, None), p.var)
 
-    Each polynomial is a dense ascending coefficient list of UniPoly residues.
-    Raises ZeroDivisorError if a leading coefficient turns out non-invertible.
-    """
 
-    def deg(p: list[UniPoly]) -> int:
-        n = len(p) - 1
-        while n >= 0 and ring.reduce(p[n]).is_zero():
-            n -= 1
-        return n
-
-    def make_monic(p: list[UniPoly]) -> list[UniPoly]:
-        d = deg(p)
-        if d < 0:
-            return []
-        inv = ring.inv(p[d])
-        return [ring.mul(c, inv) for c in p[: d + 1]]
-
-    def mod(a: list[UniPoly], b: list[UniPoly]) -> list[UniPoly]:
-        b = make_monic(b)
-        db = len(b) - 1
-        rem = [ring.reduce(c) for c in a]
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            for j in range(db + 1):
-                rem[i - db + j] = ring.reduce(rem[i - db + j] - c * b[j])
-        return rem[:db] if db > 0 else []
-
-    g: list[UniPoly] | None = None
-    for p in polys:
-        p = [ring.reduce(c) for c in p]
-        if deg(p) < 0:
-            continue
-        if g is None:
-            g = p
-            continue
-        a, b = g, p
-        while deg(b) >= 0:
-            if deg(b) == 0:
-                b = make_monic(b)  # may raise ZeroDivisorError -> caller splits
-                a, b = b, []
-                break
-            a, b = b, mod(a, b)
-        g = a
-        if deg(g) == 0:
-            break
-    if g is None:
-        return []
-    return make_monic(g)
+def gcd_over_quotient(a: list[UniPoly], b: list[UniPoly], q: UniPoly
+                      ) -> list[UniPoly]:
+    """Monic gcd over Q[z]/(q), q squarefree, of two polynomials given as
+    dense ascending coefficient lists of residues mod q; [] when both are
+    zero.  Raises ZeroDivisorError, carrying the factor of q it found, when
+    a leading coefficient is not invertible mod q."""
+    return _euclid(a, b, q)

@@ -23,7 +23,6 @@ from math import gcd as int_gcd
 
 from .algebra import (
     MPoly,
-    QuotientRing,
     UniPoly,
     ZeroDivisorError,
     _content,
@@ -418,15 +417,15 @@ def _values_over(A: MPoly, B: MPoly, J: MPoly, C: MPoly, qy: UniPoly
     rational-root-free qy, over Q[y]/(qy): with g monic in x there,
     Res_y(qy, Res_x(g, C)) is the product over all of them.  qy is split
     wherever Q[y]/(qy) shows a zero divisor."""
+    qy = qy.monic()
     try:
-        ring = QuotientRing(qy)
-        g = gcd_over_quotient([_to_quotient_coeffs(p, ring) for p in (A, B)],
-                              ring)
+        g = gcd_over_quotient(_to_quotient_coeffs(A, qy),
+                              _to_quotient_coeffs(B, qy), qy)
         while g and g[0].is_zero():
             g = g[1:]
         if len(g) <= 1:
             return UniPoly([1], "l")
-        if len(gcd_over_quotient([g, _to_quotient_coeffs(J, ring)], ring)) > 1:
+        if len(gcd_over_quotient(g, _to_quotient_coeffs(J, qy), qy)) > 1:
             raise ArithmeticError(
                 f"critical point is not an ordinary node: stage torus nodes, "
                 f"y a root of {format_unipoly(qy)}")
@@ -434,14 +433,13 @@ def _values_over(A: MPoly, B: MPoly, J: MPoly, C: MPoly, qy: UniPoly
         return (_values_over(A, B, J, C, zd.factor)
                 * _values_over(A, B, J, C, qy.exact_div(zd.factor)))
     g = MPoly.from_coeffs([MPoly.from_unipoly(c, "y") for c in g], "x")
-    values = resultant(MPoly.from_unipoly(ring.modulus, "y"),
-                       resultant(g, C, "x"), "y")
+    values = resultant(MPoly.from_unipoly(qy, "y"), resultant(g, C, "x"), "y")
     return values.to_unipoly("l")
 
 
-def _to_quotient_coeffs(p: MPoly, ring: QuotientRing) -> list[UniPoly]:
+def _to_quotient_coeffs(p: MPoly, q: UniPoly) -> list[UniPoly]:
     """MPoly in (x, y) -> dense x-coefficient list of residues mod q(y)."""
-    return [ring.reduce(c.to_unipoly("y")) for c in p.coeffs_in("x")]
+    return [c.to_unipoly("y").divmod(q)[1] for c in p.coeffs_in("x")]
 
 
 def singular_lambda_values(P: Polygon, pencil: Pencil | None = None

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from reflexo.algebra import (
     MPoly,
     UniPoly,
+    ZeroDivisorError,
     _subresultant_prs,
     bareiss_determinant,
     gcd_bivariate,
+    gcd_over_quotient,
     gcd_poly,
     rational_roots,
     resultant,
@@ -25,6 +27,8 @@ from reflexo.algebra import (
     squarefree_rational_roots,
     sylvester_matrix,
 )
+from reflexo.catalog import NAMES, get
+from reflexo.fibration import Pencil
 
 
 def upoly(*coeffs, var="t"):
@@ -120,6 +124,95 @@ class TestGcd:
         a = upoly(-4, 1, var="l") * upoly(4, 1, var="l")
         b = upoly(-4, 1, var="l") * upoly(-4, 1, var="l")
         assert gcd_poly(a, b) == upoly(-4, 1, var="l")
+
+
+    def test_monic_euclid_on_wide_coefficients(self):
+        """gcd and Yun on degree-30 inputs with 61-bit coefficients: a
+        Euclid whose divisors stay non-monic lets the remainders' Fractions
+        grow, and takes several seconds here.
+
+        Budget < 3 s for both (observed ~0.4 s)."""
+        rng = random.Random(5)
+
+        def wide(deg):
+            cs = [rng.randint(-2**60, 2**60) for _ in range(deg)]
+            return UniPoly(cs + [rng.choice([-1, 1]) * rng.randint(1, 2**60)],
+                           "x")
+
+        p, q = wide(30), wide(30)
+        r = UniPoly([rng.randint(-9, 9) for _ in range(4)] + [1], "x")
+        start = time.perf_counter()
+        assert gcd_poly(p * r, q * r) == r.monic()
+        shapes = [(f.degree, m)
+                  for f, m in squarefree_decomposition(p * r * r)]
+        assert time.perf_counter() - start < 3.0
+        assert shapes == [(30, 1), (4, 2)]
+
+
+def _reference_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Euclid over Q with non-monic divisors, made monic at the end."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-6, 6), max_size=6),
+    st.lists(st.integers(-6, 6), max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+)
+def test_gcd_matches_reference_euclid(a, b, c):
+    # [DERIVED] against Euclid with non-monic divisors; the shared factor r
+    # makes nonconstant gcds frequent
+    p, q, r = (UniPoly([Fraction(x) for x in xs], "x") for xs in (a, b, c))
+    p, q = p * r, q * r
+    if p.is_zero() and q.is_zero():
+        return
+    assert gcd_poly(p, q) == _reference_gcd(p, q)
+
+
+class TestGcdOverQuotient:
+    @staticmethod
+    def residues(*coeffs):
+        return [UniPoly(c, "y") for c in coeffs]
+
+    def test_sqrt2(self):
+        # [TRIVIAL] over Q(sqrt 2), gcd(x^2 - 2, x - y) = x - y
+        q = UniPoly([-2, 0, 1], "y")
+        a = self.residues([-2], [], [1])
+        b = self.residues([0, -1], [1])
+        assert gcd_over_quotient(a, b, q) == self.residues([0, -1], [1])
+
+    def test_zero_divisor_carries_the_factor(self):
+        # [TRIVIAL] mod (y^2 - 2)(y^2 - 3), the leading coefficient y^2 - 2
+        # of (y^2 - 2) x + 1 shares the factor y^2 - 2 with the modulus
+        q = UniPoly([-2, 0, 1], "y") * UniPoly([-3, 0, 1], "y")
+        a = self.residues([1], [], [1])
+        b = self.residues([1], [-2, 0, 1])
+        with pytest.raises(ZeroDivisorError) as info:
+            gcd_over_quotient(a, b, q)
+        assert info.value.factor == UniPoly([-2, 0, 1], "y")
+
+    def test_rational_y_matches_gcd_over_q(self):
+        # [DERIVED] mod y - y0, Q[y]/(q) is Q, and the gcd of A and B is
+        # gcd_poly of A(x, y0) and B(x, y0), for every rational y-candidate
+        # of the 16 pencils
+        checked = 0
+        for name in NAMES:
+            pencil = Pencil(get(name))
+            A, B, _ = pencil.critical_pair
+            for y0, _ in pencil.critical_y[0]:
+                q = UniPoly([-y0, 1], "y")
+                a, b = ([c.to_unipoly("y").divmod(q)[1]
+                         for c in p.coeffs_in("x")] for p in (A, B))
+                g = gcd_over_quotient(a, b, q)
+                A0, B0 = (p.eval_var("y", y0).to_unipoly("x")
+                          for p in (A, B))
+                assert [c[0] for c in g] == gcd_poly(A0, B0).coeffs
+                checked += 1
+        assert checked == 22
 
 
 class TestGcdBivariate:
