@@ -1,17 +1,20 @@
 """Exact rational polynomial algebra.
 
-Everything here is exact: coefficients are `fractions.Fraction` throughout and
-no operation ever rounds.  Two polynomial representations are provided:
+Everything here is exact and no operation ever rounds; a float coefficient
+raises TypeError.  Two polynomial representations are provided:
 
 * ``UniPoly`` -- dense univariate polynomials (ascending coefficients) with a
   variable tag, used for polynomials in lambda, Picard-Fuchs coefficient
-  polynomials p_k(t), squarefree decomposition and rational roots.
+  polynomials p_k(t), squarefree decomposition and rational roots.  Its
+  coefficients are `fractions.Fraction`.
 
 * ``MPoly`` -- sparse polynomials in the fixed variables (x, y, l) used by the
   elimination pipeline and the only input of `resultant`.  lambda ("l") is
   conceptually a coefficient-ring variable; the representation is shared for
   convenience.  The bivariate gcd takes its main and coefficient variables as
-  arguments, so it serves x over y and lambda over y alike.
+  arguments, so it serves x over y and lambda over y alike.  It stores an
+  int where a value is integral and a `Fraction` otherwise, never a float,
+  so the resultants and gcds of integral inputs run in int arithmetic.
 
 One Euclid, which makes every divisor monic before it divides, gives the
 univariate gcd over Q and over Q[y]/(q); over Q[y]/(q) a leading
@@ -34,7 +37,29 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"inexact coefficient {x!r}: give an int or a Fraction")
+    return Fraction(x)
+
+
+def _exact(x) -> int | Fraction:
+    """x as an MPoly value: an int when it is integral, else a Fraction."""
+    if x.__class__ is int:
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _div(a, b) -> int | Fraction:
+    """a / b for MPoly values; divmod on two ints, since int / int is a
+    float."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +386,9 @@ class MPoly:
     """Sparse polynomial in x, y, l over Q.
 
     Keys are exponent triples (a, b, c) with nonnegative entries; values are
-    nonzero Fractions.  Immutable by convention.
+    nonzero exact rationals, an int where the value is integral and a
+    Fraction otherwise, never a float.  Sums and products of ints stay ints,
+    so integral inputs run in int arithmetic.  Immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -370,8 +397,8 @@ class MPoly:
         cleaned = {}
         if terms:
             for k, v in terms.items():
-                v = _frac(v)
-                if v != 0:
+                v = _exact(v)
+                if v:
                     cleaned[tuple(k)] = v
         self.terms = cleaned
 
@@ -405,7 +432,7 @@ class MPoly:
             return Fraction(0)
         if not self.is_const():
             raise ValueError("not a constant")
-        return self.terms[(0, 0, 0)]
+        return Fraction(self.terms[(0, 0, 0)])
 
     def degree(self, name: str):
         if not self.terms:
@@ -417,7 +444,7 @@ class MPoly:
         if isinstance(other, MPoly):
             return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == ({} if other == 0 else {(0, 0, 0): _frac(other)})
+            return self.terms == ({} if other == 0 else {(0, 0, 0): other})
         return NotImplemented
 
     def __hash__(self):
@@ -432,8 +459,10 @@ class MPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            s = terms.get(k, Fraction(0)) + v
-            if s == 0:
+            s = terms.get(k, 0) + v
+            if s.__class__ is not int and s.denominator == 1:
+                s = s.numerator
+            if not s:
                 terms.pop(k, None)
             else:
                 terms[k] = s
@@ -461,8 +490,10 @@ class MPoly:
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                s = terms.get(k, Fraction(0)) + v1 * v2
-                if s == 0:
+                s = terms.get(k, 0) + v1 * v2
+                if s.__class__ is not int and s.denominator == 1:
+                    s = s.numerator
+                if not s:
                     terms.pop(k, None)
                 else:
                     terms[k] = s
@@ -520,28 +551,21 @@ class MPoly:
             for k, v in c.terms.items():
                 kk = list(k)
                 kk[i] += d
-                terms[tuple(kk)] = terms.get(tuple(kk), Fraction(0)) + v
+                terms[tuple(kk)] = terms.get(tuple(kk), 0) + v
         return cls(terms)
 
     def eval_var(self, name: str, value) -> "MPoly":
         """Substitute a rational value for one variable."""
         i = _VAR_INDEX[name]
-        value = _frac(value)
+        value = _exact(value)
         terms: dict = {}
         for k, v in self.terms.items():
             kk = list(k)
             d = kk[i]
             kk[i] = 0
-            c = v * value**d
             kk = tuple(kk)
-            s = terms.get(kk, Fraction(0)) + c
-            if s == 0:
-                terms.pop(kk, None)
-            else:
-                terms[kk] = s
-        out = MPoly.__new__(MPoly)
-        out.terms = terms
-        return out
+            terms[kk] = terms.get(kk, 0) + v * value**d
+        return MPoly(terms)
 
     def derivative(self, name: str) -> "MPoly":
         i = _VAR_INDEX[name]
@@ -553,9 +577,7 @@ class MPoly:
             c = v * kk[i]
             kk[i] -= 1
             terms[tuple(kk)] = c
-        out = MPoly.__new__(MPoly)
-        out.terms = terms
-        return out
+        return MPoly(terms)
 
     def strip_monomial(self) -> "MPoly":
         """Divide out the largest common monomial factor in x and y.  Powers
@@ -586,19 +608,20 @@ class MPoly:
 
     def leading_term(self) -> tuple[tuple, Fraction]:
         k = max(self.terms)
-        return k, self.terms[k]
+        return k, Fraction(self.terms[k])
 
     def exact_div(self, other: "MPoly") -> "MPoly":
         """Exact multivariate division; raises if the division is not exact."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_const():
-            c = other.const_value()
+            c = other.terms[(0, 0, 0)]
             out = MPoly.__new__(MPoly)
-            out.terms = {k: v / c for k, v in self.terms.items()}
+            out.terms = {k: _div(v, c) for k, v in self.terms.items()}
             return out
         rem = dict(self.terms)
-        dk, dc = other.leading_term()
+        dk = max(other.terms)
+        dc = other.terms[dk]
         q: dict = {}
         while rem:
             k = max(rem)
@@ -606,12 +629,12 @@ class MPoly:
             t = (k[0] - dk[0], k[1] - dk[1], k[2] - dk[2])
             if min(t) < 0:
                 raise ArithmeticError("division not exact")
-            c = v / dc
-            q[t] = q.get(t, Fraction(0)) + c
+            c = _div(v, dc)
+            q[t] = q.get(t, 0) + c
             for k2, v2 in other.terms.items():
                 kk = (t[0] + k2[0], t[1] + k2[1], t[2] + k2[2])
-                s = rem.get(kk, Fraction(0)) - c * v2
-                if s == 0:
+                s = rem.get(kk, 0) - c * v2
+                if not s:
                     rem.pop(kk, None)
                 else:
                     rem[kk] = s
@@ -855,8 +878,7 @@ def _normalize_biv(p: MPoly) -> MPoly:
     """Scale by a rational so the lex-leading coefficient is 1."""
     if p.is_zero():
         return p
-    _, lc = p.leading_term()
-    return p.exact_div(MPoly.const(lc))
+    return p.exact_div(MPoly.const(p.terms[max(p.terms)]))
 
 
 class ZeroDivisorError(ArithmeticError):

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reflexo.algebra import (
@@ -29,6 +29,7 @@ from reflexo.algebra import (
 )
 from reflexo.catalog import NAMES, get
 from reflexo.fibration import Pencil
+from reflexo.laurent import LaurentPoly
 
 
 def upoly(*coeffs, var="t"):
@@ -100,6 +101,60 @@ class TestResultant:
             drops += any(d - e >= 2 for d, e in zip(degrees, degrees[1:])
                          if e >= 0)
         assert drops >= 4
+
+
+class TestRepresentation:
+    def test_integral_values_are_ints(self):
+        p = MPoly({(1, 0, 0): Fraction(4, 2)})
+        assert type(p.terms[(1, 0, 0)]) is int and p.terms[(1, 0, 0)] == 2
+        half = MPoly.const(Fraction(1, 2))
+        assert type((half * MPoly.const(2)).terms[(0, 0, 0)]) is int
+        assert type((half + half).terms[(0, 0, 0)]) is int
+
+    def test_inexact_quotient_is_a_fraction(self):
+        q = MPoly.const(1).exact_div(MPoly.const(3))
+        assert q.terms == {(0, 0, 0): Fraction(1, 3)}
+        assert type(q.terms[(0, 0, 0)]) is Fraction
+
+    def test_accessors_return_fractions(self):
+        p = MPoly({(1, 0, 0): 3, (0, 0, 0): 2})
+        assert type(p.leading_term()[1]) is Fraction
+        assert type(MPoly.const(5).const_value()) is Fraction
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            UniPoly([0.5])
+        with pytest.raises(TypeError):
+            MPoly({(0, 0, 0): 0.1})
+        with pytest.raises(TypeError):
+            LaurentPoly({(0, 0): 0.5})
+
+
+# polynomials in x and l with int coefficients
+_int_xl = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.just(0), st.integers(0, 2)),
+    st.integers(-9, 9), min_size=1, max_size=8,
+).map(MPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_xl, _int_xl, st.sampled_from(["x", "l"]))
+def test_integral_resultant_is_int_and_sylvester(p, q, var):
+    # [TRIVIAL] every division of the subresultant PRS is exact in Z[l], so
+    # Res of int polynomials has int values; it has degree at most
+    # n deg(p) + m deg(q) in the other variable (m, n the degrees in var), so
+    # agreeing with the Bareiss determinant of the Sylvester matrix at one
+    # more point than that makes the two polynomials equal
+    assume(p and q and (p.degree(var) > 0 or q.degree(var) > 0))
+    other = "l" if var == "x" else "x"
+    r = resultant(p, q, var)
+    assert all(type(v) is int for v in r.terms.values())
+    m, n = p.degree(var), q.degree(var)
+    bound = n * p.degree(other) + m * q.degree(other)
+    for t in range(bound + 1):
+        a, b = ([c.eval_var(other, t).const_value() for c in f.coeffs_in(var)]
+                for f in (p, q))
+        assert r.eval_var(other, t) == bareiss_determinant(sylvester_matrix(a, b))
 
 
 class TestStripMonomial:
