@@ -1,8 +1,10 @@
 """Classical periods and Picard-Fuchs operators.
 
 The period of a Laurent polynomial f is the power series whose m-th
-coefficient is the constant term of f^m, computed from the powers of f with
-their exponents keyed by single integers.  An annihilating operator
+coefficient is the constant term of f^m.  The powers f, f^2, ..., f^M are
+built row by row in y, each row one int whose fixed-width digits are its
+x-coefficients, and only the rows that can still reach y^0 are kept; the
+constant term of f^m is one digit of its row y^0.  An annihilating operator
 L = sum_k p_k(t) D^k with D = t d/dt is recovered by fitting the induced
 linear recursion on the coefficients.  The fit of each order runs one
 incremental column elimination, over Z/p for the prime p = 2^61 - 1 or over
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, lcm
 
-from .algebra import UniPoly, format_unipoly, squarefree_rational_roots
+from .algebra import (
+    UniPoly, _exact, _frac, format_unipoly, squarefree_rational_roots,
+)
 from .laurent import LaurentPoly
 
 
@@ -29,7 +33,7 @@ class PowerSeries:
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        self.coefficients = [Fraction(c) for c in coefficients]
+        self.coefficients = [_frac(c) for c in coefficients]
 
     @property
     def order(self) -> int:
@@ -59,54 +63,93 @@ class PowerSeries:
 def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
     """c_m = constant term of f^m for 0 <= m <= M.
 
-    Meet in the middle: with a = ceil(m/2) and b = floor(m/2),
-    c_m = CT(f^a * f^b) = sum_u F_a[u] * F_b[-u], where F_k maps exponents to
-    the coefficients of f^k.  Only the powers f^k with k <= K = ceil(M/2) are
-    needed, and only the two latest are kept: c_{2k-1} pairs f^k with
-    f^(k-1), and c_{2k} pairs f^k with itself.  When every coefficient of f
-    is integral (as for every f_P) the powers are plain int dicts; otherwise
-    the same loop runs on the Fraction values.
+    The powers f, f^2, ..., f^M are built by rows: row b of f^m is its y^b
+    part, packed into one int whose s-bit digits are its x-coefficients, and
+    c_m is one digit of row 0.  f is first moved by shears to coordinates
+    with a small bounding box (the cost follows the box, not the support;
+    constant terms do not change) and scaled by the lcm D of its
+    denominators to g = D f, so c_m = CT(g^m) / D^m.
 
-    Exponents are keyed by the integer a + W*b with W = 2*R*K + 1, where R is
-    the largest |exponent| in f.  Every exponent of f^k, k <= K, lies in the
-    box |a|, |b| <= R*K, on which the key is injective and additive, and the
-    key of -(a, b) is the negated key.
+    Every coefficient of g^m, m <= M, is at most |g|_1^M < 2^(s-1) in
+    absolute value, where |g|_1 is the sum of the |coefficients|, so the
+    digits are balanced and never carry into each other.  The exponent a of
+    x in f^m sits in slot a - m*a_min, with a_min = min(0, least x-exponent
+    of f), so every shift is nonnegative and x^0 has a slot.  With the
+    y-exponents of f in [lo, hi], lo <= 0 <= hi, a row t of f^m can reach
+    y^0 in the remaining M - m steps only if -hi*(M-m) <= t <= -lo*(M-m);
+    the other rows are dropped, and every row a kept row needs at the next
+    step is itself kept.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    K = (M + 1) // 2
-    W = 2 * max((abs(e) for u in f.terms for e in u), default=0) * K + 1
-    integral = all(c.denominator == 1 for c in f.terms.values())
-    f_items = [
-        (a + W * b, int(c) if integral else c)
-        for (a, b), c in f.terms.items()
-    ]
-    coeffs = [1] + [0] * M
-    prev = {0: 1}
-    for k in range(1, K + 1):
-        cur = _times(prev, f_items)
-        coeffs[2 * k - 1] = _pairing(cur, prev)
-        if 2 * k <= M:
-            coeffs[2 * k] = _pairing(cur, cur)
-        prev = cur
+    f = _small_box(f)
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    g = [(a, b, int(c * den)) for (a, b), c in f.terms.items()]
+    s = _slot_bits(sum(abs(c) for _, _, c in g), M)
+    a_min = min([0] + [a for a, _, _ in g])
+    lo = min([0] + [b for _, b, _ in g])
+    hi = max([0] + [b for _, b, _ in g])
+    # the terms of g by y-exponent: (shift of the packed row, coefficient)
+    by_y: dict = {}
+    for a, b, c in g:
+        by_y.setdefault(b, []).append((s * (a - a_min), c))
+    rows = {0: 1}
+    coeffs = [1]
+    for m in range(1, M + 1):
+        low, high = -hi * (M - m), -lo * (M - m)
+        out: dict = {}
+        for b, r in rows.items():
+            for j, terms in by_y.items():
+                t = b + j
+                if low <= t <= high:
+                    acc = out.get(t, 0)
+                    for shift, c in terms:
+                        acc += (r << shift) * c
+                    out[t] = acc
+        rows = out
+        coeffs.append(Fraction(
+            _digit(rows.get(0, 0), -m * a_min * s, s), den ** m))
     return PowerSeries(coeffs)
 
 
-def _times(F: dict, f_items: list) -> dict:
-    """Sparse product of the key -> coefficient map F with f."""
-    out: dict = {}
-    get = out.get
-    for u2, v2 in f_items:
-        for u1, v1 in F.items():
-            u = u1 + u2
-            out[u] = get(u, 0) + v1 * v2
-    return {u: v for u, v in out.items() if v}
+def _slot_bits(norm: int, M: int) -> int:
+    """The digit width s for the powers up to M of an integral polynomial
+    whose coefficients have absolute values summing to norm:
+    norm^M < 2^(s-1)."""
+    return (norm ** M).bit_length() + 1
 
 
-def _pairing(F: dict, G: dict):
-    """sum_u F[u] * G[-u]: the constant term of the product of F and G."""
-    get = G.get
-    return sum(v * get(-u, 0) for u, v in F.items())
+def _digit(r: int, p: int, s: int) -> int:
+    """The balanced s-bit digit of r at bit position p, in
+    (-2^(s-1), 2^(s-1)): adding 2^(p-1) absorbs the lower digits, whose sum
+    lies in [-2^(p-1), 2^(p-1))."""
+    d = ((r + (1 << p >> 1)) >> p) & ((1 << s) - 1)
+    return d - (1 << s) if d >> (s - 1) else d
+
+
+# The shears (x, y) -> (x +- y, y) and (x, y +- x), as exponent maps u -> A u.
+_SHEARS = (((1, 1), (0, 1)), ((1, -1), (0, 1)),
+           ((1, 0), (1, 1)), ((1, 0), (-1, 1)))
+
+
+def _box(f: LaurentPoly) -> int:
+    """(x-extent + 1)(y-extent + 1) of the support of f."""
+    xs = [a for a, _ in f.terms]
+    ys = [b for _, b in f.terms]
+    return (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
+
+
+def _small_box(f: LaurentPoly) -> LaurentPoly:
+    """f moved by shears while one of them shrinks its bounding box, the
+    smallest box first; unimodular, so every CT(f^m) is unchanged."""
+    if not f.terms:
+        return f
+    size = _box(f)
+    while True:
+        g = min((f.transform(A) for A in _SHEARS), key=_box)
+        if _box(g) >= size:
+            return f
+        f, size = g, _box(g)
 
 
 class DiffOperator:
@@ -171,17 +214,24 @@ class DiffOperator:
 
 def apply_operator(L: DiffOperator, s: PowerSeries) -> PowerSeries:
     """Coefficientwise image of s under L."""
+    ps, c = _coefficient_lists(L), [_exact(x) for x in s.coefficients]
     return PowerSeries(
-        [_image_coefficient(L, s.coefficients, m) for m in range(s.order + 1)]
+        [_image_coefficient(ps, c, m) for m in range(s.order + 1)]
     )
 
 
-def _image_coefficient(L: DiffOperator, c: list, m: int):
-    """The t^m coefficient of L s, where c lists the coefficients of s:
-    sum_k sum_j p_k[j] (m-j)^k c_{m-j}."""
-    acc = Fraction(0)
-    for k, p in enumerate(L.polys):
-        for j, a in enumerate(p.coeffs[: m + 1]):
+def _coefficient_lists(L: DiffOperator) -> list[list]:
+    """The coefficients of p_0..p_h, with the integral ones as ints."""
+    return [[_exact(a) for a in p.coeffs] for p in L.polys]
+
+
+def _image_coefficient(ps: list[list], c: list, m: int):
+    """The t^m coefficient of L s, where ps lists the coefficients of
+    p_0..p_h and c those of s: sum_k sum_j p_k[j] (m-j)^k c_{m-j}.  It is
+    summed in ints when every entry used is an int."""
+    acc = 0
+    for k, p in enumerate(ps):
+        for j, a in enumerate(p[: m + 1]):
             if a:
                 acc += a * (m - j) ** k * c[m - j]
     return acc
@@ -297,11 +347,10 @@ def _lift(vec: list[int], c: list, h: int, d: int) -> list[UniPoly] | None:
             nums = [a * e for a in nums]
             den *= e
         nums.append(n)
-    polys = [UniPoly(nums[k :: h + 1]) for k in range(h + 1)]
-    L = DiffOperator(polys)
-    if any(_image_coefficient(L, c, m) for m in range(len(c))):
+    ps = [nums[k :: h + 1] for k in range(h + 1)]
+    if any(_image_coefficient(ps, c, m) for m in range(len(c))):
         return None
-    return polys
+    return [UniPoly(p) for p in ps]
 
 
 def find_picard_fuchs(
@@ -332,7 +381,7 @@ def find_picard_fuchs(
     within the bounds is accepted.
     """
     M = s.order
-    c = [int(x) if x.denominator == 1 else x for x in s.coefficients]
+    c = [_exact(x) for x in s.coefficients]
     fit = c[: max(M + 1 - guard, 0)]
     cp = _mod_p(fit)
     for h in range(1, max_order + 1):
@@ -361,8 +410,9 @@ def find_picard_fuchs(
             if polys[h].is_zero():
                 continue  # order drops: this is a lower-order relation
             L = DiffOperator(polys)
+            ps = _coefficient_lists(L)
             if all(
-                _image_coefficient(L, c, m) == 0
+                _image_coefficient(ps, c, m) == 0
                 for m in range(M - guard + 1, M + 1)
             ):
                 if len(kernel) != 1:

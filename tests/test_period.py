@@ -1,10 +1,13 @@
 """Classical periods and Picard-Fuchs operator fitting."""
 
+import time
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflexo import period
 from reflexo.algebra import UniPoly
@@ -48,6 +51,23 @@ def p3_operator():
     ])
 
 
+# Signed Fraction polynomials with exponents in [-3, 3]^2; a lower bound of 1
+# on an axis makes every exponent on it positive.
+_laurent_polys = st.tuples(
+    st.sampled_from([-3, 1]), st.sampled_from([-3, 1])
+).flatmap(lambda low: st.dictionaries(
+    st.tuples(st.integers(low[0], 3), st.integers(low[1], 3)),
+    st.fractions(-4, 4, max_denominator=6), max_size=5,
+)).map(LaurentPoly)
+
+
+class TestPowerSeries:
+    def test_floats_rejected(self):
+        # [TRIVIAL] as for UniPoly and LaurentPoly, a float is not exact
+        with pytest.raises(TypeError):
+            PowerSeries([1, 0.5])
+
+
 class TestPeriodCoefficients:
     def test_p3_head(self):
         # [PAPER] sum (3j)!/(j!)^3 t^{3j}: 1, 0, 0, 6, 0, 0, 90
@@ -73,9 +93,9 @@ class TestPeriodCoefficients:
             assert period_coefficients(build_fP(P), 1)[1] == 0
 
     def test_clipping_matches_plain_expansion(self, catalog):
-        # [DERIVED] c_m = CT(f^ceil(m/2) f^floor(m/2)) is loss-free: compare
-        # against a naive power computation for every f_P, with M zero, one,
-        # odd and even
+        # [DERIVED] dropping the rows of f^m that cannot reach y^0 in the
+        # remaining steps is loss-free: compare against a naive power
+        # computation for every f_P, with M zero, one, odd and even
         for name in NAMES:
             f = build_fP(catalog[name])
             for M in (0, 1, 7, 8):
@@ -84,7 +104,8 @@ class TestPeriodCoefficients:
                 ), (name, M)
 
     def test_fraction_coefficients(self):
-        # [DERIVED] a non-integral f runs the same loop on Fraction values
+        # [DERIVED] a non-integral f is scaled by the lcm D of its
+        # denominators, c_m = CT((D f)^m) / D^m, and runs the same packed rows
         f = LaurentPoly({
             (1, 0): Fraction(1, 2), (-1, 0): Fraction(2, 3),
             (0, 1): Fraction(-3, 4), (0, -1): 1, (1, 1): Fraction(1, 5),
@@ -111,6 +132,43 @@ class TestPeriodCoefficients:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             period_coefficients(build_fP(get("3")), -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_laurent_polys, st.integers(0, 10))
+    def test_matches_naive_period(self, f, M):
+        # [DERIVED] any signed Fraction f, also one whose x- or y-exponents
+        # are all positive (the x^0 slot and the row y^0 then lie outside
+        # the support of f)
+        assert period_coefficients(f, M).coefficients == naive_period(f, M)
+
+    def test_slot_bound_is_attained(self, monkeypatch):
+        # [DERIVED] for f = 3 and f = -3, |c_m| = 3^m is the bound
+        # |f|_1^m that the digit width is chosen for, so a width one bit
+        # narrower misreads c_M
+        cases = [(3, 40), (-3, 41)]
+        for a, M in cases:
+            f = LaurentPoly({(0, 0): a})
+            assert period_coefficients(f, M).coefficients == [
+                a ** m for m in range(M + 1)
+            ]
+        slot_bits = period._slot_bits
+        monkeypatch.setattr(
+            period, "_slot_bits", lambda norm, M: slot_bits(norm, M) - 1
+        )
+        for a, M in cases:
+            f = LaurentPoly({(0, 0): a})
+            assert period_coefficients(f, M)[M] != a ** M
+
+    def test_sheared_within_budget(self):
+        # [DERIVED] the cost follows the bounding box of f, so f is first
+        # sheared back to a small box: f_9 in two wide coordinates gives the
+        # period of f_9 quickly (1.6 s together on the raw boxes)
+        f = build_fP(get("9"))
+        s = period_coefficients(f, 40)
+        start = time.process_time()
+        for A in (((-11, 3), (-4, 1)), ((13, -5), (5, -2))):
+            assert period_coefficients(f.transform(A), 40) == s, A
+        assert time.process_time() - start < 0.3
 
 
 class TestFindPicardFuchs:
@@ -392,6 +450,14 @@ class TestApplyOperator:
         # [DERIVED] the integer operator kills the 40-term period
         out = apply_operator(p3_operator(), p3_series())
         assert all(c == 0 for c in out.coefficients)
+
+    def test_integral_image_summed_in_ints(self):
+        # [TRIVIAL] an integer operator on an integer series: the exact
+        # check of the fit sums in ints, with no Fraction on the way
+        ps = period._coefficient_lists(p3_operator())
+        c = [int(x) for x in p3_series().coefficients]
+        for m in range(len(c)):
+            assert type(period._image_coefficient(ps, c, m)) is int
 
 
 class TestNormalization:
