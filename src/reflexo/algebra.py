@@ -151,12 +151,13 @@ class UniPoly:
             raise ValueError("negative power")
         result = UniPoly([1], self.var)
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base  # only while bits remain
 
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
@@ -509,12 +510,13 @@ class MPoly:
             raise ValueError("negative power")
         result = MPoly.const(1)
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base  # only while bits remain
 
     def _coerce(self, other) -> "MPoly":
         if isinstance(other, MPoly):
@@ -771,25 +773,6 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     if n < 0:
         return MPoly()  # common factor: the resultant vanishes
     return MPoly.const(sign) * (B[0] ** m).exact_div(h ** (m - 1))
-
-
-def sylvester_matrix(a: list, b: list):
-    """Sylvester matrix (rows of shifted coefficient lists, descending) for
-    coefficient lists given ascending.  Entries as given (Fractions/MPoly)."""
-    m, n = len(a) - 1, len(b) - 1
-    size = m + n
-    rows = []
-    ad = list(reversed(a))
-    bd = list(reversed(b))
-    for i in range(n):
-        rows.append([_zero_like(a[0])] * i + ad + [_zero_like(a[0])] * (n - 1 - i))
-    for i in range(m):
-        rows.append([_zero_like(a[0])] * i + bd + [_zero_like(a[0])] * (m - 1 - i))
-    return rows
-
-
-def _zero_like(x):
-    return MPoly() if isinstance(x, MPoly) else Fraction(0)
 
 
 def bareiss_determinant(rows: list[list[Fraction]]) -> Fraction:

@@ -9,6 +9,9 @@ GL2(Z) canonical forms work by mapping unimodular ordered pairs of boundary
 lattice points onto the standard frame; for a reflexive polygon consecutive
 boundary lattice points always form such a pair, so the candidate set is
 finite, GL2(Z)-equivariant, and exhaustive.
+
+Enumeration walks cycles of lattice-distance-1 edges between primitive
+points of a box and closes one cycle per orbit of the box's 8 symmetries.
 """
 
 from __future__ import annotations
@@ -222,15 +225,38 @@ def canonical_form(P: Polygon) -> Polygon:
 # ---------------------------------------------------------------------------
 
 
+def _orbit_min(p: Point) -> Point:
+    """Least image of p under the 8 signed permutations of the coordinates."""
+    a, b = abs(p[0]), abs(p[1])
+    return (-max(a, b), -min(a, b))
+
+
+def _box_images(vs: list[Point]):
+    """The images of the point list vs under the 8 signed permutations of the
+    coordinates: the symmetries of the box [-bound, bound]^2, all in GL2(Z)."""
+    for sx in (1, -1):
+        for sy in (1, -1):
+            yield [(sx * x, sy * y) for x, y in vs]
+            yield [(sx * y, sy * x) for x, y in vs]
+
+
 def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     """All reflexive polygons with vertices in [-bound, bound]^2, one canonical
     representative per GL2(Z) class, sorted by (volume, vertex tuple).
 
     Strategy: vertices of a reflexive polygon are primitive points, and every
-    edge must satisfy <primitive inner normal, tail> = -1; so build the
-    directed graph of admissible edges between primitive points and walk
-    CCW-convex cycles through it that go once around the origin, from their
-    lex-least vertex, so that each polygon in the box closes exactly once.
+    edge p -> q must lie at lattice distance 1 from the origin, CCW; since
+    <primitive inner normal, p> = -cross(p, q) / gcd(q - p), that is
+    cross(p, q) == gcd(q - p).  Build the directed graph of these edges
+    between primitive points and walk CCW-convex cycles through it that go
+    once around the origin, from their lex-least vertex.
+
+    The 8 signed permutations of the coordinates preserve the box and lie in
+    GL2(Z), so only the cycle whose sorted vertex list is least in its orbit
+    closes.  Its first vertex is <= g(v) for every vertex v and symmetry g:
+    the walk starts only at points p with _orbit_min(p) == p and never visits
+    a q with _orbit_min(q) < start.  Every class that meets the box still
+    closes at least once.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
@@ -240,15 +266,17 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
         for y in range(-bound, bound + 1)
         if (x, y) != (0, 0) and int_gcd(abs(x), abs(y)) == 1
     ]
+    orbit_min = {p: _orbit_min(p) for p in pts}
     # admissible directed edges p -> q (CCW around origin, lattice distance 1)
-    succ: dict[Point, list[Point]] = {p: [] for p in pts}
-    for p in pts:
-        for q in pts:
-            if p == q:
-                continue
-            e = Edge(p, q)
-            if e.normal_value() == -1:
-                succ[p].append(q)
+    succ: dict[Point, list[Point]] = {
+        p: [
+            q
+            for q in pts
+            if q != p
+            and _cross(p, q) == int_gcd(abs(q[0] - p[0]), abs(q[1] - p[1]))
+        ]
+        for p in pts
+    }
 
     found: dict[tuple, Polygon] = {}
 
@@ -260,20 +288,23 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
         # start's direction would begin a second turn: only start closes it.
         past_half_turn = _cross(start, last) < 0
         for q in succ[last]:
-            if len(chain) >= 3 and q == start:
+            if q == start:
                 # closing edge chain[-1] -> start already admissible; check
                 # convexity at the two closing corners
                 if (
-                    _cross(_sub(start, last), _sub(chain[1], start)) > 0
+                    len(chain) >= 3
+                    and _cross(_sub(start, last), _sub(chain[1], start)) > 0
                     and _cross(_sub(last, chain[-2]), _sub(start, last)) > 0
                 ):
-                    poly = Polygon(chain)  # re-hull as a validity check
-                    if set(poly.vertices) == set(chain) and poly.is_reflexive():
-                        cf = canonical_form(poly)
-                        found.setdefault(tuple(cf.vertices), cf)
+                    key = sorted(chain)
+                    if all(key <= sorted(img) for img in _box_images(chain)):
+                        poly = Polygon(chain)  # re-hull as a validity check
+                        if set(poly.vertices) == set(chain) and poly.is_reflexive():
+                            cf = canonical_form(poly)
+                            found.setdefault(tuple(cf.vertices), cf)
                 continue
-            if q <= start:
-                continue  # canonical start: lex-least vertex of the cycle
+            if orbit_min[q] < start:
+                continue  # a least cycle starts at or below every image of its vertices
             if past_half_turn and _cross(start, q) >= 0:
                 continue
             if len(chain) >= 2 and _cross(_sub(last, chain[-2]), _sub(q, last)) <= 0:
@@ -283,5 +314,6 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
             dfs(chain + [q])
 
     for p in pts:
-        dfs([p])
+        if orbit_min[p] == p:
+            dfs([p])
     return sorted(found.values(), key=lambda P: (P.volume(), tuple(P.vertices)))

@@ -25,7 +25,6 @@ from reflexo.algebra import (
     resultant,
     squarefree_decomposition,
     squarefree_rational_roots,
-    sylvester_matrix,
 )
 from reflexo.catalog import NAMES, get
 from reflexo.fibration import Pencil
@@ -34,6 +33,25 @@ from reflexo.laurent import LaurentPoly
 
 def upoly(*coeffs, var="t"):
     return UniPoly(list(coeffs), var=var)
+
+
+def sylvester_matrix(a: list, b: list):
+    """Sylvester matrix (rows of shifted coefficient lists, descending) for
+    coefficient lists given ascending.  Entries as given (Fractions/MPoly);
+    with `bareiss_determinant` it is the oracle for `resultant`."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = []
+    ad = list(reversed(a))
+    bd = list(reversed(b))
+    for i in range(n):
+        rows.append([_zero_like(a[0])] * i + ad + [_zero_like(a[0])] * (n - 1 - i))
+    for i in range(m):
+        rows.append([_zero_like(a[0])] * i + bd + [_zero_like(a[0])] * (m - 1 - i))
+    return rows
+
+
+def _zero_like(x):
+    return MPoly() if isinstance(x, MPoly) else Fraction(0)
 
 
 class TestResultant:
@@ -155,6 +173,39 @@ def test_integral_resultant_is_int_and_sylvester(p, q, var):
         a, b = ([c.eval_var(other, t).const_value() for c in f.coeffs_in(var)]
                 for f in (p, q))
         assert r.eval_var(other, t) == bareiss_determinant(sylvester_matrix(a, b))
+
+
+class TestPower:
+    @pytest.mark.parametrize("cls, p", [
+        (UniPoly, upoly(1, 2, 3)),
+        (MPoly, MPoly({(1, 0, 0): 2, (0, 1, 0): 1, (0, 0, 0): 3})),
+    ])
+    def test_squares_only_while_bits_remain(self, monkeypatch, cls, p):
+        # [DERIVED] binary powering squares bit_length(n) - 1 times and
+        # multiplies at most 2 bit_length(n) times in all; p ** 1 squares
+        # nothing (resultant ends with B[0] ** 1 on large polynomials)
+        original = cls.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(a is b)
+            return original(a, b)
+
+        for n in range(1, 18):
+            expected = p
+            for _ in range(n - 1):
+                expected = original(expected, p)
+            calls.clear()
+            monkeypatch.setattr(cls, "__mul__", counting)
+            power = p ** n
+            monkeypatch.undo()
+            assert power == expected
+            assert sum(calls) == n.bit_length() - 1
+            assert len(calls) <= 2 * n.bit_length()
+
+    def test_zeroth_power_is_one(self):
+        assert upoly(1, 2) ** 0 == upoly(1)
+        assert MPoly({(1, 0, 0): 2}) ** 0 == MPoly.const(1)
 
 
 class TestStripMonomial:

@@ -1,6 +1,7 @@
 """Lattice polygon geometry: volume, duality, canonical forms, Ehrhart."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from reflexo import polygon
 from reflexo.catalog import NAMES, dual_name, get, name_of
 from reflexo.polygon import (
+    Edge,
     Polygon,
     _cross,
+    _sub,
     apply_unimodular,
     canonical_form,
     convex_hull,
@@ -53,6 +56,69 @@ def reference_canonical_form(P: Polygon) -> Polygon:
             "no unimodular boundary pair; canonical form undefined for this polygon"
         )
     return Polygon(list(best), from_hull=True)
+
+
+def reference_cycles(bound: int) -> list[frozenset]:
+    """Vertex sets of all reflexive polygons with vertices in
+    [-bound, bound]^2, each closed once by a walk with no symmetry pruning:
+    admissible edges come from `Edge.normal_value`, and a cycle starts at its
+    lex-least vertex."""
+    pts = [
+        (x, y)
+        for x in range(-bound, bound + 1)
+        for y in range(-bound, bound + 1)
+        if (x, y) != (0, 0) and gcd(x, y) == 1
+    ]
+    succ = {
+        p: [q for q in pts if q != p and Edge(p, q).normal_value() == -1]
+        for p in pts
+    }
+    closed = []
+
+    def dfs(chain):
+        start, last = chain[0], chain[-1]
+        past_half_turn = _cross(start, last) < 0
+        for q in succ[last]:
+            if len(chain) >= 3 and q == start:
+                if (
+                    _cross(_sub(start, last), _sub(chain[1], start)) > 0
+                    and _cross(_sub(last, chain[-2]), _sub(start, last)) > 0
+                ):
+                    poly = Polygon(chain)
+                    if set(poly.vertices) == set(chain) and poly.is_reflexive():
+                        closed.append(frozenset(chain))
+                continue
+            if q <= start:
+                continue
+            if past_half_turn and _cross(start, q) >= 0:
+                continue
+            if len(chain) >= 2 and _cross(_sub(last, chain[-2]), _sub(q, last)) <= 0:
+                continue
+            if len(chain) >= 6:
+                continue
+            dfs(chain + [q])
+
+    for p in pts:
+        dfs([p])
+    return closed
+
+
+def reference_enumerate(bound: int) -> list[Polygon]:
+    """Reference enumeration that canonicalises every reflexive polygon in
+    the box; `enumerate_reflexive` must agree with it exactly."""
+    found = {}
+    for vs in reference_cycles(bound):
+        cf = reference_canonical_form(Polygon(vs))
+        found.setdefault(tuple(cf.vertices), cf)
+    return sorted(found.values(), key=lambda P: (P.volume(), tuple(P.vertices)))
+
+
+# the 8 signed permutation matrices: the symmetries of the box [-b, b]^2
+BOX_SYMMETRIES = [
+    ((s, 0), (0, t)) for s in (1, -1) for t in (1, -1)
+] + [
+    ((0, s), (t, 0)) for s in (1, -1) for t in (1, -1)
+]
 
 
 def _record_canonical_form(monkeypatch) -> list:
@@ -181,14 +247,17 @@ class TestCanonicalForm:
                     reference_canonical_form(Q).vertices
 
     def test_matches_reference_on_enumerated_polygons(self, monkeypatch):
-        # [DERIVED] every polygon the walk closes at bound 4
+        # [DERIVED] all 8 box images of every polygon the walk closes at
+        # bound 4: every reflexive vertex set in [-4, 4]^2
         seen = _record_canonical_form(monkeypatch)
         enumerate_reflexive(4)
         monkeypatch.undo()
-        assert seen
-        for P in seen:
-            assert canonical_form(P).vertices == \
-                reference_canonical_form(P).vertices
+        images = [apply_unimodular(U, P) for P in seen for U in BOX_SYMMETRIES]
+        assert {frozenset(Q.vertices) for Q in images} == \
+            set(reference_cycles(4))
+        for Q in images:
+            assert canonical_form(Q).vertices == \
+                reference_canonical_form(Q).vertices
 
 
 class TestEnumeration:
@@ -214,13 +283,29 @@ class TestEnumeration:
         assert [P.vertices for P in enumerate_reflexive(bound)] == \
             [P.vertices for P in enumerate_reflexive(3)]
 
+    @pytest.mark.parametrize("bound", [3, 4])
+    def test_matches_reference_enumeration(self, bound):
+        # [DERIVED] same vertex lists as the unpruned walk
+        assert [P.vertices for P in enumerate_reflexive(bound)] == \
+            [P.vertices for P in reference_enumerate(bound)]
+
     def test_each_polygon_canonicalised_once(self, monkeypatch):
-        # [DERIVED] the walk winds once around the origin from the lex-least
-        # vertex, so each reflexive vertex set in the box closes exactly once
+        # [DERIVED] one polygon per orbit of the box's 8 symmetries is
+        # canonicalised: the orbits of the 117 are pairwise disjoint and
+        # cover exactly the 828 vertex sets the unpruned walk closes
         seen = _record_canonical_form(monkeypatch)
         enumerate_reflexive(3)
-        assert len(seen) == 828
-        assert len({frozenset(P.vertices) for P in seen}) == 828
+        monkeypatch.undo()
+        assert len(seen) == 117
+        assert len({frozenset(P.vertices) for P in seen}) == 117
+        orbits = [
+            {frozenset(apply_unimodular(U, P).vertices) for U in BOX_SYMMETRIES}
+            for P in seen
+        ]
+        closed = reference_cycles(3)
+        assert len(closed) == len(set(closed)) == 828
+        assert sum(len(o) for o in orbits) == 828
+        assert set().union(*orbits) == set(closed)
 
     def test_catalog_matches_enumeration(self, catalog):
         keys = {
@@ -229,6 +314,27 @@ class TestEnumeration:
         assert {
             tuple(canonical_form(P).vertices) for P in catalog.values()
         } == keys
+
+
+class TestEdgeIdentity:
+    def test_cross_equals_gcd_iff_height_one(self):
+        # [DERIVED] <primitive inner normal of p -> q, p> = -cross(p, q) /
+        # gcd(q - p), so the edge lies at lattice distance 1, CCW, exactly
+        # when cross(p, q) == gcd(q - p)
+        pts = [
+            (x, y) for x in range(-5, 6) for y in range(-5, 6)
+            if gcd(x, y) == 1
+        ]
+        hits = 0
+        for p in pts:
+            for q in pts:
+                if p == q:
+                    continue
+                d = _sub(q, p)
+                integer = _cross(p, q) == gcd(d[0], d[1])
+                assert integer == (Edge(p, q).normal_value() == -1)
+                hits += integer
+        assert hits
 
 
 class TestEhrhart:
