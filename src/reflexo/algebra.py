@@ -24,7 +24,8 @@ Brown-Traub) serves both the resultant and the bivariate gcd.  Every step
 divides a pseudo-remainder exactly by Brown's g h^delta, and the division
 is checked, so a wrong step raises instead of giving a wrong value.  The
 test-suite cross-checks resultants against an independent Bareiss
-determinant of the Sylvester matrix.
+determinant of the Sylvester matrix; both live test-side, in
+``tests/oracles.py``, since the program itself takes no determinants.
 """
 
 from __future__ import annotations
@@ -644,13 +645,6 @@ class MPoly:
         out.terms = q
         return out
 
-    def divides(self, other: "MPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except ArithmeticError:
-            return False
-
     def __repr__(self):
         return f"MPoly({format_mpoly(self)!r})"
 
@@ -773,31 +767,6 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     if n < 0:
         return MPoly()  # common factor: the resultant vanishes
     return MPoly.const(sign) * (B[0] ** m).exact_div(h ** (m - 1))
-
-
-def bareiss_determinant(rows: list[list[Fraction]]) -> Fraction:
-    """Fraction-free Bareiss determinant over Q (used as a resultant oracle)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------

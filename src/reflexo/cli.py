@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 
@@ -28,6 +27,7 @@ from .fibration import (
     Pencil,
     classify_fibres,
     elimination_polynomial,
+    format_location,
 )
 from .laurent import build_fP
 from .mordell_weil import mw_group
@@ -61,8 +61,9 @@ EXPECTED_TABLE2 = {
 # ---------------------------------------------------------------------------
 
 
-def _compact_poly(p: UniPoly) -> str:
-    return format_unipoly(p).replace(" ", "")
+def _compact(loc) -> str:
+    """A fibre location or a factor UniPoly as text without spaces."""
+    return format_location(loc).replace(" ", "")
 
 
 def _fibre_display(config: FibreConfiguration) -> str:
@@ -96,12 +97,10 @@ def _group_display(group: str) -> str:
 def _fibres_json(config: FibreConfiguration) -> list[dict]:
     out = []
     for loc, t, c in config.entries:
-        if isinstance(loc, str):
-            entry = {"where": loc, "type": t.label()}
-        elif isinstance(loc, Fraction):
-            entry = {"where": str(loc), "type": t.label()}
-        else:
-            entry = {"where": {"factor": _compact_poly(loc)}, "type": t.label()}
+        where = _compact(loc)
+        if isinstance(loc, UniPoly):
+            where = {"factor": where}
+        entry = {"where": where, "type": t.label()}
         if c > 1:
             entry["count"] = c
         out.append(entry)
@@ -109,19 +108,13 @@ def _fibres_json(config: FibreConfiguration) -> list[dict]:
 
 
 def _operator_forms(L: DiffOperator) -> dict:
-    primary = []
-    for k, p in enumerate(L.polys):
-        if p.is_zero():
-            continue
-        dk = "" if k == 0 else ("*D" if k == 1 else f"*D^{k}")
-        primary.append(f"({format_unipoly(p)}){dk}")
     dual = []
     for j, q in enumerate(L.dual_form()):
         if q.is_zero():
             continue
         tj = "" if j == 0 else ("t*" if j == 1 else f"t^{j}*")
         dual.append(f"{tj}({format_unipoly(q)})")
-    return {"t_form": " + ".join(primary), "D_form": " + ".join(dual)}
+    return {"t_form": str(L), "D_form": " + ".join(dual)}
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +142,9 @@ def build_report(name: str, period_n: int = 40, with_pf: bool = True) -> dict:
     roots, residual = squarefree_rational_roots(
         elimination_polynomial(P, pencil))
     factors = [
-        {"factor": _compact_poly(UniPoly([-r, 1], "l")), "multiplicity": m}
+        {"factor": _compact(UniPoly([-r, 1], "l")), "multiplicity": m}
         for r, m in roots
-    ] + [{"factor": _compact_poly(q), "multiplicity": m} for q, m in residual]
+    ] + [{"factor": _compact(q), "multiplicity": m} for q, m in residual]
     series = period_coefficients(pencil.f, period_n)
     report = {
         "polygon": name,
@@ -383,14 +376,7 @@ def _polygon_svg(P: Polygon) -> str:
 def _fibres_svg(config: FibreConfiguration) -> str:
     labels = []
     for loc, t, c in config.entries:
-        if isinstance(loc, str):
-            where = loc
-        elif isinstance(loc, Fraction):
-            where = str(loc)
-        else:
-            where = _compact_poly(loc)
-        for _ in range(c):
-            labels.append((t.label(), where))
+        labels.extend([(t.label(), _compact(loc))] * c)
     w = 120 * len(labels) + 2 * _PAD
     h = 140
     parts = [

@@ -42,43 +42,39 @@ from .polygon import Polygon
 # ---------------------------------------------------------------------------
 
 
-class KodairaType:
-    """A Kodaira fibre type with its Euler number chi and the rank r of the
-    root lattice spanned by non-identity components."""
+# (chi, r, det) of the unindexed types: Euler number, rank of the root
+# lattice of the non-identity components, and its determinant
+_UNINDEXED = {
+    "II": (2, 0, 1), "III": (3, 1, 2), "IV": (4, 2, 3),
+    "IV*": (8, 6, 3), "III*": (9, 7, 2), "II*": (10, 8, 1),
+}
 
-    __slots__ = ("kind", "n")
+
+class KodairaType:
+    """A Kodaira fibre type with its Euler number chi, the rank r of the root
+    lattice spanned by the non-identity components, and that lattice's
+    determinant det, which is the order of the fibre's component group:
+    A_{n-1} for I_n, D_{n+4} for I_n*, E6/E7/E8 for IV*/III*/II*, A_1 for
+    III, A_2 for IV, and the empty lattice (det 1) for irreducible fibres."""
+
+    __slots__ = ("kind", "n", "chi", "r", "det")
 
     def __init__(self, kind: str, n: int | None = None):
         if kind in ("I", "I*"):
             if n is None or n < 0:
                 raise ValueError("I_n / I_n* require n >= 0")
-        elif kind in ("II", "III", "IV", "IV*", "III*", "II*"):
+            if kind == "I":
+                self.chi, self.r, self.det = n, max(n - 1, 0), max(n, 1)
+            else:
+                self.chi, self.r, self.det = n + 6, n + 4, 4
+        elif kind in _UNINDEXED:
             if n is not None:
                 raise ValueError(f"{kind} takes no index")
+            self.chi, self.r, self.det = _UNINDEXED[kind]
         else:
             raise ValueError(f"unknown Kodaira kind {kind!r}")
         self.kind = kind
         self.n = n
-
-    @property
-    def chi(self) -> int:
-        if self.kind == "I":
-            return self.n
-        if self.kind == "I*":
-            return self.n + 6
-        return {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}[
-            self.kind
-        ]
-
-    @property
-    def r(self) -> int:
-        if self.kind == "I":
-            return self.n - 1 if self.n >= 1 else 0
-        if self.kind == "I*":
-            return self.n + 4
-        return {"II": 0, "III": 1, "IV": 2, "IV*": 6, "III*": 7, "II*": 8}[
-            self.kind
-        ]
 
     def label(self) -> str:
         if self.kind == "I":
@@ -244,6 +240,12 @@ def base_point_towers(P: Polygon, pencil: Pencil | None = None
 # ---------------------------------------------------------------------------
 
 
+def format_location(loc) -> str:
+    """A fibre location as text: "infinity", a rational lambda, or the
+    factor UniPoly whose roots are the conjugate locations."""
+    return format_unipoly(loc) if isinstance(loc, UniPoly) else str(loc)
+
+
 class SingularValue:
     """A finite lambda location where the member has torus singularities.
 
@@ -267,13 +269,9 @@ class SingularValue:
         return 1 if isinstance(self.location, Fraction) else self.location.degree
 
     def __repr__(self):
-        loc = (
-            str(self.location)
-            if isinstance(self.location, Fraction)
-            else format_unipoly(self.location)
-        )
         extra = ", nonreduced" if self.nonreduced else ""
-        return f"SingularValue({loc}, nodes={self.torus_nodes}{extra})"
+        return (f"SingularValue({format_location(self.location)}, "
+                f"nodes={self.torus_nodes}{extra})")
 
 
 def _log_partials(f: LaurentPoly) -> tuple[MPoly, MPoly]:
@@ -378,12 +376,14 @@ def member_is_nonreduced(P: Polygon, lam: Fraction,
     R = gcd_bivariate(F, pencil.radical, "x", "y").strip_monomial()
     if R.is_const():
         return False, None, 1
-    # multiplicity of R in F
+    # multiplicity of R in F: one exact division per factor
     mult = 0
-    rem = F
-    while R.divides(rem):
-        rem = rem.exact_div(R)
-        mult += 1
+    try:
+        while True:
+            F = F.exact_div(R)
+            mult += 1
+    except ArithmeticError:
+        pass
     if mult < 2:  # pragma: no cover - a component of G in F repeats
         raise ArithmeticError("repeated factor of multiplicity < 2")
     return True, R, mult
@@ -495,12 +495,8 @@ class FibreConfiguration:
     def __repr__(self):
         parts = []
         for loc, t, c in self.entries:
-            where = (
-                loc if isinstance(loc, str)
-                else (str(loc) if isinstance(loc, Fraction)
-                      else format_unipoly(loc))
-            )
-            parts.append(f"{t.label()}@{where}" + (f" x{c}" if c > 1 else ""))
+            parts.append(f"{t.label()}@{format_location(loc)}"
+                         + (f" x{c}" if c > 1 else ""))
         return "FibreConfiguration(" + ", ".join(parts) + ")"
 
 

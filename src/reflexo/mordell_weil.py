@@ -1,6 +1,7 @@
 """Mordell-Weil data of the elliptic surface: section positions on the fibre
 at infinity, the Shioda-Tate rank, height pairings of sections, torsion via
-the component-group sandwich, and Miranda's identities for torsion sections.
+the component-group sandwich, and Miranda's identities for torsion sections;
+the fibre invariants r and det come from `KodairaType`.
 """
 
 from __future__ import annotations
@@ -8,28 +9,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .algebra import bareiss_determinant
-from .fibration import FibreConfiguration, KodairaType
+from .fibration import FibreConfiguration
 from .polygon import Polygon, canonical_form, polar_dual
 
 
-class SectionData:
-    """A section of the fibration: its component index on the I_m fibre at
-    infinity (components labeled cyclically, zero section on component 0)."""
-
-    __slots__ = ("position", "is_zero_section")
-
-    def __init__(self, position: int, is_zero_section: bool = False):
-        self.position = position
-        self.is_zero_section = is_zero_section
-
-    def __repr__(self):
-        tag = ", zero" if self.is_zero_section else ""
-        return f"SectionData({self.position}{tag})"
-
-
-def section_positions(P: Polygon) -> list[SectionData]:
-    """Component indices on the infinity fibre met by the sections.
+def section_positions(P: Polygon) -> list[int]:
+    """Component indices on the infinity fibre met by the sections, the zero
+    section's 0 first.
 
     There is one section per edge of P, i.e. per vertex of P-polar; the
     cyclic component order of the I_m fibre is the counterclockwise boundary
@@ -57,7 +43,7 @@ def section_positions(P: Polygon) -> list[SectionData]:
     positions = [0]
     for g in seq[:-1]:
         positions.append(positions[-1] + g)
-    return [SectionData(p, is_zero_section=(p == 0)) for p in positions]
+    return positions
 
 
 def contribution(n: int, i: int, j: int) -> Fraction:
@@ -90,7 +76,7 @@ def height_matrix(P: Polygon, config: FibreConfiguration) -> list[list[Fraction]
         if loc != "infinity" and t.r > 0:
             raise ValueError("section/component incidence unknown")
     m = 12 - P.volume()
-    positions = [s.position for s in section_positions(P) if not s.is_zero_section]
+    positions = section_positions(P)[1:]
     mat = []
     for p in positions:
         row = []
@@ -99,53 +85,6 @@ def height_matrix(P: Polygon, config: FibreConfiguration) -> list[list[Fraction]
             row.append(base - contribution(m, p, q))
         mat.append(row)
     return mat
-
-
-# ---------------------------------------------------------------------------
-# fibre lattice determinants
-# ---------------------------------------------------------------------------
-
-
-def _cartan_det(adjacency: list[tuple[int, int]], size: int) -> int:
-    rows = [
-        [Fraction(2 if i == j else 0) for j in range(size)] for i in range(size)
-    ]
-    for i, j in adjacency:
-        rows[i][j] -= 1
-        rows[j][i] -= 1
-    d = bareiss_determinant(rows)
-    if d.denominator != 1 or d <= 0:
-        raise ArithmeticError("Cartan matrix determinant must be a positive integer")
-    return int(d)
-
-
-def _path_edges(k: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(k - 1)]
-
-
-def fibre_lattice_determinant(t: KodairaType) -> int:
-    """Determinant of the root lattice on non-identity components, from the
-    explicit Dynkin diagram: A_{n-1} for I_n, D_{n+4} for I_n*, E6/E7/E8 for
-    IV*/III*/II*; 1 for irreducible fibres."""
-    if t.kind == "I":
-        if t.n <= 1:
-            return 1
-        # A_{n-1} chain
-        return _cartan_det(_path_edges(t.n - 1), t.n - 1)
-    if t.kind == "I*":
-        k = t.n + 4  # D_k
-        edges = _path_edges(k - 1) + [(k - 3, k - 1)]
-        return _cartan_det(edges, k)
-    if t.kind == "II":
-        return 1
-    if t.kind == "III":
-        return _cartan_det([], 1)  # A_1
-    if t.kind == "IV":
-        return _cartan_det(_path_edges(2), 2)  # A_2
-    # E-types: path of k-1 nodes with the last node attached to node 2
-    k = {"IV*": 6, "III*": 7, "II*": 8}[t.kind]
-    edges = _path_edges(k - 1) + [(2, k - 1)]
-    return _cartan_det(edges, k)
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +123,19 @@ def _group_name(rank: int, torsion: int) -> str:
 def mw_group(P: Polygon, config: FibreConfiguration) -> MWReport:
     """Rank from Shioda-Tate; torsion from the sandwich between the image of
     the known sections in the component group of the infinity fibre (lower
-    bound) and determinant divisibility of the trivial lattice (upper)."""
+    bound) and determinant divisibility of the trivial lattice (upper): the
+    torsion order squared divides det T, the product of the fibres'
+    component-group orders `t.det`, the infinity fibre included."""
     rank = shioda_tate_rank(config)
-    sections = section_positions(P)
-    positions = [s.position for s in sections]
+    positions = section_positions(P)
     m = 12 - P.volume()
     g = m
     for p in positions:
         g = int_gcd(g, p)
     lower = m // g
-    det_t = m
-    for loc, t, c in config.entries:
-        if loc == "infinity":
-            continue
-        det_t *= fibre_lattice_determinant(t) ** c
+    det_t = 1
+    for _, t, c in config.entries:
+        det_t *= t.det ** c
     upper = max(n for n in range(1, det_t + 1) if det_t % (n * n) == 0)
 
     if rank == 0:

@@ -202,14 +202,18 @@ class DiffOperator:
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffOperator) and self.polys == other.polys
 
-    def __repr__(self):
+    def __str__(self):
+        """The t-form: sum of (p_k(t))*D^k over the nonzero p_k."""
         terms = []
         for k, p in enumerate(self.polys):
             if p.is_zero():
                 continue
             dk = "" if k == 0 else ("*D" if k == 1 else f"*D^{k}")
             terms.append(f"({format_unipoly(p)}){dk}")
-        return "DiffOperator(" + " + ".join(terms) + ")"
+        return " + ".join(terms)
+
+    def __repr__(self):
+        return f"DiffOperator({self})"
 
 
 def apply_operator(L: DiffOperator, s: PowerSeries) -> PowerSeries:

@@ -17,7 +17,6 @@ from reflexo.algebra import (
     UniPoly,
     ZeroDivisorError,
     _subresultant_prs,
-    bareiss_determinant,
     gcd_bivariate,
     gcd_over_quotient,
     gcd_poly,
@@ -30,28 +29,11 @@ from reflexo.catalog import NAMES, get
 from reflexo.fibration import Pencil
 from reflexo.laurent import LaurentPoly
 
+from oracles import bareiss_determinant, sylvester_matrix
+
 
 def upoly(*coeffs, var="t"):
     return UniPoly(list(coeffs), var=var)
-
-
-def sylvester_matrix(a: list, b: list):
-    """Sylvester matrix (rows of shifted coefficient lists, descending) for
-    coefficient lists given ascending.  Entries as given (Fractions/MPoly);
-    with `bareiss_determinant` it is the oracle for `resultant`."""
-    m, n = len(a) - 1, len(b) - 1
-    rows = []
-    ad = list(reversed(a))
-    bd = list(reversed(b))
-    for i in range(n):
-        rows.append([_zero_like(a[0])] * i + ad + [_zero_like(a[0])] * (n - 1 - i))
-    for i in range(m):
-        rows.append([_zero_like(a[0])] * i + bd + [_zero_like(a[0])] * (m - 1 - i))
-    return rows
-
-
-def _zero_like(x):
-    return MPoly() if isinstance(x, MPoly) else Fraction(0)
 
 
 class TestResultant:

@@ -292,9 +292,12 @@ def _triple_gcd_nonreduced(F):
     while not (S := _gcd3(R)).is_const():
         R = S
     mult = 0
-    while R.divides(F):
-        F = F.exact_div(R)
-        mult += 1
+    try:
+        while True:
+            F = F.exact_div(R)
+            mult += 1
+    except ArithmeticError:
+        pass
     return True, R, mult
 
 

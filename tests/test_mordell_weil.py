@@ -8,7 +8,6 @@ from reflexo.catalog import NAMES, get
 from reflexo.fibration import KodairaType
 from reflexo.mordell_weil import (
     contribution,
-    fibre_lattice_determinant,
     find_torsion_components,
     height_matrix,
     miranda_identities,
@@ -17,34 +16,32 @@ from reflexo.mordell_weil import (
     shioda_tate_rank,
 )
 
+from oracles import bareiss_determinant, cartan_matrix, dynkin_diagram
+
 
 class TestSectionPositions:
     def test_p3(self):
         # [PAPER] sections on the 0th, 3rd and 6th components of I9
-        assert [s.position for s in section_positions(get("3"))] == [0, 3, 6]
+        assert section_positions(get("3")) == [0, 3, 6]
 
     def test_p4a(self):
         # [PAPER] sigma_0, sigma_2, sigma_4, sigma_6 on I8
-        assert [s.position for s in section_positions(get("4a"))] == [
-            0, 2, 4, 6
-        ]
+        assert section_positions(get("4a")) == [0, 2, 4, 6]
 
     def test_p4b(self):
         # [PAPER] sigma_0, sigma_2, sigma_5, sigma_7 on I8
-        assert [s.position for s in section_positions(get("4b"))] == [
-            0, 2, 5, 7
-        ]
+        assert section_positions(get("4b")) == [0, 2, 5, 7]
 
     def test_one_section_per_edge(self, catalog):
-        # [PAPER] a section for each edge of P; distinct positions in [0, m)
+        # [PAPER] a section for each edge of P; distinct positions in [0, m),
+        # the zero section's 0 first
         for P in catalog.values():
-            secs = section_positions(P)
-            assert len(secs) == len(P.edges())
+            positions = section_positions(P)
+            assert len(positions) == len(P.edges())
             m = 12 - P.volume()
-            positions = [s.position for s in secs]
             assert len(set(positions)) == len(positions)
             assert all(0 <= p < m for p in positions)
-            assert secs[0].position == 0 and secs[0].is_zero_section
+            assert positions[0] == 0
 
 
 class TestContribution:
@@ -125,30 +122,56 @@ class TestShiodaTate:
 class TestFibreLatticeDeterminant:
     def test_a8(self):
         # [PAPER] det T for P3 uses det(A8) = 9
-        assert fibre_lattice_determinant(KodairaType("I", 9)) == 9
+        assert KodairaType("I", 9).det == 9
 
     def test_an_family(self):
         # [TRIVIAL] det(A_{n-1}) = n
         for n in range(2, 10):
-            assert fibre_lattice_determinant(KodairaType("I", n)) == n
+            assert KodairaType("I", n).det == n
 
     def test_i1_star(self):
         # [DERIVED] D5 determinant
-        assert fibre_lattice_determinant(KodairaType("I*", 1)) == 4
+        assert KodairaType("I*", 1).det == 4
 
     def test_iv_star(self):
         # [DERIVED] E6 determinant
-        assert fibre_lattice_determinant(KodairaType("IV*")) == 3
+        assert KodairaType("IV*").det == 3
 
     def test_e7_e8(self):
         # [DERIVED] det E7 = 2, det E8 = 1
-        assert fibre_lattice_determinant(KodairaType("III*")) == 2
-        assert fibre_lattice_determinant(KodairaType("II*")) == 1
+        assert KodairaType("III*").det == 2
+        assert KodairaType("II*").det == 1
 
     def test_irreducible(self):
         # [TRIVIAL]
-        assert fibre_lattice_determinant(KodairaType("I", 1)) == 1
-        assert fibre_lattice_determinant(KodairaType("II")) == 1
+        assert KodairaType("I", 1).det == 1
+        assert KodairaType("II").det == 1
+
+
+KODAIRA_TYPES = (
+    [("I", n) for n in range(13)]
+    + [("I*", n) for n in range(5)]
+    + [(kind, None) for kind in ("II", "III", "IV", "IV*", "III*", "II*")]
+)
+
+
+class TestKodairaTable:
+    @pytest.mark.parametrize("kind, n", KODAIRA_TYPES)
+    def test_det_is_cartan_determinant(self, kind, n):
+        # [DERIVED] det is the Bareiss determinant of the Cartan matrix of
+        # the type's Dynkin diagram, whose node count is r
+        nodes, edges = dynkin_diagram(kind, n)
+        t = KodairaType(kind, n)
+        assert t.r == nodes
+        assert t.det == bareiss_determinant(cartan_matrix(nodes, edges))
+
+    @pytest.mark.parametrize("kind, n", KODAIRA_TYPES)
+    def test_chi_minus_r(self, kind, n):
+        # [TRIVIAL] chi - r = 0 for I_0 (smooth), 1 for I_n, n >= 1
+        # (multiplicative), 2 for every additive type
+        t = KodairaType(kind, n)
+        expected = (0 if n == 0 else 1) if kind == "I" else 2
+        assert t.chi - t.r == expected
 
 
 class TestMWGroup:

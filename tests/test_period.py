@@ -472,6 +472,13 @@ class TestNormalization:
         with pytest.raises(ValueError):
             DiffOperator([UniPoly([])])
 
+    def test_text_form(self):
+        # [TRIVIAL] str is the t-form, zero p_k skipped; repr wraps it
+        L = DiffOperator([UniPoly([0, -1]), UniPoly([2]), UniPoly([0]),
+                          UniPoly([1, 0, 3])])
+        assert str(L) == "(-t) + (2)*D + (3*t^2 + 1)*D^3"
+        assert repr(L) == f"DiffOperator({L})"
+
 
 class TestSingularLocus:
     def test_p3(self):
