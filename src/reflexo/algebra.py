@@ -5,16 +5,18 @@ raises TypeError.  Two polynomial representations are provided:
 
 * ``UniPoly`` -- dense univariate polynomials (ascending coefficients) with a
   variable tag, used for polynomials in lambda, Picard-Fuchs coefficient
-  polynomials p_k(t), squarefree decomposition and rational roots.  Its
-  coefficients are `fractions.Fraction`.
+  polynomials p_k(t), squarefree decomposition and rational roots.
 
 * ``MPoly`` -- sparse polynomials in the fixed variables (x, y, l) used by the
   elimination pipeline and the only input of `resultant`.  lambda ("l") is
   conceptually a coefficient-ring variable; the representation is shared for
   convenience.  The bivariate gcd takes its main and coefficient variables as
-  arguments, so it serves x over y and lambda over y alike.  It stores an
-  int where a value is integral and a `Fraction` otherwise, never a float,
-  so the resultants and gcds of integral inputs run in int arithmetic.
+  arguments, so it serves x over y and lambda over y alike.
+
+Both store a coefficient as an int where it is integral and as a
+`Fraction` otherwise, never as a float, so the resultants, gcds and
+decompositions of integral inputs run in int arithmetic.  Every true
+division of coefficients goes through `_div`, since int / int is a float.
 
 One Euclid, which makes every divisor monic before it divides, gives the
 univariate gcd over Q and over Q[y]/(q); over Q[y]/(q) a leading
@@ -46,7 +48,7 @@ def _frac(x) -> Fraction:
 
 
 def _exact(x) -> int | Fraction:
-    """x as an MPoly value: an int when it is integral, else a Fraction."""
+    """x as a coefficient: an int when it is integral, else a Fraction."""
     if x.__class__ is int:
         return x
     x = _frac(x)
@@ -54,7 +56,7 @@ def _exact(x) -> int | Fraction:
 
 
 def _div(a, b) -> int | Fraction:
-    """a / b for MPoly values; divmod on two ints, since int / int is a
+    """a / b for coefficients; divmod on two ints, since int / int is a
     float."""
     if a.__class__ is int and b.__class__ is int:
         q, r = divmod(a, b)
@@ -69,12 +71,13 @@ def _div(a, b) -> int | Fraction:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q, coefficients ascending by degree."""
+    """Dense univariate polynomial over Q, coefficients ascending by degree,
+    each an int where it is integral and a Fraction otherwise."""
 
     __slots__ = ("coeffs", "var")
 
     def __init__(self, coeffs: Iterable = (), var: str = "t"):
-        cs = [_frac(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = cs
@@ -92,19 +95,17 @@ class UniPoly:
     def is_const(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+    def lc(self) -> int | Fraction:
+        return self.coeffs[-1] if self.coeffs else 0
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, i: int) -> int | Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == ([] if other == 0 else [_frac(other)])
+            return self.coeffs == ([] if other == 0 else [_exact(other)])
         return NotImplemented
 
     def __hash__(self):
@@ -136,7 +137,7 @@ class UniPoly:
         other = self._coerce(other)
         if not self.coeffs or not other.coeffs:
             return UniPoly([], self.var)
-        res = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        res = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -172,12 +173,12 @@ class UniPoly:
         rem = list(self.coeffs)
         dn = other.degree
         lcd = other.lc()
-        q = [Fraction(0)] * max(len(rem) - dn, 0)
+        q = [0] * max(len(rem) - dn, 0)
         for i in range(len(rem) - 1, dn - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            f = c / lcd
+            f = _div(c, lcd)
             q[i - dn] = f
             for j, b in enumerate(other.coeffs):
                 rem[i - dn + j] -= f * b
@@ -199,10 +200,10 @@ class UniPoly:
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:], self.var)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
         lcd = self.lc()
-        return UniPoly([c / lcd for c in self.coeffs], self.var)
+        if lcd == 1 or not self.coeffs:
+            return self
+        return UniPoly([_div(c, lcd) for c in self.coeffs], self.var)
 
     def primitive_integer(self) -> "UniPoly":
         """Scale to integer coefficients with content 1 and positive trailing
@@ -602,7 +603,7 @@ class MPoly:
         i = _VAR_INDEX[name]
         deg = self.degree(name)
         n = 0 if deg is NEG_INF else int(deg) + 1
-        coeffs = [Fraction(0)] * n
+        coeffs = [0] * n
         for k, v in self.terms.items():
             if any(k[j] != 0 for j in range(3) if j != i):
                 raise ValueError(f"polynomial involves more than {name}")
@@ -853,7 +854,7 @@ def _inverse_mod(a: UniPoly, q: UniPoly) -> UniPoly:
         s0, s1 = s1, s0 - qt * s1
     if not r0.is_const():
         raise ZeroDivisorError(r0.monic())
-    return (s0 * (1 / r0.lc())).divmod(q)[1]
+    return (s0 * _div(1, r0.lc())).divmod(q)[1]
 
 
 def _euclid(a: list, b: list, q: UniPoly | None) -> list:
@@ -866,9 +867,17 @@ def _euclid(a: list, b: list, q: UniPoly | None) -> list:
     *Modern Computer Algebra*, ch. 6).  Only the reduction mod q and the
     inverse of a leading coefficient depend on the field; a leading
     coefficient that is a zero divisor raises ZeroDivisorError.
+
+    Two steps take no inverse.  A divisor whose leading coefficient is
+    already 1 divides as it is: its entries are inputs or remainders, and
+    both are residues of degree < deg q, so there is nothing to reduce.  A
+    nonzero constant divisor c ends the Euclid with the gcd 1: over Q at
+    once, and over Q[z]/(q) once gcd(c, q) is constant, i.e. c is a unit;
+    otherwise that monic gcd is the factor ZeroDivisorError carries, the
+    same one the inverse of c would raise.
     """
     if q is None:
-        reduce, inverse = (lambda c: c), (lambda c: 1 / c)
+        reduce, inverse = (lambda c: c), (lambda c: _div(1, c))
     else:
         reduce, inverse = ((lambda c: c.divmod(q)[1]),
                            (lambda c: _inverse_mod(c, q)))
@@ -876,9 +885,16 @@ def _euclid(a: list, b: list, q: UniPoly | None) -> list:
     if not b:
         a, b = b, a
     while b:
-        inv = inverse(b[-1])
-        b = [reduce(c * inv) for c in b]
         n = len(b) - 1
+        if not n:
+            if q is not None:
+                g = gcd_poly(b[0], q)
+                if not g.is_const():
+                    raise ZeroDivisorError(g)
+            return [1 if q is None else UniPoly([1], b[0].var)]
+        if b[-1] != 1:
+            inv = inverse(b[-1])
+            b = [reduce(c * inv) for c in b]
         # the entries of a are reduced only where they are read, as the
         # leading coefficient of a step or as the remainder
         for i in range(len(a) - 1, n - 1, -1):

@@ -64,8 +64,10 @@ def shioda_tate_rank(config: FibreConfiguration) -> int:
     return 8 - total
 
 
-def height_matrix(P: Polygon, config: FibreConfiguration) -> list[list[Fraction]]:
-    """Height pairing matrix over the non-zero sections.
+def height_matrix(P: Polygon, config: FibreConfiguration,
+                  positions: list[int] | None = None) -> list[list[Fraction]]:
+    """Height pairing matrix over the non-zero sections; `positions` is
+    `section_positions(P)` where the caller already has it.
 
     With the constructed sections pairwise disjoint and disjoint from the
     zero section: <s, s> = 2 - contr(m, p, p) and <s, t> = 1 - contr(m, p, q)
@@ -76,11 +78,12 @@ def height_matrix(P: Polygon, config: FibreConfiguration) -> list[list[Fraction]
         if loc != "infinity" and t.r > 0:
             raise ValueError("section/component incidence unknown")
     m = 12 - P.volume()
-    positions = section_positions(P)[1:]
+    if positions is None:
+        positions = section_positions(P)
     mat = []
-    for p in positions:
+    for p in positions[1:]:
         row = []
-        for q in positions:
+        for q in positions[1:]:
             base = 2 if p == q else 1
             row.append(base - contribution(m, p, q))
         mat.append(row)
@@ -158,7 +161,7 @@ def mw_group(P: Polygon, config: FibreConfiguration) -> MWReport:
         if torsion > upper:  # pragma: no cover - sandwich sanity
             raise ValueError("torsion bounds inconsistent")
         try:
-            height = height_matrix(P, config)
+            height = height_matrix(P, config, positions)
         except ValueError:
             height = None
     return MWReport(rank, torsion, _group_name(rank, torsion), height, det_t,

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reflexo import algebra, cli
 from reflexo.algebra import (
     MPoly,
     UniPoly,
     ZeroDivisorError,
+    _inverse_mod,
     _subresultant_prs,
     gcd_bivariate,
     gcd_over_quotient,
@@ -120,6 +122,33 @@ class TestRepresentation:
         p = MPoly({(1, 0, 0): 3, (0, 0, 0): 2})
         assert type(p.leading_term()[1]) is Fraction
         assert type(MPoly.const(5).const_value()) is Fraction
+
+    def test_integral_unipoly_coefficients_are_ints(self):
+        # [TRIVIAL] (4/2 + x/2) * 2 = 4 + x
+        p = UniPoly([Fraction(4, 2), Fraction(1, 2)]) * UniPoly([2])
+        assert [(type(c), c) for c in p.coeffs] == [(int, 4), (int, 1)]
+
+    def test_unipoly_monic_gives_a_fraction(self):
+        # [TRIVIAL] 2x + 1 made monic is x + 1/2
+        assert [(type(c), c) for c in UniPoly([1, 2]).monic().coeffs] == \
+            [(Fraction, Fraction(1, 2)), (int, 1)]
+
+    def test_inexact_unipoly_quotients_are_fractions(self):
+        # [TRIVIAL] x^2 + 1 = (2x + 1)(x/2 - 1/4) + 5/4; (2x + 1) / 3
+        q, r = UniPoly([1, 0, 1]).divmod(UniPoly([1, 2]))
+        e = UniPoly([1, 2]).exact_div(UniPoly([3]))
+        assert {type(c) for c in q.coeffs + r.coeffs + e.coeffs} == {Fraction}
+
+    def test_no_unipoly_path_gives_a_float(self):
+        # [TRIVIAL] the inverse of 2y mod y^2 - 3 is y/6
+        inv = _inverse_mod(UniPoly([0, 2], "y"), UniPoly([-3, 0, 1], "y"))
+        values = UniPoly([1, 2]).monic().coeffs + inv.coeffs
+        assert not any(isinstance(c, float) for c in values)
+        assert inv == UniPoly([0, Fraction(1, 6)], "y")
+
+    def test_int_and_fraction_coefficients_agree(self):
+        a, b = UniPoly([3]), UniPoly([Fraction(3)])
+        assert a == b and hash(a) == hash(b)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
@@ -283,6 +312,29 @@ class TestGcdOverQuotient:
             gcd_over_quotient(a, b, q)
         assert info.value.factor == UniPoly([-2, 0, 1], "y")
 
+    def test_constant_zero_divisor_remainder_carries_the_factor(self):
+        # [TRIVIAL] mod (y^2 - 2)(y^2 - 3), x^2 + y^2 - 2 leaves the constant
+        # remainder y^2 - 2 after the monic divisor x, a zero divisor
+        q = UniPoly([-2, 0, 1], "y") * UniPoly([-3, 0, 1], "y")
+        a = self.residues([-2, 0, 1], [], [1])
+        b = self.residues([], [1])
+        with pytest.raises(ZeroDivisorError) as info:
+            gcd_over_quotient(a, b, q)
+        assert info.value.factor == UniPoly([-2, 0, 1], "y")
+
+    def test_monic_divisor_and_unit_remainder_take_no_inverse(
+            self, monkeypatch):
+        # [TRIVIAL] over Q(sqrt 2), x^2 + 1 leaves the unit 3 after the
+        # monic divisor x - y, so gcd(x^2 + 1, x - y) = 1 with no inverse
+        calls = []
+        monkeypatch.setattr(algebra, "_inverse_mod",
+                            lambda *args: calls.append(args))
+        q = UniPoly([-2, 0, 1], "y")
+        a = self.residues([1], [], [1])
+        b = self.residues([0, -1], [1])
+        assert gcd_over_quotient(a, b, q) == self.residues([1])
+        assert calls == []
+
     def test_rational_y_matches_gcd_over_q(self):
         # [DERIVED] mod y - y0, Q[y]/(q) is Q, and the gcd of A and B is
         # gcd_poly of A(x, y0) and B(x, y0), for every rational y-candidate
@@ -301,6 +353,22 @@ class TestGcdOverQuotient:
                 assert [c[0] for c in g] == gcd_poly(A0, B0).coeffs
                 checked += 1
         assert checked == 22
+
+
+def test_table2_inverse_count(monkeypatch):
+    """The 16 rows of Table 2 take at most 18 inverses mod q (34 when every
+    Euclid divisor, monic or constant, was inverted); the count does not
+    depend on the host."""
+    calls = []
+
+    def counting(a, q):
+        calls.append(q)
+        return _inverse_mod(a, q)
+
+    monkeypatch.setattr(algebra, "_inverse_mod", counting)
+    for name in NAMES:
+        cli._table_row(name)
+    assert len(calls) <= 18
 
 
 class TestGcdBivariate:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from reflexo import mordell_weil
 from reflexo.catalog import NAMES, get
 from reflexo.fibration import KodairaType
 from reflexo.mordell_weil import (
@@ -214,6 +215,22 @@ class TestMWGroup:
         for name in NAMES:
             rep = mw_group(catalog[name], configs[name])
             assert rep.rank + configs[name].r_total() == 8
+
+    def test_one_canonical_form_per_call(self, catalog, configs, monkeypatch):
+        # [DERIVED] the section positions are computed once per mw_group and
+        # handed to height_matrix, so each call canonicalises P once
+        original = mordell_weil.canonical_form
+        calls = []
+
+        def counting(P):
+            calls.append(P)
+            return original(P)
+
+        monkeypatch.setattr(mordell_weil, "canonical_form", counting)
+        for name in NAMES:
+            calls.clear()
+            mw_group(catalog[name], configs[name])
+            assert len(calls) == 1, name
 
 
 class TestMiranda:
