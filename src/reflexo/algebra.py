@@ -874,7 +874,9 @@ def _euclid(a: list, b: list, q: UniPoly | None) -> list:
     nonzero constant divisor c ends the Euclid with the gcd 1: over Q at
     once, and over Q[z]/(q) once gcd(c, q) is constant, i.e. c is a unit;
     otherwise that monic gcd is the factor ZeroDivisorError carries, the
-    same one the inverse of c would raise.
+    same one the inverse of c would raise.  The gcd runs the inverse's
+    remainder sequence without its cofactors, and the last division, by
+    [1], which would only reduce the entries of a, is not made.
     """
     if q is None:
         reduce, inverse = (lambda c: c), (lambda c: _div(1, c))

@@ -65,9 +65,9 @@ def shioda_tate_rank(config: FibreConfiguration) -> int:
 
 
 def height_matrix(P: Polygon, config: FibreConfiguration,
-                  positions: list[int] | None = None) -> list[list[Fraction]]:
+                  positions: list[int]) -> list[list[Fraction]]:
     """Height pairing matrix over the non-zero sections; `positions` is
-    `section_positions(P)` where the caller already has it.
+    `section_positions(P)`.
 
     With the constructed sections pairwise disjoint and disjoint from the
     zero section: <s, s> = 2 - contr(m, p, p) and <s, t> = 1 - contr(m, p, q)
@@ -78,8 +78,6 @@ def height_matrix(P: Polygon, config: FibreConfiguration,
         if loc != "infinity" and t.r > 0:
             raise ValueError("section/component incidence unknown")
     m = 12 - P.volume()
-    if positions is None:
-        positions = section_positions(P)
     mat = []
     for p in positions[1:]:
         row = []

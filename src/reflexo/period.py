@@ -218,15 +218,10 @@ class DiffOperator:
 
 def apply_operator(L: DiffOperator, s: PowerSeries) -> PowerSeries:
     """Coefficientwise image of s under L."""
-    ps, c = _coefficient_lists(L), [_exact(x) for x in s.coefficients]
+    ps, c = [p.coeffs for p in L.polys], [_exact(x) for x in s.coefficients]
     return PowerSeries(
         [_image_coefficient(ps, c, m) for m in range(s.order + 1)]
     )
-
-
-def _coefficient_lists(L: DiffOperator) -> list[list]:
-    """The coefficients of p_0..p_h, with the integral ones as ints."""
-    return [[_exact(a) for a in p.coeffs] for p in L.polys]
 
 
 def _image_coefficient(ps: list[list], c: list, m: int):
@@ -414,7 +409,7 @@ def find_picard_fuchs(
             if polys[h].is_zero():
                 continue  # order drops: this is a lower-order relation
             L = DiffOperator(polys)
-            ps = _coefficient_lists(L)
+            ps = [p.coeffs for p in L.polys]
             if all(
                 _image_coefficient(ps, c, m) == 0
                 for m in range(M - guard + 1, M + 1)

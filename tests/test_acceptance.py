@@ -21,6 +21,7 @@ from reflexo.mordell_weil import (
     height_matrix,
     miranda_identities,
     mw_group,
+    section_positions,
 )
 from reflexo.mutation import mutation_classes
 from reflexo.period import (
@@ -117,7 +118,8 @@ def test_criterion_5_elimination_oracles():
 def test_criterion_6_heights(configs):
     """P4b height matrix (1/8)[[4,2,6],[2,1,3],[6,3,9]] of rank 1; P3
     non-zero sections have height 0."""
-    H = height_matrix(get("4b"), configs["4b"])
+    P = get("4b")
+    H = height_matrix(P, configs["4b"], section_positions(P))
     assert H == [
         [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)],
         [Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)],
@@ -129,7 +131,8 @@ def test_criterion_6_heights(configs):
             assert (
                 H[i][j] * H[i + 1][j + 1] == H[i][j + 1] * H[i + 1][j]
             )
-    H3 = height_matrix(get("3"), configs["3"])
+    P3 = get("3")
+    H3 = height_matrix(P3, configs["3"], section_positions(P3))
     assert H3 == [[0, 0], [0, 0]]
 
 

@@ -355,20 +355,38 @@ class TestGcdOverQuotient:
         assert checked == 22
 
 
-def test_table2_inverse_count(monkeypatch):
-    """The 16 rows of Table 2 take at most 18 inverses mod q (34 when every
-    Euclid divisor, monic or constant, was inverted); the count does not
-    depend on the host."""
-    calls = []
+def test_table2_unit_tests_mod_q(monkeypatch):
+    """The Euclid over Q[y]/(q) tests a residue for a unit by an inverse mod
+    q, or, for a constant divisor, by its gcd with q.  The 16 rows of Table
+    2 make at most 26 such tests, at most 18 of them inverses (34 inverses
+    when every divisor, monic or constant, was inverted); the count does
+    not depend on the host."""
+    moduli, inverses, gcds = [], [], []
+    euclid, gcd, inverse = algebra._euclid, algebra.gcd_poly, _inverse_mod
 
-    def counting(a, q):
-        calls.append(q)
-        return _inverse_mod(a, q)
+    def counting_euclid(a, b, q):
+        moduli.append(q)
+        try:
+            return euclid(a, b, q)
+        finally:
+            moduli.pop()
 
-    monkeypatch.setattr(algebra, "_inverse_mod", counting)
+    def counting_gcd(p, q):
+        if moduli and q is moduli[-1]:
+            gcds.append(p)
+        return gcd(p, q)
+
+    def counting_inverse(a, q):
+        inverses.append(a)
+        return inverse(a, q)
+
+    monkeypatch.setattr(algebra, "_euclid", counting_euclid)
+    monkeypatch.setattr(algebra, "gcd_poly", counting_gcd)
+    monkeypatch.setattr(algebra, "_inverse_mod", counting_inverse)
     for name in NAMES:
         cli._table_row(name)
-    assert len(calls) <= 18
+    assert len(inverses) <= 18
+    assert len(inverses) + len(gcds) <= 26
 
 
 class TestGcdBivariate:

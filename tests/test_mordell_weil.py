@@ -74,7 +74,8 @@ class TestContribution:
 class TestHeightMatrix:
     def test_p4b(self, configs):
         # [PAPER] (1/8) [[4,2,6],[2,1,3],[6,3,9]], rank 1
-        H = height_matrix(get("4b"), configs["4b"])
+        P = get("4b")
+        H = height_matrix(P, configs["4b"], section_positions(P))
         assert H == [
             [Fraction(4, 8), Fraction(2, 8), Fraction(6, 8)],
             [Fraction(2, 8), Fraction(1, 8), Fraction(3, 8)],
@@ -89,13 +90,15 @@ class TestHeightMatrix:
 
     def test_p3_heights_zero(self, configs):
         # [PAPER] <sigma_3, sigma_3> = <sigma_6, sigma_6> = 0
-        H = height_matrix(get("3"), configs["3"])
+        P = get("3")
+        H = height_matrix(P, configs["3"], section_positions(P))
         assert H[0][0] == 0 and H[1][1] == 0
 
     def test_p5a_refused(self, configs):
         # [DERIVED] finite I2 fibre: section incidence unknown
+        P = get("5a")
         with pytest.raises(ValueError, match="incidence"):
-            height_matrix(get("5a"), configs["5a"])
+            height_matrix(P, configs["5a"], section_positions(P))
 
 
 class TestShiodaTate:

@@ -454,7 +454,7 @@ class TestApplyOperator:
     def test_integral_image_summed_in_ints(self):
         # [TRIVIAL] an integer operator on an integer series: the exact
         # check of the fit sums in ints, with no Fraction on the way
-        ps = period._coefficient_lists(p3_operator())
+        ps = [p.coeffs for p in p3_operator().polys]
         c = [int(x) for x in p3_series().coefficients]
         for m in range(len(c)):
             assert type(period._image_coefficient(ps, c, m)) is int
