@@ -13,10 +13,12 @@ raises TypeError.  Two polynomial representations are provided:
   convenience.  The bivariate gcd takes its main and coefficient variables as
   arguments, so it serves x over y and lambda over y alike.
 
-Both store a coefficient as an int where it is integral and as a
-`Fraction` otherwise, never as a float, so the resultants, gcds and
-decompositions of integral inputs run in int arithmetic.  Every true
-division of coefficients goes through `_div`, since int / int is a float.
+These two and the other exact containers, `laurent.LaurentPoly` and
+`period.PowerSeries`, store every value through `_exact`: an int where it
+is integral, a `Fraction` otherwise, and TypeError on a float.  So the
+resultants, gcds, periods and fits of integral inputs run in int
+arithmetic.  Every true division of coefficients goes through `_div`,
+since int / int is a float.
 
 One Euclid, which makes every divisor monic before it divides, gives the
 univariate gcd over Q and over Q[y]/(q); over Q[y]/(q) a leading
@@ -33,25 +35,22 @@ determinant of the Sylvester matrix; both live test-side, in
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        raise TypeError(f"inexact coefficient {x!r}: give an int or a Fraction")
-    return Fraction(x)
-
-
 def _exact(x) -> int | Fraction:
-    """x as a coefficient: an int when it is integral, else a Fraction."""
+    """x as a coefficient: an int when it is integral, else a Fraction (x
+    itself when it is one); TypeError on a float."""
     if x.__class__ is int:
         return x
-    x = _frac(x)
+    if not isinstance(x, Fraction):
+        if isinstance(x, float):
+            raise TypeError(
+                f"inexact coefficient {x!r}: give an int or a Fraction")
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -63,6 +62,14 @@ def _div(a, b) -> int | Fraction:
         return Fraction(a, b) if r else q
     q = a / b
     return q.numerator if q.denominator == 1 else q
+
+
+def _primitive_scale(coeffs) -> int | Fraction:
+    """The positive s for which the s*c, c in coeffs, are coprime ints; 1
+    when every c is zero."""
+    den = lcm(*(c.denominator for c in coeffs))
+    g = int_gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
+    return _div(den, g) if g else 1
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +217,10 @@ class UniPoly:
         (lowest-degree nonzero) coefficient."""
         if self.is_zero():
             return self
-        from math import lcm
-
-        denom = 1
-        for c in self.coeffs:
-            denom = lcm(denom, c.denominator)
-        ints = [int(c * denom) for c in self.coeffs]
-        g = 0
-        for c in ints:
-            g = int_gcd(g, abs(c))
-        ints = [c // g for c in ints]
-        low = next(c for c in ints if c != 0)
-        if low < 0:
-            ints = [-c for c in ints]
-        return UniPoly(ints, self.var)
+        s = _primitive_scale(self.coeffs)
+        if next(c for c in self.coeffs if c != 0) < 0:
+            s = -s
+        return UniPoly([c * s for c in self.coeffs], self.var)
 
     def __repr__(self):
         return f"UniPoly({format_unipoly(self)!r})"

@@ -14,6 +14,7 @@ what the catalog stores.
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 
 from .polygon import Polygon, canonical_form, polar_dual
@@ -23,24 +24,17 @@ NAMES = [
     "6c", "6d", "7a", "7b", "8a", "8b", "8c", "9",
 ]
 
-_cache: dict[str, Polygon] | None = None
-# canonical vertex tuple -> name of the shipped polygons; built by the first
-# name_of call, a constant of the catalog afterwards
-_names_by_form: dict[tuple, str] | None = None
 
-
+@cache
 def load_catalog() -> dict[str, Polygon]:
     """Name -> Polygon for the 16 reflexive classes, read once from the
     shipped polygons.json."""
-    global _cache
-    if _cache is None:
-        text = resources.files("reflexo").joinpath("polygons.json").read_text()
-        _cache = {
-            entry["name"]: Polygon([tuple(v) for v in entry["vertices"]],
-                                   from_hull=True)
-            for entry in json.loads(text)
-        }
-    return _cache
+    text = resources.files("reflexo").joinpath("polygons.json").read_text()
+    return {
+        entry["name"]: Polygon([tuple(v) for v in entry["vertices"]],
+                               from_hull=True)
+        for entry in json.loads(text)
+    }
 
 
 def get(name: str) -> Polygon:
@@ -55,19 +49,24 @@ def name_of(Q: Polygon) -> str:
     not one of the 16 reflexive polygons.  A Q already in canonical form,
     such as a mutant from `all_mutations`, is found without canonicalising
     it again."""
-    global _names_by_form
-    if _names_by_form is None:
-        _names_by_form = {
-            tuple(canonical_form(P).vertices): name
-            for name, P in load_catalog().items()
-        }
+    names = _names_by_form()
     key = tuple(Q.vertices)
-    if key not in _names_by_form:
+    if key not in names:
         key = tuple(canonical_form(Q).vertices)
     try:
-        return _names_by_form[key]
+        return names[key]
     except KeyError:
         raise KeyError("polygon not in catalog") from None
+
+
+@cache
+def _names_by_form() -> dict[tuple, str]:
+    """Canonical vertex tuple -> name of the shipped polygons; built by the
+    first name_of call, a constant of the catalog afterwards."""
+    return {
+        tuple(canonical_form(P).vertices): name
+        for name, P in load_catalog().items()
+    }
 
 
 def dual_name(name: str) -> str:

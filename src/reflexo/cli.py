@@ -208,28 +208,32 @@ def _cache_key(name: str, config: dict) -> str:
 
 
 def _cached_report(name: str, period_n: int, with_pf: bool) -> str:
+    """The report as JSON text, served from the cache when its entry parses
+    as a JSON object.  Otherwise it is computed and the entry atomically
+    replaced; a cache that cannot be read or written is a miss, and the
+    report is returned all the same."""
     config = {"period": period_n, "pf": with_pf}
     path = os.path.join(_cache_dir(), _cache_key(name, config) + ".json")
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                text = fh.read()
-            if isinstance(json.loads(text), dict):
-                return text
-        except ValueError:
-            pass
-        # a corrupt entry is recomputed and atomically replaced below
-    text = json.dumps(build_report(name, period_n, with_pf), indent=2)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
+        with open(path) as fh:
+            text = fh.read()
+        if isinstance(json.loads(text), dict):
+            return text
+    except (OSError, ValueError):
+        pass
+    text = json.dumps(build_report(name, period_n, with_pf), indent=2)
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError:
+        pass
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return text
 
 

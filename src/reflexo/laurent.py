@@ -11,12 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd as int_gcd
 
-from .algebra import MPoly, _frac
+from .algebra import MPoly, _exact
 from .polygon import Point, Polygon, convex_hull
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial: (a, b) -> nonzero Fraction."""
+    """Sparse Laurent polynomial: (a, b) -> nonzero exact rational, an int
+    where it is integral and a Fraction otherwise."""
 
     __slots__ = ("terms",)
 
@@ -24,8 +25,8 @@ class LaurentPoly:
         cleaned = {}
         if terms:
             for k, v in terms.items():
-                v = _frac(v)
-                if v != 0:
+                v = _exact(v)
+                if v:
                     cleaned[(int(k[0]), int(k[1]))] = v
         self.terms = cleaned
 
@@ -38,31 +39,19 @@ class LaurentPoly:
     def __add__(self, other) -> "LaurentPoly":
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            s = terms.get(k, Fraction(0)) + v
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+            terms[k] = terms.get(k, 0) + v
+        return LaurentPoly(terms)
 
     def __mul__(self, other) -> "LaurentPoly":
         terms: dict = {}
         for (a1, b1), v1 in self.terms.items():
             for (a2, b2), v2 in other.terms.items():
                 k = (a1 + a2, b1 + b2)
-                s = terms.get(k, Fraction(0)) + v1 * v2
-                if s == 0:
-                    terms.pop(k, None)
-                else:
-                    terms[k] = s
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+                terms[k] = terms.get(k, 0) + v1 * v2
+        return LaurentPoly(terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0, 0), 0)
 
     def support(self) -> list[Point]:
         return sorted(self.terms)
@@ -99,7 +88,7 @@ def build_fP(P: Polygon) -> LaurentPoly:
         pts = e.lattice_points()
         n = e.lattice_length
         for i, p in enumerate(pts):
-            terms[p] = Fraction(comb(n, i))  # endpoints are 1 from both edges
+            terms[p] = comb(n, i)  # endpoints are 1 from both edges
     return LaurentPoly(terms)
 
 
@@ -121,7 +110,7 @@ def cleared_member(f: LaurentPoly) -> MPoly:
     min_a = min(a for a, _ in keys)
     min_b = min(b for _, b in keys)
     terms = {(a - min_a, b - min_b, 0): c for (a, b), c in f.terms.items()}
-    terms[(-min_a, -min_b, 1)] = Fraction(1)
+    terms[(-min_a, -min_b, 1)] = 1
     return MPoly(terms)
 
 
@@ -150,7 +139,7 @@ def algebraic_mutation(f: LaurentPoly, v: Point, w: Point) -> LaurentPoly:
     terms: dict = {}
     for line in lines.values():
         s0, u0, _ = min(line)
-        p = [Fraction(0)] * ((max(line)[0] - s0) // norm + 1)
+        p = [0] * ((max(line)[0] - s0) // norm + 1)
         for s, _, c in line:
             p[(s - s0) // norm] = c
         e = v[0] * u0[0] + v[1] * u0[1]

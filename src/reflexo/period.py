@@ -19,27 +19,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd as int_gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .algebra import (
-    UniPoly, _exact, _frac, format_unipoly, squarefree_rational_roots,
+    UniPoly, _div, _exact, _primitive_scale, format_unipoly,
+    squarefree_rational_roots,
 )
 from .laurent import LaurentPoly
 
 
 class PowerSeries:
-    """Exact truncated power series: coefficients c_0..c_M."""
+    """Exact truncated power series: coefficients c_0..c_M, each an int
+    where it is integral and a Fraction otherwise."""
 
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
-        self.coefficients = [_frac(c) for c in coefficients]
+        self.coefficients = [_exact(c) for c in coefficients]
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def __getitem__(self, m: int) -> Fraction:
+    def __getitem__(self, m: int) -> int | Fraction:
         return self.coefficients[m]
 
     def __len__(self) -> int:
@@ -107,8 +109,8 @@ def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
                         acc += (r << shift) * c
                     out[t] = acc
         rows = out
-        coeffs.append(Fraction(
-            _digit(rows.get(0, 0), -m * a_min * s, s), den ** m))
+        digit = _digit(rows.get(0, 0), -m * a_min * s, s)
+        coeffs.append(_div(digit, den ** m))
     return PowerSeries(coeffs)
 
 
@@ -172,22 +174,8 @@ class DiffOperator:
     def normalized(self) -> "DiffOperator":
         """Primitive integer coefficients; the lowest nonzero coefficient of
         the leading polynomial p_h is made positive."""
-        num_lcm = 1
-        den_lcm = 1
-        for p in self.polys:
-            for c in p.coeffs:
-                if c != 0:
-                    den_lcm = den_lcm * c.denominator // int_gcd(
-                        den_lcm, c.denominator
-                    )
-        g = 0
-        for p in self.polys:
-            for c in p.coeffs:
-                g = int_gcd(g, abs(int(c * den_lcm)))
-        scale = Fraction(den_lcm, g if g else 1)
-        lead = self.polys[-1]
-        low = next(c for c in lead.coeffs if c != 0)
-        if low * scale < 0:
+        scale = _primitive_scale([c for p in self.polys for c in p.coeffs])
+        if next(c for c in self.polys[-1].coeffs if c != 0) < 0:
             scale = -scale
         return DiffOperator([p * scale for p in self.polys])
 
@@ -218,9 +206,9 @@ class DiffOperator:
 
 def apply_operator(L: DiffOperator, s: PowerSeries) -> PowerSeries:
     """Coefficientwise image of s under L."""
-    ps, c = [p.coeffs for p in L.polys], [_exact(x) for x in s.coefficients]
+    ps = [p.coeffs for p in L.polys]
     return PowerSeries(
-        [_image_coefficient(ps, c, m) for m in range(s.order + 1)]
+        [_image_coefficient(ps, s.coefficients, m) for m in range(len(s))]
     )
 
 
@@ -257,10 +245,10 @@ def _mod_p(c: list) -> list[int] | None:
     return out
 
 
-def _kernels(c: list, h: int, nrows: int, p: int | None):
+def _kernels(c: list, h: int, p: int | None):
     """Kernels of the fit matrices of order h and degree 0, 1, 2, ... over
-    Z/p, or over Q when p is None; c lists the series coefficients, reduced
-    mod p when p is given.
+    Z/p, or over Q when p is None; c lists the series coefficients, one per
+    fit row, reduced mod p when p is given.
 
     The fit matrix of shape (h, d) is that of (h, d - 1) with the h + 1
     columns (k, d), k <= h, appended, so one column elimination serves every
@@ -279,7 +267,7 @@ def _kernels(c: list, h: int, nrows: int, p: int | None):
             n = len(pivots) + len(kernel)
             col = [
                 (m - d) ** k * c[m - d] if m >= d else 0
-                for m in range(nrows)
+                for m in range(len(c))
             ]
             comb = [0] * n + [1]
             # Mod p, entries are reduced only at the end; each pivot column
@@ -380,13 +368,12 @@ def find_picard_fuchs(
     within the bounds is accepted.
     """
     M = s.order
-    c = [_exact(x) for x in s.coefficients]
+    c = s.coefficients
     fit = c[: max(M + 1 - guard, 0)]
     cp = _mod_p(fit)
     for h in range(1, max_order + 1):
         exact = cp is None
-        kernels = (_kernels(fit, h, len(fit), None) if exact
-                   else _kernels(cp, h, len(fit), _PRIME))
+        kernels = _kernels(fit, h, None) if exact else _kernels(cp, h, _PRIME)
         for d in range(0, max_degree + 1):
             ncols = (h + 1) * (d + 1)
             if ncols + guard > M + 1:
@@ -399,7 +386,7 @@ def find_picard_fuchs(
                 if polys is None:
                     # mod p cannot decide: eliminate over Q from here on
                     exact = True
-                    kernels = _kernels(fit, h, len(fit), None)
+                    kernels = _kernels(fit, h, None)
                     kernel = list(islice(kernels, d + 1))[-1]
             if not kernel:
                 continue  # full column rank (mod p, hence over Q)

@@ -157,6 +157,8 @@ class TestRepresentation:
             MPoly({(0, 0, 0): 0.1})
         with pytest.raises(TypeError):
             LaurentPoly({(0, 0): 0.5})
+        with pytest.raises(TypeError):
+            LaurentPoly({(0, 0): 1, (1, 0): 2.0})  # integral, still a float
 
 
 # polynomials in x and l with int coefficients

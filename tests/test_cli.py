@@ -139,6 +139,36 @@ class TestAnalyze:
         assert path.read_text() + "\n" == out
         assert os.listdir(tmp_path) == [path.name]
 
+    def test_cache_path_a_file_is_a_miss(self, capsys, tmp_path,
+                                         monkeypatch):
+        # a cache that cannot be created loses nothing but the cache: the
+        # report is printed as with a working one
+        monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path / "cache"))
+        _, expected, _ = run(capsys, "analyze", "3", "--period", "10",
+                             "--no-pf")
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("REFLEXO_CACHE", str(blocker))
+        code, out, err = run(capsys, "analyze", "3", "--period", "10",
+                             "--no-pf")
+        assert (code, out, err) == (0, expected, "")
+        assert blocker.read_text() == "not a directory"
+        assert sorted(os.listdir(tmp_path)) == ["cache", "file"]
+
+    def test_failed_cache_write_is_a_miss(self, capsys, tmp_path,
+                                          monkeypatch):
+        # a write that fails after the temporary file exists removes it
+        monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path))
+
+        def replace(src, dst):
+            raise PermissionError("read-only cache")
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        code, out, _ = run(capsys, "analyze", "4a", "--no-pf")
+        assert code == 0
+        assert json.loads(out)["polygon"] == "4a"
+        assert os.listdir(tmp_path) == []
+
     def test_cache_key_follows_source_digest(self, monkeypatch):
         # a change to the program's sources or data must not serve an old
         # report: the key changes with their digest

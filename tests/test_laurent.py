@@ -1,9 +1,11 @@
 """Laurent polynomials: f_P construction, Newton polygons, chart equations,
 algebraic mutation."""
 
+from fractions import Fraction
+
 import pytest
 
-from reflexo.catalog import get
+from reflexo.catalog import NAMES, get
 from reflexo.laurent import (
     LaurentPoly,
     algebraic_mutation,
@@ -201,3 +203,48 @@ class TestFormat:
 
     def test_zero(self):
         assert format_laurent(LaurentPoly({})) == "0"
+
+
+def value_types(f):
+    return {type(v) for v in f.terms.values()}
+
+
+class TestExactValues:
+    def test_fP_values_are_ints(self, catalog):
+        # [TRIVIAL] binomial coefficients are stored as ints, in every chart
+        A = ((2, 1), (1, 1))
+        for name in NAMES:
+            f = build_fP(catalog[name])
+            assert value_types(f) == {int}, name
+            assert value_types(f.transform(A)) == {int}, name
+
+    def test_transform_keeps_fractions(self):
+        f = LaurentPoly({(1, 0): Fraction(1, 2), (0, 1): 3})
+        g = f.transform(((1, 1), (0, 1)))
+        assert g.terms == {(1, 0): Fraction(1, 2), (1, 1): 3}
+        assert type(g.terms[(1, 0)]) is Fraction
+        assert type(g.terms[(1, 1)]) is int
+
+    def test_sums_and_products(self):
+        # [TRIVIAL] f_3 + f_3 and f_3^2 are integral; (x/2 + 1)^2 is
+        # x^2/4 + x + 1
+        f = build_fP(get("3"))
+        assert value_types(f * f) == {int}
+        assert value_types(f + f) == {int}
+        half = LaurentPoly({(1, 0): Fraction(1, 2), (0, 0): 1})
+        square = half * half
+        assert square.terms == {(2, 0): Fraction(1, 4), (1, 0): 1, (0, 0): 1}
+        assert type(square.terms[(2, 0)]) is Fraction
+        assert type(square.terms[(1, 0)]) is int
+
+    def test_halves_sum_to_int(self):
+        # [TRIVIAL] Fraction(1, 2) + Fraction(1, 2) is stored as the int 1
+        f = LaurentPoly({(0, 0): Fraction(1, 2)})
+        assert type((f + f).terms[(0, 0)]) is int
+        assert type(LaurentPoly({(0, 0): Fraction(2, 2)}).terms[(0, 0)]) \
+            is int
+
+    def test_cancelled_terms_dropped(self):
+        f = LaurentPoly({(1, 0): Fraction(1, 2), (0, 1): 1})
+        g = LaurentPoly({(1, 0): Fraction(-1, 2)})
+        assert (f + g).terms == {(0, 1): 1}

@@ -66,6 +66,23 @@ class TestPowerSeries:
         # [TRIVIAL] as for UniPoly and LaurentPoly, a float is not exact
         with pytest.raises(TypeError):
             PowerSeries([1, 0.5])
+        with pytest.raises(TypeError):
+            PowerSeries([Fraction(1, 2), 2.0])
+
+    def test_int_where_integral(self):
+        # [TRIVIAL] as for the polynomials: int where integral, else Fraction
+        s = PowerSeries([Fraction(4, 2), Fraction(1, 2), 3])
+        assert [(type(c), c) for c in s.coefficients] == [
+            (int, 2), (Fraction, Fraction(1, 2)), (int, 3)
+        ]
+
+
+def exact_types(values):
+    """True when every value is an int if integral and a Fraction if not."""
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        for c in values
+    )
 
 
 class TestPeriodCoefficients:
@@ -114,6 +131,18 @@ class TestPeriodCoefficients:
         got = period_coefficients(f, 7).coefficients
         assert got == naive_period(f, 7)
         assert any(c.denominator > 1 for c in got)
+        assert exact_types(got)
+
+    def test_integral_periods_are_ints(self, catalog):
+        # [TRIVIAL] the period of an integral f is an integer sequence,
+        # stored as ints
+        for name in NAMES:
+            s = period_coefficients(build_fP(catalog[name]), 12)
+            assert {type(c) for c in s.coefficients} == {int}, name
+        f = LaurentPoly({(1, 0): Fraction(1, 2), (-1, 0): 2})
+        s = period_coefficients(f, 6)
+        assert s.coefficients == [1, 0, 2, 0, 6, 0, 20]
+        assert {type(c) for c in s.coefficients} == {int}
 
     def test_segment_support(self):
         # [DERIVED] f = x + 1/x: c_{2j} = binom(2j, j), odd terms vanish
@@ -275,10 +304,10 @@ def count_exact_solves(monkeypatch):
     returns the counts."""
     counts = {"exact": 0}
 
-    def kernels(c, h, nrows, p):
+    def kernels(c, h, p):
         if p is None:
             counts["exact"] += 1
-        return _kernels(c, h, nrows, p)
+        return _kernels(c, h, p)
 
     monkeypatch.setattr(period, "_kernels", kernels)
     return counts
@@ -293,7 +322,7 @@ def kernel_at(s, h, d, p=_PRIME, guard=8):
     when p is None."""
     fit = s.coefficients[: s.order + 1 - guard]
     c = fit if p is None else _mod_p(fit)
-    return list(islice(_kernels(c, h, len(c), p), d + 1))[-1]
+    return list(islice(_kernels(c, h, p), d + 1))[-1]
 
 
 class TestModularScreen:
@@ -336,7 +365,8 @@ class TestModularScreen:
         # order 1, 0..3 of order 2 -- is then decided over Q, by one
         # elimination per order
         counts = count_exact_solves(monkeypatch)
-        s = PowerSeries([c / _PRIME for c in p3_series().coefficients])
+        s = PowerSeries(
+            [Fraction(c, _PRIME) for c in p3_series().coefficients])
         assert find_picard_fuchs(s) == p3_operator()
         assert counts["exact"] == 2
 
@@ -451,11 +481,23 @@ class TestApplyOperator:
         out = apply_operator(p3_operator(), p3_series())
         assert all(c == 0 for c in out.coefficients)
 
+    def test_image_types(self):
+        # [TRIVIAL] the image of an integer series is stored as ints; D on
+        # the series of 1/(1 - t/2) gives m/2^m, a Fraction from m = 1 on
+        out = apply_operator(p3_operator(), p3_series())
+        assert {type(c) for c in out.coefficients} == {int}
+        D = DiffOperator([UniPoly([0]), UniPoly([1])])
+        out = apply_operator(D, PowerSeries(
+            [Fraction(1, 2 ** m) for m in range(6)]))
+        assert out.coefficients == [Fraction(m, 2 ** m) for m in range(6)]
+        assert exact_types(out.coefficients)
+        assert type(out[4]) is Fraction and type(out[0]) is int
+
     def test_integral_image_summed_in_ints(self):
         # [TRIVIAL] an integer operator on an integer series: the exact
         # check of the fit sums in ints, with no Fraction on the way
         ps = [p.coeffs for p in p3_operator().polys]
-        c = [int(x) for x in p3_series().coefficients]
+        c = p3_series().coefficients
         for m in range(len(c)):
             assert type(period._image_coefficient(ps, c, m)) is int
 
