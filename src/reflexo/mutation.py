@@ -58,11 +58,12 @@ def mutate(P: Polygon, data: MutationData) -> Polygon:
     if min(heights) != -1:
         raise ValueError("v is not an inner edge normal of P")
 
-    # the slices P_{-1}, P_0, P_1: every lattice point has height -1, 0 or 1,
-    # and lattice_points() is in lexicographic order, so each slice is sorted
+    # the slices P_{-1}, P_0, P_1: P is reflexive, so its lattice points are
+    # its boundary points and the origin, each at height -1, 0 or 1; sorted
+    # first, so each slice is in lexicographic order
     bottom, mid, top = [], [], []
     slices = (bottom, mid, top)
-    for p in P.lattice_points():
+    for p in sorted(P.boundary_lattice_points() + [(0, 0)]):
         slices[_height(v, p) + 1].append(p)
     # P_{-1} is the edge at height -1; peel one Minkowski factor H off it:
     # R_{-1} = P_{-1} - H shrinks the segment by w at the end it covers

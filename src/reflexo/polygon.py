@@ -5,10 +5,15 @@ origin is the only interior lattice point; equivalently every edge lies at
 lattice distance 1 from the origin (primitive inner normal evaluating to -1),
 equivalently the polar dual is again a lattice polygon.
 
-GL2(Z) canonical forms work by mapping unimodular ordered pairs of boundary
-lattice points onto the standard frame; for a reflexive polygon consecutive
-boundary lattice points always form such a pair, so the candidate set is
-finite, GL2(Z)-equivariant, and exhaustive.
+GL2(Z) canonical forms work by mapping unimodular ordered pairs (p, q) of
+boundary lattice points onto the standard frame p -> e1, q -> e2; for a
+reflexive polygon consecutive boundary lattice points always form such a
+pair, so the candidate set is finite, GL2(Z)-equivariant, and exhaustive.
+The frames (q, det) with det = det(p, q) = ±1 are taken in order of the
+x-coordinate of the image's least vertex, which depends on q and det alone,
+and the search stops after the first such level where some boundary point
+p completes a frame: every candidate of a higher level starts at a larger
+vertex, so it cannot be the lexicographically least.
 
 Enumeration walks cycles of lattice-distance-1 edges between primitive
 points of a box and closes one cycle per orbit of the box's 8 symmetries.
@@ -17,6 +22,8 @@ points of a box and closes one cycle per orbit of the box's 8 symmetries.
 from __future__ import annotations
 
 from math import gcd as int_gcd
+
+from .algebra import _exact
 
 Point = tuple[int, int]
 
@@ -44,7 +51,11 @@ def convex_hull(points) -> list[Point]:
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross(_sub(out[-1], out[-2]), _sub(p, out[-2])) <= 0:
+            x, y = p
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out
@@ -85,13 +96,22 @@ class Edge:
         return f"Edge({self.tail}->{self.head}, n={self.inner_normal})"
 
 
+def _coordinate(c) -> int:
+    """c as a lattice coordinate: TypeError on a float, ValueError on a
+    non-integral rational, as in algebra._exact."""
+    c = _exact(c)
+    if c.__class__ is not int:
+        raise ValueError(f"non-integral vertex coordinate {c}")
+    return c
+
+
 class Polygon:
     """Convex lattice polygon, CCW vertex list."""
 
     __slots__ = ("vertices",)
 
     def __init__(self, vertices, from_hull: bool = False):
-        vs = [tuple(int(c) for c in v) for v in vertices]
+        vs = [(_coordinate(x), _coordinate(y)) for x, y in vertices]
         if not from_hull:
             vs = convex_hull(vs)
         if len(vs) < 3:
@@ -121,13 +141,22 @@ class Polygon:
         return s
 
     def is_reflexive(self) -> bool:
-        return all(e.normal_value() == -1 for e in self.edges())
+        """Every edge p -> q lies at lattice distance 1 from the origin:
+        <primitive inner normal, p> = -cross(p, q) / gcd(q - p) is -1."""
+        vs = self.vertices
+        return all(
+            px * qy - py * qx == int_gcd(qx - px, qy - py)
+            for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1])
+        )
 
     def boundary_lattice_points(self) -> list[Point]:
         """Boundary lattice points in CCW cyclic order, starting at vertex 0."""
+        vs = self.vertices
         out = []
-        for e in self.edges():
-            out.extend(e.lattice_points()[:-1])
+        for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
+            g = int_gcd(qx - px, qy - py)
+            dx, dy = (qx - px) // g, (qy - py) // g
+            out.extend((px + i * dx, py + i * dy) for i in range(g))
         return out
 
     def lattice_points(self, m: int = 1) -> list[Point]:
@@ -196,17 +225,31 @@ def canonical_form(P: Polygon) -> Polygon:
     Each candidate is the image of P's CCW vertex list, reversed when the map
     reverses orientation and rotated to start at its least vertex, which is
     its least rotation because the vertices are distinct.
+
+    With det = cross(p, q) = ±1 the map is v -> det (cross(v, q), cross(p, v)),
+    so the least vertex of a candidate has x-coordinate min det cross(v, q)
+    over P's vertices v: a level fixed by the frame (q, det) alone.  Frames
+    are evaluated level by level from the lowest, and the search stops after
+    the first level where some boundary point p has cross(p, q) = det.  A
+    candidate of a higher level starts at a vertex with larger x, so it is
+    never the least; a level without such a p has no candidate at all.
     """
     bpts = P.boundary_lattice_points()
     vs = P.vertices
+    frames = []
+    for c, d in bpts:
+        h = [x * d - y * c for x, y in vs]  # cross(v, q)
+        # (level, det q, det) for det = 1 and det = -1
+        frames += ((min(h), c, d, 1), (-max(h), -c, -d, -1))
     best = None
-    for a, b in bpts:
-        for c, d in bpts:
-            det = a * d - b * c
-            if det != 1 and det != -1:
+    for level, c, d, det in sorted(frames):
+        if best is not None and level > best[0][0]:
+            break
+        # U with U p = e1, U q = e2 is the inverse of [p q]; (c, d) = det q
+        for a, b in bpts:
+            if a * d - b * c != 1:
                 continue
-            # U with U p = e1, U q = e2:  U = inverse of [p q]
-            img = [(det * (d * x - c * y), det * (a * y - b * x)) for x, y in vs]
+            img = [(d * x - c * y, det * (a * y - b * x)) for x, y in vs]
             if det < 0:
                 img.reverse()
             i = img.index(min(img))
@@ -283,19 +326,24 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     def dfs(chain: list[Point]):
         start = chain[0]
         last = chain[-1]
+        (sx, sy), (lx, ly) = start, last
         # Every edge turns CCW about the origin (_cross(p, q) > 0), so once
         # the chain is past the half-turn from start, a point at or beyond
         # start's direction would begin a second turn: only start closes it.
-        past_half_turn = _cross(start, last) < 0
+        past_half_turn = sx * ly - sy * lx < 0
+        # the chain turns left at last: q lies left of the last edge (ex, ey)
+        turns = len(chain) >= 2
+        if turns:
+            ex, ey = lx - chain[-2][0], ly - chain[-2][1]
+        grow = len(chain) < 6  # a reflexive polygon has at most 6 vertices
         for q in succ[last]:
+            qx, qy = q
+            if turns and ex * (qy - ly) - ey * (qx - lx) <= 0:
+                continue
             if q == start:
-                # closing edge chain[-1] -> start already admissible; check
-                # convexity at the two closing corners
-                if (
-                    len(chain) >= 3
-                    and _cross(_sub(start, last), _sub(chain[1], start)) > 0
-                    and _cross(_sub(last, chain[-2]), _sub(start, last)) > 0
-                ):
+                # closing edge chain[-1] -> start already admissible and
+                # convex at chain[-1]; check the corner at start
+                if len(chain) >= 3 and _cross(_sub(start, last), _sub(chain[1], start)) > 0:
                     key = sorted(chain)
                     if all(key <= sorted(img) for img in _box_images(chain)):
                         poly = Polygon(chain)  # re-hull as a validity check
@@ -303,14 +351,10 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
                             cf = canonical_form(poly)
                             found.setdefault(tuple(cf.vertices), cf)
                 continue
-            if orbit_min[q] < start:
+            if not grow or orbit_min[q] < start:
                 continue  # a least cycle starts at or below every image of its vertices
-            if past_half_turn and _cross(start, q) >= 0:
+            if past_half_turn and sx * qy - sy * qx >= 0:
                 continue
-            if len(chain) >= 2 and _cross(_sub(last, chain[-2]), _sub(q, last)) <= 0:
-                continue
-            if len(chain) >= 6:
-                continue  # a reflexive polygon has at most 6 vertices
             dfs(chain + [q])
 
     for p in pts:

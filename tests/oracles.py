@@ -4,7 +4,8 @@
 `sylvester_matrix` it is the oracle for `resultant`; with `cartan_matrix`
 it is the oracle for `KodairaType.det`, the determinant of the root lattice
 of a fibre's non-identity components, built here from the explicit Dynkin
-diagram.
+diagram.  `random_unimodular` draws the seeded GL2(Z) matrices of the
+coordinate-change tests.
 """
 
 from fractions import Fraction
@@ -87,3 +88,17 @@ def cartan_matrix(nodes: int, edges: list[tuple[int, int]]
         rows[i][j] -= 1
         rows[j][i] -= 1
     return rows
+
+
+def random_unimodular(rng, gens):
+    """A product of one to six matrices drawn from gens."""
+    U = ((1, 0), (0, 1))
+    for _ in range(rng.randint(1, 6)):
+        g = rng.choice(gens)
+        U = (
+            (U[0][0] * g[0][0] + U[0][1] * g[1][0],
+             U[0][0] * g[0][1] + U[0][1] * g[1][1]),
+            (U[1][0] * g[0][0] + U[1][1] * g[1][0],
+             U[1][0] * g[0][1] + U[1][1] * g[1][1]),
+        )
+    return U

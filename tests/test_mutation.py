@@ -1,9 +1,13 @@
 """Combinatorial mutations, the mutation graph over the 16 classes, and the
 trop map."""
 
-import pytest
+import random
 
-from reflexo.catalog import NAMES, get, load_catalog
+import pytest
+from oracles import random_unimodular
+
+from reflexo import mutation
+from reflexo.catalog import NAMES, get, load_catalog, name_of
 from reflexo.mutation import (
     MutationData,
     all_mutations,
@@ -12,7 +16,12 @@ from reflexo.mutation import (
     mutation_classes,
     trop_map,
 )
-from reflexo.polygon import canonical_form, polar_dual
+from reflexo.polygon import Polygon, apply_unimodular, canonical_form, polar_dual
+
+
+# generators of GL2(Z), a reflection included
+GL2Z_GENS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)),
+             ((0, 1), (1, 0))]
 
 
 class TestMutationData:
@@ -88,6 +97,49 @@ class TestAllMutations:
                     back = mutate(Q, MutationData((-v[0], -v[1]), w))
                     assert canonical_form(back) == canonical_form(P)
 
+    def test_gl2z_invariance(self, catalog):
+        # [DERIVED] the mutants of U P are those of P, up to GL2(Z): the
+        # same sorted names, for seeded unimodular U
+        rng = random.Random(3)
+        for P in catalog.values():
+            names = sorted(name_of(Q) for _, Q in all_mutations(P))
+            for _ in range(4):
+                UP = apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
+                assert sorted(name_of(Q) for _, Q in all_mutations(UP)) == names
+
+    def test_no_box_scan_or_edges(self, catalog, monkeypatch):
+        # [DERIVED] mutate and canonical_form read P's lattice points off its
+        # vertices: over all_mutations of the 16 they call neither
+        # Polygon.lattice_points nor Polygon.edges
+        depth, entered, calls = [0], [0], []
+
+        def scoped(f):
+            def wrapper(*args):
+                depth[0] += 1
+                entered[0] += 1
+                try:
+                    return f(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        def counted(name):
+            f = getattr(Polygon, name)
+
+            def wrapper(*args):
+                if depth[0]:
+                    calls.append(name)
+                return f(*args)
+            return wrapper
+
+        for name in ("lattice_points", "edges"):
+            monkeypatch.setattr(Polygon, name, counted(name))
+        for name in ("mutate", "canonical_form"):
+            monkeypatch.setattr(mutation, name, scoped(getattr(mutation, name)))
+        assert sum(len(all_mutations(P)) for P in catalog.values()) > 0
+        assert entered[0] > 0
+        assert calls == []
+
 
 class TestMutationClasses:
     def test_partition(self):
@@ -128,6 +180,16 @@ class TestMutationClasses:
             assert found == expected
             assert {keys[j] for j in next(c for c in classes if i in c)} \
                 == expected
+
+    def test_gl2z_invariance(self, catalog):
+        # [DERIVED] mutation_class(U P) names the same catalog classes as
+        # mutation_class(P), for seeded unimodular U
+        rng = random.Random(4)
+        for P in catalog.values():
+            names = sorted(name_of(Q) for Q in mutation_class(P))
+            for _ in range(3):
+                UP = apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
+                assert sorted(name_of(Q) for Q in mutation_class(UP)) == names
 
     def test_class_members_are_canonical(self):
         members = mutation_class(get("6a"))

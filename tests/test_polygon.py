@@ -1,11 +1,13 @@
 """Lattice polygon geometry: volume, duality, canonical forms, Ehrhart."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import random_unimodular
 
 from reflexo import polygon
 from reflexo.catalog import NAMES, dual_name, get, name_of
@@ -33,10 +35,22 @@ def _rotate_lex_min(vs):
     return best
 
 
+def reference_boundary_points(P: Polygon) -> list:
+    """Boundary lattice points in CCW order from vertex 0, read off the
+    `Edge` objects of P."""
+    return [pt for e in P.edges() for pt in e.lattice_points()[:-1]]
+
+
+def reference_is_reflexive(P: Polygon) -> bool:
+    """Every edge at lattice height -1, read off the `Edge` objects of P."""
+    return all(e.normal_value() == -1 for e in P.edges())
+
+
 def reference_canonical_form(P: Polygon) -> Polygon:
-    """Reference canonical form that builds one Polygon per candidate map;
-    `canonical_form` must agree with it exactly."""
-    bpts = P.boundary_lattice_points()
+    """Reference canonical form that tries every ordered pair of boundary
+    points and builds one Polygon per candidate map; `canonical_form` must
+    agree with it exactly."""
+    bpts = reference_boundary_points(P)
     best = None
     for p in bpts:
         for q in bpts:
@@ -85,7 +99,8 @@ def reference_cycles(bound: int) -> list[frozenset]:
                     and _cross(_sub(last, chain[-2]), _sub(start, last)) > 0
                 ):
                     poly = Polygon(chain)
-                    if set(poly.vertices) == set(chain) and poly.is_reflexive():
+                    if (set(poly.vertices) == set(chain)
+                            and reference_is_reflexive(poly)):
                         closed.append(frozenset(chain))
                 continue
             if q <= start:
@@ -121,6 +136,26 @@ BOX_SYMMETRIES = [
 ]
 
 
+# non-reflexive polygons: the origin a vertex, on an edge, outside, or one
+# of several interior points
+NON_REFLEXIVE = [
+    [(0, 0), (1, 0), (0, 1)],
+    [(0, 0), (2, 0), (0, 3)],
+    [(-1, 0), (1, 0), (0, 2)],
+    [(2, 0), (0, 2), (-2, -2)],
+    [(1, 1), (3, 1), (2, 4)],
+    [(-2, -1), (3, -1), (1, 2), (-1, 2)],
+]
+
+
+def _outcome(f, P):
+    """f(P)'s vertex list, or the type of the ValueError it raises."""
+    try:
+        return f(P).vertices
+    except ValueError:
+        return ValueError
+
+
 def _record_canonical_form(monkeypatch) -> list:
     """Replace polygon.canonical_form by a wrapper recording its inputs."""
     original = polygon.canonical_form
@@ -134,18 +169,23 @@ def _record_canonical_form(monkeypatch) -> list:
     return seen
 
 
-def _random_unimodular(rng, gens):
-    """A product of one to six matrices drawn from gens."""
-    U = ((1, 0), (0, 1))
-    for _ in range(rng.randint(1, 6)):
-        g = rng.choice(gens)
-        U = (
-            (U[0][0] * g[0][0] + U[0][1] * g[1][0],
-             U[0][0] * g[0][1] + U[0][1] * g[1][1]),
-            (U[1][0] * g[0][0] + U[1][1] * g[1][0],
-             U[1][0] * g[0][1] + U[1][1] * g[1][1]),
-        )
-    return U
+class TestVertices:
+    def test_non_integral_rejected(self):
+        # [TRIVIAL] a vertex is not truncated to a lattice point: a float
+        # raises TypeError, a non-integral rational ValueError
+        with pytest.raises(ValueError, match="non-integral"):
+            Polygon([(Fraction(3, 2), 0), (0, 1), (-1, -1)])
+        with pytest.raises(ValueError, match="non-integral"):
+            Polygon([(1, 0), (0, Fraction(-1, 3)), (-1, -1)], from_hull=True)
+        for x in (1.7, 1.0):
+            with pytest.raises(TypeError):
+                Polygon([(x, 0), (0, 1), (-1, -1)])
+
+    def test_integral_accepted(self):
+        # [TRIVIAL] ints and integral Fractions give int coordinates
+        P = Polygon([(Fraction(2, 2), 0), (0, Fraction(1)), (-1, -1)])
+        assert P == get("3")
+        assert all(type(c) is int for v in P.vertices for c in v)
 
 
 class TestVolume:
@@ -223,7 +263,7 @@ class TestCanonicalForm:
         gens = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0))]
         for P in catalog.values():
             for _ in range(6):
-                U = _random_unimodular(rng, gens)
+                U = random_unimodular(rng, gens)
                 assert canonical_form(apply_unimodular(U, P)) == canonical_form(P)
 
     def test_4a_not_4b(self):
@@ -242,9 +282,31 @@ class TestCanonicalForm:
                 ((0, 1), (1, 0))]
         for P in catalog.values():
             for _ in range(12):
-                Q = apply_unimodular(_random_unimodular(rng, gens), P)
+                Q = apply_unimodular(random_unimodular(rng, gens), P)
                 assert canonical_form(Q).vertices == \
                     reference_canonical_form(Q).vertices
+
+    @pytest.mark.parametrize("vertices", NON_REFLEXIVE[:3])
+    def test_matches_reference_with_origin_on_boundary(self, vertices):
+        # [DERIVED] the origin a vertex or on an edge: some frame levels hold
+        # no unimodular pair, and the search must pass over them; the last
+        # triangle has no unimodular boundary pair at all
+        P = Polygon(vertices)
+        assert _outcome(canonical_form, P) == \
+            _outcome(reference_canonical_form, P)
+
+    def test_matches_reference_on_non_reflexive(self):
+        # [DERIVED] seeded lattice polygons in [-4, 4]^2, most not reflexive
+        rng = random.Random(20)
+        checked = 0
+        while checked < 60:
+            pts = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(5)]
+            if len(convex_hull(pts)) < 3:
+                continue
+            P = Polygon(pts)
+            assert _outcome(canonical_form, P) == \
+                _outcome(reference_canonical_form, P)
+            checked += 1
 
     def test_matches_reference_on_enumerated_polygons(self, monkeypatch):
         # [DERIVED] all 8 box images of every polygon the walk closes at
@@ -360,6 +422,31 @@ class TestEhrhart:
 
 
 class TestEdges:
+    def _polygons(self, catalog):
+        """The 16, seeded GL2(Z) images of them, and non-reflexive ones."""
+        rng = random.Random(11)
+        gens = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)),
+                ((0, 1), (1, 0))]
+        out = list(catalog.values())
+        for P in catalog.values():
+            out += [apply_unimodular(random_unimodular(rng, gens), P)
+                    for _ in range(4)]
+        return out + [Polygon(vs) for vs in NON_REFLEXIVE]
+
+    def test_boundary_points_match_edges(self, catalog):
+        # [TRIVIAL] stepping by the gcd of each edge's direction lists the
+        # same points, in the same order, as the Edge objects
+        for P in self._polygons(catalog):
+            assert P.boundary_lattice_points() == reference_boundary_points(P)
+
+    def test_is_reflexive_matches_edges(self, catalog):
+        # [DERIVED] cross(p, q) == gcd(q - p) on each edge p -> q is
+        # Edge.normal_value() == -1
+        polys = self._polygons(catalog)
+        assert [P.is_reflexive() for P in polys] == \
+            [reference_is_reflexive(P) for P in polys]
+        assert sum(P.is_reflexive() for P in polys) == 80
+
     def test_boundary_count_is_volume(self, catalog):
         # [DERIVED] Pick with one interior point: boundary points = Vol
         for P in catalog.values():
