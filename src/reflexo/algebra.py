@@ -64,6 +64,39 @@ def _div(a, b) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def _power(base, n: int, one):
+    """base ** n by square and multiply, starting from the identity `one`."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while True:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base  # only while bits remain
+
+
+def _format_terms(terms) -> str:
+    """Text form of (coefficient, monomial) pairs in the order given: a
+    coefficient of absolute value 1 shows only its sign before a monomial,
+    and a negative term is joined by " - "."""
+    out = ""
+    for c, mon in terms:
+        if mon and abs(c) == 1:
+            part = ("-" if c < 0 else "") + mon
+        else:
+            part = f"{c}*{mon}" if mon else str(c)
+        if not out:
+            out = part
+        elif part.startswith("-"):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out or "0"
+
+
 def _primitive_scale(coeffs) -> int | Fraction:
     """The positive s for which the s*c, c in coeffs, are coprime ints; 1
     when every c is zero."""
@@ -156,17 +189,7 @@ class UniPoly:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly([1], self.var)
-        base = self
-        while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base  # only while bits remain
+        return _power(self, n, UniPoly([1], self.var))
 
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
@@ -227,30 +250,11 @@ class UniPoly:
 
 
 def format_unipoly(p: UniPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            mon = ""
-        elif i == 1:
-            mon = p.var
-        else:
-            mon = f"{p.var}^{i}"
-        if mon and abs(c) == 1:
-            cs = "-" if c < 0 else ""
-        else:
-            cs = str(c)
-            if mon:
-                cs += "*"
-        parts.append(cs + mon)
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out
+    return _format_terms(
+        (c, "" if i == 0 else p.var if i == 1 else f"{p.var}^{i}")
+        for i, c in reversed(list(enumerate(p.coeffs)))
+        if c
+    )
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -280,15 +284,6 @@ def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
         b = b2
         i += 1
     return out
-
-
-def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots of p (each listed once), sorted."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.is_const():
-        return []
-    return _roots_of_squarefree(p.exact_div(gcd_poly(p, p.derivative())))
 
 
 def _roots_of_squarefree(p: UniPoly) -> list[Fraction]:
@@ -427,13 +422,6 @@ class MPoly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0, 0, 0) in self.terms)
 
-    def const_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_const():
-            raise ValueError("not a constant")
-        return Fraction(self.terms[(0, 0, 0)])
-
     def degree(self, name: str):
         if not self.terms:
             return NEG_INF
@@ -505,17 +493,7 @@ class MPoly:
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = MPoly.const(1)
-        base = self
-        while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base  # only while bits remain
+        return _power(self, n, MPoly.const(1))
 
     def _coerce(self, other) -> "MPoly":
         if isinstance(other, MPoly):
@@ -607,10 +585,6 @@ class MPoly:
             coeffs[k[i]] = v
         return UniPoly(coeffs, "l" if name == "l" else name)
 
-    def leading_term(self) -> tuple[tuple, Fraction]:
-        k = max(self.terms)
-        return k, Fraction(self.terms[k])
-
     def exact_div(self, other: "MPoly") -> "MPoly":
         """Exact multivariate division; raises if the division is not exact."""
         if other.is_zero():
@@ -648,23 +622,11 @@ class MPoly:
 
 
 def format_mpoly(p: MPoly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in sorted(p.terms, reverse=True):
-        v = p.terms[k]
-        mon = "".join(
-            (f"{n}" if e == 1 else f"{n}^{e}") for n, e in zip(VARS, k) if e
-        )
-        if mon and abs(v) == 1:
-            cs = "-" if v < 0 else ""
-        else:
-            cs = str(v) + ("*" if mon else "")
-        parts.append(cs + mon)
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out
+    return _format_terms(
+        (p.terms[k], "".join(
+            f"{n}" if e == 1 else f"{n}^{e}" for n, e in zip(VARS, k) if e))
+        for k in sorted(p.terms, reverse=True)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ def load_catalog() -> dict[str, Polygon]:
     shipped polygons.json."""
     text = resources.files("reflexo").joinpath("polygons.json").read_text()
     return {
-        entry["name"]: Polygon([tuple(v) for v in entry["vertices"]],
-                               from_hull=True)
+        entry["name"]: Polygon._from_ccw(entry["vertices"])
         for entry in json.loads(text)
     }
 
@@ -51,11 +50,13 @@ def name_of(Q: Polygon) -> str:
     it again."""
     names = _names_by_form()
     key = tuple(Q.vertices)
-    if key not in names:
-        key = tuple(canonical_form(Q).vertices)
     try:
+        if key not in names:
+            key = tuple(canonical_form(Q).vertices)
         return names[key]
-    except KeyError:
+    except (KeyError, ValueError):
+        # ValueError: Q has no unimodular boundary pair, so it is not
+        # reflexive and has no canonical form
         raise KeyError("polygon not in catalog") from None
 
 

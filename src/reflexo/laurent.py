@@ -8,7 +8,6 @@ chart u -> A u is cleared_member(f.transform(A)).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd as int_gcd
 
 from .algebra import MPoly, _exact
@@ -49,9 +48,6 @@ class LaurentPoly:
                 k = (a1 + a2, b1 + b2)
                 terms[k] = terms.get(k, 0) + v1 * v2
         return LaurentPoly(terms)
-
-    def constant_term(self) -> int | Fraction:
-        return self.terms.get((0, 0), 0)
 
     def support(self) -> list[Point]:
         return sorted(self.terms)
@@ -100,7 +96,7 @@ def newton_polygon(f: LaurentPoly):
     hull = convex_hull(f.support())
     if len(hull) < 3:
         return hull
-    return Polygon(hull, from_hull=True)
+    return Polygon._from_ccw(hull)
 
 
 def cleared_member(f: LaurentPoly) -> MPoly:

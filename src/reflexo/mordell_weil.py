@@ -1,7 +1,7 @@
 """Mordell-Weil data of the elliptic surface: section positions on the fibre
-at infinity, the Shioda-Tate rank, height pairings of sections, torsion via
-the component-group sandwich, and Miranda's identities for torsion sections;
-the fibre invariants r and det come from `KodairaType`.
+at infinity, the Shioda-Tate rank, height pairings of sections and torsion
+via the component-group sandwich; the fibre invariants r and det come from
+`KodairaType`.
 """
 
 from __future__ import annotations
@@ -164,78 +164,3 @@ def mw_group(P: Polygon, config: FibreConfiguration) -> MWReport:
             height = None
     return MWReport(rank, torsion, _group_name(rank, torsion), height, det_t,
                     positions)
-
-
-# ---------------------------------------------------------------------------
-# Miranda's identities
-# ---------------------------------------------------------------------------
-
-
-def _semistable_fibres(config: FibreConfiguration) -> list[int]:
-    """The multiset of n-values of all I_n fibres; errors on additive types."""
-    out = []
-    for _, t, c in config.entries:
-        if t.kind != "I":
-            raise ValueError("semistable only")
-        out.extend([t.n] * c)
-    return out
-
-
-def miranda_identities(config: FibreConfiguration, order: int,
-                       components: list[int]) -> dict:
-    """Check Miranda's identities for a torsion section of the given order.
-
-    components[i] is the index of the fibre component met by the section, one
-    entry per I_n fibre in the order of _semistable_fibres.  Identities (for
-    chi(O_Y) = 1): sum m_j (m_v - m_j) / m_v = 2, and sum of the normalized
-    m_j (taken <= m_v / 2) equals 3 for order >= 3 and 4 for order = 2.
-    """
-    ns = _semistable_fibres(config)
-    if len(components) != len(ns):
-        raise ValueError("one component index per I_n fibre required")
-    s1 = Fraction(0)
-    s2 = 0
-    for n, j in zip(ns, components):
-        if not 0 <= j < max(n, 1):
-            raise ValueError("component index out of range")
-        s1 += Fraction(j * (n - j), n) if n else 0
-        s2 += min(j, n - j)
-    expected = 4 if order == 2 else 3
-    return {
-        "contribution_sum": s1,
-        "contribution_ok": s1 == 2,
-        "component_sum": s2,
-        "component_ok": s2 == expected,
-        "ok": s1 == 2 and s2 == expected,
-    }
-
-
-def find_torsion_components(config: FibreConfiguration, order: int,
-                            infinity_position: int) -> list[list[int]]:
-    """All component assignments satisfying both identities, with the
-    position on the infinity fibre fixed; finite I_n components are searched
-    (up to the j <-> n - j symmetry)."""
-    ns = _semistable_fibres(config)
-    inf_index = next(
-        i for i, (loc, _, _) in enumerate(
-            (loc, t, c) for loc, t, c in config.entries for _ in range(c)
-        ) if loc == "infinity"
-    )
-    choices: list[list[int]] = []
-    for i, n in enumerate(ns):
-        if i == inf_index:
-            choices.append([infinity_position])
-        else:
-            choices.append(list(range(0, n // 2 + 1)) if n else [0])
-    results = []
-
-    def rec(i, acc):
-        if i == len(choices):
-            if miranda_identities(config, order, acc)["ok"]:
-                results.append(list(acc))
-            return
-        for j in choices[i]:
-            rec(i + 1, acc + [j])
-
-    rec(0, [])
-    return results

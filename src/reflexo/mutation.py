@@ -74,7 +74,7 @@ def mutate(P: Polygon, data: MutationData) -> Polygon:
     hull = convex_hull(pts)
     if len(hull) < 3:
         raise ValueError("not mutable with this H")
-    Q = Polygon(hull, from_hull=True)
+    Q = Polygon._from_ccw(hull)
     if not Q.is_reflexive():  # pragma: no cover - Definition guarantees this
         raise ValueError("mutation produced a non-reflexive polygon")
     return Q
@@ -155,11 +155,3 @@ def mutation_classes(catalog: list[Polygon]) -> list[list[int]]:
         placed.update(cls)
         classes.append(cls)
     return classes
-
-
-def trop_map(m: Point, data: MutationData) -> Point:
-    """Piecewise-linear map m -> m - min{0, <m, w>} v on the dual lattice;
-    the identity on the half-space <., w> >= 0."""
-    pairing = m[0] * data.w[0] + m[1] * data.w[1]
-    t = min(0, pairing)
-    return (m[0] - t * data.v[0], m[1] - t * data.v[1])

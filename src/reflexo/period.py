@@ -204,14 +204,6 @@ class DiffOperator:
         return f"DiffOperator({self})"
 
 
-def apply_operator(L: DiffOperator, s: PowerSeries) -> PowerSeries:
-    """Coefficientwise image of s under L."""
-    ps = [p.coeffs for p in L.polys]
-    return PowerSeries(
-        [_image_coefficient(ps, s.coefficients, m) for m in range(len(s))]
-    )
-
-
 def _image_coefficient(ps: list[list], c: list, m: int):
     """The t^m coefficient of L s, where ps lists the coefficients of
     p_0..p_h and c those of s: sum_k sum_j p_k[j] (m-j)^k c_{m-j}.  It is

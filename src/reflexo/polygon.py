@@ -105,18 +105,29 @@ def _coordinate(c) -> int:
     return c
 
 
+def _lattice_vertices(points) -> list[Point]:
+    return [(_coordinate(x), _coordinate(y)) for x, y in points]
+
+
 class Polygon:
-    """Convex lattice polygon, CCW vertex list."""
+    """Convex lattice polygon: the convex hull of the points it is given,
+    stored as its CCW vertex list."""
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices, from_hull: bool = False):
-        vs = [(_coordinate(x), _coordinate(y)) for x, y in vertices]
-        if not from_hull:
-            vs = convex_hull(vs)
+    def __init__(self, vertices):
+        vs = convex_hull(_lattice_vertices(vertices))
         if len(vs) < 3:
             raise ValueError("polygon is degenerate")
         self.vertices = vs
+
+    @classmethod
+    def _from_ccw(cls, vertices) -> "Polygon":
+        """The polygon whose CCW vertex list is `vertices`, taken as it is,
+        with no hull: for package code that already holds such a list."""
+        P = cls.__new__(cls)
+        P.vertices = _lattice_vertices(vertices)
+        return P
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and set(self.vertices) == set(other.vertices)
@@ -195,7 +206,7 @@ def polar_dual(P: Polygon) -> Polygon:
     """
     if not P.is_reflexive():
         raise ValueError("polar is not a lattice polygon (P not reflexive)")
-    return Polygon([e.inner_normal for e in P.edges()], from_hull=True)
+    return Polygon._from_ccw([e.inner_normal for e in P.edges()])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +223,7 @@ def apply_unimodular(U, P: Polygon) -> Polygon:
     vs = [(a * x + b * y, c * x + d * y) for (x, y) in P.vertices]
     if det < 0:
         vs.reverse()
-    return Polygon(vs, from_hull=True)
+    return Polygon._from_ccw(vs)
 
 
 def canonical_form(P: Polygon) -> Polygon:
@@ -260,7 +271,7 @@ def canonical_form(P: Polygon) -> Polygon:
         raise ValueError(
             "no unimodular boundary pair; canonical form undefined for this polygon"
         )
-    return Polygon(list(best), from_hull=True)
+    return Polygon._from_ccw(best)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from reflexo.algebra import MPoly, resultant
@@ -21,6 +23,8 @@ def res_x():
     """Res_x of two UniPolys in x, taken through the MPoly resultant, as a
     Fraction."""
     def res(p, q):
-        return resultant(MPoly.from_unipoly(p, "x"),
-                         MPoly.from_unipoly(q, "x"), "x").const_value()
+        r = resultant(MPoly.from_unipoly(p, "x"),
+                      MPoly.from_unipoly(q, "x"), "x")
+        assert r.is_const()
+        return Fraction(r.terms.get((0, 0, 0), 0))
     return res

@@ -5,12 +5,18 @@
 it is the oracle for `KodairaType.det`, the determinant of the root lattice
 of a fibre's non-identity components, built here from the explicit Dynkin
 diagram.  `random_unimodular` draws the seeded GL2(Z) matrices of the
-coordinate-change tests.
+coordinate-change tests.  `apply_operator` applies a Picard-Fuchs operator
+to a series term by term, `trop_map` is the tropical map of a mutation on
+the dual lattice, and `miranda_identities` with `find_torsion_components`
+checks the torsion sections of a semistable configuration against
+Miranda's identities.  All are plain int and Fraction arithmetic on the
+program's public types.
 """
 
 from fractions import Fraction
 
 from reflexo.algebra import MPoly
+from reflexo.period import PowerSeries
 
 
 def bareiss_determinant(rows: list[list]) -> Fraction:
@@ -102,3 +108,91 @@ def random_unimodular(rng, gens):
              U[1][0] * g[0][1] + U[1][1] * g[1][1]),
         )
     return U
+
+
+def apply_operator(L, s) -> PowerSeries:
+    """Coefficientwise image of the series s under L = sum_k p_k(t) D^k,
+    D = t d/dt: its t^m coefficient is sum_k sum_j p_k[j] (m - j)^k s_{m-j}."""
+    c = s.coefficients
+    return PowerSeries([
+        sum(a * (m - j) ** k * c[m - j]
+            for k, p in enumerate(L.polys)
+            for j, a in enumerate(p.coeffs[: m + 1]))
+        for m in range(len(c))
+    ])
+
+
+def trop_map(m, data):
+    """Piecewise-linear map m -> m - min{0, <m, w>} v on the dual lattice of
+    the mutation with data (v, w); the identity on <., w> >= 0."""
+    t = min(0, m[0] * data.w[0] + m[1] * data.w[1])
+    return (m[0] - t * data.v[0], m[1] - t * data.v[1])
+
+
+def _semistable_fibres(config) -> list[int]:
+    """The multiset of n-values of all I_n fibres; errors on additive types."""
+    out = []
+    for _, t, c in config.entries:
+        if t.kind != "I":
+            raise ValueError("semistable only")
+        out.extend([t.n] * c)
+    return out
+
+
+def miranda_identities(config, order: int, components: list[int]) -> dict:
+    """Check Miranda's identities for a torsion section of the given order.
+
+    components[i] is the index of the fibre component met by the section, one
+    entry per I_n fibre in the order of _semistable_fibres.  Identities (for
+    chi(O_Y) = 1): sum m_j (m_v - m_j) / m_v = 2, and sum of the normalized
+    m_j (taken <= m_v / 2) equals 3 for order >= 3 and 4 for order = 2.
+    """
+    ns = _semistable_fibres(config)
+    if len(components) != len(ns):
+        raise ValueError("one component index per I_n fibre required")
+    s1 = Fraction(0)
+    s2 = 0
+    for n, j in zip(ns, components):
+        if not 0 <= j < max(n, 1):
+            raise ValueError("component index out of range")
+        s1 += Fraction(j * (n - j), n) if n else 0
+        s2 += min(j, n - j)
+    expected = 4 if order == 2 else 3
+    return {
+        "contribution_sum": s1,
+        "contribution_ok": s1 == 2,
+        "component_sum": s2,
+        "component_ok": s2 == expected,
+        "ok": s1 == 2 and s2 == expected,
+    }
+
+
+def find_torsion_components(config, order: int,
+                            infinity_position: int) -> list[list[int]]:
+    """All component assignments satisfying both identities, with the
+    position on the infinity fibre fixed; finite I_n components are searched
+    (up to the j <-> n - j symmetry)."""
+    ns = _semistable_fibres(config)
+    inf_index = next(
+        i for i, (loc, _, _) in enumerate(
+            (loc, t, c) for loc, t, c in config.entries for _ in range(c)
+        ) if loc == "infinity"
+    )
+    choices: list[list[int]] = []
+    for i, n in enumerate(ns):
+        if i == inf_index:
+            choices.append([infinity_position])
+        else:
+            choices.append(list(range(0, n // 2 + 1)) if n else [0])
+    results = []
+
+    def rec(i, acc):
+        if i == len(choices):
+            if miranda_identities(config, order, acc)["ok"]:
+                results.append(list(acc))
+            return
+        for j in choices[i]:
+            rec(i + 1, acc + [j])
+
+    rec(0, [])
+    return results

@@ -17,9 +17,7 @@ from reflexo.cli import EXPECTED_TABLE2
 from reflexo.fibration import classify_fibres, elimination_polynomial, singular_lambda_values
 from reflexo.laurent import build_fP
 from reflexo.mordell_weil import (
-    find_torsion_components,
     height_matrix,
-    miranda_identities,
     mw_group,
     section_positions,
 )
@@ -31,6 +29,8 @@ from reflexo.period import (
     period_coefficients,
 )
 from reflexo.polygon import canonical_form, enumerate_reflexive, polar_dual
+
+from oracles import find_torsion_components, miranda_identities
 
 
 def test_criterion_1_enumeration():

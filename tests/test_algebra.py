@@ -22,7 +22,6 @@ from reflexo.algebra import (
     gcd_bivariate,
     gcd_over_quotient,
     gcd_poly,
-    rational_roots,
     resultant,
     squarefree_decomposition,
     squarefree_rational_roots,
@@ -36,6 +35,12 @@ from oracles import bareiss_determinant, sylvester_matrix
 
 def upoly(*coeffs, var="t"):
     return UniPoly(list(coeffs), var=var)
+
+
+def constant_value(p: MPoly):
+    """The value of the constant polynomial p, read off its terms."""
+    assert p.is_const()
+    return p.terms.get((0, 0, 0), 0)
 
 
 class TestResultant:
@@ -119,9 +124,11 @@ class TestRepresentation:
         assert type(q.terms[(0, 0, 0)]) is Fraction
 
     def test_accessors_return_fractions(self):
-        p = MPoly({(1, 0, 0): 3, (0, 0, 0): 2})
-        assert type(p.leading_term()[1]) is Fraction
-        assert type(MPoly.const(5).const_value()) is Fraction
+        # [TRIVIAL] evaluation returns a Fraction, also at an int point of
+        # an int polynomial
+        p = UniPoly([2, 3])
+        assert type(p(1)) is Fraction and p(1) == 5
+        assert type(p(Fraction(1, 3))) is Fraction and p(Fraction(1, 3)) == 3
 
     def test_integral_unipoly_coefficients_are_ints(self):
         # [TRIVIAL] (4/2 + x/2) * 2 = 4 + x
@@ -183,7 +190,7 @@ def test_integral_resultant_is_int_and_sylvester(p, q, var):
     m, n = p.degree(var), q.degree(var)
     bound = n * p.degree(other) + m * q.degree(other)
     for t in range(bound + 1):
-        a, b = ([c.eval_var(other, t).const_value() for c in f.coeffs_in(var)]
+        a, b = ([constant_value(c.eval_var(other, t)) for c in f.coeffs_in(var)]
                 for f in (p, q))
         assert r.eval_var(other, t) == bareiss_determinant(sylvester_matrix(a, b))
 
@@ -433,9 +440,9 @@ class TestGcdBivariate:
                         UniPoly([rng.randint(-3, 3), 1]), coeff)
                 if resultant(p, q, main) == 0 or resultant(p, q, coeff) == 0:
                     continue
-                _, lc = r.leading_term()
+                lc = r.terms[max(r.terms)]
                 assert gcd_bivariate(p * r, q * r, main, coeff) == \
-                    MPoly.const(1 / lc) * r
+                    MPoly.const(Fraction(1, lc)) * r
                 checked += 1
         assert checked >= 12
 
@@ -478,6 +485,12 @@ class TestSquarefreeRationalRoots:
             for _ in range(m):
                 prod = prod * q
         assert p.monic() == prod.monic()
+
+
+def rational_roots(p: UniPoly) -> list[Fraction]:
+    """The rational roots of p, each once, as squarefree_rational_roots
+    reports them."""
+    return [r for r, _ in squarefree_rational_roots(p)[0]]
 
 
 class TestRationalRoots:
@@ -554,10 +567,10 @@ def _random_lx(rng, deg):
 def _check_against_sylvester(p, q):
     r = resultant(p, q, "x")
     for l0 in (-2, Fraction(-1, 2), 0, 1, Fraction(5, 3), 3):
-        a, b = ([c.eval_var("l", l0).const_value() for c in f.coeffs_in("x")]
+        a, b = ([constant_value(c.eval_var("l", l0)) for c in f.coeffs_in("x")]
                 for f in (p, q))
         if a[-1] != 0 and b[-1] != 0:
-            assert r.eval_var("l", l0).const_value() == \
+            assert constant_value(r.eval_var("l", l0)) == \
                 bareiss_determinant(sylvester_matrix(a, b))
 
 

@@ -41,7 +41,7 @@ class TestBuildFP:
     def test_zero_constant_term(self, catalog):
         # [TRIVIAL] Construction: no constant monomial
         for P in catalog.values():
-            assert build_fP(P).constant_term() == 0
+            assert build_fP(P).terms.get((0, 0), 0) == 0
 
     def test_edge_binomial_sums(self, catalog):
         # [DERIVED] the edge restriction is (x0 + x1)^l(e): its coefficients

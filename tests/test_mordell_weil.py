@@ -9,15 +9,19 @@ from reflexo.catalog import NAMES, get
 from reflexo.fibration import KodairaType
 from reflexo.mordell_weil import (
     contribution,
-    find_torsion_components,
     height_matrix,
-    miranda_identities,
     mw_group,
     section_positions,
     shioda_tate_rank,
 )
 
-from oracles import bareiss_determinant, cartan_matrix, dynkin_diagram
+from oracles import (
+    bareiss_determinant,
+    cartan_matrix,
+    dynkin_diagram,
+    find_torsion_components,
+    miranda_identities,
+)
 
 
 class TestSectionPositions:

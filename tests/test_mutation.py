@@ -4,7 +4,7 @@ trop map."""
 import random
 
 import pytest
-from oracles import random_unimodular
+from oracles import random_unimodular, trop_map
 
 from reflexo import mutation
 from reflexo.catalog import NAMES, get, load_catalog, name_of
@@ -14,7 +14,6 @@ from reflexo.mutation import (
     mutate,
     mutation_class,
     mutation_classes,
-    trop_map,
 )
 from reflexo.polygon import Polygon, apply_unimodular, canonical_form, polar_dual
 

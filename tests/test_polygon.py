@@ -69,7 +69,8 @@ def reference_canonical_form(P: Polygon) -> Polygon:
         raise ValueError(
             "no unimodular boundary pair; canonical form undefined for this polygon"
         )
-    return Polygon(list(best), from_hull=True)
+    # the hull of best lists it CCW from its least vertex: best itself
+    return Polygon(best)
 
 
 def reference_cycles(bound: int) -> list[frozenset]:
@@ -176,10 +177,24 @@ class TestVertices:
         with pytest.raises(ValueError, match="non-integral"):
             Polygon([(Fraction(3, 2), 0), (0, 1), (-1, -1)])
         with pytest.raises(ValueError, match="non-integral"):
-            Polygon([(1, 0), (0, Fraction(-1, 3)), (-1, -1)], from_hull=True)
+            Polygon._from_ccw([(1, 0), (0, Fraction(-1, 3)), (-1, -1)])
         for x in (1.7, 1.0):
             with pytest.raises(TypeError):
                 Polygon([(x, 0), (0, 1), (-1, -1)])
+
+    def test_clockwise_order_is_reoriented(self):
+        # [DERIVED] P3 listed clockwise is P3
+        P = Polygon([(0, 1), (1, 0), (-1, -1)])
+        assert P.is_reflexive()
+        assert P.volume() == 3
+        assert canonical_form(P).vertices == canonical_form(get("3")).vertices
+
+    def test_self_intersecting_order_gives_the_hull(self):
+        # [DERIVED] this order of a pentagon turns left at every vertex and
+        # winds twice around the origin; the polygon is the pentagon
+        P = Polygon([(2, 1), (-2, 1), (1, -2), (0, 2), (-1, -2)])
+        assert P.vertices == [(-2, 1), (-1, -2), (1, -2), (2, 1), (0, 2)]
+        assert P.volume() == 22
 
     def test_integral_accepted(self):
         # [TRIVIAL] ints and integral Fractions give int coordinates
@@ -232,8 +247,11 @@ class TestPolarDual:
                     assert name_of(apply_unimodular(U, get(n))) == n
 
     def test_name_of_unknown_polygon(self):
-        with pytest.raises(KeyError):
-            name_of(Polygon([(0, 0), (1, 0), (0, 1)]))
+        # the second triangle has no unimodular pair of boundary points, so
+        # no canonical form
+        for vs in ([(0, 0), (1, 0), (0, 1)], [(-1, 0), (1, 0), (0, 2)]):
+            with pytest.raises(KeyError):
+                name_of(Polygon(vs))
 
     def test_4b_dual_vertices(self):
         # [DERIVED] normals of conv{(1,0),(0,1),(-1,1),(0,-1)}
@@ -252,8 +270,7 @@ class TestPolarDual:
 
     def test_non_reflexive_rejected(self):
         with pytest.raises(ValueError):
-            polar_dual(Polygon(convex_hull([(2, 0), (0, 2), (-2, -2)]),
-                               from_hull=True))
+            polar_dual(Polygon([(2, 0), (0, 2), (-2, -2)]))
 
 
 class TestCanonicalForm:
