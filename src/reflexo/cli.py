@@ -209,15 +209,24 @@ def _cache_key(name: str, config: dict) -> str:
 
 def _cached_report(name: str, period_n: int, with_pf: bool) -> str:
     """The report as JSON text, served from the cache when its entry parses
-    as a JSON object.  Otherwise it is computed and the entry atomically
-    replaced; a cache that cannot be read or written is a miss, and the
-    report is returned all the same."""
+    as a JSON object that is a report of this request: its "polygon" is
+    name, its "period" has period_n + 1 entries, and it has "picard_fuchs"
+    exactly when with_pf.  Otherwise it is computed and the entry
+    atomically replaced; a cache that cannot be read or written is a miss,
+    and the report is returned all the same."""
     config = {"period": period_n, "pf": with_pf}
     path = os.path.join(_cache_dir(), _cache_key(name, config) + ".json")
     try:
         with open(path) as fh:
             text = fh.read()
-        if isinstance(json.loads(text), dict):
+        entry = json.loads(text)
+        if (
+            isinstance(entry, dict)
+            and entry.get("polygon") == name
+            and isinstance(entry.get("period"), list)
+            and len(entry["period"]) == period_n + 1
+            and ("picard_fuchs" in entry) == with_pf
+        ):
             return text
     except (OSError, ValueError):
         pass

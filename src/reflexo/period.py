@@ -1,18 +1,25 @@
 """Classical periods and Picard-Fuchs operators.
 
 The period of a Laurent polynomial f is the power series whose m-th
-coefficient is the constant term of f^m.  The powers f, f^2, ..., f^M are
-built row by row in y, each row one int whose fixed-width digits are its
-x-coefficients, and only the rows that can still reach y^0 are kept; the
-constant term of f^m is one digit of its row y^0.  An annihilating operator
-L = sum_k p_k(t) D^k with D = t d/dt is recovered by fitting the induced
-linear recursion on the coefficients.  The fit of each order runs one
-incremental column elimination, over Z/p for the prime p = 2^61 - 1 or over
-Q.  It runs mod p first; a one-dimensional kernel there is lifted by rational
-reconstruction and accepted only after an exact check over Z, and from the
-first shape that mod p cannot decide the same elimination runs over Q.  The
-fibre parameter of the pencil relates to the series variable by
-t = -1/lambda.
+coefficient is the constant term of f^m.  Polynomials in x are packed into
+ints whose fixed-width digits are their coefficients, and the constant term
+of f^m is one digit.  When the exponents of f on one axis lie in
+{-1, 0, 1} -- as they do, once the bounding box is shrunk, for every f_P
+but that of polygon 9, whose lattice width is 3 -- the y^0 part S_m of f^m
+follows the three-term Legendre-type recurrence
+(m + 1) S_{m+1} = (2m + 1) F_0 S_m - m (F_0^2 - 4 F_1 F_-1) S_{m-1}
+for f = F_-1 / y + F_0 + F_1 y.  Otherwise the powers f, f^2, ..., f^M are
+built row by row in y, and only the rows that can still reach y^0 are
+kept.  One digit width serves both: for an integral f, every coefficient
+of f^m, m <= M, is at most |f|_1^M, and no other value is read.  An
+annihilating operator L = sum_k p_k(t) D^k with D = t d/dt is recovered by
+fitting the induced linear recursion on the coefficients.  The fit of each
+order runs one incremental column elimination, over Z/p for the prime
+p = 2^61 - 1 or over Q.  It runs mod p first; a one-dimensional kernel
+there is lifted by rational reconstruction and accepted only after an exact
+check over Z, and from the first shape that mod p cannot decide the same
+elimination runs over Q.  The fibre parameter of the pencil relates to the
+series variable by t = -1/lambda.
 """
 
 from __future__ import annotations
@@ -65,29 +72,86 @@ class PowerSeries:
 def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
     """c_m = constant term of f^m for 0 <= m <= M.
 
-    The powers f, f^2, ..., f^M are built by rows: row b of f^m is its y^b
-    part, packed into one int whose s-bit digits are its x-coefficients, and
-    c_m is one digit of row 0.  f is first moved by shears to coordinates
-    with a small bounding box (the cost follows the box, not the support;
-    constant terms do not change) and scaled by the lcm D of its
-    denominators to g = D f, so c_m = CT(g^m) / D^m.
-
-    Every coefficient of g^m, m <= M, is at most |g|_1^M < 2^(s-1) in
-    absolute value, where |g|_1 is the sum of the |coefficients|, so the
-    digits are balanced and never carry into each other.  The exponent a of
-    x in f^m sits in slot a - m*a_min, with a_min = min(0, least x-exponent
-    of f), so every shift is nonnegative and x^0 has a slot.  With the
-    y-exponents of f in [lo, hi], lo <= 0 <= hi, a row t of f^m can reach
-    y^0 in the remaining M - m steps only if -hi*(M-m) <= t <= -lo*(M-m);
-    the other rows are dropped, and every row a kept row needs at the next
-    step is itself kept.
+    f is first moved by shears to coordinates with a small bounding box (the
+    cost follows the box, not the support; constant terms do not change) and
+    scaled by the lcm D of its denominators to g = D f, so
+    c_m = CT(g^m) / D^m.  When the y-exponents of g lie in {-1, 0, 1}, or
+    its x-exponents do and x and y are swapped, CT(g^m) is read off the
+    three-term recurrence of _recurrence; otherwise g^m is built by the rows
+    of _row_walk.  Both pack polynomials in x into ints whose s-bit digits
+    are the coefficients; see _slot_bits for the width.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
     f = _small_box(f)
+    if not _unit_span(f, 1) and _unit_span(f, 0):
+        f = f.transform(((0, 1), (1, 0)))
     den = lcm(*(c.denominator for c in f.terms.values()))
     g = [(a, b, int(c * den)) for (a, b), c in f.terms.items()]
     s = _slot_bits(sum(abs(c) for _, _, c in g), M)
+    walk = _recurrence if _unit_span(f, 1) else _row_walk
+    return PowerSeries(
+        [_div(c, den ** m) for m, c in enumerate(walk(g, M, s))]
+    )
+
+
+def _unit_span(f: LaurentPoly, axis: int) -> bool:
+    """True when every exponent of f on the axis (0 for x, 1 for y) lies in
+    {-1, 0, 1}."""
+    return all(-1 <= u[axis] <= 1 for u in f.terms)
+
+
+def _recurrence(g: list, M: int, s: int) -> list[int]:
+    """CT(g^m) for 0 <= m <= M, where g lists (a, b, c) for the terms
+    c x^a y^b of an integral polynomial with every b in {-1, 0, 1}.
+
+    Write g = F_-1 / y + F_0 + F_1 y with F_i in Z[x^+-1].  The y^0 part
+    S_m of g^m has generating function sum S_m t^m = CT_y 1 / (1 - t g) =
+    ((1 - F_0 t)^2 - 4 F_1 F_-1 t^2)^(-1/2), so with Delta = F_0^2 -
+    4 F_1 F_-1, S_0 = 1 and S_1 = F_0,
+
+        (m + 1) S_{m+1} = (2m + 1) F_0 S_m - m Delta S_{m-1},
+
+    and CT(g^m) is the x^0 coefficient of S_m.  S_m is one int whose s-bit
+    digit in slot a - m*a_min is its x^a coefficient, with a_min = min(0,
+    least x-exponent of g), so every shift is nonnegative.  Packing is
+    evaluation at x = 2^s, a ring map, so the packed right side is exactly
+    m + 1 times the packed S_{m+1} whatever its digits hold; the division
+    leaves no remainder, which is checked, and only the digits read must
+    fit.
+    """
+    a_min = min([0] + [a for a, _, _ in g])
+    F = {j: LaurentPoly({(a, 0): c for a, b, c in g if b == j})
+         for j in (-1, 0, 1)}
+    delta = F[0] * F[0] + F[1] * F[-1] * LaurentPoly({(0, 0): -4})
+    f0 = [(s * (a - a_min), c) for (a, _), c in F[0].terms.items()]
+    dl = [(s * (a - 2 * a_min), c) for (a, _), c in delta.terms.items()]
+    prev, cur = 0, 1
+    coeffs = [1]
+    for m in range(M):
+        x = ((2 * m + 1) * sum((cur << shift) * c for shift, c in f0)
+             - m * sum((prev << shift) * c for shift, c in dl))
+        nxt, r = divmod(x, m + 1)
+        if r:
+            raise ArithmeticError("period recurrence: inexact division")
+        prev, cur = cur, nxt
+        coeffs.append(_digit(cur, -(m + 1) * a_min * s, s))
+    return coeffs
+
+
+def _row_walk(g: list, M: int, s: int) -> list[int]:
+    """CT(g^m) for 0 <= m <= M, where g lists (a, b, c) for the terms
+    c x^a y^b of an integral polynomial.
+
+    The powers g, g^2, ..., g^M are built by rows: row b of g^m is its y^b
+    part, packed into one int whose s-bit digit in slot a - m*a_min is its
+    x^a coefficient, with a_min = min(0, least x-exponent of g), so every
+    shift is nonnegative and x^0 has a slot; CT(g^m) is one digit of row 0.
+    With the y-exponents of g in [lo, hi], lo <= 0 <= hi, a row t of g^m
+    can reach y^0 in the remaining M - m steps only if
+    -hi*(M-m) <= t <= -lo*(M-m); the other rows are dropped, and every row
+    a kept row needs at the next step is itself kept.
+    """
     a_min = min([0] + [a for a, _, _ in g])
     lo = min([0] + [b for _, b, _ in g])
     hi = max([0] + [b for _, b, _ in g])
@@ -109,15 +173,16 @@ def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
                         acc += (r << shift) * c
                     out[t] = acc
         rows = out
-        digit = _digit(rows.get(0, 0), -m * a_min * s, s)
-        coeffs.append(_div(digit, den ** m))
-    return PowerSeries(coeffs)
+        coeffs.append(_digit(rows.get(0, 0), -m * a_min * s, s))
+    return coeffs
 
 
 def _slot_bits(norm: int, M: int) -> int:
-    """The digit width s for the powers up to M of an integral polynomial
+    """The digit width s for the powers up to M of an integral polynomial g
     whose coefficients have absolute values summing to norm:
-    norm^M < 2^(s-1)."""
+    norm^M < 2^(s-1).  Every coefficient of g^m, m <= M, is at most norm^M
+    in absolute value; both paths read only such coefficients, so the
+    balanced digits they read never carry into each other."""
     return (norm ** M).bit_length() + 1
 
 

@@ -139,6 +139,29 @@ class TestAnalyze:
         assert path.read_text() + "\n" == out
         assert os.listdir(tmp_path) == [path.name]
 
+    @pytest.mark.parametrize("spoil", [
+        lambda report: {},
+        lambda report: {**report, "polygon": "4c"},
+        lambda report: {**report, "period": report["period"][:-1]},
+        lambda report: {**report, "period": None},
+        lambda report: {**report, "picard_fuchs": {}},
+    ], ids=["empty", "other-polygon", "short-period", "no-period",
+            "unasked-pf"])
+    def test_foreign_cache_entry_recomputed(self, spoil, capsys, tmp_path,
+                                            monkeypatch):
+        # an entry that parses but is not the report asked for -- another
+        # polygon, another period length, a PF field the request did not
+        # ask for -- is recomputed and replaced, never printed
+        monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path))
+        _, expected, _ = run(capsys, "analyze", "4a", "--no-pf")
+        path = tmp_path / (cli._cache_key("4a", {"period": 40, "pf": False})
+                           + ".json")
+        path.write_text(json.dumps(spoil(json.loads(expected))))
+        code, out, _ = run(capsys, "analyze", "4a", "--no-pf")
+        assert (code, out) == (0, expected)
+        assert path.read_text() + "\n" == out
+        assert os.listdir(tmp_path) == [path.name]
+
     def test_cache_path_a_file_is_a_miss(self, capsys, tmp_path,
                                          monkeypatch):
         # a cache that cannot be created loses nothing but the cache: the

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -174,13 +175,20 @@ class TestPeriodCoefficients:
     def test_slot_bound_is_attained(self, monkeypatch):
         # [DERIVED] for f = 3 and f = -3, |c_m| = 3^m is the bound
         # |f|_1^m that the digit width is chosen for, so a width one bit
-        # narrower misreads c_M
+        # narrower misreads c_M, on the recurrence that constant f takes and
+        # on the row walk
         cases = [(3, 40), (-3, 41)]
         for a, M in cases:
             f = LaurentPoly({(0, 0): a})
             assert period_coefficients(f, M).coefficients == [
                 a ** m for m in range(M + 1)
             ]
+        # each path reads c_M right at the width and wrong one bit narrower
+        for walk in (period._recurrence, period._row_walk):
+            for a, M in cases:
+                s = period._slot_bits(abs(a), M)
+                assert walk([(0, 0, a)], M, s)[M] == a ** M, walk
+                assert walk([(0, 0, a)], M, s - 1)[M] != a ** M, walk
         slot_bits = period._slot_bits
         monkeypatch.setattr(
             period, "_slot_bits", lambda norm, M: slot_bits(norm, M) - 1
@@ -199,6 +207,130 @@ class TestPeriodCoefficients:
         for A in (((-11, 3), (-4, 1)), ((13, -5), (5, -2))):
             assert period_coefficients(f.transform(A), 40) == s, A
         assert time.process_time() - start < 0.3
+
+
+# f with the exponents on one axis in {-1, 0, 1}: the shape that the
+# recurrence takes, read along y or, after a swap, along x.
+_unit_span_polys = st.tuples(st.booleans(), st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-1, 1)),
+    st.fractions(-4, 4, max_denominator=6), max_size=6,
+)).map(lambda t: LaurentPoly(
+    {(b, a) if t[0] else (a, b): c for (a, b), c in t[1].items()}))
+
+# The 15 polygons of lattice width 2, and two wide coordinate changes.
+WIDTH_TWO = [name for name in NAMES if name != "9"]
+WIDE_MAPS = (((-11, 3), (-4, 1)), ((13, -5), (5, -2)))
+
+
+def refuse_row_walk(*args):
+    raise AssertionError("row walk entered")
+
+
+class TestRecurrence:
+    @settings(max_examples=60, deadline=None)
+    @given(_unit_span_polys, st.integers(0, 10))
+    def test_matches_naive_period(self, f, M):
+        # [DERIVED] the three-term recurrence in y, and in x after the
+        # swap, gives the constant terms of plain repeated multiplication;
+        # the box is left as drawn so that the drawn axis is the one read
+        with patch.object(period, "_small_box", lambda f: f), \
+                patch.object(period, "_row_walk", refuse_row_walk):
+            got = period_coefficients(f, M).coefficients
+        assert got == naive_period(f, M)
+
+    def test_agrees_with_row_walk(self, catalog, monkeypatch):
+        # [DERIVED] the 15 width-2 f_P: both paths give the same series at
+        # M = 40 and M = 100, at the one slot width they share
+        for M in (40, 100):
+            fast = [period_coefficients(build_fP(catalog[name]), M)
+                    for name in WIDTH_TWO]
+            with monkeypatch.context() as m:
+                m.setattr(period, "_recurrence", period._row_walk)
+                slow = [period_coefficients(build_fP(catalog[name]), M)
+                        for name in WIDTH_TWO]
+            assert fast == slow, M
+
+    def test_width_two_never_walks_rows(self, catalog, monkeypatch):
+        # [DERIVED] the cost guard of `analyze`: every width-2 f_P, in
+        # catalog and in wide coordinates, takes the recurrence; f_9, of
+        # lattice width 3, takes the row walk
+        expected = {name: period_coefficients(build_fP(catalog[name]), 40)
+                    for name in NAMES}
+        monkeypatch.setattr(period, "_row_walk", refuse_row_walk)
+        for name in WIDTH_TWO:
+            f = build_fP(catalog[name])
+            for g in (f, *(f.transform(A) for A in WIDE_MAPS)):
+                assert period_coefficients(g, 40) == expected[name], name
+        with pytest.raises(AssertionError, match="row walk entered"):
+            period_coefficients(build_fP(catalog["9"]), 40)
+
+
+def shifted(c, a):
+    """The period of f + a from the period c of f:
+    CT((f + a)^m) = sum_k binom(m, k) a^(m-k) c_k."""
+    return [sum(comb(m, k) * a ** (m - k) * c[k] for k in range(m + 1))
+            for m in range(len(c))]
+
+
+def borel_shifted(b, a):
+    """m! [t^m] e^(a t) sum_d b_d t^d for m < len(b)."""
+    return [
+        factorial(m) * sum(Fraction(a ** (m - d), factorial(m - d)) * b[d]
+                           for d in range(m + 1))
+        for m in range(len(b))
+    ]
+
+
+class TestClosedForms:
+    # [DERIVED] the periods through t^40 of the named mutation classes
+    # against closed forms that share no code with either path; every class
+    # mate has the same series.  The shifted sequences are the periods of
+    # f_P + a (Coates-Corti-Galkin-Golyshev-Kasprzyk, arXiv:1212.1722).
+    M = 40
+
+    def periods(self, catalog, names):
+        return [period_coefficients(build_fP(catalog[name]), self.M)
+                .coefficients for name in names]
+
+    def test_4a(self, catalog):
+        # binom(2j, j)^2 at t^(2j), 0 at odd powers
+        want = [comb(m, m // 2) ** 2 if m % 2 == 0 else 0
+                for m in range(self.M + 1)]
+        assert self.periods(catalog, ["4a", "4c"]) == [want] * 2
+
+    def test_6a(self, catalog):
+        # f + 2: the Franel numbers sum_k binom(n, k)^3; f + 3:
+        # sum_k binom(n, k)^2 binom(2k, k)
+        n = range(self.M + 1)
+        franel = [sum(comb(m, k) ** 3 for k in range(m + 1)) for m in n]
+        other = [sum(comb(m, k) ** 2 * comb(2 * k, k) for k in range(m + 1))
+                 for m in n]
+        want = shifted(franel, -2)
+        assert want == shifted(other, -3)
+        assert self.periods(catalog, ["6a", "6b", "6c", "6d"]) == [want] * 4
+
+    def test_7a(self, catalog):
+        # f + 3: the Apery numbers sum_k binom(n, k)^2 binom(n + k, k)
+        apery = [sum(comb(m, k) ** 2 * comb(m + k, k) for k in range(m + 1))
+                 for m in range(self.M + 1)]
+        want = shifted(apery, -3)
+        assert self.periods(catalog, ["7a", "7b"]) == [want] * 2
+
+    def test_8a(self, catalog):
+        # m! [t^m] e^(-4t) sum_d (2d)!^2 / (d!)^5 t^d
+        b = [Fraction(factorial(2 * d) ** 2, factorial(d) ** 5)
+             for d in range(self.M + 1)]
+        want = borel_shifted(b, -4)
+        assert self.periods(catalog, ["8a", "8b", "8c"]) == [want] * 3
+
+    def test_9(self, catalog):
+        # m! [t^m] e^(-6t) sum_d (3d)! / (d!)^4 t^d, whose terms are not
+        # all integers: d = 4 gives 1443.75
+        b = [Fraction(factorial(3 * d), factorial(d) ** 4)
+             for d in range(self.M + 1)]
+        assert b[4] == Fraction(5775, 4)
+        want = borel_shifted(b, -6)
+        assert self.periods(catalog, ["9"]) == [want]
 
 
 class TestFindPicardFuchs:
