@@ -18,8 +18,13 @@ order runs one incremental column elimination, over Z/p for the prime
 p = 2^61 - 1 or over Q.  It runs mod p first; a one-dimensional kernel
 there is lifted by rational reconstruction and accepted only after an exact
 check over Z, and from the first shape that mod p cannot decide the same
-elimination runs over Q.  The fibre parameter of the pencil relates to the
-series variable by t = -1/lambda.
+elimination runs over Q.  Mod p the columns are packed as well: a column is
+one int with a fixed-width slot per fit row, and its combination one int
+with a slot per column, so reducing against a pivot is two multiply-adds.
+Slots are reduced all at once by folding, since 2^61 = 1 mod p, and the
+width keeps every slot below p^2 (rows + 1): a column meets at most one
+pivot per fit row.  The fibre parameter of the pencil relates to the series
+variable by t = -1/lambda.
 """
 
 from __future__ import annotations
@@ -304,19 +309,26 @@ def _mod_p(c: list) -> list[int] | None:
 
 def _kernels(c: list, h: int, p: int | None):
     """Kernels of the fit matrices of order h and degree 0, 1, 2, ... over
-    Z/p, or over Q when p is None; c lists the series coefficients, one per
-    fit row, reduced mod p when p is given.
+    Z/p for the Mersenne prime p = 2^e - 1, or over Q when p is None; c lists
+    the series coefficients, one per fit row.
 
     The fit matrix of shape (h, d) is that of (h, d - 1) with the h + 1
     columns (k, d), k <= h, appended, so one column elimination serves every
     degree.  Each new column is reduced against the pivot columns found so
-    far; one that reduces to zero gives a kernel vector, the combination of
-    columns that cancels, with entry 1 at the new column.  For each d in turn
-    this yields the kernel vectors found so far, a basis of the kernel of the
-    shape (h, d).  Entry j*(h+1) + k of a vector belongs to column (k, j); a
-    vector found at a lower degree is shorter.  Only the reduction mod p and
-    the pivot inverse depend on the field.
+    far, each scaled to 1 at its pivot row; one that reduces to zero gives a
+    kernel vector, the combination of columns that cancels, with entry 1 at
+    the new column.  For each d in turn this yields the kernel vectors found
+    so far, a basis of the kernel of the shape (h, d).  Entry j*(h+1) + k of
+    a vector belongs to column (k, j); a vector found at a lower degree is
+    shorter.  Over Q the columns are lists of Fractions (_kernels_q); mod p
+    they are packed ints (_kernels_packed), and a vector's entries are the
+    residues in [0, p).
     """
+    return _kernels_q(c, h) if p is None else _kernels_packed(c, h, p)
+
+
+def _kernels_q(c: list, h: int):
+    """_kernels over Q: the columns and their combinations are lists."""
     pivots = []  # (pivot row, column scaled to 1 there, its combination)
     kernel = []
     for d in count():
@@ -327,31 +339,102 @@ def _kernels(c: list, h: int, p: int | None):
                 for m in range(len(c))
             ]
             comb = [0] * n + [1]
-            # Mod p, entries are reduced only at the end; each pivot column
-            # leaves the earlier pivot rows at zero, so one pass suffices.
+            # each pivot column leaves the earlier pivot rows at zero, so one
+            # pass suffices
             for r, pcol, pcomb in pivots:
-                f = col[r] if p is None else col[r] % p
+                f = col[r]
                 if f:
                     col = [a - f * b for a, b in zip(col, pcol)]
                     comb[: len(pcomb)] = [
                         a - f * b for a, b in zip(comb, pcomb)
                     ]
-            if p is not None:
-                col = [a % p for a in col]
-                comb = [a % p for a in comb]
             r = next((i for i, a in enumerate(col) if a), None)
             if r is None:
                 kernel.append(comb)
                 continue
-            if p is None:
-                inv = 1 / Fraction(col[r])
-                pivots.append((r, [a * inv for a in col],
-                               [a * inv for a in comb]))
-            else:
-                inv = pow(col[r], -1, p)
-                pivots.append((r, [a * inv % p for a in col],
-                               [a * inv % p for a in comb]))
+            inv = 1 / Fraction(col[r])
+            pivots.append((r, [a * inv for a in col], [a * inv for a in comb]))
         yield list(kernel)
+
+
+def _kernels_packed(c: list, h: int, p: int):
+    """_kernels mod p = 2^e - 1 on packed ints.
+
+    A column is one int with a w-byte slot per fit row, slot m holding row m;
+    its combination is one int with a slot per column so far.  Column (k, d)
+    is the packing of [j^k c_j mod p]_j, made once per k, shifted up d slots
+    and cut to the fit rows.  Reducing against a pivot reads one slot, of
+    residue f, and adds p - f times the pivot column and its combination, so
+    no slot is ever negative.  Since 2^e = 1 mod p, a slot v is folded to
+    (v mod 2^e) + (v >> e), for every slot at once by a few masks and
+    shifts, until it lies in [0, p].  Pivots are kept folded, and pivot rows
+    are distinct, so a column meets at most len(c) pivots and each of its
+    slots stays below p^2 (len(c) + 1), the bound w is chosen for.  A
+    reduced column is folded, and one compare-and-subtract makes each slot a
+    residue in [0, p): the column is then zero exactly when its kernel
+    vector is due, and otherwise its lowest nonzero slot is the new pivot
+    row.
+    """
+    e = p.bit_length()
+    rows = len(c)
+    w = -(-(p * p * (rows + 1)).bit_length() // 8)
+    W = 8 * w
+    slot = (1 << W) - 1
+    fit = (1 << (rows * W)) - 1
+    base = [_pack([j ** k * v % p for j, v in enumerate(c)], w)
+            for k in range(h + 1)]
+
+    def fold(x):
+        # every slot to [0, p], unchanged mod p
+        while t := x >> e & hi:
+            x = (x & lo) + t
+        return x
+
+    def residues(x):
+        # every slot to [0, p): a folded slot p becomes 0
+        x = fold(x)
+        return x - ((x + ones) >> e & ones) * p
+
+    pivots = []  # (bit offset of the pivot row, column, its combination)
+    kernel = []
+    ncols = 0
+    for d in count():
+        # slot masks holding 1, p = 2^e - 1 and 2^(W-e) - 1 in each of
+        # `size` slots, enough for every column and combination up to d
+        size = max(rows, (h + 1) * (d + 1))
+        ones = int.from_bytes((b"\1" + bytes(w - 1)) * size, "little")
+        lo, hi = ones * p, ones * ((1 << (W - e)) - 1)
+        for k in range(h + 1):
+            col = base[k] << (d * W) & fit
+            comb = 1 << (ncols * W)
+            ncols += 1
+            for shift, pcol, pcomb in pivots:
+                f = p - (col >> shift & slot) % p
+                if f != p:
+                    col += f * pcol
+                    comb += f * pcomb
+            col = residues(col)
+            if not col:
+                kernel.append(_unpack(residues(comb), ncols, w))
+                continue
+            shift = (col & -col).bit_length() - 1
+            shift -= shift % W
+            inv = pow(col >> shift & slot, -1, p)
+            pivots.append((shift, fold(col * inv), fold(fold(comb) * inv)))
+        yield list(kernel)
+
+
+def _pack(values: list[int], w: int) -> int:
+    """The nonnegative values, each below 2^(8w), as w-byte slots of one
+    int, the first value lowest."""
+    return int.from_bytes(
+        b"".join(v.to_bytes(w, "little") for v in values), "little")
+
+
+def _unpack(x: int, n: int, w: int) -> list[int]:
+    """The first n w-byte slots of the nonnegative int x, lowest first."""
+    b = x.to_bytes(n * w, "little")
+    return [int.from_bytes(b[i : i + w], "little") for i in range(0, n * w, w)]
 
 
 def _reconstruct(a: int) -> tuple[int, int] | None:

@@ -9,14 +9,16 @@ coordinate-change tests.  `apply_operator` applies a Picard-Fuchs operator
 to a series term by term, `trop_map` is the tropical map of a mutation on
 the dual lattice, and `miranda_identities` with `find_torsion_components`
 checks the torsion sections of a semistable configuration against
-Miranda's identities.  All are plain int and Fraction arithmetic on the
-program's public types.
+Miranda's identities, and `kernels_mod_p` is the column elimination of the
+Picard-Fuchs fit mod p on plain lists, the reference for the packed one.
+All are plain int and Fraction arithmetic on the program's types.
 """
 
 from fractions import Fraction
+from itertools import count
 
 from reflexo.algebra import MPoly
-from reflexo.period import PowerSeries
+from reflexo.period import _PRIME, PowerSeries
 
 
 def bareiss_determinant(rows: list[list]) -> Fraction:
@@ -120,6 +122,46 @@ def apply_operator(L, s) -> PowerSeries:
             for j, a in enumerate(p.coeffs[: m + 1]))
         for m in range(len(c))
     ])
+
+
+def kernels_mod_p(c: list, h: int):
+    """Kernels of the fit matrices of order h and degree 0, 1, 2, ... over
+    Z/p, p = _PRIME, for the series coefficients c, one per fit row: the
+    contract of period._kernels(c, h, _PRIME), computed on lists of ints.
+
+    Each new column (k, d), entries (m - d)^k c_{m-d}, is reduced against
+    the pivot columns so far, each scaled to 1 at its pivot row, the first
+    nonzero row; one that reduces to zero gives the combination of columns
+    that cancels, entry 1 at the new column, all entries in [0, p).  For
+    each d this yields the kernel vectors found so far."""
+    p = _PRIME
+    pivots = []  # (pivot row, column scaled to 1 there, its combination)
+    kernel = []
+    for d in count():
+        for k in range(h + 1):
+            n = len(pivots) + len(kernel)
+            col = [(m - d) ** k * c[m - d] if m >= d else 0
+                   for m in range(len(c))]
+            comb = [0] * n + [1]
+            # entries are reduced only at the end; each pivot column leaves
+            # the earlier pivot rows at zero, so one pass suffices
+            for r, pcol, pcomb in pivots:
+                f = col[r] % p
+                if f:
+                    col = [a - f * b for a, b in zip(col, pcol)]
+                    comb[: len(pcomb)] = [
+                        a - f * b for a, b in zip(comb, pcomb)
+                    ]
+            col = [a % p for a in col]
+            comb = [a % p for a in comb]
+            r = next((i for i, a in enumerate(col) if a), None)
+            if r is None:
+                kernel.append(comb)
+                continue
+            inv = pow(col[r], -1, p)
+            pivots.append((r, [a * inv % p for a in col],
+                           [a * inv % p for a in comb]))
+        yield list(kernel)
 
 
 def trop_map(m, data):

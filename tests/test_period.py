@@ -26,7 +26,7 @@ from reflexo.period import (
     period_coefficients,
 )
 
-from oracles import apply_operator
+from oracles import apply_operator, kernels_mod_p
 
 
 def p3_series(M=40):
@@ -575,6 +575,61 @@ class TestModularScreen:
             and abs(q[0]) <= B and 0 < q[1] <= B
             and (q[0] - x * q[1]) % _PRIME == 0
         )
+
+
+def up_to(kernels, d):
+    """The kernel lists an elimination yields for the degrees 0..d."""
+    return list(islice(kernels, d + 1))
+
+
+# Integers whose residues mod p include 0, 1 and p - 1 often, so columns and
+# combinations cancel and slots reach their largest values.
+_residues = st.one_of(
+    st.sampled_from([0, 1, _PRIME - 1, -1, _PRIME, 2 * _PRIME - 1]),
+    st.integers(0, _PRIME - 1),
+    st.integers(-(1 << 80), 1 << 80),
+)
+
+
+class TestPackedElimination:
+    def test_matches_list_oracle_on_catalog(self, catalog):
+        # [DERIVED] the packed elimination mod p yields the kernel lists of
+        # the list elimination at every degree 0..12 of orders 1..4 on the
+        # 16 series
+        for name in NAMES:
+            s = period_coefficients(build_fP(catalog[name]), 40)
+            cp = _mod_p(s.coefficients[:FIT_ROWS])
+            for h in range(1, 5):
+                assert up_to(_kernels(cp, h, _PRIME), 12) == up_to(
+                    kernels_mod_p(cp, h), 12), (name, h)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_residues, min_size=FIT_ROWS, max_size=FIT_ROWS),
+           st.integers(1, 4))
+    def test_matches_list_oracle_on_random_series(self, c, h):
+        # [DERIVED] on integer series of fit length, raw or reduced, the
+        # packed and the list elimination agree up to degree 8
+        assert up_to(_kernels(c, h, _PRIME), 8) == up_to(
+            kernels_mod_p(c, h), 8)
+
+    def test_every_entry_p_minus_1(self):
+        # [DERIVED] a series with every entry p - 1 at order 4 up to degree
+        # 12: 65 columns over 33 rows, so combinations longer than a column
+        # and many kernel vectors
+        c = [_PRIME - 1] * FIT_ROWS
+        kernels = up_to(_kernels(c, 4, _PRIME), 12)
+        assert kernels == up_to(kernels_mod_p(c, 4), 12)
+        assert len(kernels[-1][-1]) == 65
+        assert len(kernels[-1]) > 65 - FIT_ROWS
+
+    def test_order_one_operator_found_mod_p(self, monkeypatch):
+        # [DERIVED] sum C(2m, m) t^m = (1 - 4t)^(-1/2) has the order-1
+        # operator (1 - 4t) D - 2t, accepted from the mod-p kernel without
+        # an elimination over Q
+        counts = count_exact_solves(monkeypatch)
+        s = PowerSeries([comb(2 * m, m) for m in range(41)])
+        assert str(find_picard_fuchs(s)) == "(-2*t) + (-4*t + 1)*D"
+        assert counts["exact"] == 0
 
 
 SHEARS = [
