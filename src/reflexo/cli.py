@@ -2,10 +2,11 @@
 report (JSON, cached), the summary table with regression checking, period /
 Picard-Fuchs printing, mutation exploration, and SVG diagrams.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  The cache directory
-is ~/.cache/reflexo unless REFLEXO_CACHE overrides it; cache writes are
-atomic (write-temp-then-rename) and keyed by polygon, config, version and a
-digest of the package's sources and polygon data.
+Exit codes: 0 success, 1 check failure, 2 usage error, 141 stdout closed
+by its reader.  The cache directory is ~/.cache/reflexo unless
+REFLEXO_CACHE overrides it; cache writes are atomic
+(write-temp-then-rename) and keyed by polygon, config, version and a digest
+of the package's sources and polygon data.
 """
 
 from __future__ import annotations
@@ -435,7 +436,12 @@ def _add_name(p: argparse.ArgumentParser):
                    help=f"one of: {', '.join(NAMES)}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built on the first call and
+    shared by every later main call in the process.  Parsing leaves it
+    unchanged: each parse_args call fills a new namespace from the
+    parser's defaults."""
     parser = argparse.ArgumentParser(
         prog="reflexo",
         description="Exact toolkit for the 16 reflexive plane polygons",
@@ -493,5 +499,23 @@ def main(argv: list[str] | None = None) -> int:
     return args.func(args)
 
 
+def console_main() -> int:
+    """main on the process's arguments, for the `reflexo` script and
+    `python -m reflexo.cli`.  A stdout closed by its reader, as in
+    `reflexo analyze 3 | head -1`, exits 141 (128 + SIGPIPE) with no
+    traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush has nowhere left to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

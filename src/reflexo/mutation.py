@@ -120,20 +120,35 @@ def all_mutations(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     return out
 
 
+# Canonical vertex tuple -> the component of every member of a finished
+# search, in the order that search found it.  Filled one component at a
+# time by mutation_class, never up front; an entry never changes, since a
+# component depends only on the GL2(Z) class of its members.
+_components: dict[tuple, list[Polygon]] = {}
+
+
 def mutation_class(P: Polygon) -> list[Polygon]:
     """Canonical forms of the polygons in P's component of the mutation
-    graph, P's own first: a search that expands each member once through
-    all_mutations and recognises members by canonical vertex tuple."""
+    graph, P's own first.  The first call for a component searches it,
+    expanding each member once through all_mutations and recognising
+    members by canonical vertex tuple; every later call for any of its
+    members, in any coordinates, answers from the per-process memo with no
+    search.  The list returned is the caller's own."""
     start = canonical_form(P)
-    members = {tuple(start.vertices): start}
-    todo = [P]
-    while todo:
-        for _, Q in all_mutations(todo.pop()):
-            k = tuple(Q.vertices)
-            if k not in members:
-                members[k] = Q
-                todo.append(Q)
-    return list(members.values())
+    key = tuple(start.vertices)
+    component = _components.get(key)
+    if component is None:
+        members = {key: start}
+        todo = [P]
+        while todo:
+            for _, Q in all_mutations(todo.pop()):
+                k = tuple(Q.vertices)
+                if k not in members:
+                    members[k] = Q
+                    todo.append(Q)
+        component = list(members.values())
+        _components.update(dict.fromkeys(members, component))
+    return [start] + [Q for Q in component if Q.vertices != start.vertices]
 
 
 def mutation_classes(catalog: list[Polygon]) -> list[list[int]]:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from reflexo import mutation
 from reflexo.algebra import MPoly, resultant
 from reflexo.catalog import NAMES, load_catalog
 from reflexo.fibration import classify_fibres
@@ -28,3 +29,17 @@ def res_x():
         assert r.is_const()
         return Fraction(r.terms.get((0, 0, 0), 0))
     return res
+
+
+@pytest.fixture
+def fresh_class():
+    """mutation_class as a search: the per-process memo of finished
+    components is emptied when the fixture is set up and before each call,
+    so no answer, here or from mutation_classes, comes from an earlier
+    search."""
+    mutation._components.clear()
+
+    def search(P):
+        mutation._components.clear()
+        return mutation.mutation_class(P)
+    return search

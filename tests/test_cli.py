@@ -1,7 +1,9 @@
 """CLI front end: commands, JSON schemas, caching, SVG, exit codes."""
 
+import argparse
 import json
 import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import reflexo
-from reflexo import catalog, cli, fibration, polygon
+from reflexo import catalog, cli, fibration, mutation, polygon
 from reflexo.cli import build_report, main
 
 
@@ -267,6 +269,17 @@ class TestComputeOnce:
         assert len(fP) <= 2
         assert classes == []
 
+    def test_class_member_reuses_search(self, monkeypatch, fresh_class):
+        # [DERIVED] 6a and 6b share a mutation class: the report of 6b
+        # after that of 6a expands no polygon, and names the class a fresh
+        # search from 6b finds
+        build_report("6a", 10, False)
+        expansions = _count_calls(monkeypatch, mutation, "all_mutations")
+        report = build_report("6b", 10, False)
+        assert expansions == []
+        assert report["mutation_class"] == sorted(
+            catalog.name_of(Q) for Q in fresh_class(catalog.get("6b")))
+
     def test_classification_builds_no_elimination(self, capsys,
                                                   monkeypatch):
         # [DERIVED] the singular lambda come from the pencil's critical and
@@ -367,3 +380,68 @@ class TestUsage:
     def test_no_command_exits_2(self, capsys):
         code, _, _ = run(capsys)
         assert code == 2
+
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        # the first main call of the process builds the parser and its
+        # eight subcommand parsers; later calls build none
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        for argv in (["catalog"], ["classes"], ["period", "3", "-n", "2"]):
+            assert run(capsys, *argv)[0] == 0
+        assert len(built) == 9
+
+    def test_reused_parser_keeps_no_values(self, capsys, tmp_path,
+                                           monkeypatch):
+        # options given to one call, or a call that fails to parse, leave
+        # the next call with the defaults
+        monkeypatch.setenv("REFLEXO_CACHE", str(tmp_path))
+        _, out, _ = run(capsys, "analyze", "3", "--period", "5", "--no-pf")
+        assert len(json.loads(out)["period"]) == 6
+        assert run(capsys, "analyze", "3", "--period", "x")[0] == 2
+        code, out, _ = run(capsys, "analyze", "3")
+        report = json.loads(out)
+        assert code == 0
+        assert len(report["period"]) == 41 and "picard_fuchs" in report
+
+
+class TestClosedStdout:
+    def test_script_entry_point(self):
+        # the installed `reflexo` script runs the entry that handles a
+        # closed stdout, not main
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"reflexo": "reflexo.cli:console_main"}
+
+    @pytest.mark.parametrize("launch", [
+        ["-m", "reflexo.cli"],
+        ["-c", "import sys; from reflexo.cli import console_main; "
+               "sys.exit(console_main())"],
+    ], ids=["module", "script"])
+    @pytest.mark.parametrize("argv", [
+        ["catalog"],
+        ["analyze", "3", "--period", "10", "--no-pf"],
+    ], ids=["catalog", "analyze"])
+    def test_exits_141_without_traceback(self, launch, argv, tmp_path):
+        # stdout is a pipe whose read end is closed before the process
+        # starts, so its first write fails, with no race
+        src = str(Path(reflexo.__file__).parents[1])
+        env = dict(os.environ, REFLEXO_CACHE=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, *launch, *argv],
+                                  stdout=w, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr.decode()) == (141, "")

@@ -155,7 +155,8 @@ class TestMutationClasses:
             ("8a", "8b", "8c"), ("9",),
         ])
 
-    def test_one_component_search_matches_union_find(self, catalog):
+    def test_one_component_search_matches_union_find(self, catalog,
+                                                     fresh_class):
         # [DERIVED] the search from one polygon finds exactly its component
         # of the undirected mutation graph on the catalog, built here by
         # union-find over every catalog polygon's mutations
@@ -173,27 +174,59 @@ class TestMutationClasses:
                 parent[find(keys.index(tuple(Q.vertices)))] = find(i)
         classes = mutation_classes(order)
         for i, P in enumerate(order):
-            found = {tuple(Q.vertices) for Q in mutation_class(P)}
+            found = {tuple(Q.vertices) for Q in fresh_class(P)}
             expected = {keys[j] for j in range(len(order))
                         if find(j) == find(i)}
             assert found == expected
             assert {keys[j] for j in next(c for c in classes if i in c)} \
                 == expected
 
-    def test_gl2z_invariance(self, catalog):
-        # [DERIVED] mutation_class(U P) names the same catalog classes as
-        # mutation_class(P), for seeded unimodular U
+    def test_gl2z_invariance(self, catalog, fresh_class):
+        # [DERIVED] the search from U P names the same catalog classes as
+        # the search from P, for seeded unimodular U
         rng = random.Random(4)
         for P in catalog.values():
-            names = sorted(name_of(Q) for Q in mutation_class(P))
+            names = sorted(name_of(Q) for Q in fresh_class(P))
             for _ in range(3):
                 UP = apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
-                assert sorted(name_of(Q) for Q in mutation_class(UP)) == names
+                assert sorted(name_of(Q) for Q in fresh_class(UP)) == names
 
     def test_class_members_are_canonical(self):
         members = mutation_class(get("6a"))
         assert members[0] == canonical_form(get("6a"))
         assert all(canonical_form(Q).vertices == Q.vertices for Q in members)
+
+
+class TestClassMemo:
+    def test_members_answered_without_search(self, fresh_class,
+                                             monkeypatch):
+        # [DERIVED] once the 6 class is searched, each of its members, in
+        # catalog or other coordinates, gets the searched component with
+        # its own canonical form first and no further all_mutations call
+        component = {tuple(Q.vertices) for Q in fresh_class(get("6a"))}
+        calls = []
+        expand = mutation.all_mutations
+        monkeypatch.setattr(mutation, "all_mutations",
+                            lambda P: calls.append(P) or expand(P))
+        rng = random.Random(5)
+        for name in ("6a", "6b", "6c", "6d"):
+            P = get(name)
+            UP = apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
+            for Q in (P, UP):
+                members = mutation_class(Q)
+                assert members[0].vertices == canonical_form(Q).vertices, name
+                assert len(members) == len(component), name
+                assert {tuple(R.vertices) for R in members} == component
+        assert calls == []
+
+    def test_returned_list_is_the_callers(self, fresh_class):
+        # [TRIVIAL] changing a returned list changes no later answer
+        members = fresh_class(get("8b"))
+        names = [name_of(Q) for Q in members]
+        members.reverse()
+        members.append(get("3"))
+        mutation_class(get("8b")).clear()
+        assert [name_of(Q) for Q in mutation_class(get("8b"))] == names
 
 
 class TestTropMap:
