@@ -36,7 +36,7 @@ from itertools import count, islice
 from math import isqrt, lcm
 
 from .algebra import (
-    UniPoly, _div, _exact, _primitive_scale, format_unipoly,
+    _PRIME, UniPoly, _div, _exact, _primitive_scale, format_unipoly,
     squarefree_rational_roots,
 )
 from .laurent import LaurentPoly
@@ -288,8 +288,6 @@ def _image_coefficient(ps: list[list], c: list, m: int):
     return acc
 
 
-# The modular prime, 2^61 - 1.
-_PRIME = (1 << 61) - 1
 # Rational reconstruction mod _PRIME recovers n/e with |n|, e <= _BOUND.
 _BOUND = isqrt(_PRIME // 2)
 

@@ -4,6 +4,7 @@ Oracle tags: [PAPER] = value quoted in the source analysis, [DERIVED] =
 computed independently by hand or brute force, [TRIVIAL] = textbook identity.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -621,3 +622,216 @@ def test_squarefree_decomposition_reassembles(coeffs):
         for _ in range(m):
             prod = prod * f
     assert prod.monic() == p.monic()
+
+
+# ---------------------------------------------------------------------------
+# the packed subresultant PRS, on both sides of the width limit
+# ---------------------------------------------------------------------------
+
+
+def _on_both_sides(call):
+    """call() with MPoly coefficients (limit 0) and with packed ints (no
+    limit), checking that each side took its own path; the two results."""
+    results = []
+    for limit in (0, 1 << 62):
+        packed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra, "_PACK_BITS", limit)
+            pack = algebra._pack
+            mp.setattr(algebra, "_pack",
+                       lambda c, slots: packed.append(c) or pack(c, slots))
+            results.append(call())
+        assert bool(packed) == bool(limit)
+    return results
+
+
+def _check_resultant(p, q, var, r):
+    """r = Res_var(p, q), checked against the Bareiss determinant of the
+    Sylvester matrix at every point of a grid in the two other variables
+    u, v as large as the degree bounds D_u, D_v of the resultant, which
+    determines it.  The coefficient lists keep their formal length, so a
+    vanishing leading coefficient needs no exclusion."""
+    u, v = (name for name in algebra.VARS if name != var)
+    m, n = p.degree(var), q.degree(var)
+    du, dv = (n * p.degree(w) + m * q.degree(w) for w in (u, v))
+    for a in range(int(du) + 1):
+        for b in range(int(dv) + 1):
+            at = [[constant_value(c.eval_var(u, a).eval_var(v, b))
+                   for c in f.coeffs_in(var)] for f in (p, q)]
+            assert constant_value(r.eval_var(u, a).eval_var(v, b)) == \
+                bareiss_determinant(sylvester_matrix(*at))
+
+
+def _check_both_sides(p, q, var):
+    packed, plain = _on_both_sides(lambda: resultant(p, q, var))
+    assert packed == plain
+    _check_resultant(p, q, var, packed)
+
+
+_coefficient = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def _xyl(draw, absent=None):
+    """A polynomial of degree <= 2 in x and <= 1 in y and l, with int and
+    Fraction coefficients of both signs; `absent` names a variable it is
+    free of."""
+    keys = st.tuples(*(st.just(0) if name == absent else
+                       st.integers(0, 2 if name == "x" else 1)
+                       for name in algebra.VARS))
+    return MPoly(draw(st.dictionaries(keys, _coefficient, min_size=1,
+                                      max_size=6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["x", "y", "l"]), st.data())
+def test_packed_resultant_matches_sylvester_bareiss(var, data):
+    # [DERIVED] both encodings give the Sylvester determinant, with an
+    # absent packed variable (D_v = 0) among the draws
+    absent = data.draw(st.sampled_from(
+        [None] + [w for w in algebra.VARS if w != var]))
+    p, q = data.draw(_xyl(absent)), data.draw(_xyl(absent))
+    assume(p.degree(var) > 0 and q.degree(var) > 0)
+    _check_both_sides(p, q, var)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 4), st.integers(1, 2), st.integers(0, 10**6))
+def test_packed_resultant_with_degree_gaps(deg_b, deg_f, seed):
+    # [DERIVED] q = f b + s with deg s <= deg b - 2 makes the remainder
+    # sequence drop by 2 or more after its first step, as in
+    # test_specialises_to_sylvester_bareiss, so h is raised to delta >= 2 on
+    # packed ints too
+    rng = random.Random(seed)
+    b = _random_lx(rng, deg_b)
+    s = _random_lx(rng, rng.randint(1, deg_b - 2))
+    q = _random_lx(rng, deg_f) * b + s
+    _check_both_sides(q, b, "x")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("x", "y"), ("l", "y"), ("y", "l")]),
+       st.integers(0, 10**6))
+def test_packed_gcd_bivariate_matches_mpoly(variables, seed):
+    # [DERIVED] both encodings give the same gcd of p r and q r, Fraction
+    # scaled, with a factor free of the main variable half of the time
+    main, coeff = variables
+    rng = random.Random(seed)
+    p, q, r = (_random_biv(rng, main, coeff) for _ in range(3))
+    if seed % 2:
+        r = r * MPoly.from_unipoly(UniPoly([rng.randint(-3, 3), 1]), coeff)
+    p = p * r * MPoly.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    q = q * r
+    packed, plain = _on_both_sides(lambda: gcd_bivariate(p, q, main, coeff))
+    assert packed == plain
+    p.exact_div(packed), q.exact_div(packed)  # raise unless it divides both
+
+
+def test_narrow_slot_mutant_is_caught(monkeypatch):
+    # [DERIVED] a slot sized by the largest input coefficient instead of the
+    # 1-norms, s = 2 here, is too narrow for Res_x(x - y - 1, x^4 + 1) =
+    # (y + 1)^4 + 1, whose coefficient 6 is above 2^(s - 1); the oracle
+    # check catches the mutant, by a wrong value or a leftover digit
+    p = MPoly({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): -1})
+    q = MPoly({(4, 0, 0): 1, (0, 0, 0): 1})
+    r = resultant(p, q, "x")
+    assert r == MPoly({(0, 4, 0): 1, (0, 3, 0): 4, (0, 2, 0): 6,
+                       (0, 1, 0): 4, (0, 0, 0): 2})
+    _check_resultant(p, q, "x", r)
+    slots = algebra._slots(q.coeffs_in("x"), p.coeffs_in("x"), "x")
+    narrow = (2,) + slots[1:]
+    assert slots[0] > 2 and max(r.terms.values()) > 1 << (narrow[0] - 1)
+    monkeypatch.setattr(algebra, "_slots", lambda A, B, var: narrow)
+    with pytest.raises((AssertionError, ArithmeticError)):
+        _check_resultant(p, q, "x", resultant(p, q, "x"))
+
+
+# ---------------------------------------------------------------------------
+# the certified modular gcd
+# ---------------------------------------------------------------------------
+
+
+def _check_unlucky_first_prime():
+    # x - 1 and x - 1 - p share the root 1 mod p = 2^61 - 1, the first prime
+    p = algebra._PRIME
+    a, b = upoly(-1, 1, var="x"), upoly(-1 - p, 1, var="x")
+    assert algebra._gcd_mod([p - 1, 1], [(-1 - p) % p, 1], p) == [p - 1, 1]
+    assert gcd_poly(a, b) == upoly(1, var="x")
+
+
+class TestModularGcd:
+    def test_unlucky_first_prime(self):
+        # [DERIVED] the candidate x - 1 from 2^61 - 1 fails trial division
+        # and the next prime proves the gcd 1
+        _check_unlucky_first_prime()
+
+    def test_mutant_without_trial_division_fails(self, monkeypatch):
+        # [DERIVED] accepting the first candidate unchecked returns x - 1
+        monkeypatch.setattr(algebra, "_quotient", lambda a, h: [0])
+        with pytest.raises(AssertionError):
+            _check_unlucky_first_prime()
+
+    def test_prime_dividing_a_leading_coefficient_is_skipped(
+            self, monkeypatch):
+        # [TRIVIAL] gcd((p x + 1)(x - 2), (x - 2)(x + 3)) = x - 2 for
+        # p = 2^61 - 1; mod p the first input drops a degree, so p is skipped
+        p = algebra._PRIME
+        used = []
+        gcd_mod = algebra._gcd_mod
+        monkeypatch.setattr(algebra, "_gcd_mod",
+                            lambda a, b, m: used.append(m) or gcd_mod(a, b, m))
+        a = upoly(1, p, var="x") * upoly(-2, 1, var="x")
+        b = upoly(-2, 1, var="x") * upoly(3, 1, var="x")
+        assert gcd_poly(a, b) == upoly(-2, 1, var="x")
+        assert used and p not in used
+
+    def test_fraction_zero_and_constant_inputs(self):
+        # [TRIVIAL] gcd over Q is monic whatever the scaling of the inputs
+        shared = upoly(Fraction(1, 3), Fraction(-2, 5), var="x")
+        a = shared * upoly(Fraction(1, 2), 1, var="x")
+        b = shared * upoly(Fraction(-7, 4), Fraction(3, 2), var="x")
+        assert gcd_poly(a, b) == shared.monic()
+        assert gcd_poly(a, UniPoly([], "x")) == a.monic()
+        assert gcd_poly(UniPoly([], "x"), a) == a.monic()
+        one = upoly(1, var="x")
+        assert gcd_poly(a, upoly(Fraction(-5, 3), var="x")) == one
+        assert gcd_poly(UniPoly([], "x"), upoly(7, var="x")) == one
+        with pytest.raises(ValueError):
+            gcd_poly(UniPoly([], "x"), UniPoly([], "x"))
+
+    def test_primes_descend_from_the_mersenne_prime(self):
+        # [DERIVED] 2^61 - 1 and the next primes below it, 2^61 - 31,
+        # 2^61 - 45 and 2^61 - 229 (checked with an independent primality
+        # test); every number skipped between them is composite
+        primes = list(itertools.islice(algebra._modular_primes(), 4))
+        assert [(1 << 61) - p for p in primes] == [1, 31, 45, 229]
+        assert not any(algebra._is_prime(n)
+                       for n in range(primes[-1] + 2, primes[0], 2)
+                       if n not in primes)
+
+    def test_wide_yun_from_planted_factors(self):
+        """Yun on a degree-78 input with 1000-bit coefficients, r s^2 t^28
+        with r of degree 48 (Eisenstein at 2, so irreducible) and the
+        linear s = x + 21, t = x - 6: the shape of the elimination
+        polynomial of 9 under ((-11,3),(-4,1)).  A monic Euclid over Q
+        takes minutes on it.
+
+        Budget < 2 s (observed ~0.1 s)."""
+        # [DERIVED] the planted factors come back with their multiplicities
+        rng = random.Random(78)
+        r = upoly(*([2 * (2 * rng.getrandbits(880) + 1)]
+                    + [2 * rng.getrandbits(900) * rng.choice([-1, 1])
+                       for _ in range(47)]
+                    + [2 * rng.getrandbits(900) + 1]), var="l")
+        s, t = upoly(21, 1, var="l"), upoly(-6, 1, var="l")
+        e = r * s ** 2 * t ** 28
+        assert e.degree == 78
+        assert 950 <= max(abs(c) for c in e.coeffs).bit_length() <= 1100
+        start = time.process_time()
+        roots, residual = squarefree_rational_roots(e)
+        assert time.process_time() - start < 2.0
+        assert roots == [(Fraction(-21), 2), (Fraction(6), 28)]
+        assert residual == [(r.monic(), 1)]
