@@ -11,12 +11,13 @@ from __future__ import annotations
 from math import comb, gcd as int_gcd
 
 from .algebra import MPoly, _exact
-from .polygon import Point, Polygon, convex_hull
+from .polygon import Point, Polygon, _coordinate, convex_hull
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial: (a, b) -> nonzero exact rational, an int
-    where it is integral and a Fraction otherwise."""
+    where it is integral and a Fraction otherwise.  Exponents are lattice
+    points: TypeError on a float, ValueError on a non-integral rational."""
 
     __slots__ = ("terms",)
 
@@ -24,9 +25,10 @@ class LaurentPoly:
         cleaned = {}
         if terms:
             for k, v in terms.items():
+                k = (_coordinate(k[0]), _coordinate(k[1]))
                 v = _exact(v)
                 if v:
-                    cleaned[(int(k[0]), int(k[1]))] = v
+                    cleaned[k] = v
         self.terms = cleaned
 
     def __eq__(self, other) -> bool:

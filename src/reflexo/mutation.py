@@ -48,70 +48,42 @@ def _height(v: Point, p: Point) -> int:
 
 
 def mutate(P: Polygon, data: MutationData) -> Polygon:
-    """The combinatorial mutation conv(R_{-1} ∪ P_0 ∪ (P_1 + H))."""
+    """The combinatorial mutation conv(R_{-1} ∪ P_0 ∪ (P_1 + H)), by the
+    slice rule: P's lattice points, its boundary points and the origin,
+    fall by height <v, .> into P_{-1}, P_0 and P_1 in one pass.  P_{-1}
+    lies on the line <v, .> = -1, of primitive direction ±w, so
+    R_{-1} = P_{-1} - H is P_{-1} minus its end furthest along w."""
     if not P.is_reflexive():
         raise ValueError("mutation is defined for reflexive polygons")
     v, w = data.v, data.w
     heights = [_height(v, p) for p in P.vertices]
     if max(heights) > 1:
         raise ValueError("slice above height 1 is nonempty")
-    if min(heights) != -1:
+    if min(heights) != -1:  # a height -2 point would land in slices[-1], P_1
         raise ValueError("v is not an inner edge normal of P")
-
-    # the slices P_{-1}, P_0, P_1: P is reflexive, so its lattice points are
-    # its boundary points and the origin, each at height -1, 0 or 1; sorted
-    # first, so each slice is in lexicographic order
-    bottom, mid, top = [], [], []
-    slices = (bottom, mid, top)
-    for p in sorted(P.boundary_lattice_points() + [(0, 0)]):
+    bottom, mid, top = slices = ([], [], [])
+    for p in P.boundary_lattice_points() + [(0, 0)]:
         slices[_height(v, p) + 1].append(p)
-    # P_{-1} is the edge at height -1; peel one Minkowski factor H off it:
-    # R_{-1} = P_{-1} - H shrinks the segment by w at the end it covers
-    r_minus = _shrink_segment(bottom, w)
+    if len(bottom) < 2:
+        raise ValueError("not mutable with this H: P_{-1} is a point")
+    bottom.remove(max(bottom, key=lambda p: _height(w, p)))
+    # the hull holds the origin and points at heights -1 and 1: a polygon
     shifted_top = [(p[0] + w[0], p[1] + w[1]) for p in top]
-
-    pts = r_minus + mid + top + shifted_top
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        raise ValueError("not mutable with this H")
-    Q = Polygon._from_ccw(hull)
+    Q = Polygon._from_ccw(convex_hull(bottom + mid + top + shifted_top))
     if not Q.is_reflexive():  # pragma: no cover - Definition guarantees this
         raise ValueError("mutation produced a non-reflexive polygon")
     return Q
 
 
-def _shrink_segment(pts: list[Point], w: Point) -> list[Point]:
-    """Minkowski difference of the lattice segment conv(pts) by conv(0, w).
-
-    pts are the lattice points of the segment (sorted).  The segment must have
-    direction ±w and lattice length >= 1; the result may be a single point.
-    """
-    if len(pts) < 2:
-        raise ValueError("not mutable with this H")
-    a, b = pts[0], pts[-1]
-    d = (b[0] - a[0], b[1] - a[1])
-    g = int_gcd(abs(d[0]), abs(d[1]))
-    step = (d[0] // g, d[1] // g)
-    if step == tuple(w):
-        # drop the far endpoint: R = [a, b - w]
-        return [(p[0], p[1]) for p in pts[:-1]]
-    if step == (-w[0], -w[1]):
-        return [(p[0], p[1]) for p in pts[1:]]
-    raise ValueError("not mutable with this H")
-
-
 def all_mutations(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     """Every admissible mutation of P: each edge normal v crossed with the two
-    primitive generators of v-perp; results are canonicalized."""
+    primitive generators of v-perp; results are canonicalized.  Distinct
+    edges have distinct inner normals, so no datum repeats."""
     out = []
-    seen = set()
     for e in P.edges():
         v = e.inner_normal
         for w in ((-v[1], v[0]), (v[1], -v[0])):
             data = MutationData(v, w)
-            if data in seen:
-                continue
-            seen.add(data)
             try:
                 Q = mutate(P, data)
             except ValueError:

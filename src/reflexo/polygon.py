@@ -101,7 +101,7 @@ def _coordinate(c) -> int:
     non-integral rational, as in algebra._exact."""
     c = _exact(c)
     if c.__class__ is not int:
-        raise ValueError(f"non-integral vertex coordinate {c}")
+        raise ValueError(f"non-integral lattice coordinate {c}")
     return c
 
 
@@ -334,6 +334,10 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
 
     found: dict[tuple, Polygon] = {}
 
+    # A cycle the walk closes is reflexive as it stands, CCW from its least
+    # vertex: every edge p -> q has cross(p, q) = gcd(q - p), the chain
+    # turns strictly left at every vertex, both closing corners included,
+    # and it goes once around the origin.
     def dfs(chain: list[Point]):
         start = chain[0]
         last = chain[-1]
@@ -351,16 +355,12 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
             qx, qy = q
             if turns and ex * (qy - ly) - ey * (qx - lx) <= 0:
                 continue
-            if q == start:
-                # closing edge chain[-1] -> start already admissible and
-                # convex at chain[-1]; check the corner at start
-                if len(chain) >= 3 and _cross(_sub(start, last), _sub(chain[1], start)) > 0:
+            if q == start:  # left turn at last checked above; now at start
+                if _cross(_sub(start, last), _sub(chain[1], start)) > 0:
                     key = sorted(chain)
                     if all(key <= sorted(img) for img in _box_images(chain)):
-                        poly = Polygon(chain)  # re-hull as a validity check
-                        if set(poly.vertices) == set(chain) and poly.is_reflexive():
-                            cf = canonical_form(poly)
-                            found.setdefault(tuple(cf.vertices), cf)
+                        cf = canonical_form(Polygon._from_ccw(chain))
+                        found.setdefault(tuple(cf.vertices), cf)
                 continue
             if not grow or orbit_min[q] < start:
                 continue  # a least cycle starts at or below every image of its vertices

@@ -5,7 +5,7 @@
 it is the oracle for `KodairaType.det`, the determinant of the root lattice
 of a fibre's non-identity components, built here from the explicit Dynkin
 diagram.  `random_unimodular` draws the seeded GL2(Z) matrices of the
-coordinate-change tests.  `apply_operator` applies a Picard-Fuchs operator
+coordinate-change tests, from `GL2Z_GENS` or other generators.  `apply_operator` applies a Picard-Fuchs operator
 to a series term by term, `trop_map` is the tropical map of a mutation on
 the dual lattice, and `miranda_identities` with `find_torsion_components`
 checks the torsion sections of a semistable configuration against
@@ -96,6 +96,11 @@ def cartan_matrix(nodes: int, edges: list[tuple[int, int]]
         rows[i][j] -= 1
         rows[j][i] -= 1
     return rows
+
+
+# generators of GL2(Z), a reflection included
+GL2Z_GENS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)),
+             ((0, 1), (1, 0))]
 
 
 def random_unimodular(rng, gens):

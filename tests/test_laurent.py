@@ -1,9 +1,11 @@
 """Laurent polynomials: f_P construction, Newton polygons, chart equations,
 algebraic mutation."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import GL2Z_GENS, random_unimodular
 
 from reflexo.catalog import NAMES, get
 from reflexo.laurent import (
@@ -17,7 +19,7 @@ from reflexo.laurent import (
 from reflexo.algebra import MPoly
 from reflexo.mutation import all_mutations
 from reflexo.period import period_coefficients
-from reflexo.polygon import canonical_form
+from reflexo.polygon import apply_unimodular, canonical_form
 
 
 class TestBuildFP:
@@ -181,6 +183,23 @@ class TestAlgebraicMutation:
                 count += 1
         assert count == 76
 
+    def test_slice_rule_matches_algebraic_mutation_off_catalog(self, catalog):
+        # [DERIVED] in seeded GL2(Z) images A P the slice rule still agrees
+        # with the Newton polygon of the mutated f_{A P}, and all_mutations
+        # lists each datum (v, w) once
+        rng = random.Random(6)
+        for name, P in catalog.items():
+            for _ in range(3):
+                AP = apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
+                f = build_fP(AP)
+                mutations = all_mutations(AP)
+                data = [(d.v, d.w) for d, _ in mutations]
+                assert len(set(data)) == len(data), name
+                for d, Q in mutations:
+                    g = algebraic_mutation(f, d.v, d.w)
+                    assert canonical_form(newton_polygon(g)) \
+                        == canonical_form(Q), (name, d)
+
     @pytest.mark.parametrize("A", [((1, 0), (1, 1)), ((2, 1), (1, 1))])
     def test_gl2_equivariance(self, A):
         # [DERIVED] mutating in the chart u -> A u with data (A^-T v, A w)
@@ -243,6 +262,20 @@ class TestExactValues:
         assert type((f + f).terms[(0, 0)]) is int
         assert type(LaurentPoly({(0, 0): Fraction(2, 2)}).terms[(0, 0)]) \
             is int
+
+    def test_exponents_are_lattice_points(self):
+        # [TRIVIAL] an exponent is refused, not truncated: TypeError on a
+        # float, ValueError on a non-integral rational, in the constructor
+        # and in a transform whose matrix has determinant 1.0
+        with pytest.raises(TypeError):
+            LaurentPoly({(1.5, 0): 1})
+        with pytest.raises(ValueError, match="non-integral"):
+            LaurentPoly({(Fraction(1, 2), -0.9): 2})
+        with pytest.raises(TypeError):
+            LaurentPoly({(1, 0): 1}).transform(((1.5, 0.5), (1, 1)))
+        f = LaurentPoly({(Fraction(4, 2), -1): 3})
+        assert f.terms == {(2, -1): 3}
+        assert all(type(a) is int for k in f.terms for a in k)
 
     def test_cancelled_terms_dropped(self):
         f = LaurentPoly({(1, 0): Fraction(1, 2), (0, 1): 1})

@@ -4,7 +4,7 @@ trop map."""
 import random
 
 import pytest
-from oracles import random_unimodular, trop_map
+from oracles import GL2Z_GENS, random_unimodular, trop_map
 
 from reflexo import mutation
 from reflexo.catalog import NAMES, get, load_catalog, name_of
@@ -16,11 +16,6 @@ from reflexo.mutation import (
     mutation_classes,
 )
 from reflexo.polygon import Polygon, apply_unimodular, canonical_form, polar_dual
-
-
-# generators of GL2(Z), a reflection included
-GL2Z_GENS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)),
-             ((0, 1), (1, 0))]
 
 
 class TestMutationData:
@@ -60,6 +55,19 @@ class TestMutate:
         # [DERIVED] (1,1) is not an edge normal of P4c
         with pytest.raises(ValueError):
             mutate(get("4c"), MutationData((1, 1), (1, -1)))
+
+    def test_height_below_minus_one_errors(self):
+        # [DERIVED] v = (1, -1) puts vertex (-1, 1) of P5a at height -2 and
+        # two points at height -1: the min-height guard refuses it before
+        # that vertex could be sorted into a slice
+        with pytest.raises(ValueError, match="inner edge normal"):
+            mutate(get("5a"), MutationData((1, -1), (1, 1)))
+
+    def test_single_point_bottom_slice_errors(self):
+        # [DERIVED] v = (1, 0) puts only (-1, -1) of P3 at height -1: no
+        # segment to peel H off
+        with pytest.raises(ValueError):
+            mutate(get("3"), MutationData((1, 0), (0, 1)))
 
 
 class TestAllMutations:
