@@ -440,39 +440,13 @@ def _sub(a: list[int], b: list[int]) -> list[int]:
     return _trim([x - y for x, y in zip(a, b)])
 
 
-def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Yun's algorithm: p = lc * prod f_i^i with the f_i monic squarefree and
-    pairwise coprime.  Returns [(f_i, i)] for nonconstant f_i.
+def _roots_of_squarefree(c: list[int]) -> list[Fraction]:
+    """All rational roots of the squarefree nonconstant c, a primitive
+    ascending int list, sorted.
 
-    It runs on the primitive integer multiple of p, with each gcd from
-    `_gcd_int` and each quotient its exact cofactor.  Every relation of the
-    algorithm is linear in the pair it divides, so a gcd scaled by a
-    constant scales both quotients alike, and only the monic f_i are read.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    if p.is_const():
-        return []
-    a = p.primitive_integer().coeffs
-    _, b, c = _gcd_int(a, _derivative(a))
-    d = _sub(c, _derivative(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        f, b, c = _gcd_int(b, d)
-        if len(f) > 1:
-            out.append((UniPoly(f, p.var).monic(), i))
-        d = _sub(c, _derivative(b))
-        i += 1
-    return out
-
-
-def _roots_of_squarefree(p: UniPoly) -> list[Fraction]:
-    """All rational roots of the squarefree nonconstant p, sorted.
-
-    A root u/v in lowest terms of the primitive integer model
-    q = a_n x^n + ... + a_0 of p / x^k, q(0) != 0, gives the integer root
-    y = a_n u / v of the monic Q(y) = a_n^(n-1) q(y / a_n), with
+    A root u/v in lowest terms of q = a_n x^n + ... + a_0 = c / x^k,
+    q(0) != 0, gives the integer root y = a_n u / v of the monic
+    Q(y) = a_n^(n-1) q(y / a_n), with
     |y| < 1 + max |coefficient of Q| (Cauchy).  The integer roots of Q are
     found by Newton (Hensel) lifting its roots modulo a prime m past twice
     that bound and checking each candidate exactly.  m divides no a_n and
@@ -480,19 +454,11 @@ def _roots_of_squarefree(p: UniPoly) -> list[Fraction]:
     exactly one of them.  No factorisation of a_0 or a_n is needed,
     whatever their size.
     """
-    # strip powers of the variable
-    coeffs = list(p.coeffs)
-    roots = []
-    k = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
-    if k:
-        roots.append(Fraction(0))
-    q = UniPoly(coeffs, p.var)
-    if q.is_const():
+    k = next(i for i, a in enumerate(c) if a)  # strip powers of the variable
+    roots = [Fraction(0)] if k else []
+    c = c[k:]
+    if len(c) == 1:
         return roots
-    c = [int(a) for a in q.primitive_integer().coeffs]
     n = len(c) - 1
     an = c[-1]
     Q = [a * an ** (n - 1 - i) for i, a in enumerate(c[:-1])] + [1]
@@ -536,16 +502,35 @@ def squarefree_rational_roots(
     multiplicity); residual is a list of (factor, multiplicity) where every
     factor is monic, squarefree and rational-root-free (not necessarily
     irreducible -- "rational-root-free" semantics only).
+
+    Yun's algorithm, p = lc * prod f_i^i with the f_i squarefree and
+    pairwise coprime, runs on the primitive integer multiple of p, with
+    each gcd from `_gcd_int` and each quotient its exact cofactor.  Every
+    relation of the algorithm is linear in the pair it divides, so a gcd
+    scaled by a constant scales both quotients alike.  Each f_i stays a
+    primitive int list: a root u/v leaves it by the exact quotient by
+    v x - u (Gauss), and only the residual factors are made monic.
     """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
     roots: list[tuple[Fraction, int]] = []
     residual: list[tuple[UniPoly, int]] = []
-    for f, mult in squarefree_decomposition(p):
-        rs = _roots_of_squarefree(f)
-        for r in rs:
-            roots.append((r, mult))
-            f = f.exact_div(UniPoly([-r, 1], f.var))
-        if not f.is_const():
-            residual.append((f.monic(), mult))
+    if p.is_const():
+        return roots, residual
+    a = p.primitive_integer().coeffs
+    _, b, c = _gcd_int(a, _derivative(a))
+    d = _sub(c, _derivative(b))
+    mult = 1
+    while len(b) > 1:
+        f, b, c = _gcd_int(b, d)
+        if len(f) > 1:
+            for r in _roots_of_squarefree(f):
+                roots.append((r, mult))
+                f = _quotient(f, [-r.numerator, r.denominator])
+            if len(f) > 1:
+                residual.append((UniPoly(f, p.var).monic(), mult))
+        d = _sub(c, _derivative(b))
+        mult += 1
     roots.sort()
     return roots, residual
 
@@ -1028,16 +1013,42 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
+def _int_list(p: MPoly, var: str) -> list[int]:
+    """The ascending coefficients in var of p, which must involve only var,
+    as ints: p's own where it is integral, else those of its primitive
+    integer multiple; [] for zero."""
+    if not p.terms:
+        return []
+    i = _VAR_INDEX[var]
+    out = [0] * (max(k[i] for k in p.terms) + 1)
+    for k, v in p.terms.items():
+        out[k[i]] = v
+    if any(v.__class__ is not int for v in p.terms.values()):
+        s = _primitive_scale(p.terms.values())
+        out = [int(c * s) for c in out]  # exact: each c s is an int
+    return out
+
+
 def _int_content(coeffs: list[MPoly], var: str) -> list[int]:
     """The gcd in Z[var] of the primitive integer multiples of the
     coefficients (each must involve only var), as by `_gcd_int`; [] when
-    every coefficient is zero."""
-    g: list[int] = []
+    every coefficient is zero.  A nonzero constant coefficient gives [1]
+    at once; otherwise the gcds start from the shortest coefficient."""
+    lists = []
     for c in coeffs:
-        if c:
-            g = _gcd_int(g, c.to_unipoly(var).primitive_integer().coeffs)[0]
-            if len(g) == 1:
-                break
+        if c.is_const():
+            if c.terms:
+                return [1]
+        else:
+            lists.append(_int_list(c, var))
+    if not lists:
+        return []
+    lists.sort(key=len)
+    g = _primitive(lists[0])
+    for a in lists[1:]:
+        if len(g) == 1:
+            break
+        g = _gcd_int(g, a)[0]
     return g
 
 
@@ -1135,7 +1146,9 @@ def _euclid(a: list, b: list, q: UniPoly) -> list:
     Every divisor is made monic before it divides, which keeps the
     remainders' coefficients small (Brown 1971; von zur Gathen-Gerhard,
     *Modern Computer Algebra*, ch. 6).  A leading coefficient that is a
-    zero divisor raises ZeroDivisorError.
+    zero divisor raises ZeroDivisorError.  The first divisor is the nonzero
+    input of lower degree: a first division by the other would only swap
+    the two, after an inverse of its leading coefficient.
 
     Two steps take no inverse.  A divisor whose leading coefficient is
     already 1 divides as it is: its entries are inputs or remainders, and
@@ -1148,7 +1161,7 @@ def _euclid(a: list, b: list, q: UniPoly) -> list:
     a, is not made.
     """
     a, b = _trim(a), _trim(b)
-    if not b:
+    if not b or a and len(a) < len(b):
         a, b = b, a
     while b:
         n = len(b) - 1

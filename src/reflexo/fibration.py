@@ -26,10 +26,11 @@ from .algebra import (
     UniPoly,
     ZeroDivisorError,
     _content,
+    _gcd_int,
+    _int_list,
     format_unipoly,
     gcd_bivariate,
     gcd_over_quotient,
-    gcd_poly,
     resultant,
     squarefree_rational_roots,
 )
@@ -140,7 +141,7 @@ class Pencil:
         ry = resultant(A, B, "x").to_unipoly("y")
         if ry.is_zero():
             raise ArithmeticError("critical locus of f is not finite")
-        hy = _strip_powers(ry)
+        hy = UniPoly(_strip_powers(ry.coeffs), "y")
         if hy.is_const():
             return [], []
         return squarefree_rational_roots(hy)
@@ -289,11 +290,13 @@ def _log_partials(f: LaurentPoly) -> tuple[MPoly, MPoly]:
     return out[0], out[1]
 
 
-def _strip_powers(p: UniPoly) -> UniPoly:
+def _strip_powers(coeffs: list) -> list:
+    """An ascending coefficient list without its leading zeros: the
+    polynomial divided by the largest power of its variable."""
     k = 0
-    while k <= p.degree and p[k] == 0:
+    while k < len(coeffs) and coeffs[k] == 0:
         k += 1
-    return UniPoly(p.coeffs[k:], p.var)
+    return coeffs[k:]
 
 
 def _curve_values(G: MPoly, C: MPoly) -> UniPoly:
@@ -337,14 +340,18 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     extra = _curve_values(G, pencil.C)
     r1 = resultant(A, pencil.C, "x").strip_monomial()
     r2 = resultant(B, pencil.C, "x").strip_monomial()
-    while True:
-        g = gcd_bivariate(r1, r2, "l", "y")
-        if g.is_const():
-            break
+    g = gcd_bivariate(r1, r2, "l", "y")
+    while not g.is_const():
         r1 = r1.exact_div(g).strip_monomial()
         content = _content(g.coeffs_in("y"), "l")
         if not content.is_const():
             extra = extra * content
+        # gcd(r1 / g, r2) = gcd(r1 / g, g): a common divisor of r1 / g and
+        # r2 divides g = gcd(r1, r2) (at each prime the order of r1 / g is
+        # ord r1 - ord g, and min(ord r1 - ord g, ord r2) <= ord g), and g
+        # divides r2.  Dividing r1 / g by a power of y keeps both sides
+        # equal, and gcd_bivariate normalises, so each peel is unchanged.
+        g = gcd_bivariate(r1, g, "l", "y")
     if r1.degree("y") <= 0:
         e = extra * r1.to_unipoly("l")
     elif r2.degree("y") <= 0:
@@ -389,6 +396,18 @@ def member_is_nonreduced(P: Polygon, lam: Fraction,
     return True, R, mult
 
 
+def _at_y(p: MPoly, y0: Fraction) -> MPoly:
+    """d^e p(x, n/d, l) for y0 = n/d in lowest terms and e = deg_y p: p at
+    y = y0 up to the nonzero constant d^e, with int coefficients where p
+    has them."""
+    n, d = y0.numerator, y0.denominator
+    e = p.degree("y")
+    terms: dict = {}
+    for (a, b, c), v in p.terms.items():
+        terms[a, 0, c] = terms.get((a, 0, c), 0) + v * n**b * d**(e - b)
+    return MPoly(terms)
+
+
 def _values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0: Fraction
                  ) -> UniPoly:
     """prod (l + f(p)), up to a nonzero constant, over the isolated torus
@@ -397,18 +416,22 @@ def _values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0: Fraction
     The points are the roots of g = gcd(A, B)(x, y0), x-powers stripped.  At
     such a point J = det d(A, B)/d(x, y) is a unit multiple of the Hessian
     of f, so gcd(g, J) = 1 certifies them all at once.  Res_x(g, C) is the
-    product of C = x^a y^b (f + l) over them.
+    product of C = x^a y^b (f + l) over them.  A, B, J and C are read at
+    y0 up to nonzero constants, as int lists where they are in x alone, and
+    g is the primitive integer gcd; each constant scales only the result.
     """
-    A0, B0, J0 = (p.eval_var("y", y0).to_unipoly("x") for p in (A, B, J))
-    g = _strip_powers(gcd_poly(A0, B0))
-    if g.is_const():
+    A0, B0, J0 = (_int_list(_at_y(p, y0), "x") for p in (A, B, J))
+    if not A0 and not B0:
+        raise ValueError("gcd(0, 0) undefined")
+    g = _strip_powers(_gcd_int(A0, B0)[0])
+    if len(g) == 1:
         return UniPoly([1], "l")
-    if not gcd_poly(g, J0).is_const():
+    if len(_gcd_int(g, J0)[0]) > 1:
         raise ArithmeticError(
             f"critical point is not an ordinary node: stage torus nodes, "
             f"y = {y0}")
-    g = MPoly.from_unipoly(g, "x")
-    return resultant(g, C.eval_var("y", y0), "x").to_unipoly("l")
+    g = MPoly({(i, 0, 0): c for i, c in enumerate(g)})
+    return resultant(g, _at_y(C, y0), "x").to_unipoly("l")
 
 
 def _values_over(A: MPoly, B: MPoly, J: MPoly, C: MPoly, qy: UniPoly

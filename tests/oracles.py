@@ -11,13 +11,25 @@ the dual lattice, and `miranda_identities` with `find_torsion_components`
 checks the torsion sections of a semistable configuration against
 Miranda's identities, and `kernels_mod_p` is the column elimination of the
 Picard-Fuchs fit mod p on plain lists, the reference for the packed one.
+`squarefree_decomposition` is Yun's algorithm on the program's integer gcd;
+`int_content` and `values_at_y` are the content of a coefficient list and
+the critical values over one rational y taken through `UniPoly` and
+`Fraction` values, the references for the int-list paths of the program.
 All are plain int and Fraction arithmetic on the program's types.
 """
 
 from fractions import Fraction
 from itertools import count
 
-from reflexo.algebra import MPoly
+from reflexo.algebra import (
+    MPoly,
+    UniPoly,
+    _derivative,
+    _gcd_int,
+    _sub,
+    gcd_poly,
+    resultant,
+)
 from reflexo.period import _PRIME, PowerSeries
 
 
@@ -243,3 +255,67 @@ def find_torsion_components(config, order: int,
 
     rec(0, [])
     return results
+
+
+def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Yun's algorithm: p = lc * prod f_i^i with the f_i monic squarefree and
+    pairwise coprime.  Returns [(f_i, i)] for nonconstant f_i.
+
+    It runs on the primitive integer multiple of p, with each gcd from
+    `_gcd_int` and each quotient its exact cofactor.  Every relation of the
+    algorithm is linear in the pair it divides, so a gcd scaled by a
+    constant scales both quotients alike, and only the monic f_i are read.
+    """
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    if p.is_const():
+        return []
+    a = p.primitive_integer().coeffs
+    _, b, c = _gcd_int(a, _derivative(a))
+    d = _sub(c, _derivative(b))
+    out = []
+    i = 1
+    while len(b) > 1:
+        f, b, c = _gcd_int(b, d)
+        if len(f) > 1:
+            out.append((UniPoly(f, p.var).monic(), i))
+        d = _sub(c, _derivative(b))
+        i += 1
+    return out
+
+
+def int_content(coeffs: list, var: str) -> list[int]:
+    """The gcd in Z[var] of the primitive integer multiples of the MPoly
+    coefficients (each involving only var), each taken through `UniPoly`,
+    as `_gcd_int` normalises it; [] when every coefficient is zero."""
+    g: list[int] = []
+    for c in coeffs:
+        if c:
+            g = _gcd_int(g, c.to_unipoly(var).primitive_integer().coeffs)[0]
+            if len(g) == 1:
+                break
+    return g
+
+
+def _strip_x(p: UniPoly) -> UniPoly:
+    k = 0
+    while k <= p.degree and p[k] == 0:
+        k += 1
+    return UniPoly(p.coeffs[k:], p.var)
+
+
+def values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0) -> UniPoly:
+    """prod (l + f(p)) over the critical points p = (x, y0), with A, B, J
+    and C evaluated at y0 in Fractions and the monic gcd over Q: the
+    contract of fibration._values_at_y up to a nonzero constant, with the
+    same errors."""
+    A0, B0, J0 = (p.eval_var("y", y0).to_unipoly("x") for p in (A, B, J))
+    g = _strip_x(gcd_poly(A0, B0))
+    if g.is_const():
+        return UniPoly([1], "l")
+    if not gcd_poly(g, J0).is_const():
+        raise ArithmeticError(
+            f"critical point is not an ordinary node: stage torus nodes, "
+            f"y = {y0}")
+    g = MPoly.from_unipoly(g, "x")
+    return resultant(g, C.eval_var("y", y0), "x").to_unipoly("l")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reflexo import algebra, cli
+from reflexo import algebra, cli, fibration
 from reflexo.algebra import (
     MPoly,
     UniPoly,
@@ -24,14 +24,18 @@ from reflexo.algebra import (
     gcd_over_quotient,
     gcd_poly,
     resultant,
-    squarefree_decomposition,
     squarefree_rational_roots,
 )
 from reflexo.catalog import NAMES, get
 from reflexo.fibration import Pencil
 from reflexo.laurent import LaurentPoly
 
-from oracles import bareiss_determinant, sylvester_matrix
+from oracles import (
+    bareiss_determinant,
+    int_content,
+    squarefree_decomposition,
+    sylvester_matrix,
+)
 
 
 def upoly(*coeffs, var="t"):
@@ -314,23 +318,27 @@ class TestGcdOverQuotient:
 
     def test_zero_divisor_carries_the_factor(self):
         # [TRIVIAL] mod (y^2 - 2)(y^2 - 3), the leading coefficient y^2 - 2
-        # of (y^2 - 2) x + 1 shares the factor y^2 - 2 with the modulus
+        # of (y^2 - 2) x + 1 shares the factor y^2 - 2 with the modulus, in
+        # either order of the inputs
         q = UniPoly([-2, 0, 1], "y") * UniPoly([-3, 0, 1], "y")
         a = self.residues([1], [], [1])
         b = self.residues([1], [-2, 0, 1])
-        with pytest.raises(ZeroDivisorError) as info:
-            gcd_over_quotient(a, b, q)
-        assert info.value.factor == UniPoly([-2, 0, 1], "y")
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ZeroDivisorError) as info:
+                gcd_over_quotient(x, y, q)
+            assert info.value.factor == UniPoly([-2, 0, 1], "y")
 
     def test_constant_zero_divisor_remainder_carries_the_factor(self):
         # [TRIVIAL] mod (y^2 - 2)(y^2 - 3), x^2 + y^2 - 2 leaves the constant
-        # remainder y^2 - 2 after the monic divisor x, a zero divisor
+        # remainder y^2 - 2 after the monic divisor x, a zero divisor, in
+        # either order of the inputs
         q = UniPoly([-2, 0, 1], "y") * UniPoly([-3, 0, 1], "y")
         a = self.residues([-2, 0, 1], [], [1])
         b = self.residues([], [1])
-        with pytest.raises(ZeroDivisorError) as info:
-            gcd_over_quotient(a, b, q)
-        assert info.value.factor == UniPoly([-2, 0, 1], "y")
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ZeroDivisorError) as info:
+                gcd_over_quotient(x, y, q)
+            assert info.value.factor == UniPoly([-2, 0, 1], "y")
 
     def test_monic_divisor_and_unit_remainder_take_no_inverse(
             self, monkeypatch):
@@ -365,12 +373,41 @@ class TestGcdOverQuotient:
         assert checked == 22
 
 
+def _gcd_or_factor(a, b, q):
+    """gcd_over_quotient(a, b, q), or the factor its ZeroDivisorError
+    carries."""
+    try:
+        return gcd_over_quotient(a, b, q)
+    except ZeroDivisorError as zd:
+        return zd.factor
+
+
+def test_gcd_over_quotient_is_symmetric_on_the_16(monkeypatch):
+    # [TRIVIAL] the monic gcd over Q[y]/(q) does not depend on the order of
+    # its inputs: on every (A, B) and (g, J) pair that the critical values
+    # of the 16 pencils take it of, both orders give the same gcd (or raise
+    # with the same factor)
+    pairs = []
+
+    def recording(a, b, q):
+        pairs.append((a, b, q))
+        return gcd_over_quotient(a, b, q)
+
+    monkeypatch.setattr(fibration, "gcd_over_quotient", recording)
+    for name in NAMES:
+        Pencil(get(name)).critical_values
+    assert len(pairs) == 16
+    for a, b, q in pairs:
+        assert _gcd_or_factor(a, b, q) == _gcd_or_factor(b, a, q)
+
+
 def test_table2_unit_tests_mod_q(monkeypatch):
     """The Euclid over Q[y]/(q) tests a residue for a unit by an inverse mod
     q, or, for a constant divisor, by its gcd with q.  The 16 rows of Table
-    2 make at most 26 such tests, at most 18 of them inverses (34 inverses
-    when every divisor, monic or constant, was inverted); the count does
-    not depend on the host."""
+    2 make at most 18 such tests, at most 10 of them inverses (18 inverses
+    when the first divisor was the second input even where it had the
+    higher degree, 34 when every divisor, monic or constant, was
+    inverted); the count does not depend on the host."""
     moduli, inverses, gcds = [], [], []
     euclid, gcd, inverse = algebra._euclid, algebra.gcd_poly, _inverse_mod
 
@@ -395,8 +432,8 @@ def test_table2_unit_tests_mod_q(monkeypatch):
     monkeypatch.setattr(algebra, "_inverse_mod", counting_inverse)
     for name in NAMES:
         cli._table_row(name)
-    assert len(inverses) <= 18
-    assert len(inverses) + len(gcds) <= 26
+    assert len(inverses) <= 10
+    assert len(inverses) + len(gcds) <= 18
 
 
 class TestGcdBivariate:
@@ -486,6 +523,43 @@ class TestSquarefreeRationalRoots:
             for _ in range(m):
                 prod = prod * q
         assert p.monic() == prod.monic()
+
+
+# irreducible over Q and free of rational roots, two of them not monic
+_IRRATIONAL = [upoly(-3, 0, 2, var="l"), upoly(1, 0, 1, var="l"),
+               upoly(1, 1, 3, var="l"), upoly(-1, -1, 0, 1, var="l")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4),
+                       st.integers(1, 3)), max_size=4),
+    st.lists(st.tuples(st.integers(0, len(_IRRATIONAL) - 1),
+                       st.integers(1, 3)), max_size=3),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool),
+)
+def test_squarefree_rational_roots_reassembles(rational, irrational, scale):
+    # [DERIVED] planted roots u/v of multiplicity m and irrational factors
+    # (repeats of either may coincide and add up): the roots come back with
+    # their total multiplicities, and the roots with the monic, squarefree
+    # residual factors, one per multiplicity, multiply back to p
+    p = UniPoly([scale], "l")
+    expected: dict = {}
+    for u, v, m in rational:
+        p = p * upoly(-u, v, var="l") ** m
+        expected[Fraction(u, v)] = expected.get(Fraction(u, v), 0) + m
+    for i, m in irrational:
+        p = p * _IRRATIONAL[i] ** m
+    roots, residual = squarefree_rational_roots(p)
+    assert roots == sorted(expected.items())
+    prod = UniPoly([1], "l")
+    for r, m in roots:
+        prod = prod * upoly(-r, 1, var="l") ** m
+    for f, m in residual:
+        assert f.lc() == 1 and gcd_poly(f, f.derivative()) == 1
+        prod = prod * f ** m
+    assert prod == p.monic()
+    assert len({m for _, m in residual}) == len(residual)
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
@@ -728,6 +802,37 @@ def test_packed_gcd_bivariate_matches_mpoly(variables, seed):
     packed, plain = _on_both_sides(lambda: gcd_bivariate(p, q, main, coeff))
     assert packed == plain
     p.exact_div(packed), q.exact_div(packed)  # raise unless it divides both
+
+
+@st.composite
+def _in_two(draw, main, coeff):
+    """A polynomial of degree <= 2 in each of main and coeff, with int
+    and Fraction coefficients; zero, and coefficients in main that are zero
+    or nonzero constants, are among the draws."""
+    def key(i, j):
+        e = [0, 0, 0]
+        e[algebra._VAR_INDEX[main]], e[algebra._VAR_INDEX[coeff]] = i, j
+        return tuple(e)
+
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = draw(st.dictionaries(exponents, _coefficient, max_size=6))
+    return MPoly({key(i, j): v for (i, j), v in terms.items()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([("x", "y"), ("l", "y"), ("y", "l")]), st.data())
+def test_int_content_matches_unipoly_path(variables, data):
+    # [DERIVED] the content in Z[coeff] of the main-variable coefficients,
+    # read off the terms as int lists, equals the gcd of their primitive
+    # integer multiples taken through UniPoly; a planted factor in coeff
+    # alone makes nonconstant contents frequent
+    main, coeff = variables
+    p = data.draw(_in_two(main, coeff))
+    r = UniPoly(data.draw(st.lists(_coefficient, max_size=3)), coeff)
+    if r:
+        p = p * MPoly.from_unipoly(r, coeff)
+    coeffs = p.coeffs_in(main)
+    assert algebra._int_content(coeffs, coeff) == int_content(coeffs, coeff)
 
 
 def test_narrow_slot_mutant_is_caught(monkeypatch):

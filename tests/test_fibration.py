@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflexo import fibration
 from reflexo.algebra import (
@@ -28,6 +30,8 @@ from reflexo.fibration import (
 )
 from reflexo.mordell_weil import mw_group
 from reflexo.polygon import apply_unimodular
+
+from oracles import values_at_y
 
 # the eight single shears with |k| <= 2, v -> U v
 SHEARS = {
@@ -274,6 +278,67 @@ class TestPencil:
         if name in ("6a", "6c", "7a"):
             assert len(halves) == 2
             assert not any(h.is_const() for h in halves)
+
+
+def _values_or_error(values, *args):
+    """The monic critical values values(*args), or the type and message of
+    the error it raises."""
+    try:
+        return values(*args).monic()
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_values_at_y_matches_fraction_evaluation_on_the_16(name):
+    # [DERIVED] at every rational y-candidate of the pencil, the int-list
+    # values equal those evaluated in Fractions, up to a constant
+    pencil = Pencil(get(name))
+    A, B, _ = pencil.critical_pair
+    J = (A.derivative("x") * B.derivative("y")
+         - A.derivative("y") * B.derivative("x"))
+    for y0, _ in pencil.critical_y[0]:
+        args = (A, B, J, pencil.C, y0)
+        assert _values_or_error(fibration._values_at_y, *args) == \
+            _values_or_error(values_at_y, *args)
+
+
+_small = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+def _xy(l_degree=0, nonzero=False):
+    """Polynomials of degree <= 2 in x and y and <= l_degree in l, with int
+    and Fraction coefficients; zero among them unless nonzero."""
+    keys = st.tuples(st.integers(0, 2), st.integers(0, 2),
+                     st.integers(0, l_degree))
+    values = _small.filter(bool) if nonzero else _small
+    return st.dictionaries(keys, values, min_size=int(nonzero),
+                           max_size=6).map(MPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.integers(1, 5), st.integers(-3, 3), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_values_at_y_matches_fraction_evaluation(y0, a, b, vanish, share,
+                                                  data):
+    # [DERIVED] on random A = p r, B = q r, with r = (x + a + b y) s: the
+    # values, or the error (gcd(0, 0) when r vanishes on y = y0, one draw
+    # in five; no node certificate when J shares r, one in five), are
+    # those of the Fraction evaluation and the monic gcd
+    r = MPoly({(1, 0, 0): 1, (0, 0, 0): a, (0, 1, 0): b})
+    r = r * data.draw(_xy(nonzero=True))
+    if not vanish:
+        r = r * MPoly({(0, 1, 0): y0.denominator, (0, 0, 0): -y0.numerator})
+    A, B = (data.draw(_xy(nonzero=True)) * r for _ in range(2))
+    J = data.draw(_xy()) * (r if not share else MPoly.const(1))
+    C = data.draw(_xy(l_degree=1))
+    args = (A, B, J, C, y0)
+    assert _values_or_error(fibration._values_at_y, *args) == \
+        _values_or_error(values_at_y, *args)
 
 
 def _gcd3(F):
