@@ -32,14 +32,15 @@ the factor of q it shares.
 
 One subresultant polynomial remainder sequence (Collins; Brown-Traub)
 serves both the resultant and the bivariate gcd, over any coefficient ring
-with a checked exact division.  Both callers scale their inputs to integer
-coefficients.  While it is narrow enough they run the sequence on
-Kronecker-packed ints, one int per coefficient, and unpack the answer;
-above `_PACK_BITS` they run it on `MPoly` coefficients.  Every step divides
-a pseudo-remainder exactly by Brown's g h^delta, and the division is
-checked, so a wrong step raises instead of giving a wrong value.  The
-test-suite cross-checks resultants against an independent Bareiss
-determinant of the Sylvester matrix; both live test-side, in
+with a checked exact division.  Both callers read each input's terms once,
+as those of its primitive integer multiple (an integral input takes one
+int gcd and builds no Fraction).  Up to `_PACK_BITS` they Kronecker-pack
+the terms straight into one int per coefficient and unpack the answer
+digit by digit, the resultant with its sign and scale; above, `MPoly`s.
+Every step divides a pseudo-remainder exactly by Brown's g h^delta, and the
+division is checked, so a wrong step raises instead of giving a wrong
+value.  The test-suite cross-checks resultants against an independent
+Bareiss determinant of the Sylvester matrix; both live test-side, in
 ``tests/oracles.py``, since the program itself takes no determinants.
 """
 
@@ -543,6 +544,13 @@ VARS = ("x", "y", "l")
 _VAR_INDEX = {"x": 0, "y": 1, "l": 2}
 
 
+def _wrap(terms: dict) -> "MPoly":
+    """The MPoly with these terms, whose values must be exact and nonzero."""
+    out = MPoly.__new__(MPoly)
+    out.terms = terms
+    return out
+
+
 class MPoly:
     """Sparse polynomial in x, y, l over Q.
 
@@ -620,17 +628,13 @@ class MPoly:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-        out = MPoly.__new__(MPoly)
-        out.terms = terms
-        return out
+        return _wrap(terms)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly.__new__(MPoly)
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
+        return _wrap({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
@@ -651,9 +655,7 @@ class MPoly:
                     terms.pop(k, None)
                 else:
                     terms[k] = s
-        out = MPoly.__new__(MPoly)
-        out.terms = terms
-        return out
+        return _wrap(terms)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -681,12 +683,7 @@ class MPoly:
             d = kk[i]
             kk[i] = 0
             buckets[d][tuple(kk)] = v
-        out = []
-        for b in buckets:
-            m = MPoly.__new__(MPoly)
-            m.terms = b
-            out.append(m)
-        return out
+        return [_wrap(b) for b in buckets]
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence["MPoly"], name: str) -> "MPoly":
@@ -734,10 +731,8 @@ class MPoly:
         my = min(k[1] for k in self.terms)
         if mx == my == 0:
             return self
-        out = MPoly.__new__(MPoly)
-        out.terms = {(k[0] - mx, k[1] - my, k[2]): v
-                     for k, v in self.terms.items()}
-        return out
+        return _wrap({(k[0] - mx, k[1] - my, k[2]): v
+                      for k, v in self.terms.items()})
 
     def to_unipoly(self, name: str) -> UniPoly:
         """Convert to UniPoly; self must involve only `name`."""
@@ -757,9 +752,7 @@ class MPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if other.is_const():
             c = other.terms[(0, 0, 0)]
-            out = MPoly.__new__(MPoly)
-            out.terms = {k: _div(v, c) for k, v in self.terms.items()}
-            return out
+            return _wrap({k: _div(v, c) for k, v in self.terms.items()})
         rem = dict(self.terms)
         dk = max(other.terms)
         dc = other.terms[dk]
@@ -779,9 +772,7 @@ class MPoly:
                     rem.pop(kk, None)
                 else:
                     rem[kk] = s
-        out = MPoly.__new__(MPoly)
-        out.terms = q
-        return out
+        return _wrap(q)
 
     def __repr__(self):
         return f"MPoly({format_mpoly(self)!r})"
@@ -885,127 +876,135 @@ def _subresultant_prs(A: list, B: list):
 _PACK_BITS = 8192
 
 
-def _slots(A: list[MPoly], B: list[MPoly], var: str):
-    """The packing (s, w, size, u, v) for the PRS in var of the integral A
-    and B, deg A >= deg B >= 1, or None when its width exceeds _PACK_BITS.
+def _primitive_terms(p: MPoly) -> tuple[dict, int, int]:
+    """(terms, g, d), d, g > 0: the terms of (d / g) p, the primitive integer
+    multiple of the nonzero p.  Integral terms take one int gcd g, d = 1,
+    and build no Fraction; otherwise d and g are the lcm of the denominators
+    and the gcd of the numerators, the content of rationals in lowest terms."""
+    values = p.terms.values()
+    if all(c.__class__ is int for c in values):
+        g, d = int_gcd(*values), 1
+    else:
+        d = lcm(*(c.denominator for c in values))
+        g = int_gcd(*(c.numerator for c in values))
+    if g == d == 1:
+        return p.terms, 1, 1
+    return {e: c.numerator * (d // c.denominator) // g
+            for e, c in p.terms.items()}, g, d
 
-    A coefficient c(u, v) is packed as c(2^s, 2^(s w)), w = D_u + 1, with
-    D_u = n deg_u A + m deg_u B and D_v alike (m, n the degrees in var) and
-    s = bitlen(N) + 1, N = |A|_1^n |B|_1^m, |.|_1 the sum of the absolute
-    values of all coefficients.  There are size = (D_u + 1)(D_v + 1)
-    slots, so the width is s * size.
-    """
-    m, n = len(A) - 1, len(B) - 1
-    u, v = (i for i, name in enumerate(VARS) if name != var)
 
-    def deg(C, i):
-        return max(e[i] for c in C for e in c.terms)
-
-    def norm(C):
-        return sum(abs(x) for c in C for x in c.terms.values())
-
-    du = n * deg(A, u) + m * deg(B, u)
-    dv = n * deg(A, v) + m * deg(B, v)
-    s = (norm(A) ** n * norm(B) ** m).bit_length() + 1
+def _slots(du: int, dv: int, bound: int):
+    """The packing (s, w, size) of the c(u, v) of degree <= du in u and <=
+    dv in v with coefficients at most bound in absolute value as c(2^s,
+    2^(s w)), w = du + 1, s = bitlen(bound) + 1: one balanced s-bit digit in
+    each of the size = (du + 1)(dv + 1) slots.  None when the width s size
+    exceeds _PACK_BITS."""
+    s = bound.bit_length() + 1
     size = (du + 1) * (dv + 1)
     if s * size > _PACK_BITS:
         return None
-    return s, du + 1, size, u, v
+    return s, du + 1, size
 
 
-def _pack(c: MPoly, slots) -> int:
-    s, w, _, u, v = slots
-    return sum(x << s * (e[u] + w * e[v]) for e, x in c.terms.items())
-
-
-def _unpack(x: int, slots) -> MPoly:
-    """The MPoly whose packing is x, read as balanced s-bit digits; raises
-    when a digit is left past the (D_u + 1)(D_v + 1) slots."""
-    s, w, size, u, v = slots
-    half, mask = 1 << (s - 1), (1 << s) - 1
-    terms = {}
-    for t in range(size):
-        if not x:
-            break
-        d = x & mask
-        if d >= half:
-            d -= mask + 1
-        x = (x - d) >> s
-        if d:
-            e = [0, 0, 0]
-            e[u], e[v] = t % w, t // w
-            terms[tuple(e)] = d
-    if x:
-        raise ArithmeticError("packed coefficient out of range")
-    out = MPoly.__new__(MPoly)
-    out.terms = terms
+def _pack(items, n: int, s: int) -> list[int]:
+    """The n + 1 packed coefficients in the main variable of the sum of the
+    terms c main^k u^a v^b, given as the items (k, a + w b, c)."""
+    out = [0] * (n + 1)
+    for k, t, c in items:
+        out[k] += c << s * t
     return out
 
 
-def _integral(coeffs: list[MPoly]) -> tuple[list[MPoly], int | Fraction]:
-    """(k coeffs, k) for the positive k that makes every coefficient of the
-    list an int and their gcd 1."""
-    k = _primitive_scale([x for c in coeffs for x in c.terms.values()])
-    if k == 1:
-        return coeffs, k
-    kc = MPoly.const(k)
-    return [c * kc for c in coeffs], k
+def _unpack(x: int, slots) -> list[int]:
+    """The balanced s-bit digits of x, ascending and without trailing
+    zeros; raises when a digit is left past the size slots."""
+    s, _, size = slots
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    digits = []
+    while x:
+        if len(digits) == size:
+            raise ArithmeticError("packed coefficient out of range")
+        digits.append(((x + half) & mask) - half)
+        x = (x + half) >> s  # (x - digit) >> s
+    return digits
+
+
+def _key(i: int, a: int, b: int) -> tuple[int, int, int]:
+    """The exponent triple with 0 at index i and a, b at the other two."""
+    return (0, a, b) if i == 0 else (a, 0, b) if i == 1 else (a, b, 0)
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Res_var(p, q), the Sylvester determinant, as an MPoly in the other
-    variables; 0 when p or q is zero.
+    variables u, v: 0 when one of p, q is zero and the other involves var;
+    ValueError when neither involves var, zero or not.
 
-    Res(A, B) = (-1)^(deg A deg B) Res(B, A), and each pseudo-division step
-    of the subresultant PRS flips the sign when both degrees are odd; the
+    The subresultant PRS runs on the primitive integer multiples A =
+    (d_p/g_p) p and B = (d_q/g_q) q of `_primitive_terms`, m >= n their
+    degrees in var.  Res(A, B) = (-1)^(deg A deg B) Res(B, A), each
+    pseudo-division step flips the sign when both degrees are odd, and the
     last pair (A, B) with B = b constant gives h^(1 - m) b^m, m = deg A.
 
-    p and q are scaled to primitive integer multiples a p and b q first, and
-    Res(a p, b q) = a^deg q b^deg p Res(p, q).  While the packed width of
-    `_slots` is at most _PACK_BITS, the PRS runs on one int per coefficient:
-    the other variables u, v are replaced by 2^s and 2^(s (D_u + 1)).  That
-    is exact.  Packing is a ring map, so it commutes with every product,
-    pseudo-remainder and exact quotient of the sequence.  Every element of
-    the PRS is +- a subresultant, whose coefficients are minors of the
-    Sylvester matrix: each is a polynomial of degree <= D_u in u and <= D_v
-    in v with coefficients bounded by N = |p|_1^deg q |q|_1^deg p < 2^(s-1)
-    in absolute value.  So none packs to 0 unless it is 0, the packed
-    sequence takes the same degree steps, its checked divisions are the
-    images of the true exact ones, and the balanced s-bit digits of the
-    packed resultant are its coefficients.
+    While the width of `_slots` is at most _PACK_BITS, A and B are packed
+    straight from their terms, one int per coefficient: u and v become 2^s
+    and 2^(s (D_u + 1)).  That is exact.  Packing is a ring map, so it
+    commutes with every product, pseudo-remainder and exact quotient of the
+    sequence.  Every element of the PRS is +- a subresultant, whose
+    coefficients are minors of the Sylvester matrix: each has degree <= D_u
+    = n deg_u A + m deg_u B in u and <= D_v in v, and absolute value <= N =
+    |A|_1^n |B|_1^m < 2^(s-1), |.|_1 the sum of the absolute values of all
+    coefficients (for n = 0 A counts once: the PRS reads its degree).  So
+    none packs to 0 unless it is 0, the packed sequence takes the same
+    degree steps, its checked divisions are the images of the true exact
+    ones, and the balanced s-bit digits of the packed resultant are its
+    coefficients.  Res(p, q) = (g_p/d_p)^n (g_q/d_q)^m Res(A, B), so each
+    digit is multiplied by the sign and g_p^n g_q^m as it is unpacked, and
+    divided by d_p^n d_q^m only when that is not 1: integral inputs build
+    no Fraction.
 
     The limit is where packing stops paying, as measured (2 vCPUs, CPython
     3.11.7, best of three) on the 203 resultant and bivariate gcd calls of
     classifying the 16 and seven sheared polygons: packed ints were as fast
-    or faster on all 180 calls up to 8192 bits (1.0-15x; the largest
-    resultant of the catalog is 1113 bits), and slower on 6 of the 8 calls
-    between 13 and 85 kbit (sheared 8b at 13 kbit: 0.61 -> 2.97 ms).
+    or faster on all 180 calls up to 8192 bits (1.0-15x; the catalog's
+    largest resultant has 1113 bits), and slower on 6 of the 8 calls from
+    13 to 85 kbit (sheared 8b at 13 kbit: 0.61 -> 2.97 ms).
     """
-    A, B = p.coeffs_in(var), q.coeffs_in(var)
-    m, n = len(A) - 1, len(B) - 1
+    i = _VAR_INDEX[var]
+    u, v = (k for k in range(3) if k != i)
+    m, n = p.degree(var), q.degree(var)
     if m <= 0 and n <= 0:
         raise ValueError("nothing to eliminate")
     if m < 0 or n < 0:
         return MPoly()
-    (A, a), (B, b) = _integral(A), _integral(B)
-    scale = a**n * b**m
     sign = 1
     if m < n:
-        A, B, m, n = B, A, n, m
+        p, q, m, n = q, p, n, m
         sign = (-1) ** (m * n)
-    slots = _slots(A, B, var) if n else None
+    (A, ga, da), (B, gb, db) = _primitive_terms(p), _primitive_terms(q)
+    num, den = sign * ga**n * gb**m, da**n * db**m
+    k = max(n, 1)
+    ea, eb = [max(e) for e in zip(*A)], [max(e) for e in zip(*B)]
+    na, nb = sum(map(abs, A.values())), sum(map(abs, B.values()))
+    slots = _slots(k * ea[u] + m * eb[u], k * ea[v] + m * eb[v],
+                   na**k * nb**m)
     if slots:
-        A, B = [_pack(c, slots) for c in A], [_pack(c, slots) for c in B]
+        s, w, _ = slots
+        A, B = (_pack(((e[i], e[u] + w * e[v], c) for e, c in C.items()),
+                      d, s) for C, d in ((A, m), (B, n)))
+    else:
+        A, B = _wrap(A).coeffs_in(var), _wrap(B).coeffs_in(var)
     for A, B, h in _subresultant_prs(A, B):
         m, n = _poly_deg(A), _poly_deg(B)
         if n > 0 and m * n % 2:
-            sign = -sign
+            num = -num
     if n < 0:
         return MPoly()  # common factor: the resultant vanishes
     r = _quo(B[0] ** m, h ** (m - 1))
-    if slots:
-        r = _unpack(r, slots)
-    return r * MPoly.const(Fraction(sign) / scale)
+    items = ([(_key(i, t % w, t // w), c)
+              for t, c in enumerate(_unpack(r, slots)) if c]
+             if slots else r.terms.items())
+    return _wrap({e: c * num if den == 1 else _div(c * num, den)
+                  for e, c in items})
 
 
 # ---------------------------------------------------------------------------
@@ -1014,42 +1013,36 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
 
 
 def _int_list(p: MPoly, var: str) -> list[int]:
-    """The ascending coefficients in var of p, which must involve only var,
-    as ints: p's own where it is integral, else those of its primitive
-    integer multiple; [] for zero."""
+    """The ascending coefficients in var of the primitive integer multiple
+    of p, which must involve only var; [] for zero."""
     if not p.terms:
         return []
     i = _VAR_INDEX[var]
-    out = [0] * (max(k[i] for k in p.terms) + 1)
-    for k, v in p.terms.items():
+    terms = _primitive_terms(p)[0]
+    out = [0] * (max(k[i] for k in terms) + 1)
+    for k, v in terms.items():
         out[k[i]] = v
-    if any(v.__class__ is not int for v in p.terms.values()):
-        s = _primitive_scale(p.terms.values())
-        out = [int(c * s) for c in out]  # exact: each c s is an int
     return out
 
 
-def _int_content(coeffs: list[MPoly], var: str) -> list[int]:
-    """The gcd in Z[var] of the primitive integer multiples of the
-    coefficients (each must involve only var), as by `_gcd_int`; [] when
-    every coefficient is zero.  A nonzero constant coefficient gives [1]
-    at once; otherwise the gcds start from the shortest coefficient."""
-    lists = []
-    for c in coeffs:
-        if c.is_const():
-            if c.terms:
-                return [1]
-        else:
-            lists.append(_int_list(c, var))
-    if not lists:
-        return []
-    lists.sort(key=len)
-    g = _primitive(lists[0])
-    for a in lists[1:]:
-        if len(g) == 1:
+def _divide_content(lists: list[list[int]]) -> tuple[list, list]:
+    """(c, [a / c for a in lists]), c the gcd in Z[t] of the ascending int
+    lists by `_gcd_int`, primitive with a positive leading coefficient ([]
+    when every list is empty; exact quotients, by Gauss).  The gcds start
+    from the shortest list, so a constant gives [1] at once."""
+    short = sorted(filter(None, lists), key=len)
+    c = _primitive(short[0]) if short else []
+    for a in short[1:]:
+        if len(c) == 1:
             break
-        g = _gcd_int(g, a)[0]
-    return g
+        c = _gcd_int(c, a)[0]
+    return c, lists if len(c) <= 1 else [_quotient(a, c) for a in lists]
+
+
+def _int_content(coeffs: list[MPoly], var: str) -> list[int]:
+    """The content, as by `_divide_content`, of the primitive integer
+    multiples of the coefficients, each of which must involve only var."""
+    return _divide_content([_int_list(c, var) for c in coeffs])[0]
 
 
 def _content(coeffs: list[MPoly], var: str) -> UniPoly:
@@ -1061,59 +1054,66 @@ def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
     """gcd of two polynomials in Q[main, coeff] (the third variable absent),
     scaled so that its lex-leading coefficient is 1.
 
-    The contents in Q[coeff] are removed from p and q; the gcd of their
-    primitive parts is the primitive part of the last nonzero remainder of
-    their subresultant PRS in the main variable.  The primitive parts are
-    scaled to integers, and the PRS runs on packed ints, as in `resultant`
-    and under the same limit _PACK_BITS, or else on MPolys.  The last
-    nonzero remainder is +- a subresultant, so its packing unpacks exactly.
+    Each input's terms are read once, as those of its primitive integer
+    multiple (`_primitive_terms`: integral inputs build no Fraction), into
+    rows, the int lists in coeff of its coefficients in main.  Their
+    contents in Z[coeff] are divided out; the gcd of the primitive parts is
+    the primitive part of the last nonzero remainder of their subresultant
+    PRS in main, times the gcd of the contents.  The PRS runs on ints as in
+    `resultant`, under the same limit, or else on MPolys; the remainder is
+    +- a subresultant, so it unpacks exactly.
     """
-    (third,) = set(VARS) - {main, coeff}
-    for r in (p, q):
-        if r.degree(third) > 0:
-            raise ValueError(f"gcd_bivariate expects input free of {third}")
-    if p.is_zero():
-        return _normalize_biv(q)
-    if q.is_zero():
-        return _normalize_biv(p)
-    a = p.coeffs_in(main)
-    b = q.coeffs_in(main)
+    i, j = _VAR_INDEX[main], _VAR_INDEX[coeff]
+    (third,) = {0, 1, 2} - {i, j}
+    if any(e[third] for r in (p, q) for e in r.terms):
+        raise ValueError(f"gcd_bivariate expects input free of {VARS[third]}")
+    if not p.terms or not q.terms:
+        return _lex_monic(p.terms or q.terms)
+    a, b = [], []
+    for r, rows in ((p, a), (q, b)):
+        terms = _primitive_terms(r)[0]
+        dense = [[0] * (max(e[j] for e in terms) + 1)
+                 for _ in range(max(e[i] for e in terms) + 1)]
+        for e, c in terms.items():
+            dense[e[i]][e[j]] = c
+        rows += map(_trim, dense)
     if len(a) < len(b):
         a, b = b, a
-    ca, a = _remove_content(a, coeff)
-    cb, b = _remove_content(b, coeff)
-    a, b = _integral(a)[0], _integral(b)[0]
-    slots = _slots(a, b, main) if len(b) > 1 else None
-    if slots:
-        a, b = [_pack(c, slots) for c in a], [_pack(c, slots) for c in b]
-    for a, b, _ in _subresultant_prs(a, b):
-        pass
-    # b is zero (a is the last nonzero remainder) or a nonzero constant
-    if b:
-        g = [MPoly.const(1)]
-    else:
-        g = _remove_content([_unpack(c, slots) for c in a] if slots else a,
-                            coeff)[1]
-    gp = MPoly.from_coeffs(g, main)
-    c = UniPoly(_gcd_int(ca, cb)[0])
-    return _normalize_biv(gp * MPoly.from_unipoly(c, coeff))
+    (ca, a), (cb, b) = _divide_content(a), _divide_content(b)
+    g = [[1]]
+    if len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        na, nb = (sum(abs(c) for row in C for c in row) for C in (a, b))
+        slots = _slots(n * max(map(len, a)) + m * max(map(len, b)) - m - n,
+                       0, na**n * nb**m)
+        if slots:
+            a, b = (_pack(((k, t, c) for k, row in enumerate(C)
+                           for t, c in enumerate(row) if c), d, slots[0])
+                    for C, d in ((a, m), (b, n)))
+        else:
+            a, b = ([MPoly.from_unipoly(UniPoly(row), coeff) for row in C]
+                    for C in (a, b))
+        for a, b, _ in _subresultant_prs(a, b):
+            pass
+        # b is zero (a is the last nonzero remainder) or a nonzero constant
+        if not b:
+            g = _divide_content([_unpack(c, slots) for c in a] if slots else
+                                [c.to_unipoly(coeff).coeffs for c in a])[1]
+    c = _gcd_int(ca, cb)[0]
+    if len(c) > 1:
+        g = [(UniPoly(row) * UniPoly(c)).coeffs for row in g]
+    return _lex_monic({_key(third, *((t, k) if i > j else (k, t))): x
+                       for k, row in enumerate(g) for t, x in enumerate(row)
+                       if x})
 
 
-def _remove_content(coeffs: list[MPoly], var: str
-                    ) -> tuple[list[int], list[MPoly]]:
-    """(c, coeffs / c) for c = _int_content(coeffs, var)."""
-    c = _int_content(coeffs, var)
-    if len(c) == 1:
-        return c, coeffs
-    cm = MPoly.from_unipoly(UniPoly(c), var)
-    return c, [x.exact_div(cm) if not x.is_zero() else x for x in coeffs]
-
-
-def _normalize_biv(p: MPoly) -> MPoly:
-    """Scale by a rational so the lex-leading coefficient is 1."""
-    if p.is_zero():
-        return p
-    return p.exact_div(MPoly.const(p.terms[max(p.terms)]))
+def _lex_monic(terms: dict) -> MPoly:
+    """The MPoly with these terms divided by its lex-leading coefficient."""
+    if terms:
+        lc = terms[max(terms)]
+        if lc != 1:
+            terms = {e: _div(c, lc) for e, c in terms.items()}
+    return _wrap(terms)
 
 
 class ZeroDivisorError(ArithmeticError):

@@ -66,6 +66,16 @@ class TestResultant:
         with pytest.raises(ValueError):
             res_x(upoly(3, var="x"), upoly(5, var="x"))
 
+    def test_zero_inputs(self):
+        # [TRIVIAL] a zero input gives 0 when the other involves x; when
+        # neither does there is nothing to eliminate
+        x = MPoly({(1, 0, 0): 1})
+        assert resultant(MPoly(), x, "x") == 0
+        assert resultant(x, MPoly(), "x") == 0
+        for p, q in [(MPoly(), MPoly.const(5)), (MPoly(), MPoly())]:
+            with pytest.raises(ValueError, match="nothing to eliminate"):
+                resultant(p, q, "x")
+
     def test_resultant_zero_iff_common_factor(self, res_x):
         # [TRIVIAL] shared root (x - 2)
         shared = upoly(-2, 1, var="x")
@@ -436,6 +446,63 @@ def test_table2_unit_tests_mod_q(monkeypatch):
     assert len(inverses) + len(gcds) <= 18
 
 
+def test_integral_calls_stay_on_packed_ints(monkeypatch):
+    """Over the 16 rows of Table 2 and the 16 elimination polynomials, a
+    resultant or bivariate gcd of integral inputs never reaches
+    _primitive_scale and builds no Fraction beyond the coefficients of its
+    answer, and every call that runs the subresultant PRS packs it; the
+    counts do not depend on the host."""
+    integral, scales, prs, fractions = [False], [], [], []
+    new, scale = Fraction.__new__, algebra._primitive_scale
+    run_prs, slots = algebra._subresultant_prs, algebra._slots
+
+    def counting_new(cls, *args, **kwargs):
+        if integral[-1]:
+            fractions.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counting_scale(coeffs):
+        if integral[-1]:
+            scales.append(coeffs)
+        return scale(coeffs)
+
+    def spying_prs(A, B):
+        prs.append(A[-1].__class__ is int)
+        return run_prs(A, B)
+
+    def checked_slots(*args):
+        packing = slots(*args)
+        assert packing is not None, "fell back to MPoly coefficients"
+        return packing
+
+    def watched(kernel):
+        def call(p, q, *args):
+            integral.append(all(c.__class__ is int
+                                for r in (p, q) for c in r.terms.values()))
+            del fractions[:]
+            try:
+                out = kernel(p, q, *args)
+            finally:
+                integral.pop()
+            assert len(fractions) == sum(
+                c.__class__ is Fraction for c in out.terms.values())
+            return out
+        return call
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(algebra, "_primitive_scale", counting_scale)
+    monkeypatch.setattr(algebra, "_subresultant_prs", spying_prs)
+    monkeypatch.setattr(algebra, "_slots", checked_slots)
+    for name in ("resultant", "gcd_bivariate"):
+        monkeypatch.setattr(fibration, name,
+                            watched(getattr(algebra, name)))
+    for name in NAMES:
+        cli._table_row(name)
+        fibration.elimination_polynomial(get(name))
+    assert not scales
+    assert len(prs) > 100 and all(prs)
+
+
 class TestGcdBivariate:
     # shared = y l + 1, p = shared (l - y^2), q = shared (l + 2)
     shared = MPoly({(0, 1, 1): 1, (0, 0, 0): 1})
@@ -713,7 +780,7 @@ def _on_both_sides(call):
             mp.setattr(algebra, "_PACK_BITS", limit)
             pack = algebra._pack
             mp.setattr(algebra, "_pack",
-                       lambda c, slots: packed.append(c) or pack(c, slots))
+                       lambda *args: packed.append(args) or pack(*args))
             results.append(call())
         assert bool(packed) == bool(limit)
     return results
@@ -772,6 +839,32 @@ def test_packed_resultant_matches_sylvester_bareiss(var, data):
     _check_both_sides(p, q, var)
 
 
+_x, _y, _l = (MPoly({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+_F = Fraction
+
+
+@pytest.mark.parametrize("p, q", [
+    # degrees 1 < 3, both odd, and non-integral scales d / g on both inputs
+    (_F(1, 2) * _x + _F(2, 3) * _y,
+     _F(3, 4) * _x**3 - _F(1, 5) * _x * _y + _F(5, 7) * _l + 1),
+    (_F(2, 3) * _x * _y + _F(4, 9) * _l,
+     _F(6, 5) * _x**3 + _F(3, 10) * _y - 3),
+    # integral inputs with contents 2 and 3
+    (6 * _x**3 + 4 * _y * _l, 9 * _x - 3 * _l),
+    # an input free of x (n = 0) with a non-integral scale
+    (_F(1, 2) * _x**2 + _x * _y - _F(1, 3), _F(2, 3) * _y + _F(4, 9) * _l),
+    (2 * _x**3 - _y, 4 * _y**2 - 6 * _l),
+    # in the slots of Res = (y + 3)^2 alone, s = 6, y - 64 would pack to 0
+    ((_y - 64) * _x**2 + 1, _y + 3),
+])
+def test_packed_resultant_signs_and_scales(p, q):
+    # [DERIVED] both orders of each pair, on both sides of the width limit,
+    # give the Sylvester determinant: the swap sign (-1)^(m n), the scales
+    # and the power b^m of a constant are applied to every digit
+    for a, b in ((p, q), (q, p)):
+        _check_both_sides(a, b, "x")
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 4), st.integers(1, 2), st.integers(0, 10**6))
 def test_packed_resultant_with_degree_gaps(deg_b, deg_f, seed):
@@ -802,6 +895,28 @@ def test_packed_gcd_bivariate_matches_mpoly(variables, seed):
     packed, plain = _on_both_sides(lambda: gcd_bivariate(p, q, main, coeff))
     assert packed == plain
     p.exact_div(packed), q.exact_div(packed)  # raise unless it divides both
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("x", "y"), ("l", "y"), ("y", "l")]),
+       st.integers(0, 10**6))
+def test_packed_gcd_bivariate_with_contents(variables, seed):
+    # [DERIVED] p = s c a r and q = s c' b r with s, c, c' linear in coeff
+    # alone: both contents in Z[coeff] are nonconstant and share s, so both
+    # encodings give a gcd that divides p and q and is divisible by s r
+    main, coeff = variables
+    rng = random.Random(seed)
+    a, b, r = (_random_biv(rng, main, coeff) for _ in range(3))
+    s, c, c2 = (MPoly.from_unipoly(UniPoly([rng.randint(-3, 3),
+                                           rng.choice([-2, -1, 1, 2])]),
+                                   coeff) for _ in range(3))
+    p = s * c * a * r * MPoly.const(Fraction(rng.randint(1, 9),
+                                             rng.randint(1, 9)))
+    q = s * c2 * b * r
+    packed, plain = _on_both_sides(lambda: gcd_bivariate(p, q, main, coeff))
+    assert packed == plain
+    p.exact_div(packed), q.exact_div(packed)  # raise unless it divides both
+    packed.exact_div(s * r)
 
 
 @st.composite
@@ -846,12 +961,19 @@ def test_narrow_slot_mutant_is_caught(monkeypatch):
     assert r == MPoly({(0, 4, 0): 1, (0, 3, 0): 4, (0, 2, 0): 6,
                        (0, 1, 0): 4, (0, 0, 0): 2})
     _check_resultant(p, q, "x", r)
-    slots = algebra._slots(q.coeffs_in("x"), p.coeffs_in("x"), "x")
+    slots = algebra._slots(4, 0, 2 * 3**4)  # D_y = 4 * 1, |q|_1 |p|_1^4
     narrow = (2,) + slots[1:]
     assert slots[0] > 2 and max(r.terms.values()) > 1 << (narrow[0] - 1)
-    monkeypatch.setattr(algebra, "_slots", lambda A, B, var: narrow)
+    monkeypatch.setattr(algebra, "_slots", lambda du, dv, bound: narrow)
     with pytest.raises((AssertionError, ArithmeticError)):
         _check_resultant(p, q, "x", resultant(p, q, "x"))
+
+
+def test_unpack_rejects_a_leftover_digit():
+    # [TRIVIAL] two 4-bit slots hold -8..7 each; 2^8 leaves a third digit
+    assert algebra._unpack(-3 + (5 << 4), (4, 2, 2)) == [-3, 5]
+    with pytest.raises(ArithmeticError, match="out of range"):
+        algebra._unpack(1 << 8, (4, 2, 2))
 
 
 # ---------------------------------------------------------------------------
