@@ -274,8 +274,7 @@ def format_unipoly(p: UniPoly) -> str:
 # the modular gcd over Z, and through it over Q
 # ---------------------------------------------------------------------------
 
-# 2^61 - 1, a Mersenne prime: the first modulus of the gcd below and the
-# modulus of the Picard-Fuchs fit in `period`.
+# 2^61 - 1, a Mersenne prime: the first modulus of the gcd below.
 _PRIME = (1 << 61) - 1
 # The primes below 2^61 in descending order, grown on first need.
 _primes = [_PRIME]
@@ -805,32 +804,34 @@ def _trim(coeffs: list) -> list:
 
 
 def _prem(a: list, b: list) -> list:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, exactly."""
-    a = _trim(list(a))
-    b = _trim(list(b))
-    da, db = _poly_deg(a), _poly_deg(b)
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, exactly.
+
+    The remainder is one copy of a, reduced in place; its degree dr steps
+    down past the zero leading entries, and it is trimmed once at the end."""
+    db = _poly_deg(b)
     if db < 0:
         raise ZeroDivisionError("pseudo-division by zero")
-    if da < db:
-        return a
+    dr = da = _poly_deg(a)
+    rem = a[: da + 1]
     lc_b = b[db]
-    rem = a
     steps = 0
-    while True:
-        dr = _poly_deg(rem)
-        if dr < db:
-            break
+    while dr >= db:
         coef = rem[dr]
-        rem = [c * lc_b for c in rem]
-        for j in range(db + 1):
-            rem[dr - db + j] = rem[dr - db + j] - coef * b[j]
-        rem = _trim(rem)
+        off = dr - db
+        for i in range(off):
+            rem[i] = rem[i] * lc_b
+        for j in range(db):
+            rem[off + j] = rem[off + j] * lc_b - coef * b[j]
+        dr -= 1  # rem[dr] * lc_b - coef * lc_b is zero
+        while dr >= 0 and not rem[dr]:
+            dr -= 1
         steps += 1
+    rem = rem[: dr + 1]
     extra = da - db + 1 - steps
     if extra > 0 and rem:
         f = lc_b**extra
         rem = [c * f for c in rem]
-    return _trim(rem)
+    return rem
 
 
 def _quo(a, b):
@@ -1039,15 +1040,12 @@ def _divide_content(lists: list[list[int]]) -> tuple[list, list]:
     return c, lists if len(c) <= 1 else [_quotient(a, c) for a in lists]
 
 
-def _int_content(coeffs: list[MPoly], var: str) -> list[int]:
-    """The content, as by `_divide_content`, of the primitive integer
-    multiples of the coefficients, each of which must involve only var."""
-    return _divide_content([_int_list(c, var) for c in coeffs])[0]
-
-
 def _content(coeffs: list[MPoly], var: str) -> UniPoly:
-    """Monic gcd in Q[var] of the coefficients (each must involve only var)."""
-    return UniPoly(_int_content(coeffs, var), var).monic()
+    """Monic gcd in Q[var] of the coefficients (each must involve only var):
+    the content, as by `_divide_content`, of their primitive integer
+    multiples, made monic."""
+    return UniPoly(
+        _divide_content([_int_list(c, var) for c in coeffs])[0], var).monic()
 
 
 def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:

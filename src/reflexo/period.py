@@ -13,19 +13,21 @@ built row by row in y, and only the rows that can still reach y^0 are
 kept.  One digit width serves both: for an integral f, every coefficient
 of f^m, m <= M, is at most |f|_1^M, and no other value is read.  An
 annihilating operator L = sum_k p_k(t) D^k with D = t d/dt is recovered by
-fitting the induced linear recursion on the coefficients.  The fit of each
-order runs one incremental column elimination, over Z/p for the prime
-p = 2^61 - 1 or over Q.  It runs mod p first; a one-dimensional kernel
-there is lifted by rational reconstruction and accepted only after an exact
-check over Z, and from the first shape that mod p cannot decide the same
-elimination runs over Q.  Mod p the columns are packed as well: a column is
-one int with a fixed-width slot per fit row, so reducing against a pivot is
-one multiply-add, and a combination of columns, one int with a slot per
+fitting the induced linear recursion on the coefficients.  The series is
+first scaled to coprime integers, which leaves L unchanged.  The fit of each
+order runs one incremental column elimination over Z/p for a Mersenne
+prime p = 2^e - 1.  Every vector of a nonempty kernel there is lifted by
+rational reconstruction and accepted only after an exact check over Z.
+Where one does not lift, the order is run again modulo the next, larger
+Mersenne prime of a fixed list, and a shape that the last of them cannot
+decide is reported as undecided.  The columns are packed: a column is
+one int with a fixed-width slot per fit row, so reducing against a pivot
+is one multiply-add, and a combination of columns, one int with a slot per
 column, is made only for a column that gives a kernel vector.  Slots are
-reduced all at once by folding, since 2^61 = 1 mod p, and the width keeps
+reduced all at once by folding, since 2^e = 1 mod p, and the width keeps
 every slot below p^2 (rows + 1): a column meets at most one pivot per fit
-row.  The fibre parameter of the pencil relates to the series
-variable by t = -1/lambda.
+row.  The fibre parameter of the pencil relates to the series variable by
+t = -1/lambda.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from itertools import count, islice
 from math import isqrt, lcm
 
 from .algebra import (
-    _PRIME, UniPoly, _div, _exact, _primitive_scale, format_unipoly,
+    UniPoly, _div, _exact, _primitive_scale, format_unipoly,
     squarefree_rational_roots,
 )
 from .laurent import LaurentPoly
@@ -288,29 +290,17 @@ def _image_coefficient(ps: list[list], c: list, m: int):
     return acc
 
 
-# Rational reconstruction mod _PRIME recovers n/e with |n|, e <= _BOUND.
-_BOUND = isqrt(_PRIME // 2)
+# The exponents e of the Mersenne primes 2^e - 1 that the fit runs modulo,
+# in turn.  They must be Mersenne primes, not the next primes below 2^61
+# that algebra's modular gcd uses: _kernels folds its slots by 2^e = 1 mod p.
+_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423)
 
 
-def _mod_p(c: list) -> list[int] | None:
-    """The images of the entries of c modulo _PRIME, or None when some
-    denominator is divisible by p and has no inverse there."""
-    out = []
-    for v in c:
-        if type(v) is int:
-            out.append(v % _PRIME)
-            continue
-        den = v.denominator % _PRIME
-        if not den:
-            return None
-        out.append(v.numerator * pow(den, -1, _PRIME) % _PRIME)
-    return out
-
-
-def _kernels(c: list, h: int, p: int | None):
+def _kernels(c: list, h: int, p: int):
     """Kernels of the fit matrices of order h and degree 0, 1, 2, ... over
-    Z/p for the Mersenne prime p = 2^e - 1, or over Q when p is None; c lists
-    the series coefficients, one per fit row.
+    Z/p for the Mersenne prime p = 2^e - 1; c lists the integer series
+    coefficients, one per fit row.
 
     The fit matrix of shape (h, d) is that of (h, d - 1) with the h + 1
     columns (k, d), k <= h, appended, so one column elimination serves every
@@ -320,45 +310,7 @@ def _kernels(c: list, h: int, p: int | None):
     the new column.  For each d in turn this yields the kernel vectors found
     so far, a basis of the kernel of the shape (h, d).  Entry j*(h+1) + k of
     a vector belongs to column (k, j); a vector found at a lower degree is
-    shorter.  Over Q the columns are lists of Fractions (_kernels_q); mod p
-    they are packed ints (_kernels_packed), and a vector's entries are the
-    residues in [0, p).
-    """
-    return _kernels_q(c, h) if p is None else _kernels_packed(c, h, p)
-
-
-def _kernels_q(c: list, h: int):
-    """_kernels over Q: the columns and their combinations are lists."""
-    pivots = []  # (pivot row, column scaled to 1 there, its combination)
-    kernel = []
-    for d in count():
-        for k in range(h + 1):
-            n = len(pivots) + len(kernel)
-            col = [
-                (m - d) ** k * c[m - d] if m >= d else 0
-                for m in range(len(c))
-            ]
-            comb = [0] * n + [1]
-            # each pivot column leaves the earlier pivot rows at zero, so one
-            # pass suffices
-            for r, pcol, pcomb in pivots:
-                f = col[r]
-                if f:
-                    col = [a - f * b for a, b in zip(col, pcol)]
-                    comb[: len(pcomb)] = [
-                        a - f * b for a, b in zip(comb, pcomb)
-                    ]
-            r = next((i for i, a in enumerate(col) if a), None)
-            if r is None:
-                kernel.append(comb)
-                continue
-            inv = 1 / Fraction(col[r])
-            pivots.append((r, [a * inv for a in col], [a * inv for a in comb]))
-        yield list(kernel)
-
-
-def _kernels_packed(c: list, h: int, p: int):
-    """_kernels mod p = 2^e - 1 on packed ints.
+    shorter.  The entries are the residues in [0, p).
 
     A column is one int with a w-byte slot per fit row, slot m holding row m;
     a combination is one int with a slot per column so far.  Column (k, d)
@@ -467,36 +419,37 @@ def _unpack(x: int, n: int, w: int) -> list[int]:
     return [int.from_bytes(b[i : i + w], "little") for i in range(0, n * w, w)]
 
 
-def _reconstruct(a: int) -> tuple[int, int] | None:
-    """(n, e) with n = a*e mod _PRIME, |n| <= _BOUND and 0 < e <= _BOUND, or
-    None: Wang's rational reconstruction by the extended Euclidean
-    algorithm, whose remainders r satisfy r = s*a mod p."""
-    r0, r1 = _PRIME, a
+def _reconstruct(a: int, p: int) -> tuple[int, int] | None:
+    """(n, e) with n = a*e mod p, |n| <= B and 0 < e <= B for
+    B = isqrt(p // 2), or None: Wang's rational reconstruction by the
+    extended Euclidean algorithm, whose remainders r satisfy r = s*a mod p."""
+    bound = isqrt(p // 2)
+    r0, r1 = p, a
     s0, s1 = 0, 1
-    while r1 > _BOUND:
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if not 0 < abs(s1) <= _BOUND:
+    if not 0 < abs(s1) <= bound:
         return None
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _lift(vec: list[int], c: list, h: int, d: int) -> list[UniPoly] | None:
+def _lift(vec: list[int], c: list, h: int, d: int, p: int
+          ) -> list[UniPoly] | None:
     """The polynomials p_0..p_h of degree <= d of an integer operator whose
     coefficient vector is proportional to the mod-p kernel vector vec, or
     None.
 
     The entries are reconstructed in turn with a running common denominator
     and scaled to integers.  The operator is returned only if it annihilates
-    every fit row exactly; with a mod-p kernel of dimension 1 that proves the
-    kernel over Q has dimension 1 and is spanned by this operator.
+    every fit row exactly, so that it lies in the kernel over Q.
     """
     vec = vec + [0] * ((h + 1) * (d + 1) - len(vec))
     den = 1
     nums = []
     for x in vec:
-        q = _reconstruct(x * den % _PRIME)
+        q = _reconstruct(x * den % p, p)
         if q is None:
             return None
         n, e = q
@@ -507,7 +460,7 @@ def _lift(vec: list[int], c: list, h: int, d: int) -> list[UniPoly] | None:
     ps = [nums[k :: h + 1] for k in range(h + 1)]
     if any(_image_coefficient(ps, c, m) for m in range(len(c))):
         return None
-    return [UniPoly(p) for p in ps]
+    return [UniPoly(q) for q in ps]
 
 
 def find_picard_fuchs(
@@ -520,61 +473,67 @@ def find_picard_fuchs(
     ascending; a candidate kernel must also annihilate the last `guard`
     coefficients, which are excluded from the fit.
 
-    Every fit matrix of order h has the same rows, one per coefficient
-    outside the guard, and its columns grow with d, so each order runs one
-    incremental column elimination (_kernels), first modulo the prime
-    p = 2^61 - 1 on the series reduced once mod p.  A shape whose columns
-    stay independent mod p is skipped: rank_p <= rank_Q, because every minor
-    that vanishes over Q vanishes mod p, so its kernel over Q is provably
-    empty.  Where the kernel mod p has dimension 1, its vector is lifted by
-    rational reconstruction to an integer operator and accepted only if that
-    operator annihilates every fit row exactly; the kernel over Q then has
-    dimension 1 as well.  Where mod p cannot decide a shape -- its kernel
-    has dimension 2 or more, or its vector has no reconstruction or fails
-    the exact check, or a denominator of the series is divisible by p -- the
-    same elimination runs over Q for the rest of the order.  At the accepted
-    shape the kernel must have dimension 1; otherwise the operator is not
-    determined by the data and ValueError is raised, as it is when no shape
-    within the bounds is accepted.
+    The series is scaled once to coprime integers (_primitive_scale); L is
+    linear, so this does not change it, and a series times any constant is
+    fitted as the series is.  Every fit matrix of order h has the same rows,
+    one per coefficient outside the guard, and its columns grow with d, so
+    each order runs one incremental column elimination (_kernels) modulo the
+    Mersenne prime p = 2^61 - 1.  A shape whose columns stay independent
+    mod p is skipped: rank_p <= rank_Q, because every minor that vanishes
+    over Q vanishes mod p, so its kernel over Q is provably empty.  Where
+    the kernel mod p has dimension k >= 1, every vector of it is lifted by
+    rational reconstruction to an integer operator that must annihilate
+    every fit row exactly.  If all k lift, they are k independent kernel
+    vectors over Q, so the kernel over Q has dimension k too, the same
+    columns are dependent over Q, and the first lifted vector is the one an
+    elimination over Q would give.  Otherwise the prime was unlucky or too
+    small for the entries: the order's elimination restarts modulo the next
+    prime of _MERSENNE_EXPONENTS, a larger one, and takes the kernel of the
+    same shape; the shapes it skipped stay skipped.  When the last prime
+    cannot decide a shape, ValueError("operator undecided ...") names it.
+    At the accepted shape the kernel must have dimension 1; otherwise the
+    operator is not determined by the data and ValueError is raised, as it
+    is when no shape within the bounds is accepted.
     """
     M = s.order
-    c = s.coefficients
+    scale = _primitive_scale(s.coefficients)
+    c = [_exact(v * scale) for v in s.coefficients]
     fit = c[: max(M + 1 - guard, 0)]
-    cp = _mod_p(fit)
     for h in range(1, max_order + 1):
-        exact = cp is None
-        kernels = _kernels(fit, h, None) if exact else _kernels(cp, h, _PRIME)
+        moduli = ((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
+        p = next(moduli)
+        kernels = _kernels(fit, h, p)
         for d in range(0, max_degree + 1):
             ncols = (h + 1) * (d + 1)
             if ncols + guard > M + 1:
                 break  # not enough data at this order
             kernel = next(kernels)
-            polys = None
-            if kernel and not exact:
-                if len(kernel) == 1:
-                    polys = _lift(kernel[0], fit, h, d)
-                if polys is None:
-                    # mod p cannot decide: eliminate over Q from here on
-                    exact = True
-                    kernels = _kernels(fit, h, None)
-                    kernel = list(islice(kernels, d + 1))[-1]
-            if not kernel:
+            while None in (lifts := [_lift(v, fit, h, d, p) for v in kernel]):
+                # p cannot decide this shape: run the order mod the next prime
+                p = next(moduli, None)
+                if p is None:
+                    raise ValueError(
+                        f"operator undecided at order {h}, degree {d}: no "
+                        f"modulus up to 2^{_MERSENNE_EXPONENTS[-1]} - 1 lifts "
+                        f"its kernel"
+                    )
+                kernels = _kernels(fit, h, p)
+                kernel = list(islice(kernels, d + 1))[-1]
+            if not lifts:
                 continue  # full column rank (mod p, hence over Q)
-            if polys is None:
-                vec = kernel[0] + [0] * (ncols - len(kernel[0]))
-                polys = [UniPoly(vec[k :: h + 1]) for k in range(h + 1)]
+            polys = lifts[0]
             if polys[h].is_zero():
                 continue  # order drops: this is a lower-order relation
             L = DiffOperator(polys)
-            ps = [p.coeffs for p in L.polys]
+            ps = [q.coeffs for q in L.polys]
             if all(
                 _image_coefficient(ps, c, m) == 0
                 for m in range(M - guard + 1, M + 1)
             ):
-                if len(kernel) != 1:
+                if len(lifts) != 1:
                     raise ValueError(
                         f"operator not unique: kernel of dimension "
-                        f"{len(kernel)} at order {h}, degree {d} (use more "
+                        f"{len(lifts)} at order {h}, degree {d} (use more "
                         f"coefficients)"
                     )
                 return L.normalized()

@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import count
 
 from reflexo.algebra import (
+    _PRIME,
     MPoly,
     UniPoly,
     _derivative,
@@ -30,7 +31,7 @@ from reflexo.algebra import (
     gcd_poly,
     resultant,
 )
-from reflexo.period import _PRIME, PowerSeries
+from reflexo.period import PowerSeries
 
 
 def bareiss_determinant(rows: list[list]) -> Fraction:
@@ -141,17 +142,16 @@ def apply_operator(L, s) -> PowerSeries:
     ])
 
 
-def kernels_mod_p(c: list, h: int):
+def kernels_mod_p(c: list, h: int, p: int = _PRIME):
     """Kernels of the fit matrices of order h and degree 0, 1, 2, ... over
-    Z/p, p = _PRIME, for the series coefficients c, one per fit row: the
-    contract of period._kernels(c, h, _PRIME), computed on lists of ints.
+    Z/p for the integer series coefficients c, one per fit row: the
+    contract of period._kernels(c, h, p), computed on lists of ints.
 
     Each new column (k, d), entries (m - d)^k c_{m-d}, is reduced against
     the pivot columns so far, each scaled to 1 at its pivot row, the first
     nonzero row; one that reduces to zero gives the combination of columns
     that cancels, entry 1 at the new column, all entries in [0, p).  For
     each d this yields the kernel vectors found so far."""
-    p = _PRIME
     pivots = []  # (pivot row, column scaled to 1 there, its combination)
     kernel = []
     for d in count():

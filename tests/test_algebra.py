@@ -937,17 +937,19 @@ def _in_two(draw, main, coeff):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([("x", "y"), ("l", "y"), ("y", "l")]), st.data())
 def test_int_content_matches_unipoly_path(variables, data):
-    # [DERIVED] the content in Z[coeff] of the main-variable coefficients,
-    # read off the terms as int lists, equals the gcd of their primitive
-    # integer multiples taken through UniPoly; a planted factor in coeff
-    # alone makes nonconstant contents frequent
+    # [DERIVED] the content of the main-variable coefficients, read off the
+    # terms as int lists, equals the gcd in Z[coeff] of their primitive
+    # integer multiples taken through UniPoly, made monic (primitive with a
+    # positive leading coefficient is one-to-one with monic); a planted
+    # factor in coeff alone makes nonconstant contents frequent
     main, coeff = variables
     p = data.draw(_in_two(main, coeff))
     r = UniPoly(data.draw(st.lists(_coefficient, max_size=3)), coeff)
     if r:
         p = p * MPoly.from_unipoly(r, coeff)
     coeffs = p.coeffs_in(main)
-    assert algebra._int_content(coeffs, coeff) == int_content(coeffs, coeff)
+    assert algebra._content(coeffs, coeff) == UniPoly(
+        int_content(coeffs, coeff), coeff).monic()
 
 
 def test_narrow_slot_mutant_is_caught(monkeypatch):

@@ -3,7 +3,7 @@
 import time
 from fractions import Fraction
 from itertools import islice
-from math import comb, factorial
+from math import comb, factorial, isqrt, prod
 from unittest.mock import patch
 
 import pytest
@@ -11,16 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflexo import period
-from reflexo.algebra import UniPoly
+from reflexo.algebra import _PRIME, UniPoly
 from reflexo.catalog import NAMES, get
 from reflexo.laurent import LaurentPoly, build_fP
 from reflexo.period import (
-    _PRIME,
     DiffOperator,
     PowerSeries,
     _kernels,
     _lift,
-    _mod_p,
     find_picard_fuchs,
     operator_singular_locus,
     period_coefficients,
@@ -432,30 +430,47 @@ def _fit_matrix(c, h, d, guard):
     ]
 
 
-def count_exact_solves(monkeypatch):
-    """Route period._kernels through a counter of the eliminations over Q;
-    returns the counts."""
-    counts = {"exact": 0}
+def moduli_used(monkeypatch):
+    """Route period._kernels through a record of the moduli each order's
+    eliminations ran over; returns {order: [e, ...]} for p = 2^e - 1."""
+    used = {}
 
     def kernels(c, h, p):
-        if p is None:
-            counts["exact"] += 1
+        used.setdefault(h, []).append(p.bit_length())
         return _kernels(c, h, p)
 
     monkeypatch.setattr(period, "_kernels", kernels)
-    return counts
+    return used
 
 
 # Fit rows of a series to M = 40 with the default guard of 8.
 FIT_ROWS = 33
 
+# The moduli of the fit, and their product.
+MODULI = [(1 << e) - 1 for e in period._MERSENNE_EXPONENTS]
+K = prod(MODULI)
+
 
 def kernel_at(s, h, d, p=_PRIME, guard=8):
-    """The kernel basis of the fit matrix of shape (h, d) mod p, or over Q
-    when p is None."""
+    """The kernel basis mod p of the fit matrix of shape (h, d) of a series
+    with integer coefficients."""
     fit = s.coefficients[: s.order + 1 - guard]
-    c = fit if p is None else _mod_p(fit)
-    return list(islice(_kernels(c, h, p), d + 1))[-1]
+    return list(islice(_kernels(fit, h, p), d + 1))[-1]
+
+
+def image_mod(x, p):
+    """The residue of the rational x modulo p."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def lucas_lehmer(e: int) -> bool:
+    """True when 2^e - 1 is prime, for an odd prime e."""
+    m = (1 << e) - 1
+    v = 4
+    for _ in range(e - 2):
+        v = (v * v - 2) % m
+    return v == 0
 
 
 class TestModularScreen:
@@ -463,17 +478,18 @@ class TestModularScreen:
         # [DERIVED] rank_p <= rank_Q: where the exact kernel is nonempty the
         # mod-p kernel is nonempty too; at every accepted shape of the 16
         # series both have dimension exactly 1, the lifted vector is the
-        # operator, and no exact solve runs
-        counts = count_exact_solves(monkeypatch)
+        # operator, and every order runs mod 2^61 - 1 alone
+        used = moduli_used(monkeypatch)
         for name in NAMES:
             s = period_coefficients(build_fP(catalog[name]), 40)
+            used.clear()
             L = find_picard_fuchs(s)
             h, d = L.order, max(p.degree for p in L.polys)
+            assert used == {k: [61] for k in range(1, h + 1)}, name
             kernel = kernel_at(s, h, d)
             assert len(kernel) == 1, name
-            polys = _lift(kernel[0], s.coefficients[:FIT_ROWS], h, d)
+            polys = _lift(kernel[0], s.coefficients[:FIT_ROWS], h, d, _PRIME)
             assert DiffOperator(polys).normalized() == L, name
-            assert counts["exact"] == 0, name
             rows = _fit_matrix(s.coefficients, h, d, 8)
             assert _kernel(rows, (h + 1) * (d + 1))[1] == 1, name
 
@@ -484,97 +500,129 @@ class TestModularScreen:
         assert _kernel(rows, 2)[0] is None
         assert kernel_at(p3_series(), 1, 0) == []
 
-    def test_denominator_divisible_by_p_undecided(self):
-        # [TRIVIAL] an entry with a denominator divisible by p has no image
-        # mod p, so the series is not reduced at all
-        assert _mod_p([1, Fraction(1, _PRIME), 2]) is None
-        assert _mod_p([1, Fraction(1, 3), -1]) == [
-            1, pow(3, -1, _PRIME), _PRIME - 1
-        ]
-
-    def test_denominator_divisible_by_p_falls_through(self, monkeypatch):
-        # [DERIVED] the P3 series divided by p is annihilated by the same
-        # operator; every shape up to the accepted (2, 3) -- degrees 0..12 of
-        # order 1, 0..3 of order 2 -- is then decided over Q, by one
-        # elimination per order
-        counts = count_exact_solves(monkeypatch)
-        s = PowerSeries(
-            [Fraction(c, _PRIME) for c in p3_series().coefficients])
-        assert find_picard_fuchs(s) == p3_operator()
-        assert counts["exact"] == 2
-
-    def test_columns_zero_mod_p_fall_through(self, monkeypatch):
-        # [DERIVED] the P3 series times p has every column zero mod p, so
-        # every kernel mod p has dimension 2 or more: each order switches to
-        # the elimination over Q at degree 0 and still finds the operator
-        counts = count_exact_solves(monkeypatch)
-        s = PowerSeries([c * _PRIME for c in p3_series().coefficients])
-        assert len(kernel_at(s, 1, 0)) == 2
-        assert find_picard_fuchs(s) == p3_operator()
-        assert counts["exact"] == 2
+    def test_scaled_series_give_same_operator(self, monkeypatch):
+        # [DERIVED] the P3 series times or divided by p = 2^61 - 1, or by
+        # the product K of every modulus, is annihilated by the same
+        # operator.  Unscaled, every column of s*p is zero mod p and s/p
+        # has no image mod p, and s*K and s/K are so for every modulus;
+        # the scaling to coprime integers makes each the plain series,
+        # decided mod p at the first try
+        used = moduli_used(monkeypatch)
+        c = p3_series().coefficients
+        for a in (_PRIME, Fraction(1, _PRIME), K, Fraction(1, K)):
+            used.clear()
+            s = PowerSeries([v * a for v in c])
+            assert find_picard_fuchs(s) == p3_operator()
+            assert used == {1: [61], 2: [61]}
 
     def test_failed_lift_falls_through(self, monkeypatch):
         # [DERIVED] the period of 2^15 f_3 is that of f_3 at 2^15 t, with
         # operator D^2 - 27 2^45 t^3 (D+1)(D+2); the mod-p vector at (2, 3)
         # has entries of about 2^50 and 2^-50, past the reconstruction
-        # bound, so its one lift fails and order 2 switches to Q there
+        # bounds of 2^61 - 1 and 2^89 - 1, so those lifts fail and order 2
+        # is run again until 2^107 - 1 decides it
         lifts = []
 
-        def lift(vec, c, h, d):
-            lifts.append(_lift(vec, c, h, d))
-            return lifts[-1]
+        def lift(vec, c, h, d, p):
+            lifts.append((p.bit_length(), _lift(vec, c, h, d, p)))
+            return lifts[-1][1]
 
         monkeypatch.setattr(period, "_lift", lift)
-        counts = count_exact_solves(monkeypatch)
+        used = moduli_used(monkeypatch)
         f = build_fP(get("3")) * LaurentPoly({(0, 0): 2 ** 15})
         a = 27 * 2 ** 45
-        assert a > period._BOUND
-        assert find_picard_fuchs(period_coefficients(f, 40)) == DiffOperator([
+        assert a > isqrt(MODULI[1] // 2)
+        L = DiffOperator([
             UniPoly([0, 0, 0, -2 * a]),
             UniPoly([0, 0, 0, -3 * a]),
             UniPoly([1, 0, 0, -a]),
         ])
-        assert lifts == [None]
-        assert counts["exact"] == 1
+        assert find_picard_fuchs(period_coefficients(f, 40)) == L
+        assert [(e, q is None) for e, q in lifts] == [
+            (61, True), (89, True), (107, False)]
+        assert used == {1: [61], 2: [61, 89, 107]}
+
+    def test_unlucky_prime_falls_through(self, monkeypatch):
+        # [DERIVED] sum p^m t^m, p = 2^61 - 1, has the operator
+        # (1 - p t) D - p t.  Mod p its column D s is zero, so the shape
+        # (1, 0) has a kernel mod p and none over Q: the lift fails, and mod
+        # 2^89 - 1 that shape has full rank and stays skipped.  The operator
+        # at (1, 1) has an entry p, past the bounds of 2^89 - 1 and
+        # 2^107 - 1, and 2^127 - 1 decides it
+        used = moduli_used(monkeypatch)
+        s = PowerSeries([_PRIME ** m for m in range(20)])
+        L = find_picard_fuchs(s, guard=4)
+        assert L == DiffOperator([UniPoly([0, -_PRIME]),
+                                  UniPoly([1, -_PRIME])])
+        assert used == {1: [61, 89, 107, 127]}
+        assert kernel_at(s, 1, 0, MODULI[1], guard=4) == []
+
+    def test_undecided_after_last_modulus(self, monkeypatch):
+        # [DERIVED] with 2^61 - 1 the only modulus, the shape of
+        # test_failed_lift_falls_through is left undecided, and the error
+        # names it
+        monkeypatch.setattr(period, "_MERSENNE_EXPONENTS", (61,))
+        f = build_fP(get("3")) * LaurentPoly({(0, 0): 2 ** 15})
+        with pytest.raises(ValueError,
+                           match="operator undecided at order 2, degree 3"):
+            find_picard_fuchs(period_coefficients(f, 40))
+
+    def test_moduli_are_mersenne_primes(self):
+        # [TRIVIAL] the fold of _kernels needs p = 2^e - 1, and the screen
+        # and the lift need p prime: Lucas-Lehmer for every exponent, which
+        # grow, so each retry has a larger reconstruction bound
+        exponents = period._MERSENNE_EXPONENTS
+        assert list(exponents) == sorted(set(exponents))
+        assert MODULI[0] == _PRIME
+        assert all(lucas_lehmer(e) for e in exponents)
 
     def test_modes_agree_at_accepted_shapes(self, catalog):
-        # [DERIVED] the elimination over Q and mod p pivot on the same
-        # columns of the 16 series: at each accepted shape the kernel over Q
-        # has one vector, with entry 1 at the dependent column, whose image
-        # mod p is the mod-p kernel vector
+        # [DERIVED] the mod-p elimination and the reference elimination over
+        # Q pivot on the same columns of the 16 series: at each accepted
+        # shape the kernel over Q has one vector, and scaled to 1 at the
+        # dependent column its image mod p is the mod-p kernel vector
         for name in NAMES:
             s = period_coefficients(build_fP(catalog[name]), 40)
             L = find_picard_fuchs(s)
             h, d = L.order, max(p.degree for p in L.polys)
-            (vec,) = kernel_at(s, h, d, None)
             (vec_p,) = kernel_at(s, h, d)
-            assert vec[-1] == 1 and vec_p[-1] == 1, name
-            assert _mod_p(vec) == vec_p, name
+            rows = _fit_matrix(s.coefficients, h, d, 8)
+            ref, dim = _kernel(rows, (h + 1) * (d + 1))
+            assert dim == 1, name
+            # the reference orders its columns (k, j) by k first
+            vec = [ref[k * (d + 1) + j]
+                   for j in range(d + 1) for k in range(h + 1)]
+            n = len(vec_p) - 1
+            assert vec_p[n] == 1 and not any(vec[n + 1:]), name
+            assert [image_mod(x / vec[n], _PRIME) for x in vec[: n + 1]] == (
+                vec_p), name
 
     def test_lift_rejects_wrong_vector(self):
         # [DERIVED] a mod-p vector that is not the image of a kernel vector
         # over Q fails the exact check on the fit rows
         s = p3_series()
         (vec,) = kernel_at(s, 2, 3)
-        assert _lift(vec, s.coefficients[:FIT_ROWS], 2, 3) is not None
+        fit = s.coefficients[:FIT_ROWS]
+        assert _lift(vec, fit, 2, 3, _PRIME) is not None
         wrong = [(x + 1) % _PRIME for x in vec]
-        assert _lift(wrong, s.coefficients[:FIT_ROWS], 2, 3) is None
+        assert _lift(wrong, fit, 2, 3, _PRIME) is None
 
     def test_reconstruction(self):
         # [TRIVIAL] n/e is recovered from n * e^-1 mod p while |n| and e
-        # are at most sqrt(p/2); past the bound any answer still satisfies
-        # the congruence and the bound, and the exact check decides
-        B = period._BOUND
-        for n, e in ((0, 1), (-7, 9), (3278, 1), (B, 1), (-1, B)):
-            x = n * pow(e, -1, _PRIME) % _PRIME
-            assert period._reconstruct(x) == (n, e)
-        x = (B + 1) * pow(B + 2, -1, _PRIME) % _PRIME
-        q = period._reconstruct(x)
-        assert q is None or (
-            q != (B + 1, B + 2)
-            and abs(q[0]) <= B and 0 < q[1] <= B
-            and (q[0] - x * q[1]) % _PRIME == 0
-        )
+        # are at most B = sqrt(p/2); past the bound any answer still
+        # satisfies the congruence and the bound, and the exact check decides
+        for p in (MODULI[0], MODULI[1], MODULI[-1]):
+            B = isqrt(p // 2)
+            for n, e in ((0, 1), (-7, 9), (3278, 1), (B, 1), (-1, B)):
+                x = n * pow(e, -1, p) % p
+                assert period._reconstruct(x, p) == (n, e)
+            x = (B + 1) * pow(B + 2, -1, p) % p
+            q = period._reconstruct(x, p)
+            assert q is None or (
+                q != (B + 1, B + 2)
+                and abs(q[0]) <= B and 0 < q[1] <= B
+                and (q[0] - x * q[1]) % p == 0
+            )
 
 
 def up_to(kernels, d):
@@ -582,54 +630,65 @@ def up_to(kernels, d):
     return list(islice(kernels, d + 1))
 
 
-# Integers whose residues mod p include 0, 1 and p - 1 often, so columns and
-# combinations cancel and slots reach their largest values.
-_residues = st.one_of(
-    st.sampled_from([0, 1, _PRIME - 1, -1, _PRIME, 2 * _PRIME - 1]),
-    st.integers(0, _PRIME - 1),
-    st.integers(-(1 << 80), 1 << 80),
-)
+# The moduli the packed elimination is checked at against the list oracle.
+CHECKED_MODULI = [MODULI[0], MODULI[1], (1 << 127) - 1, (1 << 521) - 1]
+
+
+@st.composite
+def _residues(draw, p):
+    """Integers whose residues mod p include 0, 1 and p - 1 often, so
+    columns and combinations cancel and slots reach their largest
+    values."""
+    return draw(st.one_of(
+        st.sampled_from([0, 1, p - 1, -1, p, 2 * p - 1]),
+        st.integers(0, p - 1),
+        st.integers(-(1 << 80), 1 << 80),
+    ))
 
 
 class TestPackedElimination:
     def test_matches_list_oracle_on_catalog(self, catalog):
         # [DERIVED] the packed elimination mod p yields the kernel lists of
-        # the list elimination at every degree 0..12 of orders 1..4 on the
-        # 16 series
+        # the list elimination at every degree 0..12 of orders 1..4: mod
+        # 2^61 - 1 on the 16 series, and mod the larger checked moduli, of
+        # up to 521 bits, on three of them
         for name in NAMES:
             s = period_coefficients(build_fP(catalog[name]), 40)
-            cp = _mod_p(s.coefficients[:FIT_ROWS])
-            for h in range(1, 5):
-                assert up_to(_kernels(cp, h, _PRIME), 12) == up_to(
-                    kernels_mod_p(cp, h), 12), (name, h)
+            c = s.coefficients[:FIT_ROWS]
+            moduli = CHECKED_MODULI if name in ("3", "5a", "9") else [_PRIME]
+            for p in moduli:
+                for h in range(1, 5):
+                    assert up_to(_kernels(c, h, p), 12) == up_to(
+                        kernels_mod_p(c, h, p), 12), (name, p, h)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(_residues, min_size=FIT_ROWS, max_size=FIT_ROWS),
-           st.integers(1, 4))
-    def test_matches_list_oracle_on_random_series(self, c, h):
+    @given(st.sampled_from(CHECKED_MODULI), st.integers(1, 4), st.data())
+    def test_matches_list_oracle_on_random_series(self, p, h, data):
         # [DERIVED] on integer series of fit length, raw or reduced, the
         # packed and the list elimination agree up to degree 8
-        assert up_to(_kernels(c, h, _PRIME), 8) == up_to(
-            kernels_mod_p(c, h), 8)
+        c = data.draw(st.lists(_residues(p), min_size=FIT_ROWS,
+                               max_size=FIT_ROWS))
+        assert up_to(_kernels(c, h, p), 8) == up_to(kernels_mod_p(c, h, p), 8)
 
     def test_every_entry_p_minus_1(self):
         # [DERIVED] a series with every entry p - 1 at order 4 up to degree
         # 12: 65 columns over 33 rows, so combinations longer than a column
         # and many kernel vectors
-        c = [_PRIME - 1] * FIT_ROWS
-        kernels = up_to(_kernels(c, 4, _PRIME), 12)
-        assert kernels == up_to(kernels_mod_p(c, 4), 12)
-        assert len(kernels[-1][-1]) == 65
-        assert len(kernels[-1]) > 65 - FIT_ROWS
+        for p in CHECKED_MODULI:
+            c = [p - 1] * FIT_ROWS
+            kernels = up_to(_kernels(c, 4, p), 12)
+            assert kernels == up_to(kernels_mod_p(c, 4, p), 12), p
+            assert len(kernels[-1][-1]) == 65
+            assert len(kernels[-1]) > 65 - FIT_ROWS
 
     def test_order_one_operator_found_mod_p(self, monkeypatch):
         # [DERIVED] sum C(2m, m) t^m = (1 - 4t)^(-1/2) has the order-1
-        # operator (1 - 4t) D - 2t, accepted from the mod-p kernel without
-        # an elimination over Q
-        counts = count_exact_solves(monkeypatch)
+        # operator (1 - 4t) D - 2t, accepted from the kernel mod 2^61 - 1
+        # alone
+        used = moduli_used(monkeypatch)
         s = PowerSeries([comb(2 * m, m) for m in range(41)])
         assert str(find_picard_fuchs(s)) == "(-2*t) + (-4*t + 1)*D"
-        assert counts["exact"] == 0
+        assert used == {1: [61]}
 
 
 SHEARS = [
