@@ -500,16 +500,28 @@ class TestModularScreen:
         assert _kernel(rows, 2)[0] is None
         assert kernel_at(p3_series(), 1, 0) == []
 
-    def test_scaled_series_give_same_operator(self, monkeypatch):
-        # [DERIVED] the P3 series times or divided by p = 2^61 - 1, or by
-        # the product K of every modulus, is annihilated by the same
-        # operator.  Unscaled, every column of s*p is zero mod p and s/p
-        # has no image mod p, and s*K and s/K are so for every modulus;
-        # the scaling to coprime integers makes each the plain series,
-        # decided mod p at the first try
+    def test_denominator_divisible_by_p_falls_through(self, monkeypatch):
+        # [DERIVED] the P3 series divided by p = 2^61 - 1, or by the product
+        # K of every modulus, is annihilated by the same operator.  Unscaled,
+        # s/p has no image mod p and s/K none mod any modulus; the scaling to
+        # coprime integers makes each the plain series, decided mod p at the
+        # first try
         used = moduli_used(monkeypatch)
         c = p3_series().coefficients
-        for a in (_PRIME, Fraction(1, _PRIME), K, Fraction(1, K)):
+        for a in (_PRIME, K):
+            used.clear()
+            s = PowerSeries([Fraction(v, a) for v in c])
+            assert find_picard_fuchs(s) == p3_operator()
+            assert used == {1: [61], 2: [61]}
+
+    def test_columns_zero_mod_p_fall_through(self, monkeypatch):
+        # [DERIVED] the P3 series times p has every column zero mod p, and
+        # times K so for every modulus; scaled to coprime integers each is
+        # the plain series, and still gives the P3 operator mod p at the
+        # first try
+        used = moduli_used(monkeypatch)
+        c = p3_series().coefficients
+        for a in (_PRIME, K):
             used.clear()
             s = PowerSeries([v * a for v in c])
             assert find_picard_fuchs(s) == p3_operator()
