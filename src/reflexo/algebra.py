@@ -20,15 +20,15 @@ resultants, gcds, periods and fits of integral inputs run in int
 arithmetic.  Every true division of coefficients goes through `_div`,
 since int / int is a float.
 
-The univariate gcd over Q is a modular gcd (Brown 1971; Collins): the
-primitive integer inputs are reduced modulo 61-bit primes, counting down
-from 2^61 - 1, the monic images are combined by the Chinese remainder
+The univariate gcd of int lists is a modular gcd (Brown 1971; Collins):
+the primitive integer inputs are reduced modulo 61-bit primes, counting
+down from 2^61 - 1, the monic images are combined by the Chinese remainder
 theorem, and a candidate is accepted only once it divides both inputs
 exactly over Z, which proves it the gcd.  Yun's square-free decomposition
-runs on the same integer gcd and its exact cofactors.  One Euclid, which
-makes every divisor monic before it divides, gives the gcd over Q[y]/(q);
-a leading coefficient that is a zero divisor raises ZeroDivisorError with
-the factor of q it shares.
+runs on the same integer gcd and its exact cofactors.  The gcd over
+Q[y]/(q) is a fraction-free Euclid over Z[y]/(Q) on int lists, Q the
+primitive integer multiple of q; a leading coefficient that is a zero
+divisor raises ZeroDivisorError with the factor of q it shares.
 
 One subresultant polynomial remainder sequence (Collins; Brown-Traub)
 serves both the resultant and the bivariate gcd, over any coefficient ring
@@ -49,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import count
 from math import gcd as int_gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -187,16 +187,8 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other) -> "UniPoly":
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return UniPoly([], self.var)
-        res = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                res[i + j] += a * b
-        return UniPoly(res, self.var)
+        return UniPoly(_mul(self.coeffs, self._coerce(other).coeffs),
+                       self.var)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -414,20 +406,16 @@ def _gcd_int(a: list[int], b: list[int]
                 return cand, qa, qb
 
 
-def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic gcd over Q, by the certified modular gcd `_gcd_int` of the
-    primitive integer multiples of p and q.
-
-    No coefficient bound is needed, since trial division accepts the
-    answer.  On the elimination polynomial of 9 under ((-11,3),(-4,1)),
-    of degree 78 with 982-bit coefficients, Yun's decomposition through
-    it takes 0.04 s (2 vCPUs, CPython 3.11.7); the monic Euclid over Q
-    took 175 s, and an integer subresultant gcd 30.6 s."""
-    if p.is_zero() and q.is_zero():
-        raise ValueError("gcd(0, 0) undefined")
-    g = _gcd_int(p.primitive_integer().coeffs,
-                 q.primitive_integer().coeffs)[0]
-    return UniPoly(g, p.var).monic()
+def _mul(u: list, v: list) -> list:
+    """The product of two ascending coefficient lists."""
+    if not u or not v:
+        return []
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                out[i + j] += x * y
+    return out
 
 
 def _derivative(a: list[int]) -> list[int]:
@@ -683,17 +671,6 @@ class MPoly:
             kk[i] = 0
             buckets[d][tuple(kk)] = v
         return [_wrap(b) for b in buckets]
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence["MPoly"], name: str) -> "MPoly":
-        i = _VAR_INDEX[name]
-        terms: dict = {}
-        for d, c in enumerate(coeffs):
-            for k, v in c.terms.items():
-                kk = list(k)
-                kk[i] += d
-                terms[tuple(kk)] = terms.get(tuple(kk), 0) + v
-        return cls(terms)
 
     def eval_var(self, name: str, value) -> "MPoly":
         """Substitute a rational value for one variable."""
@@ -1009,7 +986,7 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
-# bivariate gcd; one Euclid with monic divisors over Q[y]/(q)
+# bivariate gcd; one fraction-free Euclid over Q[y]/(q)
 # ---------------------------------------------------------------------------
 
 
@@ -1024,6 +1001,20 @@ def _int_list(p: MPoly, var: str) -> list[int]:
     for k, v in terms.items():
         out[k[i]] = v
     return out
+
+
+def _rows(p: MPoly, i: int, j: int) -> list[list[int]]:
+    """The primitive integer multiple of p, which must be free of the third
+    variable, as its rows: the ascending coefficients in variable i, each
+    the trimmed ascending int list in variable j; [] for zero."""
+    if not p.terms:
+        return []
+    terms = _primitive_terms(p)[0]
+    dense = [[0] * (max(e[j] for e in terms) + 1)
+             for _ in range(max(e[i] for e in terms) + 1)]
+    for e, c in terms.items():
+        dense[e[i]][e[j]] = c
+    return list(map(_trim, dense))
 
 
 def _divide_content(lists: list[list[int]]) -> tuple[list, list]:
@@ -1067,14 +1058,7 @@ def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
         raise ValueError(f"gcd_bivariate expects input free of {VARS[third]}")
     if not p.terms or not q.terms:
         return _lex_monic(p.terms or q.terms)
-    a, b = [], []
-    for r, rows in ((p, a), (q, b)):
-        terms = _primitive_terms(r)[0]
-        dense = [[0] * (max(e[j] for e in terms) + 1)
-                 for _ in range(max(e[i] for e in terms) + 1)]
-        for e, c in terms.items():
-            dense[e[i]][e[j]] = c
-        rows += map(_trim, dense)
+    a, b = _rows(p, i, j), _rows(q, i, j)
     if len(a) < len(b):
         a, b = b, a
     (ca, a), (cb, b) = _divide_content(a), _divide_content(b)
@@ -1099,7 +1083,7 @@ def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
                                 [c.to_unipoly(coeff).coeffs for c in a])[1]
     c = _gcd_int(ca, cb)[0]
     if len(c) > 1:
-        g = [(UniPoly(row) * UniPoly(c)).coeffs for row in g]
+        g = [_mul(row, c) for row in g]
     return _lex_monic({_key(third, *((t, k) if i > j else (k, t))): x
                        for k, row in enumerate(g) for t, x in enumerate(row)
                        if x})
@@ -1115,77 +1099,141 @@ def _lex_monic(terms: dict) -> MPoly:
 
 
 class ZeroDivisorError(ArithmeticError):
-    """Raised when inverting a zero divisor in Q[z]/(q); carries the factor."""
+    """Raised when a residue of Q[y]/(q) that must be a unit is a zero
+    divisor; carries the monic factor of q that it shares."""
 
     def __init__(self, factor: UniPoly):
         super().__init__("zero divisor encountered")
         self.factor = factor
 
 
-def _inverse_mod(a: UniPoly, q: UniPoly) -> UniPoly:
-    """The inverse of the nonzero residue a in Q[z]/(q), by the extended
-    Euclidean algorithm.  Raises ZeroDivisorError with the monic gcd(a, q)
-    when it is not 1, so a caller can split q and recurse."""
-    r0, r1 = q, a
-    s0, s1 = UniPoly([], a.var), UniPoly([1], a.var)
-    while not r1.is_zero():
-        qt, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - qt * s1
-    if not r0.is_const():
-        raise ZeroDivisorError(r0.monic())
-    return (s0 * _div(1, r0.lc())).divmod(q)[1]
+def _reduce(a: list[int], Q: list[int]) -> list[int]:
+    """a mod the monic Q, for a trimmed ascending int list a: a trimmed
+    int list of length < len(Q), a itself when it is one already."""
+    n = len(Q) - 1
+    if len(a) <= n:
+        return a
+    a = list(a)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(n):
+                a[i - n + j] -= c * Q[j]
+    return _trim(a[:n])
 
 
-def _euclid(a: list, b: list, q: UniPoly) -> list:
-    """Monic gcd over Q[z]/(q), q squarefree, of the dense ascending lists
-    a and b, not both zero, of UniPoly residues of degree < deg q.
+def _prem_over(a: list, b: list, Q: list[int]) -> list:
+    """`_prem` in (Z[z]/(Q))[x], Q monic, for lists of residues a and b,
+    b of degree >= 1 with an integer leading coefficient [N]."""
+    n = len(b) - 1
+    N = b[-1][0]
+    rem = list(a)
+    dr = len(rem) - 1
+    while dr >= n:
+        coef = rem[dr]
+        off = dr - n
+        if N != 1:
+            for i in range(off):
+                rem[i] = [c * N for c in rem[i]]
+        for j in range(n):
+            r = rem[off + j]
+            if N != 1:
+                r = [c * N for c in r]
+            rem[off + j] = _reduce(_sub(r, _mul(coef, b[j])), Q)
+        dr -= 1  # rem[dr] N - coef N is zero
+        while dr >= 0 and not rem[dr]:
+            dr -= 1
+    return rem[: dr + 1]
 
-    Every divisor is made monic before it divides, which keeps the
-    remainders' coefficients small (Brown 1971; von zur Gathen-Gerhard,
-    *Modern Computer Algebra*, ch. 6).  A leading coefficient that is a
-    zero divisor raises ZeroDivisorError.  The first divisor is the nonzero
-    input of lower degree: a first division by the other would only swap
-    the two, after an inverse of its leading coefficient.
 
-    Two steps take no inverse.  A divisor whose leading coefficient is
-    already 1 divides as it is: its entries are inputs or remainders, and
-    both are residues of degree < deg q, so there is nothing to reduce.  A
-    nonzero constant divisor c ends the Euclid with the gcd 1 once gcd(c, q)
-    is constant, i.e. c is a unit; otherwise that monic gcd is the factor
-    ZeroDivisorError carries, the same one the inverse of c would raise.
-    The gcd runs the inverse's remainder sequence without its cofactors,
-    and the last division, by [1], which would only reduce the entries of
-    a, is not made.
-    """
-    a, b = _trim(a), _trim(b)
+def _adjugate(u: list[int], Q: list[int]) -> tuple[list[int], int]:
+    """(v, N), u v = N mod the monic Q, N = +-det M for M the matrix of
+    multiplication by u; ([], 0) when u is a zero divisor.  v solves
+    M v = N e_0 by fraction-free elimination (Bareiss 1968)."""
+    n = len(Q) - 1
+    cols = [u + [0] * (n - len(u))]
+    for _ in range(n - 1):  # y^k u mod Q: shift, then subtract top * Q
+        w = cols[-1]
+        top, w = w[-1], [0] + w[:-1]
+        cols.append([x - top * q for x, q in zip(w, Q)] if top else w)
+    rows = [[col[i] for col in cols] + [0] for i in range(n)]
+    rows[0][n] = 1
+    prev = 1
+    for k in range(n):
+        for p in range(k, n):
+            if rows[p][k]:
+                break
+        else:
+            return [], 0
+        rows[k], rows[p] = rows[p], rows[k]
+        pk = rows[k]
+        d = pk[k]
+        for i in range(k + 1, n):
+            f = rows[i][k]
+            rows[i] = [(d * x - f * y) // prev for x, y in zip(rows[i], pk)]
+        prev = d
+    v = [0] * n
+    for i in range(n - 1, -1, -1):
+        r = rows[i]
+        v[i] = (prev * r[n] - sum(r[j] * v[j] for j in range(i + 1, n))
+                ) // r[i]
+    return _trim(v), prev
+
+
+def _primitive_over(p: list) -> list:
+    """The nonzero p, a list of int lists, divided by the gcd of all their
+    entries, signed so that the last entry of its last list is positive."""
+    g = int_gcd(*(c for e in p for c in e))
+    if p[-1][-1] < 0:
+        g = -g
+    return p if g == 1 else [[c // g for c in e] for e in p]
+
+
+def gcd_over_quotient(a: list[list[int]], b: list[list[int]], Q: list[int]
+                      ) -> list[list[int]]:
+    """A gcd over Q[y]/(q), q = Q squarefree, of two polynomials given as
+    ascending lists of trimmed int lists in y; [] when both are zero.  Q is
+    primitive with a positive leading coefficient.  The gcd, of residues
+    mod Q, is the monic gcd times a positive integer.  Raises
+    ZeroDivisorError with the monic factor of q that a leading coefficient
+    shares.
+
+    Euclid by pseudo-division over Z[y]/(Q), each remainder divided by its
+    integer content (Brown 1971; von zur Gathen-Gerhard, ch. 6).  A divisor
+    whose leading coefficient u is not an integer is first multiplied by
+    the adjugate v, u v = N mod Q; N = 0 shows u a zero divisor.  So the
+    remainders are those of the monic Euclid times rationals.  Without the
+    adjugate they gather unit multiples: 7a under ((21,29),(-8,-11)) grew
+    remainders of 273 kbit in 9 steps.  The first divisor is the nonzero
+    input of lower degree.  For c = lc(Q) != 1 it runs in z = c y, with the
+    monic modulus c^(n-1) Q(z / c), n = deg Q, each input scaled by c^D, D
+    its degree in y, so every entry alike."""
+    n = len(Q) - 1
+    c = Q[-1]
+    if c != 1:
+        Q = [q * c ** (n - 1 - k) for k, q in enumerate(Q[:-1])] + [1]
+        scaled = []
+        for p in (a, b):
+            D = max(map(len, p), default=1) - 1
+            scaled.append([[x * c ** (D - k) for k, x in enumerate(e)]
+                           for e in p])
+        a, b = scaled
+    a, b = (_trim([_reduce(e, Q) for e in p]) for p in (a, b))
     if not b or a and len(a) < len(b):
         a, b = b, a
     while b:
-        n = len(b) - 1
-        if not n:
-            g = gcd_poly(b[0], q)
-            if not g.is_const():
-                raise ZeroDivisorError(g)
-            return [UniPoly([1], b[0].var)]
-        if b[-1] != 1:
-            inv = _inverse_mod(b[-1], q)
-            b = [(c * inv).divmod(q)[1] for c in b]
-        # the entries of a are reduced only where they are read, as the
-        # leading coefficient of a step or as the remainder
-        for i in range(len(a) - 1, n - 1, -1):
-            c = a[i].divmod(q)[1]
-            if c:
-                for j in range(n):
-                    a[i - n + j] -= c * b[j]
-        a, b = b, _trim([c.divmod(q)[1] for c in a[:n]])
+        u = b[-1]
+        if len(u) > 1:
+            v, N = _adjugate(u, Q)
+            if not N:
+                h = _gcd_int(u, Q)[0]
+                raise ZeroDivisorError(UniPoly(
+                    [x * c**k for k, x in enumerate(h)], "y").monic())
+            b = [_reduce(_mul(e, v), Q) for e in b[:-1]] + [[N]]
+        b = _primitive_over(b)
+        if len(b) == 1:
+            return [[1]]
+        a, b = b, _prem_over(a, b, Q)
+    if c != 1 and a:
+        a = _primitive_over([[x * c**k for k, x in enumerate(e)] for e in a])
     return a
-
-
-def gcd_over_quotient(a: list[UniPoly], b: list[UniPoly], q: UniPoly
-                      ) -> list[UniPoly]:
-    """Monic gcd over Q[z]/(q), q squarefree, of two polynomials given as
-    dense ascending coefficient lists of residues mod q; [] when both are
-    zero.  Raises ZeroDivisorError, carrying the factor of q it found, when
-    a leading coefficient is not invertible mod q."""
-    return _euclid(a, b, q)

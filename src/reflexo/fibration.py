@@ -28,6 +28,8 @@ from .algebra import (
     _content,
     _gcd_int,
     _int_list,
+    _primitive,
+    _rows,
     format_unipoly,
     gcd_bivariate,
     gcd_over_quotient,
@@ -294,7 +296,7 @@ def _strip_powers(coeffs: list) -> list:
     """An ascending coefficient list without its leading zeros: the
     polynomial divided by the largest power of its variable."""
     k = 0
-    while k < len(coeffs) and coeffs[k] == 0:
+    while k < len(coeffs) and not coeffs[k]:
         k += 1
     return coeffs[k:]
 
@@ -437,32 +439,31 @@ def _values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0: Fraction
 def _values_over(A: MPoly, B: MPoly, J: MPoly, C: MPoly, qy: UniPoly
                  ) -> UniPoly:
     """_values_at_y for the points whose y-coordinate is a root of the
-    rational-root-free qy, over Q[y]/(qy): with g monic in x there,
-    Res_y(qy, Res_x(g, C)) is the product over all of them.  qy is split
-    wherever Q[y]/(qy) shows a zero divisor."""
-    qy = qy.monic()
+    rational-root-free qy, over Q[y]/(qy), up to a nonzero constant.
+
+    A, B and J are read as int lists mod Q, the primitive integer multiple
+    of qy, and g is the gcd of A and B over Q[y]/(qy): primitive and
+    integral, the monic gcd times an integer.  So Res_y(Q, Res_x(g, C)) is
+    the product over all the points times a nonzero constant, and both
+    resultants run on integral inputs.  qy is split wherever Q[y]/(qy)
+    shows a zero divisor."""
+    Q = _primitive(qy.primitive_integer().coeffs)
     try:
-        g = gcd_over_quotient(_to_quotient_coeffs(A, qy),
-                              _to_quotient_coeffs(B, qy), qy)
-        while g and g[0].is_zero():
-            g = g[1:]
+        g = _strip_powers(
+            gcd_over_quotient(_rows(A, 0, 1), _rows(B, 0, 1), Q))
         if len(g) <= 1:
             return UniPoly([1], "l")
-        if len(gcd_over_quotient(g, _to_quotient_coeffs(J, qy), qy)) > 1:
+        if len(gcd_over_quotient(g, _rows(J, 0, 1), Q)) > 1:
             raise ArithmeticError(
                 f"critical point is not an ordinary node: stage torus nodes, "
                 f"y a root of {format_unipoly(qy)}")
     except ZeroDivisorError as zd:
         return (_values_over(A, B, J, C, zd.factor)
                 * _values_over(A, B, J, C, qy.exact_div(zd.factor)))
-    g = MPoly.from_coeffs([MPoly.from_unipoly(c, "y") for c in g], "x")
-    values = resultant(MPoly.from_unipoly(qy, "y"), resultant(g, C, "x"), "y")
-    return values.to_unipoly("l")
-
-
-def _to_quotient_coeffs(p: MPoly, q: UniPoly) -> list[UniPoly]:
-    """MPoly in (x, y) -> dense x-coefficient list of residues mod q(y)."""
-    return [c.to_unipoly("y").divmod(q)[1] for c in p.coeffs_in("x")]
+    g = MPoly({(i, j, 0): c for i, e in enumerate(g) for j, c in enumerate(e)
+               if c})
+    Q = MPoly({(0, j, 0): c for j, c in enumerate(Q) if c})
+    return resultant(Q, resultant(g, C, "x"), "y").to_unipoly("l")
 
 
 def singular_lambda_values(P: Polygon, pencil: Pencil | None = None

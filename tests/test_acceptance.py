@@ -7,11 +7,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from reflexo.algebra import (
-    UniPoly,
-    gcd_poly,
-    squarefree_rational_roots,
-)
+from reflexo.algebra import UniPoly, squarefree_rational_roots
 from reflexo.catalog import NAMES, get, load_catalog
 from reflexo.cli import EXPECTED_TABLE2
 from reflexo.fibration import classify_fibres, elimination_polynomial, singular_lambda_values
@@ -30,7 +26,7 @@ from reflexo.period import (
 )
 from reflexo.polygon import canonical_form, enumerate_reflexive, polar_dual
 
-from oracles import find_torsion_components, miranda_identities
+from oracles import find_torsion_components, gcd_poly, miranda_identities
 
 
 def test_criterion_1_enumeration():

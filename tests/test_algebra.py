@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from reflexo import algebra, cli, fibration
@@ -18,11 +18,9 @@ from reflexo.algebra import (
     MPoly,
     UniPoly,
     ZeroDivisorError,
-    _inverse_mod,
     _subresultant_prs,
     gcd_bivariate,
     gcd_over_quotient,
-    gcd_poly,
     resultant,
     squarefree_rational_roots,
 )
@@ -32,7 +30,10 @@ from reflexo.laurent import LaurentPoly
 
 from oracles import (
     bareiss_determinant,
+    euclid_over_quotient,
+    gcd_poly,
     int_content,
+    inverse_mod,
     squarefree_decomposition,
     sylvester_matrix,
 )
@@ -162,11 +163,13 @@ class TestRepresentation:
         assert {type(c) for c in q.coeffs + r.coeffs + e.coeffs} == {Fraction}
 
     def test_no_unipoly_path_gives_a_float(self):
-        # [TRIVIAL] the inverse of 2y mod y^2 - 3 is y/6
-        inv = _inverse_mod(UniPoly([0, 2], "y"), UniPoly([-3, 0, 1], "y"))
-        values = UniPoly([1, 2]).monic().coeffs + inv.coeffs
-        assert not any(isinstance(c, float) for c in values)
-        assert inv == UniPoly([0, Fraction(1, 6)], "y")
+        # [TRIVIAL] y^3 = (2y^2 - 3)(y/2) + 3y/2, and y^3 / 2 is exact
+        q, r = UniPoly([0, 0, 0, 1], "y").divmod(UniPoly([-3, 0, 2], "y"))
+        e = UniPoly([0, 0, 0, 1], "y").exact_div(UniPoly([2], "y"))
+        values = UniPoly([1, 2]).monic().coeffs + q.coeffs + r.coeffs
+        assert not any(isinstance(c, float) for c in values + e.coeffs)
+        assert (q, r) == (UniPoly([0, Fraction(1, 2)], "y"),
+                          UniPoly([0, Fraction(3, 2)], "y"))
 
     def test_int_and_fraction_coefficients_agree(self):
         a, b = UniPoly([3]), UniPoly([Fraction(3)])
@@ -314,136 +317,245 @@ def test_gcd_matches_reference_euclid(a, b, c):
     assert gcd_poly(p, q) == _reference_gcd(p, q)
 
 
+def _monic_over(g: list, q: UniPoly) -> list[UniPoly]:
+    """The gcd g, int lists in y, as UniPoly residues mod q made monic by
+    the inverse of its leading coefficient: the form of the reference."""
+    g = [UniPoly(e, "y").divmod(q)[1] for e in g]
+    if not g:
+        return g
+    inv = inverse_mod(g[-1], q)
+    return [(c * inv).divmod(q)[1] for c in g]
+
+
+def _gcd_or_factor(a, b, Q):
+    """gcd_over_quotient(a, b, Q) made monic over Q[y]/(Q), or the factor
+    its ZeroDivisorError carries."""
+    try:
+        return _monic_over(gcd_over_quotient(a, b, Q), UniPoly(Q, "y"))
+    except ZeroDivisorError as zd:
+        return zd.factor
+
+
+def _reference_or_factor(a, b, Q):
+    """The monic Euclid of the reference on the residues of a and b mod Q,
+    or the factor its ZeroDivisorError carries."""
+    q = UniPoly(Q, "y")
+    a, b = ([UniPoly(e, "y").divmod(q)[1] for e in p] for p in (a, b))
+    try:
+        return euclid_over_quotient(a, b, q)
+    except ZeroDivisorError as zd:
+        return zd.factor
+
+
 class TestGcdOverQuotient:
-    @staticmethod
-    def residues(*coeffs):
-        return [UniPoly(c, "y") for c in coeffs]
+    # (y^2 - 2)(y^2 - 3)
+    Q = [6, 0, -5, 0, 1]
 
     def test_sqrt2(self):
         # [TRIVIAL] over Q(sqrt 2), gcd(x^2 - 2, x - y) = x - y
-        q = UniPoly([-2, 0, 1], "y")
-        a = self.residues([-2], [], [1])
-        b = self.residues([0, -1], [1])
-        assert gcd_over_quotient(a, b, q) == self.residues([0, -1], [1])
+        a, b = [[-2], [], [1]], [[0, -1], [1]]
+        assert gcd_over_quotient(a, b, [-2, 0, 1]) == [[0, -1], [1]]
 
     def test_zero_divisor_carries_the_factor(self):
         # [TRIVIAL] mod (y^2 - 2)(y^2 - 3), the leading coefficient y^2 - 2
         # of (y^2 - 2) x + 1 shares the factor y^2 - 2 with the modulus, in
         # either order of the inputs
-        q = UniPoly([-2, 0, 1], "y") * UniPoly([-3, 0, 1], "y")
-        a = self.residues([1], [], [1])
-        b = self.residues([1], [-2, 0, 1])
+        a, b = [[1], [], [1]], [[1], [-2, 0, 1]]
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ZeroDivisorError) as info:
-                gcd_over_quotient(x, y, q)
+                gcd_over_quotient(x, y, self.Q)
             assert info.value.factor == UniPoly([-2, 0, 1], "y")
 
     def test_constant_zero_divisor_remainder_carries_the_factor(self):
         # [TRIVIAL] mod (y^2 - 2)(y^2 - 3), x^2 + y^2 - 2 leaves the constant
         # remainder y^2 - 2 after the monic divisor x, a zero divisor, in
         # either order of the inputs
-        q = UniPoly([-2, 0, 1], "y") * UniPoly([-3, 0, 1], "y")
-        a = self.residues([-2, 0, 1], [], [1])
-        b = self.residues([], [1])
+        a, b = [[-2, 0, 1], [], [1]], [[], [1]]
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ZeroDivisorError) as info:
-                gcd_over_quotient(x, y, q)
+                gcd_over_quotient(x, y, self.Q)
             assert info.value.factor == UniPoly([-2, 0, 1], "y")
 
     def test_monic_divisor_and_unit_remainder_take_no_inverse(
             self, monkeypatch):
         # [TRIVIAL] over Q(sqrt 2), x^2 + 1 leaves the unit 3 after the
-        # monic divisor x - y, so gcd(x^2 + 1, x - y) = 1 with no inverse
+        # monic divisor x - y, so gcd(x^2 + 1, x - y) = 1 with no unit test
         calls = []
-        monkeypatch.setattr(algebra, "_inverse_mod",
-                            lambda *args: calls.append(args))
-        q = UniPoly([-2, 0, 1], "y")
-        a = self.residues([1], [], [1])
-        b = self.residues([0, -1], [1])
-        assert gcd_over_quotient(a, b, q) == self.residues([1])
+        for name in ("_adjugate", "_gcd_int"):
+            def counting(*args, kernel=getattr(algebra, name)):
+                calls.append(args)
+                return kernel(*args)
+            monkeypatch.setattr(algebra, name, counting)
+        a, b = [[1], [], [1]], [[0, -1], [1]]
+        assert gcd_over_quotient(a, b, [-2, 0, 1]) == [[1]]
         assert calls == []
+
+    def test_divisor_gets_an_integer_leading_coefficient(self):
+        # [TRIVIAL] over Q(sqrt 2), (y + 1)(x - y) has the leading
+        # coefficient y + 1, whose adjugate 1 - y gives (y + 1)(1 - y) =
+        # -1: the gcd with (y + 1)(x - y)(x + 1) is x - y itself
+        assert algebra._adjugate([1, 1], [-2, 0, 1]) == ([1, -1], -1)
+        a = [[-2, -1], [-1], [1, 1]]
+        b = [[-2, -1], [1, 1]]
+        assert gcd_over_quotient(a, b, [-2, 0, 1]) == [[0, -1], [1]]
+        assert algebra._adjugate([-2, 0, 1], self.Q) == ([], 0)
+
+    def test_non_monic_modulus(self):
+        # [TRIVIAL] mod 2y^2 - 3, y = sqrt(3/2): gcd(2x^2 - 3, x - y) is
+        # x - y, and mod (2y - 1)(y^2 - 2) the leading coefficient 4y - 2
+        # of (4y - 2) x + 1 is a zero divisor sharing y - 1/2
+        a, b = [[-3], [], [2]], [[0, -1], [1]]
+        g = gcd_over_quotient(a, b, [-3, 0, 2])
+        assert _monic_over(g, upoly(-3, 0, 2, var="y")) == \
+            [upoly(0, -1, var="y"), upoly(1, var="y")]
+        with pytest.raises(ZeroDivisorError) as info:
+            gcd_over_quotient([[1], [-2, 4]], a, [2, -4, -1, 2])
+        assert info.value.factor == upoly(Fraction(-1, 2), 1, var="y")
 
     def test_rational_y_matches_gcd_over_q(self):
         # [DERIVED] mod y - y0, Q[y]/(q) is Q, and the gcd of A and B is
-        # gcd_poly of A(x, y0) and B(x, y0), for every rational y-candidate
-        # of the 16 pencils
+        # gcd_poly of A(x, y0) and B(x, y0), up to a constant, for every
+        # rational y-candidate of the 16 pencils
         checked = 0
         for name in NAMES:
             pencil = Pencil(get(name))
             A, B, _ = pencil.critical_pair
             for y0, _ in pencil.critical_y[0]:
-                q = UniPoly([-y0, 1], "y")
-                a, b = ([c.to_unipoly("y").divmod(q)[1]
-                         for c in p.coeffs_in("x")] for p in (A, B))
-                g = gcd_over_quotient(a, b, q)
+                Q = [-y0.numerator, y0.denominator]
+                g = gcd_over_quotient(algebra._rows(A, 0, 1),
+                                      algebra._rows(B, 0, 1), Q)
                 A0, B0 = (p.eval_var("y", y0).to_unipoly("x")
                           for p in (A, B))
-                assert [c[0] for c in g] == gcd_poly(A0, B0).coeffs
+                assert UniPoly([c[0] if c else 0 for c in g], "x").monic() \
+                    == gcd_poly(A0, B0)
                 checked += 1
         assert checked == 22
 
 
-def _gcd_or_factor(a, b, q):
-    """gcd_over_quotient(a, b, q), or the factor its ZeroDivisorError
-    carries."""
-    try:
-        return gcd_over_quotient(a, b, q)
-    except ZeroDivisorError as zd:
-        return zd.factor
+def _times(s: list, u: list) -> list:
+    """The product of two polynomials in x with int-list coefficients."""
+    out = [UniPoly([], "y")] * (len(s) + len(u) - 1)
+    for i, c in enumerate(s):
+        for j, d in enumerate(u):
+            out[i + j] = out[i + j] + UniPoly(c, "y") * UniPoly(d, "y")
+    return [c.coeffs for c in out]
+
+
+@st.composite
+def quotient_cases(draw):
+    """(Q, a, b): Q a squarefree product of one to three integer factors of
+    degree 1 or 2 in y with leading coefficients 1 to 3, made primitive,
+    and a = s u, b = s v with a shared factor s linear in x.  Each
+    coefficient in x is a nonzero int list in y of degree <= 2, some of
+    them multiples of a factor of Q, so that zero divisors are frequent."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 2))
+        factors.append(draw(st.lists(st.integers(-4, 4), min_size=deg,
+                                     max_size=deg))
+                       + [draw(st.integers(1, 3))])
+    q = UniPoly([1], "y")
+    for f in factors:
+        q = q * UniPoly(f, "y")
+    assume(gcd_poly(q, q.derivative()).is_const())
+
+    def poly(min_deg, max_deg):
+        out = []
+        for _ in range(draw(st.integers(min_deg, max_deg)) + 1):
+            e = draw(st.lists(st.integers(-3, 3), max_size=2))
+            e.append(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+            k = draw(st.integers(-1, len(factors) - 1))
+            out.append(e if k < 0 else _times([e], [factors[k]])[0])
+        return out
+
+    s, u, v = poly(1, 1), poly(0, 2), poly(0, 2)
+    return algebra._primitive(q.primitive_integer().coeffs), \
+        _times(s, u), _times(s, v)
+
+
+@seed(32)
+@settings(max_examples=150, deadline=None)
+@given(quotient_cases())
+def test_gcd_over_quotient_matches_monic_euclid(case):
+    # [DERIVED] against the monic Euclid over Q[y]/(q) with Fraction
+    # residues: the same gcd up to a unit, or the same factor of q raised;
+    # moduli with leading coefficient != 1 run the Euclid in z = lc(Q) y
+    Q, a, b = case
+    assert _gcd_or_factor(a, b, Q) == _reference_or_factor(a, b, Q)
 
 
 def test_gcd_over_quotient_is_symmetric_on_the_16(monkeypatch):
-    # [TRIVIAL] the monic gcd over Q[y]/(q) does not depend on the order of
-    # its inputs: on every (A, B) and (g, J) pair that the critical values
-    # of the 16 pencils take it of, both orders give the same gcd (or raise
-    # with the same factor)
+    # [TRIVIAL] the gcd over Q[y]/(q) does not depend on the order of its
+    # inputs up to a unit: on every (A, B) and (g, J) pair that the
+    # critical values of the 16 pencils take it of, both orders give the
+    # same monic gcd (or raise with the same factor), that of the reference
     pairs = []
 
-    def recording(a, b, q):
-        pairs.append((a, b, q))
-        return gcd_over_quotient(a, b, q)
+    def recording(a, b, Q):
+        pairs.append((a, b, Q))
+        return gcd_over_quotient(a, b, Q)
 
     monkeypatch.setattr(fibration, "gcd_over_quotient", recording)
     for name in NAMES:
         Pencil(get(name)).critical_values
     assert len(pairs) == 16
-    for a, b, q in pairs:
-        assert _gcd_or_factor(a, b, q) == _gcd_or_factor(b, a, q)
+    for a, b, Q in pairs:
+        expected = _reference_or_factor(a, b, Q)
+        assert _gcd_or_factor(a, b, Q) == _gcd_or_factor(b, a, Q) == expected
 
 
 def test_table2_unit_tests_mod_q(monkeypatch):
-    """The Euclid over Q[y]/(q) tests a residue for a unit by an inverse mod
-    q, or, for a constant divisor, by its gcd with q.  The 16 rows of Table
-    2 make at most 18 such tests, at most 10 of them inverses (18 inverses
-    when the first divisor was the second input even where it had the
-    higher degree, 34 when every divisor, monic or constant, was
-    inverted); the count does not depend on the host."""
-    moduli, inverses, gcds = [], [], []
-    euclid, gcd, inverse = algebra._euclid, algebra.gcd_poly, _inverse_mod
+    """The Euclid over Q[y]/(q) tests a leading coefficient for a unit by
+    the adjugate of multiplication by it mod Q, and takes its integer gcd
+    with Q only for the factor of a zero divisor.  The 16 rows of Table 2
+    make 16 calls and at most 18 unit tests (the Fraction Euclid it
+    replaced made 18, 10 of them inverses mod q), none by an integer gcd.
+    They build no Fraction and no UniPoly inside the calls, so nothing is
+    inverted over Q: the adjugate is an integral multiple of the inverse.
+    The counts do not depend on the host."""
+    moduli, calls, tests, gcds, built = [], [], [], [], []
+    euclid, adjugate = algebra.gcd_over_quotient, algebra._adjugate
+    gcd_int = algebra._gcd_int
+    new, init = Fraction.__new__, UniPoly.__init__
 
-    def counting_euclid(a, b, q):
-        moduli.append(q)
+    def counting_euclid(a, b, Q):
+        moduli.append(Q)
+        calls.append(Q)
         try:
-            return euclid(a, b, q)
+            return euclid(a, b, Q)
         finally:
             moduli.pop()
 
-    def counting_gcd(p, q):
-        if moduli and q is moduli[-1]:
-            gcds.append(p)
-        return gcd(p, q)
+    def counting_adjugate(u, Q):
+        if moduli and Q == moduli[-1]:
+            tests.append(u)
+        return adjugate(u, Q)
 
-    def counting_inverse(a, q):
-        inverses.append(a)
-        return inverse(a, q)
+    def counting_gcd(a, b):
+        if moduli and b == moduli[-1]:
+            gcds.append(a)
+        return gcd_int(a, b)
 
-    monkeypatch.setattr(algebra, "_euclid", counting_euclid)
-    monkeypatch.setattr(algebra, "gcd_poly", counting_gcd)
-    monkeypatch.setattr(algebra, "_inverse_mod", counting_inverse)
+    def counting_new(cls, *args, **kwargs):
+        if moduli:
+            built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        if moduli:
+            built.append(UniPoly)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fibration, "gcd_over_quotient", counting_euclid)
+    monkeypatch.setattr(algebra, "_adjugate", counting_adjugate)
+    monkeypatch.setattr(algebra, "_gcd_int", counting_gcd)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(UniPoly, "__init__", counting_init)
     for name in NAMES:
         cli._table_row(name)
-    assert len(inverses) <= 10
-    assert len(inverses) + len(gcds) <= 18
+    assert len(calls) == 16
+    assert len(tests) <= 18 and gcds == []
+    assert built == []
 
 
 def test_integral_calls_stay_on_packed_ints(monkeypatch):
@@ -451,8 +563,12 @@ def test_integral_calls_stay_on_packed_ints(monkeypatch):
     resultant or bivariate gcd of integral inputs never reaches
     _primitive_scale and builds no Fraction beyond the coefficients of its
     answer, and every call that runs the subresultant PRS packs it; the
-    counts do not depend on the host."""
+    counts do not depend on the host.  Every such call has integral
+    inputs, the two resultants of `_values_over`, Res_x(g, C) and
+    Res_y(Q, .), included: the gcd g over Q[y]/(q) is an integral multiple
+    of the monic one, and Q the primitive multiple of q."""
     integral, scales, prs, fractions = [False], [], [], []
+    inputs = []
     new, scale = Fraction.__new__, algebra._primitive_scale
     run_prs, slots = algebra._subresultant_prs, algebra._slots
 
@@ -479,6 +595,7 @@ def test_integral_calls_stay_on_packed_ints(monkeypatch):
         def call(p, q, *args):
             integral.append(all(c.__class__ is int
                                 for r in (p, q) for c in r.terms.values()))
+            inputs.append(integral[-1])
             del fractions[:]
             try:
                 out = kernel(p, q, *args)
@@ -501,6 +618,7 @@ def test_integral_calls_stay_on_packed_ints(monkeypatch):
         fibration.elimination_polynomial(get(name))
     assert not scales
     assert len(prs) > 100 and all(prs)
+    assert len(inputs) > 150 and all(inputs)
 
 
 class TestGcdBivariate:

@@ -529,6 +529,9 @@ class TestCoordinateIndependence:
         pytest.param("9", ((5, -2), (-2, 1)), id="9-((5,-2),(-2,1))"),
         pytest.param("9", ((5, 2), (2, 1)), id="9-((5,2),(2,1))"),
         pytest.param("9", ((-11, 3), (-4, 1)), id="9-((-11,3),(-4,1))"),
+        pytest.param("5a", ((17, -4), (-21, 5)), id="5a-((17,-4),(-21,5))"),
+        pytest.param("5b", ((17, -38), (-4, 9)), id="5b-((17,-38),(-4,9))"),
+        pytest.param("7a", ((21, 29), (-8, -11)), id="7a-((21,29),(-8,-11))"),
     ])
     def test_double_shear_reproduces_table2(self, name, U):
         # [PAPER] shears with |k| = 2 whose elimination polynomial has large
@@ -536,7 +539,9 @@ class TestCoordinateIndependence:
         # term; the compositions of two shears of 8b, 8c and 9 have a
         # critical curve, so their I1* or IV* is found from G; for 9 under
         # ((-11,3),(-4,1)), G is the square of a curve of x-degree 14, and
-        # the curve values are taken on that radical
+        # the curve values are taken on that radical; the wide shears of 5a,
+        # 5b and 7a take the critical values over an irrational y-factor of
+        # degree 5, 3 and 2
         _assert_table2_row(apply_unimodular(U, get(name)), name)
 
 
