@@ -47,48 +47,64 @@ def _height(v: Point, p: Point) -> int:
     return v[0] * p[0] + v[1] * p[1]
 
 
+def _slice_mutants(points: list[Point], v: Point, ws) -> list[Polygon]:
+    """The mutants conv(R_{-1} ∪ P_0 ∪ (P_1 + H)), one per w in ws, of a
+    reflexive P with no vertex above height 1 under v, by the slice rule:
+    `points`, P's boundary lattice points and the origin, fall by height
+    <v, .> into P_{-1}, P_0 and P_1 in one pass.  P_{-1} lies on the line
+    <v, .> = -1, of primitive direction ±w, so R_{-1} = P_{-1} - H is
+    P_{-1} minus its end furthest along w."""
+    bottom, mid, top = slices = ([], [], [])
+    for p in points:
+        slices[_height(v, p) + 1].append(p)
+    if len(bottom) < 2:
+        raise ValueError("not mutable with this H: P_{-1} is a point")
+    out = []
+    for w in ws:
+        end = max(bottom, key=lambda p: _height(w, p))
+        shifted_top = [(p[0] + w[0], p[1] + w[1]) for p in top]
+        # the hull holds the origin and points at heights -1 and 1: a polygon
+        hull = convex_hull([p for p in bottom if p != end] + mid + top + shifted_top)
+        Q = Polygon._from_ccw(hull)
+        if not Q.is_reflexive():  # pragma: no cover - Definition guarantees this
+            raise ValueError("mutation produced a non-reflexive polygon")
+        out.append(Q)
+    return out
+
+
 def mutate(P: Polygon, data: MutationData) -> Polygon:
-    """The combinatorial mutation conv(R_{-1} ∪ P_0 ∪ (P_1 + H)), by the
-    slice rule: P's lattice points, its boundary points and the origin,
-    fall by height <v, .> into P_{-1}, P_0 and P_1 in one pass.  P_{-1}
-    lies on the line <v, .> = -1, of primitive direction ±w, so
-    R_{-1} = P_{-1} - H is P_{-1} minus its end furthest along w."""
+    """The combinatorial mutation conv(R_{-1} ∪ P_0 ∪ (P_1 + H)) of a
+    reflexive P, by the slice rule of _slice_mutants."""
     if not P.is_reflexive():
         raise ValueError("mutation is defined for reflexive polygons")
-    v, w = data.v, data.w
+    v = data.v
     heights = [_height(v, p) for p in P.vertices]
     if max(heights) > 1:
         raise ValueError("slice above height 1 is nonempty")
     if min(heights) != -1:  # a height -2 point would land in slices[-1], P_1
         raise ValueError("v is not an inner edge normal of P")
-    bottom, mid, top = slices = ([], [], [])
-    for p in P.boundary_lattice_points() + [(0, 0)]:
-        slices[_height(v, p) + 1].append(p)
-    if len(bottom) < 2:
-        raise ValueError("not mutable with this H: P_{-1} is a point")
-    bottom.remove(max(bottom, key=lambda p: _height(w, p)))
-    # the hull holds the origin and points at heights -1 and 1: a polygon
-    shifted_top = [(p[0] + w[0], p[1] + w[1]) for p in top]
-    Q = Polygon._from_ccw(convex_hull(bottom + mid + top + shifted_top))
-    if not Q.is_reflexive():  # pragma: no cover - Definition guarantees this
-        raise ValueError("mutation produced a non-reflexive polygon")
-    return Q
+    points = P.boundary_lattice_points() + [(0, 0)]
+    return _slice_mutants(points, v, [data.w])[0]
 
 
 def all_mutations(P: Polygon) -> list[tuple[MutationData, Polygon]]:
     """Every admissible mutation of P: each edge normal v crossed with the two
     primitive generators of v-perp; results are canonicalized.  Distinct
-    edges have distinct inner normals, so no datum repeats."""
+    edges have distinct inner normals, so no datum repeats.  P is checked
+    and its boundary points listed once, and P is sliced once per normal;
+    a normal v is admissible when no vertex lies above height 1, and its
+    edge gives P_{-1} at least two points."""
+    if not P.is_reflexive():
+        return []
+    points = P.boundary_lattice_points() + [(0, 0)]
     out = []
     for e in P.edges():
         v = e.inner_normal
-        for w in ((-v[1], v[0]), (v[1], -v[0])):
-            data = MutationData(v, w)
-            try:
-                Q = mutate(P, data)
-            except ValueError:
-                continue
-            out.append((data, canonical_form(Q)))
+        if max(_height(v, p) for p in P.vertices) > 1:
+            continue
+        ws = ((-v[1], v[0]), (v[1], -v[0]))
+        for w, Q in zip(ws, _slice_mutants(points, v, ws)):
+            out.append((MutationData(v, w), canonical_form(Q)))
     return out
 
 

@@ -16,7 +16,10 @@ p completes a frame: every candidate of a higher level starts at a larger
 vertex, so it cannot be the lexicographically least.
 
 Enumeration walks cycles of lattice-distance-1 edges between primitive
-points of a box and closes one cycle per orbit of the box's 8 symmetries.
+points of a box, pruned by the box's 8 symmetries, and canonicalises one
+closed cycle per class: the first of each fan key, the cyclic sequence of
+cross(b_{i-1}, b_{i+1}) over consecutive boundary points up to rotation and
+reversal, a complete GL2(Z) invariant.
 """
 
 from __future__ import annotations
@@ -166,8 +169,11 @@ class Polygon:
         out = []
         for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
             g = int_gcd(qx - px, qy - py)
+            if g == 1:
+                out.append((px, py))
+                continue
             dx, dy = (qx - px) // g, (qy - py) // g
-            out.extend((px + i * dx, py + i * dy) for i in range(g))
+            out += [(px + i * dx, py + i * dy) for i in range(g)]
         return out
 
     def lattice_points(self, m: int = 1) -> list[Point]:
@@ -285,13 +291,27 @@ def _orbit_min(p: Point) -> Point:
     return (-max(a, b), -min(a, b))
 
 
-def _box_images(vs: list[Point]):
-    """The images of the point list vs under the 8 signed permutations of the
-    coordinates: the symmetries of the box [-bound, bound]^2, all in GL2(Z)."""
-    for sx in (1, -1):
-        for sy in (1, -1):
-            yield [(sx * x, sy * y) for x, y in vs]
-            yield [(sx * y, sy * x) for x, y in vs]
+def _fan_key(P: Polygon) -> tuple:
+    """Complete GL2(Z) invariant of a reflexive polygon P: the least rotation
+    or reversal of the cyclic sequence (a_i), a_i = cross(b_{i-1}, b_{i+1}),
+    over P's CCW boundary lattice points b_i.
+
+    Consecutive boundary points of a reflexive polygon form a lattice basis,
+    cross(b_i, b_{i+1}) = 1, so b_{i+1} = a_i b_i - b_{i-1}.  The map in
+    GL2(Z) sending b_0, b_1 to e1, e2 and this recursion fix the images of
+    all later points from (a_i) alone: polygons whose sequences agree from
+    some start are equivalent.  A rotation of the sequence is a change of
+    start, and a reversal is the sequence of the image under a det -1 map,
+    which reverses the CCW order; so the key is invariant, and equal keys
+    mean equivalent polygons.  The a_i sum to 3n - 12 for n boundary points
+    (Poonen-Rodriguez-Villegas 2000).
+    """
+    b = P.boundary_lattice_points()
+    a = [px * ry - py * rx for (px, py), (rx, ry) in zip(b[-1:] + b, b[1:] + b[:1])]
+    n = len(a)
+    r = a[::-1] * 2
+    a *= 2
+    return tuple(min([a[i:i + n] for i in range(n)] + [r[i:i + n] for i in range(n)]))
 
 
 def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
@@ -303,14 +323,17 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     <primitive inner normal, p> = -cross(p, q) / gcd(q - p), that is
     cross(p, q) == gcd(q - p).  Build the directed graph of these edges
     between primitive points and walk CCW-convex cycles through it that go
-    once around the origin, from their lex-least vertex.
+    once around the origin, from their lex-least vertex.  Left turns are
+    tested once per pair of edges, in successor lists built up front.
 
     The 8 signed permutations of the coordinates preserve the box and lie in
-    GL2(Z), so only the cycle whose sorted vertex list is least in its orbit
-    closes.  Its first vertex is <= g(v) for every vertex v and symmetry g:
-    the walk starts only at points p with _orbit_min(p) == p and never visits
-    a q with _orbit_min(q) < start.  Every class that meets the box still
-    closes at least once.
+    GL2(Z).  The cycle whose sorted vertex list is least in its orbit has a
+    first vertex <= g(v) for every vertex v and symmetry g, so the walk
+    starts only at points p with _orbit_min(p) == p and never visits a q with
+    _orbit_min(q) < start, and every class that meets the box still closes.
+    Each closed cycle is keyed by _fan_key, a complete invariant, and only
+    the first cycle of each key is canonicalised: one canonical form per
+    class.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
@@ -331,6 +354,14 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
         ]
         for p in pts
     }
+    # after an admissible edge p -> q, the admissible q -> r turning left at q
+    turns: dict[tuple[Point, Point], list[Point]] = {}
+    for p in pts:
+        for q in succ[p]:
+            ex, ey = q[0] - p[0], q[1] - p[1]
+            turns[p, q] = [
+                r for r in succ[q] if ex * (r[1] - q[1]) - ey * (r[0] - q[0]) > 0
+            ]
 
     found: dict[tuple, Polygon] = {}
 
@@ -338,7 +369,7 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     # vertex: every edge p -> q has cross(p, q) = gcd(q - p), the chain
     # turns strictly left at every vertex, both closing corners included,
     # and it goes once around the origin.
-    def dfs(chain: list[Point]):
+    def dfs(chain: list[Point], nexts: list[Point]):
         start = chain[0]
         last = chain[-1]
         (sx, sy), (lx, ly) = start, last
@@ -346,29 +377,22 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
         # the chain is past the half-turn from start, a point at or beyond
         # start's direction would begin a second turn: only start closes it.
         past_half_turn = sx * ly - sy * lx < 0
-        # the chain turns left at last: q lies left of the last edge (ex, ey)
-        turns = len(chain) >= 2
-        if turns:
-            ex, ey = lx - chain[-2][0], ly - chain[-2][1]
         grow = len(chain) < 6  # a reflexive polygon has at most 6 vertices
-        for q in succ[last]:
-            qx, qy = q
-            if turns and ex * (qy - ly) - ey * (qx - lx) <= 0:
-                continue
-            if q == start:  # left turn at last checked above; now at start
+        for q in nexts:
+            if q == start:  # left turn at last is in nexts; now at start
                 if _cross(_sub(start, last), _sub(chain[1], start)) > 0:
-                    key = sorted(chain)
-                    if all(key <= sorted(img) for img in _box_images(chain)):
-                        cf = canonical_form(Polygon._from_ccw(chain))
-                        found.setdefault(tuple(cf.vertices), cf)
+                    P = Polygon._from_ccw(chain)
+                    key = _fan_key(P)
+                    if key not in found:
+                        found[key] = canonical_form(P)
                 continue
             if not grow or orbit_min[q] < start:
                 continue  # a least cycle starts at or below every image of its vertices
-            if past_half_turn and sx * qy - sy * qx >= 0:
+            if past_half_turn and sx * q[1] - sy * q[0] >= 0:
                 continue
-            dfs(chain + [q])
+            dfs(chain + [q], turns[last, q])
 
     for p in pts:
         if orbit_min[p] == p:
-            dfs([p])
+            dfs([p], succ[p])
     return sorted(found.values(), key=lambda P: (P.volume(), tuple(P.vertices)))

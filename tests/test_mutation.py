@@ -115,8 +115,9 @@ class TestAllMutations:
                 assert sorted(name_of(Q) for _, Q in all_mutations(UP)) == names
 
     def test_no_box_scan_or_edges(self, catalog, monkeypatch):
-        # [DERIVED] mutate and canonical_form read P's lattice points off its
-        # vertices: over all_mutations of the 16 they call neither
+        # [DERIVED] mutate, the slicing in _slice_mutants and canonical_form
+        # read P's lattice points off its vertices: over all_mutations of
+        # the 16, and mutate on each of their data, they call neither
         # Polygon.lattice_points nor Polygon.edges
         depth, entered, calls = [0], [0], []
 
@@ -141,9 +142,12 @@ class TestAllMutations:
 
         for name in ("lattice_points", "edges"):
             monkeypatch.setattr(Polygon, name, counted(name))
-        for name in ("mutate", "canonical_form"):
+        for name in ("mutate", "_slice_mutants", "canonical_form"):
             monkeypatch.setattr(mutation, name, scoped(getattr(mutation, name)))
-        assert sum(len(all_mutations(P)) for P in catalog.values()) > 0
+        data = [(P, d) for P in catalog.values() for d, _ in all_mutations(P)]
+        assert data
+        for P, d in data:
+            mutation.mutate(P, d)
         assert entered[0] > 0
         assert calls == []
 

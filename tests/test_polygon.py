@@ -157,17 +157,36 @@ def _outcome(f, P):
         return ValueError
 
 
-def _record_canonical_form(monkeypatch) -> list:
-    """Replace polygon.canonical_form by a wrapper recording its inputs."""
-    original = polygon.canonical_form
+def _record(monkeypatch, name: str) -> list:
+    """Replace polygon.<name> by a wrapper recording its inputs: with
+    "_fan_key" every cycle the walk closes, with "canonical_form" every
+    cycle it canonicalises."""
+    original = getattr(polygon, name)
     seen = []
 
     def wrapper(P):
         seen.append(P)
         return original(P)
 
-    monkeypatch.setattr(polygon, "canonical_form", wrapper)
+    monkeypatch.setattr(polygon, name, wrapper)
     return seen
+
+
+def _closed_cycles(monkeypatch, bound: int) -> list[Polygon]:
+    """Every cycle enumerate_reflexive(bound) closes, in walk order."""
+    seen = _record(monkeypatch, "_fan_key")
+    enumerate_reflexive(bound)
+    monkeypatch.undo()
+    return seen
+
+
+def _rotation_key(P: Polygon) -> tuple:
+    """The fan sequence's least rotation, no reversal: chiral classes get
+    two keys, one per mirror image."""
+    b = P.boundary_lattice_points()
+    n = len(b)
+    a = [_cross(b[i - 1], b[(i + 1) % n]) for i in range(n)]
+    return _rotate_lex_min(a)
 
 
 class TestVertices:
@@ -326,11 +345,9 @@ class TestCanonicalForm:
             checked += 1
 
     def test_matches_reference_on_enumerated_polygons(self, monkeypatch):
-        # [DERIVED] all 8 box images of every polygon the walk closes at
+        # [DERIVED] all 8 box images of every cycle the walk closes at
         # bound 4: every reflexive vertex set in [-4, 4]^2
-        seen = _record_canonical_form(monkeypatch)
-        enumerate_reflexive(4)
-        monkeypatch.undo()
+        seen = _closed_cycles(monkeypatch, 4)
         images = [apply_unimodular(U, P) for P in seen for U in BOX_SYMMETRIES]
         assert {frozenset(Q.vertices) for Q in images} == \
             set(reference_cycles(4))
@@ -369,22 +386,33 @@ class TestEnumeration:
             [P.vertices for P in reference_enumerate(bound)]
 
     def test_each_polygon_canonicalised_once(self, monkeypatch):
-        # [DERIVED] one polygon per orbit of the box's 8 symmetries is
-        # canonicalised: the orbits of the 117 are pairwise disjoint and
-        # cover exactly the 828 vertex sets the unpruned walk closes
-        seen = _record_canonical_form(monkeypatch)
-        enumerate_reflexive(3)
+        # [DERIVED] the walk closes 155 distinct cycles at bound 3, whose box
+        # images are exactly the 828 vertex sets the unpruned walk closes,
+        # and canonicalises only the first cycle of each fan key: 16, each
+        # to its reference canonical form
+        closed_seen = _record(monkeypatch, "_fan_key")
+        formed = _record(monkeypatch, "canonical_form")
+        classes = enumerate_reflexive(3)
         monkeypatch.undo()
-        assert len(seen) == 117
-        assert len({frozenset(P.vertices) for P in seen}) == 117
-        orbits = [
-            {frozenset(apply_unimodular(U, P).vertices) for U in BOX_SYMMETRIES}
-            for P in seen
-        ]
+        assert len(closed_seen) == 155
+        assert len({frozenset(P.vertices) for P in closed_seen}) == 155
         closed = reference_cycles(3)
         assert len(closed) == len(set(closed)) == 828
-        assert sum(len(o) for o in orbits) == 828
-        assert set().union(*orbits) == set(closed)
+        assert {
+            frozenset(apply_unimodular(U, P).vertices)
+            for P in closed_seen for U in BOX_SYMMETRIES
+        } == set(closed)
+        first = {}
+        for P in closed_seen:
+            first.setdefault(polygon._fan_key(P), P)
+        assert len(formed) == 16
+        assert [P.vertices for P in formed] == \
+            [P.vertices for P in first.values()]
+        for P in closed_seen:
+            assert canonical_form(P).vertices == \
+                reference_canonical_form(P).vertices
+        assert sorted(canonical_form(P).vertices for P in formed) == \
+            sorted(P.vertices for P in classes)
 
     def test_catalog_matches_enumeration(self, catalog):
         keys = {
@@ -393,6 +421,57 @@ class TestEnumeration:
         assert {
             tuple(canonical_form(P).vertices) for P in catalog.values()
         } == keys
+
+
+class TestFanKey:
+    def test_gl2z_invariance(self, catalog):
+        # [DERIVED] the key of U P is the key of P, for seeded random U,
+        # det -1 included
+        rng = random.Random(33)
+        gens = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)),
+                ((0, 1), (1, 0))]
+        dets = set()
+        for P in catalog.values():
+            for _ in range(8):
+                U = random_unimodular(rng, gens)
+                dets.add(U[0][0] * U[1][1] - U[0][1] * U[1][0])
+                assert polygon._fan_key(apply_unimodular(U, P)) == \
+                    polygon._fan_key(P)
+        assert dets == {1, -1}
+
+    def test_sixteen_keys_distinct(self, catalog):
+        # [PAPER] the 16 classes have 16 keys
+        assert len({polygon._fan_key(P) for P in catalog.values()}) == 16
+
+    def test_equal_keys_iff_equal_canonical_forms(self, monkeypatch):
+        # [DERIVED] on every cycle closed at bound 4, the key and the
+        # reference canonical form determine each other
+        pairs = {
+            (polygon._fan_key(P), tuple(reference_canonical_form(P).vertices))
+            for P in _closed_cycles(monkeypatch, 4)
+        }
+        assert len(pairs) == 16
+        assert len({k for k, _ in pairs}) == len({f for _, f in pairs}) == 16
+
+    def test_sum_is_twelve_rule(self, monkeypatch):
+        # [DERIVED] on every closed cycle with n boundary points, the fan
+        # sequence sums to 3n - 12, and n = Vol(P) = 12 - Vol(P polar)
+        for P in _closed_cycles(monkeypatch, 4):
+            n = len(P.boundary_lattice_points())
+            key = polygon._fan_key(P)
+            assert len(key) == n
+            assert sum(key) == 3 * n - 12
+            assert n == P.volume() == 12 - polar_dual(P).volume()
+
+    def test_rotation_only_key_splits_chiral_classes(self, monkeypatch):
+        # [DERIVED] without reversal the key separates each chiral class
+        # from its mirror image: 5b, 6b, 6d and 7b are returned twice
+        monkeypatch.setattr(polygon, "_fan_key", _rotation_key)
+        classes = enumerate_reflexive(3)
+        assert len(classes) == 20
+        names = [name_of(P) for P in classes]
+        assert sorted(n for n in set(names) if names.count(n) == 2) == \
+            ["5b", "6b", "6d", "7b"]
 
 
 class TestEdgeIdentity:
