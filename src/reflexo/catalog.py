@@ -17,7 +17,7 @@ import json
 from functools import cache
 from importlib import resources
 
-from .polygon import Polygon, canonical_form, polar_dual
+from .polygon import Polygon, _fan_key, polar_dual
 
 NAMES = [
     "3", "4a", "4b", "4c", "5a", "5b", "6a", "6b",
@@ -44,30 +44,19 @@ def get(name: str) -> Polygon:
 
 
 def name_of(Q: Polygon) -> str:
-    """Name of the catalog class of Q (any coordinates); KeyError if Q is
-    not one of the 16 reflexive polygons.  A Q already in canonical form,
-    such as a mutant from `all_mutations`, is found without canonicalising
-    it again."""
-    names = _names_by_form()
-    key = tuple(Q.vertices)
-    try:
-        if key not in names:
-            key = tuple(canonical_form(Q).vertices)
-        return names[key]
-    except (KeyError, ValueError):
-        # ValueError: Q has no unimodular boundary pair, so it is not
-        # reflexive and has no canonical form
-        raise KeyError("polygon not in catalog") from None
+    """Name of the catalog class of Q (any coordinates), looked up by fan
+    key; KeyError unless Q is reflexive, as the key names the class of a
+    reflexive polygon only, and every reflexive polygon is one of the 16."""
+    if not Q.is_reflexive():
+        raise KeyError("polygon not in catalog")
+    return _names_by_key()[_fan_key(Q)]
 
 
 @cache
-def _names_by_form() -> dict[tuple, str]:
-    """Canonical vertex tuple -> name of the shipped polygons; built by the
-    first name_of call, a constant of the catalog afterwards."""
-    return {
-        tuple(canonical_form(P).vertices): name
-        for name, P in load_catalog().items()
-    }
+def _names_by_key() -> dict[tuple, str]:
+    """Fan key -> name of the shipped polygons; built by the first name_of
+    call, a constant of the catalog afterwards."""
+    return {_fan_key(P): name for name, P in load_catalog().items()}
 
 
 def dual_name(name: str) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd as int_gcd
 
-from .polygon import Point, Polygon, canonical_form, convex_hull
+from .polygon import Point, Polygon, _fan_key, canonical_form, convex_hull
 
 
 class MutationData:
@@ -88,12 +88,12 @@ def mutate(P: Polygon, data: MutationData) -> Polygon:
 
 
 def all_mutations(P: Polygon) -> list[tuple[MutationData, Polygon]]:
-    """Every admissible mutation of P: each edge normal v crossed with the two
-    primitive generators of v-perp; results are canonicalized.  Distinct
-    edges have distinct inner normals, so no datum repeats.  P is checked
-    and its boundary points listed once, and P is sliced once per normal;
-    a normal v is admissible when no vertex lies above height 1, and its
-    edge gives P_{-1} at least two points."""
+    """Every admissible mutation of P, each mutant as mutate(P, data) gives
+    it: each edge normal v crossed with the two primitive generators of
+    v-perp.  Distinct edges have distinct inner normals, so no datum
+    repeats.  P is checked and its boundary points listed once, and P is
+    sliced once per normal; a normal v is admissible when no vertex lies
+    above height 1, and its edge gives P_{-1} at least two points."""
     if not P.is_reflexive():
         return []
     points = P.boundary_lattice_points() + [(0, 0)]
@@ -103,40 +103,47 @@ def all_mutations(P: Polygon) -> list[tuple[MutationData, Polygon]]:
         if max(_height(v, p) for p in P.vertices) > 1:
             continue
         ws = ((-v[1], v[0]), (v[1], -v[0]))
-        for w, Q in zip(ws, _slice_mutants(points, v, ws)):
-            out.append((MutationData(v, w), canonical_form(Q)))
+        out += zip((MutationData(v, w) for w in ws), _slice_mutants(points, v, ws))
     return out
 
 
-# Canonical vertex tuple -> the component of every member of a finished
-# search, in the order that search found it.  Filled one component at a
-# time by mutation_class, never up front; an entry never changes, since a
-# component depends only on the GL2(Z) class of its members.
-_components: dict[tuple, list[Polygon]] = {}
+# Fan key -> the component of each member of a finished search, as fan key
+# -> canonical form in the order found.  Filled one component at a time by
+# _component; an entry never changes, as it depends only on GL2(Z) classes.
+_components: dict[tuple, dict[tuple, Polygon]] = {}
+
+
+def _component(P: Polygon) -> tuple[tuple, dict[tuple, Polygon]]:
+    """P's key and its component of the mutation graph as key -> canonical
+    form.  A reflexive P is keyed by fan key; the first call for a component
+    searches it, expanding each member once through all_mutations and
+    canonicalising it when first found, and a later call for any member, in
+    any coordinates, costs one fan key.  Any other P, whose fan key is no
+    invariant, is a component alone, keyed by its canonical vertex tuple."""
+    if not P.is_reflexive():
+        Q = canonical_form(P)
+        return tuple(Q.vertices), {tuple(Q.vertices): Q}
+    key = _fan_key(P)
+    component = _components.get(key)
+    if component is None:
+        component = {key: canonical_form(P)}
+        todo = [P]
+        while todo:
+            for _, Q in all_mutations(todo.pop()):
+                k = _fan_key(Q)
+                if k not in component:
+                    component[k] = canonical_form(Q)
+                    todo.append(component[k])
+        _components.update(dict.fromkeys(component, component))
+    return key, component
 
 
 def mutation_class(P: Polygon) -> list[Polygon]:
     """Canonical forms of the polygons in P's component of the mutation
-    graph, P's own first.  The first call for a component searches it,
-    expanding each member once through all_mutations and recognising
-    members by canonical vertex tuple; every later call for any of its
-    members, in any coordinates, answers from the per-process memo with no
-    search.  The list returned is the caller's own."""
-    start = canonical_form(P)
-    key = tuple(start.vertices)
-    component = _components.get(key)
-    if component is None:
-        members = {key: start}
-        todo = [P]
-        while todo:
-            for _, Q in all_mutations(todo.pop()):
-                k = tuple(Q.vertices)
-                if k not in members:
-                    members[k] = Q
-                    todo.append(Q)
-        component = list(members.values())
-        _components.update(dict.fromkeys(members, component))
-    return [start] + [Q for Q in component if Q.vertices != start.vertices]
+    graph (see _component), P's own first; [canonical_form(P)] for a P that
+    is not reflexive.  The list returned is the caller's own."""
+    key, component = _component(P)
+    return [component[key]] + [Q for k, Q in component.items() if k != key]
 
 
 def mutation_classes(catalog: list[Polygon]) -> list[list[int]]:
@@ -145,16 +152,12 @@ def mutation_classes(catalog: list[Polygon]) -> list[list[int]]:
     Returns a partition of catalog indices, each class sorted, classes sorted
     by first element.
     """
-    keys = [tuple(canonical_form(P).vertices) for P in catalog]
-    classes = []
-    placed: set[int] = set()
-    for i, P in enumerate(catalog):
-        if i in placed:
-            continue
-        component = {tuple(Q.vertices) for Q in mutation_class(P)}
-        if not component.issubset(keys):
+    found = [_component(P) for P in catalog]
+    keys = {key for key, _ in found}
+    classes: dict[tuple, list[int]] = {}
+    for i, (_, component) in enumerate(found):
+        if not component.keys() <= keys:
             raise ValueError("mutation left the catalog")
-        cls = [j for j, k in enumerate(keys) if k in component]
-        placed.update(cls)
-        classes.append(cls)
-    return classes
+        # a component's first key names it: the key of its search's start
+        classes.setdefault(next(iter(component)), []).append(i)
+    return list(classes.values())

@@ -15,11 +15,11 @@ and the search stops after the first such level where some boundary point
 p completes a frame: every candidate of a higher level starts at a larger
 vertex, so it cannot be the lexicographically least.
 
-Enumeration walks cycles of lattice-distance-1 edges between primitive
-points of a box, pruned by the box's 8 symmetries, and canonicalises one
-closed cycle per class: the first of each fan key, the cyclic sequence of
-cross(b_{i-1}, b_{i+1}) over consecutive boundary points up to rotation and
-reversal, a complete GL2(Z) invariant.
+The fan key, the cyclic sequence of cross(b_{i-1}, b_{i+1}) over boundary
+points up to rotation and reversal, tells the classes of reflexive polygons
+apart.  Names, mutation classes and the enumeration (a walk over the
+lattice-distance-1 edges of a box, pruned by its 8 symmetries) go by it; a
+canonical form is computed only where a representative is returned.
 """
 
 from __future__ import annotations
@@ -304,14 +304,22 @@ def _fan_key(P: Polygon) -> tuple:
     start, and a reversal is the sequence of the image under a det -1 map,
     which reverses the CCW order; so the key is invariant, and equal keys
     mean equivalent polygons.  The a_i sum to 3n - 12 for n boundary points
-    (Poonen-Rodriguez-Villegas 2000).
+    (Poonen-Rodriguez-Villegas 2000).  They are read off the vertices: with
+    primitive steps d_in into and d_out out of b_i, cross(b_i, d) = 1 gives
+    a_i = 2 - cross(d_in, d_out), and 2 inside an edge.  The least rotation
+    or reversal starts at min(a), so only those are compared.
     """
-    b = P.boundary_lattice_points()
-    a = [px * ry - py * rx for (px, py), (rx, ry) in zip(b[-1:] + b, b[1:] + b[:1])]
-    n = len(a)
-    r = a[::-1] * 2
-    a *= 2
-    return tuple(min([a[i:i + n] for i in range(n)] + [r[i:i + n] for i in range(n)]))
+    vs = P.vertices
+    steps = []
+    for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
+        g = int_gcd(qx - px, qy - py)
+        steps.append(((qx - px) // g, (qy - py) // g, g))
+    a = []
+    for (ix, iy, _), (ox, oy, g) in zip(steps[-1:] + steps, steps):
+        a += [2 - ix * oy + iy * ox] + [2] * (g - 1)
+    m = min(a)
+    return tuple(min([s[i:] + s[:i] for s in (a, a[::-1])
+                      for i in range(len(a)) if s[i] == m]))
 
 
 def enumerate_reflexive(bound: int = 3) -> list[Polygon]:

@@ -17,8 +17,10 @@ Picard-Fuchs fit mod p on plain lists, the reference for the packed one.
 values over one rational y taken through `UniPoly` and `Fraction` values,
 and `euclid_over_quotient` with `inverse_mod` is the monic Euclid over
 Q[y]/(q) on `UniPoly` residues: the references for the int-list paths of
-the program.  All are plain int and Fraction arithmetic on the program's
-types.
+the program.  `reference_fan_key` is the fan key of a reflexive polygon
+read off its boundary lattice points, the reference for the program's key
+read off the vertices.  All are plain int and Fraction arithmetic on the
+program's types.
 """
 
 from fractions import Fraction
@@ -133,6 +135,20 @@ def random_unimodular(rng, gens):
              U[1][0] * g[0][1] + U[1][1] * g[1][1]),
         )
     return U
+
+
+def reference_fan_key(P) -> tuple:
+    """The least rotation or reversal of the cyclic sequence
+    a_i = cross(b_{i-1}, b_{i+1}) over the CCW boundary lattice points b_i
+    of a reflexive polygon P, taken from the points themselves."""
+    b = P.boundary_lattice_points()
+    a = [px * ry - py * rx
+         for (px, py), (rx, ry) in zip(b[-1:] + b, b[1:] + b[:1])]
+    n = len(a)
+    r = a[::-1] * 2
+    a *= 2
+    return tuple(min([a[i:i + n] for i in range(n)]
+                     + [r[i:i + n] for i in range(n)]))
 
 
 def apply_operator(L, s) -> PowerSeries:

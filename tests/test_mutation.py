@@ -114,6 +114,21 @@ class TestAllMutations:
                 UP = apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
                 assert sorted(name_of(Q) for _, Q in all_mutations(UP)) == names
 
+    def test_mutants_as_mutate_gives_them(self, catalog):
+        # [DERIVED] each mutant is mutate(P, data) with the same vertex
+        # list, not canonicalised, on the 16 and seeded GL2(Z) images
+        rng = random.Random(6)
+        polys = list(catalog.values()) + [
+            apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
+            for P in catalog.values() for _ in range(3)
+        ]
+        count = 0
+        for P in polys:
+            for data, Q in all_mutations(P):
+                assert Q.vertices == mutate(P, data).vertices
+                count += 1
+        assert count == 4 * 76
+
     def test_no_box_scan_or_edges(self, catalog, monkeypatch):
         # [DERIVED] mutate, the slicing in _slice_mutants and canonical_form
         # read P's lattice points off its vertices: over all_mutations of
@@ -183,7 +198,8 @@ class TestMutationClasses:
 
         for i, P in enumerate(order):
             for _, Q in all_mutations(P):
-                parent[find(keys.index(tuple(Q.vertices)))] = find(i)
+                parent[find(keys.index(tuple(canonical_form(Q).vertices)))] = \
+                    find(i)
         classes = mutation_classes(order)
         for i, P in enumerate(order):
             found = {tuple(Q.vertices) for Q in fresh_class(P)}
@@ -212,10 +228,17 @@ class TestMutationClasses:
 class TestClassMemo:
     def test_members_answered_without_search(self, fresh_class,
                                              monkeypatch):
-        # [DERIVED] once the 6 class is searched, each of its members, in
-        # catalog or other coordinates, gets the searched component with
-        # its own canonical form first and no further all_mutations call
+        # [DERIVED] the search of the 6 class canonicalises each of its 4
+        # members once; afterwards each member, in catalog or other
+        # coordinates, gets the searched component with its own canonical
+        # form first and no further all_mutations or canonical_form call
+        forms = []
+        form = mutation.canonical_form
+        monkeypatch.setattr(mutation, "canonical_form",
+                            lambda P: forms.append(P) or form(P))
         component = {tuple(Q.vertices) for Q in fresh_class(get("6a"))}
+        assert len(forms) == len(component) == 4
+        forms.clear()
         calls = []
         expand = mutation.all_mutations
         monkeypatch.setattr(mutation, "all_mutations",
@@ -229,7 +252,24 @@ class TestClassMemo:
                 assert members[0].vertices == canonical_form(Q).vertices, name
                 assert len(members) == len(component), name
                 assert {tuple(R.vertices) for R in members} == component
-        assert calls == []
+        assert calls == forms == []
+
+    def test_non_reflexive_is_its_own_class(self, fresh_class):
+        # [DERIVED] the fan key tells classes apart only among reflexive
+        # polygons: the triangle has 4c's key by the boundary-point
+        # definition and the translate of 4c by the vertex one, and each is
+        # still a class of its own once 4c's class is searched, with
+        # nothing added to the memo
+        fresh_class(get("4c"))
+        memo = dict(mutation._components)
+        triangle = Polygon([(-3, -3), (-1, -1), (-3, -2)])
+        shifted = Polygon([(x + 5, y) for x, y in get("4c").vertices])
+        for P in (triangle, shifted):
+            assert [Q.vertices for Q in mutation_class(P)] == \
+                [canonical_form(P).vertices]
+        assert mutation_classes([get("4c"), get("4a"), triangle, shifted]) \
+            == [[0, 1], [2], [3]]
+        assert mutation._components == memo
 
     def test_returned_list_is_the_callers(self, fresh_class):
         # [TRIVIAL] changing a returned list changes no later answer

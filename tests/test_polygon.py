@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import random_unimodular
+from oracles import GL2Z_GENS, random_unimodular, reference_fan_key
 
 from reflexo import polygon
 from reflexo.catalog import NAMES, dual_name, get, name_of
@@ -267,10 +267,17 @@ class TestPolarDual:
 
     def test_name_of_unknown_polygon(self):
         # the second triangle has no unimodular pair of boundary points, so
-        # no canonical form
-        for vs in ([(0, 0), (1, 0), (0, 1)], [(-1, 0), (1, 0), (0, 2)]):
+        # no canonical form; the last two are not reflexive but have 4c's
+        # fan key, by the boundary-point definition for the triangle and by
+        # the vertex one for the translate of 4c
+        triangle = Polygon([(-3, -3), (-1, -1), (-3, -2)])
+        shifted = Polygon([(x + 5, y) for x, y in get("4c").vertices])
+        assert reference_fan_key(triangle) == polygon._fan_key(shifted) == \
+            polygon._fan_key(get("4c"))
+        for P in (Polygon([(0, 0), (1, 0), (0, 1)]),
+                  Polygon([(-1, 0), (1, 0), (0, 2)]), triangle, shifted):
             with pytest.raises(KeyError):
-                name_of(Polygon(vs))
+                name_of(P)
 
     def test_4b_dual_vertices(self):
         # [DERIVED] normals of conv{(1,0),(0,1),(-1,1),(0,-1)}
@@ -438,6 +445,39 @@ class TestFanKey:
                 assert polygon._fan_key(apply_unimodular(U, P)) == \
                     polygon._fan_key(P)
         assert dets == {1, -1}
+
+    def test_matches_reference_key(self, catalog, monkeypatch):
+        # [DERIVED] the key read off the vertices is the key read off the
+        # boundary points, on every cycle closed at bound 4 and on seeded
+        # GL2(Z) images of the 16, det -1 included
+        rng = random.Random(34)
+        dets, images = set(), []
+        for P in catalog.values():
+            for _ in range(8):
+                U = random_unimodular(rng, GL2Z_GENS)
+                dets.add(U[0][0] * U[1][1] - U[0][1] * U[1][0])
+                images.append(apply_unimodular(U, P))
+        assert dets == {1, -1}
+        for Q in _closed_cycles(monkeypatch, 4) + images:
+            assert polygon._fan_key(Q) == reference_fan_key(Q)
+
+    def test_name_of_matches_canonical_form_table(self, catalog,
+                                                   monkeypatch):
+        # [DERIVED] name_of, by fan key, agrees with a table from canonical
+        # forms to names on every cycle closed at bound 4 and on wide
+        # seeded GL2(Z) images of the 16
+        table = {tuple(canonical_form(P).vertices): name
+                 for name, P in catalog.items()}
+        rng = random.Random(35)
+        wide = [((1, 3), (0, 1)), ((1, 0), (-3, 1)), ((0, -1), (1, 0)),
+                ((0, 1), (1, 0))]
+        images = [
+            apply_unimodular(random_unimodular(rng, wide), P)
+            for P in catalog.values() for _ in range(8)
+        ]
+        assert max(abs(c) for Q in images for v in Q.vertices for c in v) > 50
+        for Q in _closed_cycles(monkeypatch, 4) + images:
+            assert name_of(Q) == table[tuple(canonical_form(Q).vertices)]
 
     def test_sixteen_keys_distinct(self, catalog):
         # [PAPER] the 16 classes have 16 keys
