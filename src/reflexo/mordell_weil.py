@@ -7,10 +7,11 @@ via the component-group sandwich; the fibre invariants r and det come from
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as int_gcd
 
 from .fibration import FibreConfiguration
-from .polygon import Polygon, canonical_form, polar_dual
+from .polygon import Polygon, polar_dual
 
 
 def section_positions(P: Polygon) -> list[int]:
@@ -18,32 +19,18 @@ def section_positions(P: Polygon) -> list[int]:
     section's 0 first.
 
     There is one section per edge of P, i.e. per vertex of P-polar; the
-    cyclic component order of the I_m fibre is the counterclockwise boundary
-    walk of the canonicalized dual polygon.  The zero section is the vertex
-    immediately after a shortest edge, i.e. the start whose cyclic gap
-    sequence (lattice lengths of the edges, read from the start) ends with
-    the minimal gap; ties are broken by the lexicographically greatest gap
-    sequence.
+    cycle of components of the I_m fibre is the boundary walk of P-polar, in
+    either direction, so consecutive sections are the lattice lengths of its
+    edges apart.  Of the rotations and reversals of these gaps, the one read
+    from the zero section ends with the minimal gap and is lexicographically
+    greatest among those: a choice that depends on the GL2(Z) class of P
+    alone, with no canonical form.
     """
-    Q = polar_dual(canonical_form(P))
-    walk = Q.boundary_lattice_points()
-    verts = set(Q.vertices)
-    m = len(walk)
-    vidx = [i for i, p in enumerate(walk) if p in verts]
-    k = len(vidx)
-    gaps = [(vidx[(j + 1) % k] - vidx[j]) % m for j in range(k)]
-    best = None
-    for j in range(k):
-        seq = tuple(gaps[j:] + gaps[:j])
-        if seq[-1] != min(gaps):
-            continue
-        if best is None or seq > best[0]:
-            best = (seq, j)
-    seq = best[0]
-    positions = [0]
-    for g in seq[:-1]:
-        positions.append(positions[-1] + g)
-    return positions
+    gaps = [e.lattice_length for e in polar_dual(P).edges()]
+    m = min(gaps)
+    seq = max(s[i + 1:] + s[:i + 1] for s in (gaps, gaps[::-1])
+              for i in range(len(gaps)) if s[i] == m)
+    return list(accumulate(seq[:-1], initial=0))
 
 
 def contribution(n: int, i: int, j: int) -> Fraction:
@@ -126,7 +113,9 @@ def mw_group(P: Polygon, config: FibreConfiguration) -> MWReport:
     the known sections in the component group of the infinity fibre (lower
     bound) and determinant divisibility of the trivial lattice (upper): the
     torsion order squared divides det T, the product of the fibres'
-    component-group orders `t.det`, the infinity fibre included."""
+    component-group orders `t.det`, the infinity fibre included.  The
+    sections' components come from `section_positions`, computed once and
+    read off P's coordinates as they are, with no canonical form."""
     rank = shioda_tate_rank(config)
     positions = section_positions(P)
     m = 12 - P.volume()

@@ -17,13 +17,14 @@ vertex, so it cannot be the lexicographically least.
 
 The fan key, the cyclic sequence of cross(b_{i-1}, b_{i+1}) over boundary
 points up to rotation and reversal, tells the classes of reflexive polygons
-apart.  Names, mutation classes and the enumeration (a walk over the
-lattice-distance-1 edges of a box, pruned by its 8 symmetries) go by it; a
+apart.  Names and mutation classes go by it, and the enumeration builds the
+16 classes from the sequences that satisfy the number-12 identity; a
 canonical form is computed only where a representative is returned.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd as int_gcd
 
 from .algebra import _exact
@@ -281,34 +282,15 @@ def canonical_form(P: Polygon) -> Polygon:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of reflexive polygons
+# fan sequences and the enumeration of reflexive polygons
 # ---------------------------------------------------------------------------
 
 
-def _orbit_min(p: Point) -> Point:
-    """Least image of p under the 8 signed permutations of the coordinates."""
-    a, b = abs(p[0]), abs(p[1])
-    return (-max(a, b), -min(a, b))
-
-
-def _fan_key(P: Polygon) -> tuple:
-    """Complete GL2(Z) invariant of a reflexive polygon P: the least rotation
-    or reversal of the cyclic sequence (a_i), a_i = cross(b_{i-1}, b_{i+1}),
-    over P's CCW boundary lattice points b_i.
-
-    Consecutive boundary points of a reflexive polygon form a lattice basis,
-    cross(b_i, b_{i+1}) = 1, so b_{i+1} = a_i b_i - b_{i-1}.  The map in
-    GL2(Z) sending b_0, b_1 to e1, e2 and this recursion fix the images of
-    all later points from (a_i) alone: polygons whose sequences agree from
-    some start are equivalent.  A rotation of the sequence is a change of
-    start, and a reversal is the sequence of the image under a det -1 map,
-    which reverses the CCW order; so the key is invariant, and equal keys
-    mean equivalent polygons.  The a_i sum to 3n - 12 for n boundary points
-    (Poonen-Rodriguez-Villegas 2000).  They are read off the vertices: with
-    primitive steps d_in into and d_out out of b_i, cross(b_i, d) = 1 gives
-    a_i = 2 - cross(d_in, d_out), and 2 inside an edge.  The least rotation
-    or reversal starts at min(a), so only those are compared.
-    """
+def _fan_sequence(P: Polygon) -> list[int]:
+    """a_i = cross(b_{i-1}, b_{i+1}) over the CCW boundary lattice points b_i
+    of a reflexive polygon P, from vertex 0.  With primitive steps d_in into
+    and d_out out of b_i, cross(b_i, d) = 1 gives a_i = 2 - cross(d_in,
+    d_out) at a vertex, and 2 inside an edge."""
     vs = P.vertices
     steps = []
     for (px, py), (qx, qy) in zip(vs, vs[1:] + vs[:1]):
@@ -317,90 +299,68 @@ def _fan_key(P: Polygon) -> tuple:
     a = []
     for (ix, iy, _), (ox, oy, g) in zip(steps[-1:] + steps, steps):
         a += [2 - ix * oy + iy * ox] + [2] * (g - 1)
+    return a
+
+
+def _dihedral_min(a: list[int]) -> tuple:
+    """The least rotation or reversal of the cyclic sequence a; it starts at
+    min(a), so only those are compared."""
     m = min(a)
     return tuple(min([s[i:] + s[:i] for s in (a, a[::-1])
                       for i in range(len(a)) if s[i] == m]))
 
 
+def _fan_key(P: Polygon) -> tuple:
+    """Complete GL2(Z) invariant of a reflexive polygon: the least rotation
+    or reversal of its fan sequence (Oda 1988).  Consecutive boundary points
+    form a lattice basis, so b_{i+1} = a_i b_i - b_{i-1}, and the map sending
+    b_0, b_1 to e1, e2 fixes all later images from (a_i) alone.  A rotation
+    is a change of start, a reversal the image under a det -1 map."""
+    return _dihedral_min(_fan_sequence(P))
+
+
 def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
-    """All reflexive polygons with vertices in [-bound, bound]^2, one canonical
-    representative per GL2(Z) class, sorted by (volume, vertex tuple).
+    """One canonical representative of each of the 16 GL2(Z) classes of
+    reflexive polygons, sorted by (volume, vertex tuple).  Every class meets
+    [-bound, bound]^2 for bound >= 3, so each such bound gives the same 16;
+    a smaller one raises ValueError.
 
-    Strategy: vertices of a reflexive polygon are primitive points, and every
-    edge p -> q must lie at lattice distance 1 from the origin, CCW; since
-    <primitive inner normal, p> = -cross(p, q) / gcd(q - p), that is
-    cross(p, q) == gcd(q - p).  Build the directed graph of these edges
-    between primitive points and walk CCW-convex cycles through it that go
-    once around the origin, from their lex-least vertex.  Left turns are
-    tested once per pair of edges, in successor lists built up front.
+    A class is its fan sequence (a_i) over n boundary points (_fan_key).
+    The deficits d_i = 2 - a_i >= 0 summing to 12 - n, n = 3..9, come from
+    stars and bars; only sequences starting at their minimum go on.  The
+    recursion b_{i+1} = a_i b_i - b_{i-1} from b_0 = e1, b_1 = e2 keeps
+    those that close after n steps, and one polygon per key, with CCW
+    vertices the b_i where a_i != 2, is canonicalised.
 
-    The 8 signed permutations of the coordinates preserve the box and lie in
-    GL2(Z).  The cycle whose sorted vertex list is least in its orbit has a
-    first vertex <= g(v) for every vertex v and symmetry g, so the walk
-    starts only at points p with _orbit_min(p) == p and never visits a q with
-    _orbit_min(q) < start, and every class that meets the box still closes.
-    Each closed cycle is keyed by _fan_key, a complete invariant, and only
-    the first cycle of each key is canonicalised: one canonical form per
-    class.
+    Soundness: the recursion keeps cross(b_i, b_{i+1}) = 1, and the turn at
+    b_i is cross(b_i - b_{i-1}, b_{i+1} - b_i) = 2 - a_i >= 0, so a closed
+    sequence is a convex loop of unimodular triangles 0 b_i b_{i+1}.  For a
+    closed loop of lattice bases sum(3 - a_i) is 12 times its winding
+    number, and here it is 12: the loop goes around 0 once, and bounds a
+    reflexive polygon whose boundary lattice points are exactly the b_i.
+    Completeness: every reflexive polygon has d_i >= 0 by convexity and
+    sum(d) = Vol(P polar) = 12 - n (Poonen-Rodriguez-Villegas 2000,
+    Lattice polygons and the number 12); its at least 3 vertices each have
+    d_i >= 1, so n <= 9; and some rotation of (a_i) starts at its minimum.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
-    pts = [
-        (x, y)
-        for x in range(-bound, bound + 1)
-        for y in range(-bound, bound + 1)
-        if (x, y) != (0, 0) and int_gcd(abs(x), abs(y)) == 1
-    ]
-    orbit_min = {p: _orbit_min(p) for p in pts}
-    # admissible directed edges p -> q (CCW around origin, lattice distance 1)
-    succ: dict[Point, list[Point]] = {
-        p: [
-            q
-            for q in pts
-            if q != p
-            and _cross(p, q) == int_gcd(abs(q[0] - p[0]), abs(q[1] - p[1]))
-        ]
-        for p in pts
-    }
-    # after an admissible edge p -> q, the admissible q -> r turning left at q
-    turns: dict[tuple[Point, Point], list[Point]] = {}
-    for p in pts:
-        for q in succ[p]:
-            ex, ey = q[0] - p[0], q[1] - p[1]
-            turns[p, q] = [
-                r for r in succ[q] if ex * (r[1] - q[1]) - ey * (r[0] - q[0]) > 0
-            ]
-
     found: dict[tuple, Polygon] = {}
-
-    # A cycle the walk closes is reflexive as it stands, CCW from its least
-    # vertex: every edge p -> q has cross(p, q) = gcd(q - p), the chain
-    # turns strictly left at every vertex, both closing corners included,
-    # and it goes once around the origin.
-    def dfs(chain: list[Point], nexts: list[Point]):
-        start = chain[0]
-        last = chain[-1]
-        (sx, sy), (lx, ly) = start, last
-        # Every edge turns CCW about the origin (_cross(p, q) > 0), so once
-        # the chain is past the half-turn from start, a point at or beyond
-        # start's direction would begin a second turn: only start closes it.
-        past_half_turn = sx * ly - sy * lx < 0
-        grow = len(chain) < 6  # a reflexive polygon has at most 6 vertices
-        for q in nexts:
-            if q == start:  # left turn at last is in nexts; now at start
-                if _cross(_sub(start, last), _sub(chain[1], start)) > 0:
-                    P = Polygon._from_ccw(chain)
-                    key = _fan_key(P)
-                    if key not in found:
-                        found[key] = canonical_form(P)
+    for n in range(3, 10):
+        # n - 1 bars in 11 slots part 12 - n stars into d_0, ..., d_{n-1}
+        for bars in combinations(range(11), n - 1):
+            cuts = (-1, *bars, 11)
+            a = [3 + cuts[i] - cuts[i + 1] for i in range(n)]
+            if a[0] != min(a):
                 continue
-            if not grow or orbit_min[q] < start:
-                continue  # a least cycle starts at or below every image of its vertices
-            if past_half_turn and sx * q[1] - sy * q[0] >= 0:
+            b = [(1, 0), (0, 1)]
+            for ai in a[1:] + a[:1]:
+                (px, py), (qx, qy) = b[-2], b[-1]
+                b.append((ai * qx - px, ai * qy - py))
+            if b[n:] != b[:2]:
                 continue
-            dfs(chain + [q], turns[last, q])
-
-    for p in pts:
-        if orbit_min[p] == p:
-            dfs([p], succ[p])
+            key = _dihedral_min(a)
+            if key not in found:
+                found[key] = canonical_form(Polygon._from_ccw(
+                    [p for p, ai in zip(b, a) if ai != 2]))
     return sorted(found.values(), key=lambda P: (P.volume(), tuple(P.vertices)))

@@ -19,8 +19,10 @@ and `euclid_over_quotient` with `inverse_mod` is the monic Euclid over
 Q[y]/(q) on `UniPoly` residues: the references for the int-list paths of
 the program.  `reference_fan_key` is the fan key of a reflexive polygon
 read off its boundary lattice points, the reference for the program's key
-read off the vertices.  All are plain int and Fraction arithmetic on the
-program's types.
+read off the vertices, and `reference_section_positions` labels the
+sections on the boundary walk of the canonical dual, the reference for the
+program's labels read off the dual's edges in any coordinates.  All are
+plain int and Fraction arithmetic on the program's types.
 """
 
 from fractions import Fraction
@@ -39,6 +41,7 @@ from reflexo.algebra import (
     resultant,
 )
 from reflexo.period import PowerSeries
+from reflexo.polygon import canonical_form, polar_dual
 
 
 def bareiss_determinant(rows: list[list]) -> Fraction:
@@ -149,6 +152,32 @@ def reference_fan_key(P) -> tuple:
     a *= 2
     return tuple(min([a[i:i + n] for i in range(n)]
                      + [r[i:i + n] for i in range(n)]))
+
+
+def reference_section_positions(P) -> list[int]:
+    """Section positions on the infinity fibre of a reflexive P: the CCW
+    boundary walk of the dual of canonical_form(P), from the vertex whose
+    gap sequence (lattice lengths of the edges, read from it) ends with the
+    minimal gap, ties broken by the lexicographically greatest sequence."""
+    Q = polar_dual(canonical_form(P))
+    walk = Q.boundary_lattice_points()
+    verts = set(Q.vertices)
+    m = len(walk)
+    vidx = [i for i, p in enumerate(walk) if p in verts]
+    k = len(vidx)
+    gaps = [(vidx[(j + 1) % k] - vidx[j]) % m for j in range(k)]
+    best = None
+    for j in range(k):
+        seq = tuple(gaps[j:] + gaps[:j])
+        if seq[-1] != min(gaps):
+            continue
+        if best is None or seq > best[0]:
+            best = (seq, j)
+    seq = best[0]
+    positions = [0]
+    for g in seq[:-1]:
+        positions.append(positions[-1] + g)
+    return positions
 
 
 def apply_operator(L, s) -> PowerSeries:

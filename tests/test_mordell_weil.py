@@ -1,10 +1,11 @@
 """Mordell-Weil data: section positions, heights, torsion, Miranda."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from reflexo import mordell_weil
+from reflexo import mordell_weil, polygon
 from reflexo.catalog import NAMES, get
 from reflexo.fibration import KodairaType
 from reflexo.mordell_weil import (
@@ -14,13 +15,17 @@ from reflexo.mordell_weil import (
     section_positions,
     shioda_tate_rank,
 )
+from reflexo.polygon import apply_unimodular
 
 from oracles import (
+    GL2Z_GENS,
     bareiss_determinant,
     cartan_matrix,
     dynkin_diagram,
     find_torsion_components,
     miranda_identities,
+    random_unimodular,
+    reference_section_positions,
 )
 
 
@@ -47,6 +52,21 @@ class TestSectionPositions:
             assert len(set(positions)) == len(positions)
             assert all(0 <= p < m for p in positions)
             assert positions[0] == 0
+
+    def test_matches_reference_rule(self, catalog):
+        # [DERIVED] the rotation or reversal of the dual's edge lengths
+        # labels the sections as the canonical dual's walk does, on the 16
+        # and on 256 seeded GL2(Z) images of them, det -1 included
+        rng = random.Random(35)
+        dets = set()
+        for P in catalog.values():
+            assert section_positions(P) == reference_section_positions(P)
+            for _ in range(16):
+                U = random_unimodular(rng, GL2Z_GENS)
+                dets.add(U[0][0] * U[1][1] - U[0][1] * U[1][0])
+                Q = apply_unimodular(U, P)
+                assert section_positions(Q) == reference_section_positions(Q)
+        assert dets == {1, -1}
 
 
 class TestContribution:
@@ -223,21 +243,27 @@ class TestMWGroup:
             rep = mw_group(catalog[name], configs[name])
             assert rep.rank + configs[name].r_total() == 8
 
-    def test_one_canonical_form_per_call(self, catalog, configs, monkeypatch):
+    def test_no_canonical_form(self, catalog, configs, monkeypatch):
         # [DERIVED] the section positions are computed once per mw_group and
-        # handed to height_matrix, so each call canonicalises P once
-        original = mordell_weil.canonical_form
-        calls = []
+        # handed to height_matrix, from one polar dual and no canonical form
+        def counting(module, name):
+            original = getattr(module, name)
+            calls = []
 
-        def counting(P):
-            calls.append(P)
-            return original(P)
+            def wrapper(P):
+                calls.append(P)
+                return original(P)
 
-        monkeypatch.setattr(mordell_weil, "canonical_form", counting)
+            monkeypatch.setattr(module, name, wrapper)
+            return calls
+
+        duals = counting(mordell_weil, "polar_dual")
+        forms = counting(polygon, "canonical_form")
         for name in NAMES:
-            calls.clear()
+            duals.clear()
             mw_group(catalog[name], configs[name])
-            assert len(calls) == 1, name
+            assert len(duals) == 1, name
+        assert forms == []
 
 
 class TestMiranda:

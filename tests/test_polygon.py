@@ -129,12 +129,10 @@ def reference_enumerate(bound: int) -> list[Polygon]:
     return sorted(found.values(), key=lambda P: (P.volume(), tuple(P.vertices)))
 
 
-# the 8 signed permutation matrices: the symmetries of the box [-b, b]^2
-BOX_SYMMETRIES = [
-    ((s, 0), (0, t)) for s in (1, -1) for t in (1, -1)
-] + [
-    ((0, s), (t, 0)) for s in (1, -1) for t in (1, -1)
-]
+@pytest.fixture(scope="module")
+def box4():
+    """Every reflexive polygon with vertices in [-4, 4]^2, once each."""
+    return [Polygon(vs) for vs in reference_cycles(4)]
 
 
 # non-reflexive polygons: the origin a vertex, on an edge, outside, or one
@@ -159,34 +157,17 @@ def _outcome(f, P):
 
 def _record(monkeypatch, name: str) -> list:
     """Replace polygon.<name> by a wrapper recording its inputs: with
-    "_fan_key" every cycle the walk closes, with "canonical_form" every
-    cycle it canonicalises."""
+    "_dihedral_min" the fan sequence of every cycle the enumeration closes,
+    with "canonical_form" every polygon it canonicalises."""
     original = getattr(polygon, name)
     seen = []
 
-    def wrapper(P):
-        seen.append(P)
-        return original(P)
+    def wrapper(x):
+        seen.append(x)
+        return original(x)
 
     monkeypatch.setattr(polygon, name, wrapper)
     return seen
-
-
-def _closed_cycles(monkeypatch, bound: int) -> list[Polygon]:
-    """Every cycle enumerate_reflexive(bound) closes, in walk order."""
-    seen = _record(monkeypatch, "_fan_key")
-    enumerate_reflexive(bound)
-    monkeypatch.undo()
-    return seen
-
-
-def _rotation_key(P: Polygon) -> tuple:
-    """The fan sequence's least rotation, no reversal: chiral classes get
-    two keys, one per mirror image."""
-    b = P.boundary_lattice_points()
-    n = len(b)
-    a = [_cross(b[i - 1], b[(i + 1) % n]) for i in range(n)]
-    return _rotate_lex_min(a)
 
 
 class TestVertices:
@@ -351,14 +332,10 @@ class TestCanonicalForm:
                 _outcome(reference_canonical_form, P)
             checked += 1
 
-    def test_matches_reference_on_enumerated_polygons(self, monkeypatch):
-        # [DERIVED] all 8 box images of every cycle the walk closes at
-        # bound 4: every reflexive vertex set in [-4, 4]^2
-        seen = _closed_cycles(monkeypatch, 4)
-        images = [apply_unimodular(U, P) for P in seen for U in BOX_SYMMETRIES]
-        assert {frozenset(Q.vertices) for Q in images} == \
-            set(reference_cycles(4))
-        for Q in images:
+    def test_matches_reference_on_enumerated_polygons(self, box4):
+        # [DERIVED] every reflexive vertex set in [-4, 4]^2
+        assert len(box4) == 1292
+        for Q in box4:
             assert canonical_form(Q).vertices == \
                 reference_canonical_form(Q).vertices
 
@@ -379,6 +356,11 @@ class TestEnumeration:
         for P in classes:
             assert tuple(canonical_form(polar_dual(P)).vertices) in keys
 
+    def test_bound_below_three_rejected(self):
+        # [TRIVIAL] a box smaller than [-3, 3]^2 is refused
+        with pytest.raises(ValueError, match="bound"):
+            enumerate_reflexive(2)
+
     @pytest.mark.parametrize("bound", [4, 5])
     def test_larger_box_same_classes(self, bound):
         # [PAPER] every reflexive polygon is GL2(Z)-equivalent to one in
@@ -393,33 +375,40 @@ class TestEnumeration:
             [P.vertices for P in reference_enumerate(bound)]
 
     def test_each_polygon_canonicalised_once(self, monkeypatch):
-        # [DERIVED] the walk closes 155 distinct cycles at bound 3, whose box
-        # images are exactly the 828 vertex sets the unpruned walk closes,
-        # and canonicalises only the first cycle of each fan key: 16, each
-        # to its reference canonical form
-        closed_seen = _record(monkeypatch, "_fan_key")
+        # [DERIVED] one canonical form per fan key: 16, each to its
+        # reference canonical form, and these are the classes returned
         formed = _record(monkeypatch, "canonical_form")
         classes = enumerate_reflexive(3)
         monkeypatch.undo()
-        assert len(closed_seen) == 155
-        assert len({frozenset(P.vertices) for P in closed_seen}) == 155
-        closed = reference_cycles(3)
-        assert len(closed) == len(set(closed)) == 828
-        assert {
-            frozenset(apply_unimodular(U, P).vertices)
-            for P in closed_seen for U in BOX_SYMMETRIES
-        } == set(closed)
-        first = {}
-        for P in closed_seen:
-            first.setdefault(polygon._fan_key(P), P)
         assert len(formed) == 16
-        assert [P.vertices for P in formed] == \
-            [P.vertices for P in first.values()]
-        for P in closed_seen:
+        assert len({polygon._fan_key(P) for P in formed}) == 16
+        for P in formed:
             assert canonical_form(P).vertices == \
                 reference_canonical_form(P).vertices
         assert sorted(canonical_form(P).vertices for P in formed) == \
             sorted(P.vertices for P in classes)
+
+    def test_closed_sequences_round_trip(self, monkeypatch):
+        # [DERIVED] each fan sequence the enumeration keeps closes once
+        # around the origin: the hull of its points b_i is a reflexive
+        # polygon whose boundary points are exactly the b_i, and whose fan
+        # key is the sequence's key; 30 sequences, 16 keys
+        kept = _record(monkeypatch, "_dihedral_min")
+        enumerate_reflexive(3)
+        monkeypatch.undo()
+        assert len(kept) == len({tuple(a) for a in kept}) == 30
+        for a in kept:
+            n = len(a)
+            assert sum(2 - x for x in a) == 12 - n
+            b = [(1, 0), (0, 1)]
+            for x in a[1:] + a[:1]:
+                b.append((x * b[-1][0] - b[-2][0], x * b[-1][1] - b[-2][1]))
+            assert b[n:] == b[:2]
+            P = Polygon(b)
+            assert P.is_reflexive()
+            assert sorted(P.boundary_lattice_points()) == sorted(b[:n])
+            assert polygon._fan_key(P) == polygon._dihedral_min(a)
+        assert len({polygon._dihedral_min(a) for a in kept}) == 16
 
     def test_catalog_matches_enumeration(self, catalog):
         keys = {
@@ -446,9 +435,9 @@ class TestFanKey:
                     polygon._fan_key(P)
         assert dets == {1, -1}
 
-    def test_matches_reference_key(self, catalog, monkeypatch):
+    def test_matches_reference_key(self, catalog, box4):
         # [DERIVED] the key read off the vertices is the key read off the
-        # boundary points, on every cycle closed at bound 4 and on seeded
+        # boundary points, on every reflexive polygon in [-4, 4]^2 and on seeded
         # GL2(Z) images of the 16, det -1 included
         rng = random.Random(34)
         dets, images = set(), []
@@ -458,13 +447,12 @@ class TestFanKey:
                 dets.add(U[0][0] * U[1][1] - U[0][1] * U[1][0])
                 images.append(apply_unimodular(U, P))
         assert dets == {1, -1}
-        for Q in _closed_cycles(monkeypatch, 4) + images:
+        for Q in box4 + images:
             assert polygon._fan_key(Q) == reference_fan_key(Q)
 
-    def test_name_of_matches_canonical_form_table(self, catalog,
-                                                   monkeypatch):
+    def test_name_of_matches_canonical_form_table(self, catalog, box4):
         # [DERIVED] name_of, by fan key, agrees with a table from canonical
-        # forms to names on every cycle closed at bound 4 and on wide
+        # forms to names on every reflexive polygon in [-4, 4]^2 and on wide
         # seeded GL2(Z) images of the 16
         table = {tuple(canonical_form(P).vertices): name
                  for name, P in catalog.items()}
@@ -476,27 +464,28 @@ class TestFanKey:
             for P in catalog.values() for _ in range(8)
         ]
         assert max(abs(c) for Q in images for v in Q.vertices for c in v) > 50
-        for Q in _closed_cycles(monkeypatch, 4) + images:
+        for Q in box4 + images:
             assert name_of(Q) == table[tuple(canonical_form(Q).vertices)]
 
     def test_sixteen_keys_distinct(self, catalog):
         # [PAPER] the 16 classes have 16 keys
         assert len({polygon._fan_key(P) for P in catalog.values()}) == 16
 
-    def test_equal_keys_iff_equal_canonical_forms(self, monkeypatch):
-        # [DERIVED] on every cycle closed at bound 4, the key and the
+    def test_equal_keys_iff_equal_canonical_forms(self, box4):
+        # [DERIVED] on every reflexive polygon in [-4, 4]^2, the key and the
         # reference canonical form determine each other
         pairs = {
             (polygon._fan_key(P), tuple(reference_canonical_form(P).vertices))
-            for P in _closed_cycles(monkeypatch, 4)
+            for P in box4
         }
         assert len(pairs) == 16
         assert len({k for k, _ in pairs}) == len({f for _, f in pairs}) == 16
 
-    def test_sum_is_twelve_rule(self, monkeypatch):
-        # [DERIVED] on every closed cycle with n boundary points, the fan
-        # sequence sums to 3n - 12, and n = Vol(P) = 12 - Vol(P polar)
-        for P in _closed_cycles(monkeypatch, 4):
+    def test_sum_is_twelve_rule(self, box4):
+        # [DERIVED] on every reflexive polygon in [-4, 4]^2 with n boundary
+        # points, the fan sequence sums to 3n - 12, and
+        # n = Vol(P) = 12 - Vol(P polar)
+        for P in box4:
             n = len(P.boundary_lattice_points())
             key = polygon._fan_key(P)
             assert len(key) == n
@@ -506,8 +495,9 @@ class TestFanKey:
     def test_rotation_only_key_splits_chiral_classes(self, monkeypatch):
         # [DERIVED] without reversal the key separates each chiral class
         # from its mirror image: 5b, 6b, 6d and 7b are returned twice
-        monkeypatch.setattr(polygon, "_fan_key", _rotation_key)
+        monkeypatch.setattr(polygon, "_dihedral_min", _rotate_lex_min)
         classes = enumerate_reflexive(3)
+        monkeypatch.undo()
         assert len(classes) == 20
         names = [name_of(P) for P in classes]
         assert sorted(n for n in set(names) if names.count(n) == 2) == \
