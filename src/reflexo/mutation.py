@@ -65,7 +65,7 @@ def _slice_mutants(points: list[Point], v: Point, ws) -> list[Polygon]:
         shifted_top = [(p[0] + w[0], p[1] + w[1]) for p in top]
         # the hull holds the origin and points at heights -1 and 1: a polygon
         hull = convex_hull([p for p in bottom if p != end] + mid + top + shifted_top)
-        Q = Polygon._from_ccw(hull)
+        Q = Polygon._from_ints(hull)
         if not Q.is_reflexive():  # pragma: no cover - Definition guarantees this
             raise ValueError("mutation produced a non-reflexive polygon")
         out.append(Q)

@@ -37,10 +37,7 @@ from functools import lru_cache
 from itertools import count, islice
 from math import isqrt, lcm
 
-from .algebra import (
-    UniPoly, _div, _exact, _primitive_scale, format_unipoly,
-    squarefree_rational_roots,
-)
+from .algebra import UniPoly, _div, _exact, _primitive_scale, format_unipoly
 from .laurent import LaurentPoly
 
 
@@ -538,21 +535,3 @@ def find_picard_fuchs(
                     )
                 return L.normalized()
     raise ValueError("no operator found (raise bounds)")
-
-
-def operator_singular_locus(L: DiffOperator):
-    """Finite singular candidates of L: rational roots (with multiplicity) and
-    residual rational-root-free factors of the leading coefficient p_h.
-
-    Returns {"roots": [(t*, mult)], "residual": [(UniPoly, mult)],
-    "zero": bool, "infinity": True} -- t = 0 is flagged when p_h(0) = 0;
-    t = infinity is always reported, unclassified.
-    """
-    lead = L.polys[-1]
-    roots, residual = squarefree_rational_roots(lead)
-    return {
-        "roots": [(r, m) for r, m in roots if r != 0],
-        "residual": residual,
-        "zero": lead(0) == 0,
-        "infinity": True,
-    }

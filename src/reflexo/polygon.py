@@ -18,13 +18,16 @@ vertex, so it cannot be the lexicographically least.
 The fan key, the cyclic sequence of cross(b_{i-1}, b_{i+1}) over boundary
 points up to rotation and reversal, tells the classes of reflexive polygons
 apart.  Names and mutation classes go by it, and the enumeration builds the
-16 classes from the sequences that satisfy the number-12 identity; a
-canonical form is computed only where a representative is returned.
+16 classes from the sequences that satisfy the number-12 identity, the
+deficits 2 - a_i >= 0 summing to 12 - n over n boundary points.  It walks
+them depth first from their largest deficit d_0, bounding each later
+deficit by d_0 and by what the remaining ones can still make up, and
+carries the points b_i down the walk; a canonical form is computed only
+where a representative is returned.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd as int_gcd
 
 from .algebra import _exact
@@ -128,9 +131,17 @@ class Polygon:
     @classmethod
     def _from_ccw(cls, vertices) -> "Polygon":
         """The polygon whose CCW vertex list is `vertices`, taken as it is,
-        with no hull: for package code that already holds such a list."""
+        with no hull: for package code that already holds such a list.  The
+        coordinates are checked, as they may come from outside."""
+        return cls._from_ints(_lattice_vertices(vertices))
+
+    @classmethod
+    def _from_ints(cls, vertices: list[Point]) -> "Polygon":
+        """The polygon whose CCW vertex list is the list `vertices` of int
+        pairs, kept as it is, with no hull and no check: for lists the
+        package built itself from int coordinates."""
         P = cls.__new__(cls)
-        P.vertices = _lattice_vertices(vertices)
+        P.vertices = vertices
         return P
 
     def __eq__(self, other) -> bool:
@@ -213,7 +224,7 @@ def polar_dual(P: Polygon) -> Polygon:
     """
     if not P.is_reflexive():
         raise ValueError("polar is not a lattice polygon (P not reflexive)")
-    return Polygon._from_ccw([e.inner_normal for e in P.edges()])
+    return Polygon._from_ints([e.inner_normal for e in P.edges()])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +289,7 @@ def canonical_form(P: Polygon) -> Polygon:
         raise ValueError(
             "no unimodular boundary pair; canonical form undefined for this polygon"
         )
-    return Polygon._from_ccw(best)
+    return Polygon._from_ints(list(best))
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +336,20 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     [-bound, bound]^2 for bound >= 3, so each such bound gives the same 16;
     a smaller one raises ValueError.
 
-    A class is its fan sequence (a_i) over n boundary points (_fan_key).
-    The deficits d_i = 2 - a_i >= 0 summing to 12 - n, n = 3..9, come from
-    stars and bars; only sequences starting at their minimum go on.  The
-    recursion b_{i+1} = a_i b_i - b_{i-1} from b_0 = e1, b_1 = e2 keeps
-    those that close after n steps, and one polygon per key, with CCW
-    vertices the b_i where a_i != 2, is canonicalised.
+    A class is its fan sequence (a_i) over n boundary points (_fan_key),
+    whose deficits d_i = 2 - a_i >= 0 sum to 12 - n, n = 3..9.  One
+    depth-first walk builds the sequences that start at their largest
+    deficit.  For each n it fixes d_0 in [ceil((12 - n)/n), 12 - n], since
+    n deficits of at most d_0 sum to 12 - n, and picks each later d_i in
+    [max(0, left - d_0 r), min(d_0, left)], where `left` is 12 - n minus
+    the deficits so far and r the number still to pick after d_i: these
+    are exactly the values from which r deficits in [0, d_0] can make up
+    the rest, so the last one is forced and every leaf is a sequence of
+    n deficits in [0, d_0] that sum to 12 - n, each reached once.  Each
+    step carries b_{i+1} = a_i b_i - b_{i-1} from b_0 = e1, b_1 = e2, so
+    sequences with a common prefix share its steps.  A leaf is kept when
+    it closes, b_n = e1 and a_0 b_n - b_{n-1} = e2, and one polygon per
+    key, with CCW vertices the b_i where a_i != 2, is canonicalised.
 
     Soundness: the recursion keeps cross(b_i, b_{i+1}) = 1, and the turn at
     b_i is cross(b_i - b_{i-1}, b_{i+1} - b_i) = 2 - a_i >= 0, so a closed
@@ -341,26 +360,36 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     Completeness: every reflexive polygon has d_i >= 0 by convexity and
     sum(d) = Vol(P polar) = 12 - n (Poonen-Rodriguez-Villegas 2000,
     Lattice polygons and the number 12); its at least 3 vertices each have
-    d_i >= 1, so n <= 9; and some rotation of (a_i) starts at its minimum.
+    d_i >= 1, so n <= 9.  Some rotation of (a_i) starts at its minimum,
+    i.e. at its largest deficit, and that rotation is a leaf of the walk.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
     found: dict[tuple, Polygon] = {}
+    a: list[int] = []  # a_0, ..., a_i of the current prefix
+    b: list[Point] = []  # b_0, ..., b_{i+1}
+
+    def walk(d0: int, left: int, rest: int) -> None:
+        # extend by a_i = 2 - d_i and b_{i+1}, with `rest` deficits after d_i
+        (px, py), (qx, qy) = b[-2], b[-1]
+        for d in range(max(0, left - d0 * rest), min(d0, left) + 1):
+            x = 2 - d
+            a.append(x)
+            b.append((x * qx - px, x * qy - py))
+            if rest:
+                walk(d0, left - d, rest - 1)
+            # a leaf: keep it when b_n = e1 and a_0 b_n - b_{n-1} = e2
+            elif b[-1] == (1, 0) and b[-2] == (a[0], -1):
+                key = _dihedral_min(a[:])
+                if key not in found:
+                    found[key] = canonical_form(Polygon._from_ints(
+                        [p for p, ai in zip(b, a) if ai != 2]))
+            a.pop()
+            b.pop()
+
     for n in range(3, 10):
-        # n - 1 bars in 11 slots part 12 - n stars into d_0, ..., d_{n-1}
-        for bars in combinations(range(11), n - 1):
-            cuts = (-1, *bars, 11)
-            a = [3 + cuts[i] - cuts[i + 1] for i in range(n)]
-            if a[0] != min(a):
-                continue
-            b = [(1, 0), (0, 1)]
-            for ai in a[1:] + a[:1]:
-                (px, py), (qx, qy) = b[-2], b[-1]
-                b.append((ai * qx - px, ai * qy - py))
-            if b[n:] != b[:2]:
-                continue
-            key = _dihedral_min(a)
-            if key not in found:
-                found[key] = canonical_form(Polygon._from_ccw(
-                    [p for p, ai in zip(b, a) if ai != 2]))
+        for d0 in range(-(-(12 - n) // n), 13 - n):
+            a[:] = [2 - d0]
+            b[:] = [(1, 0), (0, 1)]
+            walk(d0, 12 - n - d0, n - 2)
     return sorted(found.values(), key=lambda P: (P.volume(), tuple(P.vertices)))

@@ -21,12 +21,16 @@ the program.  `reference_fan_key` is the fan key of a reflexive polygon
 read off its boundary lattice points, the reference for the program's key
 read off the vertices, and `reference_section_positions` labels the
 sections on the boundary walk of the canonical dual, the reference for the
-program's labels read off the dual's edges in any coordinates.  All are
-plain int and Fraction arithmetic on the program's types.
+program's labels read off the dual's edges in any coordinates.
+`reference_closed_sequences` lists the closed fan sequences that start at
+their minimum from every stars-and-bars composition, the reference for
+the bounded walk of the enumeration, and `operator_singular_locus` reads
+the singular points off a Picard-Fuchs operator's leading coefficient.
+All are plain int and Fraction arithmetic on the program's types.
 """
 
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 
 from reflexo.algebra import (
     _PRIME,
@@ -39,8 +43,9 @@ from reflexo.algebra import (
     _sub,
     _trim,
     resultant,
+    squarefree_rational_roots,
 )
-from reflexo.period import PowerSeries
+from reflexo.period import DiffOperator, PowerSeries
 from reflexo.polygon import canonical_form, polar_dual
 
 
@@ -152,6 +157,28 @@ def reference_fan_key(P) -> tuple:
     a *= 2
     return tuple(min([a[i:i + n] for i in range(n)]
                      + [r[i:i + n] for i in range(n)]))
+
+
+def reference_closed_sequences() -> list[tuple]:
+    """Every fan sequence (a_0, ..., a_{n-1}) with a_0 = min(a) that closes
+    after n steps of b_{i+1} = a_i b_i - b_{i-1} from b_0 = e1, b_1 = e2,
+    from all 1969 compositions d_i = 2 - a_i >= 0 of 12 - n, n = 3..9:
+    n - 1 bars in 11 slots part the 12 - n stars, and every composition is
+    recursed in full."""
+    out = []
+    for n in range(3, 10):
+        for bars in combinations(range(11), n - 1):
+            cuts = (-1, *bars, 11)
+            a = [3 + cuts[i] - cuts[i + 1] for i in range(n)]
+            if a[0] != min(a):
+                continue
+            b = [(1, 0), (0, 1)]
+            for ai in a[1:] + a[:1]:
+                (px, py), (qx, qy) = b[-2], b[-1]
+                b.append((ai * qx - px, ai * qy - py))
+            if b[n:] == b[:2]:
+                out.append(tuple(a))
+    return out
 
 
 def reference_section_positions(P) -> list[int]:
@@ -434,3 +461,21 @@ def values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0) -> UniPoly:
             f"y = {y0}")
     g = MPoly.from_unipoly(g, "x")
     return resultant(g, C.eval_var("y", y0), "x").to_unipoly("l")
+
+
+def operator_singular_locus(L: DiffOperator):
+    """Finite singular candidates of L: rational roots (with multiplicity) and
+    residual rational-root-free factors of the leading coefficient p_h.
+
+    Returns {"roots": [(t*, mult)], "residual": [(UniPoly, mult)],
+    "zero": bool, "infinity": True} -- t = 0 is flagged when p_h(0) = 0;
+    t = infinity is always reported, unclassified.
+    """
+    lead = L.polys[-1]
+    roots, residual = squarefree_rational_roots(lead)
+    return {
+        "roots": [(r, m) for r, m in roots if r != 0],
+        "residual": residual,
+        "zero": lead(0) == 0,
+        "infinity": True,
+    }

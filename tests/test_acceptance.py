@@ -21,12 +21,16 @@ from reflexo.mutation import mutation_classes
 from reflexo.period import (
     DiffOperator,
     find_picard_fuchs,
-    operator_singular_locus,
     period_coefficients,
 )
 from reflexo.polygon import canonical_form, enumerate_reflexive, polar_dual
 
-from oracles import find_torsion_components, gcd_poly, miranda_identities
+from oracles import (
+    find_torsion_components,
+    gcd_poly,
+    miranda_identities,
+    operator_singular_locus,
+)
 
 
 def test_criterion_1_enumeration():

@@ -20,11 +20,10 @@ from reflexo.period import (
     _kernels,
     _lift,
     find_picard_fuchs,
-    operator_singular_locus,
     period_coefficients,
 )
 
-from oracles import apply_operator, kernels_mod_p
+from oracles import apply_operator, kernels_mod_p, operator_singular_locus
 
 
 def p3_series(M=40):

@@ -7,7 +7,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import GL2Z_GENS, random_unimodular, reference_fan_key
+from oracles import (
+    GL2Z_GENS,
+    random_unimodular,
+    reference_closed_sequences,
+    reference_fan_key,
+)
 
 from reflexo import polygon
 from reflexo.catalog import NAMES, dual_name, get, name_of
@@ -409,6 +414,17 @@ class TestEnumeration:
             assert sorted(P.boundary_lattice_points()) == sorted(b[:n])
             assert polygon._fan_key(P) == polygon._dihedral_min(a)
         assert len({polygon._dihedral_min(a) for a in kept}) == 16
+
+    def test_walk_keeps_every_closed_sequence(self, monkeypatch):
+        # [DERIVED] the deficit bounds of the walk drop no closed sequence:
+        # it passes to _dihedral_min exactly the 30 that the stars-and-bars
+        # listing of all 1969 compositions keeps, each once
+        kept = _record(monkeypatch, "_dihedral_min")
+        enumerate_reflexive(3)
+        monkeypatch.undo()
+        expected = reference_closed_sequences()
+        assert len(expected) == 30
+        assert sorted(tuple(a) for a in kept) == sorted(expected)
 
     def test_catalog_matches_enumeration(self, catalog):
         keys = {

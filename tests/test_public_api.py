@@ -25,7 +25,6 @@ TREES = {p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
 KEPT = {
     "algebraic_mutation": "item 8: certify each mutation class",
     "newton_polygon": "item 8: certify each mutation class",
-    "operator_singular_locus": "item 4: tie the period side to the fibres",
     "lattice_point_count": "the README's Ehrhart counts",
     "mutate": "the README's mutation by one datum, with all_mutations' slice rule",
 }
