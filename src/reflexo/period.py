@@ -4,14 +4,19 @@ The period of a Laurent polynomial f is the power series whose m-th
 coefficient is the constant term of f^m.  Polynomials in x are packed into
 ints whose fixed-width digits are their coefficients, and the constant term
 of f^m is one digit.  When the exponents of f on one axis lie in
-{-1, 0, 1} -- as they do, once the bounding box is shrunk, for every f_P
-but that of polygon 9, whose lattice width is 3 -- the y^0 part S_m of f^m
-follows the three-term Legendre-type recurrence
+{-1, 0, 1}, the y^0 part S_m of f^m follows the three-term Legendre-type
+recurrence
 (m + 1) S_{m+1} = (2m + 1) F_0 S_m - m (F_0^2 - 4 F_1 F_-1) S_{m-1}
-for f = F_-1 / y + F_0 + F_1 y.  Otherwise the powers f, f^2, ..., f^M are
-built row by row in y, and only the rows that can still reach y^0 are
-kept.  One digit width serves both: for an integral f, every coefficient
-of f^m, m <= M, is at most |f|_1^M, and no other value is read.  An
+for f = F_-1 / y + F_0 + F_1 y.  When they lie in {-1, 0, 1, 2}, or in
+{-2, ..., 1} and the axis is reflected, the y^2 row F_2 y^2 is peeled off
+by the binomial theorem, and each y^-2k part of the rest follows a
+three-term recurrence of the same kind.  Once the bounding box is shrunk,
+every f_P takes one of these: the 15 of lattice width 2 with no y^2 row,
+and polygon 9, of width 3, with one.  Otherwise the powers f, f^2, ...,
+f^M are built row by row in y, and only the rows that can still reach y^0
+are kept.  One digit width serves all: for an integral f, every digit read
+is a coefficient of some F_2^k (f - F_2 y^2)^n or f^m with n + k, m <= M,
+at most |f|_1^M.  An
 annihilating operator L = sum_k p_k(t) D^k with D = t d/dt is recovered by
 fitting the induced linear recursion on the coefficients.  The series is
 first scaled to coprime integers, which leaves L unchanged.  The fit of each
@@ -35,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 from .algebra import UniPoly, _div, _exact, _primitive_scale, format_unipoly
 from .laurent import LaurentPoly
@@ -81,67 +86,121 @@ def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
     f is first moved by shears to coordinates with a small bounding box (the
     cost follows the box, not the support; constant terms do not change) and
     scaled by the lcm D of its denominators to g = D f, so
-    c_m = CT(g^m) / D^m.  When the y-exponents of g lie in {-1, 0, 1}, or
-    its x-exponents do and x and y are swapped, CT(g^m) is read off the
-    three-term recurrence of _recurrence; otherwise g^m is built by the rows
-    of _row_walk.  Both pack polynomials in x into ints whose s-bit digits
-    are the coefficients; see _slot_bits for the width.
+    c_m = CT(g^m) / D^m.  When one of the unimodular maps of _FRAMES (none,
+    the swap of x and y, y -> 1/y, or both) puts the y-exponents of g in
+    {-1, 0, 1, 2}, CT(g^m) is read off the three-term recurrences of
+    _recurrence, in a frame with no y^2 row where there is one; otherwise
+    g^m is built by the rows of _row_walk.  Both pack polynomials in x into
+    ints whose s-bit digits are the coefficients; see _slot_bits for the
+    width.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
     f = _small_box(f)
-    if not _unit_span(f, 1) and _unit_span(f, 0):
-        f = f.transform(((0, 1), (1, 0)))
+    A = _frame(f)
+    if A is not None:
+        f = f.transform(A)
     den = lcm(*(c.denominator for c in f.terms.values()))
     g = [(a, b, int(c * den)) for (a, b), c in f.terms.items()]
     s = _slot_bits(sum(abs(c) for _, _, c in g), M)
-    walk = _recurrence if _unit_span(f, 1) else _row_walk
+    walk = _row_walk if A is None else _recurrence
     return PowerSeries(
         [_div(c, den ** m) for m, c in enumerate(walk(g, M, s))]
     )
 
 
-def _unit_span(f: LaurentPoly, axis: int) -> bool:
-    """True when every exponent of f on the axis (0 for x, 1 for y) lies in
-    {-1, 0, 1}."""
-    return all(-1 <= u[axis] <= 1 for u in f.terms)
+# Exponent maps u -> A u that put y, x, 1/y or 1/x on the y axis.
+_FRAMES = (((1, 0), (0, 1)), ((0, 1), (1, 0)),
+           ((1, 0), (0, -1)), ((0, 1), (-1, 0)))
+
+
+def _frame(f: LaurentPoly):
+    """The first map of _FRAMES under which the y-exponents of f lie in
+    {-1, 0, 1}, else the first under which they lie in {-1, 0, 1, 2}, else
+    None."""
+    for top in (1, 2):
+        for A in _FRAMES:
+            c, d = A[1]
+            if all(-1 <= c * a + d * b <= top for a, b in f.terms):
+                return A
+    return None
 
 
 def _recurrence(g: list, M: int, s: int) -> list[int]:
     """CT(g^m) for 0 <= m <= M, where g lists (a, b, c) for the terms
-    c x^a y^b of an integral polynomial with every b in {-1, 0, 1}.
+    c x^a y^b of an integral polynomial with every b in {-1, 0, 1, 2}.
 
-    Write g = F_-1 / y + F_0 + F_1 y with F_i in Z[x^+-1].  The y^0 part
-    S_m of g^m has generating function sum S_m t^m = CT_y 1 / (1 - t g) =
-    ((1 - F_0 t)^2 - 4 F_1 F_-1 t^2)^(-1/2), so with Delta = F_0^2 -
-    4 F_1 F_-1, S_0 = 1 and S_1 = F_0,
+    Write g = g_2 + F_2 y^2 with g_2 = F_-1 / y + F_0 + F_1 y and F_i in
+    Z[x^+-1].  The two parts commute, so by the binomial theorem
 
-        (m + 1) S_{m+1} = (2m + 1) F_0 S_m - m Delta S_{m-1},
+        CT(g^m) = sum_{3k <= m} C(m, k) CT_x(F_2^k T_{m-k,-2k}),
 
-    and CT(g^m) is the x^0 coefficient of S_m.  S_m is one int whose s-bit
-    digit in slot a - m*a_min is its x^a coefficient, with a_min = min(0,
-    least x-exponent of g), so every shift is nonnegative.  Packing is
-    evaluation at x = 2^s, a ring map, so the packed right side is exactly
-    m + 1 times the packed S_{m+1} whatever its digits hold; the division
-    leaves no remainder, which is checked, and only the digits read must
-    fit.
+    where T_{n,j} = [y^j] g_2^n, which is 0 unless |j| <= n.  For j <= 0,
+    sum_n T_{n,j} t^n = [y^j] 1 / (1 - t g_2) is the residue of
+    y^(-j-1) / (1 - t g_2) at the root u = F_-1 t + O(t^2) of
+    y (1 - t g_2) = -F_1 t y^2 + (1 - F_0 t) y - F_-1 t, namely
+    G_j = u^|j| / sqrt(D) with D = 1 - 2 F_0 t + Delta t^2 and
+    Delta = F_0^2 - 4 F_1 F_-1.  Differentiating that quadratic gives
+    theta u = u / sqrt(D) (theta = t d/dt), and theta sqrt(D) =
+    (Delta t^2 - F_0 t) / sqrt(D), from which
+
+        (theta^2 - j^2) G_j = t (theta + 1) (2 theta + 1) F_0 G_j
+                              - t^2 (theta + 1) (theta + 2) Delta G_j,
+
+    whose t^n coefficient is the recurrence
+
+        (n^2 - j^2) T_{n,j} = n (2n - 1) F_0 T_{n-1,j}
+                              - n (n - 1) Delta T_{n-2,j},
+
+    from T_{|j|-1,j} = 0 and T_{|j|,j} = F_-1^|j|.  For j = 0 it is the
+    Legendre-type recurrence of the y^0 part of g_2^n.  The chain for
+    j = -2k is run on U_n = F_2^k T_{n,-2k}, which follows the same
+    recurrence from U_{2k} = (F_2 F_-1^2)^k, so no product is formed; the
+    x^0 coefficient of U_{m-k}, times C(m, k), goes into CT(g^m).  A chain
+    whose start is 0 (no y^2 row, or no 1/y row) adds nothing, nor does any
+    later one.
+
+    U_n is one int whose s-bit digit in slot a - (n + k) a_min is its x^a
+    coefficient, with a_min = min(0, least x-exponent of g), so every shift
+    is nonnegative.  Packing is evaluation at x = 2^s, a ring map, so the
+    packed right side is exactly n^2 - j^2 times the packed U_n whatever
+    its digits hold; the division leaves no remainder, which is checked.
+    Only the digits read must fit: those of U_n are coefficients of
+    F_2^k g_2^n, at most |g|_1^(n+k) in absolute value.
     """
     a_min = min([0] + [a for a, _, _ in g])
     F = {j: LaurentPoly({(a, 0): c for a, b, c in g if b == j})
-         for j in (-1, 0, 1)}
+         for j in (-1, 0, 1, 2)}
     delta = F[0] * F[0] + F[1] * F[-1] * LaurentPoly({(0, 0): -4})
-    f0 = [(s * (a - a_min), c) for (a, _), c in F[0].terms.items()]
-    dl = [(s * (a - 2 * a_min), c) for (a, _), c in delta.terms.items()]
-    prev, cur = 0, 1
-    coeffs = [1]
-    for m in range(M):
-        x = ((2 * m + 1) * sum((cur << shift) * c for shift, c in f0)
-             - m * sum((prev << shift) * c for shift, c in dl))
-        nxt, r = divmod(x, m + 1)
-        if r:
-            raise ArithmeticError("period recurrence: inexact division")
-        prev, cur = cur, nxt
-        coeffs.append(_digit(cur, -(m + 1) * a_min * s, s))
+
+    def packed(p: LaurentPoly, d: int) -> list:
+        # (shift, coefficient) of the terms of p, in slots a - d*a_min
+        return [(s * (a - d * a_min), c) for (a, _), c in p.terms.items()]
+
+    f0, dl = packed(F[0], 1), packed(delta, 2)
+    step = sum(c << shift for shift, c in packed(F[2] * F[-1] * F[-1], 3))
+    coeffs = [1] + [0] * M
+    start = 1
+    for k in range(M // 3 + 1):
+        if not start:
+            break
+        j2 = 4 * k * k
+        prev, cur = 0, start
+        if k:  # CT(g^0) = 1 is set, not read: s = 1 when g = 0
+            coeffs[3 * k] += comb(3 * k, k) * _digit(
+                cur, -3 * k * a_min * s, s)
+        for n in range(2 * k + 1, M - k + 1):
+            # n / (n^2 - j^2) in lowest terms: 1/n when j = 0
+            q = gcd(n, j2)
+            x = (n // q * (2 * n - 1) * sum((cur << sh) * c for sh, c in f0)
+                 - n // q * (n - 1) * sum((prev << sh) * c for sh, c in dl))
+            nxt, r = divmod(x, (n * n - j2) // q)
+            if r:
+                raise ArithmeticError("period recurrence: inexact division")
+            prev, cur = cur, nxt
+            coeffs[n + k] += comb(n + k, k) * _digit(
+                cur, -(n + k) * a_min * s, s)
+        start *= step
     return coeffs
 
 
@@ -186,9 +245,10 @@ def _row_walk(g: list, M: int, s: int) -> list[int]:
 def _slot_bits(norm: int, M: int) -> int:
     """The digit width s for the powers up to M of an integral polynomial g
     whose coefficients have absolute values summing to norm:
-    norm^M < 2^(s-1).  Every coefficient of g^m, m <= M, is at most norm^M
-    in absolute value; both paths read only such coefficients, so the
-    balanced digits they read never carry into each other."""
+    norm^M < 2^(s-1).  Every coefficient of g^m, m <= M, and of
+    F_2^k g_2^n, n + k <= M (see _recurrence), is at most norm^M in
+    absolute value; both paths read only such coefficients, so the balanced
+    digits they read never carry into each other."""
     return (norm ** M).bit_length() + 1
 
 

@@ -1,5 +1,6 @@
 """Classical periods and Picard-Fuchs operator fitting."""
 
+import random
 import time
 from fractions import Fraction
 from itertools import islice
@@ -23,7 +24,13 @@ from reflexo.period import (
     period_coefficients,
 )
 
-from oracles import apply_operator, kernels_mod_p, operator_singular_locus
+from oracles import (
+    GL2Z_GENS,
+    apply_operator,
+    kernels_mod_p,
+    operator_singular_locus,
+    random_unimodular,
+)
 
 
 def p3_series(M=40):
@@ -173,19 +180,27 @@ class TestPeriodCoefficients:
         # [DERIVED] for f = 3 and f = -3, |c_m| = 3^m is the bound
         # |f|_1^m that the digit width is chosen for, so a width one bit
         # narrower misreads c_M, on the recurrence that constant f takes and
-        # on the row walk
+        # on the row walk.  With a y^2 row, g = 128 + y^2 + 1/y has
+        # |g|_1^40 = 130^40 < 2 * 128^40 = 2^281, so its x^0 digit
+        # 128^40 = 2^280 needs the full width too
         cases = [(3, 40), (-3, 41)]
         for a, M in cases:
             f = LaurentPoly({(0, 0): a})
             assert period_coefficients(f, M).coefficients == [
                 a ** m for m in range(M + 1)
             ]
+        peeled = [(0, 0, 128), (0, 2, 1), (0, -1, 1)]
+        f = LaurentPoly({(a, b): c for a, b, c in peeled})
+        want = naive_period(f, 40)
+        assert period_coefficients(f, 40).coefficients == want
         # each path reads c_M right at the width and wrong one bit narrower
+        reads = [([(0, 0, a)], abs(a), M, a ** M) for a, M in cases]
+        reads.append((peeled, 130, 40, want[40]))
         for walk in (period._recurrence, period._row_walk):
-            for a, M in cases:
-                s = period._slot_bits(abs(a), M)
-                assert walk([(0, 0, a)], M, s)[M] == a ** M, walk
-                assert walk([(0, 0, a)], M, s - 1)[M] != a ** M, walk
+            for g, norm, M, c in reads:
+                s = period._slot_bits(norm, M)
+                assert walk(g, M, s)[M] == c, walk
+                assert walk(g, M, s - 1)[M] != c, walk
         slot_bits = period._slot_bits
         monkeypatch.setattr(
             period, "_slot_bits", lambda norm, M: slot_bits(norm, M) - 1
@@ -206,16 +221,17 @@ class TestPeriodCoefficients:
         assert time.process_time() - start < 0.3
 
 
-# f with the exponents on one axis in {-1, 0, 1}: the shape that the
-# recurrence takes, read along y or, after a swap, along x.
-_unit_span_polys = st.tuples(st.booleans(), st.dictionaries(
-    st.tuples(st.integers(-3, 3), st.integers(-1, 1)),
-    st.fractions(-4, 4, max_denominator=6), max_size=6,
-)).map(lambda t: LaurentPoly(
-    {(b, a) if t[0] else (a, b): c for (a, b), c in t[1].items()}))
+# f with the exponents on one axis in {-1, 0, 1, 2}, or in {-2, -1, 0, 1}:
+# the shapes that the recurrence takes.  The map puts the drawn axis on y,
+# on x, on 1/y or on 1/x.
+_recurrence_polys = st.tuples(
+    st.sampled_from((((1, 0), (0, 1)), ((0, 1), (1, 0)),
+                     ((1, 0), (0, -1)), ((0, -1), (1, 0)))),
+    st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-1, 2)),
+                    st.fractions(-4, 4, max_denominator=6), max_size=6),
+).map(lambda t: LaurentPoly(t[1]).transform(t[0]))
 
-# The 15 polygons of lattice width 2, and two wide coordinate changes.
-WIDTH_TWO = [name for name in NAMES if name != "9"]
+# Two wide coordinate changes.
 WIDE_MAPS = (((-11, 3), (-4, 1)), ((13, -5), (5, -2)))
 
 
@@ -224,42 +240,48 @@ def refuse_row_walk(*args):
 
 
 class TestRecurrence:
-    @settings(max_examples=60, deadline=None)
-    @given(_unit_span_polys, st.integers(0, 10))
+    @settings(max_examples=80, deadline=None)
+    @given(_recurrence_polys, st.integers(0, 10))
     def test_matches_naive_period(self, f, M):
-        # [DERIVED] the three-term recurrence in y, and in x after the
-        # swap, gives the constant terms of plain repeated multiplication;
-        # the box is left as drawn so that the drawn axis is the one read
+        # [DERIVED] the three-term recurrences in y, in x after the swap,
+        # and in 1/y or 1/x where the range is {-2, ..., 1}, with the y^2
+        # row peeled off by the binomial theorem, give the constant terms of
+        # plain repeated multiplication; the box is left as drawn so that
+        # the drawn axis is the one read
         with patch.object(period, "_small_box", lambda f: f), \
                 patch.object(period, "_row_walk", refuse_row_walk):
             got = period_coefficients(f, M).coefficients
         assert got == naive_period(f, M)
 
     def test_agrees_with_row_walk(self, catalog, monkeypatch):
-        # [DERIVED] the 15 width-2 f_P: both paths give the same series at
-        # M = 40 and M = 100, at the one slot width they share
+        # [DERIVED] the 16 f_P, f_9 with its y^2 row peeled among them:
+        # both paths give the same series at M = 40 and M = 100, at the one
+        # slot width they share
         for M in (40, 100):
             fast = [period_coefficients(build_fP(catalog[name]), M)
-                    for name in WIDTH_TWO]
+                    for name in NAMES]
             with monkeypatch.context() as m:
                 m.setattr(period, "_recurrence", period._row_walk)
                 slow = [period_coefficients(build_fP(catalog[name]), M)
-                        for name in WIDTH_TWO]
+                        for name in NAMES]
             assert fast == slow, M
 
-    def test_width_two_never_walks_rows(self, catalog, monkeypatch):
-        # [DERIVED] the cost guard of `analyze`: every width-2 f_P, in
-        # catalog and in wide coordinates, takes the recurrence; f_9, of
-        # lattice width 3, takes the row walk
+    def test_catalog_never_walks_rows(self, catalog, monkeypatch):
+        # [DERIVED] the cost guard of `analyze`: every f_P, polygon 9 of
+        # lattice width 3 included, takes the recurrence in catalog
+        # coordinates, under the two wide maps and under 64 seeded GL2(Z)
+        # images each
+        rng = random.Random(37)
+        maps = WIDE_MAPS + tuple(random_unimodular(rng, GL2Z_GENS)
+                                 for _ in range(64))
         expected = {name: period_coefficients(build_fP(catalog[name]), 40)
                     for name in NAMES}
         monkeypatch.setattr(period, "_row_walk", refuse_row_walk)
-        for name in WIDTH_TWO:
+        for name in NAMES:
             f = build_fP(catalog[name])
-            for g in (f, *(f.transform(A) for A in WIDE_MAPS)):
-                assert period_coefficients(g, 40) == expected[name], name
-        with pytest.raises(AssertionError, match="row walk entered"):
-            period_coefficients(build_fP(catalog["9"]), 40)
+            for A in (((1, 0), (0, 1)),) + maps:
+                assert period_coefficients(f.transform(A), 40) == (
+                    expected[name]), (name, A)
 
 
 def shifted(c, a):
