@@ -720,7 +720,7 @@ class MPoly:
             if any(k[j] != 0 for j in range(3) if j != i):
                 raise ValueError(f"polynomial involves more than {name}")
             coeffs[k[i]] = v
-        return UniPoly(coeffs, "l" if name == "l" else name)
+        return UniPoly(coeffs, name)
 
     def exact_div(self, other: "MPoly") -> "MPoly":
         """Exact multivariate division; raises if the division is not exact."""

@@ -68,7 +68,8 @@ class LaurentPoly:
 
 
 def format_laurent(f: LaurentPoly) -> str:
-    """CLI text form: terms "c*x^a*y^b" joined by " + ", signed exponents."""
+    """The text form of LaurentPoly's repr: terms "c*x^a*y^b" joined by
+    " + ", signed exponents."""
     if not f.terms:
         return "0"
     return " + ".join(

@@ -10,7 +10,7 @@ recurrence
 for f = F_-1 / y + F_0 + F_1 y.  When they lie in {-1, 0, 1, 2}, or in
 {-2, ..., 1} and the axis is reflected, the y^2 row F_2 y^2 is peeled off
 by the binomial theorem, and each y^-2k part of the rest follows a
-three-term recurrence of the same kind.  Once the bounding box is shrunk,
+three-term recurrence of the same kind.  In the chart that _frame picks,
 every f_P takes one of these: the 15 of lattice width 2 with no y^2 row,
 and polygon 9, of width 3, with one.  Otherwise the powers f, f^2, ...,
 f^M are built row by row in y, and only the rows that can still reach y^0
@@ -83,47 +83,60 @@ class PowerSeries:
 def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
     """c_m = constant term of f^m for 0 <= m <= M.
 
-    f is first moved by shears to coordinates with a small bounding box (the
-    cost follows the box, not the support; constant terms do not change) and
-    scaled by the lcm D of its denominators to g = D f, so
-    c_m = CT(g^m) / D^m.  When one of the unimodular maps of _FRAMES (none,
-    the swap of x and y, y -> 1/y, or both) puts the y-exponents of g in
+    f is first moved by _frame to a chart that no map of _MAPS ranks
+    lower, by tier (which walk it can take) and then by bounding box (the
+    cost follows the box, not the support; constant terms do not change),
+    and scaled by the lcm D of its denominators to g = D f, so
+    c_m = CT(g^m) / D^m.  At tier 0 or 1, where the y-exponents of g lie in
     {-1, 0, 1, 2}, CT(g^m) is read off the three-term recurrences of
-    _recurrence, in a frame with no y^2 row where there is one; otherwise
-    g^m is built by the rows of _row_walk.  Both pack polynomials in x into
-    ints whose s-bit digits are the coefficients; see _slot_bits for the
-    width.
+    _recurrence; at tier 2, g^m is built by the rows of _row_walk.  Both
+    pack polynomials in x into ints whose s-bit digits are the
+    coefficients; see _slot_bits for the width.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
-    f = _small_box(f)
-    A = _frame(f)
-    if A is not None:
-        f = f.transform(A)
+    f, tier = _frame(f)
     den = lcm(*(c.denominator for c in f.terms.values()))
     g = [(a, b, int(c * den)) for (a, b), c in f.terms.items()]
     s = _slot_bits(sum(abs(c) for _, _, c in g), M)
-    walk = _row_walk if A is None else _recurrence
+    walk = _recurrence if tier < 2 else _row_walk
     return PowerSeries(
         [_div(c, den ** m) for m, c in enumerate(walk(g, M, s))]
     )
 
 
-# Exponent maps u -> A u that put y, x, 1/y or 1/x on the y axis.
-_FRAMES = (((1, 0), (0, 1)), ((0, 1), (1, 0)),
-           ((1, 0), (0, -1)), ((0, 1), (-1, 0)))
+# Exponent maps u -> A u: the identity; those that put x, 1/y or 1/x on
+# the y axis; the shears (x, y) -> (x +- y, y) and (x, y +- x).
+_MAPS = (((1, 0), (0, 1)), ((0, 1), (1, 0)),
+         ((1, 0), (0, -1)), ((0, 1), (-1, 0)),
+         ((1, 1), (0, 1)), ((1, -1), (0, 1)),
+         ((1, 0), (1, 1)), ((1, 0), (-1, 1)))
 
 
-def _frame(f: LaurentPoly):
-    """The first map of _FRAMES under which the y-exponents of f lie in
-    {-1, 0, 1}, else the first under which they lie in {-1, 0, 1, 2}, else
-    None."""
-    for top in (1, 2):
-        for A in _FRAMES:
-            c, d = A[1]
-            if all(-1 <= c * a + d * b <= top for a, b in f.terms):
-                return A
-    return None
+def _rank(f: LaurentPoly, A) -> tuple[int, int]:
+    """(tier, box) of f.transform(A), read without building it: tier 0 when
+    its y-exponents lie in {-1, 0, 1}, 1 when they lie in {-1, ..., 2},
+    else 2; box is (x-extent + 1)(y-extent + 1) of its support."""
+    (a, b), (c, d) = A
+    xs = [a * u + b * v for u, v in f.terms]
+    ys = [c * u + d * v for u, v in f.terms]
+    lo, hi = min(ys), max(ys)
+    tier = 0 if -1 <= lo and hi <= 1 else 1 if -1 <= lo and hi <= 2 else 2
+    return tier, (max(xs) - min(xs) + 1) * (hi - lo + 1)
+
+
+def _frame(f: LaurentPoly) -> tuple[LaurentPoly, int]:
+    """f moved by the maps of _MAPS while one of them ranks below the
+    identity, the lowest (the first among equals) each time, and its tier.
+    The rank falls at every step, so the descent ends; the maps are
+    unimodular, so every CT(f^m) is unchanged."""
+    if not f.terms:
+        return f, 0
+    while True:
+        (tier, _), i = min((_rank(f, A), i) for i, A in enumerate(_MAPS))
+        if not i:
+            return f, tier
+        f = f.transform(_MAPS[i])
 
 
 def _recurrence(g: list, M: int, s: int) -> list[int]:
@@ -247,8 +260,9 @@ def _slot_bits(norm: int, M: int) -> int:
     whose coefficients have absolute values summing to norm:
     norm^M < 2^(s-1).  Every coefficient of g^m, m <= M, and of
     F_2^k g_2^n, n + k <= M (see _recurrence), is at most norm^M in
-    absolute value; both paths read only such coefficients, so the balanced
-    digits they read never carry into each other."""
+    absolute value; _recurrence and _row_walk, whichever the tier of
+    _frame picks, read only such coefficients, so the balanced digits they
+    read never carry into each other."""
     return (norm ** M).bit_length() + 1
 
 
@@ -258,31 +272,6 @@ def _digit(r: int, p: int, s: int) -> int:
     lies in [-2^(p-1), 2^(p-1))."""
     d = ((r + (1 << p >> 1)) >> p) & ((1 << s) - 1)
     return d - (1 << s) if d >> (s - 1) else d
-
-
-# The shears (x, y) -> (x +- y, y) and (x, y +- x), as exponent maps u -> A u.
-_SHEARS = (((1, 1), (0, 1)), ((1, -1), (0, 1)),
-           ((1, 0), (1, 1)), ((1, 0), (-1, 1)))
-
-
-def _box(f: LaurentPoly) -> int:
-    """(x-extent + 1)(y-extent + 1) of the support of f."""
-    xs = [a for a, _ in f.terms]
-    ys = [b for _, b in f.terms]
-    return (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
-
-
-def _small_box(f: LaurentPoly) -> LaurentPoly:
-    """f moved by shears while one of them shrinks its bounding box, the
-    smallest box first; unimodular, so every CT(f^m) is unchanged."""
-    if not f.terms:
-        return f
-    size = _box(f)
-    while True:
-        g = min((f.transform(A) for A in _SHEARS), key=_box)
-        if _box(g) >= size:
-            return f
-        f, size = g, _box(g)
 
 
 class DiffOperator:

@@ -115,10 +115,12 @@ class TestPeriodCoefficients:
         for P in catalog.values():
             assert period_coefficients(build_fP(P), 1)[1] == 0
 
-    def test_clipping_matches_plain_expansion(self, catalog):
+    def test_clipping_matches_plain_expansion(self, catalog, monkeypatch):
         # [DERIVED] dropping the rows of f^m that cannot reach y^0 in the
-        # remaining steps is loss-free: compare against a naive power
-        # computation for every f_P, with M zero, one, odd and even
+        # remaining steps is loss-free: compare the row walk, which the
+        # catalog does not enter, against a naive power computation for
+        # every f_P, with M zero, one, odd and even
+        monkeypatch.setattr(period, "_recurrence", period._row_walk)
         for name in NAMES:
             f = build_fP(catalog[name])
             for M in (0, 1, 7, 8):
@@ -246,9 +248,10 @@ class TestRecurrence:
         # [DERIVED] the three-term recurrences in y, in x after the swap,
         # and in 1/y or 1/x where the range is {-2, ..., 1}, with the y^2
         # row peeled off by the binomial theorem, give the constant terms of
-        # plain repeated multiplication; the box is left as drawn so that
-        # the drawn axis is the one read
-        with patch.object(period, "_small_box", lambda f: f), \
+        # plain repeated multiplication; the chart is chosen among the
+        # identity and the three orientation maps only, so that the drawn
+        # axis is the one read
+        with patch.object(period, "_MAPS", period._MAPS[:4]), \
                 patch.object(period, "_row_walk", refuse_row_walk):
             got = period_coefficients(f, M).coefficients
         assert got == naive_period(f, M)
@@ -265,6 +268,22 @@ class TestRecurrence:
                 slow = [period_coefficients(build_fP(catalog[name]), M)
                         for name in NAMES]
             assert fast == slow, M
+
+    def test_catalog_charts(self, catalog):
+        # [DERIVED] the chart of every f_P in catalog coordinates: the
+        # identity, except for 6d and 7b, whose y-exponents span
+        # {-1, ..., 2} and whose x-exponents lie in {-1, 0, 1}, so the swap
+        # of x and y puts them on the plain recurrence (tier 0); polygon 9
+        # keeps its y^2 row (tier 1)
+        swap = ((0, 1), (1, 0))
+        for name in NAMES:
+            f = build_fP(catalog[name])
+            want = f.transform(swap) if name in ("6d", "7b") else f
+            assert period._frame(f) == (want, 1 if name == "9" else 0), name
+
+    def test_frame_of_empty_f(self):
+        # [TRIVIAL] the zero polynomial has no exponents to rank
+        assert period._frame(LaurentPoly()) == (LaurentPoly(), 0)
 
     def test_catalog_never_walks_rows(self, catalog, monkeypatch):
         # [DERIVED] the cost guard of `analyze`: every f_P, polygon 9 of
