@@ -21,13 +21,14 @@ arithmetic.  Every true division of coefficients goes through `_div`,
 since int / int is a float.
 
 The univariate gcd of int lists is a modular gcd (Brown 1971; Collins):
-the primitive integer inputs are reduced modulo 61-bit primes, counting
-down from 2^61 - 1, the monic images are combined by the Chinese remainder
-theorem, and a candidate is accepted only once it divides both inputs
-exactly over Z, which proves it the gcd.  Yun's square-free decomposition
-runs on the same integer gcd and its exact cofactors.  The gcd over
-Q[y]/(q) is a fraction-free Euclid over Z[y]/(Q) on int lists, Q the
-primitive integer multiple of q; a leading coefficient that is a zero
+the primitive integer inputs are reduced modulo the Mersenne primes
+2^31 - 1, 2^61 - 1, ... of `_MERSENNE_EXPONENTS`, the moduli of the
+Picard-Fuchs fit too, the monic images are combined by the Chinese
+remainder theorem, and a candidate is accepted only once it divides both
+inputs exactly over Z, which proves it the gcd.  Yun's square-free
+decomposition runs on the same integer gcd and its exact cofactors.  The
+gcd over Q[y]/(q) is a fraction-free Euclid over Z[y]/(Q) on int lists, Q
+the primitive integer multiple of q; a leading coefficient that is a zero
 divisor raises ZeroDivisorError with the factor of q it shares.
 
 One subresultant polynomial remainder sequence (Collins; Brown-Traub)
@@ -47,7 +48,6 @@ Bareiss determinant of the Sylvester matrix; both live test-side, in
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 from math import gcd as int_gcd, lcm
 from typing import Iterable
 
@@ -266,46 +266,11 @@ def format_unipoly(p: UniPoly) -> str:
 # the modular gcd over Z, and through it over Q
 # ---------------------------------------------------------------------------
 
-# 2^61 - 1, a Mersenne prime: the first modulus of the gcd below.
-_PRIME = (1 << 61) - 1
-# The primes below 2^61 in descending order, grown on first need.
-_primes = [_PRIME]
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 3, ..., 37, which is deterministic for
-    every n < 3.3 * 10^24 (Sorenson-Webster 2017), so for every n < 2^61."""
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, r = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        r += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _modular_primes():
-    """The primes 2^61 - 1 > p_1 > p_2 > ...; each is found by Miller-Rabin
-    the first time any caller asks for it, and kept for the process."""
-    for i in count():
-        if i == len(_primes):
-            n = _primes[-1] - 2
-            while not _is_prime(n):
-                n -= 2
-            _primes.append(n)
-        yield _primes[i]
+# The exponents e of the Mersenne primes 2^e - 1, ascending: the moduli of
+# every modular kernel, the gcd below and period.find_picard_fuchs, in turn.
+# The fit folds its slots by 2^e = 1 mod p, so they must be Mersenne primes.
+_MERSENNE_EXPONENTS = (31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
+                       4253, 4423)
 
 
 def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -364,17 +329,19 @@ def _gcd_int(a: list[int], b: list[int]
     both empty: g is their gcd in Z[x], primitive with a positive leading
     coefficient, and the cofactors are exact.
 
-    Each prime p, from 2^61 - 1 down, that divides neither leading
-    coefficient maps the gcd onto a divisor of the gcd mod p of the same
-    degree, since its leading coefficient divides both.  So a degree 0 mod
-    p proves the gcd 1, and a lower degree than before shows the earlier
-    primes unlucky and starts again.  The images, monic mod p and scaled by
-    l = gcd(lc a, lc b), a multiple of the gcd's leading coefficient, are
-    combined by the Chinese remainder theorem in symmetric residues.  After
-    each prime the primitive part of that candidate is tried: if it divides
-    both inputs exactly over Z, it divides the gcd and has at least its
-    degree, so it is the gcd.  Nothing is accepted on a bound or on
-    agreement between primes alone.
+    Each Mersenne prime p = 2^e - 1 of _MERSENNE_EXPONENTS in turn,
+    2^31 - 1 first, that divides neither leading coefficient maps the gcd
+    onto a divisor of the gcd mod p of the same degree, since its leading
+    coefficient divides both.  So a degree 0 mod p proves the gcd 1, and a
+    lower degree than before shows the earlier primes unlucky and starts
+    again.  The images, monic mod p and scaled by l = gcd(lc a, lc b), a
+    multiple of the gcd's leading coefficient, are combined by the Chinese
+    remainder theorem in symmetric residues.  After each prime the
+    primitive part of that candidate is tried: if it divides both inputs
+    exactly over Z, it divides the gcd and has at least its degree, so it
+    is the gcd.  Nothing is accepted on a bound or on agreement between
+    primes alone.  The moduli hold 19199 bits together; when every one is
+    spent, ArithmeticError names the last.
     """
     if not a or not b:
         g = _primitive(a or b)
@@ -384,7 +351,8 @@ def _gcd_int(a: list[int], b: list[int]
     la, lb = a[-1], b[-1]
     ell = int_gcd(la, lb)
     g: list[int] = []
-    for p in _modular_primes():
+    for e in _MERSENNE_EXPONENTS:
+        p = (1 << e) - 1
         if not la % p or not lb % p:
             continue
         h = _gcd_mod([c % p for c in a], [c % p for c in b], p)
@@ -404,6 +372,9 @@ def _gcd_int(a: list[int], b: list[int]
             qb = _quotient(b, cand)
             if qb is not None:
                 return cand, qa, qb
+    raise ArithmeticError(
+        f"gcd undecided: no modulus up to 2^{_MERSENNE_EXPONENTS[-1]} - 1 "
+        f"gives a candidate that divides both inputs")
 
 
 def _mul(u: list, v: list) -> list:

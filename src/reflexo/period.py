@@ -21,28 +21,34 @@ annihilating operator L = sum_k p_k(t) D^k with D = t d/dt is recovered by
 fitting the induced linear recursion on the coefficients.  The series is
 first scaled to coprime integers, which leaves L unchanged.  The fit of each
 order runs one incremental column elimination over Z/p for a Mersenne
-prime p = 2^e - 1.  Every vector of a nonempty kernel there is lifted by
-rational reconstruction and accepted only after an exact check over Z.
-Where one does not lift, the order is run again modulo the next, larger
-Mersenne prime of a fixed list, and a shape that the last of them cannot
-decide is reported as undecided.  The columns are packed: a column is
-one int with a fixed-width slot per fit row, so reducing against a pivot
-is one multiply-add, and a combination of columns, one int with a slot per
-column, is made only for a column that gives a kernel vector.  Slots are
-reduced all at once by folding, since 2^e = 1 mod p, and the width keeps
-every slot below p^2 (rows + 1): a column meets at most one pivot per fit
-row.  The fibre parameter of the pencil relates to the series variable by
-t = -1/lambda.
+prime p = 2^e - 1, from the list of moduli that algebra's modular gcd
+walks too, 2^31 - 1 first.  Every vector of a nonempty kernel there is
+lifted by rational reconstruction and accepted only after an exact check
+over Z.  Where one does not lift, the order is run again modulo the next,
+larger Mersenne prime of the list, and a shape that the last of them
+cannot decide is reported as undecided.  The columns are packed: a column
+is one int with a fixed-width slot per fit row, and its combination of
+columns one int with a slot per column, so reducing against a pivot is
+two multiply-adds.  Slots are reduced all at once by folding, since
+2^e = 1 mod p, and the width keeps every slot below p^2 (rows + 1): a
+column meets at most one pivot per fit row.  The fibre parameter of the
+pencil relates to the series variable by t = -1/lambda.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
 
-from .algebra import UniPoly, _div, _exact, _primitive_scale, format_unipoly
+from .algebra import (
+    _MERSENNE_EXPONENTS,
+    UniPoly,
+    _div,
+    _exact,
+    _primitive_scale,
+    format_unipoly,
+)
 from .laurent import LaurentPoly
 
 
@@ -336,13 +342,6 @@ def _image_coefficient(ps: list[list], c: list, m: int):
     return acc
 
 
-# The exponents e of the Mersenne primes 2^e - 1 that the fit runs modulo,
-# in turn.  They must be Mersenne primes, not the next primes below 2^61
-# that algebra's modular gcd uses: _kernels folds its slots by 2^e = 1 mod p.
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                       4253, 4423)
-
-
 def _kernels(c: list, h: int, p: int):
     """Kernels of the fit matrices of order h and degree 0, 1, 2, ... over
     Z/p for the Mersenne prime p = 2^e - 1; c lists the integer series
@@ -359,26 +358,20 @@ def _kernels(c: list, h: int, p: int):
     shorter.  The entries are the residues in [0, p).
 
     A column is one int with a w-byte slot per fit row, slot m holding row m;
-    a combination is one int with a slot per column so far.  Column (k, d)
-    is the packing of [j^k c_j mod p]_j (_packed_powers, made once per k and
-    series), shifted up d slots and cut to the fit rows.  Reducing against a
-    pivot reads one slot, of residue f, and adds p - f times the pivot
-    column, so no slot is ever negative.  Since 2^e = 1 mod p, a slot v is
-    folded to (v mod 2^e) + (v >> e), for every slot at once by a few masks
-    and shifts, until it lies in [0, p].  Pivots are kept folded, and pivot
-    rows are distinct, so a column meets at most len(c) pivots and each of
-    its slots stays below p^2 (len(c) + 1), the bound w is chosen for.  A
-    reduced column is folded, and one compare-and-subtract makes each slot a
-    residue in [0, p): the column is then zero exactly when its kernel
-    vector is due, and otherwise its lowest nonzero slot is the new pivot
-    row.
-
-    Combinations are not carried through the reductions, since most columns
-    become pivots and never need theirs.  Each column keeps the factors
-    p - f it was reduced by; one that reduces to zero sums those factors
-    times the pivots' combinations, which are made the same way, each once,
-    when a kernel vector first needs them.  The sums are the ones a carried
-    combination would take, so the slots keep the same bound.
+    its combination is one int with a slot per column so far, and goes
+    through the same reductions.  Column (k, d) is the packing of
+    [j^k c_j mod p]_j, shifted up d slots and cut to the fit rows.
+    Reducing against a pivot reads one slot, of residue f, and adds p - f
+    times the pivot column and its combination, so no slot is ever
+    negative.  Since 2^e = 1 mod p, a slot v is folded to
+    (v mod 2^e) + (v >> e), for every slot at once by a few masks and
+    shifts, until it lies in [0, p].  Pivots are kept folded, and pivot rows
+    are distinct, so a column and its combination meet at most len(c)
+    pivots, and each of their slots stays below p^2 (len(c) + 1), the bound
+    w is chosen for.  A reduced column is folded, and one
+    compare-and-subtract makes each slot a residue in [0, p): the column is
+    then zero exactly when its kernel vector is due, and otherwise its
+    lowest nonzero slot is the new pivot row.
     """
     e = p.bit_length()
     rows = len(c)
@@ -386,8 +379,8 @@ def _kernels(c: list, h: int, p: int):
     W = 8 * w
     slot = (1 << W) - 1
     fit = (1 << (rows * W)) - 1
-    series = tuple(c)
-    base = [_packed_powers(series, k, p, w) for k in range(h + 1)]
+    base = [_pack([j ** k * v % p for j, v in enumerate(c)], w)
+            for k in range(h + 1)]
 
     def fold(x):
         # every slot to [0, p], unchanged mod p
@@ -400,20 +393,7 @@ def _kernels(c: list, h: int, p: int):
         x = fold(x)
         return x - ((x + ones) >> e & ones) * p
 
-    def combination(n, factors):
-        # the combination of column n, reduced by factors[i] times pivot i
-        while len(combs) < len(factors):
-            m, fs, inv = made[len(combs)]
-            combs.append(fold(fold(combination(m, fs)) * inv))
-        comb = 1 << (n * W)
-        for f, pcomb in zip(factors, combs):
-            if f != p:
-                comb += f * pcomb
-        return comb
-
-    pivots = []  # (bit offset of the pivot row, column)
-    made = []  # per pivot: its column's index, factors and scale
-    combs = []  # the combinations of the first pivots, made on demand
+    pivots = []  # (bit offset of the pivot row, column, combination)
     kernel = []
     ncols = 0
     for d in count():
@@ -424,32 +404,23 @@ def _kernels(c: list, h: int, p: int):
         lo, hi = ones * p, ones * ((1 << (W - e)) - 1)
         for k in range(h + 1):
             col = base[k] << (d * W) & fit
-            factors = []
-            for shift, pcol in pivots:
+            comb = 1 << (ncols * W)
+            for shift, pcol, pcomb in pivots:
                 f = p - (col >> shift & slot) % p
-                factors.append(f)
                 if f != p:
                     col += f * pcol
+                    comb += f * pcomb
             col = residues(col)
             if col:
                 shift = (col & -col).bit_length() - 1
                 shift -= shift % W
                 inv = pow(col >> shift & slot, -1, p)
-                pivots.append((shift, fold(col * inv)))
-                made.append((ncols, factors, inv))
+                pivots.append((shift, fold(col * inv),
+                               fold(fold(comb) * inv)))
             else:
-                comb = combination(ncols, factors)
                 kernel.append(_unpack(residues(comb), ncols + 1, w))
             ncols += 1
         yield list(kernel)
-
-
-@lru_cache(maxsize=8)
-def _packed_powers(c: tuple, k: int, p: int, w: int) -> int:
-    """The packing of [j^k c_j mod p]_j in w-byte slots, kept for the last
-    few (series, k): the orders of one Picard-Fuchs fit share their
-    columns (k, d) for every k they both reach."""
-    return _pack([j ** k * v % p for j, v in enumerate(c)], w)
 
 
 def _pack(values: list[int], w: int) -> int:
@@ -524,7 +495,7 @@ def find_picard_fuchs(
     fitted as the series is.  Every fit matrix of order h has the same rows,
     one per coefficient outside the guard, and its columns grow with d, so
     each order runs one incremental column elimination (_kernels) modulo the
-    Mersenne prime p = 2^61 - 1.  A shape whose columns stay independent
+    Mersenne prime p = 2^31 - 1.  A shape whose columns stay independent
     mod p is skipped: rank_p <= rank_Q, because every minor that vanishes
     over Q vanishes mod p, so its kernel over Q is provably empty.  Where
     the kernel mod p has dimension k >= 1, every vector of it is lifted by

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations, count
 
 from reflexo.algebra import (
-    _PRIME,
+    _MERSENNE_EXPONENTS,
     MPoly,
     UniPoly,
     ZeroDivisorError,
@@ -219,7 +219,8 @@ def apply_operator(L, s) -> PowerSeries:
     ])
 
 
-def kernels_mod_p(c: list, h: int, p: int = _PRIME):
+def kernels_mod_p(c: list, h: int,
+                  p: int = (1 << _MERSENNE_EXPONENTS[0]) - 1):
     """Kernels of the fit matrices of order h and degree 0, 1, 2, ... over
     Z/p for the integer series coefficients c, one per fit row: the
     contract of period._kernels(c, h, p), computed on lists of ints.

@@ -4,7 +4,6 @@ Oracle tags: [PAPER] = value quoted in the source analysis, [DERIVED] =
 computed independently by hand or brute force, [TRIVIAL] = textbook identity.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -1101,9 +1100,13 @@ def test_unpack_rejects_a_leftover_digit():
 # ---------------------------------------------------------------------------
 
 
+# 2^31 - 1, the first modulus of the modular gcd.
+FIRST_MODULUS = (1 << algebra._MERSENNE_EXPONENTS[0]) - 1
+
+
 def _check_unlucky_first_prime():
-    # x - 1 and x - 1 - p share the root 1 mod p = 2^61 - 1, the first prime
-    p = algebra._PRIME
+    # x - 1 and x - 1 - p share the root 1 mod p = 2^31 - 1, the first prime
+    p = FIRST_MODULUS
     a, b = upoly(-1, 1, var="x"), upoly(-1 - p, 1, var="x")
     assert algebra._gcd_mod([p - 1, 1], [(-1 - p) % p, 1], p) == [p - 1, 1]
     assert gcd_poly(a, b) == upoly(1, var="x")
@@ -1111,8 +1114,8 @@ def _check_unlucky_first_prime():
 
 class TestModularGcd:
     def test_unlucky_first_prime(self):
-        # [DERIVED] the candidate x - 1 from 2^61 - 1 fails trial division
-        # and the next prime proves the gcd 1
+        # [DERIVED] the candidate x - 1 from 2^31 - 1 fails trial division
+        # and the next modulus, 2^61 - 1, proves the gcd 1
         _check_unlucky_first_prime()
 
     def test_mutant_without_trial_division_fails(self, monkeypatch):
@@ -1124,8 +1127,8 @@ class TestModularGcd:
     def test_prime_dividing_a_leading_coefficient_is_skipped(
             self, monkeypatch):
         # [TRIVIAL] gcd((p x + 1)(x - 2), (x - 2)(x + 3)) = x - 2 for
-        # p = 2^61 - 1; mod p the first input drops a degree, so p is skipped
-        p = algebra._PRIME
+        # p = 2^31 - 1; mod p the first input drops a degree, so p is skipped
+        p = FIRST_MODULUS
         used = []
         gcd_mod = algebra._gcd_mod
         monkeypatch.setattr(algebra, "_gcd_mod",
@@ -1149,15 +1152,18 @@ class TestModularGcd:
         with pytest.raises(ValueError):
             gcd_poly(UniPoly([], "x"), UniPoly([], "x"))
 
-    def test_primes_descend_from_the_mersenne_prime(self):
-        # [DERIVED] 2^61 - 1 and the next primes below it, 2^61 - 31,
-        # 2^61 - 45 and 2^61 - 229 (checked with an independent primality
-        # test); every number skipped between them is composite
-        primes = list(itertools.islice(algebra._modular_primes(), 4))
-        assert [(1 << 61) - p for p in primes] == [1, 31, 45, 229]
-        assert not any(algebra._is_prime(n)
-                       for n in range(primes[-1] + 2, primes[0], 2)
-                       if n not in primes)
+    def test_past_the_last_modulus_raises(self, monkeypatch):
+        # [DERIVED] gcd((x - 2^40)(x + 1), (x - 2^40)(x + 2)) = x - 2^40.
+        # With 2^31 - 1 the only modulus, its image there is x - 2^9
+        # (2^40 = 2^9 mod 2^31 - 1), which divides neither input, and no
+        # modulus is left: the error names the last one
+        g = [-(1 << 40), 1]
+        a, b = algebra._mul(g, [1, 1]), algebra._mul(g, [2, 1])
+        assert algebra._gcd_int(a, b) == (g, [1, 1], [2, 1])
+        monkeypatch.setattr(algebra, "_MERSENNE_EXPONENTS", (31,))
+        with pytest.raises(ArithmeticError,
+                           match=r"no modulus up to 2\^31 - 1"):
+            algebra._gcd_int(a, b)
 
     def test_wide_yun_from_planted_factors(self):
         """Yun on a degree-78 input with 1000-bit coefficients, r s^2 t^28

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflexo import period
-from reflexo.algebra import _PRIME, UniPoly
+from reflexo.algebra import _MERSENNE_EXPONENTS, UniPoly
 from reflexo.catalog import NAMES, get
 from reflexo.laurent import LaurentPoly, build_fP
 from reflexo.period import (
@@ -487,11 +487,13 @@ def moduli_used(monkeypatch):
 FIT_ROWS = 33
 
 # The moduli of the fit, and their product.
-MODULI = [(1 << e) - 1 for e in period._MERSENNE_EXPONENTS]
+MODULI = [(1 << e) - 1 for e in _MERSENNE_EXPONENTS]
 K = prod(MODULI)
+# 2^31 - 1, the first modulus: every order of a fit starts there.
+PRIME = MODULI[0]
 
 
-def kernel_at(s, h, d, p=_PRIME, guard=8):
+def kernel_at(s, h, d, p=PRIME, guard=8):
     """The kernel basis mod p of the fit matrix of shape (h, d) of a series
     with integer coefficients."""
     fit = s.coefficients[: s.order + 1 - guard]
@@ -518,17 +520,17 @@ class TestModularScreen:
         # [DERIVED] rank_p <= rank_Q: where the exact kernel is nonempty the
         # mod-p kernel is nonempty too; at every accepted shape of the 16
         # series both have dimension exactly 1, the lifted vector is the
-        # operator, and every order runs mod 2^61 - 1 alone
+        # operator, and every order runs mod 2^31 - 1 alone
         used = moduli_used(monkeypatch)
         for name in NAMES:
             s = period_coefficients(build_fP(catalog[name]), 40)
             used.clear()
             L = find_picard_fuchs(s)
             h, d = L.order, max(p.degree for p in L.polys)
-            assert used == {k: [61] for k in range(1, h + 1)}, name
+            assert used == {k: [31] for k in range(1, h + 1)}, name
             kernel = kernel_at(s, h, d)
             assert len(kernel) == 1, name
-            polys = _lift(kernel[0], s.coefficients[:FIT_ROWS], h, d, _PRIME)
+            polys = _lift(kernel[0], s.coefficients[:FIT_ROWS], h, d, PRIME)
             assert DiffOperator(polys).normalized() == L, name
             rows = _fit_matrix(s.coefficients, h, d, 8)
             assert _kernel(rows, (h + 1) * (d + 1))[1] == 1, name
@@ -541,18 +543,18 @@ class TestModularScreen:
         assert kernel_at(p3_series(), 1, 0) == []
 
     def test_denominator_divisible_by_p_falls_through(self, monkeypatch):
-        # [DERIVED] the P3 series divided by p = 2^61 - 1, or by the product
+        # [DERIVED] the P3 series divided by p = 2^31 - 1, or by the product
         # K of every modulus, is annihilated by the same operator.  Unscaled,
         # s/p has no image mod p and s/K none mod any modulus; the scaling to
         # coprime integers makes each the plain series, decided mod p at the
         # first try
         used = moduli_used(monkeypatch)
         c = p3_series().coefficients
-        for a in (_PRIME, K):
+        for a in (PRIME, K):
             used.clear()
             s = PowerSeries([Fraction(v, a) for v in c])
             assert find_picard_fuchs(s) == p3_operator()
-            assert used == {1: [61], 2: [61]}
+            assert used == {1: [31], 2: [31]}
 
     def test_columns_zero_mod_p_fall_through(self, monkeypatch):
         # [DERIVED] the P3 series times p has every column zero mod p, and
@@ -561,18 +563,21 @@ class TestModularScreen:
         # first try
         used = moduli_used(monkeypatch)
         c = p3_series().coefficients
-        for a in (_PRIME, K):
+        for a in (PRIME, K):
             used.clear()
             s = PowerSeries([v * a for v in c])
             assert find_picard_fuchs(s) == p3_operator()
-            assert used == {1: [61], 2: [61]}
+            assert used == {1: [31], 2: [31]}
 
     def test_failed_lift_falls_through(self, monkeypatch):
         # [DERIVED] the period of 2^15 f_3 is that of f_3 at 2^15 t, with
-        # operator D^2 - 27 2^45 t^3 (D+1)(D+2); the mod-p vector at (2, 3)
-        # has entries of about 2^50 and 2^-50, past the reconstruction
-        # bounds of 2^61 - 1 and 2^89 - 1, so those lifts fail and order 2
-        # is run again until 2^107 - 1 decides it
+        # operator D^2 - 27 2^45 t^3 (D+1)(D+2); the mod-p vector at (2, 3),
+        # scaled to 1 at its last entry -a, a = 27 2^45 (about 2^50), has
+        # the entry -1/a.  The reconstruction bound isqrt(p/2) of 2^e - 1 is
+        # just under 2^15, 2^30, 2^44 and 2^53 for the first four exponents
+        # 31, 61, 89 and 107, so the first three lifts fail and order 2 is
+        # run again until the fourth decides it; order 1 has full rank mod
+        # the first
         lifts = []
 
         def lift(vec, c, h, d, p):
@@ -583,50 +588,55 @@ class TestModularScreen:
         used = moduli_used(monkeypatch)
         f = build_fP(get("3")) * LaurentPoly({(0, 0): 2 ** 15})
         a = 27 * 2 ** 45
-        assert a > isqrt(MODULI[1] // 2)
+        assert isqrt(MODULI[2] // 2) < a <= isqrt(MODULI[3] // 2)
         L = DiffOperator([
             UniPoly([0, 0, 0, -2 * a]),
             UniPoly([0, 0, 0, -3 * a]),
             UniPoly([1, 0, 0, -a]),
         ])
         assert find_picard_fuchs(period_coefficients(f, 40)) == L
+        tried = list(_MERSENNE_EXPONENTS[:4])
         assert [(e, q is None) for e, q in lifts] == [
-            (61, True), (89, True), (107, False)]
-        assert used == {1: [61], 2: [61, 89, 107]}
+            (e, e != tried[-1]) for e in tried]
+        assert used == {1: tried[:1], 2: tried}
 
     def test_unlucky_prime_falls_through(self, monkeypatch):
-        # [DERIVED] sum p^m t^m, p = 2^61 - 1, has the operator
+        # [DERIVED] sum p^m t^m, p = 2^31 - 1, has the operator
         # (1 - p t) D - p t.  Mod p its column D s is zero, so the shape
         # (1, 0) has a kernel mod p and none over Q: the lift fails, and mod
-        # 2^89 - 1 that shape has full rank and stays skipped.  The operator
-        # at (1, 1) has an entry p, past the bounds of 2^89 - 1 and
-        # 2^107 - 1, and 2^127 - 1 decides it
+        # 2^61 - 1 that shape has full rank and stays skipped.  The vector at
+        # (1, 1), scaled to 1 at its last entry -p, has the entry -1/p, past
+        # the bound of just under 2^30 of 2^61 - 1 and within that of
+        # 2^89 - 1, just under 2^44, which decides it
         used = moduli_used(monkeypatch)
-        s = PowerSeries([_PRIME ** m for m in range(20)])
+        s = PowerSeries([PRIME ** m for m in range(20)])
         L = find_picard_fuchs(s, guard=4)
-        assert L == DiffOperator([UniPoly([0, -_PRIME]),
-                                  UniPoly([1, -_PRIME])])
-        assert used == {1: [61, 89, 107, 127]}
+        assert L == DiffOperator([UniPoly([0, -PRIME]),
+                                  UniPoly([1, -PRIME])])
+        assert isqrt(MODULI[1] // 2) < PRIME <= isqrt(MODULI[2] // 2)
+        assert used == {1: list(_MERSENNE_EXPONENTS[:3])}
         assert kernel_at(s, 1, 0, MODULI[1], guard=4) == []
 
     def test_undecided_after_last_modulus(self, monkeypatch):
-        # [DERIVED] with 2^61 - 1 the only modulus, the shape of
+        # [DERIVED] with 2^31 - 1 the only modulus, the shape of
         # test_failed_lift_falls_through is left undecided, and the error
         # names it
-        monkeypatch.setattr(period, "_MERSENNE_EXPONENTS", (61,))
+        monkeypatch.setattr(period, "_MERSENNE_EXPONENTS", (31,))
         f = build_fP(get("3")) * LaurentPoly({(0, 0): 2 ** 15})
         with pytest.raises(ValueError,
                            match="operator undecided at order 2, degree 3"):
             find_picard_fuchs(period_coefficients(f, 40))
 
     def test_moduli_are_mersenne_primes(self):
-        # [TRIVIAL] the fold of _kernels needs p = 2^e - 1, and the screen
-        # and the lift need p prime: Lucas-Lehmer for every exponent, which
-        # grow, so each retry has a larger reconstruction bound
-        exponents = period._MERSENNE_EXPONENTS
-        assert list(exponents) == sorted(set(exponents))
-        assert MODULI[0] == _PRIME
-        assert all(lucas_lehmer(e) for e in exponents)
+        # [TRIVIAL] one list of moduli serves the fit and the modular gcd.
+        # The fold of _kernels needs p = 2^e - 1, and the screen, the lift
+        # and the gcd's images need p prime: Lucas-Lehmer for every
+        # exponent.  They grow, so each retry has a larger reconstruction
+        # bound, and the first, 2^31 - 1, is the word-size one
+        assert period._MERSENNE_EXPONENTS is _MERSENNE_EXPONENTS
+        assert list(_MERSENNE_EXPONENTS) == sorted(set(_MERSENNE_EXPONENTS))
+        assert MODULI[0] == PRIME == (1 << 31) - 1
+        assert all(lucas_lehmer(e) for e in _MERSENNE_EXPONENTS)
 
     def test_modes_agree_at_accepted_shapes(self, catalog):
         # [DERIVED] the mod-p elimination and the reference elimination over
@@ -646,7 +656,7 @@ class TestModularScreen:
                    for j in range(d + 1) for k in range(h + 1)]
             n = len(vec_p) - 1
             assert vec_p[n] == 1 and not any(vec[n + 1:]), name
-            assert [image_mod(x / vec[n], _PRIME) for x in vec[: n + 1]] == (
+            assert [image_mod(x / vec[n], PRIME) for x in vec[: n + 1]] == (
                 vec_p), name
 
     def test_lift_rejects_wrong_vector(self):
@@ -655,9 +665,9 @@ class TestModularScreen:
         s = p3_series()
         (vec,) = kernel_at(s, 2, 3)
         fit = s.coefficients[:FIT_ROWS]
-        assert _lift(vec, fit, 2, 3, _PRIME) is not None
-        wrong = [(x + 1) % _PRIME for x in vec]
-        assert _lift(wrong, fit, 2, 3, _PRIME) is None
+        assert _lift(vec, fit, 2, 3, PRIME) is not None
+        wrong = [(x + 1) % PRIME for x in vec]
+        assert _lift(wrong, fit, 2, 3, PRIME) is None
 
     def test_reconstruction(self):
         # [TRIVIAL] n/e is recovered from n * e^-1 mod p while |n| and e
@@ -702,12 +712,12 @@ class TestPackedElimination:
     def test_matches_list_oracle_on_catalog(self, catalog):
         # [DERIVED] the packed elimination mod p yields the kernel lists of
         # the list elimination at every degree 0..12 of orders 1..4: mod
-        # 2^61 - 1 on the 16 series, and mod the larger checked moduli, of
+        # 2^31 - 1 on the 16 series, and mod the larger checked moduli, of
         # up to 521 bits, on three of them
         for name in NAMES:
             s = period_coefficients(build_fP(catalog[name]), 40)
             c = s.coefficients[:FIT_ROWS]
-            moduli = CHECKED_MODULI if name in ("3", "5a", "9") else [_PRIME]
+            moduli = CHECKED_MODULI if name in ("3", "5a", "9") else [PRIME]
             for p in moduli:
                 for h in range(1, 5):
                     assert up_to(_kernels(c, h, p), 12) == up_to(
@@ -735,12 +745,12 @@ class TestPackedElimination:
 
     def test_order_one_operator_found_mod_p(self, monkeypatch):
         # [DERIVED] sum C(2m, m) t^m = (1 - 4t)^(-1/2) has the order-1
-        # operator (1 - 4t) D - 2t, accepted from the kernel mod 2^61 - 1
+        # operator (1 - 4t) D - 2t, accepted from the kernel mod 2^31 - 1
         # alone
         used = moduli_used(monkeypatch)
         s = PowerSeries([comb(2 * m, m) for m in range(41)])
         assert str(find_picard_fuchs(s)) == "(-2*t) + (-4*t + 1)*D"
-        assert used == {1: [61]}
+        assert used == {1: [31]}
 
 
 SHEARS = [
