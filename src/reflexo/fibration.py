@@ -198,10 +198,6 @@ class BasePointTower:
         self.chain_length = chain_length
         self.lambda_value = lambda_value
 
-    @property
-    def intermediate_curves(self) -> int:
-        return self.chain_length - 1
-
     def __repr__(self):
         return (
             f"BasePointTower(edge={self.edge}, l={self.chain_length}, "
@@ -526,39 +522,36 @@ class FibreConfiguration:
 
 def classify_fibres(P: Polygon, pencil: Pencil | None = None
                     ) -> FibreConfiguration:
-    """Full Kodaira configuration of the pencil: the I_{12-Vol} fibre at
-    infinity plus the certified finite fibres, checked against chi = 12."""
+    """Full Kodaira configuration of the pencil in one pass over the singular
+    values, checked against chi = 12.  A tower puts its chain_length curves
+    (its l(e)-1 (-2)-curves and the strict-transform component they meet) at
+    its lambda, a rational value its torus nodes: their sum is the k of an
+    I_k.  A nonreduced value is additive and takes the towers at its lambda.
+    Entries: infinity, the rational I_k by lambda, the irrational factors
+    with count their degree, then the additive types, each from its
+    multiplicity and the Euler budget the entries before it leave."""
     entries = [("infinity", fibre_at_infinity(P), 1)]
     if pencil is None:
         pencil = Pencil(P)
-    towers = base_point_towers(P, pencil)
     absorbed: dict[Fraction, int] = {}
-    for t in towers:
-        # per-edge contribution: the l(e)-1 (-2)-curves plus the component
-        # of the strict transform they connect to
-        absorbed[t.lambda_value] = (
-            absorbed.get(t.lambda_value, 0) + t.intermediate_curves + 1
-        )
+    for t in base_point_towers(P, pencil):
+        lam = t.lambda_value
+        absorbed[lam] = absorbed.get(lam, 0) + t.chain_length
     sing = singular_lambda_values(P, pencil)
-    rational = {s.location: s for s in sing if isinstance(s.location, Fraction)}
-    irrational = [s for s in sing if not isinstance(s.location, Fraction)]
-
-    nonreduced_entries = []
-    finite_chi = 0
-    for lam in sorted(set(rational) | set(absorbed)):
-        s = rational.get(lam)
-        if s is not None and s.nonreduced:
-            nonreduced_entries.append((lam, s))
-            continue
-        nodes = s.torus_nodes if s is not None else 0
-        k = nodes + absorbed.get(lam, 0)
-        if k == 0:
-            continue
-        entries.append((lam, KodairaType("I", k), 1))
-        finite_chi += k
-    for s in irrational:
-        entries.append((s.location, KodairaType("I", s.torus_nodes), s.degree))
-        finite_chi += s.torus_nodes * s.degree
+    nodes = dict(absorbed)
+    additive, conjugate = [], []
+    for s in sing:
+        if s.nonreduced:
+            additive.append(s)
+            nodes.pop(s.location, None)
+        elif isinstance(s.location, Fraction):
+            nodes[s.location] = nodes.get(s.location, 0) + s.torus_nodes
+        else:
+            conjugate.append((s.location, KodairaType("I", s.torus_nodes),
+                              s.degree))
+    entries += [(lam, KodairaType("I", k), 1)
+                for lam, k in sorted(nodes.items())]
+    entries += conjugate
 
     def failure(message: str) -> ArithmeticError:
         towers_at = {str(lam): k for lam, k in sorted(absorbed.items())}
@@ -566,8 +559,8 @@ def classify_fibres(P: Polygon, pencil: Pencil | None = None
             f"{message}; singular values {sing}, tower curves {towers_at}, "
             f"fibres {FibreConfiguration(entries)}")
 
-    for lam, s in nonreduced_entries:
-        budget = 12 - entries[0][1].chi - finite_chi
+    for s in additive:
+        budget = 12 - FibreConfiguration(entries).chi_total()
         if s.multiplicity == 2 and budget == 7:
             t = KodairaType("I*", 1)
         elif s.multiplicity == 3 and budget == 8:
@@ -575,10 +568,9 @@ def classify_fibres(P: Polygon, pencil: Pencil | None = None
         else:
             raise failure(
                 f"additive type unresolved: stage additive fibres, lambda = "
-                f"{lam}, repeated component of multiplicity {s.multiplicity}, "
-                f"remaining Euler budget {budget}")
-        entries.append((lam, t, 1))
-        finite_chi += t.chi
+                f"{s.location}, repeated component of multiplicity "
+                f"{s.multiplicity}, remaining Euler budget {budget}")
+        entries.append((s.location, t, 1))
 
     config = FibreConfiguration(entries)
     if config.chi_total() != 12:

@@ -1,6 +1,7 @@
 """Mordell-Weil data of the elliptic surface: section positions on the fibre
 at infinity, the Shioda-Tate rank, height pairings of sections and torsion
-via the component-group sandwich; the fibre invariants r and det come from
+between the component-group image of the torsion sections and Shioda's
+determinant identity; the fibre invariants r and det come from
 `KodairaType`.
 """
 
@@ -8,8 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt, prod
 
+from .algebra import _primitive_scale
 from .fibration import FibreConfiguration
 from .polygon import Polygon, polar_dual
 
@@ -109,47 +111,38 @@ def _group_name(rank: int, torsion: int) -> str:
 
 
 def mw_group(P: Polygon, config: FibreConfiguration) -> MWReport:
-    """Rank from Shioda-Tate; torsion from the sandwich between the image of
-    the known sections in the component group of the infinity fibre (lower
-    bound) and determinant divisibility of the trivial lattice (upper): the
-    torsion order squared divides det T, the product of the fibres'
-    component-group orders `t.det`, the infinity fibre included.  The
-    sections' components come from `section_positions`, computed once and
-    read off P's coordinates as they are, with no canonical form."""
+    """Rank from Shioda-Tate; torsion from one sandwich at every rank.
+
+    Lower bound: the order of the subgroup of Z/m, m = 12 - Vol(P), that
+    the known torsion sections generate by their components on the I_m
+    fibre at infinity: all sections at rank 0, otherwise those of height
+    2 - contr(m, p, p) = 0.  Upper bound: the largest t with t^2 | N, by
+    Shioda's identity |tors|^2 [MW/tors : <S>]^2 = det T det H(S) for the
+    unimodular Neron-Severi lattice.  N = det T, the product of the fibres'
+    component-group orders `t.det`, the infinity fibre included; at rank 1
+    with the heights known, N is det T times the gcd of H(S)'s entries,
+    gcd(k)^2 h for a Gram matrix k_i k_j h, the det H of <S>'s generator.
+    The bounds must agree.  The sections' components come from
+    `section_positions`, computed once, read off P's coordinates as they
+    are, with no canonical form."""
     rank = shioda_tate_rank(config)
     positions = section_positions(P)
     m = 12 - P.volume()
-    g = m
-    for p in positions:
-        g = int_gcd(g, p)
-    lower = m // g
-    det_t = 1
-    for _, t, c in config.entries:
-        det_t *= t.det ** c
-    upper = max(n for n in range(1, det_t + 1) if det_t % (n * n) == 0)
-
-    if rank == 0:
-        if lower != upper:
-            raise ValueError(
-                f"torsion undetermined: bounds ({lower}, {upper})"
-            )
-        torsion = lower
+    try:
+        height = height_matrix(P, config, positions) if rank else None
+    except ValueError:
         height = None
-    else:
-        # torsion among the known sections: those of height zero
-        torsion_positions = [0]
-        for p in positions:
-            if p and 2 - contribution(m, p, p) == 0:
-                torsion_positions.append(p)
-        gg = m
-        for p in torsion_positions:
-            gg = int_gcd(gg, p)
-        torsion = m // gg
-        if torsion > upper:  # pragma: no cover - sandwich sanity
-            raise ValueError("torsion bounds inconsistent")
-        try:
-            height = height_matrix(P, config, positions)
-        except ValueError:
-            height = None
-    return MWReport(rank, torsion, _group_name(rank, torsion), height, det_t,
+    lower = m // int_gcd(m, *(p for p in positions if rank == 0
+                               or 2 - contribution(m, p, p) == 0))
+    det_t = prod(t.det ** c for _, t, c in config.entries)
+    n = Fraction(det_t)
+    if rank == 1 and height is not None:
+        n /= _primitive_scale([h for row in height for h in row])
+    if n.denominator != 1:
+        raise ValueError(f"Shioda's identity fails: det T det H(S) = {n}")
+    upper = next(t for t in range(isqrt(n.numerator), 0, -1)
+                 if n.numerator % (t * t) == 0)
+    if lower != upper:
+        raise ValueError(f"torsion undetermined: bounds ({lower}, {upper})")
+    return MWReport(rank, lower, _group_name(rank, lower), height, det_t,
                     positions)

@@ -420,6 +420,15 @@ class TestClosedStdout:
             scripts = tomllib.load(f)["project"]["scripts"]
         assert scripts == {"reflexo": "reflexo.cli:console_main"}
 
+    def test_package_ships_catalog(self):
+        # an installed reflexo reads its catalog from polygons.json, which
+        # only package-data puts in the wheel
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            data = tomllib.load(f)["tool"]["setuptools"]["package-data"]
+        assert "polygons.json" in data["reflexo"]
+        assert (Path(reflexo.__file__).parent / "polygons.json").is_file()
+
     @pytest.mark.parametrize("launch", [
         ["-m", "reflexo.cli"],
         ["-c", "import sys; from reflexo.cli import console_main; "

@@ -409,7 +409,7 @@ class TestBasePointTowers:
         towers = base_point_towers(get("4c"))
         assert len(towers) == 1
         assert towers[0].chain_length == 2
-        assert towers[0].intermediate_curves == 1
+        assert towers[0].chain_length - 1 == 1
         assert towers[0].lambda_value == 0
 
     def test_p6b(self):
@@ -423,7 +423,7 @@ class TestBasePointTowers:
         assert len(towers) == 3
         assert all(t.chain_length == 3 for t in towers)
         assert all(t.lambda_value == 6 for t in towers)
-        assert sum(t.intermediate_curves for t in towers) == 6
+        assert sum(t.chain_length - 1 for t in towers) == 6
 
     def test_p3_none(self):
         # [TRIVIAL] all edges of P3 have lattice length 1

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -231,11 +232,38 @@ class TestMWGroup:
         for name in NAMES:
             assert mw_group(catalog[name], configs[name]).group == expected[name]
 
+    def test_p4b_torsion_needs_its_heights(self, configs, monkeypatch):
+        # [DERIVED] det T = 8 alone allows torsion 2; Shioda's identity with
+        # gcd(H) = 1/8 brings the upper bound down to the lower bound 1
+        assert mw_group(get("4b"), configs["4b"]).torsion_order == 1
+
+        def refused(P, config, positions):
+            raise ValueError("section/component incidence unknown")
+
+        monkeypatch.setattr(mordell_weil, "height_matrix", refused)
+        with pytest.raises(ValueError,
+                           match=r"torsion undetermined: bounds \(1, 2\)"):
+            mw_group(get("4b"), configs["4b"])
+
+    def test_non_integral_identity_raises(self, configs, monkeypatch):
+        # [TRIVIAL] det T det H(S) = 8 / 3 cannot be |tors|^2 times a square
+        monkeypatch.setattr(mordell_weil, "height_matrix",
+                            lambda P, config, positions: [[Fraction(1, 3)]])
+        with pytest.raises(ValueError, match="Shioda's identity fails"):
+            mw_group(get("4b"), configs["4b"])
+
     def test_torsion_squared_divides_det(self, catalog, configs):
-        # [PAPER] n^2 must divide the trivial-lattice determinant
+        # [PAPER] Shioda: |tors|^2 [MW/tors : <S>]^2 = det T det H(S).  At
+        # rank 0 that is |tors|^2 = det T; for 4b, det T gcd(H) = 8 / 8 = 1
         for name in NAMES:
             rep = mw_group(catalog[name], configs[name])
-            assert rep.det_trivial % (rep.torsion_order ** 2) == 0
+            if rep.rank == 0:
+                assert rep.torsion_order ** 2 == rep.det_trivial, name
+        rep = mw_group(get("4b"), configs["4b"])
+        gcd_h = Fraction(gcd(*(int(8 * h) for row in rep.height
+                               for h in row)), 8)
+        assert (gcd_h, rep.det_trivial * gcd_h) == (Fraction(1, 8), 1)
+        assert rep.torsion_order ** 2 == 1
 
     def test_shioda_tate_consistency(self, catalog, configs):
         # [PAPER] rank + sum r(F) = 8
