@@ -14,8 +14,8 @@ what the catalog stores.
 from __future__ import annotations
 
 import json
+import os
 from functools import cache
-from importlib import resources
 
 from .polygon import Polygon, _fan_key, polar_dual
 
@@ -29,7 +29,9 @@ NAMES = [
 def load_catalog() -> dict[str, Polygon]:
     """Name -> Polygon for the 16 reflexive classes, read once from the
     shipped polygons.json."""
-    text = resources.files("reflexo").joinpath("polygons.json").read_text()
+    path = os.path.join(os.path.dirname(__file__), "polygons.json")
+    with open(path) as fh:
+        text = fh.read()
     return {
         entry["name"]: Polygon._from_ccw(entry["vertices"])
         for entry in json.loads(text)

@@ -16,9 +16,7 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from functools import cache
-from importlib import resources
 
 from . import __version__ as VERSION
 from .algebra import UniPoly, format_unipoly, squarefree_rational_roots
@@ -70,14 +68,10 @@ def _compact(loc) -> str:
 def _fibre_display(config: FibreConfiguration) -> str:
     """Human form: the infinity fibre first, finite fibres by descending
     Euler number, equal labels grouped as "k x I_n"."""
-    labels = []
-    finite = []
-    for loc, t, c in config.entries:
-        if loc == "infinity":
-            labels.extend([t.label()] * c)
-        else:
-            finite.extend([(t.chi, t.label())] * c)
-    finite.sort(key=lambda p: (-p[0], p[1]))
+    fibres = config.fibres()
+    labels = [t.label() for loc, t in fibres if loc == "infinity"]
+    finite = sorted((-t.chi, t.label()) for loc, t in fibres
+                    if loc != "infinity")
     labels.extend(l for _, l in finite)
     parts = []
     i = 0
@@ -194,11 +188,12 @@ def _source_digest() -> str:
     """sha256 over the package's modules and polygons.json, so that a change
     to the algorithm or the data never serves an old report."""
     h = hashlib.sha256()
-    package = resources.files("reflexo")
-    for entry in sorted(package.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".py") or entry.name == "polygons.json":
-            h.update(entry.name.encode() + b"\0")
-            h.update(entry.read_bytes())
+    package = os.path.dirname(__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") or name == "polygons.json":
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(name.encode() + b"\0")
+                h.update(fh.read())
     return h.hexdigest()
 
 
@@ -231,6 +226,8 @@ def _cached_report(name: str, period_n: int, with_pf: bool) -> str:
             return text
     except (OSError, ValueError):
         pass
+    import tempfile
+
     text = json.dumps(build_report(name, period_n, with_pf), indent=2)
     tmp = None
     try:
@@ -388,9 +385,7 @@ def _polygon_svg(P: Polygon) -> str:
 
 
 def _fibres_svg(config: FibreConfiguration) -> str:
-    labels = []
-    for loc, t, c in config.entries:
-        labels.extend([(t.label(), _compact(loc))] * c)
+    labels = [(t.label(), _compact(loc)) for loc, t in config.fibres()]
     w = 120 * len(labels) + 2 * _PAD
     h = 140
     parts = [

@@ -133,7 +133,16 @@ class Pencil:
 
     @cached_property
     def critical_pair(self) -> tuple[MPoly, MPoly, MPoly]:
-        return _critical_pair(self.f)
+        """(A, B, G): the cleared logarithmic partials with their common
+        bivariate factor G divided out.  Zeros of G are critical *curves* of
+        f (components of a nonreduced member); zeros of (A, B) are the
+        isolated critical points."""
+        A, B = _log_partials(self.f)
+        G = gcd_bivariate(A, B, "x", "y")
+        if not G.is_const():
+            A = A.exact_div(G).strip_monomial()
+            B = B.exact_div(G).strip_monomial()
+        return A, B, G
 
     @cached_property
     def critical_y(self):
@@ -143,10 +152,8 @@ class Pencil:
         ry = resultant(A, B, "x").to_unipoly("y")
         if ry.is_zero():
             raise ArithmeticError("critical locus of f is not finite")
-        hy = UniPoly(_strip_powers(ry.coeffs), "y")
-        if hy.is_const():
-            return [], []
-        return squarefree_rational_roots(hy)
+        return squarefree_rational_roots(
+            UniPoly(_strip_powers(ry.coeffs), "y"))
 
     @cached_property
     def critical_values(self) -> UniPoly:
@@ -169,7 +176,10 @@ class Pencil:
     def radical(self) -> MPoly:
         """R = G / gcd(G, G_x, G_y): the critical curves, each once."""
         _, _, G = self.critical_pair
-        return G.exact_div(_gcd3_biv(G)).strip_monomial()
+        g = gcd_bivariate(G.strip_monomial(),
+                          G.derivative("x").strip_monomial(), "x", "y")
+        g = gcd_bivariate(g, G.derivative("y").strip_monomial(), "x", "y")
+        return G.exact_div(g).strip_monomial()
 
     @cached_property
     def curve_values(self) -> UniPoly:
@@ -250,17 +260,16 @@ class SingularValue:
 
     location: a rational lambda, or a rational-root-free UniPoly factor q(l)
     carrying deg(q) conjugate locations.  torus_nodes: ordinary nodes per
-    root.  nonreduced: the member contains a repeated component of the given
-    multiplicity; then torus_nodes is 0.
+    root.  multiplicity: that of the member's repeated component, 1 when it
+    has none; a member with multiplicity > 1 is nonreduced, and then
+    torus_nodes is 0.
     """
 
-    __slots__ = ("location", "torus_nodes", "nonreduced", "multiplicity")
+    __slots__ = ("location", "torus_nodes", "multiplicity")
 
-    def __init__(self, location, torus_nodes=0, nonreduced=False,
-                 multiplicity=1):
+    def __init__(self, location, torus_nodes=0, multiplicity=1):
         self.location = location
         self.torus_nodes = torus_nodes
-        self.nonreduced = nonreduced
         self.multiplicity = multiplicity
 
     @property
@@ -268,7 +277,7 @@ class SingularValue:
         return 1 if isinstance(self.location, Fraction) else self.location.degree
 
     def __repr__(self):
-        extra = ", nonreduced" if self.nonreduced else ""
+        extra = ", nonreduced" if self.multiplicity > 1 else ""
         return (f"SingularValue({format_location(self.location)}, "
                 f"nodes={self.torus_nodes}{extra})")
 
@@ -309,19 +318,6 @@ def _curve_values(G: MPoly, C: MPoly) -> UniPoly:
     return UniPoly([1], "l")
 
 
-def _critical_pair(f: LaurentPoly) -> tuple[MPoly, MPoly, MPoly]:
-    """(A, B, G): the cleared logarithmic partials with their common
-    bivariate factor G divided out.  Zeros of G are critical *curves* of f
-    (components of a nonreduced member); zeros of (A, B) are the isolated
-    critical points."""
-    A, B = _log_partials(f)
-    G = gcd_bivariate(A, B, "x", "y")
-    if not G.is_const():
-        A = A.exact_div(G).strip_monomial()
-        B = B.exact_div(G).strip_monomial()
-    return A, B, G
-
-
 def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     """Eliminate x then y from the critical-point system
     {x f_x = 0, y f_y = 0, f + lambda = 0}: the result is a univariate
@@ -359,13 +355,6 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     if e.is_zero():
         raise ArithmeticError("degenerate pencil: elimination vanished")
     return e.primitive_integer()
-
-
-def _gcd3_biv(F: MPoly) -> MPoly:
-    Fx = F.derivative("x").strip_monomial()
-    Fy = F.derivative("y").strip_monomial()
-    g = gcd_bivariate(F.strip_monomial(), Fx, "x", "y")
-    return gcd_bivariate(g, Fy, "x", "y")
 
 
 def member_is_nonreduced(P: Polygon, lam: Fraction,
@@ -477,8 +466,7 @@ def singular_lambda_values(P: Polygon, pencil: Pencil | None = None
     for lam, _ in curve_roots:
         flag, _, mult = member_is_nonreduced(P, lam, pencil)
         if flag:
-            rational[lam] = SingularValue(lam, 0, nonreduced=True,
-                                          multiplicity=mult)
+            rational[lam] = SingularValue(lam, 0, mult)
     roots, residual = squarefree_rational_roots(pencil.critical_values)
     for lam, n in roots:
         rational.setdefault(lam, SingularValue(lam, n))
@@ -492,8 +480,10 @@ def singular_lambda_values(P: Polygon, pencil: Pencil | None = None
 
 
 class FibreConfiguration:
-    """entries: list of (location, KodairaType[, count]) where location is
-    "infinity", a rational lambda, or an irrational factor UniPoly."""
+    """entries: list of (location, KodairaType, count) where location is
+    "infinity", a rational lambda, or an irrational factor UniPoly, and
+    count is the number of fibres the entry stands for: the factor's degree,
+    else 1.  fibres() lists them one by one."""
 
     __slots__ = ("entries",)
 
@@ -506,11 +496,13 @@ class FibreConfiguration:
     def r_total(self) -> int:
         return sum(t.r * c for _, t, c in self.entries)
 
+    def fibres(self) -> list:
+        """(location, KodairaType) once per fibre, in entry order: an entry
+        of count c appears c times."""
+        return [(loc, t) for loc, t, c in self.entries for _ in range(c)]
+
     def type_multiset(self) -> tuple:
-        labels = []
-        for _, t, c in self.entries:
-            labels.extend([t.label()] * c)
-        return tuple(sorted(labels))
+        return tuple(sorted(t.label() for _, t in self.fibres()))
 
     def __repr__(self):
         parts = []
@@ -541,7 +533,7 @@ def classify_fibres(P: Polygon, pencil: Pencil | None = None
     nodes = dict(absorbed)
     additive, conjugate = [], []
     for s in sing:
-        if s.nonreduced:
+        if s.multiplicity > 1:
             additive.append(s)
             nodes.pop(s.location, None)
         elif isinstance(s.location, Fraction):

@@ -453,14 +453,14 @@ def _reconstruct(a: int, p: int) -> tuple[int, int] | None:
 
 
 def _lift(vec: list[int], c: list, h: int, d: int, p: int
-          ) -> list[UniPoly] | None:
-    """The polynomials p_0..p_h of degree <= d of an integer operator whose
-    coefficient vector is proportional to the mod-p kernel vector vec, or
-    None.
+          ) -> list[list[int]] | None:
+    """The ascending coefficient lists of p_0..p_h, each of length d + 1,
+    of an integer operator whose coefficient vector is proportional to the
+    mod-p kernel vector vec, or None.
 
     The entries are reconstructed in turn with a running common denominator
-    and scaled to integers.  The operator is returned only if it annihilates
-    every fit row exactly, so that it lies in the kernel over Q.
+    and scaled to integers.  The lists are returned only if they annihilate
+    every fit row exactly, so that the operator lies in the kernel over Q.
     """
     vec = vec + [0] * ((h + 1) * (d + 1) - len(vec))
     den = 1
@@ -477,7 +477,7 @@ def _lift(vec: list[int], c: list, h: int, d: int, p: int
     ps = [nums[k :: h + 1] for k in range(h + 1)]
     if any(_image_coefficient(ps, c, m) for m in range(len(c))):
         return None
-    return [UniPoly(q) for q in ps]
+    return ps
 
 
 def find_picard_fuchs(
@@ -538,11 +538,9 @@ def find_picard_fuchs(
                 kernel = list(islice(kernels, d + 1))[-1]
             if not lifts:
                 continue  # full column rank (mod p, hence over Q)
-            polys = lifts[0]
-            if polys[h].is_zero():
+            ps = lifts[0]
+            if not any(ps[h]):
                 continue  # order drops: this is a lower-order relation
-            L = DiffOperator(polys)
-            ps = [q.coeffs for q in L.polys]
             if all(
                 _image_coefficient(ps, c, m) == 0
                 for m in range(M - guard + 1, M + 1)
@@ -553,5 +551,5 @@ def find_picard_fuchs(
                         f"{len(lifts)} at order {h}, degree {d} (use more "
                         f"coefficients)"
                     )
-                return L.normalized()
+                return DiffOperator(ps).normalized()
     raise ValueError("no operator found (raise bounds)")

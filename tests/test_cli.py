@@ -51,6 +51,30 @@ class TestTable2:
         assert "[MISMATCH]" not in out
         assert out.count("[ok]") == 16
 
+    def test_check_mismatch_exits_1(self, capsys, monkeypatch):
+        # [DERIVED] with a wrong expected group for 3, --check marks that
+        # row alone, names it on stderr and exits 1
+        monkeypatch.setitem(cli.EXPECTED_TABLE2, "3",
+                            (cli.EXPECTED_TABLE2["3"][0], "Z/9"))
+        code, out, err = run(capsys, "table2", "--check")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 16
+        assert [l.split("|")[0].strip() for l in lines
+                if l.endswith("  [MISMATCH]")] == ["3"]
+        assert sum(l.endswith("  [ok]") for l in lines) == 15
+        assert err.strip().splitlines() == ["mismatches: 3"]
+
+    def test_mismatch_without_check_exits_0(self, capsys, monkeypatch):
+        # [DERIVED] without --check the same table prints unmarked rows
+        # and exits 0
+        monkeypatch.setitem(cli.EXPECTED_TABLE2, "3",
+                            (cli.EXPECTED_TABLE2["3"][0], "Z/9"))
+        code, out, err = run(capsys, "table2")
+        assert code == 0 and err == ""
+        assert len(out.strip().splitlines()) == 16
+        assert "[ok]" not in out and "[MISMATCH]" not in out
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):
         code, out, err = run(capsys, "table2", "--jobs", jobs)
@@ -310,6 +334,13 @@ class TestPeriodCommands:
         code, out, err = run(capsys, "period", "3", "-n", "-1")
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "-n" in err
+
+    def test_pf_negative_n_exits_2(self, capsys):
+        code, out, err = run(capsys, "pf", "3", "-n", "-1")
+        assert code == 2 and out == ""
+        assert err.strip().splitlines() == [
+            "reflexo: error: -n must be nonnegative"
+        ]
 
     def test_pf_too_few_terms_exits_2(self, capsys):
         code, out, err = run(capsys, "pf", "3", "-n", "5")

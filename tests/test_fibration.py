@@ -303,6 +303,19 @@ def test_values_at_y_matches_fraction_evaluation_on_the_16(name):
             _values_or_error(values_at_y, *args)
 
 
+def test_values_over_refuses_a_jacobian_that_shares_g():
+    # [DERIVED] with J = A in place of the Jacobian, gcd(g, J) = g over
+    # Q[y]/(q) for 4b's quartic y-factor q: no critical point is certified
+    # an ordinary node, and the error names the stage and the factor
+    pencil = Pencil(get("4b"))
+    A, B, _ = pencil.critical_pair
+    [(q, _)] = pencil.critical_y[1]
+    assert _values_or_error(fibration._values_over, A, B, A, pencil.C, q) \
+        == (ArithmeticError,
+            "critical point is not an ordinary node: stage torus nodes, "
+            "y a root of y^4 - y^3 - 2*y^2 + 1")
+
+
 _small = st.one_of(
     st.integers(-9, 9),
     st.fractions(min_value=-4, max_value=4, max_denominator=4),

@@ -19,7 +19,7 @@ from reflexo.laurent import (
 from reflexo.algebra import MPoly
 from reflexo.mutation import all_mutations
 from reflexo.period import period_coefficients
-from reflexo.polygon import apply_unimodular, canonical_form
+from reflexo.polygon import Polygon, apply_unimodular, canonical_form
 
 
 class TestBuildFP:
@@ -39,6 +39,11 @@ class TestBuildFP:
         # [PAPER] the length-2 edge of P4c carries a middle coefficient 2
         f = build_fP(get("4c"))
         assert sorted(f.terms.values()) == [1, 1, 1, 2]
+
+    def test_non_reflexive_errors(self):
+        # [TRIVIAL] f_P is defined for reflexive polygons only
+        with pytest.raises(ValueError, match="reflexive"):
+            build_fP(Polygon([(0, 0), (2, 0), (0, 2)]))
 
     def test_zero_constant_term(self, catalog):
         # [TRIVIAL] Construction: no constant monomial

@@ -63,6 +63,13 @@ class TestMutate:
         with pytest.raises(ValueError, match="inner edge normal"):
             mutate(get("5a"), MutationData((1, -1), (1, 1)))
 
+    def test_non_reflexive_errors(self):
+        # [TRIVIAL] the translate of 4c has the origin on its boundary
+        shifted = Polygon([(x + 1, y) for x, y in get("4c").vertices])
+        assert not shifted.is_reflexive()
+        with pytest.raises(ValueError, match="reflexive"):
+            mutate(shifted, MutationData((0, -1), (1, 0)))
+
     def test_single_point_bottom_slice_errors(self):
         # [DERIVED] v = (1, 0) puts only (-1, -1) of P3 at height -1: no
         # segment to peel H off
@@ -83,6 +90,11 @@ class TestAllMutations:
         assert any(
             canonical_form(Q) == target for _, Q in all_mutations(get("4c"))
         )
+
+    def test_non_reflexive_has_none(self):
+        # [TRIVIAL] mutations are taken of reflexive polygons only
+        shifted = Polygon([(x + 1, y) for x, y in get("4c").vertices])
+        assert all_mutations(shifted) == []
 
     def test_results_reflexive(self, catalog):
         # [TRIVIAL] mutations of reflexive polygons are reflexive

@@ -285,6 +285,15 @@ class TestPolarDual:
             polar_dual(Polygon([(2, 0), (0, 2), (-2, -2)]))
 
 
+class TestApplyUnimodular:
+    @pytest.mark.parametrize("U", [((2, 0), (0, 1)), ((1, 1), (1, 1)),
+                                   ((1, 2), (3, 4))])
+    def test_refuses_det_not_unit(self, U):
+        # [TRIVIAL] det 2, 0 and -2: not in GL2(Z)
+        with pytest.raises(ValueError, match="not unimodular"):
+            apply_unimodular(U, get("3"))
+
+
 class TestCanonicalForm:
     def test_unimodular_invariance(self, catalog):
         # [TRIVIAL] canonical_form(P) = canonical_form(U P), seeded random U
