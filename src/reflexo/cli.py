@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import groupby
 
 from . import __version__ as VERSION
 from .algebra import UniPoly, format_unipoly, squarefree_rational_roots
@@ -73,15 +74,8 @@ def _fibre_display(config: FibreConfiguration) -> str:
     finite = sorted((-t.chi, t.label()) for loc, t in fibres
                     if loc != "infinity")
     labels.extend(l for _, l in finite)
-    parts = []
-    i = 0
-    while i < len(labels):
-        j = i
-        while j < len(labels) and labels[j] == labels[i]:
-            j += 1
-        parts.append(labels[i] if j - i == 1 else f"{j - i}x{labels[i]}")
-        i = j
-    return ", ".join(parts)
+    runs = [(l, len(list(run))) for l, run in groupby(labels)]
+    return ", ".join(l if k == 1 else f"{k}x{l}" for l, k in runs)
 
 
 def _group_display(group: str) -> str:

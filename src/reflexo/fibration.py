@@ -285,15 +285,12 @@ class SingularValue:
 def _log_partials(f: LaurentPoly) -> tuple[MPoly, MPoly]:
     """Cleared x f_x and y f_y as (x, y)-polynomials with no monomial factor
     and no lambda dependence."""
-    gx = LaurentPoly({u: c * u[0] for u, c in f.terms.items()})
-    gy = LaurentPoly({u: c * u[1] for u, c in f.terms.items()})
     out = []
-    for g in (gx, gy):
-        min_a = min(a for a, _ in g.terms)
-        min_b = min(b for _, b in g.terms)
-        out.append(
-            MPoly({(a - min_a, b - min_b, 0): c for (a, b), c in g.terms.items()})
-        )
+    for i in (0, 1):
+        g = {u: c * u[i] for u, c in f.terms.items() if u[i]}
+        a0 = min(a for a, _ in g)
+        b0 = min(b for _, b in g)
+        out.append(MPoly({(a - a0, b - b0, 0): c for (a, b), c in g.items()}))
     return out[0], out[1]
 
 

@@ -22,14 +22,16 @@ fitting the induced linear recursion on the coefficients.  The series is
 first scaled to coprime integers, which leaves L unchanged.  The fit of each
 order runs one incremental column elimination over Z/p for a Mersenne
 prime p = 2^e - 1, from the list of moduli that algebra's modular gcd
-walks too, 2^31 - 1 first.  Every vector of a nonempty kernel there is
-lifted by rational reconstruction and accepted only after an exact check
-over Z.  Where one does not lift, the order is run again modulo the next,
-larger Mersenne prime of the list, and a shape that the last of them
-cannot decide is reported as undecided.  The columns are packed: a column
-is one int with a fixed-width slot per fit row, and its combination of
-columns one int with a slot per column, so reducing against a pivot is
-two multiply-adds.  Slots are reduced all at once by folding, since
+walks too, 2^31 - 1 first, up to the first degree with a kernel.  Every
+vector of that kernel is lifted by rational reconstruction and accepted
+only after an exact check over Z.  Where one does not lift, the order is
+run again modulo the next, larger Mersenne prime of the list, and an
+order that the last of them cannot decide is reported as undecided.  The
+first kernel that lifts decides the order: a higher degree would test its
+first vector again, padded with zeros.  The columns are packed: a column is
+one int with a fixed-width slot per fit row, and its combination of columns
+one int with a slot per column, so reducing against a pivot is two
+multiply-adds.  Slots are reduced all at once by folding, since
 2^e = 1 mod p, and the width keeps every slot below p^2 (rows + 1): a
 column meets at most one pivot per fit row.  The fibre parameter of the
 pencil relates to the series variable by t = -1/lambda.
@@ -38,7 +40,7 @@ pencil relates to the series variable by t = -1/lambda.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from math import comb, gcd, isqrt, lcm
 
 from .algebra import (
@@ -76,9 +78,6 @@ class PowerSeries:
             isinstance(other, PowerSeries)
             and self.coefficients == other.coefficients
         )
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coefficients[:8])
@@ -486,9 +485,9 @@ def find_picard_fuchs(
     max_degree: int = 12,
     guard: int = 8,
 ) -> DiffOperator:
-    """Minimal annihilating operator: order h ascending from 1, then degree d
-    ascending; a candidate kernel must also annihilate the last `guard`
-    coefficients, which are excluded from the fit.
+    """Minimal annihilating operator: order h ascending from 1, each
+    decided at its lowest degree d with a kernel; the operator must also
+    annihilate the last `guard` coefficients, which are excluded from the fit.
 
     The series is scaled once to coprime integers (_primitive_scale); L is
     linear, so this does not change it, and a series times any constant is
@@ -497,59 +496,56 @@ def find_picard_fuchs(
     each order runs one incremental column elimination (_kernels) modulo the
     Mersenne prime p = 2^31 - 1.  A shape whose columns stay independent
     mod p is skipped: rank_p <= rank_Q, because every minor that vanishes
-    over Q vanishes mod p, so its kernel over Q is provably empty.  Where
-    the kernel mod p has dimension k >= 1, every vector of it is lifted by
-    rational reconstruction to an integer operator that must annihilate
-    every fit row exactly.  If all k lift, they are k independent kernel
-    vectors over Q, so the kernel over Q has dimension k too, the same
-    columns are dependent over Q, and the first lifted vector is the one an
-    elimination over Q would give.  Otherwise the prime was unlucky or too
-    small for the entries: the order's elimination restarts modulo the next
-    prime of _MERSENNE_EXPONENTS, a larger one, and takes the kernel of the
-    same shape; the shapes it skipped stay skipped.  When the last prime
-    cannot decide a shape, ValueError("operator undecided ...") names it.
-    At the accepted shape the kernel must have dimension 1; otherwise the
-    operator is not determined by the data and ValueError is raised, as it
-    is when no shape within the bounds is accepted.
+    over Q vanishes mod p, so its kernel over Q is provably empty.  At the
+    first shape whose kernel mod p has dimension k >= 1, every vector of it
+    is lifted by rational reconstruction to an integer operator that must
+    annihilate every fit row exactly.  If all k lift, they are k independent
+    kernel vectors over Q, so the kernel over Q has dimension k too, and the
+    first lifted vector is the one an elimination over Q would give.
+    Otherwise the prime was unlucky or too small for the entries, and the
+    order runs again modulo the next prime of _MERSENNE_EXPONENTS, a larger
+    one, up to its own first kernel; ValueError("operator undecided ...")
+    names the shape that the last prime cannot decide.  That kernel decides
+    the order, since _kernels keeps its vectors, oldest first, and a higher
+    degree would test the same first vector, padded with zeros: it is
+    accepted if its p_h is nonzero and it annihilates the guard, and then
+    the kernel must have dimension 1, or the operator is not determined by
+    the data and ValueError is raised, as it is when no order within the
+    bounds is.
     """
     M = s.order
     scale = _primitive_scale(s.coefficients)
     c = [_exact(v * scale) for v in s.coefficients]
     fit = c[: max(M + 1 - guard, 0)]
     for h in range(1, max_order + 1):
-        moduli = ((1 << e) - 1 for e in _MERSENNE_EXPONENTS)
-        p = next(moduli)
-        kernels = _kernels(fit, h, p)
-        for d in range(0, max_degree + 1):
-            ncols = (h + 1) * (d + 1)
-            if ncols + guard > M + 1:
-                break  # not enough data at this order
-            kernel = next(kernels)
-            while None in (lifts := [_lift(v, fit, h, d, p) for v in kernel]):
-                # p cannot decide this shape: run the order mod the next prime
-                p = next(moduli, None)
-                if p is None:
-                    raise ValueError(
-                        f"operator undecided at order {h}, degree {d}: no "
-                        f"modulus up to 2^{_MERSENNE_EXPONENTS[-1]} - 1 lifts "
-                        f"its kernel"
-                    )
-                kernels = _kernels(fit, h, p)
-                kernel = list(islice(kernels, d + 1))[-1]
-            if not lifts:
-                continue  # full column rank (mod p, hence over Q)
-            ps = lifts[0]
-            if not any(ps[h]):
-                continue  # order drops: this is a lower-order relation
-            if all(
-                _image_coefficient(ps, c, m) == 0
-                for m in range(M - guard + 1, M + 1)
-            ):
-                if len(lifts) != 1:
-                    raise ValueError(
-                        f"operator not unique: kernel of dimension "
-                        f"{len(lifts)} at order {h}, degree {d} (use more "
-                        f"coefficients)"
-                    )
-                return DiffOperator(ps).normalized()
+        for e in _MERSENNE_EXPONENTS:
+            p = (1 << e) - 1
+            kernels = _kernels(fit, h, p)
+            kernel = []
+            for d in range(max_degree + 1):
+                if (h + 1) * (d + 1) + guard > M + 1:
+                    break  # not enough data at this order
+                if kernel := next(kernels):
+                    break  # the order's first kernel
+            lifts = [_lift(v, fit, h, d, p) for v in kernel]
+            if None not in lifts:
+                break  # p decides the order
+        else:
+            raise ValueError(
+                f"operator undecided at order {h}, degree {d}: no modulus "
+                f"up to 2^{_MERSENNE_EXPONENTS[-1]} - 1 lifts its kernel"
+            )
+        # accepted: a kernel (columns dependent over Q), nonzero p_h (not a
+        # lower-order relation), and the guard annihilated
+        if lifts and any(lifts[0][h]) and not any(
+            _image_coefficient(lifts[0], c, m)
+            for m in range(M - guard + 1, M + 1)
+        ):
+            if len(lifts) != 1:
+                raise ValueError(
+                    f"operator not unique: kernel of dimension "
+                    f"{len(lifts)} at order {h}, degree {d} (use more "
+                    f"coefficients)"
+                )
+            return DiffOperator(lifts[0]).normalized()
     raise ValueError("no operator found (raise bounds)")

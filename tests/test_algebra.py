@@ -689,6 +689,11 @@ class TestSquarefreeRationalRoots:
         assert roots == []
         assert residual == [(p, 1)]
 
+    def test_zero_rejected(self):
+        # [TRIVIAL] every value is a root of 0
+        with pytest.raises(ValueError, match="zero polynomial"):
+            squarefree_rational_roots(UniPoly([]))
+
     def test_paper_3_cubic(self):
         # [PAPER] l^3 + 27 = (l + 3)(l^2 - 3l + 9)
         roots, residual = squarefree_rational_roots(upoly(27, 0, 0, 1, var="l"))

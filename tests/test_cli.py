@@ -33,6 +33,12 @@ class TestCatalog:
         assert lines[0].startswith("3\t")
         assert "dual=9" in lines[0]
 
+    def test_unknown_name_lists_the_valid_ones(self):
+        # [TRIVIAL] there is no polygon 10
+        with pytest.raises(KeyError, match="unknown polygon '10'; valid "
+                           "names: " + ", ".join(catalog.NAMES)):
+            catalog.get("10")
+
 
 class TestTable2:
     def test_rows(self, capsys):
@@ -347,6 +353,24 @@ class TestPeriodCommands:
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1
         assert "no operator found" in err
+
+    # The least -n at which `pf` finds each operator; every -n from there
+    # to 60 finds the same one.
+    PF_N_MIN = {"3": 20, "4a": 16, "4c": 16, "4b": 25, "5a": 25, "5b": 25}
+
+    @pytest.mark.parametrize("name", catalog.NAMES)
+    def test_pf_data_threshold(self, capsys, name):
+        # [DERIVED] one coefficient short of the threshold the fit finds
+        # nothing within its bounds; from it on, the operator of `pf NAME`
+        n = self.PF_N_MIN.get(name, 19)
+        code, out, err = run(capsys, "pf", name, "-n", str(n - 1))
+        assert code == 2 and out == ""
+        assert err == (f"reflexo: error: -n {n - 1}: "
+                       f"no operator found (raise bounds)\n")
+        code, expected, _ = run(capsys, "pf", name)
+        assert code == 0
+        for m in (n, 60):
+            assert run(capsys, "pf", name, "-n", str(m)) == (0, expected, "")
 
 
 class TestMutationsCommand:

@@ -29,7 +29,7 @@ from reflexo.fibration import (
     singular_lambda_values,
 )
 from reflexo.mordell_weil import mw_group
-from reflexo.polygon import apply_unimodular
+from reflexo.polygon import Polygon, apply_unimodular
 
 from oracles import values_at_y
 
@@ -71,6 +71,12 @@ class TestKodairaType:
         with pytest.raises(ValueError):
             KodairaType("IV*", 2)
 
+    def test_i_needs_nonnegative_index(self):
+        # [TRIVIAL] I_n and I_n* take an index n >= 0
+        for n in (-1, None):
+            with pytest.raises(ValueError, match="require n >= 0"):
+                KodairaType("I", n)
+
 
 class TestFibreAtInfinity:
     def test_oracles(self):
@@ -89,6 +95,11 @@ class TestFibreAtInfinity:
 
 
 class TestSingularLambdaValues:
+    def test_non_reflexive_errors(self):
+        # [TRIVIAL] the pencil of f_P is defined for reflexive P only
+        with pytest.raises(ValueError, match="P must be reflexive"):
+            singular_lambda_values(Polygon([(0, 0), (2, 0), (0, 2)]))
+
     def test_p4a(self):
         # [PAPER] locations 0 (2 nodes), 4, -4 (1 node each)
         sv = {

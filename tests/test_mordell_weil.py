@@ -8,7 +8,7 @@ import pytest
 
 from reflexo import mordell_weil, polygon
 from reflexo.catalog import NAMES, get
-from reflexo.fibration import KodairaType
+from reflexo.fibration import FibreConfiguration, KodairaType
 from reflexo.mordell_weil import (
     contribution,
     height_matrix,
@@ -127,6 +127,16 @@ class TestHeightMatrix:
 
 
 class TestShiodaTate:
+    def test_ranks_past_eight_rejected(self):
+        # [TRIVIAL] II* and I2 span a root lattice of rank 8 + 1 = 9, more
+        # than the rank-8 lattice of a rational elliptic surface holds
+        config = FibreConfiguration([
+            ("infinity", KodairaType("II*"), 1),
+            (Fraction(0), KodairaType("I", 2), 1),
+        ])
+        with pytest.raises(ValueError, match="exceed 8"):
+            shioda_tate_rank(config)
+
     def test_p3_extremal(self, configs):
         # [PAPER] r(I9) = 8: rank 0
         assert shioda_tate_rank(configs["3"]) == 0

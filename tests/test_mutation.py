@@ -231,6 +231,11 @@ class TestMutationClasses:
                 UP = apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
                 assert sorted(name_of(Q) for Q in fresh_class(UP)) == names
 
+    def test_class_outside_the_list_rejected(self):
+        # [DERIVED] 4a mutates to 4c, which the one-polygon list lacks
+        with pytest.raises(ValueError, match="mutation left the catalog"):
+            mutation_classes([get("4a")])
+
     def test_class_members_are_canonical(self):
         members = mutation_class(get("6a"))
         assert members[0] == canonical_form(get("6a"))

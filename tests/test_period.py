@@ -627,6 +627,33 @@ class TestModularScreen:
                            match="operator undecided at order 2, degree 3"):
             find_picard_fuchs(period_coefficients(f, 40))
 
+    @pytest.mark.parametrize("c, sizes", [
+        ([0] * 41, {h: [h + 1] for h in range(1, 5)}),
+        ([1] * 33 + [2] * 8, {h: [0, h] for h in range(1, 5)}),
+        ([2 ** m for m in range(33)] + [5] * 8,
+         {h: [0, h] for h in range(1, 5)}),
+    ])
+    def test_order_decided_at_its_first_kernel(self, monkeypatch, c, sizes):
+        # [DERIVED] _kernels keeps its vectors, oldest first, and the fit
+        # tests only the first, so an order's first kernel decides it, and
+        # no elimination runs past it.  The zero series has every column of
+        # degree 0 in the kernel, led by p_0 = 1 alone, an order drop.  The
+        # other two have their first kernel at degree 1, led by
+        # (1 - t) D - t and (1 - 2t) D - 2t, which miss the guard at order 1
+        # and drop the order above it
+        yields = {}
+
+        def kernels(fit, h, p):
+            for kernel in _kernels(fit, h, p):
+                yields.setdefault(h, []).append(len(kernel))
+                yield kernel
+
+        monkeypatch.setattr(period, "_kernels", kernels)
+        with pytest.raises(ValueError,
+                           match=r"^no operator found \(raise bounds\)$"):
+            find_picard_fuchs(PowerSeries(c))
+        assert yields == sizes
+
     def test_moduli_are_mersenne_primes(self):
         # [TRIVIAL] one list of moduli serves the fit and the modular gcd.
         # The fold of _kernels needs p = 2^e - 1, and the screen, the lift

@@ -227,6 +227,13 @@ class TestVolume:
         with pytest.raises(ValueError):
             Polygon([(0, 0), (1, 0), (2, 0)])
 
+    def test_clockwise_rejected(self):
+        # [TRIVIAL] _from_ints keeps its list as given, so a clockwise
+        # triangle has a negative shoelace sum
+        P = Polygon._from_ints([(0, 0), (0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="mis-oriented"):
+            P.volume()
+
 
 class TestPolarDual:
     def test_3_to_9(self):
