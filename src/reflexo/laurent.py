@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import comb, gcd as int_gcd
 
 from .algebra import MPoly, _exact
-from .polygon import Point, Polygon, _coordinate, convex_hull
+from .polygon import Point, Polygon, _coordinate, _unimodular, convex_hull
 
 
 class LaurentPoly:
@@ -56,9 +56,7 @@ class LaurentPoly:
 
     def transform(self, A) -> "LaurentPoly":
         """Exponent change u -> A u for unimodular A = ((a,b),(c,d))."""
-        (a, b), (c, d) = A
-        if abs(a * d - b * c) != 1:
-            raise ValueError("matrix not unimodular")
+        a, b, c, d, _ = _unimodular(A)
         return LaurentPoly(
             {(a * x + b * y, c * x + d * y): v for (x, y), v in self.terms.items()}
         )

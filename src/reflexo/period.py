@@ -11,12 +11,11 @@ for f = F_-1 / y + F_0 + F_1 y.  When they lie in {-1, 0, 1, 2}, or in
 {-2, ..., 1} and the axis is reflected, the y^2 row F_2 y^2 is peeled off
 by the binomial theorem, and each y^-2k part of the rest follows a
 three-term recurrence of the same kind.  In the chart that _frame picks,
-every f_P takes one of these: the 15 of lattice width 2 with no y^2 row,
-and polygon 9, of width 3, with one.  Otherwise the powers f, f^2, ...,
-f^M are built row by row in y, and only the rows that can still reach y^0
-are kept.  One digit width serves all: for an integral f, every digit read
-is a coefficient of some F_2^k (f - F_2 y^2)^n or f^m with n + k, m <= M,
-at most |f|_1^M.  An
+every f whose Newton polygon has the origin in its interior and lattice
+width at most 3 takes one of these, so every f_P does: the 15 of lattice
+width 2 with no y^2 row, and polygon 9, of width 3, with one.  Any other
+f is refused.  For an integral f, every digit read is a coefficient of some
+F_2^k (f - F_2 y^2)^n with n + k <= M, at most |f|_1^M.  An
 annihilating operator L = sum_k p_k(t) D^k with D = t d/dt is recovered by
 fitting the induced linear recursion on the coefficients.  The series is
 first scaled to coprime integers, which leaves L unchanged.  The fit of each
@@ -88,25 +87,23 @@ class PowerSeries:
 def period_coefficients(f: LaurentPoly, M: int) -> PowerSeries:
     """c_m = constant term of f^m for 0 <= m <= M.
 
-    f is first moved by _frame to a chart that no map of _MAPS ranks
-    lower, by tier (which walk it can take) and then by bounding box (the
-    cost follows the box, not the support; constant terms do not change),
-    and scaled by the lcm D of its denominators to g = D f, so
-    c_m = CT(g^m) / D^m.  At tier 0 or 1, where the y-exponents of g lie in
-    {-1, 0, 1, 2}, CT(g^m) is read off the three-term recurrences of
-    _recurrence; at tier 2, g^m is built by the rows of _row_walk.  Both
-    pack polynomials in x into ints whose s-bit digits are the
-    coefficients; see _slot_bits for the width.
+    f is moved by _frame to a chart of least (tier, box) (the cost follows
+    the bounding box; constant terms do not change) and scaled by the lcm
+    D of its denominators to g = D f, so c_m = CT(g^m) / D^m, read off the
+    recurrences of _recurrence on packed ints (see _slot_bits).  A chart
+    of tier 2 raises ValueError; by _frame there is none when the Newton
+    polygon of f has the origin in its interior and lattice width <= 3.
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
     f, tier = _frame(f)
+    if tier == 2:
+        raise ValueError("no chart puts the y-exponents of f in {-1, ..., 2}")
     den = lcm(*(c.denominator for c in f.terms.values()))
     g = [(a, b, int(c * den)) for (a, b), c in f.terms.items()]
     s = _slot_bits(sum(abs(c) for _, _, c in g), M)
-    walk = _recurrence if tier < 2 else _row_walk
     return PowerSeries(
-        [_div(c, den ** m) for m, c in enumerate(walk(g, M, s))]
+        [_div(c, den ** m) for m, c in enumerate(_recurrence(g, M, s))]
     )
 
 
@@ -134,7 +131,20 @@ def _frame(f: LaurentPoly) -> tuple[LaurentPoly, int]:
     """f moved by the maps of _MAPS while one of them ranks below the
     identity, the lowest (the first among equals) each time, and its tier.
     The rank falls at every step, so the descent ends; the maps are
-    unimodular, so every CT(f^m) is unchanged."""
+    unimodular, so every CT(f^m) is unchanged.
+
+    It ends below tier 2 whenever the Newton polygon of f has the origin
+    in its interior and lattice width w <= 3, as for every f_P in any
+    chart.  The width of a row r, max r - min r over the support, is then
+    a norm on the dual lattice, and a shear changes one row, r to r +- r',
+    so the box only through that row's width, never raising a tier of 2.
+    A final chart of tier 2 thus has rows with width(r +- r') >= width(r)
+    and width(r' +- r) >= width(r'), a reduced basis for that norm, one of
+    whose rows has the least width w (Kaib and Schnorr, The generalized
+    Gauss reduction algorithm, J. Algorithms 21, 1996).  With the origin
+    inside, its values lie in {-1, 0, 1}, {-1, ..., 2} or {-2, ..., 1},
+    and the identity, the swap or a reflection of _MAPS puts it on y at
+    tier <= 1: a contradiction."""
     if not f.terms:
         return f, 0
     while True:
@@ -222,52 +232,13 @@ def _recurrence(g: list, M: int, s: int) -> list[int]:
     return coeffs
 
 
-def _row_walk(g: list, M: int, s: int) -> list[int]:
-    """CT(g^m) for 0 <= m <= M, where g lists (a, b, c) for the terms
-    c x^a y^b of an integral polynomial.
-
-    The powers g, g^2, ..., g^M are built by rows: row b of g^m is its y^b
-    part, packed into one int whose s-bit digit in slot a - m*a_min is its
-    x^a coefficient, with a_min = min(0, least x-exponent of g), so every
-    shift is nonnegative and x^0 has a slot; CT(g^m) is one digit of row 0.
-    With the y-exponents of g in [lo, hi], lo <= 0 <= hi, a row t of g^m
-    can reach y^0 in the remaining M - m steps only if
-    -hi*(M-m) <= t <= -lo*(M-m); the other rows are dropped, and every row
-    a kept row needs at the next step is itself kept.
-    """
-    a_min = min([0] + [a for a, _, _ in g])
-    lo = min([0] + [b for _, b, _ in g])
-    hi = max([0] + [b for _, b, _ in g])
-    # the terms of g by y-exponent: (shift of the packed row, coefficient)
-    by_y: dict = {}
-    for a, b, c in g:
-        by_y.setdefault(b, []).append((s * (a - a_min), c))
-    rows = {0: 1}
-    coeffs = [1]
-    for m in range(1, M + 1):
-        low, high = -hi * (M - m), -lo * (M - m)
-        out: dict = {}
-        for b, r in rows.items():
-            for j, terms in by_y.items():
-                t = b + j
-                if low <= t <= high:
-                    acc = out.get(t, 0)
-                    for shift, c in terms:
-                        acc += (r << shift) * c
-                    out[t] = acc
-        rows = out
-        coeffs.append(_digit(rows.get(0, 0), -m * a_min * s, s))
-    return coeffs
-
-
 def _slot_bits(norm: int, M: int) -> int:
     """The digit width s for the powers up to M of an integral polynomial g
     whose coefficients have absolute values summing to norm:
     norm^M < 2^(s-1).  Every coefficient of g^m, m <= M, and of
     F_2^k g_2^n, n + k <= M (see _recurrence), is at most norm^M in
-    absolute value; _recurrence and _row_walk, whichever the tier of
-    _frame picks, read only such coefficients, so the balanced digits they
-    read never carry into each other."""
+    absolute value; _recurrence reads only such coefficients, so the
+    balanced digits it reads never carry into each other."""
     return (norm ** M).bit_length() + 1
 
 

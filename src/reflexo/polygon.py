@@ -232,16 +232,23 @@ def polar_dual(P: Polygon) -> Polygon:
 # ---------------------------------------------------------------------------
 
 
-def apply_unimodular(U, P: Polygon) -> Polygon:
-    """Image of P under the matrix U = ((a,b),(c,d)) acting by v -> U v."""
-    (a, b), (c, d) = U
+def _unimodular(U) -> tuple[int, int, int, int, int]:
+    """(a, b, c, d, det) for U = ((a,b),(c,d)) in GL2(Z), the entries as
+    ints: each is checked by _coordinate first, then |det| = 1 is."""
+    (a, b), (c, d) = ((_coordinate(x) for x in row) for row in U)
     det = a * d - b * c
     if abs(det) != 1:
         raise ValueError("matrix not unimodular")
+    return a, b, c, d, det
+
+
+def apply_unimodular(U, P: Polygon) -> Polygon:
+    """Image of P under the matrix U = ((a,b),(c,d)) acting by v -> U v."""
+    a, b, c, d, det = _unimodular(U)
     vs = [(a * x + b * y, c * x + d * y) for (x, y) in P.vertices]
     if det < 0:
         vs.reverse()
-    return Polygon._from_ccw(vs)
+    return Polygon._from_ints(vs)
 
 
 def canonical_form(P: Polygon) -> Polygon:

@@ -26,7 +26,10 @@ program's labels read off the dual's edges in any coordinates.
 their minimum from every stars-and-bars composition, the reference for
 the bounded walk of the enumeration, and `operator_singular_locus` reads
 the singular points off a Picard-Fuchs operator's leading coefficient.
-All are plain int and Fraction arithmetic on the program's types.
+`row_walk` builds the powers of a packed polynomial row by row in y, for
+any support: the independent series that the recurrence of
+`period_coefficients` is checked against.  All are plain int and Fraction
+arithmetic on the program's types.
 """
 
 from fractions import Fraction
@@ -45,7 +48,7 @@ from reflexo.algebra import (
     resultant,
     squarefree_rational_roots,
 )
-from reflexo.period import DiffOperator, PowerSeries
+from reflexo.period import DiffOperator, PowerSeries, _digit
 from reflexo.polygon import canonical_form, polar_dual
 
 
@@ -217,6 +220,44 @@ def apply_operator(L, s) -> PowerSeries:
             for j, a in enumerate(p.coeffs[: m + 1]))
         for m in range(len(c))
     ])
+
+
+def row_walk(g: list, M: int, s: int) -> list[int]:
+    """CT(g^m) for 0 <= m <= M, where g lists (a, b, c) for the terms
+    c x^a y^b of an integral polynomial.
+
+    The powers g, g^2, ..., g^M are built by rows: row b of g^m is its y^b
+    part, packed into one int whose s-bit digit in slot a - m*a_min is its
+    x^a coefficient, with a_min = min(0, least x-exponent of g), so every
+    shift is nonnegative and x^0 has a slot; CT(g^m) is one digit of row 0.
+    With the y-exponents of g in [lo, hi], lo <= 0 <= hi, a row t of g^m
+    can reach y^0 in the remaining M - m steps only if
+    -hi*(M-m) <= t <= -lo*(M-m); the other rows are dropped, and every row
+    a kept row needs at the next step is itself kept.
+    """
+    a_min = min([0] + [a for a, _, _ in g])
+    lo = min([0] + [b for _, b, _ in g])
+    hi = max([0] + [b for _, b, _ in g])
+    # the terms of g by y-exponent: (shift of the packed row, coefficient)
+    by_y: dict = {}
+    for a, b, c in g:
+        by_y.setdefault(b, []).append((s * (a - a_min), c))
+    rows = {0: 1}
+    coeffs = [1]
+    for m in range(1, M + 1):
+        low, high = -hi * (M - m), -lo * (M - m)
+        out: dict = {}
+        for b, r in rows.items():
+            for j, terms in by_y.items():
+                t = b + j
+                if low <= t <= high:
+                    acc = out.get(t, 0)
+                    for shift, c in terms:
+                        acc += (r << shift) * c
+                    out[t] = acc
+        rows = out
+        coeffs.append(_digit(rows.get(0, 0), -m * a_min * s, s))
+    return coeffs
 
 
 def kernels_mod_p(c: list, h: int,

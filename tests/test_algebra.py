@@ -1143,6 +1143,22 @@ class TestModularGcd:
         assert gcd_poly(a, b) == upoly(-2, 1, var="x")
         assert used and p not in used
 
+    def test_higher_degree_modulus_skipped(self, monkeypatch):
+        # [DERIVED] g = x + 2^40 + 3, a = g (x - 1) and
+        # b = g (x - 1 - (2^61 - 1)).  Mod 2^31 - 1 the gcd has the right
+        # degree, but its symmetric lift is not g and fails trial division;
+        # mod 2^61 - 1 the inputs share x - 1 too, so that image has a
+        # higher degree and is skipped; 2^89 - 1 then completes g
+        used = []
+        gcd_mod = algebra._gcd_mod
+        monkeypatch.setattr(algebra, "_gcd_mod",
+                            lambda a, b, m: used.append(m) or gcd_mod(a, b, m))
+        p61 = (1 << 61) - 1
+        g = [(1 << 40) + 3, 1]
+        a, b = algebra._mul(g, [-1, 1]), algebra._mul(g, [-1 - p61, 1])
+        assert algebra._gcd_int(a, b) == (g, [-1, 1], [-1 - p61, 1])
+        assert used == [(1 << e) - 1 for e in (31, 61, 89)]
+
     def test_fraction_zero_and_constant_inputs(self):
         # [TRIVIAL] gcd over Q is monic whatever the scaling of the inputs
         shared = upoly(Fraction(1, 3), Fraction(-2, 5), var="x")

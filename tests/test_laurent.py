@@ -282,6 +282,18 @@ class TestExactValues:
         assert f.terms == {(2, -1): 3}
         assert all(type(a) is int for k in f.terms for a in k)
 
+    def test_transform_refuses_non_integral_matrix(self):
+        # [DERIVED] ((2, 0), (0, 1/2)) has determinant 1 but would send
+        # x + y^2 to x^2 + y; Fraction entries equal to ints are accepted
+        # (a float entry: test_exponents_are_lattice_points)
+        f = LaurentPoly({(1, 0): 1, (0, 2): 1})
+        with pytest.raises(ValueError, match="non-integral"):
+            f.transform(((2, 0), (0, Fraction(1, 2))))
+        one = Fraction(1, 1)
+        g = f.transform(((0, one), (one, 0)))
+        assert g == LaurentPoly({(0, 1): 1, (2, 0): 1})
+        assert all(type(a) is int for k in g.terms for a in k)
+
     def test_cancelled_terms_dropped(self):
         f = LaurentPoly({(1, 0): Fraction(1, 2), (0, 1): 1})
         g = LaurentPoly({(1, 0): Fraction(-1, 2)})

@@ -30,6 +30,7 @@ from oracles import (
     kernels_mod_p,
     operator_singular_locus,
     random_unimodular,
+    row_walk,
 )
 
 
@@ -117,10 +118,10 @@ class TestPeriodCoefficients:
 
     def test_clipping_matches_plain_expansion(self, catalog, monkeypatch):
         # [DERIVED] dropping the rows of f^m that cannot reach y^0 in the
-        # remaining steps is loss-free: compare the row walk, which the
-        # catalog does not enter, against a naive power computation for
-        # every f_P, with M zero, one, odd and even
-        monkeypatch.setattr(period, "_recurrence", period._row_walk)
+        # remaining steps is loss-free: compare the row walk of the
+        # oracles against a naive power computation for every f_P, with M
+        # zero, one, odd and even
+        monkeypatch.setattr(period, "_recurrence", row_walk)
         for name in NAMES:
             f = build_fP(catalog[name])
             for M in (0, 1, 7, 8):
@@ -175,8 +176,14 @@ class TestPeriodCoefficients:
     def test_matches_naive_period(self, f, M):
         # [DERIVED] any signed Fraction f, also one whose x- or y-exponents
         # are all positive (the x^0 slot and the row y^0 then lie outside
-        # the support of f)
-        assert period_coefficients(f, M).coefficients == naive_period(f, M)
+        # the support of f), wherever _frame finds a chart of tier 0 or 1;
+        # any other f is refused
+        if period._frame(f)[1] <= 1:
+            assert period_coefficients(f, M).coefficients == (
+                naive_period(f, M))
+        else:
+            with pytest.raises(ValueError, match="no chart"):
+                period_coefficients(f, M)
 
     def test_slot_bound_is_attained(self, monkeypatch):
         # [DERIVED] for f = 3 and f = -3, |c_m| = 3^m is the bound
@@ -198,7 +205,7 @@ class TestPeriodCoefficients:
         # each path reads c_M right at the width and wrong one bit narrower
         reads = [([(0, 0, a)], abs(a), M, a ** M) for a, M in cases]
         reads.append((peeled, 130, 40, want[40]))
-        for walk in (period._recurrence, period._row_walk):
+        for walk in (period._recurrence, row_walk):
             for g, norm, M, c in reads:
                 s = period._slot_bits(norm, M)
                 assert walk(g, M, s)[M] == c, walk
@@ -236,9 +243,9 @@ _recurrence_polys = st.tuples(
 # Two wide coordinate changes.
 WIDE_MAPS = (((-11, 3), (-4, 1)), ((13, -5), (5, -2)))
 
-
-def refuse_row_walk(*args):
-    raise AssertionError("row walk entered")
+# The four elementary shears (x, y) -> (x +- y, y) and (x, y +- x).
+SHEARS = (((1, 1), (0, 1)), ((1, -1), (0, 1)),
+          ((1, 0), (1, 1)), ((1, 0), (-1, 1)))
 
 
 class TestRecurrence:
@@ -251,8 +258,7 @@ class TestRecurrence:
         # plain repeated multiplication; the chart is chosen among the
         # identity and the three orientation maps only, so that the drawn
         # axis is the one read
-        with patch.object(period, "_MAPS", period._MAPS[:4]), \
-                patch.object(period, "_row_walk", refuse_row_walk):
+        with patch.object(period, "_MAPS", period._MAPS[:4]):
             got = period_coefficients(f, M).coefficients
         assert got == naive_period(f, M)
 
@@ -264,7 +270,7 @@ class TestRecurrence:
             fast = [period_coefficients(build_fP(catalog[name]), M)
                     for name in NAMES]
             with monkeypatch.context() as m:
-                m.setattr(period, "_recurrence", period._row_walk)
+                m.setattr(period, "_recurrence", row_walk)
                 slow = [period_coefficients(build_fP(catalog[name]), M)
                         for name in NAMES]
             assert fast == slow, M
@@ -285,7 +291,7 @@ class TestRecurrence:
         # [TRIVIAL] the zero polynomial has no exponents to rank
         assert period._frame(LaurentPoly()) == (LaurentPoly(), 0)
 
-    def test_catalog_never_walks_rows(self, catalog, monkeypatch):
+    def test_catalog_never_walks_rows(self, catalog):
         # [DERIVED] the cost guard of `analyze`: every f_P, polygon 9 of
         # lattice width 3 included, takes the recurrence in catalog
         # coordinates, under the two wide maps and under 64 seeded GL2(Z)
@@ -295,12 +301,37 @@ class TestRecurrence:
                                  for _ in range(64))
         expected = {name: period_coefficients(build_fP(catalog[name]), 40)
                     for name in NAMES}
-        monkeypatch.setattr(period, "_row_walk", refuse_row_walk)
         for name in NAMES:
             f = build_fP(catalog[name])
             for A in (((1, 0), (0, 1)),) + maps:
                 assert period_coefficients(f.transform(A), 40) == (
                     expected[name]), (name, A)
+
+    def test_sheared_charts_end_below_tier_2(self, catalog):
+        # [DERIVED] the reduced-basis argument of _frame: under 100 seeded
+        # products of two to twelve shears, the 16 supports all end at
+        # tier 0, and polygon 9 of lattice width 3 at tier 1; f with random
+        # coefficients on them keeps its period there
+        rng = random.Random(44)
+        fs = {name: build_fP(catalog[name]) for name in NAMES}
+        for _ in range(100):
+            A, B = (random_unimodular(rng, SHEARS) for _ in range(2))
+            for name, f in fs.items():
+                g = LaurentPoly({k: rng.choice((-3, -1, 1, 2, 5))
+                                 for k in f.terms})
+                h = g.transform(A).transform(B)
+                tier = 1 if name == "9" else 0
+                assert period._frame(h)[1] == tier, (name, A, B)
+                assert period_coefficients(h, 6) == (
+                    period_coefficients(g, 6)), (name, A, B)
+
+    def test_width_four_refused(self):
+        # [DERIVED] x^2 + 1/x^2 + y^2 + 1/y^2 has lattice width 4 in every
+        # direction, so no chart puts its y-exponents in {-1, ..., 2}
+        f = LaurentPoly({(2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1})
+        assert period._frame(f)[1] == 2
+        with pytest.raises(ValueError, match="no chart"):
+            period_coefficients(f, 4)
 
 
 def shifted(c, a):

@@ -300,6 +300,22 @@ class TestApplyUnimodular:
         with pytest.raises(ValueError, match="not unimodular"):
             apply_unimodular(U, get("3"))
 
+    def test_refuses_non_integral_entries(self):
+        # [DERIVED] ((2, 0), (0, 1/2)) has determinant 1 but is not in
+        # GL2(Z): on 8c in the chart [(1, 0), (5, 2), (-7, -2)] it would
+        # give [(2, 0), (10, 1), (-14, -1)], which is not reflexive.  Each
+        # entry is checked as a lattice coordinate before the determinant
+        P = Polygon([(1, 0), (5, 2), (-7, -2)])
+        assert name_of(P) == "8c"
+        with pytest.raises(ValueError, match="non-integral"):
+            apply_unimodular(((2, 0), (0, Fraction(1, 2))), P)
+        with pytest.raises(TypeError):
+            apply_unimodular(((1.0, 0), (0, 1)), P)
+        one = Fraction(1, 1)
+        Q = apply_unimodular(((one, one), (0, one)), P)
+        assert Q == apply_unimodular(((1, 1), (0, 1)), P)
+        assert all(type(a) is int for v in Q.vertices for a in v)
+
 
 class TestCanonicalForm:
     def test_unimodular_invariance(self, catalog):
