@@ -13,7 +13,8 @@ The frames (q, det) with det = det(p, q) = ±1 are taken in order of the
 x-coordinate of the image's least vertex, which depends on q and det alone,
 and the search stops after the first such level where some boundary point
 p completes a frame: every candidate of a higher level starts at a larger
-vertex, so it cannot be the lexicographically least.
+vertex, so it cannot be the lexicographically least.  Only the distinct
+levels are sorted, and each scan takes the frames of one level.
 
 The fan key, the cyclic sequence of cross(b_{i-1}, b_{i+1}) over boundary
 points up to rotation and reversal, tells the classes of reflexive polygons
@@ -22,8 +23,9 @@ apart.  Names and mutation classes go by it, and the enumeration builds the
 deficits 2 - a_i >= 0 summing to 12 - n over n boundary points.  It walks
 them depth first from their largest deficit d_0, bounding each later
 deficit by d_0 and by what the remaining ones can still make up, and
-carries the points b_i down the walk; a canonical form is computed only
-where a representative is returned.
+carries the points b_i down the walk to the prefixes of length n - 2.
+Closure fixes the last two terms, so they are solved there, not walked; a
+canonical form is computed only where a representative is returned.
 """
 
 from __future__ import annotations
@@ -278,20 +280,23 @@ def canonical_form(P: Polygon) -> Polygon:
         # (level, det q, det) for det = 1 and det = -1
         frames += ((min(h), c, d, 1), (-max(h), -c, -d, -1))
     best = None
-    for level, c, d, det in sorted(frames):
-        if best is not None and level > best[0][0]:
-            break
-        # U with U p = e1, U q = e2 is the inverse of [p q]; (c, d) = det q
-        for a, b in bpts:
-            if a * d - b * c != 1:
+    for level in sorted({f[0] for f in frames}):
+        for lv, c, d, det in frames:
+            if lv != level:
                 continue
-            img = [(d * x - c * y, det * (a * y - b * x)) for x, y in vs]
-            if det < 0:
-                img.reverse()
-            i = img.index(min(img))
-            cand = tuple(img[i:] + img[:i])
-            if best is None or cand < best:
-                best = cand
+            # U with U p = e1, U q = e2 is the inverse of [p q]; (c, d) = det q
+            for a, b in bpts:
+                if a * d - b * c != 1:
+                    continue
+                img = [(d * x - c * y, det * (a * y - b * x)) for x, y in vs]
+                if det < 0:
+                    img.reverse()
+                i = img.index(min(img))
+                cand = tuple(img[i:] + img[:i])
+                if best is None or cand < best:
+                    best = cand
+        if best is not None:
+            break
     if best is None:
         raise ValueError(
             "no unimodular boundary pair; canonical form undefined for this polygon"
@@ -337,6 +342,25 @@ def _fan_key(P: Polygon) -> tuple:
     return _dihedral_min(_fan_sequence(P))
 
 
+def _closing_pair(a0: int, d0: int, left: int, p: Point, q: Point):
+    """(a_{n-2}, a_{n-1}) that close the prefix a_0, ..., a_{n-3} whose last
+    two points are p = b_{n-3} and q = b_{n-2}, or None.  Closure, b_n = e1
+    and b_{n+1} = a0 b_n - b_{n-1} = e2, fixes b_{n-1} = (a0, -1), so
+    b_n = a_{n-1} b_{n-1} - q = e1 reads q = (a0 a_{n-1} - 1, -a_{n-1}).
+    Then t = p + b_{n-1} has cross(t, q) = cross(p, q) - 1 = 0, so
+    b_{n-1} = a_{n-2} q - p with a_{n-2} = cross(p, t) = -p_x - a0 p_y.
+    The pair is kept when its deficits lie in [0, d0] and sum to `left`,
+    the deficit still to place."""
+    y = -q[1]
+    if y * a0 - q[0] != 1:
+        return None
+    x = -p[0] - a0 * p[1]
+    d, e = 2 - x, 2 - y
+    if d + e == left and 0 <= d <= d0 and 0 <= e <= d0:
+        return x, y
+    return None
+
+
 def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     """One canonical representative of each of the 16 GL2(Z) classes of
     reflexive polygons, sorted by (volume, vertex tuple).  Every class meets
@@ -351,12 +375,18 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     [max(0, left - d_0 r), min(d_0, left)], where `left` is 12 - n minus
     the deficits so far and r the number still to pick after d_i: these
     are exactly the values from which r deficits in [0, d_0] can make up
-    the rest, so the last one is forced and every leaf is a sequence of
-    n deficits in [0, d_0] that sum to 12 - n, each reached once.  Each
-    step carries b_{i+1} = a_i b_i - b_{i-1} from b_0 = e1, b_1 = e2, so
-    sequences with a common prefix share its steps.  A leaf is kept when
-    it closes, b_n = e1 and a_0 b_n - b_{n-1} = e2, and one polygon per
-    key, with CCW vertices the b_i where a_i != 2, is canonicalised.
+    the rest.  Each step carries b_{i+1} = a_i b_i - b_{i-1} from b_0 = e1,
+    b_1 = e2, so sequences with a common prefix share its steps.  The walk
+    stops at the prefixes a_0, ..., a_{n-3}, each reached once, and solves
+    for the last two terms instead of trying each: a sequence closes when
+    b_n = e1 and a_0 b_n - b_{n-1} = e2, and _closing_pair shows that this
+    fixes a_{n-2} and a_{n-1} by b_{n-3} and b_{n-2}.  It keeps the pair
+    when both deficits lie in [0, d_0] and sum to `left`, which are the
+    bounds the walk would have picked them in, so the solve finds each
+    closed sequence that the walk to the leaves finds, in the same order,
+    and no other.  For a kept sequence the points b_i are rebuilt from
+    (a_i), and one polygon per key, with CCW vertices the b_i where
+    a_i != 2, is canonicalised.
 
     Soundness: the recursion keeps cross(b_i, b_{i+1}) = 1, and the turn at
     b_i is cross(b_i - b_{i-1}, b_{i+1} - b_i) = 2 - a_i >= 0, so a closed
@@ -368,35 +398,43 @@ def enumerate_reflexive(bound: int = 3) -> list[Polygon]:
     sum(d) = Vol(P polar) = 12 - n (Poonen-Rodriguez-Villegas 2000,
     Lattice polygons and the number 12); its at least 3 vertices each have
     d_i >= 1, so n <= 9.  Some rotation of (a_i) starts at its minimum,
-    i.e. at its largest deficit, and that rotation is a leaf of the walk.
+    i.e. at its largest deficit; its prefix of length n - 2 is walked, and
+    its last two terms are the pair solved there.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
     found: dict[tuple, Polygon] = {}
-    a: list[int] = []  # a_0, ..., a_i of the current prefix
-    b: list[Point] = []  # b_0, ..., b_{i+1}
+    a: list[int] = []  # a_0, ..., a_{i-1} of the current prefix
 
-    def walk(d0: int, left: int, rest: int) -> None:
-        # extend by a_i = 2 - d_i and b_{i+1}, with `rest` deficits after d_i
-        (px, py), (qx, qy) = b[-2], b[-1]
-        for d in range(max(0, left - d0 * rest), min(d0, left) + 1):
+    def walk(d0: int, left: int, rest: int, p: Point, q: Point) -> None:
+        # extend the prefix ending b_{i-1} = p, b_i = q by a_i = 2 - d_i,
+        # with `rest` deficits after d_i; at rest == 1 solve the last two
+        if rest == 1:
+            pair = _closing_pair(2 - d0, d0, left, p, q)
+            if pair is not None:
+                seq = a + list(pair)
+                key = _dihedral_min(seq)
+                if key not in found:
+                    b = [(1, 0), (0, 1)]
+                    for x in seq[1:-1]:
+                        (px, py), (qx, qy) = b[-2], b[-1]
+                        b.append((x * qx - px, x * qy - py))
+                    found[key] = canonical_form(Polygon._from_ints(
+                        [pt for pt, x in zip(b, seq) if x != 2]))
+            return
+        lo = left - d0 * rest
+        if lo < 0:
+            lo = 0
+        hi = d0 if d0 < left else left
+        (px, py), (qx, qy) = p, q
+        for d in range(lo, hi + 1):
             x = 2 - d
             a.append(x)
-            b.append((x * qx - px, x * qy - py))
-            if rest:
-                walk(d0, left - d, rest - 1)
-            # a leaf: keep it when b_n = e1 and a_0 b_n - b_{n-1} = e2
-            elif b[-1] == (1, 0) and b[-2] == (a[0], -1):
-                key = _dihedral_min(a[:])
-                if key not in found:
-                    found[key] = canonical_form(Polygon._from_ints(
-                        [p for p, ai in zip(b, a) if ai != 2]))
+            walk(d0, left - d, rest - 1, q, (x * qx - px, x * qy - py))
             a.pop()
-            b.pop()
 
     for n in range(3, 10):
         for d0 in range(-(-(12 - n) // n), 13 - n):
             a[:] = [2 - d0]
-            b[:] = [(1, 0), (0, 1)]
-            walk(d0, 12 - n - d0, n - 2)
+            walk(d0, 12 - n - d0, n - 2, (1, 0), (0, 1))
     return sorted(found.values(), key=lambda P: (P.volume(), tuple(P.vertices)))

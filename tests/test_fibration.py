@@ -28,6 +28,7 @@ from reflexo.fibration import (
     member_is_nonreduced,
     singular_lambda_values,
 )
+from reflexo.laurent import LaurentPoly, cleared_member
 from reflexo.mordell_weil import mw_group
 from reflexo.polygon import Polygon, apply_unimodular
 
@@ -220,6 +221,42 @@ class TestElimination:
         P = apply_unimodular(SHEARS["(x,x+y)"], get("4a"))
         roots, _ = squarefree_rational_roots(elimination_polynomial(P))
         assert Fraction(0) in {r for r, _ in roots}
+
+    @staticmethod
+    def _pencil_of(terms: dict) -> Pencil:
+        """The pencil of the Laurent polynomial with these terms in place of
+        f_P, which elimination_polynomial reads alone when it is given a
+        pencil.  Its y-free branches are met by such f, whose Newton
+        polygon has the origin off its interior, and by no f_P."""
+        pencil = Pencil(get("3"))
+        pencil.f = LaurentPoly(terms)
+        pencil.C = cleared_member(pencil.f)
+        return pencil
+
+    def test_constant_first_eliminant(self):
+        # [DERIVED] f = xy + 1/(xy) is t + 1/t in t = xy: both log partials
+        # are t - 1/t, so G = t^2 - 1 and A = B = 1 once G is divided out.
+        # r1 = Res_x(A, C) is then constant, and E is read off r1 alone.
+        # The critical curves t = 1 and t = -1 carry f = 2 and f = -2
+        pencil = self._pencil_of({(1, 1): 1, (-1, -1): 1})
+        A, B, G = pencil.critical_pair
+        assert A.is_const() and B.is_const()
+        assert G == MPoly({(2, 2, 0): 1, (0, 0, 0): -1})
+        E = elimination_polynomial(pencil.P, pencil)
+        assert E.monic() == lpoly(-4, 0, 1)
+
+    def test_y_free_second_eliminant(self):
+        # [DERIVED] f = (x - 1) y + x + 2/x, with the origin on an edge of
+        # its Newton polygon: y f_y = (x - 1) y, so B = x - 1, the vertical
+        # line on which f = 3, and r2 = Res_x(B, C) is free of y while r1
+        # is not; E is read off r2.  f_y = 0 and f_x = y + 1 - 2/x^2 = 0
+        # meet on the torus only at (1, 1), where f = 3
+        pencil = self._pencil_of({(1, 1): 1, (0, 1): -1, (1, 0): 1,
+                                  (-1, 0): 2})
+        A, B, G = pencil.critical_pair
+        assert G.is_const() and A.degree("y") == 1
+        assert B == MPoly({(1, 0, 0): 1, (0, 0, 0): -1})
+        assert elimination_polynomial(pencil.P, pencil) == lpoly(3, 1)
 
 
 class TestPencil:

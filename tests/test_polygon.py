@@ -458,6 +458,33 @@ class TestEnumeration:
         assert len(expected) == 30
         assert sorted(tuple(a) for a in kept) == sorted(expected)
 
+    def test_closing_pair_solves_the_last_two_terms(self):
+        # [DERIVED] the fact the walk stops on: for each closed sequence,
+        # the prefix a_0 .. a_{n-3} with its points b_{n-3}, b_{n-2} and
+        # the deficit left gives back a_{n-2} and a_{n-1}.  A wrong a_0 (a
+        # closed loop has sum(3 - a_i) in 12Z, and a shift by k makes it
+        # 12 - k), a wrong b_{n-2} (still a basis with b_{n-3}) or a bound
+        # below a solved deficit closes none
+        for a in reference_closed_sequences():
+            n = len(a)
+            d = [2 - x for x in a]
+            b = [(1, 0), (0, 1)]
+            for x in a[1:n - 2]:
+                b.append((x * b[-1][0] - b[-2][0], x * b[-1][1] - b[-2][1]))
+            p, q = b[-2:]
+            left = d[n - 2] + d[n - 1]
+            assert polygon._closing_pair(a[0], d[0], left, p, q) == a[n - 2:]
+            for k in range(-11, 12):
+                if k:
+                    assert polygon._closing_pair(
+                        a[0] + k, d[0], left, p, q) is None
+            for s in (-2, -1, 1, 2):
+                wrong = (q[0] + s * p[0], q[1] + s * p[1])
+                assert polygon._closing_pair(
+                    a[0], d[0], left, p, wrong) is None
+            tight = max(d[n - 2], d[n - 1]) - 1
+            assert polygon._closing_pair(a[0], tight, left, p, q) is None
+
     def test_catalog_matches_enumeration(self, catalog):
         keys = {
             tuple(canonical_form(P).vertices) for P in enumerate_reflexive(3)
