@@ -1002,12 +1002,12 @@ def _divide_content(lists: list[list[int]]) -> tuple[list, list]:
     return c, lists if len(c) <= 1 else [_quotient(a, c) for a in lists]
 
 
-def _content(coeffs: list[MPoly], var: str) -> UniPoly:
-    """Monic gcd in Q[var] of the coefficients (each must involve only var):
-    the content, as by `_divide_content`, of their primitive integer
-    multiples, made monic."""
-    return UniPoly(
-        _divide_content([_int_list(c, var) for c in coeffs])[0], var).monic()
+def _content(p: MPoly, main: str, coeff: str) -> UniPoly:
+    """Monic gcd in Q[coeff] of the coefficients in main of p, which must be
+    free of the third variable: the content, as by `_divide_content`, of
+    the rows of its primitive integer multiple, made monic."""
+    return UniPoly(_divide_content(
+        _rows(p, _VAR_INDEX[main], _VAR_INDEX[coeff]))[0], coeff).monic()
 
 
 def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:

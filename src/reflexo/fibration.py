@@ -306,13 +306,10 @@ def _strip_powers(coeffs: list) -> list:
 def _curve_values(G: MPoly, C: MPoly) -> UniPoly:
     """The pure-l content of Res(G, C), taken over a variable of G; 1 when G
     is constant."""
-    if not G.is_const():
-        var, other = ("x", "y") if G.degree("x") > 0 else ("y", "x")
-        rG = resultant(G, C, var).strip_monomial()
-        content = _content(rG.coeffs_in(other), "l")
-        if not content.is_const():
-            return content
-    return UniPoly([1], "l")
+    if G.is_const():
+        return UniPoly([1], "l")
+    var, other = ("x", "y") if G.degree("x") > 0 else ("y", "x")
+    return _content(resultant(G, C, var).strip_monomial(), other, "l")
 
 
 def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
@@ -322,33 +319,32 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     with extraneous factors).  The analysis report lists its factors;
     classification does not use it.
 
-    The two x-eliminants lose their common (y, l)-factors before the
-    y-elimination; the pure-lambda content of each factor peeled, like that
-    of Res(G, C), is a factor of E."""
+    E is the pure-lambda content of Res(G, C) times Res_y(r1, r2), where
+    r1 = Res_x(A, C) loses its common (y, l)-factors with r2 = Res_x(B, C).
+    r1 has no pure-lambda factor, so no peel has a content and a y-free r1
+    is a constant: l - c dividing r1 makes A share a component h of
+    positive x-degree with the member at c, of multiplicity m say; x f_x
+    vanishes to order m - 1 on h and y f_y to at least m - 1, so h divides
+    G = gcd(x f_x, y f_y) as often as x f_x, and not A = x f_x / G.  A
+    y-free r2 is itself the eliminant, with other multiplicities.  For
+    reflexive P it never is (f would be a function of one monomial), so
+    the shortcut serves hand-set pencils such as f = xy + y (E = lambda)."""
     if pencil is None:
         pencil = Pencil(P)
     A, B, G = pencil.critical_pair
-    extra = _curve_values(G, pencil.C)
     r1 = resultant(A, pencil.C, "x").strip_monomial()
     r2 = resultant(B, pencil.C, "x").strip_monomial()
     g = gcd_bivariate(r1, r2, "l", "y")
     while not g.is_const():
         r1 = r1.exact_div(g).strip_monomial()
-        content = _content(g.coeffs_in("y"), "l")
-        if not content.is_const():
-            extra = extra * content
         # gcd(r1 / g, r2) = gcd(r1 / g, g): a common divisor of r1 / g and
         # r2 divides g = gcd(r1, r2) (at each prime the order of r1 / g is
         # ord r1 - ord g, and min(ord r1 - ord g, ord r2) <= ord g), and g
         # divides r2.  Dividing r1 / g by a power of y keeps both sides
         # equal, and gcd_bivariate normalises, so each peel is unchanged.
         g = gcd_bivariate(r1, g, "l", "y")
-    if r1.degree("y") <= 0:
-        e = extra * r1.to_unipoly("l")
-    elif r2.degree("y") <= 0:
-        e = extra * r2.to_unipoly("l")
-    else:
-        e = extra * resultant(r1, r2, "y").to_unipoly("l")
+    e = r2 if r2.degree("y") <= 0 else resultant(r1, r2, "y")
+    e = _curve_values(G, pencil.C) * e.to_unipoly("l")
     if e.is_zero():
         raise ArithmeticError("degenerate pencil: elimination vanished")
     return e.primitive_integer()

@@ -184,6 +184,25 @@ class TestRepresentation:
         with pytest.raises(TypeError):
             LaurentPoly({(0, 0): 1, (1, 0): 2.0})  # integral, still a float
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: MPoly({(1, 1, 0): 1}).to_unipoly("x"), ValueError,
+         "polynomial involves more than x"),
+        (lambda: MPoly({(1, 0, 0): 1}).exact_div(MPoly()), ZeroDivisionError,
+         "division by zero polynomial"),
+        (lambda: UniPoly([1, 1]).divmod(UniPoly([])), ZeroDivisionError,
+         "polynomial division by zero"),
+        (lambda: UniPoly([1, 1]).exact_div(UniPoly([1, 0, 1])),
+         ArithmeticError, "division not exact"),
+        (lambda: algebra._prem([1, 2], [0]), ZeroDivisionError,
+         "pseudo-division by zero"),
+    ], ids=["to_unipoly-xy", "mpoly-by-zero", "unipoly-by-zero",
+            "inexact-quotient", "prem-by-zero"])
+    def test_refusals(self, call, error, message):
+        # [TRIVIAL] xy is not a polynomial in x alone; there is no quotient
+        # by zero; x + 1 is not a multiple of x^2 + 1
+        with pytest.raises(error, match=message):
+            call()
+
 
 # polynomials in x and l with int coefficients
 _int_xl = st.dictionaries(
@@ -243,6 +262,13 @@ class TestPower:
     def test_zeroth_power_is_one(self):
         assert upoly(1, 2) ** 0 == upoly(1)
         assert MPoly({(1, 0, 0): 2}) ** 0 == MPoly.const(1)
+
+    @pytest.mark.parametrize("p", [upoly(1, 1), MPoly({(1, 0, 0): 1})],
+                             ids=["UniPoly", "MPoly"])
+    def test_negative_power_refused(self, p):
+        # [TRIVIAL] a nonconstant polynomial has no polynomial inverse
+        with pytest.raises(ValueError, match="negative power"):
+            p ** -1
 
 
 class TestStripMonomial:
@@ -1070,7 +1096,7 @@ def test_int_content_matches_unipoly_path(variables, data):
     if r:
         p = p * MPoly.from_unipoly(r, coeff)
     coeffs = p.coeffs_in(main)
-    assert algebra._content(coeffs, coeff) == UniPoly(
+    assert algebra._content(p, main, coeff) == UniPoly(
         int_content(coeffs, coeff), coeff).monic()
 
 

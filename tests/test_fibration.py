@@ -1,6 +1,7 @@
 """Singular-fibre analysis: Kodaira types, elimination, node counting,
 nonreduced members, base-point towers, and assembly."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from reflexo import fibration
 from reflexo.algebra import (
     MPoly,
     UniPoly,
+    _content,
     gcd_bivariate,
     squarefree_rational_roots,
 )
@@ -32,6 +34,7 @@ from reflexo.laurent import LaurentPoly, cleared_member
 from reflexo.mordell_weil import mw_group
 from reflexo.polygon import Polygon, apply_unimodular
 
+from oracles import GL2Z_GENS, random_unimodular
 from oracles import values_at_y
 
 # the eight single shears with |k| <= 2, v -> U v
@@ -222,6 +225,41 @@ class TestElimination:
         roots, _ = squarefree_rational_roots(elimination_polynomial(P))
         assert Fraction(0) in {r for r, _ in roots}
 
+    def test_peels_have_no_pure_lambda_content(self, monkeypatch):
+        # [DERIVED] the argument of the elimination_polynomial docstring: no
+        # factor peeled from r1 has a pure-lambda content, and for reflexive
+        # P both x-eliminants involve y, so neither the content of a peel
+        # nor a y-free r1 can change E; checked on the 16 under 20 seeded
+        # GL2(Z) matrices with entries in [-2, 2]
+        rng = random.Random(3)
+        matrices = set()
+        while len(matrices) < 20:
+            U = random_unimodular(rng, GL2Z_GENS)
+            if all(abs(u) <= 2 for row in U for u in row):
+                matrices.add(U)
+        gcd = fibration.gcd_bivariate
+        calls = []
+
+        def recording(p, q, main, coeff):
+            g = gcd(p, q, main, coeff)
+            if main == "l":
+                calls.append((p, q, g))
+            return g
+
+        monkeypatch.setattr(fibration, "gcd_bivariate", recording)
+        peels = 0
+        for U in sorted(matrices):
+            for name in NAMES:
+                calls.clear()
+                elimination_polynomial(apply_unimodular(U, get(name)))
+                (r1, r2, _), *_ = calls
+                assert r1.degree("y") > 0 and r2.degree("y") > 0
+                for _, _, g in calls:
+                    if not g.is_const():
+                        peels += 1
+                        assert _content(g, "y", "l") == lpoly(1)
+        assert peels
+
     @staticmethod
     def _pencil_of(terms: dict) -> Pencil:
         """The pencil of the Laurent polynomial with these terms in place of
@@ -289,6 +327,17 @@ class TestPencil:
         A, B, _ = pencil.critical_pair
         pencil.critical_pair = (A, B, MPoly(G))
         assert pencil.curve_values == values
+
+    def test_critical_y_refuses_a_curve_of_critical_points(self):
+        # [TRIVIAL] with B patched to A, the pair (A, A) has the whole curve
+        # A = 0 in common, so Res_x(A, A) vanishes and the critical locus is
+        # not finite
+        pencil = Pencil(get("3"))
+        A, _, G = pencil.critical_pair
+        pencil.critical_pair = (A, A, G)
+        with pytest.raises(ArithmeticError,
+                           match="critical locus of f is not finite"):
+            pencil.critical_y
 
     @pytest.mark.parametrize("name", ["3", "5b", "6a", "6c", "7a", "7b"])
     def test_values_over_splits_at_zero_divisors(self, name, monkeypatch):

@@ -27,6 +27,15 @@ class TestMutationData:
         with pytest.raises(ValueError):
             MutationData((0, 2), (1, 0))
 
+    def test_equal_data_share_a_hash(self):
+        # [TRIVIAL] a datum is its pair (v, w): equal pairs, as tuples or
+        # lists, give equal data with equal hashes; another w or a bare
+        # pair does not
+        a, b = MutationData((0, 1), (1, 0)), MutationData([0, 1], [1, 0])
+        assert a == b and hash(a) == hash(b)
+        assert a != MutationData((0, 1), (-1, 0))
+        assert a != ((0, 1), (1, 0))
+
 
 class TestMutate:
     def test_p4c_to_p4a(self):
@@ -90,6 +99,14 @@ class TestAllMutations:
         assert any(
             canonical_form(Q) == target for _, Q in all_mutations(get("4c"))
         )
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_no_datum_repeats(self, name):
+        # [DERIVED] distinct edges have distinct inner normals, and each
+        # normal is crossed with its two opposite generators of v-perp (3
+        # and 9 admit no mutation)
+        data = [d for d, _ in all_mutations(get(name))]
+        assert len(set(data)) == len(data)
 
     def test_non_reflexive_has_none(self):
         # [TRIVIAL] mutations are taken of reflexive polygons only
