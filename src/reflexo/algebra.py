@@ -174,24 +174,15 @@ class UniPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly([self[i] + other[i] for i in range(n)], self.var)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self) -> "UniPoly":
         return UniPoly([-c for c in self.coeffs], self.var)
 
     def __sub__(self, other) -> "UniPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other) -> "UniPoly":
         return UniPoly(_mul(self.coeffs, self._coerce(other).coeffs),
                        self.var)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def __pow__(self, n: int) -> "UniPoly":
         return _power(self, n, UniPoly([1], self.var))
@@ -588,17 +579,11 @@ class MPoly:
                 terms[k] = s
         return _wrap(terms)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self) -> "MPoly":
         return _wrap({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
@@ -784,13 +769,17 @@ def _prem(a: list, b: list) -> list:
 
 def _quo(a, b):
     """a / b for coefficients of the PRS, which must divide exactly: divmod
-    with a zero-remainder check on ints, MPoly.exact_div otherwise."""
+    with a zero-remainder check on ints, MPoly.exact_div otherwise, whose
+    quotient must have int values too, as the PRS's inputs do."""
     if a.__class__ is int:
         q, r = divmod(a, b)
         if r:
             raise ArithmeticError("division not exact")
         return q
-    return a.exact_div(b)
+    q = a.exact_div(b)
+    if any(v.__class__ is not int for v in q.terms.values()):
+        raise ArithmeticError("division not exact")
+    return q
 
 
 def _subresultant_prs(A: list, B: list):

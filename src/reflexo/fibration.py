@@ -122,7 +122,9 @@ class Pencil:
     report, which builds it with `elimination_polynomial`.
 
     A Pencil lives for one top-level call (a report, a table row) and is
-    passed down explicitly; nothing keeps it afterwards.  Its values are
+    passed down explicitly; nothing keeps it afterwards.  Only the entry
+    points classify_fibres and elimination_polynomial build one, when they
+    are given none; every stage below them requires it.  Its values are
     shared by every helper that receives it, so none may modify them.
     """
 
@@ -215,8 +217,7 @@ class BasePointTower:
         )
 
 
-def base_point_towers(P: Polygon, pencil: Pencil | None = None
-                      ) -> list[BasePointTower]:
+def base_point_towers(P: Polygon, pencil: Pencil) -> list[BasePointTower]:
     """One tower per edge of lattice length >= 2.
 
     In a smooth chart (x1, x2) adjacent to the boundary ray of edge e the
@@ -228,8 +229,6 @@ def base_point_towers(P: Polygon, pencil: Pencil | None = None
     the height-zero support points u = m w of f (w a primitive generator of
     the edge direction).
     """
-    if pencil is None:
-        pencil = Pencil(P)
     towers = []
     for e in P.edges():
         if e.lattice_length < 2:
@@ -284,10 +283,12 @@ class SingularValue:
 
 def _log_partials(f: LaurentPoly) -> tuple[MPoly, MPoly]:
     """Cleared x f_x and y f_y as (x, y)-polynomials with no monomial factor
-    and no lambda dependence."""
+    and no lambda dependence; ValueError when one is zero."""
     out = []
-    for i in (0, 1):
+    for i, var in enumerate("xy"):
         g = {u: c * u[i] for u, c in f.terms.items() if u[i]}
+        if not g:
+            raise ValueError(f"f is free of {var}: {var} f_{var} is zero")
         a0 = min(a for a, _ in g)
         b0 = min(b for _, b in g)
         out.append(MPoly({(a - a0, b - b0, 0): c for (a, b), c in g.items()}))
@@ -350,19 +351,17 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     return e.primitive_integer()
 
 
-def member_is_nonreduced(P: Polygon, lam: Fraction,
-                         pencil: Pencil | None = None):
-    """(flag, repeated factor, multiplicity): the member F at lambda contains
-    a repeated component iff gcd(F, R) is nonconstant, R the radical of G.
-    A repeated component of F divides both log partials, hence G; conversely
-    f + lambda and df both vanish on a component of G inside F, so its
-    square divides F.  gcd(F, R) is square-free: the repeated component."""
-    if pencil is None:
-        pencil = Pencil(P)
+def member_is_nonreduced(pencil: Pencil, lam: Fraction):
+    """(repeated factor, multiplicity), (None, 1) for a reduced member: the
+    member F at lambda contains a repeated component iff gcd(F, R) is
+    nonconstant, R the radical of G.  A repeated component of F divides both
+    log partials, hence G; conversely f + lambda and df both vanish on a
+    component of G inside F, so its square divides F.  gcd(F, R) is
+    square-free: the repeated component."""
     F = pencil.C.eval_var("l", lam).strip_monomial()
     R = gcd_bivariate(F, pencil.radical, "x", "y").strip_monomial()
     if R.is_const():
-        return False, None, 1
+        return None, 1
     # multiplicity of R in F: one exact division per factor
     mult = 0
     try:
@@ -373,7 +372,7 @@ def member_is_nonreduced(P: Polygon, lam: Fraction,
         pass
     if mult < 2:  # pragma: no cover - a component of G in F repeats
         raise ArithmeticError("repeated factor of multiplicity < 2")
-    return True, R, mult
+    return R, mult
 
 
 def _at_y(p: MPoly, y0: Fraction) -> MPoly:
@@ -444,21 +443,18 @@ def _values_over(A: MPoly, B: MPoly, J: MPoly, C: MPoly, qy: UniPoly
     return resultant(Q, resultant(g, C, "x"), "y").to_unipoly("l")
 
 
-def singular_lambda_values(P: Polygon, pencil: Pencil | None = None
-                           ) -> list[SingularValue]:
+def singular_lambda_values(P: Polygon, pencil: Pencil) -> list[SingularValue]:
     """Certified finite singular locations of the pencil on the torus: the
     nonreduced members at the rational curve values, then each root of the
     critical values with its multiplicity as its node count, rational ones
     in ascending lambda before the rational-root-free factors."""
     if not P.is_reflexive():
         raise ValueError("P must be reflexive")
-    if pencil is None:
-        pencil = Pencil(P)
     rational = {}
     curve_roots, _ = squarefree_rational_roots(pencil.curve_values)
     for lam, _ in curve_roots:
-        flag, _, mult = member_is_nonreduced(P, lam, pencil)
-        if flag:
+        _, mult = member_is_nonreduced(pencil, lam)
+        if mult > 1:
             rational[lam] = SingularValue(lam, 0, mult)
     roots, residual = squarefree_rational_roots(pencil.critical_values)
     for lam, n in roots:

@@ -450,15 +450,17 @@ def _lift(vec: list[int], c: list, h: int, d: int, p: int
     return ps
 
 
-def find_picard_fuchs(
-    s: PowerSeries,
-    max_order: int = 4,
-    max_degree: int = 12,
-    guard: int = 8,
-) -> DiffOperator:
-    """Minimal annihilating operator: order h ascending from 1, each
-    decided at its lowest degree d with a kernel; the operator must also
-    annihilate the last `guard` coefficients, which are excluded from the fit.
+# The fixed search of find_picard_fuchs: its largest order and degree, and
+# the number of last coefficients kept out of the fit.
+_MAX_ORDER, _MAX_DEGREE, _GUARD = 4, 12, 8
+
+
+def find_picard_fuchs(s: PowerSeries) -> DiffOperator:
+    """Minimal annihilating operator: order h ascending from 1 to _MAX_ORDER,
+    each decided at its lowest degree d <= _MAX_DEGREE with a kernel; the
+    operator must also annihilate the last _GUARD coefficients, which are
+    excluded from the fit.  The shape (h, d) needs (h + 1)(d + 1) + _GUARD
+    coefficients, so the length of s is the one bound a caller can raise.
 
     The series is scaled once to coprime integers (_primitive_scale); L is
     linear, so this does not change it, and a series times any constant is
@@ -487,14 +489,14 @@ def find_picard_fuchs(
     M = s.order
     scale = _primitive_scale(s.coefficients)
     c = [_exact(v * scale) for v in s.coefficients]
-    fit = c[: max(M + 1 - guard, 0)]
-    for h in range(1, max_order + 1):
+    fit = c[: max(M + 1 - _GUARD, 0)]
+    for h in range(1, _MAX_ORDER + 1):
         for e in _MERSENNE_EXPONENTS:
             p = (1 << e) - 1
             kernels = _kernels(fit, h, p)
             kernel = []
-            for d in range(max_degree + 1):
-                if (h + 1) * (d + 1) + guard > M + 1:
+            for d in range(_MAX_DEGREE + 1):
+                if (h + 1) * (d + 1) + _GUARD > M + 1:
                     break  # not enough data at this order
                 if kernel := next(kernels):
                     break  # the order's first kernel
@@ -510,7 +512,7 @@ def find_picard_fuchs(
         # lower-order relation), and the guard annihilated
         if lifts and any(lifts[0][h]) and not any(
             _image_coefficient(lifts[0], c, m)
-            for m in range(M - guard + 1, M + 1)
+            for m in range(M - _GUARD + 1, M + 1)
         ):
             if len(lifts) != 1:
                 raise ValueError(

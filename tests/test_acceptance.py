@@ -10,7 +10,12 @@ from math import factorial
 from reflexo.algebra import UniPoly, squarefree_rational_roots
 from reflexo.catalog import NAMES, get, load_catalog
 from reflexo.cli import EXPECTED_TABLE2
-from reflexo.fibration import classify_fibres, elimination_polynomial, singular_lambda_values
+from reflexo.fibration import (
+    Pencil,
+    classify_fibres,
+    elimination_polynomial,
+    singular_lambda_values,
+)
 from reflexo.laurent import build_fP
 from reflexo.mordell_weil import (
     height_matrix,
@@ -99,7 +104,9 @@ def test_criterion_5_elimination_oracles():
     # P4a: stripped factor set {l, l - 4, l + 4}; 2 nodes at lambda = 0
     roots, residual = squarefree_rational_roots(elimination_polynomial(get("4a")))
     assert {r for r, _ in roots} == {0, 4, -4} and residual == []
-    nodes = {s.location: s.torus_nodes for s in singular_lambda_values(get("4a"))}
+    P = get("4a")
+    nodes = {s.location: s.torus_nodes
+             for s in singular_lambda_values(P, Pencil(P))}
     assert nodes[Fraction(0)] == 2
     # P5a: (l - 1) and l^3 - l^2 - 18 l + 43
     roots, residual = squarefree_rational_roots(elimination_polynomial(get("5a")))

@@ -195,11 +195,17 @@ class TestRepresentation:
          ArithmeticError, "division not exact"),
         (lambda: algebra._prem([1, 2], [0]), ZeroDivisionError,
          "pseudo-division by zero"),
+        (lambda: algebra._quo(MPoly.const(3), MPoly.const(2)),
+         ArithmeticError, "division not exact"),
+        (lambda: algebra._quo(MPoly({(1, 0, 0): 3}), MPoly({(1, 0, 0): 2})),
+         ArithmeticError, "division not exact"),
     ], ids=["to_unipoly-xy", "mpoly-by-zero", "unipoly-by-zero",
-            "inexact-quotient", "prem-by-zero"])
+            "inexact-quotient", "prem-by-zero", "prs-quotient-const",
+            "prs-quotient-3x-2x"])
     def test_refusals(self, call, error, message):
         # [TRIVIAL] xy is not a polynomial in x alone; there is no quotient
-        # by zero; x + 1 is not a multiple of x^2 + 1
+        # by zero; x + 1 is not a multiple of x^2 + 1; a quotient of the
+        # subresultant PRS of integer inputs has int values, and 3/2 is none
         with pytest.raises(error, match=message):
             call()
 

@@ -18,7 +18,7 @@ from reflexo.algebra import (
     squarefree_rational_roots,
 )
 from reflexo.catalog import NAMES, get
-from reflexo.cli import EXPECTED_TABLE2
+from reflexo.cli import EXPECTED_TABLE2, build_report
 from reflexo.fibration import (
     BasePointTower,
     KodairaType,
@@ -102,19 +102,20 @@ class TestSingularLambdaValues:
     def test_non_reflexive_errors(self):
         # [TRIVIAL] the pencil of f_P is defined for reflexive P only
         with pytest.raises(ValueError, match="P must be reflexive"):
-            singular_lambda_values(Polygon([(0, 0), (2, 0), (0, 2)]))
+            singular_lambda_values(Polygon([(0, 0), (2, 0), (0, 2)]),
+                                   Pencil(get("3")))
 
     def test_p4a(self):
         # [PAPER] locations 0 (2 nodes), 4, -4 (1 node each)
         sv = {
             s.location: s.torus_nodes
-            for s in singular_lambda_values(get("4a"))
+            for s in singular_lambda_values(get("4a"), Pencil(get("4a")))
         }
         assert sv == {Fraction(0): 2, Fraction(4): 1, Fraction(-4): 1}
 
     def test_p5a(self):
         # [PAPER] lambda = 1 with 2 nodes plus the cubic factor
-        sv = singular_lambda_values(get("5a"))
+        sv = singular_lambda_values(get("5a"), Pencil(get("5a")))
         rational = {s.location: s.torus_nodes for s in sv
                     if isinstance(s.location, Fraction)}
         assert rational == {Fraction(1): 2}
@@ -125,12 +126,13 @@ class TestSingularLambdaValues:
 
     def test_p6c(self):
         # [PAPER] roots at lambda = 2, 3 and -6
-        locs = {s.location for s in singular_lambda_values(get("6c"))}
+        P = get("6c")
+        locs = {s.location for s in singular_lambda_values(P, Pencil(P))}
         assert locs == {Fraction(2), Fraction(3), Fraction(-6)}
 
     def test_p3(self):
         # [PAPER] 27 + lambda^3 = 0: lambda = -3 and two conjugates
-        sv = singular_lambda_values(get("3"))
+        sv = singular_lambda_values(get("3"), Pencil(get("3")))
         rational = {s.location for s in sv if isinstance(s.location, Fraction)}
         assert rational == {Fraction(-3)}
         (quad,) = [s for s in sv if not isinstance(s.location, Fraction)]
@@ -194,7 +196,7 @@ class TestElimination:
         start = time.perf_counter()
         E = elimination_polynomial(P)
         assert time.perf_counter() - start < 30
-        for s in singular_lambda_values(P):
+        for s in singular_lambda_values(P, Pencil(P)):
             if isinstance(s.location, Fraction):
                 assert E(s.location) == 0
             else:
@@ -296,8 +298,40 @@ class TestElimination:
         assert B == MPoly({(1, 0, 0): 1, (0, 0, 0): -1})
         assert elimination_polynomial(pencil.P, pencil) == lpoly(3, 1)
 
+    @pytest.mark.parametrize("terms, var", [
+        ({(0, 1): 1, (0, -1): 2}, "x"),
+        ({(1, 0): 1, (-1, 0): 2}, "y"),
+    ], ids=["y+2/y", "x+2/x"])
+    def test_refuses_f_free_of_a_variable(self, terms, var):
+        # [TRIVIAL] f = y + 2/y has x f_x = 0, so the critical-point system
+        # has no log partial in x to eliminate; the error names the variable
+        pencil = self._pencil_of(terms)
+        with pytest.raises(ValueError, match=f"^f is free of {var}: "):
+            elimination_polynomial(pencil.P, pencil)
+
 
 class TestPencil:
+    def test_one_pencil_per_top_level_call(self, monkeypatch):
+        # [DERIVED] only the entry points build a pencil, and only when they
+        # are given none; every stage below takes the one it is handed, so a
+        # report's classification and E share one
+        built = []
+        init = Pencil.__init__
+        monkeypatch.setattr(Pencil, "__init__",
+                            lambda self, P: built.append(P) or init(self, P))
+
+        def count(call, *args):
+            built.clear()
+            call(*args)
+            return len(built)
+
+        P = get("8b")
+        pencil = Pencil(P)
+        assert count(classify_fibres, P) == 1
+        assert count(classify_fibres, P, pencil) == 0
+        assert count(build_report, "8b") == 1
+        assert count(build_report, "9", 40, False) == 1
+
     @pytest.mark.parametrize("name", ["4b", "5a", "8b", "9"])
     def test_classification_leaves_values_unchanged(self, name):
         # [DERIVED] the helpers share the pencil's values and modify none:
@@ -479,20 +513,20 @@ def _triple_gcd_nonreduced(F):
 class TestNonreduced:
     def test_p8b(self):
         # [PAPER] F_4 has components {1 + x = 0} and {1 + xy + y = 0}^2
-        flag, factor, mult = member_is_nonreduced(get("8b"), Fraction(4))
-        assert flag and mult == 2
+        factor, mult = member_is_nonreduced(Pencil(get("8b")), Fraction(4))
+        assert mult == 2
         assert set(factor.terms) == {(1, 1, 0), (0, 1, 0), (0, 0, 0)}
 
     def test_p9(self):
         # [PAPER] the reduction of F_6 is a line, cubed
-        flag, factor, mult = member_is_nonreduced(get("9"), Fraction(6))
-        assert flag and mult == 3
+        factor, mult = member_is_nonreduced(Pencil(get("9")), Fraction(6))
+        assert mult == 3
         assert set(factor.terms) == {(1, 0, 0), (0, 1, 0), (0, 0, 0)}
 
     def test_p3_reduced(self):
         # [PAPER] F_{-3} is a nodal irreducible cubic (reduced)
-        flag, factor, mult = member_is_nonreduced(get("3"), Fraction(-3))
-        assert not flag and factor is None
+        factor, mult = member_is_nonreduced(Pencil(get("3")), Fraction(-3))
+        assert (factor, mult) == (None, 1)
 
     @pytest.mark.parametrize("name", NAMES)
     def test_agrees_with_triple_gcd(self, name):
@@ -504,10 +538,10 @@ class TestNonreduced:
                 for lam, _ in squarefree_rational_roots(values)[0]}
         for lam in lams:
             F = pencil.C.eval_var("l", lam).strip_monomial()
-            flag, factor, mult = member_is_nonreduced(P, lam, pencil)
+            factor, mult = member_is_nonreduced(pencil, lam)
             ref_flag, ref_factor, ref_mult = _triple_gcd_nonreduced(F)
-            assert (flag, mult) == (ref_flag, ref_mult)
-            if flag:
+            assert (mult > 1, mult) == (ref_flag, ref_mult)
+            if ref_flag:
                 k = next(iter(ref_factor.terms))
                 scale = Fraction(factor.terms.get(k, 0)) / ref_factor.terms[k]
                 assert factor == MPoly.const(scale) * ref_factor
@@ -516,7 +550,7 @@ class TestNonreduced:
 class TestBasePointTowers:
     def test_p4c(self):
         # [PAPER] one length-2 edge; the intermediate curve is absorbed at 0
-        towers = base_point_towers(get("4c"))
+        towers = base_point_towers(get("4c"), Pencil(get("4c")))
         assert len(towers) == 1
         assert towers[0].chain_length == 2
         assert towers[0].chain_length - 1 == 1
@@ -524,12 +558,12 @@ class TestBasePointTowers:
 
     def test_p6b(self):
         # [PAPER] two length-2 edges, absorbed at lambda = 2 and 3
-        towers = base_point_towers(get("6b"))
+        towers = base_point_towers(get("6b"), Pencil(get("6b")))
         assert sorted(t.lambda_value for t in towers) == [2, 3]
 
     def test_p9(self):
         # [PAPER] three length-3 edges, all six intermediates at lambda = 6
-        towers = base_point_towers(get("9"))
+        towers = base_point_towers(get("9"), Pencil(get("9")))
         assert len(towers) == 3
         assert all(t.chain_length == 3 for t in towers)
         assert all(t.lambda_value == 6 for t in towers)
@@ -537,7 +571,7 @@ class TestBasePointTowers:
 
     def test_p3_none(self):
         # [TRIVIAL] all edges of P3 have lattice length 1
-        assert base_point_towers(get("3")) == []
+        assert base_point_towers(get("3"), Pencil(get("3"))) == []
 
 
 class TestClassifyFibres:
@@ -606,7 +640,7 @@ class TestClassifyFibres:
                 loc for loc, _, _ in configs[name].entries
                 if isinstance(loc, Fraction)
             }
-            for t in base_point_towers(get(name)):
+            for t in base_point_towers(get(name), Pencil(get(name))):
                 assert t.lambda_value in finite_locs
 
 
@@ -660,7 +694,7 @@ class TestDiagnostics:
         # [DERIVED] without its towers 6c keeps I1@-6, I1@2, I2@3 and the I6
         # at infinity: sum chi = 10
         monkeypatch.setattr(fibration, "base_point_towers",
-                            lambda P, pencil=None: [])
+                            lambda P, pencil: [])
         with pytest.raises(ArithmeticError) as err:
             classify_fibres(get("6c"))
         msg = str(err.value)
@@ -673,10 +707,10 @@ class TestDiagnostics:
     def test_additive_unresolved_names_location_and_budget(self, monkeypatch):
         # [DERIVED] one curve too many at lambda = 100 leaves 6 of the 7
         # that the I1* of 8a at lambda = 4 needs
-        towers = base_point_towers(get("8a"))
+        towers = base_point_towers(get("8a"), Pencil(get("8a")))
         extra = BasePointTower(get("8a").edges()[0], 1, Fraction(100))
         monkeypatch.setattr(fibration, "base_point_towers",
-                            lambda P, pencil=None: towers + [extra])
+                            lambda P, pencil: towers + [extra])
         with pytest.raises(ArithmeticError) as err:
             classify_fibres(get("8a"))
         msg = str(err.value)

@@ -422,7 +422,7 @@ class TestFindPicardFuchs:
 
     def test_geometric_series(self):
         # [TRIVIAL] 1/(1-t) is annihilated by D - t(D+1)
-        L = find_picard_fuchs(PowerSeries([1] * 20), guard=4)
+        L = find_picard_fuchs(PowerSeries([1] * 20))
         assert L == DiffOperator([UniPoly([0, -1]), UniPoly([1, -1])])
 
     def test_annihilates_guard(self):
@@ -434,23 +434,27 @@ class TestFindPicardFuchs:
 
     def test_minimality(self):
         # [DERIVED] no order-1 annihilator of the P3 period exists within
-        # the degree bound (the fit at h = 1 must fail)
-        with pytest.raises(ValueError):
-            find_picard_fuchs(p3_series(), max_order=1)
+        # the degree bound: the 41 coefficients reach every degree at h = 1,
+        # and the fit has no kernel at any of them
+        s = p3_series()
+        assert 2 * (period._MAX_DEGREE + 1) + period._GUARD <= s.order + 1
+        for d in range(period._MAX_DEGREE + 1):
+            assert kernel_at(s, 1, d) == []
 
     def test_no_operator_within_bounds(self):
         # [DERIVED] a lacunary non-holonomic-looking prefix: 2^(m^2) grows
         # too fast for any small operator to annihilate
         s = PowerSeries([Fraction(2) ** (m * m) for m in range(30)])
-        with pytest.raises(ValueError):
-            find_picard_fuchs(s, max_order=2, max_degree=3)
+        with pytest.raises(ValueError, match="no operator found"):
+            find_picard_fuchs(s)
 
     def test_nonunique_kernel_rejected(self):
         # [DERIVED] a short series whose accepted shape (order 2, degree 3)
         # has a two-dimensional kernel: the operator is not determined
-        s = PowerSeries([1, 0, 0, 1, 0, 0, 1] + [0] * 10)
-        with pytest.raises(ValueError, match="not unique"):
-            find_picard_fuchs(s, guard=4)
+        s = PowerSeries([1, 0, 0, 1, 0, 0, 1] + [0] * 13)
+        with pytest.raises(ValueError, match="operator not unique: .* at "
+                           "order 2, degree 3"):
+            find_picard_fuchs(s)
 
 
 def _kernel(rows, ncols):
@@ -514,7 +518,7 @@ def moduli_used(monkeypatch):
     return used
 
 
-# Fit rows of a series to M = 40 with the default guard of 8.
+# Fit rows of a series to M = 40 with the guard of 8.
 FIT_ROWS = 33
 
 # The moduli of the fit, and their product.
@@ -524,10 +528,10 @@ K = prod(MODULI)
 PRIME = MODULI[0]
 
 
-def kernel_at(s, h, d, p=PRIME, guard=8):
+def kernel_at(s, h, d, p=PRIME):
     """The kernel basis mod p of the fit matrix of shape (h, d) of a series
     with integer coefficients."""
-    fit = s.coefficients[: s.order + 1 - guard]
+    fit = s.coefficients[: s.order + 1 - period._GUARD]
     return list(islice(_kernels(fit, h, p), d + 1))[-1]
 
 
@@ -640,13 +644,13 @@ class TestModularScreen:
         # the bound of just under 2^30 of 2^61 - 1 and within that of
         # 2^89 - 1, just under 2^44, which decides it
         used = moduli_used(monkeypatch)
-        s = PowerSeries([PRIME ** m for m in range(20)])
-        L = find_picard_fuchs(s, guard=4)
+        s = PowerSeries([PRIME ** m for m in range(24)])
+        L = find_picard_fuchs(s)
         assert L == DiffOperator([UniPoly([0, -PRIME]),
                                   UniPoly([1, -PRIME])])
         assert isqrt(MODULI[1] // 2) < PRIME <= isqrt(MODULI[2] // 2)
         assert used == {1: list(_MERSENNE_EXPONENTS[:3])}
-        assert kernel_at(s, 1, 0, MODULI[1], guard=4) == []
+        assert kernel_at(s, 1, 0, MODULI[1]) == []
 
     def test_undecided_after_last_modulus(self, monkeypatch):
         # [DERIVED] with 2^31 - 1 the only modulus, the shape of
