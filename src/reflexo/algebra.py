@@ -443,6 +443,26 @@ def _eval_int(coeffs: list[int], x: int) -> int:
     return acc
 
 
+def _yun(a: list[int]):
+    """Yun's algorithm on the ascending int list a, nonzero and integral:
+    yields (f_i, i) for each nonconstant f_i of a = c * prod f_i^i, c an
+    integer and the f_i squarefree, pairwise coprime and primitive with a
+    positive leading coefficient, in ascending i.
+
+    Each gcd is from `_gcd_int` and each quotient its exact cofactor.
+    Every relation of the algorithm is linear in the pair it divides, so
+    a gcd scaled by a constant scales both quotients alike."""
+    _, b, c = _gcd_int(a, _derivative(a))
+    d = _sub(c, _derivative(b))
+    mult = 1
+    while len(b) > 1:
+        f, b, c = _gcd_int(b, d)
+        if len(f) > 1:
+            yield f, mult
+        d = _sub(c, _derivative(b))
+        mult += 1
+
+
 def squarefree_rational_roots(
     p: UniPoly,
 ) -> tuple[list[tuple[Fraction, int]], list[tuple[UniPoly, int]]]:
@@ -453,13 +473,10 @@ def squarefree_rational_roots(
     factor is monic, squarefree and rational-root-free (not necessarily
     irreducible -- "rational-root-free" semantics only).
 
-    Yun's algorithm, p = lc * prod f_i^i with the f_i squarefree and
-    pairwise coprime, runs on the primitive integer multiple of p, with
-    each gcd from `_gcd_int` and each quotient its exact cofactor.  Every
-    relation of the algorithm is linear in the pair it divides, so a gcd
-    scaled by a constant scales both quotients alike.  Each f_i stays a
-    primitive int list: a root u/v leaves it by the exact quotient by
-    v x - u (Gauss), and only the residual factors are made monic.
+    The squarefree parts f_i are those of `_yun` on the primitive integer
+    multiple of p.  Each stays a primitive int list: a root u/v leaves it
+    by the exact quotient by v x - u (Gauss), and only the residual
+    factors are made monic.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -467,20 +484,12 @@ def squarefree_rational_roots(
     residual: list[tuple[UniPoly, int]] = []
     if p.is_const():
         return roots, residual
-    a = p.primitive_integer().coeffs
-    _, b, c = _gcd_int(a, _derivative(a))
-    d = _sub(c, _derivative(b))
-    mult = 1
-    while len(b) > 1:
-        f, b, c = _gcd_int(b, d)
+    for f, mult in _yun(p.primitive_integer().coeffs):
+        for r in _roots_of_squarefree(f):
+            roots.append((r, mult))
+            f = _quotient(f, [-r.numerator, r.denominator])
         if len(f) > 1:
-            for r in _roots_of_squarefree(f):
-                roots.append((r, mult))
-                f = _quotient(f, [-r.numerator, r.denominator])
-            if len(f) > 1:
-                residual.append((UniPoly(f, p.var).monic(), mult))
-        d = _sub(c, _derivative(b))
-        mult += 1
+            residual.append((UniPoly(f, p.var).monic(), mult))
     roots.sort()
     return roots, residual
 
@@ -950,19 +959,6 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-def _int_list(p: MPoly, var: str) -> list[int]:
-    """The ascending coefficients in var of the primitive integer multiple
-    of p, which must involve only var; [] for zero."""
-    if not p.terms:
-        return []
-    i = _VAR_INDEX[var]
-    terms = _primitive_terms(p)[0]
-    out = [0] * (max(k[i] for k in terms) + 1)
-    for k, v in terms.items():
-        out[k[i]] = v
-    return out
-
-
 def _rows(p: MPoly, i: int, j: int) -> list[list[int]]:
     """The primitive integer multiple of p, which must be free of the third
     variable, as its rows: the ascending coefficients in variable i, each
@@ -1060,9 +1056,10 @@ def _lex_monic(terms: dict) -> MPoly:
 
 class ZeroDivisorError(ArithmeticError):
     """Raised when a residue of Q[y]/(q) that must be a unit is a zero
-    divisor; carries the monic factor of q that it shares."""
+    divisor; carries the factor of q that it shares, a primitive ascending
+    int list with a positive leading coefficient."""
 
-    def __init__(self, factor: UniPoly):
+    def __init__(self, factor: list[int]):
         super().__init__("zero divisor encountered")
         self.factor = factor
 
@@ -1155,7 +1152,7 @@ def gcd_over_quotient(a: list[list[int]], b: list[list[int]], Q: list[int]
     ascending lists of trimmed int lists in y; [] when both are zero.  Q is
     primitive with a positive leading coefficient.  The gcd, of residues
     mod Q, is the monic gcd times a positive integer.  Raises
-    ZeroDivisorError with the monic factor of q that a leading coefficient
+    ZeroDivisorError with the factor of Q that a leading coefficient
     shares.
 
     Euclid by pseudo-division over Z[y]/(Q), each remainder divided by its
@@ -1187,8 +1184,8 @@ def gcd_over_quotient(a: list[list[int]], b: list[list[int]], Q: list[int]
             v, N = _adjugate(u, Q)
             if not N:
                 h = _gcd_int(u, Q)[0]
-                raise ZeroDivisorError(UniPoly(
-                    [x * c**k for k, x in enumerate(h)], "y").monic())
+                raise ZeroDivisorError(
+                    _primitive([x * c**k for k, x in enumerate(h)]))
             b = [_reduce(_mul(e, v), Q) for e in b[:-1]] + [[N]]
         b = _primitive_over(b)
         if len(b) == 1:

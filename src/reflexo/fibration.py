@@ -27,9 +27,9 @@ from .algebra import (
     ZeroDivisorError,
     _content,
     _gcd_int,
-    _int_list,
-    _primitive,
+    _quotient,
     _rows,
+    _yun,
     format_unipoly,
     gcd_bivariate,
     gcd_over_quotient,
@@ -114,8 +114,8 @@ class Pencil:
     """The pencil {f_P + lambda} of a reflexive polygon together with the
     quantities its classification derives from it, each computed at most
     once: f = f_P, the cleared member C, the critical pair (A, B, G), the
-    radical R of G, the y-candidates of the isolated critical points, their
-    critical values and the curve values of the critical curves R.  A
+    radical R of G, the critical values of the isolated critical points
+    and the curve values of the critical curves R.  A
     repeated component of a member divides both log partials, so it divides
     R; every singular lambda on the torus is therefore a critical value or a
     curve value.  The elimination polynomial E serves only the analysis
@@ -147,31 +147,25 @@ class Pencil:
         return A, B, G
 
     @cached_property
-    def critical_y(self):
-        """squarefree_rational_roots of Res_x(A, B) with y-powers stripped:
-        the candidate y-coordinates of the isolated critical points of f."""
-        A, B, _ = self.critical_pair
-        ry = resultant(A, B, "x").to_unipoly("y")
-        if ry.is_zero():
-            raise ArithmeticError("critical locus of f is not finite")
-        return squarefree_rational_roots(
-            UniPoly(_strip_powers(ry.coeffs), "y"))
-
-    @cached_property
     def critical_values(self) -> UniPoly:
         """prod (l + f(p)), up to a nonzero constant, over the isolated torus
         critical points p of f, each certified to be an ordinary node: its
         roots are the lambda of the members through them, each with
-        multiplicity its number of points."""
+        multiplicity its number of points.
+
+        The y-coordinates of the points are roots of ry = Res_x(A, B) with
+        its y-powers stripped; each squarefree part of ry (`_yun`) goes
+        through `_values_over`, with the rows of A, B and J read once."""
         A, B, _ = self.critical_pair
         J = (A.derivative("x") * B.derivative("y")
              - A.derivative("y") * B.derivative("x"))
-        roots, residual = self.critical_y
+        ry = resultant(A, B, "x").to_unipoly("y")
+        if ry.is_zero():
+            raise ArithmeticError("critical locus of f is not finite")
+        rows = tuple(_rows(p, 0, 1) for p in (A, B, J))
         values = UniPoly([1], "l")
-        for y0, _ in roots:
-            values = values * _values_at_y(A, B, J, self.C, y0)
-        for qy, _ in residual:
-            values = values * _values_over(A, B, J, self.C, qy)
+        for Q, _ in _yun(_strip_powers(ry.primitive_integer().coeffs)):
+            values = values * _values_over(rows, self.C, Q)
         return values
 
     @cached_property
@@ -375,68 +369,45 @@ def member_is_nonreduced(pencil: Pencil, lam: Fraction):
     return R, mult
 
 
-def _at_y(p: MPoly, y0: Fraction) -> MPoly:
-    """d^e p(x, n/d, l) for y0 = n/d in lowest terms and e = deg_y p: p at
-    y = y0 up to the nonzero constant d^e, with int coefficients where p
-    has them."""
-    n, d = y0.numerator, y0.denominator
-    e = p.degree("y")
-    terms: dict = {}
-    for (a, b, c), v in p.terms.items():
-        terms[a, 0, c] = terms.get((a, 0, c), 0) + v * n**b * d**(e - b)
-    return MPoly(terms)
-
-
-def _values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0: Fraction
-                 ) -> UniPoly:
+def _values_over(rows: tuple, C: MPoly, Q: list[int]) -> UniPoly:
     """prod (l + f(p)), up to a nonzero constant, over the isolated torus
-    critical points p = (x, y0) of f, each certified to be an ordinary node.
+    critical points p = (x, y) of f whose y is a root of the squarefree Q,
+    each certified to be an ordinary node.  rows holds those of A, B and J
+    = det d(A, B)/d(x, y) (`_rows(p, 0, 1)`), and Q is primitive with a
+    positive leading coefficient; `critical_values` strips the y-powers of
+    the Q it passes, so that y = 0 is no root.  ValueError when A and B
+    both vanish mod Q.
 
-    The points are the roots of g = gcd(A, B)(x, y0), x-powers stripped.  At
-    such a point J = det d(A, B)/d(x, y) is a unit multiple of the Hessian
-    of f, so gcd(g, J) = 1 certifies them all at once.  Res_x(g, C) is the
-    product of C = x^a y^b (f + l) over them.  A, B, J and C are read at
-    y0 up to nonzero constants, as int lists where they are in x alone, and
-    g is the primitive integer gcd; each constant scales only the result.
-    """
-    A0, B0, J0 = (_int_list(_at_y(p, y0), "x") for p in (A, B, J))
-    if not A0 and not B0:
-        raise ValueError("gcd(0, 0) undefined")
-    g = _strip_powers(_gcd_int(A0, B0)[0])
-    if len(g) == 1:
-        return UniPoly([1], "l")
-    if len(_gcd_int(g, J0)[0]) > 1:
-        raise ArithmeticError(
-            f"critical point is not an ordinary node: stage torus nodes, "
-            f"y = {y0}")
-    g = MPoly({(i, 0, 0): c for i, c in enumerate(g)})
-    return resultant(g, _at_y(C, y0), "x").to_unipoly("l")
-
-
-def _values_over(A: MPoly, B: MPoly, J: MPoly, C: MPoly, qy: UniPoly
-                 ) -> UniPoly:
-    """_values_at_y for the points whose y-coordinate is a root of the
-    rational-root-free qy, over Q[y]/(qy), up to a nonzero constant.
-
-    A, B and J are read as int lists mod Q, the primitive integer multiple
-    of qy, and g is the gcd of A and B over Q[y]/(qy): primitive and
-    integral, the monic gcd times an integer.  So Res_y(Q, Res_x(g, C)) is
-    the product over all the points times a nonzero constant, and both
-    resultants run on integral inputs.  qy is split wherever Q[y]/(qy)
-    shows a zero divisor."""
-    Q = _primitive(qy.primitive_integer().coeffs)
+    Over Q[y]/(Q), a product of fields, the points are the roots of g, the
+    gcd of A and B (`gcd_over_quotient`) with its x-powers stripped: g is
+    primitive and integral, the monic gcd times an integer.  Q is split,
+    and each part taken alone, wherever a leading coefficient shows a zero
+    divisor (dynamic evaluation, Della Dora-Dicrescenzo-Duval 1985) and
+    wherever the lowest coefficient g_0 of g shares a factor with Q: at a
+    root of that factor, g keeps the point x = 0, where the base points of
+    the pencil can put a common root of A and B.  So x = 0 is a root of g at
+    no root of Q.  At a torus point J is a unit multiple of the Hessian of
+    f, so gcd(g, J) = 1 certifies every point at once.  Res_y(Q,
+    Res_x(g, C)) is the product over all the points times a nonzero
+    constant, and both resultants run on integral inputs."""
+    A, B, J = rows
     try:
-        g = _strip_powers(
-            gcd_over_quotient(_rows(A, 0, 1), _rows(B, 0, 1), Q))
-        if len(g) <= 1:
+        g = gcd_over_quotient(A, B, Q)
+        if not g:
+            raise ValueError("gcd(0, 0) undefined")
+        g = _strip_powers(g)
+        if len(g) == 1:
             return UniPoly([1], "l")
-        if len(gcd_over_quotient(g, _rows(J, 0, 1), Q)) > 1:
+        h = _gcd_int(g[0], Q)[0]
+        if len(h) > 1:
+            raise ZeroDivisorError(h)
+        if len(gcd_over_quotient(g, J, Q)) > 1:
             raise ArithmeticError(
                 f"critical point is not an ordinary node: stage torus nodes, "
-                f"y a root of {format_unipoly(qy)}")
+                f"y a root of {format_unipoly(UniPoly(Q, 'y'))}")
     except ZeroDivisorError as zd:
-        return (_values_over(A, B, J, C, zd.factor)
-                * _values_over(A, B, J, C, qy.exact_div(zd.factor)))
+        return (_values_over(rows, C, zd.factor)
+                * _values_over(rows, C, _quotient(Q, zd.factor)))
     g = MPoly({(i, j, 0): c for i, e in enumerate(g) for j, c in enumerate(e)
                if c})
     Q = MPoly({(0, j, 0): c for j, c in enumerate(Q) if c})

@@ -13,7 +13,7 @@ from math import gcd as int_gcd, isqrt, prod
 
 from .algebra import _primitive_scale
 from .fibration import FibreConfiguration
-from .polygon import Polygon, polar_dual
+from .polygon import Polygon, _fan_sequence
 
 
 def section_positions(P: Polygon) -> list[int]:
@@ -23,12 +23,15 @@ def section_positions(P: Polygon) -> list[int]:
     There is one section per edge of P, i.e. per vertex of P-polar; the
     cycle of components of the I_m fibre is the boundary walk of P-polar, in
     either direction, so consecutive sections are the lattice lengths of its
-    edges apart.  Of the rotations and reversals of these gaps, the one read
-    from the zero section ends with the minimal gap and is lexicographically
-    greatest among those: a choice that depends on the GL2(Z) class of P
-    alone, with no canonical form.
+    edges apart.  Those lengths are the deficits 2 - a_i of P's fan
+    sequence at its vertices, in the same cyclic order: the edge of P-polar
+    dual to the vertex b_i of P has lattice length cross(d_in, d_out)
+    (`polygon._fan_sequence`).  Of the rotations and reversals of these
+    gaps, the one read from the zero section ends with the minimal gap and
+    is lexicographically greatest among those: a choice that depends on the
+    GL2(Z) class of P alone, with no canonical form.
     """
-    gaps = [e.lattice_length for e in polar_dual(P).edges()]
+    gaps = [2 - a for a in _fan_sequence(P) if a != 2]
     m = min(gaps)
     seq = max(s[i + 1:] + s[:i + 1] for s in (gaps, gaps[::-1])
               for i in range(len(gaps)) if s[i] == m)

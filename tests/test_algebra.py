@@ -360,11 +360,11 @@ def _monic_over(g: list, q: UniPoly) -> list[UniPoly]:
 
 def _gcd_or_factor(a, b, Q):
     """gcd_over_quotient(a, b, Q) made monic over Q[y]/(Q), or the factor
-    its ZeroDivisorError carries."""
+    its ZeroDivisorError carries, made monic."""
     try:
         return _monic_over(gcd_over_quotient(a, b, Q), UniPoly(Q, "y"))
     except ZeroDivisorError as zd:
-        return zd.factor
+        return UniPoly(zd.factor, "y").monic()
 
 
 def _reference_or_factor(a, b, Q):
@@ -390,12 +390,12 @@ class TestGcdOverQuotient:
     def test_zero_divisor_carries_the_factor(self):
         # [TRIVIAL] mod (y^2 - 2)(y^2 - 3), the leading coefficient y^2 - 2
         # of (y^2 - 2) x + 1 shares the factor y^2 - 2 with the modulus, in
-        # either order of the inputs
+        # either order of the inputs; the factor is a primitive int list
         a, b = [[1], [], [1]], [[1], [-2, 0, 1]]
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ZeroDivisorError) as info:
                 gcd_over_quotient(x, y, self.Q)
-            assert info.value.factor == UniPoly([-2, 0, 1], "y")
+            assert info.value.factor == [-2, 0, 1]
 
     def test_constant_zero_divisor_remainder_carries_the_factor(self):
         # [TRIVIAL] mod (y^2 - 2)(y^2 - 3), x^2 + y^2 - 2 leaves the constant
@@ -405,7 +405,7 @@ class TestGcdOverQuotient:
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ZeroDivisorError) as info:
                 gcd_over_quotient(x, y, self.Q)
-            assert info.value.factor == UniPoly([-2, 0, 1], "y")
+            assert info.value.factor == [-2, 0, 1]
 
     def test_monic_divisor_and_unit_remainder_take_no_inverse(
             self, monkeypatch):
@@ -434,24 +434,27 @@ class TestGcdOverQuotient:
     def test_non_monic_modulus(self):
         # [TRIVIAL] mod 2y^2 - 3, y = sqrt(3/2): gcd(2x^2 - 3, x - y) is
         # x - y, and mod (2y - 1)(y^2 - 2) the leading coefficient 4y - 2
-        # of (4y - 2) x + 1 is a zero divisor sharing y - 1/2
+        # of (4y - 2) x + 1 is a zero divisor sharing 2y - 1, primitive
         a, b = [[-3], [], [2]], [[0, -1], [1]]
         g = gcd_over_quotient(a, b, [-3, 0, 2])
         assert _monic_over(g, upoly(-3, 0, 2, var="y")) == \
             [upoly(0, -1, var="y"), upoly(1, var="y")]
         with pytest.raises(ZeroDivisorError) as info:
             gcd_over_quotient([[1], [-2, 4]], a, [2, -4, -1, 2])
-        assert info.value.factor == upoly(Fraction(-1, 2), 1, var="y")
+        assert info.value.factor == [-1, 2]
 
     def test_rational_y_matches_gcd_over_q(self):
         # [DERIVED] mod y - y0, Q[y]/(q) is Q, and the gcd of A and B is
         # gcd_poly of A(x, y0) and B(x, y0), up to a constant, for every
-        # rational y-candidate of the 16 pencils
+        # rational root y0 of Res_x(A, B) with its y-powers stripped, on
+        # the 16 pencils
         checked = 0
         for name in NAMES:
             pencil = Pencil(get(name))
             A, B, _ = pencil.critical_pair
-            for y0, _ in pencil.critical_y[0]:
+            ry = resultant(A, B, "x").to_unipoly("y")
+            ry = UniPoly(fibration._strip_powers(ry.coeffs), "y")
+            for y0, _ in squarefree_rational_roots(ry)[0]:
                 Q = [-y0.numerator, y0.denominator]
                 g = gcd_over_quotient(algebra._rows(A, 0, 1),
                                       algebra._rows(B, 0, 1), Q)
@@ -515,36 +518,78 @@ def test_gcd_over_quotient_matches_monic_euclid(case):
     assert _gcd_or_factor(a, b, Q) == _reference_or_factor(a, b, Q)
 
 
+def _split_gcd(a, b, Q) -> dict:
+    """{part: monic gcd over Q[y]/(part)} with Q split at every zero
+    divisor that gcd_over_quotient(a, b, .) raises, as `_values_over`
+    splits it; each part a tuple of ints, their product Q."""
+    try:
+        return {tuple(Q): _monic_over(gcd_over_quotient(a, b, Q),
+                                      UniPoly(Q, "y"))}
+    except ZeroDivisorError as zd:
+        h = zd.factor
+        return {**_split_gcd(a, b, h),
+                **_split_gcd(a, b, algebra._quotient(Q, h))}
+
+
+def _agree(split: dict, other: dict) -> bool:
+    """The two split gcds are equal on every common factor d of their
+    parts: the monic gcd over Q[y]/(p) reduces mod d, a factor of p, to
+    the monic gcd over Q[y]/(d)."""
+    for p, g in split.items():
+        for r, h in other.items():
+            d = gcd_poly(UniPoly(p, "y"), UniPoly(r, "y"))
+            if not d.is_const() and (len(g) != len(h) or any(
+                    (c - e).divmod(d)[1] for c, e in zip(g, h))):
+                return False
+    return True
+
+
 def test_gcd_over_quotient_is_symmetric_on_the_16(monkeypatch):
     # [TRIVIAL] the gcd over Q[y]/(q) does not depend on the order of its
-    # inputs up to a unit: on every (A, B) and (g, J) pair that the
-    # critical values of the 16 pencils take it of, both orders give the
-    # same monic gcd (or raise with the same factor), that of the reference
+    # inputs up to a unit, on each factor of q: on every (A, B) and (g, J)
+    # pair that the critical values of the 16 pencils take it of, each
+    # order gives the monic gcd (or raises with the factor) of the
+    # reference in that order, and after each order splits q at the zero
+    # divisors it meets, both give the same monic gcd on every common
+    # factor of their parts.  Which zero divisor is met depends on the
+    # order: over y^2 - 1, 8a's (A, B) meets y - 1 and (B, A) y + 1, and
+    # the splits agree; 6a's (A, B) meets none, and (B, A) splits q
     pairs = []
 
     def recording(a, b, Q):
-        pairs.append((a, b, Q))
+        pairs.append((name, a, b, Q))
         return gcd_over_quotient(a, b, Q)
 
     monkeypatch.setattr(fibration, "gcd_over_quotient", recording)
     for name in NAMES:
         Pencil(get(name)).critical_values
-    assert len(pairs) == 16
-    for a, b, Q in pairs:
-        expected = _reference_or_factor(a, b, Q)
-        assert _gcd_or_factor(a, b, Q) == _gcd_or_factor(b, a, Q) == expected
+    assert len(pairs) == 47
+    asymmetric = []
+    for name, a, b, Q in pairs:
+        assert _gcd_or_factor(a, b, Q) == _reference_or_factor(a, b, Q)
+        assert _gcd_or_factor(b, a, Q) == _reference_or_factor(b, a, Q)
+        split = _split_gcd(a, b, Q)
+        assert _agree(split, _split_gcd(b, a, Q))
+        if split != _split_gcd(b, a, Q):
+            asymmetric.append((name, Q))
+    assert asymmetric == [("6a", [-1, 0, 1])]
 
 
 def test_table2_unit_tests_mod_q(monkeypatch):
     """The Euclid over Q[y]/(q) tests a leading coefficient for a unit by
     the adjugate of multiplication by it mod Q, and takes its integer gcd
     with Q only for the factor of a zero divisor.  The 16 rows of Table 2
-    make 16 calls and at most 18 unit tests (the Fraction Euclid it
-    replaced made 18, 10 of them inverses mod q), none by an integer gcd.
-    They build no Fraction and no UniPoly inside the calls, so nothing is
-    inverted over Q: the adjugate is an integral multiple of the inverse.
-    The counts do not depend on the host."""
-    moduli, calls, tests, gcds, built = [], [], [], [], []
+    take 27 slices, one per squarefree part of Res_x(A, B) and one per
+    half of a split, and make 47 calls: two per slice, but one for the
+    five slices over y + 1 that have no torus point (5b, 6b, 6c, 6d, 7b)
+    and for the two over y^2 - 1 that split.  8a's first call meets the
+    zero divisor y - 1 and splits by the one integer gcd made inside a
+    call; 6c's splits after its first call, by the integer gcd of g's
+    lowest coefficient with Q, since g keeps x = 0 at y = -1.  The calls
+    make 24 unit tests.  They build no Fraction and no UniPoly inside the
+    calls, so nothing is inverted over Q: the adjugate is an integral
+    multiple of the inverse.  The counts do not depend on the host."""
+    moduli, calls, tests, gcds, built, splits = [], [], [], [], [], []
     euclid, adjugate = algebra.gcd_over_quotient, algebra._adjugate
     gcd_int = algebra._gcd_int
     new, init = Fraction.__new__, UniPoly.__init__
@@ -558,14 +603,20 @@ def test_table2_unit_tests_mod_q(monkeypatch):
             moduli.pop()
 
     def counting_adjugate(u, Q):
-        if moduli and Q == moduli[-1]:
+        if moduli:
             tests.append(u)
         return adjugate(u, Q)
 
     def counting_gcd(a, b):
-        if moduli and b == moduli[-1]:
-            gcds.append(a)
+        if moduli:
+            gcds.append((a, b))
         return gcd_int(a, b)
+
+    def splitting_gcd(a, b):
+        g = gcd_int(a, b)
+        if len(g[0]) > 1:
+            splits.append((a, b, g[0]))
+        return g
 
     def counting_new(cls, *args, **kwargs):
         if moduli:
@@ -580,12 +631,15 @@ def test_table2_unit_tests_mod_q(monkeypatch):
     monkeypatch.setattr(fibration, "gcd_over_quotient", counting_euclid)
     monkeypatch.setattr(algebra, "_adjugate", counting_adjugate)
     monkeypatch.setattr(algebra, "_gcd_int", counting_gcd)
+    monkeypatch.setattr(fibration, "_gcd_int", splitting_gcd)
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     monkeypatch.setattr(UniPoly, "__init__", counting_init)
     for name in NAMES:
         cli._table_row(name)
-    assert len(calls) == 16
-    assert len(tests) <= 18 and gcds == []
+    assert len(calls) == 47
+    assert len(tests) == 24
+    assert gcds == [([-1, 1], [-1, 0, 1])]
+    assert splits == [([-2, -2], [-1, 0, 1], [1, 1])]
     assert built == []
 
 

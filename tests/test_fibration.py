@@ -14,7 +14,11 @@ from reflexo.algebra import (
     MPoly,
     UniPoly,
     _content,
+    _mul,
+    _rows,
+    _yun,
     gcd_bivariate,
+    resultant,
     squarefree_rational_roots,
 )
 from reflexo.catalog import NAMES, get
@@ -344,7 +348,6 @@ class TestPencil:
         assert pencil.C == fresh.C
         assert pencil.critical_pair == fresh.critical_pair
         assert pencil.radical == fresh.radical
-        assert pencil.critical_y == fresh.critical_y
         assert pencil.critical_values == fresh.critical_values
         assert pencil.curve_values == fresh.curve_values
 
@@ -362,7 +365,7 @@ class TestPencil:
         pencil.critical_pair = (A, B, MPoly(G))
         assert pencil.curve_values == values
 
-    def test_critical_y_refuses_a_curve_of_critical_points(self):
+    def test_critical_values_refuse_a_curve_of_critical_points(self):
         # [TRIVIAL] with B patched to A, the pair (A, A) has the whole curve
         # A = 0 in common, so Res_x(A, A) vanishes and the critical locus is
         # not finite
@@ -371,23 +374,22 @@ class TestPencil:
         pencil.critical_pair = (A, A, G)
         with pytest.raises(ArithmeticError,
                            match="critical locus of f is not finite"):
-            pencil.critical_y
+            pencil.critical_values
 
     @pytest.mark.parametrize("name", ["3", "5b", "6a", "6c", "7a", "7b"])
     def test_values_over_splits_at_zero_divisors(self, name, monkeypatch):
-        # [DERIVED] handing _values_over the product q of all y-candidate
-        # factors gives the same critical values up to a constant: Q[y]/(q)
-        # shows a zero divisor wherever two factors meet, and the split
-        # halves multiply back to the whole; on 6a, 6c and 7a both halves
-        # of the first split carry values
-        fresh = Pencil(get(name))
-        roots, residual = fresh.critical_y
-        q = UniPoly([1], "y")
-        for y0, _ in roots:
-            q = q * UniPoly([-y0, 1], "y")
-        for qy, _ in residual:
-            q = q * qy
-        expected = fresh.critical_values.monic()
+        # [DERIVED] handing _values_over the product Q of all squarefree
+        # parts of Res_x(A, B) gives the same critical values up to a
+        # constant: Q[y]/(Q) is split wherever the gcd of A and B differs
+        # between its roots, and the split halves multiply back to the
+        # whole; on 6a, 6c and 7a both halves of the first split carry
+        # values
+        pencil = Pencil(get(name))
+        _, rows, ry = _slice_inputs(pencil)
+        Q = [1]
+        for f, _ in _yun(ry.primitive_integer().coeffs):
+            Q = _mul(Q, f)
+        expected = pencil.critical_values.monic()
 
         values_over = fibration._values_over
         depth, halves = [0], []
@@ -403,12 +405,21 @@ class TestPencil:
             return out
 
         monkeypatch.setattr(fibration, "_values_over", recording)
-        pencil = Pencil(get(name))
-        pencil.critical_y = ([], [(q, 1)])
-        assert pencil.critical_values.monic() == expected
+        assert fibration._values_over(rows, pencil.C, Q).monic() == expected
         if name in ("6a", "6c", "7a"):
             assert len(halves) == 2
             assert not any(h.is_const() for h in halves)
+
+
+def _slice_inputs(pencil):
+    """What `critical_values` reads for `_values_over`: (A, B, J), their
+    rows, and Res_x(A, B) with its y-powers stripped, a UniPoly in y."""
+    A, B, _ = pencil.critical_pair
+    J = (A.derivative("x") * B.derivative("y")
+         - A.derivative("y") * B.derivative("x"))
+    ry = resultant(A, B, "x").to_unipoly("y")
+    return ((A, B, J), tuple(_rows(p, 0, 1) for p in (A, B, J)),
+            UniPoly(fibration._strip_powers(ry.coeffs), "y"))
 
 
 def _values_or_error(values, *args):
@@ -422,26 +433,26 @@ def _values_or_error(values, *args):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_values_at_y_matches_fraction_evaluation_on_the_16(name):
-    # [DERIVED] at every rational y-candidate of the pencil, the int-list
-    # values equal those evaluated in Fractions, up to a constant
+    # [DERIVED] at every rational root y0 of Res_x(A, B), the values over
+    # Q[y]/(y - y0) equal those evaluated in Fractions at y0, up to a
+    # constant
     pencil = Pencil(get(name))
-    A, B, _ = pencil.critical_pair
-    J = (A.derivative("x") * B.derivative("y")
-         - A.derivative("y") * B.derivative("x"))
-    for y0, _ in pencil.critical_y[0]:
-        args = (A, B, J, pencil.C, y0)
-        assert _values_or_error(fibration._values_at_y, *args) == \
-            _values_or_error(values_at_y, *args)
+    polys, rows, ry = _slice_inputs(pencil)
+    for y0, _ in squarefree_rational_roots(ry)[0]:
+        Q = [-y0.numerator, y0.denominator]
+        assert _values_or_error(fibration._values_over, rows, pencil.C, Q) \
+            == _values_or_error(values_at_y, *polys, pencil.C, y0)
 
 
 def test_values_over_refuses_a_jacobian_that_shares_g():
     # [DERIVED] with J = A in place of the Jacobian, gcd(g, J) = g over
-    # Q[y]/(q) for 4b's quartic y-factor q: no critical point is certified
-    # an ordinary node, and the error names the stage and the factor
+    # Q[y]/(Q) for 4b's one squarefree part Q of Res_x(A, B), a quartic: no
+    # critical point is certified an ordinary node, and the error names
+    # the stage and the factor
     pencil = Pencil(get("4b"))
-    A, B, _ = pencil.critical_pair
-    [(q, _)] = pencil.critical_y[1]
-    assert _values_or_error(fibration._values_over, A, B, A, pencil.C, q) \
+    _, (a, b, _), ry = _slice_inputs(pencil)
+    [(Q, _)] = _yun(ry.primitive_integer().coeffs)
+    assert _values_or_error(fibration._values_over, (a, b, a), pencil.C, Q) \
         == (ArithmeticError,
             "critical point is not an ordinary node: stage torus nodes, "
             "y a root of y^4 - y^3 - 2*y^2 + 1")
@@ -470,9 +481,10 @@ def _xy(l_degree=0, nonzero=False):
 def test_values_at_y_matches_fraction_evaluation(y0, a, b, vanish, share,
                                                   data):
     # [DERIVED] on random A = p r, B = q r, with r = (x + a + b y) s: the
-    # values, or the error (gcd(0, 0) when r vanishes on y = y0, one draw
-    # in five; no node certificate when J shares r, one in five), are
-    # those of the Fraction evaluation and the monic gcd
+    # values over Q[y]/(y - y0), or the error (gcd(0, 0) when r vanishes
+    # on y = y0, one draw in five; no node certificate when J shares r,
+    # one in five), are those of the Fraction evaluation at y0 and the
+    # monic gcd
     r = MPoly({(1, 0, 0): 1, (0, 0, 0): a, (0, 1, 0): b})
     r = r * data.draw(_xy(nonzero=True))
     if not vanish:
@@ -480,9 +492,29 @@ def test_values_at_y_matches_fraction_evaluation(y0, a, b, vanish, share,
     A, B = (data.draw(_xy(nonzero=True)) * r for _ in range(2))
     J = data.draw(_xy()) * (r if not share else MPoly.const(1))
     C = data.draw(_xy(l_degree=1))
-    args = (A, B, J, C, y0)
-    assert _values_or_error(fibration._values_at_y, *args) == \
-        _values_or_error(values_at_y, *args)
+    rows = tuple(_rows(p, 0, 1) for p in (A, B, J))
+    Q = [-y0.numerator, y0.denominator]
+    assert _values_or_error(fibration._values_over, rows, C, Q) == \
+        _values_or_error(values_at_y, A, B, J, C, y0)
+
+
+def test_values_over_splits_where_x_zero_is_a_common_root():
+    # [DERIVED] mod Q = (y + 1)(y - 2), A = (3x - y - 1)(3x - 2y - 11) and
+    # B = A + Q x^2 have the common roots x in {0, 3} at y = -1 and
+    # {1, 5} at y = 2.  Their gcd mod Q, 9x^2 - 9(y + 4)x + 15(y + 1), has
+    # a lowest coefficient that vanishes at y = -1: the slice splits there
+    # and drops x = 0, off the torus, so the values are those of (3, -1),
+    # (1, 2) and (5, 2) on C = x + y + l + 7 alone
+    Q = [-2, -1, 1]
+    A = (MPoly({(1, 0, 0): 3, (0, 1, 0): -1, (0, 0, 0): -1})
+         * MPoly({(1, 0, 0): 3, (0, 1, 0): -2, (0, 0, 0): -11}))
+    B = A + MPoly({(2, j, 0): c for j, c in enumerate(Q)})
+    J = MPoly.const(1)
+    C = MPoly({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (0, 0, 0): 7})
+    rows = tuple(_rows(p, 0, 1) for p in (A, B, J))
+    expected = values_at_y(A, B, J, C, -1) * values_at_y(A, B, J, C, 2)
+    assert expected == lpoly(9, 1) * lpoly(10, 1) * lpoly(14, 1)
+    assert fibration._values_over(rows, C, Q).monic() == expected
 
 
 def _gcd3(F):
@@ -676,6 +708,7 @@ class TestCoordinateIndependence:
         pytest.param("5a", ((17, -4), (-21, 5)), id="5a-((17,-4),(-21,5))"),
         pytest.param("5b", ((17, -38), (-4, 9)), id="5b-((17,-38),(-4,9))"),
         pytest.param("7a", ((21, 29), (-8, -11)), id="7a-((21,29),(-8,-11))"),
+        pytest.param("8c", ((0, -1), (1, 0)), id="8c-((0,-1),(1,0))"),
     ])
     def test_double_shear_reproduces_table2(self, name, U):
         # [PAPER] shears with |k| = 2 whose elimination polynomial has large
@@ -684,8 +717,10 @@ class TestCoordinateIndependence:
         # critical curve, so their I1* or IV* is found from G; for 9 under
         # ((-11,3),(-4,1)), G is the square of a curve of x-degree 14, and
         # the curve values are taken on that radical; the wide shears of 5a,
-        # 5b and 7a take the critical values over an irrational y-factor of
-        # degree 5, 3 and 2
+        # 5b and 7a take the critical values over one slice of degree 5, 3
+        # and 3; 8c turned by ((0,-1),(1,0)), the product of three shears,
+        # has a slice over y^2 - 1 whose gcd keeps x = 0 at one root, where
+        # C(0, y, l) = 0, so the slice must split there
         _assert_table2_row(apply_unimodular(U, get(name)), name)
 
 

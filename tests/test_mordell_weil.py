@@ -283,7 +283,8 @@ class TestMWGroup:
 
     def test_no_canonical_form(self, catalog, configs, monkeypatch):
         # [DERIVED] the section positions are computed once per mw_group and
-        # handed to height_matrix, from one polar dual and no canonical form
+        # handed to height_matrix, from one fan sequence, no polar dual and
+        # no canonical form
         def counting(module, name):
             original = getattr(module, name)
             calls = []
@@ -295,13 +296,14 @@ class TestMWGroup:
             monkeypatch.setattr(module, name, wrapper)
             return calls
 
-        duals = counting(mordell_weil, "polar_dual")
+        sequences = counting(mordell_weil, "_fan_sequence")
         forms = counting(polygon, "canonical_form")
         for name in NAMES:
-            duals.clear()
+            sequences.clear()
             mw_group(catalog[name], configs[name])
-            assert len(duals) == 1, name
+            assert len(sequences) == 1, name
         assert forms == []
+        assert not hasattr(mordell_weil, "polar_dual")
 
 
 class TestMiranda:

@@ -1,11 +1,15 @@
-"""Every public top-level function of the package is used by the program.
+"""Every public top-level function of the package is used by the program,
+and so is every private top-level name.
 
 A public function of ``src/reflexo`` is used when some code of the package
 outside its own ``def`` names it, or when the benchmark under
 ``perfbench/`` mentions it (read as text, since the benchmark's tracer
 names layer functions in strings).  A function kept for planned work names
 the ROADMAP item that keeps it.  Anything else is test-only API, which
-belongs in ``tests/oracles.py``.
+belongs in ``tests/oracles.py``.  A private top-level function, class or
+constant (one leading underscore) is used when the package names it
+outside the statement that defines it; a helper that only tests call
+belongs in ``tests/``.
 """
 
 import ast
@@ -36,13 +40,32 @@ PUBLIC = [
 ]
 
 
+def _defines(top: ast.stmt) -> set:
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return {n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+PRIVATE = sorted(
+    (module, name)
+    for module, tree in TREES.items()
+    for top in tree.body
+    for name in _defines(top)
+    if name.startswith("_") and not name.startswith("__"))
+
+
 def _named_in_src(module: str, name: str) -> bool:
-    """Some top-level statement of the package, other than the def of
-    `name` in `module`, names `name` as a variable or an attribute."""
+    """Some top-level statement of the package, other than the one that
+    defines `name` in `module`, names `name` as a variable or an
+    attribute."""
     for mod, tree in TREES.items():
         for top in tree.body:
-            if (mod == module and isinstance(top, ast.FunctionDef)
-                    and top.name == name):
+            if mod == module and name in _defines(top):
                 continue
             for node in ast.walk(top):
                 if (isinstance(node, ast.Name) and node.id == name
@@ -70,3 +93,12 @@ def test_kept_names_still_exist():
 def test_functions_found():
     # [TRIVIAL] the parametrisation above is not vacuous
     assert len(PUBLIC) >= 40
+
+
+def test_private_names_are_used():
+    # [TRIVIAL] no private helper or constant is left behind with no caller
+    # in the package
+    unused = [f"{module}: {name}" for module, name in PRIVATE
+              if not _named_in_src(module, name)]
+    assert unused == []
+    assert len(PRIVATE) >= 60
