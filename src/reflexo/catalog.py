@@ -17,7 +17,7 @@ import json
 import os
 from functools import cache
 
-from .polygon import Polygon, _fan_key, polar_dual
+from .polygon import Polygon, _dihedral_min, _fan_key, _fan_sequence
 
 NAMES = [
     "3", "4a", "4b", "4c", "5a", "5b", "6a", "6b",
@@ -61,6 +61,34 @@ def _names_by_key() -> dict[tuple, str]:
     return {_fan_key(P): name for name, P in load_catalog().items()}
 
 
+def _dual_fan_sequence(a: list[int]) -> list[int]:
+    """The fan sequence of P° from the fan sequence a of a reflexive P
+    that starts at a vertex, by the walk that dual_name states."""
+    corners = [i for i, x in enumerate(a) if x != 2] + [len(a)]
+    out = []
+    for i, j in zip(corners, corners[1:]):
+        out += [2 - (j - i)] + [2] * (1 - a[j % len(a)])
+    return out
+
+
 def dual_name(name: str) -> str:
-    """Name of the class of the polar dual."""
-    return name_of(polar_dual(get(name)))
+    """Name of the class of the polar dual P° of the named P, looked up by
+    the fan key of P°'s fan sequence as read off P's own: no dual is built.
+
+    Walk the edges e of P counterclockwise; for each, ending at the vertex
+    w, append 2 - l(e) and then d(w) - 1 entries 2, where l(e) is e's
+    lattice length and d(w) = 2 - a(w) >= 1 the deficit of w.  In P's fan
+    sequence the vertices are the entries other than 2, and the l(e) - 1
+    entries between two of them are e's inner points.  The result is P°'s
+    fan sequence: P°'s vertices are the inner normals n_e of P's edges in
+    the same order, and the dual edge of a vertex w joins the normals
+    n_in, n_out of the edges into and out of w.  A reflexive polygon has
+    cross(p, q) = gcd(q - p) on each edge p -> q.  On P° this makes the
+    dual edge of w of length cross(n_in, n_out) = cross(d_in, d_out) = d(w),
+    as primitive normals are the primitive edge directions turned a quarter
+    turn, which keeps cross.  The dual edge of a vertex u lies on the line
+    <., u> = -1 with u primitive, so its direction is u turned a quarter
+    turn, and the turn of P° at n_e, for e from u to w, is
+    cross(u, w) = l(e) by the same identity on P: n_e has deficit l(e)."""
+    dual = _dual_fan_sequence(_fan_sequence(get(name)))
+    return _names_by_key()[_dihedral_min(dual)]

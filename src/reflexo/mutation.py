@@ -5,13 +5,18 @@ H = conv(0, w), w in v-perp.  The mutated polygon is
 P† = conv(R_{-1} ∪ P_0 ∪ (P_1 + H)) where P_d is the height-d slice of P
 with respect to v and P_{-1} = R_{-1} + H as a Minkowski sum of segments.
 The 16 reflexive classes fall into 8 mutation-equivalence classes.
+
+Each mutant's vertex list is read off its three slices with no hull: every
+point of its generating set lies on one of the lines <v, .> = -1, 0, 1, so
+its vertices are the ends of the bottom and top lines and those ends of the
+middle line that stick out past the chords joining them (_slice_mutants).
 """
 
 from __future__ import annotations
 
 from math import gcd as int_gcd
 
-from .polygon import Point, Polygon, _fan_key, canonical_form, convex_hull
+from .polygon import Point, Polygon, _fan_key, canonical_form
 
 
 class MutationData:
@@ -53,19 +58,51 @@ def _slice_mutants(points: list[Point], v: Point, ws) -> list[Polygon]:
     `points`, P's boundary lattice points and the origin, fall by height
     <v, .> into P_{-1}, P_0 and P_1 in one pass.  P_{-1} lies on the line
     <v, .> = -1, of primitive direction ±w, so R_{-1} = P_{-1} - H is
-    P_{-1} minus its end furthest along w."""
+    P_{-1} less its end e furthest along w, with ends e - w and the other.
+
+    Each vertex list is read off the slices' ends by the three-line rule,
+    with no hull.  Every generating point lies on one of the lines
+    <v, .> = -1, 0, 1: R_{-1}, P_0 with the origin, and P_1 ∪ (P_1 + w),
+    as <v, w> = 0.  The map p -> (s, h) = (cross(p, v), <v, p>) has
+    determinant |v|^2 > 0, so it keeps orientation, and in (s, h) the three
+    lines are horizontal.  A point inside a line's s-range lies on a chord
+    and is no vertex, so the counterclockwise vertices are the bottom
+    line's left and right ends (one point when R_{-1} is one), the middle
+    line's right end m, the top line's right and left ends, and the middle
+    line's left end.  m is a vertex only when it lies strictly right of
+    the chord from the bottom's right end b to the top's right end t,
+    which crosses h = 0 at s = (s(b) + s(t)) / 2: 2 s(m) > s(b) + s(t).
+    On equality m lies on that edge and is no vertex; the left end is
+    tested by the mirror inequality.  The top line's two ends are
+    distinct, as P_1 is not empty (the origin is interior and every
+    vertex has height at most 1) and w != 0.  The list is rotated to start
+    at its least vertex, as convex_hull returns it."""
+    vx, vy = v
     bottom, mid, top = slices = ([], [], [])
     for p in points:
-        slices[_height(v, p) + 1].append(p)
+        slices[vx * p[0] + vy * p[1] + 1].append((p[0] * vy - p[1] * vx, p))
     if len(bottom) < 2:
         raise ValueError("not mutable with this H: P_{-1} is a point")
+    (sb0, b0), (sb1, b1) = min(bottom), max(bottom)
+    (sm0, m0), (sm1, m1) = min(mid), max(mid)
+    (st0, t0), (st1, t1) = min(top), max(top)
     out = []
     for w in ws:
-        end = max(bottom, key=lambda p: _height(w, p))
-        shifted_top = [(p[0] + w[0], p[1] + w[1]) for p in top]
-        # the hull holds the origin and points at heights -1 and 1: a polygon
-        hull = convex_hull([p for p in bottom if p != end] + mid + top + shifted_top)
-        Q = Polygon._from_ints(hull)
+        sw = w[0] * vy - w[1] * vx  # s(w) = ±|v|^2
+        if sw > 0:  # R_{-1} loses its right end, P_1 + w widens the right
+            lo, hi = (sb0, b0), (sb1 - sw, (b1[0] - w[0], b1[1] - w[1]))
+            left, right = (st0, t0), (st1 + sw, (t1[0] + w[0], t1[1] + w[1]))
+        else:
+            lo, hi = (sb0 - sw, (b0[0] - w[0], b0[1] - w[1])), (sb1, b1)
+            left, right = (st0 + sw, (t0[0] + w[0], t0[1] + w[1])), (st1, t1)
+        hull = [lo[1]] if lo[0] == hi[0] else [lo[1], hi[1]]
+        if 2 * sm1 > hi[0] + right[0]:
+            hull.append(m1)
+        hull += [right[1], left[1]]
+        if 2 * sm0 < lo[0] + left[0]:
+            hull.append(m0)
+        i = hull.index(min(hull))
+        Q = Polygon._from_ints(hull[i:] + hull[:i])
         if not Q.is_reflexive():  # pragma: no cover - Definition guarantees this
             raise ValueError("mutation produced a non-reflexive polygon")
         out.append(Q)

@@ -193,6 +193,8 @@ class Polygon:
     def lattice_points(self, m: int = 1) -> list[Point]:
         """All lattice points of the dilate mP (m >= 0; the polygon itself
         by default), in lexicographic order."""
+        if m < 0:
+            raise ValueError("m must be nonnegative")
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
         # mP = {u : <n, u> >= m b} over the edges' inner normals n and
@@ -211,8 +213,6 @@ class Polygon:
 
 def lattice_point_count(P: Polygon, m: int) -> int:
     """Ehrhart count #(mP ∩ N) for reflexive P."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
     if not P.is_reflexive():
         raise ValueError("lattice_point_count expects a reflexive polygon")
     return len(P.lattice_points(m))

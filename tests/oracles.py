@@ -22,6 +22,8 @@ read off its boundary lattice points, the reference for the program's key
 read off the vertices, and `reference_section_positions` labels the
 sections on the boundary walk of the canonical dual, the reference for the
 program's labels read off the dual's edges in any coordinates.
+`slice_hull_mutant` is a mutant's vertex list as the convex hull of its
+generating set, the reference for the three-line rule of `_slice_mutants`.
 `reference_closed_sequences` lists the closed fan sequences that start at
 their minimum from every stars-and-bars composition, the reference for
 the bounded walk of the enumeration, and `operator_singular_locus` reads
@@ -50,7 +52,7 @@ from reflexo.algebra import (
     squarefree_rational_roots,
 )
 from reflexo.period import DiffOperator, PowerSeries, _digit
-from reflexo.polygon import canonical_form, polar_dual
+from reflexo.polygon import canonical_form, convex_hull, polar_dual
 
 
 def bareiss_determinant(rows: list[list]) -> Fraction:
@@ -209,6 +211,24 @@ def reference_section_positions(P) -> list[int]:
     for g in seq[:-1]:
         positions.append(positions[-1] + g)
     return positions
+
+
+def slice_hull_mutant(P, v, w) -> list[tuple[int, int]]:
+    """The vertex list of the mutant of a reflexive P by the datum (v, w):
+    convex_hull of R_{-1}, which is P_{-1} less its end furthest along w,
+    of P_0 with the origin, and of P_1 and P_1 + w, the slices of P's
+    lattice points at heights <v, .> = -1, 0 and 1."""
+    def height(u, p):
+        return u[0] * p[0] + u[1] * p[1]
+
+    points = P.boundary_lattice_points() + [(0, 0)]
+    bottom = [p for p in points if height(v, p) == -1]
+    end = max(bottom, key=lambda p: height(w, p))
+    top = [p for p in points if height(v, p) == 1]
+    return convex_hull(
+        [p for p in bottom if p != end]
+        + [p for p in points if height(v, p) == 0]
+        + top + [(x + w[0], y + w[1]) for x, y in top])
 
 
 def apply_operator(L, s) -> PowerSeries:

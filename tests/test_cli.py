@@ -33,6 +33,21 @@ class TestCatalog:
         assert lines[0].startswith("3\t")
         assert "dual=9" in lines[0]
 
+    def test_builds_no_dual(self, capsys, monkeypatch):
+        # [DERIVED] dual names are read off the fan sequence: with
+        # polar_dual refusing, `reflexo catalog` still prints the stored
+        # reference
+        def refuse(P):
+            raise AssertionError("polar_dual called")
+
+        assert not hasattr(catalog, "polar_dual")
+        monkeypatch.setattr(polygon, "polar_dual", refuse)
+        monkeypatch.setattr(cli, "polar_dual", refuse)
+        code, out, _ = run(capsys, "catalog")
+        ref = Path(__file__).parents[1] / "perfbench" / "reference"
+        assert code == 0
+        assert out == (ref / "catalog.txt").read_text(encoding="utf-8")
+
     def test_unknown_name_lists_the_valid_ones(self):
         # [TRIVIAL] there is no polygon 10
         with pytest.raises(KeyError, match="unknown polygon '10'; valid "

@@ -1,12 +1,13 @@
 """Combinatorial mutations, the mutation graph over the 16 classes, and the
 trop map."""
 
+import inspect
 import random
 
 import pytest
-from oracles import GL2Z_GENS, random_unimodular, trop_map
+from oracles import GL2Z_GENS, random_unimodular, slice_hull_mutant, trop_map
 
-from reflexo import mutation
+from reflexo import mutation, polygon
 from reflexo.catalog import NAMES, get, load_catalog, name_of
 from reflexo.mutation import (
     MutationData,
@@ -16,6 +17,15 @@ from reflexo.mutation import (
     mutation_classes,
 )
 from reflexo.polygon import Polygon, apply_unimodular, canonical_form, polar_dual
+
+
+def _hull_draws(catalog) -> list[Polygon]:
+    """The 16 and 25 seeded GL2(Z) images of each (seed 49)."""
+    rng = random.Random(49)
+    return list(catalog.values()) + [
+        apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
+        for P in catalog.values() for _ in range(25)
+    ]
 
 
 class TestMutationData:
@@ -158,11 +168,45 @@ class TestAllMutations:
                 count += 1
         assert count == 4 * 76
 
+    def test_three_line_rule_matches_the_hull(self, catalog):
+        # [DERIVED] each mutant's vertex list, read off the ends of its
+        # three lines, is exactly the convex hull of its generating set, in
+        # order, on the 76 mutants of the 16 and on 400 seeded GL2(Z)
+        # images; the draws reach a one-point R_{-1} and a vertex at
+        # height 0
+        count = single = middle = 0
+        for P in _hull_draws(catalog):
+            points = P.boundary_lattice_points()
+            for d, Q in all_mutations(P):
+                assert Q.vertices == slice_hull_mutant(P, d.v, d.w)
+                count += 1
+                heights = [mutation._height(d.v, p) for p in points]
+                single += heights.count(-1) == 2
+                middle += any(mutation._height(d.v, q) == 0
+                              for q in Q.vertices)
+        assert count == 26 * 76
+        assert single and middle
+
+    def test_three_line_rule_mutant_is_caught(self, catalog, monkeypatch):
+        # [DERIVED] a copy of _slice_mutants that keeps the middle line's
+        # right end also when it lies on the edge (>= for >) lists a point
+        # that convex_hull drops: the comparison above catches it
+        src = inspect.getsource(mutation._slice_mutants)
+        assert src.count("2 * sm1 > ") == 1
+        namespace = dict(vars(mutation))
+        exec(src.replace("2 * sm1 > ", "2 * sm1 >= "), namespace)
+        monkeypatch.setattr(mutation, "_slice_mutants",
+                            namespace["_slice_mutants"])
+        assert any(Q.vertices != slice_hull_mutant(P, d.v, d.w)
+                   for P in _hull_draws(catalog)
+                   for d, Q in mutation.all_mutations(P))
+
     def test_no_box_scan_or_edges(self, catalog, monkeypatch):
         # [DERIVED] mutate, the slicing in _slice_mutants and canonical_form
-        # read P's lattice points off its vertices: over all_mutations of
-        # the 16, and mutate on each of their data, they call neither
-        # Polygon.lattice_points nor Polygon.edges
+        # read P's lattice points off its vertices, and the mutants' vertex
+        # lists off the slices: over all_mutations of the 16, and mutate
+        # on each of their data, they call neither Polygon.lattice_points
+        # nor Polygon.edges nor convex_hull, which mutation does not import
         depth, entered, calls = [0], [0], []
 
         def scoped(f):
@@ -175,8 +219,8 @@ class TestAllMutations:
                     depth[0] -= 1
             return wrapper
 
-        def counted(name):
-            f = getattr(Polygon, name)
+        def counted(owner, name):
+            f = getattr(owner, name)
 
             def wrapper(*args):
                 if depth[0]:
@@ -184,8 +228,10 @@ class TestAllMutations:
                 return f(*args)
             return wrapper
 
-        for name in ("lattice_points", "edges"):
-            monkeypatch.setattr(Polygon, name, counted(name))
+        assert not hasattr(mutation, "convex_hull")
+        for owner, name in ((Polygon, "lattice_points"), (Polygon, "edges"),
+                            (polygon, "convex_hull")):
+            monkeypatch.setattr(owner, name, counted(owner, name))
         for name in ("mutate", "_slice_mutants", "canonical_form"):
             monkeypatch.setattr(mutation, name, scoped(getattr(mutation, name)))
         data = [(P, d) for P in catalog.values() for d, _ in all_mutations(P)]

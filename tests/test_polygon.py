@@ -15,7 +15,7 @@ from oracles import (
 )
 
 from reflexo import polygon
-from reflexo.catalog import NAMES, dual_name, get, name_of
+from reflexo.catalog import NAMES, _dual_fan_sequence, dual_name, get, name_of
 from reflexo.polygon import (
     Edge,
     Polygon,
@@ -250,6 +250,26 @@ class TestPolarDual:
         for a, b in pairs.items():
             assert dual_name(a) == b
             assert dual_name(b) == a
+
+    def test_dual_sequence_is_the_duals(self, catalog):
+        # [DERIVED] the fan sequence read off P's own is polar_dual(P)'s,
+        # from the normal of P's first edge, so equal up to rotation and
+        # reversal a fortiori: on the 16 and on 10 seeded GL2(Z) images of
+        # each (seed 50)
+        rng = random.Random(50)
+        for P in catalog.values():
+            images = [apply_unimodular(random_unimodular(rng, GL2Z_GENS), P)
+                      for _ in range(10)]
+            for Q in [P] + images:
+                assert _dual_fan_sequence(polygon._fan_sequence(Q)) == \
+                    polygon._fan_sequence(polar_dual(Q))
+
+    def test_dual_name_is_the_name_of_the_dual(self):
+        # [DERIVED] on all 16 the name read off the fan sequence is the
+        # polar dual's, and dual_name is an involution
+        for n in NAMES:
+            assert dual_name(n) == name_of(polar_dual(get(n)))
+            assert dual_name(dual_name(n)) == n
 
     def test_name_of_sheared_catalog(self):
         # [DERIVED] the name depends on the GL2(Z) class, not the coordinates
@@ -620,6 +640,12 @@ class TestEhrhart:
             lattice_point_count(get("3"), -1)
         with pytest.raises(ValueError, match="reflexive"):
             lattice_point_count(Polygon([(0, 0), (2, 0), (0, 2)]), 2)
+
+    def test_lattice_points_rejects_negative_m(self):
+        # [DERIVED] -P of 4a has 5 lattice points, but the bounding box of
+        # m = -1 is empty: refused, not []
+        with pytest.raises(ValueError, match="nonnegative"):
+            get("4a").lattice_points(-1)
 
 
 class TestEdges:
