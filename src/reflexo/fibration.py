@@ -4,8 +4,9 @@ surface attached to a reflexive polygon.
 Pipeline: the fibre at infinity is the boundary cycle I_{12 - Vol(P)}; the
 singular lambda values on the torus are the roots of the pencil's critical
 values -- the lambda of its isolated critical points, each certified an
-ordinary node by the lambda-free Jacobian, with multiplicity its number of
-nodes -- and the rational roots of its curve values, the lambda of the
+ordinary node by a simple root of the critical resultant or by the
+lambda-free Jacobian, with multiplicity its number of nodes -- and the
+rational roots of its curve values, the lambda of the
 members containing a critical curve: every such member is nonreduced, and
 every repeated component of a member is a critical curve.  Infinitely near
 base points over each edge of lattice length >= 2 contribute (-2)-curves
@@ -113,13 +114,16 @@ def fibre_at_infinity(P: Polygon) -> KodairaType:
 class Pencil:
     """The pencil {f_P + lambda} of a reflexive polygon together with the
     quantities its classification derives from it, each computed at most
-    once: f = f_P, the cleared member C, the critical pair (A, B, G), the
-    radical R of G, the critical values of the isolated critical points
-    and the curve values of the critical curves R.  A
+    once: f = f_P, the cleared member C, the critical pair (A, B, G) with
+    Res_x(A, B), the radical R of G, the critical values of the isolated
+    critical points and the curve values of the critical curves R.  A
     repeated component of a member divides both log partials, so it divides
     R; every singular lambda on the torus is therefore a critical value or a
-    curve value.  The elimination polynomial E serves only the analysis
-    report, which builds it with `elimination_polynomial`.
+    curve value.  One resultant Res_x(A, B) serves twice: where it proves
+    the log partials coprime, G = 1 and R = 1 take no bivariate gcd, and
+    the critical values read it, and its order, at a simple root, proves
+    the point above it a node.  The elimination polynomial E serves only
+    the analysis report, which builds it with `elimination_polynomial`.
 
     A Pencil lives for one top-level call (a report, a table row) and is
     passed down explicitly; nothing keeps it afterwards.  Only the entry
@@ -138,13 +142,27 @@ class Pencil:
         """(A, B, G): the cleared logarithmic partials with their common
         bivariate factor G divided out.  Zeros of G are critical *curves* of
         f (components of a nonreduced member); zeros of (A, B) are the
-        isolated critical points."""
+        isolated critical points.
+
+        r = Res_x(A, B) of the partials comes first.  When r != 0 and lc_x A
+        and lc_x B share no root but y = 0, the partials are coprime and G =
+        1 with no `gcd_bivariate`: a common factor of positive x-degree
+        would make r vanish, and a nonconstant one free of x would divide
+        both leading coefficients, with a root other than 0, since
+        `_log_partials` leaves y dividing neither.  Otherwise G is their
+        gcd.  The pair carries r with the rows of A and B (`_CriticalPair`)
+        while they are those of the A and B it holds, that is unless a
+        nonconstant G was divided out."""
         A, B = _log_partials(self.f)
-        G = gcd_bivariate(A, B, "x", "y")
-        if not G.is_const():
-            A = A.exact_div(G).strip_monomial()
-            B = B.exact_div(G).strip_monomial()
-        return A, B, G
+        held = resultant(A, B, "x"), _rows(A, 0, 1), _rows(B, 0, 1)
+        G = MPoly.const(1)
+        if not held[0].terms or len(_lc_gcd(*held[1:])) > 1:
+            G = gcd_bivariate(A, B, "x", "y")
+            if not G.is_const():
+                A = A.exact_div(G).strip_monomial()
+                B = B.exact_div(G).strip_monomial()
+                held = None
+        return _CriticalPair(A, B, G, held)
 
     @cached_property
     def critical_values(self) -> UniPoly:
@@ -154,24 +172,48 @@ class Pencil:
         multiplicity its number of points.
 
         The y-coordinates of the points are roots of ry = Res_x(A, B) with
-        its y-powers stripped; each squarefree part of ry (`_yun`) goes
-        through `_values_over`, with the rows of A, B and J read once."""
-        A, B, _ = self.critical_pair
-        J = (A.derivative("x") * B.derivative("y")
-             - A.derivative("y") * B.derivative("x"))
-        ry = resultant(A, B, "x").to_unipoly("y")
+        its y-powers stripped; each squarefree part Q of ry (`_yun`) goes
+        through `_values_over`, with the rows of A and B read once.  Both
+        are read off the pair when it carries them.
+
+        A part of multiplicity 1 none of whose roots is a common root of
+        lc_x A and lc_x B needs no certificate.  At such a root y0 one of A,
+        B, say A, has a unit leading coefficient in the local ring O of
+        C[y] at y0, so O[x]/(A) is free of rank deg_x A and Res_x(A, B) is a
+        unit times the determinant of multiplication by B on it.  Over the
+        discrete valuation ring O that determinant has order the length of
+        O[x]/(A, B), the sum of the intersection numbers I_p(A, B) over the
+        points p of the plane above y0.  Order 1 leaves one point, with I_p
+        = 1: A = 0 and B = 0 are smooth there with distinct tangents
+        (Fulton, Algebraic Curves, sec. 3.3), so the Jacobian J = det
+        d(A, B)/d(x, y) is nonzero at p, and p, if on the torus, is a node
+        (`_values_over`).  Every other part passes the rows of J, built
+        once, for gcd(g, J) = 1."""
+        pair = self.critical_pair
+        A, B, _ = pair
+        r, a, b = getattr(pair, "held", None) or (
+            resultant(A, B, "x"), _rows(A, 0, 1), _rows(B, 0, 1))
+        ry = r.to_unipoly("y")
         if ry.is_zero():
             raise ArithmeticError("critical locus of f is not finite")
-        rows = tuple(_rows(p, 0, 1) for p in (A, B, J))
+        shared, j = _lc_gcd(a, b), None
         values = UniPoly([1], "l")
-        for Q, _ in _yun(_strip_powers(ry.primitive_integer().coeffs)):
-            values = values * _values_over(rows, self.C, Q)
+        for Q, m in _yun(_strip_powers(ry.primitive_integer().coeffs)):
+            certified = m == 1 and len(_gcd_int(shared, Q)[0]) == 1
+            if not certified and j is None:
+                j = _rows(A.derivative("x") * B.derivative("y")
+                          - A.derivative("y") * B.derivative("x"), 0, 1)
+            values = values * _values_over((a, b, None if certified else j),
+                                           self.C, Q)
         return values
 
     @cached_property
     def radical(self) -> MPoly:
-        """R = G / gcd(G, G_x, G_y): the critical curves, each once."""
+        """R = G / gcd(G, G_x, G_y): the critical curves, each once; 1 with
+        no gcd when G is constant."""
         _, _, G = self.critical_pair
+        if G.is_const():
+            return MPoly.const(1)
         g = gcd_bivariate(G.strip_monomial(),
                           G.derivative("x").strip_monomial(), "x", "y")
         g = gcd_bivariate(g, G.derivative("y").strip_monomial(), "x", "y")
@@ -298,6 +340,25 @@ def _strip_powers(coeffs: list) -> list:
     return coeffs[k:]
 
 
+class _CriticalPair(tuple):
+    """(A, B, G) as `Pencil.critical_pair` computes it, with held =
+    (Res_x(A, B), rows of A, rows of B) of this A and B (`_rows(p, 0, 1)`),
+    or None.  A pair set in its place is a plain tuple, whose resultant
+    and rows `critical_values` takes anew."""
+
+    def __new__(cls, A: MPoly, B: MPoly, G: MPoly, held: tuple | None):
+        pair = super().__new__(cls, (A, B, G))
+        pair.held = held
+        return pair
+
+
+def _lc_gcd(a: list, b: list) -> list[int]:
+    """The gcd in Z[y] of the leading coefficients of two polynomials given
+    by their rows in x (`_rows(p, 0, 1)`), each with its y-powers stripped:
+    [1] when they share no root but y = 0."""
+    return _gcd_int(_strip_powers(a[-1]), _strip_powers(b[-1]))[0]
+
+
 def _curve_values(G: MPoly, C: MPoly) -> UniPoly:
     """The pure-l content of Res(G, C), taken over a variable of G; 1 when G
     is constant."""
@@ -373,10 +434,12 @@ def _values_over(rows: tuple, C: MPoly, Q: list[int]) -> UniPoly:
     """prod (l + f(p)), up to a nonzero constant, over the isolated torus
     critical points p = (x, y) of f whose y is a root of the squarefree Q,
     each certified to be an ordinary node.  rows holds those of A, B and J
-    = det d(A, B)/d(x, y) (`_rows(p, 0, 1)`), and Q is primitive with a
-    positive leading coefficient; `critical_values` strips the y-powers of
-    the Q it passes, so that y = 0 is no root.  ValueError when A and B
-    both vanish mod Q.
+    = det d(A, B)/d(x, y) (`_rows(p, 0, 1)`), J's None where
+    `critical_values` has certified every point above Q by the order of
+    Res_x(A, B); every factor of Q inherits that certificate.  Q is
+    primitive with a positive leading coefficient; `critical_values` strips
+    the y-powers of the Q it passes, so that y = 0 is no root.  ValueError
+    when A and B both vanish mod Q.
 
     Over Q[y]/(Q), a product of fields, the points are the roots of g, the
     gcd of A and B (`gcd_over_quotient`) with its x-powers stripped: g is
@@ -387,7 +450,8 @@ def _values_over(rows: tuple, C: MPoly, Q: list[int]) -> UniPoly:
     root of that factor, g keeps the point x = 0, where the base points of
     the pencil can put a common root of A and B.  So x = 0 is a root of g at
     no root of Q.  At a torus point J is a unit multiple of the Hessian of
-    f, so gcd(g, J) = 1 certifies every point at once.  Res_y(Q,
+    f, so J(p) != 0 makes p a node, and where J is given, gcd(g, J) = 1
+    certifies every point at once.  Res_y(Q,
     Res_x(g, C)) is the product over all the points times a nonzero
     constant, and both resultants run on integral inputs."""
     A, B, J = rows
@@ -401,7 +465,7 @@ def _values_over(rows: tuple, C: MPoly, Q: list[int]) -> UniPoly:
         h = _gcd_int(g[0], Q)[0]
         if len(h) > 1:
             raise ZeroDivisorError(h)
-        if len(gcd_over_quotient(g, J, Q)) > 1:
+        if J is not None and len(gcd_over_quotient(g, J, Q)) > 1:
             raise ArithmeticError(
                 f"critical point is not an ordinary node: stage torus nodes, "
                 f"y a root of {format_unipoly(UniPoly(Q, 'y'))}")

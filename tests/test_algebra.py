@@ -553,7 +553,11 @@ def test_gcd_over_quotient_is_symmetric_on_the_16(monkeypatch):
     # divisors it meets, both give the same monic gcd on every common
     # factor of their parts.  Which zero divisor is met depends on the
     # order: over y^2 - 1, 8a's (A, B) meets y - 1 and (B, A) y + 1, and
-    # the splits agree; 6a's (A, B) meets none, and (B, A) splits q
+    # the splits agree; 6a's (A, B) meets none, and (B, A) splits q.  There
+    # are 31 pairs, 16 fewer than while every slice took (g, J): a slice of
+    # a simple part of Res_x(A, B), none of whose roots is a common root of
+    # the leading coefficients, takes (A, B) alone, since the resultant's
+    # order proves its points nodes
     pairs = []
 
     def recording(a, b, Q):
@@ -563,7 +567,7 @@ def test_gcd_over_quotient_is_symmetric_on_the_16(monkeypatch):
     monkeypatch.setattr(fibration, "gcd_over_quotient", recording)
     for name in NAMES:
         Pencil(get(name)).critical_values
-    assert len(pairs) == 47
+    assert len(pairs) == 31
     asymmetric = []
     for name, a, b, Q in pairs:
         assert _gcd_or_factor(a, b, Q) == _reference_or_factor(a, b, Q)
@@ -580,13 +584,17 @@ def test_table2_unit_tests_mod_q(monkeypatch):
     the adjugate of multiplication by it mod Q, and takes its integer gcd
     with Q only for the factor of a zero divisor.  The 16 rows of Table 2
     take 27 slices, one per squarefree part of Res_x(A, B) and one per
-    half of a split, and make 47 calls: two per slice, but one for the
-    five slices over y + 1 that have no torus point (5b, 6b, 6c, 6d, 7b)
-    and for the two over y^2 - 1 that split.  8a's first call meets the
-    zero divisor y - 1 and splits by the one integer gcd made inside a
-    call; 6c's splits after its first call, by the integer gcd of g's
+    half of a split, and make 31 calls: one per slice, and a second,
+    gcd(g, J), on the 4 slices of a part of multiplicity >= 2 that have a
+    torus point and do not split (4a, 6a, 6c over y - 1, 7a).  The 17
+    slices of the simple parts, none of whose roots is a common root of
+    the leading coefficients of A and B, take no J: the resultant's order
+    proves their points nodes (47 calls and 24 unit tests while every
+    slice took gcd(g, J)).  8a's first call meets
+    the zero divisor y - 1 and splits by the one integer gcd made inside
+    a call; 6c's splits after its first call, by the integer gcd of g's
     lowest coefficient with Q, since g keeps x = 0 at y = -1.  The calls
-    make 24 unit tests.  They build no Fraction and no UniPoly inside the
+    make 14 unit tests.  They build no Fraction and no UniPoly inside the
     calls, so nothing is inverted over Q: the adjugate is an integral
     multiple of the inverse.  The counts do not depend on the host."""
     moduli, calls, tests, gcds, built, splits = [], [], [], [], [], []
@@ -636,8 +644,8 @@ def test_table2_unit_tests_mod_q(monkeypatch):
     monkeypatch.setattr(UniPoly, "__init__", counting_init)
     for name in NAMES:
         cli._table_row(name)
-    assert len(calls) == 47
-    assert len(tests) == 24
+    assert len(calls) == 31
+    assert len(tests) == 14
     assert gcds == [([-1, 1], [-1, 0, 1])]
     assert splits == [([-2, -2], [-1, 0, 1], [1, 1])]
     assert built == []

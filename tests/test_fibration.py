@@ -13,11 +13,15 @@ from reflexo import fibration
 from reflexo.algebra import (
     MPoly,
     UniPoly,
+    ZeroDivisorError,
     _content,
+    _gcd_int,
     _mul,
+    _quotient,
     _rows,
     _yun,
     gcd_bivariate,
+    gcd_over_quotient,
     resultant,
     squarefree_rational_roots,
 )
@@ -56,6 +60,18 @@ SHEARS = {
 
 def lpoly(*coeffs):
     return UniPoly(list(coeffs), var="l")
+
+
+def _pencil_of(terms: dict) -> Pencil:
+    """The pencil of the Laurent polynomial with these terms in place of
+    f_P, which the stages below the polygon read alone.  Such f reach
+    branches that no f_P does: the y-free ones of elimination_polynomial,
+    met when the origin is off the interior of the Newton polygon, and
+    critical points that are not nodes."""
+    pencil = Pencil(get("3"))
+    pencil.f = LaurentPoly(terms)
+    pencil.C = cleared_member(pencil.f)
+    return pencil
 
 
 class TestKodairaType:
@@ -266,23 +282,12 @@ class TestElimination:
                         assert _content(g, "y", "l") == lpoly(1)
         assert peels
 
-    @staticmethod
-    def _pencil_of(terms: dict) -> Pencil:
-        """The pencil of the Laurent polynomial with these terms in place of
-        f_P, which elimination_polynomial reads alone when it is given a
-        pencil.  Its y-free branches are met by such f, whose Newton
-        polygon has the origin off its interior, and by no f_P."""
-        pencil = Pencil(get("3"))
-        pencil.f = LaurentPoly(terms)
-        pencil.C = cleared_member(pencil.f)
-        return pencil
-
     def test_constant_first_eliminant(self):
         # [DERIVED] f = xy + 1/(xy) is t + 1/t in t = xy: both log partials
         # are t - 1/t, so G = t^2 - 1 and A = B = 1 once G is divided out.
         # r1 = Res_x(A, C) is then constant, and E is read off r1 alone.
         # The critical curves t = 1 and t = -1 carry f = 2 and f = -2
-        pencil = self._pencil_of({(1, 1): 1, (-1, -1): 1})
+        pencil = _pencil_of({(1, 1): 1, (-1, -1): 1})
         A, B, G = pencil.critical_pair
         assert A.is_const() and B.is_const()
         assert G == MPoly({(2, 2, 0): 1, (0, 0, 0): -1})
@@ -295,8 +300,8 @@ class TestElimination:
         # line on which f = 3, and r2 = Res_x(B, C) is free of y while r1
         # is not; E is read off r2.  f_y = 0 and f_x = y + 1 - 2/x^2 = 0
         # meet on the torus only at (1, 1), where f = 3
-        pencil = self._pencil_of({(1, 1): 1, (0, 1): -1, (1, 0): 1,
-                                  (-1, 0): 2})
+        pencil = _pencil_of({(1, 1): 1, (0, 1): -1, (1, 0): 1,
+                             (-1, 0): 2})
         A, B, G = pencil.critical_pair
         assert G.is_const() and A.degree("y") == 1
         assert B == MPoly({(1, 0, 0): 1, (0, 0, 0): -1})
@@ -309,7 +314,7 @@ class TestElimination:
     def test_refuses_f_free_of_a_variable(self, terms, var):
         # [TRIVIAL] f = y + 2/y has x f_x = 0, so the critical-point system
         # has no log partial in x to eliminate; the error names the variable
-        pencil = self._pencil_of(terms)
+        pencil = _pencil_of(terms)
         with pytest.raises(ValueError, match=f"^f is free of {var}: "):
             elimination_polynomial(pencil.P, pencil)
 
@@ -515,6 +520,157 @@ def test_values_over_splits_where_x_zero_is_a_common_root():
     expected = values_at_y(A, B, J, C, -1) * values_at_y(A, B, J, C, 2)
     assert expected == lpoly(9, 1) * lpoly(10, 1) * lpoly(14, 1)
     assert fibration._values_over(rows, C, Q).monic() == expected
+
+
+# seven wide GL2(Z) images of catalog polygons, with entries up to 43
+WIDE = [
+    ("5a", ((17, -4), (-21, 5))),
+    ("5a", ((25, -3), (-8, 1))),
+    ("5a", ((13, -23), (4, -7))),
+    ("5b", ((17, -38), (-4, 9))),
+    ("7a", ((21, 29), (-8, -11))),
+    ("8a", ((16, -43), (3, -8))),
+    ("8c", ((41, -24), (12, -7))),
+]
+
+
+def _certificate_charts():
+    """(name, polygon): the 16, 200 images of them under seeded products of
+    GL2Z_GENS (seed 50), then the seven wide images."""
+    rng = random.Random(50)
+    charts = [(name, get(name)) for name in NAMES]
+    for _ in range(200):
+        U = random_unimodular(rng, GL2Z_GENS)
+        name = rng.choice(NAMES)
+        charts.append((name, apply_unimodular(U, get(name))))
+    return charts + [(name, apply_unimodular(U, get(name)))
+                     for name, U in WIDE]
+
+
+def _jacobian_gcds(rows, Q):
+    """gcd(g, J) over Q[y]/(Q) on every part of the split of Q, as
+    `_values_over` takes it where it is given J; a part with no torus point
+    adds none."""
+    a, b, j = rows
+    try:
+        g = fibration._strip_powers(gcd_over_quotient(a, b, Q))
+        if len(g) < 2:
+            return []
+        h = _gcd_int(g[0], Q)[0]
+        if len(h) > 1:
+            raise ZeroDivisorError(h)
+        return [gcd_over_quotient(g, j, Q)]
+    except ZeroDivisorError as zd:
+        return (_jacobian_gcds(rows, zd.factor)
+                + _jacobian_gcds(rows, _quotient(Q, zd.factor)))
+
+
+class TestResultantCertificates:
+    def test_certificates_pass_the_gcds_they_spare(self, monkeypatch):
+        # [DERIVED] the two certificates that Res_x(A, B) gives, each checked
+        # by the gcd it spares, on the 16, 200 seeded images and the seven
+        # wide ones: where critical_pair takes no gcd_bivariate, the log
+        # partials have gcd 1, and the pair carries their resultant and
+        # rows; every slice that critical_values passes no J has gcd(g, J)
+        # = 1 over Q[y]/(Q) on each part of its split.  On the 16 the
+        # resultant proves the 12 pairs with G = 1 coprime, and 17 slices
+        # take no J; on the images 134 pairs and 195 slices, and on the wide
+        # ones the five pairs with G = 1 and one slice each
+        gcds, slices = [], []
+        gcd, values_over = fibration.gcd_bivariate, fibration._values_over
+
+        def counting(*args):
+            gcds.append(args)
+            return gcd(*args)
+
+        def recording(rows, C, Q):
+            if rows[2] is None:
+                slices.append(Q)
+            return values_over(rows, C, Q)
+
+        monkeypatch.setattr(fibration, "gcd_bivariate", counting)
+        monkeypatch.setattr(fibration, "_values_over", recording)
+        seen = []
+        for name, P in _certificate_charts():
+            pencil = Pencil(P)
+            gcds.clear()
+            slices.clear()
+            pair = pencil.critical_pair
+            A, B, G = pair
+            if pair.held is not None:
+                assert pair.held == (resultant(A, B, "x"), _rows(A, 0, 1),
+                                     _rows(B, 0, 1))
+            if not gcds:
+                assert G == MPoly.const(1)
+                assert gcd_bivariate(*fibration._log_partials(pencil.f),
+                                     "x", "y") == G
+            pencil.critical_values
+            _, rows, _ = _slice_inputs(pencil)
+            for Q in slices:
+                assert all(h == [[1]] for h in _jacobian_gcds(rows, Q))
+            seen.append((name, not gcds, len(slices)))
+        catalog, images, wide = seen[:16], seen[16:-7], seen[-7:]
+        assert [name for name, proof, _ in catalog if proof] == NAMES[:12]
+        assert sum(n for *_, n in catalog) == 17
+        assert sum(proof for _, proof, _ in images) == 134
+        assert sum(n for *_, n in images) == 195
+        assert [(proof, n) for _, proof, n in wide] == [(True, 1)] * 5 + [
+            (False, 1)] * 2
+
+    def test_cusp_takes_the_jacobian(self, monkeypatch):
+        # [DERIVED] f = (x - 1)^3 + (y - 1)^2 has a cusp at (1, 1), where
+        # A = 3 (x - 1)^2 and B = 2 (y - 1) meet with intersection number 2:
+        # Res_x(A, B) = 4 (y - 1)^2, whose double root takes J, and J
+        # vanishes there.  A copy of critical_values that passes no J at any
+        # multiplicity takes the cusp for two nodes at lambda = 0
+        terms = {(3, 0): 1, (2, 0): -3, (1, 0): 3, (0, 2): 1, (0, 1): -2}
+        pencil = _pencil_of(terms)
+        with pytest.raises(ArithmeticError,
+                           match="^critical point is not an ordinary node"):
+            pencil.critical_values
+        values_over = fibration._values_over
+        monkeypatch.setattr(fibration, "_values_over",
+                            lambda rows, C, Q: values_over(
+                                (*rows[:2], None), C, Q))
+        assert _pencil_of(terms).critical_values.monic() == lpoly(0, 0, 1)
+
+    def test_common_root_of_the_leading_coefficients_takes_the_jacobian(
+            self, monkeypatch):
+        # [DERIVED] 8c with x and y swapped: y^2 - 1 is a simple part of
+        # Res_x(A, B), but its root -1 is a common root of lc_x A and lc_x B,
+        # where neither leading coefficient is a unit, so its slice takes J;
+        # the values equal those with J passed to every slice
+        P = apply_unimodular(((0, 1), (1, 0)), get("8c"))
+        values_over = fibration._values_over
+        passed = {}
+
+        def recording(rows, C, Q):
+            passed.setdefault(tuple(Q), rows[2] is not None)
+            return values_over(rows, C, Q)
+
+        monkeypatch.setattr(fibration, "_values_over", recording)
+        values = Pencil(P).critical_values
+        assert passed == {(-1, 0, 1): True, (-1, 1): True, (1, 1): True}
+        pencil = Pencil(P)
+        _, rows, _ = _slice_inputs(pencil)
+        monkeypatch.setattr(fibration, "_values_over",
+                            lambda _, C, Q: values_over(rows, C, Q))
+        assert pencil.critical_values == values
+
+    def test_common_factor_free_of_x_takes_the_gcd(self):
+        # [DERIVED] f = (y + 1)^2 (x + 1/x): its log partials
+        # (y + 1)^2 (x^2 - 1) and 2 (y + 1)(x^2 + 1) share y + 1 alone, so
+        # Res_x(A, B) is nonzero, but lc_x A and lc_x B share the root -1:
+        # critical_pair takes the gcd, G = y + 1, the critical curve on
+        # which f = 0, and the divided pair carries no resultant
+        pencil = _pencil_of({(1, 2): 1, (1, 1): 2, (1, 0): 1,
+                             (-1, 2): 1, (-1, 1): 2, (-1, 0): 1})
+        A, B = fibration._log_partials(pencil.f)
+        assert not resultant(A, B, "x").is_zero()
+        pair = pencil.critical_pair
+        assert pair[2] == MPoly({(0, 1, 0): 1, (0, 0, 0): 1})
+        assert pair.held is None
+        assert pencil.curve_values == lpoly(0, 1)
 
 
 def _gcd3(F):
