@@ -1,24 +1,25 @@
-"""Exact rational polynomial algebra.
+"""Exact polynomial algebra.
 
 Everything here is exact and no operation ever rounds; a float coefficient
 raises TypeError.  Two polynomial representations are provided:
 
-* ``UniPoly`` -- dense univariate polynomials (ascending coefficients) with a
-  variable tag, used for polynomials in lambda, Picard-Fuchs coefficient
-  polynomials p_k(t), squarefree decomposition and rational roots.
+* ``UniPoly`` -- dense univariate polynomials over Q (ascending
+  coefficients) with a variable tag: polynomials in lambda, Picard-Fuchs
+  coefficients p_k(t), squarefree decomposition and rational roots.
 
-* ``MPoly`` -- sparse polynomials in the fixed variables (x, y, l) used by the
-  elimination pipeline and the only input of `resultant`.  lambda ("l") is
-  conceptually a coefficient-ring variable; the representation is shared for
-  convenience.  The bivariate gcd takes its main and coefficient variables as
-  arguments, so it serves x over y and lambda over y alike.
+* ``MPoly`` -- sparse polynomials over Z in the fixed variables (x, y, l)
+  used by the elimination pipeline and the only input of `resultant`;
+  every pencil comes from an integral f_P, so all its members, partials,
+  eliminants and gcds are integral.  lambda ("l") is conceptually a
+  coefficient-ring variable; the representation is shared for convenience.
+  The bivariate gcd takes its main and coefficient variables as arguments,
+  so it serves x over y and lambda over y alike.
 
-These two and the other exact containers, `laurent.LaurentPoly` and
+`UniPoly` and the other containers over Q, `laurent.LaurentPoly` and
 `period.PowerSeries`, store every value through `_exact`: an int where it
-is integral, a `Fraction` otherwise, and TypeError on a float.  So the
-resultants, gcds, periods and fits of integral inputs run in int
-arithmetic.  Every true division of coefficients goes through `_div`,
-since int / int is a float.
+is integral, a `Fraction` otherwise, and TypeError on a float, so integral
+periods and fits run in int arithmetic.  Every true division of their
+coefficients goes through `_div`, since int / int is a float.
 
 The univariate gcd of int lists is a modular gcd (Brown 1971; Collins):
 the primitive integer inputs are reduced modulo the Mersenne primes
@@ -34,10 +35,9 @@ divisor raises ZeroDivisorError with the factor of q it shares.
 One subresultant polynomial remainder sequence (Collins; Brown-Traub)
 serves both the resultant and the bivariate gcd, over any coefficient ring
 with a checked exact division.  Both callers read each input's terms once,
-as those of its primitive integer multiple (an integral input takes one
-int gcd and builds no Fraction).  Up to `_PACK_BITS` they Kronecker-pack
+as those of its primitive part.  Up to `_PACK_BITS` they Kronecker-pack
 the terms straight into one int per coefficient and unpack the answer
-digit by digit, the resultant with its sign and scale; above, `MPoly`s.
+digit by digit, the resultant with its sign and content; above, `MPoly`s.
 Every step divides a pseudo-remainder exactly by Brown's g h^delta, and the
 division is checked, so a wrong step raises instead of giving a wrong
 value.  The test-suite cross-checks resultants against an independent
@@ -503,19 +503,19 @@ _VAR_INDEX = {"x": 0, "y": 1, "l": 2}
 
 
 def _wrap(terms: dict) -> "MPoly":
-    """The MPoly with these terms, whose values must be exact and nonzero."""
+    """The MPoly with these terms, whose values must be nonzero ints."""
     out = MPoly.__new__(MPoly)
     out.terms = terms
     return out
 
 
 class MPoly:
-    """Sparse polynomial in x, y, l over Q.
+    """Sparse polynomial in x, y, l over Z.
 
     Keys are exponent triples (a, b, c) with nonnegative entries; values are
-    nonzero exact rationals, an int where the value is integral and a
-    Fraction otherwise, never a float.  Sums and products of ints stay ints,
-    so integral inputs run in int arithmetic.  Immutable by convention.
+    nonzero ints.  A value that is not an integer raises TypeError (an
+    integral Fraction is taken as its int), and `exact_div` raises
+    ArithmeticError on a quotient that leaves Z.  Immutable by convention.
     """
 
     __slots__ = ("terms",)
@@ -525,6 +525,8 @@ class MPoly:
         if terms:
             for k, v in terms.items():
                 v = _exact(v)
+                if v.__class__ is not int:
+                    raise TypeError(f"non-integral value {v}: MPoly is over Z")
                 if v:
                     cleaned[tuple(k)] = v
         self.terms = cleaned
@@ -580,8 +582,6 @@ class MPoly:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             s = terms.get(k, 0) + v
-            if s.__class__ is not int and s.denominator == 1:
-                s = s.numerator
             if not s:
                 terms.pop(k, None)
             else:
@@ -601,8 +601,6 @@ class MPoly:
             for k2, v2 in other.terms.items():
                 k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
                 s = terms.get(k, 0) + v1 * v2
-                if s.__class__ is not int and s.denominator == 1:
-                    s = s.numerator
                 if not s:
                     terms.pop(k, None)
                 else:
@@ -638,16 +636,19 @@ class MPoly:
         return [_wrap(b) for b in buckets]
 
     def eval_var(self, name: str, value) -> "MPoly":
-        """Substitute a rational value for one variable."""
+        """d^e self(name = n/d) for the rational value n/d in lowest terms,
+        e the degree of self in `name`: the substitution cleared of its
+        denominator, over Z.  It is self(name = value) at an integer."""
         i = _VAR_INDEX[name]
         value = _exact(value)
+        n, d, e = value.numerator, value.denominator, self.degree(name)
         terms: dict = {}
         for k, v in self.terms.items():
             kk = list(k)
-            d = kk[i]
+            j = kk[i]
             kk[i] = 0
             kk = tuple(kk)
-            terms[kk] = terms.get(kk, 0) + v * value**d
+            terms[kk] = terms.get(kk, 0) + v * n**j * d ** (e - j)
         return MPoly(terms)
 
     def derivative(self, name: str) -> "MPoly":
@@ -688,24 +689,21 @@ class MPoly:
         return UniPoly(coeffs, name)
 
     def exact_div(self, other: "MPoly") -> "MPoly":
-        """Exact multivariate division; raises if the division is not exact."""
+        """self / other in Z[x, y, l] by checked divmods of lex-leading
+        terms; ArithmeticError when other does not divide self there."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if other.is_const():
-            c = other.terms[(0, 0, 0)]
-            return _wrap({k: _div(v, c) for k, v in self.terms.items()})
         rem = dict(self.terms)
         dk = max(other.terms)
         dc = other.terms[dk]
         q: dict = {}
         while rem:
             k = max(rem)
-            v = rem[k]
             t = (k[0] - dk[0], k[1] - dk[1], k[2] - dk[2])
-            if min(t) < 0:
+            c, r = divmod(rem[k], dc)
+            if r or min(t) < 0:
                 raise ArithmeticError("division not exact")
-            c = _div(v, dc)
-            q[t] = q.get(t, 0) + c
+            q[t] = c  # each step lowers k, so no t repeats
             for k2, v2 in other.terms.items():
                 kk = (t[0] + k2[0], t[1] + k2[1], t[2] + k2[2])
                 s = rem.get(kk, 0) - c * v2
@@ -778,17 +776,13 @@ def _prem(a: list, b: list) -> list:
 
 def _quo(a, b):
     """a / b for coefficients of the PRS, which must divide exactly: divmod
-    with a zero-remainder check on ints, MPoly.exact_div otherwise, whose
-    quotient must have int values too, as the PRS's inputs do."""
+    with a zero-remainder check on ints, MPoly.exact_div otherwise."""
     if a.__class__ is int:
         q, r = divmod(a, b)
         if r:
             raise ArithmeticError("division not exact")
         return q
-    q = a.exact_div(b)
-    if any(v.__class__ is not int for v in q.terms.values()):
-        raise ArithmeticError("division not exact")
-    return q
+    return a.exact_div(b)
 
 
 def _subresultant_prs(A: list, B: list):
@@ -823,21 +817,13 @@ def _subresultant_prs(A: list, B: list):
 _PACK_BITS = 8192
 
 
-def _primitive_terms(p: MPoly) -> tuple[dict, int, int]:
-    """(terms, g, d), d, g > 0: the terms of (d / g) p, the primitive integer
-    multiple of the nonzero p.  Integral terms take one int gcd g, d = 1,
-    and build no Fraction; otherwise d and g are the lcm of the denominators
-    and the gcd of the numerators, the content of rationals in lowest terms."""
-    values = p.terms.values()
-    if all(c.__class__ is int for c in values):
-        g, d = int_gcd(*values), 1
-    else:
-        d = lcm(*(c.denominator for c in values))
-        g = int_gcd(*(c.numerator for c in values))
-    if g == d == 1:
-        return p.terms, 1, 1
-    return {e: c.numerator * (d // c.denominator) // g
-            for e, c in p.terms.items()}, g, d
+def _primitive_terms(p: MPoly) -> tuple[dict, int]:
+    """(terms, g): g > 0 the content of the nonzero p, the gcd of its
+    values, and terms those of its primitive part p / g."""
+    g = int_gcd(*p.terms.values())
+    if g == 1:
+        return p.terms, 1
+    return {e: c // g for e, c in p.terms.items()}, g
 
 
 def _slots(du: int, dv: int, bound: int):
@@ -886,11 +872,11 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     variables u, v: 0 when one of p, q is zero and the other involves var;
     ValueError when neither involves var, zero or not.
 
-    The subresultant PRS runs on the primitive integer multiples A =
-    (d_p/g_p) p and B = (d_q/g_q) q of `_primitive_terms`, m >= n their
-    degrees in var.  Res(A, B) = (-1)^(deg A deg B) Res(B, A), each
-    pseudo-division step flips the sign when both degrees are odd, and the
-    last pair (A, B) with B = b constant gives h^(1 - m) b^m, m = deg A.
+    The subresultant PRS runs on the primitive parts A = p / g_p and B =
+    q / g_q of `_primitive_terms`, m >= n their degrees in var.  Res(A, B)
+    = (-1)^(deg A deg B) Res(B, A), each pseudo-division step flips the
+    sign when both degrees are odd, and the last pair (A, B) with B = b
+    constant gives h^(1 - m) b^m, m = deg A.
 
     While the width of `_slots` is at most _PACK_BITS, A and B are packed
     straight from their terms, one int per coefficient: u and v become 2^s
@@ -904,10 +890,8 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     none packs to 0 unless it is 0, the packed sequence takes the same
     degree steps, its checked divisions are the images of the true exact
     ones, and the balanced s-bit digits of the packed resultant are its
-    coefficients.  Res(p, q) = (g_p/d_p)^n (g_q/d_q)^m Res(A, B), so each
-    digit is multiplied by the sign and g_p^n g_q^m as it is unpacked, and
-    divided by d_p^n d_q^m only when that is not 1: integral inputs build
-    no Fraction.
+    coefficients.  Res(p, q) = g_p^n g_q^m Res(A, B), so each digit is
+    multiplied by the sign and g_p^n g_q^m as it is unpacked.
 
     The limit is where packing stops paying, as measured (2 vCPUs, CPython
     3.11.7, best of three) on the 203 resultant and bivariate gcd calls of
@@ -927,8 +911,8 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     if m < n:
         p, q, m, n = q, p, n, m
         sign = (-1) ** (m * n)
-    (A, ga, da), (B, gb, db) = _primitive_terms(p), _primitive_terms(q)
-    num, den = sign * ga**n * gb**m, da**n * db**m
+    (A, ga), (B, gb) = _primitive_terms(p), _primitive_terms(q)
+    scale = sign * ga**n * gb**m
     k = max(n, 1)
     ea, eb = [max(e) for e in zip(*A)], [max(e) for e in zip(*B)]
     na, nb = sum(map(abs, A.values())), sum(map(abs, B.values()))
@@ -943,15 +927,14 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     for A, B, h in _subresultant_prs(A, B):
         m, n = _poly_deg(A), _poly_deg(B)
         if n > 0 and m * n % 2:
-            num = -num
+            scale = -scale
     if n < 0:
         return MPoly()  # common factor: the resultant vanishes
     r = _quo(B[0] ** m, h ** (m - 1))
     items = ([(_key(i, t % w, t // w), c)
               for t, c in enumerate(_unpack(r, slots)) if c]
              if slots else r.terms.items())
-    return _wrap({e: c * num if den == 1 else _div(c * num, den)
-                  for e, c in items})
+    return _wrap({e: c * scale for e, c in items})
 
 
 # ---------------------------------------------------------------------------
@@ -960,9 +943,9 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
 
 
 def _rows(p: MPoly, i: int, j: int) -> list[list[int]]:
-    """The primitive integer multiple of p, which must be free of the third
-    variable, as its rows: the ascending coefficients in variable i, each
-    the trimmed ascending int list in variable j; [] for zero."""
+    """The primitive part of p, which must be free of the third variable,
+    as its rows: the ascending coefficients in variable i, each the trimmed
+    ascending int list in variable j; [] for zero."""
     if not p.terms:
         return []
     terms = _primitive_terms(p)[0]
@@ -990,30 +973,32 @@ def _divide_content(lists: list[list[int]]) -> tuple[list, list]:
 def _content(p: MPoly, main: str, coeff: str) -> UniPoly:
     """Monic gcd in Q[coeff] of the coefficients in main of p, which must be
     free of the third variable: the content, as by `_divide_content`, of
-    the rows of its primitive integer multiple, made monic."""
+    the rows of its primitive part, made monic."""
     return UniPoly(_divide_content(
         _rows(p, _VAR_INDEX[main], _VAR_INDEX[coeff]))[0], coeff).monic()
 
 
 def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
-    """gcd of two polynomials in Q[main, coeff] (the third variable absent),
-    scaled so that its lex-leading coefficient is 1.
+    """gcd of two polynomials in Z[main, coeff] (the third variable absent),
+    primitive with a positive lex-leading coefficient: the gcd over Q too,
+    up to that scale (Gauss), so it divides both inputs exactly over Z.
 
-    Each input's terms are read once, as those of its primitive integer
-    multiple (`_primitive_terms`: integral inputs build no Fraction), into
-    rows, the int lists in coeff of its coefficients in main.  Their
-    contents in Z[coeff] are divided out; the gcd of the primitive parts is
-    the primitive part of the last nonzero remainder of their subresultant
-    PRS in main, times the gcd of the contents.  The PRS runs on ints as in
-    `resultant`, under the same limit, or else on MPolys; the remainder is
-    +- a subresultant, so it unpacks exactly.
+    Each input's terms are read once, as those of its primitive part
+    (`_primitive_terms`), into rows, the int lists in coeff of its
+    coefficients in main.  Their contents in Z[coeff] are divided out; the
+    gcd of the primitive parts is the primitive part of the last nonzero
+    remainder of their subresultant PRS in main, times the gcd of the
+    contents; `_lex_positive` divides out the integer content that
+    `_divide_content` leaves.  The PRS runs on ints as in `resultant`, under
+    the same limit, or else on MPolys; the remainder is +- a subresultant,
+    so it unpacks exactly.
     """
     i, j = _VAR_INDEX[main], _VAR_INDEX[coeff]
     (third,) = {0, 1, 2} - {i, j}
     if any(e[third] for r in (p, q) for e in r.terms):
         raise ValueError(f"gcd_bivariate expects input free of {VARS[third]}")
     if not p.terms or not q.terms:
-        return _lex_monic(p.terms or q.terms)
+        return _lex_positive(p.terms or q.terms)
     a, b = _rows(p, i, j), _rows(q, i, j)
     if len(a) < len(b):
         a, b = b, a
@@ -1040,17 +1025,18 @@ def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
     c = _gcd_int(ca, cb)[0]
     if len(c) > 1:
         g = [_mul(row, c) for row in g]
-    return _lex_monic({_key(third, *((t, k) if i > j else (k, t))): x
-                       for k, row in enumerate(g) for t, x in enumerate(row)
-                       if x})
+    return _lex_positive({_key(third, *((t, k) if i > j else (k, t))): x
+                          for k, row in enumerate(g)
+                          for t, x in enumerate(row) if x})
 
 
-def _lex_monic(terms: dict) -> MPoly:
-    """The MPoly with these terms divided by its lex-leading coefficient."""
+def _lex_positive(terms: dict) -> MPoly:
+    """The primitive part of the MPoly with these terms, signed so that its
+    lex-leading coefficient is positive."""
     if terms:
-        lc = terms[max(terms)]
-        if lc != 1:
-            terms = {e: _div(c, lc) for e, c in terms.items()}
+        g = int_gcd(*terms.values())
+        g = g if terms[max(terms)] > 0 else -g
+        terms = {e: c // g for e, c in terms.items()}
     return _wrap(terms)
 
 

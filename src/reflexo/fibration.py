@@ -412,7 +412,9 @@ def member_is_nonreduced(pencil: Pencil, lam: Fraction):
     nonconstant, R the radical of G.  A repeated component of F divides both
     log partials, hence G; conversely f + lambda and df both vanish on a
     component of G inside F, so its square divides F.  gcd(F, R) is
-    square-free: the repeated component."""
+    square-free: the repeated component, primitive with a positive
+    lex-leading coefficient (`gcd_bivariate`).  At lambda = n/d, F is d C(x,
+    y, n/d) (`MPoly.eval_var`; C is linear in l), with the member's factors."""
     F = pencil.C.eval_var("l", lam).strip_monomial()
     R = gcd_bivariate(F, pencil.radical, "x", "y").strip_monomial()
     if R.is_const():

@@ -511,9 +511,9 @@ def _strip_x(p: UniPoly) -> UniPoly:
 
 def values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0) -> UniPoly:
     """prod (l + f(p)) over the critical points p = (x, y0), with A, B, J
-    and C evaluated at y0 in Fractions and the monic gcd over Q: the
-    contract of fibration._values_over on Q[y]/(d y - n) for y0 = n/d, up
-    to a nonzero constant, with the same errors."""
+    and C evaluated at y0 = n/d (`MPoly.eval_var`: each times a power of
+    d) and the monic gcd over Q: the contract of fibration._values_over on
+    Q[y]/(d y - n), up to a nonzero constant, with the same errors."""
     y0 = Fraction(y0)
     A0, B0, J0 = (p.eval_var("y", y0).to_unipoly("x") for p in (A, B, J))
     g = _strip_x(gcd_poly(A0, B0))
@@ -524,7 +524,7 @@ def values_at_y(A: MPoly, B: MPoly, J: MPoly, C: MPoly, y0) -> UniPoly:
         raise ArithmeticError(
             f"critical point is not an ordinary node: stage torus nodes, "
             f"y a root of {format_unipoly(factor)}")
-    g = MPoly.from_unipoly(g, "x")
+    g = MPoly.from_unipoly(g.primitive_integer(), "x")
     return resultant(g, C.eval_var("y", y0), "x").to_unipoly("l")
 
 

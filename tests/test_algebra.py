@@ -7,6 +7,7 @@ computed independently by hand or brute force, [TRIVIAL] = textbook identity.
 import random
 import time
 from fractions import Fraction
+from math import gcd as int_gcd
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -93,9 +94,9 @@ class TestResultant:
 
     def test_matches_sylvester_bareiss(self, res_x):
         # [DERIVED] subresultant PRS agrees with the naive Sylvester
-        # determinant on a rational example
-        p = upoly(Fraction(1, 2), -1, 0, 3, var="x")
-        q = upoly(2, 0, Fraction(-1, 3), 1, var="x")
+        # determinant on a rational example, cleared of its denominators
+        p = upoly(1, -2, 0, 6, var="x")
+        q = upoly(6, 0, -1, 3, var="x")
         mat = sylvester_matrix(p.coeffs, q.coeffs)
         assert res_x(p, q) == bareiss_determinant(mat)
 
@@ -126,17 +127,24 @@ class TestResultant:
 
 
 class TestRepresentation:
-    def test_integral_values_are_ints(self):
+    def test_non_integral_value_refused(self):
+        # [TRIVIAL] MPoly is over Z: 4/2 is stored as the int 2, and 1/2,
+        # alone or as a factor, is refused
         p = MPoly({(1, 0, 0): Fraction(4, 2)})
         assert type(p.terms[(1, 0, 0)]) is int and p.terms[(1, 0, 0)] == 2
-        half = MPoly.const(Fraction(1, 2))
-        assert type((half * MPoly.const(2)).terms[(0, 0, 0)]) is int
-        assert type((half + half).terms[(0, 0, 0)]) is int
+        with pytest.raises(TypeError, match="non-integral value 1/2"):
+            MPoly.const(Fraction(1, 2))
+        with pytest.raises(TypeError, match="non-integral value 1/2"):
+            Fraction(1, 2) * p
 
-    def test_inexact_quotient_is_a_fraction(self):
-        q = MPoly.const(1).exact_div(MPoly.const(3))
-        assert q.terms == {(0, 0, 0): Fraction(1, 3)}
-        assert type(q.terms[(0, 0, 0)]) is Fraction
+    def test_inexact_quotient_refused(self):
+        # [TRIVIAL] 1/3 is not in Z, nor 2x / 3x; 6x / 3x is
+        with pytest.raises(ArithmeticError, match="division not exact"):
+            MPoly.const(1).exact_div(MPoly.const(3))
+        x = MPoly({(1, 0, 0): 1})
+        with pytest.raises(ArithmeticError, match="division not exact"):
+            (2 * x).exact_div(3 * x)
+        assert (6 * x).exact_div(3 * x) == MPoly.const(2)
 
     def test_accessors_return_fractions(self):
         # [TRIVIAL] evaluation returns a Fraction, also at an int point of
@@ -744,8 +752,9 @@ class TestGcdBivariate:
 
     def test_recovers_a_planted_factor(self):
         # [DERIVED] gcd(p r, q r) = r for coprime p, q (both resultants
-        # nonzero), scaled to lex-leading coefficient 1; half of the r carry
-        # a factor free of the main variable, found through the contents
+        # nonzero), divided by its content and signed to a positive
+        # lex-leading coefficient; half of the r carry a factor free of the
+        # main variable, found through the contents
         rng = random.Random(1971)
         checked = 0
         for main, coeff in [("x", "y"), ("l", "y"), ("y", "l")]:
@@ -756,9 +765,8 @@ class TestGcdBivariate:
                         UniPoly([rng.randint(-3, 3), 1]), coeff)
                 if resultant(p, q, main) == 0 or resultant(p, q, coeff) == 0:
                     continue
-                lc = r.terms[max(r.terms)]
                 assert gcd_bivariate(p * r, q * r, main, coeff) == \
-                    MPoly.const(Fraction(1, lc)) * r
+                    _primitive_part(r)
                 checked += 1
         assert checked >= 12
 
@@ -925,10 +933,10 @@ def _random_lx(rng, deg):
 def _check_against_sylvester(p, q):
     r = resultant(p, q, "x")
     for l0 in (-2, Fraction(-1, 2), 0, 1, Fraction(5, 3), 3):
-        a, b = ([constant_value(c.eval_var("l", l0)) for c in f.coeffs_in("x")]
+        a, b = ([c.to_unipoly("l")(l0) for c in f.coeffs_in("x")]
                 for f in (p, q))
         if a[-1] != 0 and b[-1] != 0:
-            assert constant_value(r.eval_var("l", l0)) == \
+            assert r.to_unipoly("l")(l0) == \
                 bareiss_determinant(sylvester_matrix(a, b))
 
 
@@ -944,6 +952,15 @@ def _random_biv(rng, main, coeff):
             terms[tuple(e)] = rng.randint(-3, 3)
     terms[tuple(e)] = rng.choice([-3, -2, -1, 1, 2, 3])
     return MPoly(terms)
+
+
+def _primitive_part(p: MPoly) -> MPoly:
+    """p divided by the gcd of its values, signed so that its lex-leading
+    coefficient is positive."""
+    g = int_gcd(*p.terms.values())
+    if p.terms[max(p.terms)] < 0:
+        g = -g
+    return MPoly({e: c // g for e, c in p.terms.items()})
 
 
 def test_resultant_vanishes_iff_gcd_nonconstant(res_x):
@@ -1025,17 +1042,13 @@ def _check_both_sides(p, q, var):
     _check_resultant(p, q, var, packed)
 
 
-_coefficient = st.one_of(
-    st.integers(-40, 40),
-    st.fractions(min_value=-9, max_value=9, max_denominator=6),
-)
+_coefficient = st.integers(-40, 40)
 
 
 @st.composite
 def _xyl(draw, absent=None):
-    """A polynomial of degree <= 2 in x and <= 1 in y and l, with int and
-    Fraction coefficients of both signs; `absent` names a variable it is
-    free of."""
+    """A polynomial of degree <= 2 in x and <= 1 in y and l, with int
+    coefficients of both signs; `absent` names a variable it is free of."""
     keys = st.tuples(*(st.just(0) if name == absent else
                        st.integers(0, 2 if name == "x" else 1)
                        for name in algebra.VARS))
@@ -1055,28 +1068,44 @@ def test_packed_resultant_matches_sylvester_bareiss(var, data):
     _check_both_sides(p, q, var)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(algebra.VARS), st.data(),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_eval_var_clears_the_denominator(name, data, value):
+    # [DERIVED] eval_var(name, n/d) = d^e p(name = n/d), e = deg_name p:
+    # each coefficient in the two other variables is d^e times its
+    # polynomial in name, evaluated in Fractions by UniPoly
+    p = data.draw(_xyl())
+    i, e = algebra._VAR_INDEX[name], p.degree(name)
+    columns: dict = {}
+    for k, v in p.terms.items():
+        column = columns.setdefault(k[:i] + (0,) + k[i + 1:], [0] * (e + 1))
+        column[k[i]] = v
+    expected = {k: value.denominator**e * UniPoly(column, name)(value)
+                for k, column in columns.items()}
+    assert p.eval_var(name, value) == \
+        MPoly({k: c for k, c in expected.items() if c})
+
+
 _x, _y, _l = (MPoly({e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-_F = Fraction
 
 
 @pytest.mark.parametrize("p, q", [
-    # degrees 1 < 3, both odd, and non-integral scales d / g on both inputs
-    (_F(1, 2) * _x + _F(2, 3) * _y,
-     _F(3, 4) * _x**3 - _F(1, 5) * _x * _y + _F(5, 7) * _l + 1),
-    (_F(2, 3) * _x * _y + _F(4, 9) * _l,
-     _F(6, 5) * _x**3 + _F(3, 10) * _y - 3),
-    # integral inputs with contents 2 and 3
+    # degrees 1 < 3, both odd, the second pair with contents 2 and 3
+    (3 * _x + 4 * _y, 105 * _x**3 - 28 * _x * _y + 100 * _l + 140),
+    (6 * _x * _y + 4 * _l, 12 * _x**3 + 3 * _y - 30),
+    # contents 2 and 3
     (6 * _x**3 + 4 * _y * _l, 9 * _x - 3 * _l),
-    # an input free of x (n = 0) with a non-integral scale
-    (_F(1, 2) * _x**2 + _x * _y - _F(1, 3), _F(2, 3) * _y + _F(4, 9) * _l),
+    # an input free of x (n = 0) with content 2
+    (3 * _x**2 + 6 * _x * _y - 2, 6 * _y + 4 * _l),
     (2 * _x**3 - _y, 4 * _y**2 - 6 * _l),
     # in the slots of Res = (y + 3)^2 alone, s = 6, y - 64 would pack to 0
     ((_y - 64) * _x**2 + 1, _y + 3),
 ])
 def test_packed_resultant_signs_and_scales(p, q):
     # [DERIVED] both orders of each pair, on both sides of the width limit,
-    # give the Sylvester determinant: the swap sign (-1)^(m n), the scales
-    # and the power b^m of a constant are applied to every digit
+    # give the Sylvester determinant: the swap sign (-1)^(m n), the
+    # contents and the power b^m of a constant are applied to every digit
     for a, b in ((p, q), (q, p)):
         _check_both_sides(a, b, "x")
 
@@ -1099,17 +1128,20 @@ def test_packed_resultant_with_degree_gaps(deg_b, deg_f, seed):
 @given(st.sampled_from([("x", "y"), ("l", "y"), ("y", "l")]),
        st.integers(0, 10**6))
 def test_packed_gcd_bivariate_matches_mpoly(variables, seed):
-    # [DERIVED] both encodings give the same gcd of p r and q r, Fraction
-    # scaled, with a factor free of the main variable half of the time
+    # [DERIVED] both encodings give the same gcd of p r and q r, p scaled
+    # by an integer, with a factor free of the main variable half of the
+    # time; the gcd is primitive with a positive lex-leading coefficient
     main, coeff = variables
     rng = random.Random(seed)
     p, q, r = (_random_biv(rng, main, coeff) for _ in range(3))
     if seed % 2:
         r = r * MPoly.from_unipoly(UniPoly([rng.randint(-3, 3), 1]), coeff)
-    p = p * r * MPoly.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    p = p * r * rng.randint(1, 9)
     q = q * r
     packed, plain = _on_both_sides(lambda: gcd_bivariate(p, q, main, coeff))
     assert packed == plain
+    assert int_gcd(*packed.terms.values()) == 1
+    assert packed.terms[max(packed.terms)] > 0
     p.exact_div(packed), q.exact_div(packed)  # raise unless it divides both
 
 
@@ -1119,27 +1151,27 @@ def test_packed_gcd_bivariate_matches_mpoly(variables, seed):
 def test_packed_gcd_bivariate_with_contents(variables, seed):
     # [DERIVED] p = s c a r and q = s c' b r with s, c, c' linear in coeff
     # alone: both contents in Z[coeff] are nonconstant and share s, so both
-    # encodings give a gcd that divides p and q and is divisible by s r
+    # encodings give a gcd that divides p and q and is divisible by s r,
+    # over Z by its primitive part
     main, coeff = variables
     rng = random.Random(seed)
     a, b, r = (_random_biv(rng, main, coeff) for _ in range(3))
     s, c, c2 = (MPoly.from_unipoly(UniPoly([rng.randint(-3, 3),
                                            rng.choice([-2, -1, 1, 2])]),
                                    coeff) for _ in range(3))
-    p = s * c * a * r * MPoly.const(Fraction(rng.randint(1, 9),
-                                             rng.randint(1, 9)))
+    p = s * c * a * r * rng.randint(1, 9)
     q = s * c2 * b * r
     packed, plain = _on_both_sides(lambda: gcd_bivariate(p, q, main, coeff))
     assert packed == plain
     p.exact_div(packed), q.exact_div(packed)  # raise unless it divides both
-    packed.exact_div(s * r)
+    packed.exact_div(_primitive_part(s * r))
 
 
 @st.composite
 def _in_two(draw, main, coeff):
     """A polynomial of degree <= 2 in each of main and coeff, with int
-    and Fraction coefficients; zero, and coefficients in main that are zero
-    or nonzero constants, are among the draws."""
+    coefficients; zero, and coefficients in main that are zero or nonzero
+    constants, are among the draws."""
     def key(i, j):
         e = [0, 0, 0]
         e[algebra._VAR_INDEX[main]], e[algebra._VAR_INDEX[coeff]] = i, j
