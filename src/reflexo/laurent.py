@@ -51,9 +51,6 @@ class LaurentPoly:
                 terms[k] = terms.get(k, 0) + v1 * v2
         return LaurentPoly(terms)
 
-    def support(self) -> list[Point]:
-        return sorted(self.terms)
-
     def transform(self, A) -> "LaurentPoly":
         """Exponent change u -> A u for unimodular A = ((a,b),(c,d))."""
         a, b, c, d, _ = _unimodular(A)
@@ -94,7 +91,7 @@ def newton_polygon(f: LaurentPoly):
     support is lower-dimensional (e.g. Newt(1+x) = [(0,0),(1,0)])."""
     if not f.terms:
         raise ValueError("empty support")
-    hull = convex_hull(f.support())
+    hull = convex_hull(f.terms)
     if len(hull) < 3:
         return hull
     return Polygon._from_ccw(hull)

@@ -9,12 +9,10 @@ GL2(Z) canonical forms work by mapping unimodular ordered pairs (p, q) of
 boundary lattice points onto the standard frame p -> e1, q -> e2; for a
 reflexive polygon consecutive boundary lattice points always form such a
 pair, so the candidate set is finite, GL2(Z)-equivariant, and exhaustive.
-The frames (q, det) with det = det(p, q) = ±1 are taken in order of the
-x-coordinate of the image's least vertex, which depends on q and det alone,
-and the search stops after the first such level where some boundary point
-p completes a frame: every candidate of a higher level starts at a larger
-vertex, so it cannot be the lexicographically least.  Only the distinct
-levels are sorted, and each scan takes the frames of one level.
+Every candidate of a frame (q, det), det = det(p, q) = ±1, starts at the
+same x-coordinate, the frame's level, which depends on q and det alone; one
+pass over the frames skips each frame whose level exceeds the x-coordinate
+of the least candidate so far, since none of its candidates can be smaller.
 
 The fan key, the cyclic sequence of cross(b_{i-1}, b_{i+1}) over boundary
 points up to rotation and reversal, tells the classes of reflexive polygons
@@ -265,24 +263,20 @@ def canonical_form(P: Polygon) -> Polygon:
     its least rotation because the vertices are distinct.
 
     With det = cross(p, q) = ±1 the map is v -> det (cross(v, q), cross(p, v)),
-    so the least vertex of a candidate has x-coordinate min det cross(v, q)
-    over P's vertices v: a level fixed by the frame (q, det) alone.  Frames
-    are evaluated level by level from the lowest, and the search stops after
-    the first level where some boundary point p has cross(p, q) = det.  A
-    candidate of a higher level starts at a vertex with larger x, so it is
-    never the least; a level without such a p has no candidate at all.
+    so every candidate of the frame (q, det) starts at x = min det cross(v, q)
+    over P's vertices v: a level fixed by the frame alone.  One pass over the
+    frames keeps the least candidate so far and skips a frame whose level is
+    greater than that candidate's x, since each of its candidates starts at
+    a larger x.  The skip is strict: a frame at the same level may still hold
+    a smaller candidate, and a later frame of lower level replaces the best.
     """
     bpts = P.boundary_lattice_points()
     vs = P.vertices
-    frames = []
-    for c, d in bpts:
-        h = [x * d - y * c for x, y in vs]  # cross(v, q)
-        # (level, det q, det) for det = 1 and det = -1
-        frames += ((min(h), c, d, 1), (-max(h), -c, -d, -1))
     best = None
-    for level in sorted({f[0] for f in frames}):
-        for lv, c, d, det in frames:
-            if lv != level:
+    for qx, qy in bpts:
+        h = [x * qy - y * qx for x, y in vs]  # cross(v, q)
+        for level, c, d, det in ((min(h), qx, qy, 1), (-max(h), -qx, -qy, -1)):
+            if best is not None and level > best[0][0]:
                 continue
             # U with U p = e1, U q = e2 is the inverse of [p q]; (c, d) = det q
             for a, b in bpts:
@@ -295,8 +289,6 @@ def canonical_form(P: Polygon) -> Polygon:
                 cand = tuple(img[i:] + img[:i])
                 if best is None or cand < best:
                     best = cand
-        if best is not None:
-            break
     if best is None:
         raise ValueError(
             "no unimodular boundary pair; canonical form undefined for this polygon"

@@ -30,8 +30,10 @@ the bounded walk of the enumeration, and `operator_singular_locus` reads
 the singular points off a Picard-Fuchs operator's leading coefficient.
 `row_walk` builds the powers of a packed polynomial row by row in y, for
 any support: the independent series that the recurrence of
-`period_coefficients` is checked against.  All are plain int and Fraction
-arithmetic on the program's types.
+`period_coefficients` is checked against, and `torus_counts` counts the
+points of the pencil's members on the torus mod p, which the series meets
+in a congruence.  All are plain int and Fraction arithmetic on the
+program's types.
 """
 
 from fractions import Fraction
@@ -279,6 +281,44 @@ def row_walk(g: list, M: int, s: int) -> list[int]:
         rows = out
         coeffs.append(_digit(rows.get(0, 0), -m * a_min * s, s))
     return coeffs
+
+
+def torus_counts(f, p: int) -> list[int]:
+    """N_p(c) = #{(x, y) in (F_p^*)^2 : f(x, y) = c} for c = 0 .. p - 1,
+    filled in one pass over the torus; f is a LaurentPoly with integer
+    coefficients and p an odd prime.
+
+    These counts meet the period c_k = CT(f_P^k) of a reflexive P in
+
+        1 - n(P) - N_p(-l) = sum_{k<p} c_k t^k (mod p),  t = -1/l,
+
+    for every l in F_p^*, with n(P) the number of vertices of P.  All sums
+    are over the (p - 1)^2 points of the torus, and mod p.  Since a^(p-1)
+    is 1 for a unit and 0 for zero, N_p(c) = sum (1 - (f - c)^(p-1)), so
+    1 - N_p(c) = sum (f - c)^(p-1).  With binom(p-1, k) = (-1)^k,
+    (f - c)^(p-1) = sum_{k<p} c^(p-1-k) f^k, and c^(p-1-k) = c^(-k) = t^k
+    at c = -l.  A monomial x^a y^b sums to (p - 1)^2 = 1 when p - 1
+    divides a and b, and to 0 otherwise.  The exponents of f^k lie in kP,
+    and (p - 1)u in kP means u in (k/(p-1))P.  For k < p - 1 that lies in
+    the interior of P, whose one lattice point is 0, so the sum of f^k is
+    c_k.  For k = p - 1 the boundary points u of P add the boundary term.
+    (p - 1)u lies on the face (p - 1)F of (p - 1)P, F the least face of P
+    that holds u, so each of the p - 1 factors of its coefficient in
+    f^(p-1) is a term of f on F.  At a vertex that is the vertex
+    coefficient, 1, to the power p - 1, so 1.  Inside an edge of lattice
+    length e < p, where f is x^w (1 + z)^e with z the edge's primitive
+    step, u = w + j z with 0 < j < e, and Lucas gives
+    binom(e(p-1), j(p-1)) = binom(e-1, j-1) binom(p-e, p-j) = 0, since
+    p - j > p - e.  So the sum of f^(p-1) is c_(p-1) + n(P), and the
+    congruence follows.
+    """
+    terms = [(i, j, a % p) for (i, j), a in f.terms.items()]
+    counts = [0] * p
+    for x in range(1, p):
+        row = [(j, a * pow(x, i, p)) for i, j, a in terms]
+        for y in range(1, p):
+            counts[sum(b * pow(y, j, p) for j, b in row) % p] += 1
+    return counts
 
 
 def kernels_mod_p(c: list, h: int,

@@ -31,6 +31,7 @@ from oracles import (
     operator_singular_locus,
     random_unimodular,
     row_walk,
+    torus_counts,
 )
 
 
@@ -921,3 +922,45 @@ class TestSingularLocus:
         loc = operator_singular_locus(find_picard_fuchs(s))
         roots = {r for r, _ in loc["roots"]}
         assert {Fraction(-1, 4), Fraction(1, 4)} <= roots
+
+
+# primes fixed in advance for the congruence with the point counts
+COUNT_PRIMES = (31, 53)
+
+
+def congruence_misses(P, c: list[int], p: int) -> list[int]:
+    """The l in F_p^* where 1 - n(P) - N_p(-l) and sum_{k<p} c_k t^k,
+    t = -1/l, differ mod p (see `torus_counts`)."""
+    counts = torus_counts(build_fP(P), p)
+    n = len(P.vertices)
+    misses = []
+    for lam in range(1, p):
+        t = -pow(lam, -1, p)
+        series = sum(ck * pow(t, k, p) for k, ck in enumerate(c))
+        if (1 - n - counts[-lam % p] - series) % p:
+            misses.append(lam)
+    return misses
+
+
+class TestPointCountCongruence:
+    @pytest.mark.parametrize("p", COUNT_PRIMES)
+    def test_series_meets_the_counts(self, catalog, p):
+        # [DERIVED] the period series up to t^(p-1) and the torus counts of
+        # the members agree mod p at every l in F_p^*, good and bad: two
+        # paths that share no code
+        for name in NAMES:
+            c = period_coefficients(build_fP(catalog[name]), p - 1).coefficients
+            assert all(isinstance(ck, int) for ck in c)
+            assert congruence_misses(catalog[name], c, p) == [], name
+
+    def test_changed_coefficient_fails(self, catalog):
+        # [DERIVED] a series with one c_k changed by 1 fails at every l,
+        # since t^k is a unit; k = p - 1 is where the boundary term n(P)
+        # enters
+        p = COUNT_PRIMES[0]
+        for name in NAMES:
+            c = period_coefficients(build_fP(catalog[name]), p - 1).coefficients
+            for k in (0, 1, p // 2, p - 1):
+                mutant = c[:k] + [c[k] + 1] + c[k + 1:]
+                assert congruence_misses(catalog[name], mutant, p) == \
+                    list(range(1, p)), (name, k)

@@ -1,5 +1,6 @@
 """Lattice polygon geometry: volume, duality, canonical forms, Ehrhart."""
 
+import inspect
 import random
 from fractions import Fraction
 from math import gcd
@@ -388,6 +389,19 @@ class TestCanonicalForm:
             assert _outcome(canonical_form, P) == \
                 _outcome(reference_canonical_form, P)
             checked += 1
+
+    def test_non_strict_level_skip_mutant_is_caught(self, catalog):
+        # [DERIVED] a copy of canonical_form that also skips a frame at the
+        # best candidate's level (>= for >) misses the smaller candidates
+        # such a frame can hold: it differs from the reference on some of
+        # the 16
+        src = inspect.getsource(polygon.canonical_form)
+        assert src.count("level > best") == 1
+        namespace = dict(vars(polygon))
+        exec(src.replace("level > best", "level >= best"), namespace)
+        mutant = namespace["canonical_form"]
+        assert any(mutant(P).vertices != reference_canonical_form(P).vertices
+                   for P in catalog.values())
 
     def test_matches_reference_on_enumerated_polygons(self, box4):
         # [DERIVED] every reflexive vertex set in [-4, 4]^2
