@@ -560,7 +560,7 @@ class MPoly:
         if not self.terms:
             return NEG_INF
         i = _VAR_INDEX[name]
-        return max(k[i] for k in self.terms)
+        return max([k[i] for k in self.terms])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MPoly):
@@ -826,6 +826,18 @@ def _primitive_terms(p: MPoly) -> tuple[dict, int]:
     return {e: c // g for e, c in p.terms.items()}, g
 
 
+def _read(p: MPoly) -> tuple[list, int, int]:
+    """(degrees, g, norm): the degrees of p in x, y and l, its content g >
+    0, the gcd of its values, and the 1-norm of its primitive part p / g,
+    from one read of its exponents and one of its values; NEG_INF degrees
+    for zero."""
+    if not p.terms:
+        return [NEG_INF] * 3, 1, 0
+    values = p.terms.values()
+    g = int_gcd(*values)
+    return [max(e) for e in zip(*p.terms)], g, sum(map(abs, values)) // g
+
+
 def _slots(du: int, dv: int, bound: int):
     """The packing (s, w, size) of the c(u, v) of degree <= du in u and <=
     dv in v with coefficients at most bound in absolute value as c(2^s,
@@ -873,10 +885,11 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     ValueError when neither involves var, zero or not.
 
     The subresultant PRS runs on the primitive parts A = p / g_p and B =
-    q / g_q of `_primitive_terms`, m >= n their degrees in var.  Res(A, B)
-    = (-1)^(deg A deg B) Res(B, A), each pseudo-division step flips the
-    sign when both degrees are odd, and the last pair (A, B) with B = b
-    constant gives h^(1 - m) b^m, m = deg A.
+    q / g_q, m >= n their degrees in var: `_read` gives each input's
+    degrees, content and norm at once.  Res(A, B) = (-1)^(deg A deg B)
+    Res(B, A), each pseudo-division step flips the sign when both degrees
+    are odd, and the last pair (A, B) with B = b constant gives
+    h^(1 - m) b^m, m = deg A.
 
     While the width of `_slots` is at most _PACK_BITS, A and B are packed
     straight from their terms, one int per coefficient: u and v become 2^s
@@ -902,28 +915,29 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """
     i = _VAR_INDEX[var]
     u, v = (k for k in range(3) if k != i)
-    m, n = p.degree(var), q.degree(var)
+    a, b = _read(p), _read(q)
+    m, n = a[0][i], b[0][i]
     if m <= 0 and n <= 0:
         raise ValueError("nothing to eliminate")
     if m < 0 or n < 0:
         return MPoly()
     sign = 1
     if m < n:
-        p, q, m, n = q, p, n, m
+        p, q, a, b, m, n = q, p, b, a, n, m
         sign = (-1) ** (m * n)
-    (A, ga), (B, gb) = _primitive_terms(p), _primitive_terms(q)
+    (ea, ga, na), (eb, gb, nb) = a, b
     scale = sign * ga**n * gb**m
     k = max(n, 1)
-    ea, eb = [max(e) for e in zip(*A)], [max(e) for e in zip(*B)]
-    na, nb = sum(map(abs, A.values())), sum(map(abs, B.values()))
     slots = _slots(k * ea[u] + m * eb[u], k * ea[v] + m * eb[v],
                    na**k * nb**m)
     if slots:
         s, w, _ = slots
-        A, B = (_pack(((e[i], e[u] + w * e[v], c) for e, c in C.items()),
-                      d, s) for C, d in ((A, m), (B, n)))
+        A, B = (_pack(((e[i], e[u] + w * e[v], c // g)
+                       for e, c in r.terms.items()), d, s)
+                for r, g, d in ((p, ga, m), (q, gb, n)))
     else:
-        A, B = _wrap(A).coeffs_in(var), _wrap(B).coeffs_in(var)
+        A, B = (_wrap({e: c // g for e, c in r.terms.items()}).coeffs_in(var)
+                for r, g in ((p, ga), (q, gb)))
     for A, B, h in _subresultant_prs(A, B):
         m, n = _poly_deg(A), _poly_deg(B)
         if n > 0 and m * n % 2:

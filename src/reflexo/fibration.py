@@ -6,9 +6,12 @@ singular lambda values on the torus are the roots of the pencil's critical
 values -- the lambda of its isolated critical points, each certified an
 ordinary node by a simple root of the critical resultant or by the
 lambda-free Jacobian, with multiplicity its number of nodes -- and the
-rational roots of its curve values, the lambda of the
-members containing a critical curve: every such member is nonreduced, and
-every repeated component of a member is a critical curve.  Infinitely near
+rational roots of its curve values, the lambda of the members containing a
+critical curve: every such member is nonreduced, and every repeated
+component of a member is a critical curve.  When one member holds every
+critical curve, one division of the member by the curves' polynomial G
+names it (`_division_certificate`); a resultant gives the curve values only
+when that fails, when the curves lie in several members.  Infinitely near
 base points over each edge of lattice length >= 2 contribute (-2)-curves
 that are absorbed by specific finite fibres; everything is assembled under
 the Euler budget sum(chi) = 12.  The elimination polynomial E of the
@@ -119,11 +122,15 @@ class Pencil:
     critical points and the curve values of the critical curves R.  A
     repeated component of a member divides both log partials, so it divides
     R; every singular lambda on the torus is therefore a critical value or a
-    curve value.  One resultant Res_x(A, B) serves twice: where it proves
-    the log partials coprime, G = 1 and R = 1 take no bivariate gcd, and
-    the critical values read it, and its order, at a simple root, proves
-    the point above it a node.  The elimination polynomial E serves only
-    the analysis report, which builds it with `elimination_polynomial`.
+    curve value.  The curve values come from one division: where G divides
+    the member at some lambda0 (`_curve_member`), that member holds every
+    critical curve, and l - lambda0 gives them all; Res(R, C) runs only
+    when no member holds them all.  One resultant Res_x(A, B) serves twice:
+    where it proves the log partials coprime, G = 1 and R = 1 take no
+    bivariate gcd, and the critical values read it, and its order, at a
+    simple root, proves the point above it a node.  The elimination
+    polynomial E serves only the analysis report, which builds it with
+    `elimination_polynomial`.
 
     A Pencil lives for one top-level call (a report, a table row) and is
     passed down explicitly; nothing keeps it afterwards.  Only the entry
@@ -220,11 +227,22 @@ class Pencil:
         return G.exact_div(g).strip_monomial()
 
     @cached_property
+    def _curve_member(self) -> Fraction | None:
+        """lambda0 when one member, the one at lambda0, holds every critical
+        curve, as `_division_certificate` proves it from G; None when it
+        fails or G is constant."""
+        return _division_certificate(self.critical_pair[2], self.C)
+
+    @cached_property
     def curve_values(self) -> UniPoly:
-        """The lambda of the members containing a critical curve: the pure-l
-        content of Res(R, C), 1 when f has no critical curve.  f is constant
-        on each component of R, and minus that constant is a root of the
-        content."""
+        """The lambda of the members containing a critical curve: l -
+        lambda0 when the member at lambda0 holds them all (`_curve_member`),
+        else the pure-l content of Res(R, C), 1 when f has no critical
+        curve.  f is constant on each component of R, and minus that
+        constant is a root of the content."""
+        lam = self._curve_member
+        if lam is not None:
+            return UniPoly([-lam, 1], "l")
         return _curve_values(self.radical, self.C)
 
 
@@ -359,13 +377,71 @@ def _lc_gcd(a: list, b: list) -> list[int]:
     return _gcd_int(_strip_powers(a[-1]), _strip_powers(b[-1]))[0]
 
 
-def _curve_values(G: MPoly, C: MPoly) -> UniPoly:
+def _curve_values(G: MPoly, C: MPoly, lam: Fraction | None = None
+                  ) -> UniPoly:
     """The pure-l content of Res(G, C), taken over a variable of G; 1 when G
-    is constant."""
+    is constant.  With lam, the lambda0 of `_division_certificate`, it is
+    (l - lambda0)^d, d the degree of G in that variable, and no resultant
+    runs: at each of the d roots a of G in that variable, C = (l - lambda0)
+    m, and the product of m over them is free of l and nonzero."""
     if G.is_const():
         return UniPoly([1], "l")
     var, other = ("x", "y") if G.degree("x") > 0 else ("y", "x")
+    if lam is not None:
+        return UniPoly([-lam, 1], "l") ** G.degree(var)
     return _content(resultant(G, C, var).strip_monomial(), other, "l")
+
+
+def _remainder(p: MPoly, G: MPoly) -> dict:
+    """The terms of the remainder of p on division by G over Q in the lex
+    order of the exponent triples: p - qG with no term divisible by the
+    leading term of G.  {G} is a Groebner basis of (G), so the remainder is
+    0 exactly when G divides p (Cox-Little-O'Shea, *Ideals, Varieties, and
+    Algorithms*, ch. 2)."""
+    lk = max(G.terms)
+    lc = G.terms[lk]
+    tail = [(k, c) for k, c in G.terms.items() if k != lk]
+    rem, out = dict(p.terms), {}
+    while rem:
+        k = max(rem)
+        c = rem.pop(k)
+        t = (k[0] - lk[0], k[1] - lk[1], k[2] - lk[2])
+        if min(t) < 0:
+            out[k] = c
+            continue
+        q = c // lc if c % lc == 0 else Fraction(c, lc)
+        for k2, c2 in tail:
+            kk = (t[0] + k2[0], t[1] + k2[1], t[2] + k2[2])
+            s = rem.get(kk, 0) - q * c2
+            if s:
+                rem[kk] = s
+            else:
+                rem.pop(kk, None)
+    return out
+
+
+def _division_certificate(G: MPoly, C: MPoly) -> Fraction | None:
+    """lambda0 when G divides the member C0 + lambda0 m, C = C0 + l m with m
+    a monomial; None when no lambda0 does or G is constant.
+
+    A component R_j of G lies in the member of multiplicity m_j at its
+    value, where f + lambda vanishes to order m_j and the log partials to
+    order m_j - 1, so G = prod R_j^(m_j - 1) up to a constant.  G divides
+    the member at lambda0 exactly when every R_j lies in it.  Division is
+    linear: with r0, r1 the remainders of C0 and m (`_remainder`, G free of
+    l), that is r0 = -lambda0 r1.  r1 != 0 unless G divides a monomial."""
+    if G.is_const():
+        return None
+    r0, r1 = {}, {}
+    for k, c in _remainder(C, G).items():
+        (r1 if k[2] else r0)[k[:2]] = c
+    if not r1:
+        return None
+    k = next(iter(r1))
+    lam = -Fraction(r0.get(k, 0)) / r1[k]
+    if any(r0.get(k, 0) != -lam * r1.get(k, 0) for k in r0.keys() | r1):
+        return None
+    return lam
 
 
 def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
@@ -375,7 +451,9 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     with extraneous factors).  The analysis report lists its factors;
     classification does not use it.
 
-    E is the pure-lambda content of Res(G, C) times Res_y(r1, r2), where
+    E is the pure-lambda content of Res(G, C) (`_curve_values`, with no
+    resultant where one member holds the critical curves) times
+    Res_y(r1, r2), where
     r1 = Res_x(A, C) loses its common (y, l)-factors with r2 = Res_x(B, C).
     r1 has no pure-lambda factor, so no peel has a content and a y-free r1
     is a constant: l - c dividing r1 makes A share a component h of
@@ -400,7 +478,7 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
         # equal, and gcd_bivariate normalises, so each peel is unchanged.
         g = gcd_bivariate(r1, g, "l", "y")
     e = r2 if r2.degree("y") <= 0 else resultant(r1, r2, "y")
-    e = _curve_values(G, pencil.C) * e.to_unipoly("l")
+    e = _curve_values(G, pencil.C, pencil._curve_member) * e.to_unipoly("l")
     if e.is_zero():
         raise ArithmeticError("degenerate pencil: elimination vanished")
     return e.primitive_integer()
@@ -414,9 +492,18 @@ def member_is_nonreduced(pencil: Pencil, lam: Fraction):
     component of G inside F, so its square divides F.  gcd(F, R) is
     square-free: the repeated component, primitive with a positive
     lex-leading coefficient (`gcd_bivariate`).  At lambda = n/d, F is d C(x,
-    y, n/d) (`MPoly.eval_var`; C is linear in l), with the member's factors."""
+    y, n/d) (`MPoly.eval_var`; C is linear in l), with the member's factors.
+
+    Where the member at lambda0 holds every critical curve
+    (`Pencil._curve_member`), no gcd runs: gcd(F, R) is R at lambda0 (R =
+    G / gcd(G, G_x, G_y) is primitive and lex-positive, as both are), and 1
+    elsewhere, since f is constant on each component of R."""
+    held = pencil._curve_member
+    if held is not None and lam != held:
+        return None, 1
     F = pencil.C.eval_var("l", lam).strip_monomial()
-    R = gcd_bivariate(F, pencil.radical, "x", "y").strip_monomial()
+    R = pencil.radical if held is not None else gcd_bivariate(
+        F, pencil.radical, "x", "y").strip_monomial()
     if R.is_const():
         return None, 1
     # multiplicity of R in F: one exact division per factor
