@@ -419,8 +419,9 @@ def _roots_of_squarefree(c: list[int]) -> list[Fraction]:
         m += 1
         if any(m % f == 0 for f in range(2, m)) or an % m == 0:
             continue
-        lifts = [r for r in range(m) if _eval_int(Q, r) % m == 0]
-        if all(_eval_int(dQ, r) % m for r in lifts):
+        Qm, dQm = [a % m for a in Q], [a % m for a in dQ]
+        lifts = [r for r in range(m) if _eval_int(Qm, r) % m == 0]
+        if all(_eval_int(dQm, r) % m for r in lifts):
             break
     mod = m
     while mod <= 2 * bound:
@@ -451,11 +452,16 @@ def _yun(a: list[int]):
 
     Each gcd is from `_gcd_int` and each quotient its exact cofactor.
     Every relation of the algorithm is linear in the pair it divides, so
-    a gcd scaled by a constant scales both quotients alike."""
+    a gcd scaled by a constant scales both quotients alike.  Once d is
+    zero, b is the last factor, and its primitive part is yielded with no
+    gcd."""
     _, b, c = _gcd_int(a, _derivative(a))
     d = _sub(c, _derivative(b))
     mult = 1
     while len(b) > 1:
+        if not d:
+            yield _primitive(b), mult
+            return
         f, b, c = _gcd_int(b, d)
         if len(f) > 1:
             yield f, mult
@@ -474,9 +480,9 @@ def squarefree_rational_roots(
     irreducible -- "rational-root-free" semantics only).
 
     The squarefree parts f_i are those of `_yun` on the primitive integer
-    multiple of p.  Each stays a primitive int list: a root u/v leaves it
-    by the exact quotient by v x - u (Gauss), and only the residual
-    factors are made monic.
+    multiple of p, taken by one gcd when p's coefficients are ints.  Each
+    stays a primitive int list: a root u/v leaves it by the exact quotient
+    by v x - u (Gauss), and only the residual factors are made monic.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -484,7 +490,10 @@ def squarefree_rational_roots(
     residual: list[tuple[UniPoly, int]] = []
     if p.is_const():
         return roots, residual
-    for f, mult in _yun(p.primitive_integer().coeffs):
+    c = p.coeffs
+    c = (_primitive(c) if all(x.__class__ is int for x in c)
+         else p.primitive_integer().coeffs)
+    for f, mult in _yun(c):
         for r in _roots_of_squarefree(f):
             roots.append((r, mult))
             f = _quotient(f, [-r.numerator, r.denominator])
@@ -874,22 +883,37 @@ def _unpack(x: int, slots) -> list[int]:
     return digits
 
 
-def _key(i: int, a: int, b: int) -> tuple[int, int, int]:
-    """The exponent triple with 0 at index i and a, b at the other two."""
-    return (0, a, b) if i == 0 else (a, 0, b) if i == 1 else (a, b, 0)
+def _key(i: int, a: int, b: int, k: int = 0) -> tuple[int, int, int]:
+    """The exponent triple with k at index i and a, b at the other two."""
+    return (k, a, b) if i == 0 else (a, k, b) if i == 1 else (a, b, k)
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     """Res_var(p, q), the Sylvester determinant, as an MPoly in the other
-    variables u, v: 0 when one of p, q is zero and the other involves var;
-    ValueError when neither involves var, zero or not.
+    variables: the first part of `_resultant_chain`."""
+    return _resultant_chain(p, q, var)[0]
+
+
+def _resultant_chain(p: MPoly, q: MPoly, var: str) -> tuple:
+    """(Res_var(p, q), last): the resultant as an MPoly in the other
+    variables u, v, 0 when one of p, q is zero and the other involves var,
+    and a function of no arguments that unpacks S, the last element of
+    positive degree in var of the subresultant PRS that gives it (the
+    nonzero input where one is zero), so a caller that reads only the
+    resultant pays nothing for S; ValueError when neither involves var,
+    zero or not.  When the resultant vanishes, S is the last nonzero
+    remainder, a gcd of p and q over Q(u, v); else it is the element before
+    the constant.  Either way S = U p + V q with U, V polynomials over Q
+    (Basu-Pollack-Roy, *Algorithms in Real Algebraic Geometry*, ch. 8),
+    so S vanishes wherever p and q do.
 
     The subresultant PRS runs on the primitive parts A = p / g_p and B =
     q / g_q, m >= n their degrees in var: `_read` gives each input's
     degrees, content and norm at once.  Res(A, B) = (-1)^(deg A deg B)
     Res(B, A), each pseudo-division step flips the sign when both degrees
     are odd, and the last pair (A, B) with B = b constant gives
-    h^(1 - m) b^m, m = deg A.
+    h^(1 - m) b^m, m = deg A; S is that pair's A, as the PRS of A and B
+    leaves it.
 
     While the width of `_slots` is at most _PACK_BITS, A and B are packed
     straight from their terms, one int per coefficient: u and v become 2^s
@@ -902,9 +926,10 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     coefficients (for n = 0 A counts once: the PRS reads its degree).  So
     none packs to 0 unless it is 0, the packed sequence takes the same
     degree steps, its checked divisions are the images of the true exact
-    ones, and the balanced s-bit digits of the packed resultant are its
-    coefficients.  Res(p, q) = g_p^n g_q^m Res(A, B), so each digit is
-    multiplied by the sign and g_p^n g_q^m as it is unpacked.
+    ones, and the balanced s-bit digits of the packed resultant and of S
+    are their coefficients.  Res(p, q) = g_p^n g_q^m Res(A, B), so each
+    digit of the resultant is multiplied by the sign and g_p^n g_q^m as it
+    is unpacked.
 
     The limit is where packing stops paying, as measured (2 vCPUs, CPython
     3.11.7, best of three) on the 203 resultant and bivariate gcd calls of
@@ -920,7 +945,7 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     if m <= 0 and n <= 0:
         raise ValueError("nothing to eliminate")
     if m < 0 or n < 0:
-        return MPoly()
+        return MPoly(), lambda: p if p.terms else q
     sign = 1
     if m < n:
         p, q, a, b, m, n = q, p, b, a, n, m
@@ -938,17 +963,26 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     else:
         A, B = (_wrap({e: c // g for e, c in r.terms.items()}).coeffs_in(var)
                 for r, g in ((p, ga), (q, gb)))
+
+    def terms(c, d: int = 0) -> list:
+        """The terms of c var^d, c a coefficient of the PRS."""
+        if slots:
+            return [(_key(i, t % w, t // w, d), x)
+                    for t, x in enumerate(_unpack(c, slots)) if x]
+        return [(_key(i, e[u], e[v], d), x) for e, x in c.terms.items()]
+
     for A, B, h in _subresultant_prs(A, B):
         m, n = _poly_deg(A), _poly_deg(B)
         if n > 0 and m * n % 2:
             scale = -scale
+
+    def last() -> MPoly:
+        return _wrap({e: x for d, c in enumerate(A) for e, x in terms(c, d)})
+
     if n < 0:
-        return MPoly()  # common factor: the resultant vanishes
+        return MPoly(), last  # common factor: the resultant vanishes
     r = _quo(B[0] ** m, h ** (m - 1))
-    items = ([(_key(i, t % w, t // w), c)
-              for t, c in enumerate(_unpack(r, slots)) if c]
-             if slots else r.terms.items())
-    return _wrap({e: c * scale for e, c in items})
+    return _wrap({e: x * scale for e, x in terms(r)}), last
 
 
 # ---------------------------------------------------------------------------
@@ -1034,11 +1068,24 @@ def gcd_bivariate(p: MPoly, q: MPoly, main: str, coeff: str) -> MPoly:
             pass
         # b is zero (a is the last nonzero remainder) or a nonzero constant
         if not b:
-            g = _divide_content([_unpack(c, slots) for c in a] if slots else
-                                [c.to_unipoly(coeff).coeffs for c in a])[1]
+            g = ([_unpack(c, slots) for c in a] if slots else
+                 [c.to_unipoly(coeff).coeffs for c in a])
+    return _gcd_from_chain(g, ca, cb, i, j)
+
+
+def _gcd_from_chain(s: list, ca: list, cb: list, i: int = 0, j: int = 1
+                    ) -> MPoly:
+    """The gcd of two polynomials in Z[main, coeff], variables i and j,
+    primitive with a positive lex-leading coefficient, from their contents
+    ca and cb in Z[coeff] and the rows s, int lists in coeff, of the last
+    nonzero remainder of their subresultant PRS in main ([[1]] when it
+    ends in a nonzero constant): the primitive part of s over Z[coeff]
+    times gcd(ca, cb)."""
+    g = _divide_content(s)[1]
     c = _gcd_int(ca, cb)[0]
     if len(c) > 1:
         g = [_mul(row, c) for row in g]
+    (third,) = {0, 1, 2} - {i, j}
     return _lex_positive({_key(third, *((t, k) if i > j else (k, t))): x
                           for k, row in enumerate(g)
                           for t, x in enumerate(row) if x})

@@ -30,8 +30,11 @@ from .algebra import (
     UniPoly,
     ZeroDivisorError,
     _content,
+    _divide_content,
+    _gcd_from_chain,
     _gcd_int,
     _quotient,
+    _resultant_chain,
     _rows,
     _yun,
     format_unipoly,
@@ -125,10 +128,13 @@ class Pencil:
     curve value.  The curve values come from one division: where G divides
     the member at some lambda0 (`_curve_member`), that member holds every
     critical curve, and l - lambda0 gives them all; Res(R, C) runs only
-    when no member holds them all.  One resultant Res_x(A, B) serves twice:
-    where it proves the log partials coprime, G = 1 and R = 1 take no
-    bivariate gcd, and the critical values read it, and its order, at a
-    simple root, proves the point above it a node.  The elimination
+    when no member holds them all.  One subresultant chain in x, with
+    Res_x(A, B) and its last element S, serves three times: where the
+    resultant proves the log partials coprime, G = 1 and R = 1 take no
+    bivariate gcd, and where it vanishes, G is read off S; the critical
+    values read it, and its order, at a simple root, proves the point
+    above it a node; and there S, when it is the first subresultant S_1,
+    gives that point with no gcd over Q[y]/(Q).  The elimination
     polynomial E serves only the analysis report, which builds it with
     `elimination_polynomial`.
 
@@ -151,24 +157,32 @@ class Pencil:
         f (components of a nonreduced member); zeros of (A, B) are the
         isolated critical points.
 
-        r = Res_x(A, B) of the partials comes first.  When r != 0 and lc_x A
-        and lc_x B share no root but y = 0, the partials are coprime and G =
-        1 with no `gcd_bivariate`: a common factor of positive x-degree
+        One subresultant chain in x comes first: r = Res_x(A, B) of the
+        partials and its last element S (`_held`).  When r = 0, S is the
+        last nonzero remainder, a gcd of A and B over Q(y), and G is its
+        primitive part over Z[y] times the gcd of the contents of A and B
+        in Z[y], as `gcd_bivariate` builds it (`_gcd_from_chain`).  When r != 0
+        and lc_x A and lc_x B share no root but y = 0, the partials are
+        coprime and G = 1 with no gcd: a common factor of positive x-degree
         would make r vanish, and a nonconstant one free of x would divide
         both leading coefficients, with a root other than 0, since
         `_log_partials` leaves y dividing neither.  Otherwise G is their
-        gcd.  The pair carries r with the rows of A and B (`_CriticalPair`)
+        `gcd_bivariate`.  The pair carries r and the rows of A, B and S
         while they are those of the A and B it holds, that is unless a
         nonconstant G was divided out."""
         A, B = _log_partials(self.f)
-        held = resultant(A, B, "x"), _rows(A, 0, 1), _rows(B, 0, 1)
+        held = _held(A, B)
+        r, a, b, s = held
         G = MPoly.const(1)
-        if not held[0].terms or len(_lc_gcd(*held[1:])) > 1:
+        if not r.terms:
+            G = _gcd_from_chain(s, _divide_content(a)[0],
+                                _divide_content(b)[0])
+        elif len(_lc_gcd(a, b)) > 1:
             G = gcd_bivariate(A, B, "x", "y")
-            if not G.is_const():
-                A = A.exact_div(G).strip_monomial()
-                B = B.exact_div(G).strip_monomial()
-                held = None
+        if not G.is_const():
+            A = A.exact_div(G).strip_monomial()
+            B = B.exact_div(G).strip_monomial()
+            held = None
         return _CriticalPair(A, B, G, held)
 
     @cached_property
@@ -180,8 +194,9 @@ class Pencil:
 
         The y-coordinates of the points are roots of ry = Res_x(A, B) with
         its y-powers stripped; each squarefree part Q of ry (`_yun`) goes
-        through `_values_over`, with the rows of A and B read once.  Both
-        are read off the pair when it carries them.
+        through `_values_over`, with the rows of A and B read once.  Both,
+        and the rows of the chain's last element S (`_held`), are read off
+        the pair when it carries them.
 
         A part of multiplicity 1 none of whose roots is a common root of
         lc_x A and lc_x B needs no certificate.  At such a root y0 one of A,
@@ -195,11 +210,26 @@ class Pencil:
         (Fulton, Algebraic Curves, sec. 3.3), so the Jacobian J = det
         d(A, B)/d(x, y) is nonzero at p, and p, if on the torus, is a node
         (`_values_over`).  Every other part passes the rows of J, built
-        once, for gcd(g, J) = 1."""
+        once, for gcd(g, J) = 1.
+
+        Where S has x-degree 1, it is S_1, and such a part Q takes it for
+        its gcd g when psc_1 = lc_x S_1 is coprime to Q.  S_1 = U A + V B
+        vanishes at the one point (x0, y0) above each root y0 of Q, and
+        psc_1(y0) != 0, so S_1(x, y0) is psc_1(y0) (x - x0): the gcd of A
+        and B there up to a unit, with no `gcd_over_quotient`.  The guard
+        is needed: on 8a, in its own chart with G divided out, A = (x - 1)
+        (y + 1) and B = (x + 1)(y - 1), and S_1 = B vanishes on all of
+        y = 1.  S_1 serves only while its y-degree is at most deg_y A +
+        deg_y B: the resultants that `_values_over` takes of it grow with
+        that degree, and on wide charts it costs more than the gcd it
+        spares (5a under ((17,-4),(-21,5)): y-degree 1695 against 94, and
+        over 60 s against 0.13 s of process time for its one slice, 2
+        vCPUs, CPython 3.11.7)."""
         pair = self.critical_pair
         A, B, _ = pair
-        r, a, b = getattr(pair, "held", None) or (
-            resultant(A, B, "x"), _rows(A, 0, 1), _rows(B, 0, 1))
+        r, a, b, s = getattr(pair, "held", None) or _held(A, B)
+        tall = max(map(len, s)) > max(map(len, a)) + max(map(len, b)) - 1
+        s1 = s if len(s) == 2 and not tall else None
         ry = r.to_unipoly("y")
         if ry.is_zero():
             raise ArithmeticError("critical locus of f is not finite")
@@ -210,17 +240,27 @@ class Pencil:
             if not certified and j is None:
                 j = _rows(A.derivative("x") * B.derivative("y")
                           - A.derivative("y") * B.derivative("x"), 0, 1)
+            g = s1 if certified and s1 and len(
+                _gcd_int(s1[-1], Q)[0]) == 1 else None
             values = values * _values_over((a, b, None if certified else j),
-                                           self.C, Q)
+                                           self.C, Q, g)
         return values
 
     @cached_property
     def radical(self) -> MPoly:
-        """R = G / gcd(G, G_x, G_y): the critical curves, each once; 1 with
-        no gcd when G is constant."""
+        """R: the critical curves, each once, primitive and lex-positive; 1
+        with no gcd when G is constant.  Where the member F0 at lambda0
+        holds every critical curve (`_curve_member`), R = gcd(F0 / G, G) by
+        one gcd: F0 = prod R_j^m_j H and G = prod R_j^(m_j - 1), with H
+        sharing no component with G (`_division_certificate`), so F0 / G =
+        prod R_j H.  Elsewhere R = G / gcd(G, G_x, G_y)."""
         _, _, G = self.critical_pair
         if G.is_const():
             return MPoly.const(1)
+        lam = self._curve_member
+        if lam is not None:
+            F = self.C.eval_var("l", lam).strip_monomial()
+            return gcd_bivariate(F.exact_div(G), G, "x", "y")
         g = gcd_bivariate(G.strip_monomial(),
                           G.derivative("x").strip_monomial(), "x", "y")
         g = gcd_bivariate(g, G.derivative("y").strip_monomial(), "x", "y")
@@ -359,15 +399,21 @@ def _strip_powers(coeffs: list) -> list:
 
 
 class _CriticalPair(tuple):
-    """(A, B, G) as `Pencil.critical_pair` computes it, with held =
-    (Res_x(A, B), rows of A, rows of B) of this A and B (`_rows(p, 0, 1)`),
-    or None.  A pair set in its place is a plain tuple, whose resultant
-    and rows `critical_values` takes anew."""
+    """(A, B, G) as `Pencil.critical_pair` computes it, with held the
+    `_held` of this A and B, or None.  A pair set in its place is a plain
+    tuple, whose `_held` `critical_values` takes anew."""
 
     def __new__(cls, A: MPoly, B: MPoly, G: MPoly, held: tuple | None):
         pair = super().__new__(cls, (A, B, G))
         pair.held = held
         return pair
+
+
+def _held(A: MPoly, B: MPoly) -> tuple:
+    """(Res_x(A, B), rows of A, B and S): S is the last element of the
+    chain (`_resultant_chain`), and rows are as `_rows(p, 0, 1)`."""
+    r, last = _resultant_chain(A, B, "x")
+    return r, _rows(A, 0, 1), _rows(B, 0, 1), _rows(last(), 0, 1)
 
 
 def _lc_gcd(a: list, b: list) -> list[int]:
@@ -459,8 +505,12 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     is a constant: l - c dividing r1 makes A share a component h of
     positive x-degree with the member at c, of multiplicity m say; x f_x
     vanishes to order m - 1 on h and y f_y to at least m - 1, so h divides
-    G = gcd(x f_x, y f_y) as often as x f_x, and not A = x f_x / G.  A
-    y-free r2 is itself the eliminant, with other multiplicities.  For
+    G = gcd(x f_x, y f_y) as often as x f_x, and not A = x f_x / G.  So a
+    common factor of r1 and r2 has positive y-degree, and Res_y(r1, r2),
+    taken first, proves them coprime when it is nonzero: the peel runs
+    only when it vanishes (9 under ((-11,3),(-4,1)): 1.5 s -> 0.08 s of
+    process time, 2 vCPUs, CPython 3.11.7).  A y-free r2 is itself the
+    eliminant, with other multiplicities.  For
     reflexive P it never is (f would be a function of one monomial), so
     the shortcut serves hand-set pencils such as f = xy + y (E = lambda)."""
     if pencil is None:
@@ -468,16 +518,20 @@ def elimination_polynomial(P: Polygon, pencil: Pencil | None = None) -> UniPoly:
     A, B, G = pencil.critical_pair
     r1 = resultant(A, pencil.C, "x").strip_monomial()
     r2 = resultant(B, pencil.C, "x").strip_monomial()
-    g = gcd_bivariate(r1, r2, "l", "y")
-    while not g.is_const():
-        r1 = r1.exact_div(g).strip_monomial()
-        # gcd(r1 / g, r2) = gcd(r1 / g, g): a common divisor of r1 / g and
-        # r2 divides g = gcd(r1, r2) (at each prime the order of r1 / g is
-        # ord r1 - ord g, and min(ord r1 - ord g, ord r2) <= ord g), and g
-        # divides r2.  Dividing r1 / g by a power of y keeps both sides
-        # equal, and gcd_bivariate normalises, so each peel is unchanged.
-        g = gcd_bivariate(r1, g, "l", "y")
-    e = r2 if r2.degree("y") <= 0 else resultant(r1, r2, "y")
+    if r2.degree("y") <= 0:
+        e = r2
+    elif not (e := resultant(r1, r2, "y")).terms:
+        g = gcd_bivariate(r1, r2, "l", "y")
+        while not g.is_const():
+            r1 = r1.exact_div(g).strip_monomial()
+            # gcd(r1 / g, r2) = gcd(r1 / g, g): a common divisor of r1 / g
+            # and r2 divides g = gcd(r1, r2) (at each prime the order of
+            # r1 / g is ord r1 - ord g, and min(ord r1 - ord g, ord r2) <=
+            # ord g), and g divides r2.  Dividing r1 / g by a power of y
+            # keeps both sides equal, and gcd_bivariate normalises, so each
+            # peel is unchanged.
+            g = gcd_bivariate(r1, g, "l", "y")
+        e = resultant(r1, r2, "y")
     e = _curve_values(G, pencil.C, pencil._curve_member) * e.to_unipoly("l")
     if e.is_zero():
         raise ArithmeticError("degenerate pencil: elimination vanished")
@@ -519,7 +573,8 @@ def member_is_nonreduced(pencil: Pencil, lam: Fraction):
     return R, mult
 
 
-def _values_over(rows: tuple, C: MPoly, Q: list[int]) -> UniPoly:
+def _values_over(rows: tuple, C: MPoly, Q: list[int],
+                 s1: list | None = None) -> UniPoly:
     """prod (l + f(p)), up to a nonzero constant, over the isolated torus
     critical points p = (x, y) of f whose y is a root of the squarefree Q,
     each certified to be an ordinary node.  rows holds those of A, B and J
@@ -532,26 +587,30 @@ def _values_over(rows: tuple, C: MPoly, Q: list[int]) -> UniPoly:
 
     Over Q[y]/(Q), a product of fields, the points are the roots of g, the
     gcd of A and B (`gcd_over_quotient`) with its x-powers stripped: g is
-    primitive and integral, the monic gcd times an integer.  Q is split,
-    and each part taken alone, wherever a leading coefficient shows a zero
-    divisor (dynamic evaluation, Della Dora-Dicrescenzo-Duval 1985) and
-    wherever the lowest coefficient g_0 of g shares a factor with Q: at a
-    root of that factor, g keeps the point x = 0, where the base points of
-    the pencil can put a common root of A and B.  So x = 0 is a root of g at
-    no root of Q.  At a torus point J is a unit multiple of the Hessian of
-    f, so J(p) != 0 makes p a node, and where J is given, gcd(g, J) = 1
-    certifies every point at once.  Res_y(Q,
-    Res_x(g, C)) is the product over all the points times a nonzero
-    constant, and both resultants run on integral inputs."""
+    primitive and integral, the monic gcd times an integer.  Given s1, the
+    rows of S_1 whose leading coefficient is a unit mod Q
+    (`critical_values`), g is S_1, a unit multiple of that gcd, and every
+    factor of Q inherits it.  Q is split, and each part taken alone,
+    wherever a leading coefficient shows a zero divisor (dynamic
+    evaluation, Della Dora-Dicrescenzo-Duval 1985) and wherever the lowest
+    coefficient g_0 of g shares a factor with Q: at a root of that factor,
+    g keeps the point x = 0, where the base points of the pencil can put a
+    common root of A and B.  So x = 0 is a root of g at no root of Q.  A
+    part that g_0 vanishes on entirely, which only an S_1 not reduced mod
+    Q can show, has no torus point.  At a torus point J is a unit multiple
+    of the Hessian of f, so J(p) != 0 makes p a node, and where J is
+    given, gcd(g, J) = 1 certifies every point at once.  Res_y(Q, Res_x(g,
+    C)) is the product over all the points times a nonzero constant, and
+    both resultants run on integral inputs."""
     A, B, J = rows
     try:
-        g = gcd_over_quotient(A, B, Q)
+        g = s1 or gcd_over_quotient(A, B, Q)
         if not g:
             raise ValueError("gcd(0, 0) undefined")
         g = _strip_powers(g)
-        if len(g) == 1:
+        h = _gcd_int(g[0], Q)[0] if len(g) > 1 else Q
+        if len(h) == len(Q):
             return UniPoly([1], "l")
-        h = _gcd_int(g[0], Q)[0]
         if len(h) > 1:
             raise ZeroDivisorError(h)
         if J is not None and len(gcd_over_quotient(g, J, Q)) > 1:
@@ -559,8 +618,8 @@ def _values_over(rows: tuple, C: MPoly, Q: list[int]) -> UniPoly:
                 f"critical point is not an ordinary node: stage torus nodes, "
                 f"y a root of {format_unipoly(UniPoly(Q, 'y'))}")
     except ZeroDivisorError as zd:
-        return (_values_over(rows, C, zd.factor)
-                * _values_over(rows, C, _quotient(Q, zd.factor)))
+        return (_values_over(rows, C, zd.factor, s1)
+                * _values_over(rows, C, _quotient(Q, zd.factor), s1))
     g = MPoly({(i, j, 0): c for i, e in enumerate(g) for j, c in enumerate(e)
                if c})
     Q = MPoly({(0, j, 0): c for j, c in enumerate(Q) if c})

@@ -561,21 +561,32 @@ def test_gcd_over_quotient_is_symmetric_on_the_16(monkeypatch):
     # divisors it meets, both give the same monic gcd on every common
     # factor of their parts.  Which zero divisor is met depends on the
     # order: over y^2 - 1, 8a's (A, B) meets y - 1 and (B, A) y + 1, and
-    # the splits agree; 6a's (A, B) meets none, and (B, A) splits q.  There
-    # are 31 pairs, 16 fewer than while every slice took (g, J): a slice of
-    # a simple part of Res_x(A, B), none of whose roots is a common root of
-    # the leading coefficients, takes (A, B) alone, since the resultant's
-    # order proves its points nodes
-    pairs = []
+    # the splits agree; 6a's (A, B) meets none, and (B, A) splits q.  The
+    # critical values take it of 17 pairs: 16 fewer than while every slice
+    # took (g, J), since a slice of a simple part of Res_x(A, B), none of
+    # whose roots is a common root of the leading coefficients, takes
+    # (A, B) alone, and 14 fewer again, since such a slice whose psc_1 is a
+    # unit mod q takes S_1 for its gcd.  The 14 pairs that S_1 spares go
+    # through the same checks, 31 pairs in all
+    pairs, spared = [], []
 
     def recording(a, b, Q):
         pairs.append((name, a, b, Q))
         return gcd_over_quotient(a, b, Q)
 
+    values_over = fibration._values_over
+
+    def sparing(rows, C, Q, s1=None):
+        if s1 is not None:
+            spared.append((name, *rows[:2], Q))
+        return values_over(rows, C, Q, s1)
+
     monkeypatch.setattr(fibration, "gcd_over_quotient", recording)
+    monkeypatch.setattr(fibration, "_values_over", sparing)
     for name in NAMES:
         Pencil(get(name)).critical_values
-    assert len(pairs) == 31
+    assert (len(pairs), len(spared)) == (17, 14)
+    pairs += spared
     asymmetric = []
     for name, a, b, Q in pairs:
         assert _gcd_or_factor(a, b, Q) == _reference_or_factor(a, b, Q)
@@ -592,20 +603,28 @@ def test_table2_unit_tests_mod_q(monkeypatch):
     the adjugate of multiplication by it mod Q, and takes its integer gcd
     with Q only for the factor of a zero divisor.  The 16 rows of Table 2
     take 27 slices, one per squarefree part of Res_x(A, B) and one per
-    half of a split, and make 31 calls: one per slice, and a second,
+    half of a split.  17 of them, of the simple parts none of whose roots
+    is a common root of the leading coefficients of A and B, take no J:
+    the resultant's order proves their points nodes (47 calls and 24 unit
+    tests while every slice took gcd(g, J)).  14 of those 17 take S_1 of
+    the chain for g, where its leading coefficient psc_1 is a unit mod Q,
+    and make no call (31 calls and 14 unit tests while they took
+    gcd(A, B)).  The 17 calls are one per other slice, and a second,
     gcd(g, J), on the 4 slices of a part of multiplicity >= 2 that have a
-    torus point and do not split (4a, 6a, 6c over y - 1, 7a).  The 17
-    slices of the simple parts, none of whose roots is a common root of
-    the leading coefficients of A and B, take no J: the resultant's order
-    proves their points nodes (47 calls and 24 unit tests while every
-    slice took gcd(g, J)).  8a's first call meets
-    the zero divisor y - 1 and splits by the one integer gcd made inside
-    a call; 6c's splits after its first call, by the integer gcd of g's
-    lowest coefficient with Q, since g keeps x = 0 at y = -1.  The calls
-    make 14 unit tests.  They build no Fraction and no UniPoly inside the
-    calls, so nothing is inverted over Q: the adjugate is an integral
-    multiple of the inverse.  The counts do not depend on the host."""
+    torus point and do not split (4a, 6a, 6c over y - 1, 7a); they make 4
+    unit tests.  8a's first call meets the zero divisor y - 1 and splits
+    by the one integer gcd made inside a call.  In the critical values,
+    two integer gcds with Q are nonconstant: 6c's slice splits by the gcd
+    of g's lowest coefficient with Q, since g keeps x = 0 at y = -1; and
+    8a's slice y^2 - 1 takes the gcd y - 1 of psc_1 with Q, so S_1 = B,
+    which vanishes on y = 1, is refused there.  The
+    14 slices that S_1 spares then take their calls test-side, under the
+    same counters: with them the calls make the 14 unit tests of the 31
+    calls before, and no call builds a Fraction or a UniPoly, so nothing is
+    inverted over Q: the adjugate is an integral multiple of the inverse.
+    The counts do not depend on the host."""
     moduli, calls, tests, gcds, built, splits = [], [], [], [], [], []
+    spared = []
     euclid, adjugate = algebra.gcd_over_quotient, algebra._adjugate
     gcd_int = algebra._gcd_int
     new, init = Fraction.__new__, UniPoly.__init__
@@ -644,7 +663,15 @@ def test_table2_unit_tests_mod_q(monkeypatch):
             built.append(UniPoly)
         init(self, *args, **kwargs)
 
+    values_over = fibration._values_over
+
+    def sparing(rows, C, Q, s1=None):
+        if s1 is not None:
+            spared.append((*rows[:2], Q))
+        return values_over(rows, C, Q, s1)
+
     monkeypatch.setattr(fibration, "gcd_over_quotient", counting_euclid)
+    monkeypatch.setattr(fibration, "_values_over", sparing)
     monkeypatch.setattr(algebra, "_adjugate", counting_adjugate)
     monkeypatch.setattr(algebra, "_gcd_int", counting_gcd)
     monkeypatch.setattr(fibration, "_gcd_int", splitting_gcd)
@@ -652,10 +679,13 @@ def test_table2_unit_tests_mod_q(monkeypatch):
     monkeypatch.setattr(UniPoly, "__init__", counting_init)
     for name in NAMES:
         cli._table_row(name)
-    assert len(calls) == 31
-    assert len(tests) == 14
+    assert (len(calls), len(tests), len(spared)) == (17, 4, 14)
+    assert splits == [([-2, -2], [-1, 0, 1], [1, 1]),
+                      ([-1, 1], [-1, 0, 1], [-1, 1])]
+    for a, b, Q in spared:
+        counting_euclid(a, b, Q)
+    assert (len(calls), len(tests)) == (31, 14)
     assert gcds == [([-1, 1], [-1, 0, 1])]
-    assert splits == [([-2, -2], [-1, 0, 1], [1, 1])]
     assert built == []
 
 
@@ -667,7 +697,9 @@ def test_integral_calls_stay_on_packed_ints(monkeypatch):
     counts do not depend on the host.  Every such call has integral
     inputs, the two resultants of `_values_over`, Res_x(g, C) and
     Res_y(Q, .), included: the gcd g over Q[y]/(q) is an integral multiple
-    of the monic one, and Q the primitive multiple of q."""
+    of the monic one, or S_1 of the chain, and Q the primitive multiple of
+    q.  The chains that give Res_x(A, B) with S_1, and G where it
+    vanishes (`algebra._resultant_chain`), are watched alike."""
     integral, scales, prs, fractions = [False], [], [], []
     inputs = []
     new, scale = Fraction.__new__, algebra._primitive_scale
@@ -702,8 +734,9 @@ def test_integral_calls_stay_on_packed_ints(monkeypatch):
                 out = kernel(p, q, *args)
             finally:
                 integral.pop()
+            r = out[0] if isinstance(out, tuple) else out
             assert len(fractions) == sum(
-                c.__class__ is Fraction for c in out.terms.values())
+                c.__class__ is Fraction for c in r.terms.values())
             return out
         return call
 
@@ -711,7 +744,7 @@ def test_integral_calls_stay_on_packed_ints(monkeypatch):
     monkeypatch.setattr(algebra, "_primitive_scale", counting_scale)
     monkeypatch.setattr(algebra, "_subresultant_prs", spying_prs)
     monkeypatch.setattr(algebra, "_slots", checked_slots)
-    for name in ("resultant", "gcd_bivariate"):
+    for name in ("resultant", "gcd_bivariate", "_resultant_chain"):
         monkeypatch.setattr(fibration, name,
                             watched(getattr(algebra, name)))
     for name in NAMES:
@@ -1165,6 +1198,42 @@ def test_packed_gcd_bivariate_with_contents(variables, seed):
     assert packed == plain
     p.exact_div(packed), q.exact_div(packed)  # raise unless it divides both
     packed.exact_div(_primitive_part(s * r))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(algebra.VARS), st.booleans(), st.data())
+def test_chain_ends_in_an_element_of_the_ideal(var, share, data):
+    # [DERIVED] `_resultant_chain` gives the same resultant and last element
+    # S, unpacked from its packed or MPoly coefficients, on both sides of
+    # the width limit, S of positive degree in var, and
+    # S = U p + V q: at each integer point of the other variable in
+    # [-3, 3], the gcd of the specialised p and q divides S there.  With a
+    # common factor planted (share) the resultant vanishes, and S has the
+    # degree in var of their gcd_bivariate, which divides it
+    absent, other = (w for w in algebra.VARS if w != var)
+    p, q = data.draw(_xyl(absent)), data.draw(_xyl(absent))
+    if share:
+        r = data.draw(_xyl(absent))
+        assume(r.degree(var) > 0)
+        p, q = p * r, q * r
+    assume(p.degree(var) > 0 and q.degree(var) > 0)
+    def chain():
+        r, last = algebra._resultant_chain(p, q, var)
+        return r, last()
+
+    packed, plain = _on_both_sides(chain)
+    assert packed == plain
+    r, S = packed
+    assert S.degree(var) > 0
+    if share:
+        assert not r.terms
+        g = gcd_bivariate(p, q, var, other)
+        assert S.degree(var) == g.degree(var)
+        S.exact_div(g)  # raises unless g divides S
+    for a in range(-3, 4):
+        pa, qa, Sa = (f.eval_var(other, a).to_unipoly(var) for f in (p, q, S))
+        if pa or qa:
+            assert Sa.divmod(gcd_poly(pa, qa))[1].is_zero()
 
 
 @st.composite

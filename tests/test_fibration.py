@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reflexo import fibration
+from reflexo import algebra, fibration
 from reflexo.algebra import (
     MPoly,
     UniPoly,
@@ -42,7 +42,7 @@ from reflexo.laurent import LaurentPoly, cleared_member
 from reflexo.mordell_weil import mw_group
 from reflexo.polygon import Polygon, apply_unimodular
 
-from oracles import GL2Z_GENS, random_unimodular
+from oracles import GL2Z_GENS, inverse_mod, random_unimodular
 from oracles import values_at_y
 
 # the eight single shears with |k| <= 2, v -> U v
@@ -251,36 +251,64 @@ class TestElimination:
         # [DERIVED] the argument of the elimination_polynomial docstring: no
         # factor peeled from r1 has a pure-lambda content, and for reflexive
         # P both x-eliminants involve y, so neither the content of a peel
-        # nor a y-free r1 can change E; checked on the 16 under 20 seeded
-        # GL2(Z) matrices with entries in [-2, 2]
+        # nor a y-free r1 can change E; and a common factor of r1 and r2
+        # has positive y-degree, so Res_y(r1, r2), taken first, is nonzero
+        # exactly when gcd(r1, r2) is constant, and the program peels only
+        # when it vanishes.  The peel runs test-side on every pair, the
+        # ones the resultant spares included; checked on the 16 under 20
+        # seeded GL2(Z) matrices with entries in [-2, 2]
         rng = random.Random(3)
         matrices = set()
         while len(matrices) < 20:
             U = random_unimodular(rng, GL2Z_GENS)
             if all(abs(u) <= 2 for row in U for u in row):
                 matrices.add(U)
-        gcd = fibration.gcd_bivariate
-        calls = []
+        gcd, res = fibration.gcd_bivariate, fibration.resultant
+        calls, gcds = [], []
 
-        def recording(p, q, main, coeff):
-            g = gcd(p, q, main, coeff)
-            if main == "l":
-                calls.append((p, q, g))
-            return g
+        def recording(p, q, var):
+            r = res(p, q, var)
+            if var == "y":
+                calls.append((p, q, r))
+            return r
 
-        monkeypatch.setattr(fibration, "gcd_bivariate", recording)
-        peels = 0
+        def counting(p, q, main, coeff):
+            gcds.append(main)
+            return gcd(p, q, main, coeff)
+
+        monkeypatch.setattr(fibration, "resultant", recording)
+        monkeypatch.setattr(fibration, "gcd_bivariate", counting)
+        peels = vanished = 0
         for U in sorted(matrices):
             for name in NAMES:
                 calls.clear()
+                gcds.clear()
                 elimination_polynomial(apply_unimodular(U, get(name)))
-                (r1, r2, _), *_ = calls
+                (r1, r2, e), *_ = calls
                 assert r1.degree("y") > 0 and r2.degree("y") > 0
-                for _, _, g in calls:
-                    if not g.is_const():
-                        peels += 1
-                        assert _content(g, "y", "l") == lpoly(1)
-        assert peels
+                assert ("l" in gcds) == (not e.terms)
+                vanished += not e.terms
+                g = gcd_bivariate(r1, r2, "l", "y")
+                assert g.is_const() == bool(e.terms)
+                while not g.is_const():
+                    peels += 1
+                    assert _content(g, "y", "l") == lpoly(1)
+                    r1 = r1.exact_div(g).strip_monomial()
+                    g = gcd_bivariate(r1, g, "l", "y")
+        assert peels and vanished
+
+    def test_wide_9_within_budget(self):
+        # [DERIVED] 9 under ((-11,3),(-4,1)): Res_y(r1, r2), taken first, is
+        # nonzero and proves r1 and r2 coprime, so E takes no peel (its
+        # first gcd took about 1.4 s of process time); E has degree 78 and
+        # keeps the singular values among its roots
+        P = apply_unimodular(((-11, 3), (-4, 1)), get("9"))
+        start = time.process_time()
+        E = elimination_polynomial(P)
+        assert time.process_time() - start < 1.0
+        assert E.degree == 78
+        for s in singular_lambda_values(P, Pencil(P)):
+            assert E(s.location) == 0
 
     def test_constant_first_eliminant(self):
         # [DERIVED] f = xy + 1/(xy) is t + 1/t in t = xy: both log partials
@@ -563,17 +591,41 @@ def _jacobian_gcds(rows, Q):
                 + _jacobian_gcds(rows, _quotient(Q, zd.factor)))
 
 
+def _monic_mod(g: list, Q: list[int]) -> list[UniPoly]:
+    """The rows g, int lists in y, as residues mod Q made monic by the
+    inverse of the leading one."""
+    q = UniPoly(Q, "y")
+    g = [UniPoly(e, "y").divmod(q)[1] for e in g]
+    inv = inverse_mod(g[-1], q)
+    return [(c * inv).divmod(q)[1] for c in g]
+
+
+def _s1_parts(rows, s1, Q) -> list:
+    """(monic S_1, monic gcd(A, B)) over Q[y]/(part) on every part of the
+    split of Q that gcd_over_quotient(A, B, .) makes."""
+    try:
+        g = gcd_over_quotient(*rows[:2], Q)
+    except ZeroDivisorError as zd:
+        return (_s1_parts(rows, s1, zd.factor)
+                + _s1_parts(rows, s1, _quotient(Q, zd.factor)))
+    return [(_monic_mod(s1, Q), _monic_mod(g, Q))]
+
+
 class TestResultantCertificates:
     def test_certificates_pass_the_gcds_they_spare(self, monkeypatch):
-        # [DERIVED] the two certificates that Res_x(A, B) gives, each checked
-        # by the gcd it spares, on the 16, 200 seeded images and the seven
-        # wide ones: where critical_pair takes no gcd_bivariate, the log
-        # partials have gcd 1, and the pair carries their resultant and
-        # rows; every slice that critical_values passes no J has gcd(g, J)
-        # = 1 over Q[y]/(Q) on each part of its split.  On the 16 the
-        # resultant proves the 12 pairs with G = 1 coprime, and 17 slices
-        # take no J; on the images 134 pairs and 195 slices, and on the wide
-        # ones the five pairs with G = 1 and one slice each
+        # [DERIVED] the certificates that the chain of Res_x(A, B) gives,
+        # each checked by the gcd it spares, on the 16, 200 seeded images
+        # and the seven wide ones: where critical_pair takes no
+        # gcd_bivariate, G is the gcd of the log partials, 1 where the
+        # resultant proves them coprime and the chain's last remainder where
+        # it vanishes, and the pair carries their resultant and rows; every
+        # slice that critical_values passes no J has gcd(g, J) = 1 over
+        # Q[y]/(Q) on each part of its split.  On the 16 the resultant
+        # proves the 12 pairs with G = 1 coprime, the chain gives G for the
+        # other 4, and 17 slices take no J; on the images 134 pairs are
+        # proved coprime, 52 take G from the chain and 195 slices take no J,
+        # and on the wide ones the five pairs with G = 1 are proved coprime,
+        # the two others take G from the chain, and one slice each takes no J
         gcds, slices = [], []
         gcd, values_over = fibration.gcd_bivariate, fibration._values_over
 
@@ -581,10 +633,10 @@ class TestResultantCertificates:
             gcds.append(args)
             return gcd(*args)
 
-        def recording(rows, C, Q):
+        def recording(rows, C, Q, s1=None):
             if rows[2] is None:
                 slices.append(Q)
-            return values_over(rows, C, Q)
+            return values_over(rows, C, Q, s1)
 
         monkeypatch.setattr(fibration, "gcd_bivariate", counting)
         monkeypatch.setattr(fibration, "_values_over", recording)
@@ -596,24 +648,100 @@ class TestResultantCertificates:
             pair = pencil.critical_pair
             A, B, G = pair
             if pair.held is not None:
-                assert pair.held == (resultant(A, B, "x"), _rows(A, 0, 1),
-                                     _rows(B, 0, 1))
+                assert pair.held[:3] == (resultant(A, B, "x"), _rows(A, 0, 1),
+                                         _rows(B, 0, 1))
             if not gcds:
-                assert G == MPoly.const(1)
                 assert gcd_bivariate(*fibration._log_partials(pencil.f),
                                      "x", "y") == G
             pencil.critical_values
             _, rows, _ = _slice_inputs(pencil)
             for Q in slices:
                 assert all(h == [[1]] for h in _jacobian_gcds(rows, Q))
-            seen.append((name, not gcds, len(slices)))
+            kind = "gcd" if gcds else "proof" if G.is_const() else "chain"
+            seen.append((name, kind, len(slices)))
         catalog, images, wide = seen[:16], seen[16:-7], seen[-7:]
-        assert [name for name, proof, _ in catalog if proof] == NAMES[:12]
+        assert [kind for _, kind, _ in catalog] == ["proof"] * 12 + [
+            "chain"] * 4
         assert sum(n for *_, n in catalog) == 17
-        assert sum(proof for _, proof, _ in images) == 134
+        assert [sum(kind == k for _, kind, _ in images)
+                for k in ("proof", "chain")] == [134, 52]
         assert sum(n for *_, n in images) == 195
-        assert [(proof, n) for _, proof, n in wide] == [(True, 1)] * 5 + [
-            (False, 1)] * 2
+        assert [(kind, n) for _, kind, n in wide] == [("proof", 1)] * 5 + [
+            ("chain", 1)] * 2
+
+    def test_s1_slices_give_the_gcd_over_the_quotient(self, monkeypatch):
+        # [DERIVED] every slice that takes S_1 of the chain for its gcd, at
+        # any depth of its split, gets the monic gcd that gcd_over_quotient
+        # gives on each part of the split that it makes, on the 16, 200
+        # seeded images and the seven wide ones.  14 slices of the 16 take
+        # S_1 and 96 of the images; on the wide charts S_1 is taller in y
+        # than A and B together, and none does
+        values_over = fibration._values_over
+        taken = []
+
+        def recording(rows, C, Q, s1=None):
+            if s1 is not None:
+                taken.append((name, rows, s1, Q))
+            return values_over(rows, C, Q, s1)
+
+        monkeypatch.setattr(fibration, "_values_over", recording)
+        counts = []
+        for name, P in _certificate_charts():
+            taken.clear()
+            Pencil(P).critical_values
+            for _, rows, s1, Q in taken:
+                assert len(s1) == 2
+                assert all(a == b for a, b in _s1_parts(rows, s1, Q))
+            counts.append(len(taken))
+        assert (sum(counts[:16]), sum(counts[16:-7]), sum(counts[-7:])) == (
+            14, 96, 0)
+
+    def test_s1_guard_refuses_a_vanishing_s1(self, monkeypatch):
+        # [DERIVED] on 8a, with G = (x + 1)(y + 1) divided out, A = (x - 1)
+        # (y + 1) and B = (x + 1)(y - 1): the part y^2 - 1 of Res_x(A, B) =
+        # 2 (y^2 - 1) is simple and certified, but its S_1 is B, whose psc_1
+        # y - 1 vanishes at y = 1, where B = 0 and A has its root x = 1; the
+        # guard passes no S_1 there.  A mutant with no guard splits at
+        # y = 1 as if x = 0 lay above it, loses the node (1, 1) and its
+        # value -4, and gives l - 4 for (l - 4)(l + 12)
+        pencil = Pencil(get("8a"))
+        A, B, _ = pencil.critical_pair
+        r, _, b, s1 = fibration._held(A, B)
+        assert r == MPoly({(0, 2, 0): 2, (0, 0, 0): -2})
+        assert s1 == b == [[-1, 1], [-1, 1]]
+        values_over = fibration._values_over
+        passed = []
+
+        def recording(rows, C, Q, s1=None):
+            passed.append((Q, rows[2] is None, s1))
+            return values_over(rows, C, Q, s1)
+
+        monkeypatch.setattr(fibration, "_values_over", recording)
+        values = pencil.critical_values
+        assert passed[0] == ([-1, 0, 1], True, None)
+        assert values.monic() == lpoly(-48, 8, 1)
+
+        def unguarded(rows, C, Q, given=None):
+            return values_over(rows, C, Q, s1 if rows[2] is None else given)
+
+        monkeypatch.setattr(fibration, "_values_over", unguarded)
+        assert Pencil(get("8a")).critical_values.monic() == lpoly(-4, 1)
+
+    def test_chain_gcd_is_gcd_bivariate(self):
+        # [DERIVED] where Res_x of the log partials vanishes, G from the
+        # chain's last remainder (`_gcd_from_chain`) is their gcd_bivariate, on
+        # the 16, 60 seeded shears of the curve rows and 8a and 9 under
+        # their wide maps: exactly the 66 charts with a critical curve
+        chains = 0
+        for _, P in _curve_charts():
+            A, B = fibration._log_partials(Pencil(P).f)
+            r, a, b, s = fibration._held(A, B)
+            if not r.terms:
+                chains += 1
+                ca, cb = (algebra._divide_content(rows)[0] for rows in (a, b))
+                assert algebra._gcd_from_chain(s, ca, cb) == gcd_bivariate(
+                    A, B, "x", "y")
+        assert chains == 66
 
     def test_cusp_takes_the_jacobian(self, monkeypatch):
         # [DERIVED] f = (x - 1)^3 + (y - 1)^2 has a cusp at (1, 1), where
@@ -628,8 +756,8 @@ class TestResultantCertificates:
             pencil.critical_values
         values_over = fibration._values_over
         monkeypatch.setattr(fibration, "_values_over",
-                            lambda rows, C, Q: values_over(
-                                (*rows[:2], None), C, Q))
+                            lambda rows, C, Q, s1=None: values_over(
+                                (*rows[:2], None), C, Q, s1))
         assert _pencil_of(terms).critical_values.monic() == lpoly(0, 0, 1)
 
     def test_common_root_of_the_leading_coefficients_takes_the_jacobian(
@@ -642,9 +770,9 @@ class TestResultantCertificates:
         values_over = fibration._values_over
         passed = {}
 
-        def recording(rows, C, Q):
+        def recording(rows, C, Q, s1=None):
             passed.setdefault(tuple(Q), rows[2] is not None)
-            return values_over(rows, C, Q)
+            return values_over(rows, C, Q, s1)
 
         monkeypatch.setattr(fibration, "_values_over", recording)
         values = Pencil(P).critical_values
@@ -652,7 +780,7 @@ class TestResultantCertificates:
         pencil = Pencil(P)
         _, rows, _ = _slice_inputs(pencil)
         monkeypatch.setattr(fibration, "_values_over",
-                            lambda _, C, Q: values_over(rows, C, Q))
+                            lambda _, C, Q, s1=None: values_over(rows, C, Q))
         assert pencil.critical_values == values
 
     def test_common_factor_free_of_x_takes_the_gcd(self):
@@ -734,6 +862,30 @@ class TestDivisionCertificate:
                 content if G == pencil.radical
                 else fibration._curve_values(G, pencil.C))
         assert held[:4] == ["8a", "8b", "8c", "9"] and len(held) == 66
+
+    def test_radical_by_one_gcd(self, monkeypatch):
+        # [DERIVED] where the member F0 at lambda0 holds every critical
+        # curve, gcd(F0 / G, G) in one gcd_bivariate is G / gcd(G, G_x,
+        # G_y), which takes two, on the 16, 60 seeded shears of the curve
+        # rows and 8a and 9 under their wide maps
+        gcd = fibration.gcd_bivariate
+        calls = []
+        monkeypatch.setattr(fibration, "gcd_bivariate",
+                            lambda *args: calls.append(args) or gcd(*args))
+        held = 0
+        for _, P in _curve_charts():
+            pencil = Pencil(P)
+            _, _, G = pencil.critical_pair
+            if pencil._curve_member is None:
+                continue
+            held += 1
+            calls.clear()
+            R = pencil.radical
+            assert len(calls) == 1
+            g = gcd(G, G.derivative("x").strip_monomial(), "x", "y")
+            g = gcd(g, G.derivative("y").strip_monomial(), "x", "y")
+            assert R == G.exact_div(g).strip_monomial()
+        assert held == 66
 
     def test_fallback_when_no_member_holds_the_curve(self, monkeypatch):
         # [DERIVED] with G patched to y + 1 on 8b, f(x, -1) = -x^2 - x - 4
